@@ -8,6 +8,7 @@ from .errors import (
     GroupNotAdmissible,
     GroupNotSymmetry,
     InfiniteGroup,
+    InvalidArgument,
     LgmkError,
     NonPositiveWeight,
     NonUniqueWeights,

@@ -5,11 +5,15 @@ G-invariants of the Milnor ring of W restricted to the variables fixed by g.
 The group acts on a sector through the determinant and composition taken
 over the fixed-locus variables only; with that reading a sector whose fixed
 locus is empty always contributes exactly one basis element.
+
+The invariants of a sector depend only on its fixed locus and on the
+generators of G, so they are computed once per distinct locus, by integer
+congruences on the group's lattice vectors; each element then only reads its
+degree off the sum of its phases.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -89,18 +93,6 @@ def _restricted_milnor_basis(poly: Polynomial, weights: WeightSystem,
     return standard_monomials(basis)
 
 
-def _is_invariant(exponents: tuple[int, ...], fix: list[int],
-                  generators: tuple[GroupElement, ...]) -> bool:
-    # invariance of x^a in sector g: sum over fixed i of (1 + a_i) h_i integral
-    # for every h in G; checking generators suffices (the sum is additive in h)
-    for h in generators:
-        total = sum(((1 + a) * h.phases[i] for a, i in zip(exponents, fix)),
-                    Fraction(0))
-        if total.denominator != 1:
-            return False
-    return True
-
-
 def invariant_monomials(sector: GroupElement, poly: Polynomial,
                         group: SymmetryGroup) -> list[Monomial]:
     """Basis monomials of the restricted Milnor ring that the group fixes.
@@ -111,8 +103,8 @@ def invariant_monomials(sector: GroupElement, poly: Polynomial,
     from .polycore import exponent_matrix, solve_weights
 
     weights = solve_weights(exponent_matrix(poly))
-    return _invariant_monomials(sector, poly, weights, group,
-                                _restricted_cache(poly, weights))
+    return _invariant_monomials(fixed_locus(sector), _generator_vectors(group),
+                                group.exponent, _restricted_cache(poly, weights))
 
 
 def _restricted_cache(poly, weights):
@@ -126,38 +118,38 @@ def _restricted_cache(poly, weights):
     return lookup
 
 
-def _invariant_monomials(sector, poly, weights, group, restricted_basis):
-    fix = fixed_locus(sector)
+def _generator_vectors(group: SymmetryGroup) -> list[tuple[int, ...]]:
+    return [group.vector(h) for h in group.generators]
+
+
+def _invariant_monomials(fix, generators, exponent, restricted_basis):
+    # invariance of x^a in a sector fixing fix: sum over fixed i of
+    # (1 + a_i) h_i integral for every h in G; with h = w/exponent and the
+    # sum additive in h, that is a congruence per generator vector w
     if not fix:
         return [Monomial(())]
     indices = sorted(fix)
     return [m for m in restricted_basis(fix)
-            if _is_invariant(m.exponents, indices, group.generators)]
+            if all(sum((1 + a) * w[i] for a, i in zip(m.exponents, indices)) % exponent == 0
+                   for w in generators)]
 
 
-def _ambient_reading_count(sector, group, fix, monomials) -> int:
+def _ambient_reading_count(fix, generators, exponent, monomials) -> int:
     # alternative reading: determinant over all ambient variables
     indices = sorted(fix)
-    count = 0
-    for m in monomials:
-        ok = True
-        for h in group.generators:
-            total = sum(h.phases, Fraction(0))
-            total += sum((a * h.phases[i] for a, i in zip(m.exponents, indices)),
-                         Fraction(0))
-            if total.denominator != 1:
-                ok = False
-                break
-        if ok:
-            count += 1
-    return count
+    return sum(1 for m in monomials
+               if all((sum(w) + sum(a * w[i] for a, i in zip(m.exponents, indices)))
+                      % exponent == 0 for w in generators))
 
 
 def amodel(poly: Polynomial, group: SymmetryGroup, threads: int = 1) -> AModel:
     """State space of (poly, group) with its rational grading.
 
     Requires poly admissible, the group a symmetry group of poly, and the
-    weights vector J an element of the group.
+    weights vector J an element of the group.  The sector invariants depend
+    only on the fixed locus and the generators, so they are computed once per
+    distinct locus; only the degree is read per element.  `threads` is
+    accepted for compatibility and does not change how the work runs.
     """
     verdict = classify(poly)
     if not verdict.is_admissible:
@@ -168,36 +160,37 @@ def amodel(poly: Polynomial, group: SymmetryGroup, threads: int = 1) -> AModel:
         raise GroupNotAdmissible(
             f"J = {weights} is not an element of the group {group}")
     restricted_basis = _restricted_cache(poly, weights)
-    # precompute every distinct restricted Milnor basis once; this also makes
-    # the per-sector work safe to run on worker threads
-    for fix in {fixed_locus(g) for g in group.elements if fixed_locus(g)}:
-        restricted_basis(fix)
-
-    def sector_monomials(g: GroupElement) -> list[Monomial]:
-        return _invariant_monomials(g, poly, weights, group, restricted_basis)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_sector = list(pool.map(sector_monomials, group.elements))
-    else:
-        per_sector = [sector_monomials(g) for g in group.elements]
-
-    basis = []
-    notes = []
+    generators = _generator_vectors(group)
+    exponent = group.exponent
     n = poly.n_variables
-    for g, monomials in zip(group.elements, per_sector):
-        degree = adegree(g, weights)
-        basis.extend(SectorElement(m, g, degree) for m in monomials)
-        fix = fixed_locus(g)
-        if fix and len(fix) < n:
-            ambient = _ambient_reading_count(g, group, fix, restricted_basis(fix))
-            if ambient != len(monomials):
-                notes.append(
-                    f"sector {g}: ambient-determinant reading gives {ambient} "
-                    f"invariants, fixed-locus reading gives {len(monomials)}")
-    basis.sort(key=lambda s: (s.adegree, s.sector.phases, s.monomial.exponents))
+    # adegree(g) = |fix(g)| + 2*sum(g) - 2*sum(q), with sum(g) = sum(v)/exponent
+    shift = 2 * sum(weights, Fraction(0))
+    loci: dict[frozenset[int], tuple[list[Monomial], int | None]] = {}
+    keyed = []
+    notes = []
+    for g, v in zip(group.elements, group.vectors):
+        fix = frozenset(i for i, a in enumerate(v) if a == 0)
+        if fix not in loci:
+            monomials = _invariant_monomials(fix, generators, exponent, restricted_basis)
+            ambient_count = None
+            if fix and len(fix) < n:
+                ambient_count = _ambient_reading_count(fix, generators, exponent,
+                                                       restricted_basis(fix))
+            loci[fix] = (monomials, ambient_count)
+        monomials, ambient_count = loci[fix]
+        if monomials:
+            degree = Fraction(len(fix) * exponent + 2 * sum(v), exponent) - shift
+            keyed.extend((degree, v, m.exponents, SectorElement(m, g, degree))
+                         for m in monomials)
+        if ambient_count is not None and ambient_count != len(monomials):
+            notes.append(
+                f"sector {g}: ambient-determinant reading gives {ambient_count} "
+                f"invariants, fixed-locus reading gives {len(monomials)}")
+    # vectors sort like the phase tuples they scale
+    keyed.sort(key=lambda entry: entry[:3])
+    basis = tuple(entry[3] for entry in keyed)
     graded = GradedDims.from_degrees(s.adegree for s in basis)
-    return AModel(poly, group, tuple(basis), graded, tuple(notes))
+    return AModel(poly, group, basis, graded, tuple(notes))
 
 
 def group_weights_compare(poly_a: Polynomial, poly_b: Polynomial,

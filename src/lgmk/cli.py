@@ -1,8 +1,8 @@
 """Command-line front end: every pipeline as a text or JSON report.
 
-Exit codes: 0 success, 2 parse error, 3 polynomial not admissible, 4 group
-not admissible or not a symmetry group, 5 polynomial not invertible,
-6 Groebner resource limit exceeded.
+Exit codes: 0 success, 2 parse error or argument out of range, 3 polynomial
+not admissible, 4 group not admissible or not a symmetry group, 5 polynomial
+not invertible, 6 Groebner resource limit exceeded.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from .errors import (
     GroupNotAdmissible,
     GroupNotSymmetry,
     InfiniteGroup,
+    InvalidArgument,
     NotAdmissibleError,
     NotInvertible,
     ParseError,
@@ -56,6 +57,12 @@ def _parse_fraction(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"not a rational number: {text!r}") from exc
+
+
+def _thread_count(value: int) -> int:
+    if value < 1:
+        raise InvalidArgument(f"--threads must be at least 1, got {value}")
+    return value
 
 
 def _require_admissible(poly: Polynomial):
@@ -150,7 +157,7 @@ def cmd_amodel(args) -> tuple[dict, list[str]]:
     poly = parse_polynomial(args.polynomial)
     verdict = _require_admissible(poly)
     group = _parse_group_spec(args.group, poly, verdict.weights)
-    model = amodel(poly, group, threads=args.threads)
+    model = amodel(poly, group, threads=_thread_count(args.threads))
     payload = {
         "polynomial": str(poly),
         "group_order": group.order,
@@ -270,7 +277,7 @@ def cmd_search(args) -> tuple[dict, list[str]]:
     top = _parse_fraction(args.top)
     report_obj = search_weight_systems(dim, top, args.vars,
                                        denominator_bound=args.bound,
-                                       threads=args.threads)
+                                       threads=_thread_count(args.threads))
     payload = report_obj.to_json_dict()
     lines = [f"target dimension: {_rat(dim)}",
              f"target top degree: {_rat(top)}",
@@ -368,7 +375,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("amodel", help="A-side state space for (polynomial, group)")
     p.add_argument("polynomial")
     p.add_argument("group", help="'max', 'J', 'sl', '0', or generators 'p/q,p/q;...'")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted for compatibility; sectors are computed in one thread")
     add_json(p)
     p.set_defaults(handler=cmd_amodel)
 
@@ -402,7 +410,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 _EXIT_CODES = (
-    (ParseError, 2),
+    ((ParseError, InvalidArgument), 2),
     ((NotAdmissibleError, WeightError, InfiniteGroup, DegenerateRestriction), 3),
     ((GroupNotAdmissible, GroupNotSymmetry), 4),
     (NotInvertible, 5),

@@ -5,6 +5,10 @@ class LgmkError(Exception):
     """Base class for all toolkit errors."""
 
 
+class InvalidArgument(LgmkError, ValueError):
+    """A numeric argument or setting lies outside its documented range."""
+
+
 class ParseError(LgmkError):
     """Polynomial text does not conform to the input grammar."""
 

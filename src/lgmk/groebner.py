@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .errors import NotFiniteDimensional, ResourceLimitExceeded
+from .errors import InvalidArgument, NotFiniteDimensional, ResourceLimitExceeded
 from .polycore import Exps, Monomial, Polynomial, WeightSystem
 
 DEFAULT_PAIR_BUDGET = 10**6
@@ -148,7 +148,13 @@ def _autoreduce(basis: list[TermDict], key) -> list[TermDict]:
 def _pair_budget(explicit: int | None) -> int:
     if explicit is not None:
         return explicit
-    return int(os.environ.get(PAIR_BUDGET_ENV, DEFAULT_PAIR_BUDGET))
+    raw = os.environ.get(PAIR_BUDGET_ENV)
+    if raw is None:
+        return DEFAULT_PAIR_BUDGET
+    try:
+        return int(raw)
+    except ValueError:
+        raise InvalidArgument(f"{PAIR_BUDGET_ENV} must be an integer, got {raw!r}") from None
 
 
 def buchberger(gens: list[Polynomial], order: MonomialOrder,

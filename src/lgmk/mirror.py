@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
-from .errors import NotInvertible, TailProductTooLarge, WeightError
+from .errors import InvalidArgument, NotInvertible, TailProductTooLarge, WeightError
 from .milnor import bmodel
 from .polycore import (
     ExponentMatrix,
@@ -241,14 +241,17 @@ def search_weight_systems(d, delta, m: int, denominator_bound: int = 60,
 
     m = 1 and m = 2 are decided exactly; for m >= 3 the tails run over the
     bounded-denominator grid and the result is relative to that bound.
-    Solutions are canonicalized ascending, so permutations collapse.
+    Solutions are canonicalized ascending, so permutations collapse.  Raises
+    InvalidArgument for m < 1, a bound below 2 or a dimension d <= 0.
     """
     d = Fraction(d)
     delta = Fraction(delta)
     if m < 1:
-        raise ValueError("number of variables must be at least 1")
+        raise InvalidArgument("number of variables must be at least 1")
     if denominator_bound < 2:
-        raise ValueError("denominator bound must be at least 2")
+        raise InvalidArgument("denominator bound must be at least 2")
+    if d <= 0:
+        raise InvalidArgument(f"target dimension must be positive, got {d}")
     solutions: set[tuple[Fraction, ...]] = set()
     if m == 1:
         q = 1 / (d + 1)

@@ -1,15 +1,19 @@
 """Finite diagonal symmetry groups of quasihomogeneous polynomials.
 
 Group elements are phase vectors in (Q/Z)^n, stored with every phase reduced
-into [0, 1).  Groups keep a fully enumerated, sorted element list: at the
-scale of this toolkit (orders up to a few hundred) that makes subgroup and
-equality tests trivial set operations.
+into [0, 1).  A group G of exponent N is kept as the integer lattice
+L = {v in Z^n : v/N in G}, which satisfies N*Z^n <= L <= Z^n, through the
+Hermite normal form of a basis of L.  Order, membership, containment,
+invariant factors and quotients are integer linear algebra on that basis.
+The sorted element list is still built with the group, read off the
+triangular basis in increasing order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import gcd, lcm, prod
 
@@ -54,86 +58,232 @@ class GroupElement:
         return "(" + ", ".join(str(p) for p in self.phases) + ")"
 
 
+# ---------------------------------------------------------------------------
+# Lattices N*Z^n <= L <= Z^n in Hermite normal form
+# ---------------------------------------------------------------------------
+
+def _numerators(element: GroupElement, exponent: int) -> tuple[int, ...] | None:
+    """The integer vector v with element = v/exponent, or None when some phase
+    has a denominator not dividing the exponent."""
+    out = []
+    for p in element.phases:
+        scale, rest = divmod(exponent, p.denominator)
+        if rest:
+            return None
+        out.append(p.numerator * scale)
+    return tuple(out)
+
+
+def _hermite_basis(rows, exponent: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """Hermite normal form of the lattice spanned by rows and exponent*Z^n.
+
+    The basis is upper triangular with positive diagonal, and every entry
+    above a pivot lies in [0, pivot); so it is unique to the lattice.
+    """
+    work = [list(r) for r in rows if any(r)]
+    work += [[exponent * (i == j) for j in range(n)] for i in range(n)]
+    basis = []
+    for j in range(n):
+        pivot = None
+        rest = []
+        for row in work:
+            if row[j] == 0:
+                rest.append(row)
+            elif pivot is None:
+                pivot = row
+            else:
+                # unimodular 2x2 step: (pivot, row) -> (gcd row, row with a 0 at j)
+                a, b = pivot[j], row[j]
+                g, x, y = _extended_gcd(a, b)
+                pa, pb = a // g, b // g
+                cleared = [pb * p - pa * r for p, r in zip(pivot, row)]
+                pivot = [x * p + y * r for p, r in zip(pivot, row)]
+                if any(cleared):
+                    rest.append(cleared)
+        if pivot[j] < 0:
+            pivot = [-x for x in pivot]
+        basis.append(pivot)
+        work = rest
+    for j in range(n):
+        d = basis[j][j]
+        for k in range(j):
+            q = basis[k][j] // d
+            if q:
+                basis[k] = [a - q * b for a, b in zip(basis[k], basis[j])]
+    return tuple(tuple(row) for row in basis)
+
+
+def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with x*a + y*b = g = gcd(a, b) > 0."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    if a < 0:
+        return -a, -x0, -y0
+    return a, x0, y0
+
+
+def _coordinates(vector, basis) -> list[int] | None:
+    """Integer x with x*basis = vector, or None when vector is off the lattice."""
+    rest = list(vector)
+    coords = []
+    for j, row in enumerate(basis):
+        c, r = divmod(rest[j], row[j])
+        if r:
+            return None
+        coords.append(c)
+        if c:
+            for k in range(j, len(rest)):
+                rest[k] -= c * row[k]
+    return coords
+
+
+def _nontrivial_factors(relations) -> tuple[int, ...]:
+    """Smith form diagonal of a square relation matrix, without its 1s."""
+    _, d, _ = smith_normal_form(relations)
+    return tuple(d[i][i] for i in range(len(d)) if d[i][i] != 1)
+
+
+@lru_cache(maxsize=8)
+def _phase_table(exponent: int) -> tuple[Fraction, ...]:
+    """Fraction(k, exponent) for k = 0 .. exponent - 1, shared by the groups
+    of one exponent."""
+    return tuple(Fraction(k, exponent) for k in range(exponent))
+
+
+def _sorted_vectors(exponent: int, basis) -> tuple[list, list]:
+    """Every vector of L mod exponent (coordinates in [0, exponent)) in
+    increasing order, with its phase vector.
+
+    Level j fixes coordinate j: adding multiples of basis row j runs it
+    through r, r + d, r + 2d, ... below the exponent, with d the pivot and
+    r its residue mod d, and leaves the coordinates before j alone.  A
+    partial vector is its fixed prefix, that prefix as phases, and its
+    integer coordinates from j on."""
+    table = _phase_table(exponent)
+    last = len(basis) - 1
+    partial = [((), (), (0,) * len(basis))]
+    for j, row in enumerate(basis[:last]):
+        d = row[j]
+        tail = row[j + 1:]
+        grown = []
+        for head, phases, rest in partial:
+            start = -(rest[0] // d)
+            for c in range(start, start + exponent // d):
+                k = rest[0] + c * d
+                grown.append((head + (k,), phases + (table[k],),
+                              tuple([(a + c * b) % exponent
+                                     for a, b in zip(rest[1:], tail)])))
+        partial = grown
+    d = basis[last][last]
+    vectors = []
+    phase_vectors = []
+    for head, phases, rest in partial:
+        for k in range(rest[0] % d, exponent, d):
+            vectors.append(head + (k,))
+            phase_vectors.append(phases + (table[k],))
+    return vectors, phase_vectors
+
+
+def _element(phases: tuple[Fraction, ...]) -> GroupElement:
+    # phases already reduced into [0, 1) skip re-normalization
+    element = object.__new__(GroupElement)
+    object.__setattr__(element, "phases", phases)
+    return element
+
+
 @dataclass(frozen=True)
 class SymmetryGroup:
-    """Finite subgroup of (Q/Z)^n with a complete sorted element list."""
+    """Finite subgroup of (Q/Z)^n.
+
+    `exponent` N is the lcm of the element orders and `basis` the Hermite
+    basis of the lattice {v in Z^n : v/N in the group}.  The group is built
+    from these two with `elements`, its members in sorted order, and
+    `vectors`, the integer vectors v of those members in the same order.
+    """
 
     ambient: int
     generators: tuple[GroupElement, ...]
-    elements: tuple[GroupElement, ...]
+    exponent: int = field(compare=False)
+    basis: tuple[tuple[int, ...], ...] = field(compare=False)
     snf_diagonal: tuple[int, ...] | None = field(default=None, compare=False)
+    elements: tuple[GroupElement, ...] = field(init=False)
+    vectors: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_element_set", frozenset(self.elements))
+        vectors, phases = _sorted_vectors(self.exponent, self.basis)
+        object.__setattr__(self, "vectors", tuple(vectors))
+        object.__setattr__(self, "elements", tuple(map(_element, phases)))
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return self.exponent ** self.ambient // prod(row[i] for i, row in enumerate(self.basis))
+
+    def vector(self, element: GroupElement) -> tuple[int, ...] | None:
+        """Integer v with element = v/exponent, or None if no such v exists."""
+        return _numerators(element, self.exponent)
 
     def __contains__(self, element: GroupElement) -> bool:
-        return element in self._element_set
+        if len(element) != self.ambient:
+            return False
+        v = self.vector(element)
+        return v is not None and _coordinates(v, self.basis) is not None
 
-    def element_set(self) -> frozenset[GroupElement]:
-        return self._element_set
+    def _scaled_basis(self, exponent: int):
+        """This group's basis at a multiple of its exponent."""
+        scale = exponent // self.exponent
+        return [[scale * a for a in row] for row in self.basis]
 
     def is_subgroup_of(self, other: "SymmetryGroup") -> bool:
-        return self._element_set <= other._element_set
+        if self.ambient != other.ambient or other.exponent % self.exponent:
+            return False
+        return all(_coordinates(row, other.basis) is not None
+                   for row in self._scaled_basis(other.exponent))
 
     def invariant_factors(self) -> tuple[int, ...]:
-        """Invariant factors d_1 | d_2 | ... with the group = product Z/d_i."""
-        return _abelian_invariants(list(self.elements),
-                                   lambda a, b: a + b,
-                                   GroupElement.identity(self.ambient))
+        """Invariant factors d_1 | d_2 | ... with the group = product Z/d_i.
+
+        exponent*Z^n has coordinates exponent*B^-1 in the basis B of the
+        lattice, so these are the Smith form of that matrix without its 1s."""
+        n = self.ambient
+        return _nontrivial_factors(
+            [_coordinates([self.exponent * (i == j) for j in range(n)], self.basis)
+             for i in range(n)])
 
     def __str__(self) -> str:
         gens = "; ".join(str(g) for g in self.generators) or "0"
         return f"<{gens}> of order {self.order}"
 
 
-def _closure(gens: list[GroupElement], ambient: int) -> tuple[GroupElement, ...]:
-    zero = GroupElement.identity(ambient)
-    seen = {zero}
-    frontier = [zero]
-    while frontier:
-        fresh = []
-        for a in frontier:
-            for g in gens:
-                b = a + g
-                if b not in seen:
-                    seen.add(b)
-                    fresh.append(b)
-        frontier = fresh
-    return tuple(sorted(seen))
-
-
-def _greedy_generators(elements: tuple[GroupElement, ...],
-                       ambient: int) -> tuple[GroupElement, ...]:
-    gens: list[GroupElement] = []
-    have = {GroupElement.identity(ambient)}
-    for e in sorted(elements, key=lambda g: (-g.order(), g)):
-        if e not in have:
-            gens.append(e)
-            have = set(_closure(gens, ambient))
-    return tuple(gens)
-
-
 def subgroup_generated(gens: list[GroupElement], ambient: int) -> SymmetryGroup:
-    """Closure of the generators under addition mod 1."""
+    """Subgroup generated by the elements: the lattice their numerators span."""
     for g in gens:
         if len(g) != ambient:
             raise ValueError("generator length does not match ambient dimension")
-    elements = _closure(list(gens), ambient)
-    return SymmetryGroup(ambient, tuple(gens), elements)
+    exponent = lcm(*(g.order() for g in gens))
+    basis = _hermite_basis([_numerators(g, exponent) for g in gens], exponent, ambient)
+    return SymmetryGroup(ambient, tuple(gens), exponent, basis)
 
 
 def group_from_elements(elements, ambient: int) -> SymmetryGroup:
-    """Group from a complete element list, with a small generating set."""
-    elems = tuple(sorted(set(elements)))
-    if not elems:
-        elems = (GroupElement.identity(ambient),)
-    gens = _greedy_generators(elems, ambient)
-    group = SymmetryGroup(ambient, gens, elems)
-    if len(_closure(list(gens), ambient)) != len(elems):
+    """Group from a complete element list, with a small generating set.
+
+    Generators are chosen greedily: elements by descending order, then
+    ascending, each kept when the ones before it do not generate it."""
+    elems = sorted(set(elements)) or [GroupElement.identity(ambient)]
+    exponent = lcm(*(e.order() for e in elems))
+    basis = _hermite_basis((), exponent, ambient)
+    gens = []
+    for e in sorted(elems, key=lambda g: (-g.order(), g)):
+        v = _numerators(e, exponent)
+        if _coordinates(v, basis) is None:
+            gens.append(e)
+            basis = _hermite_basis(basis + (v,), exponent, ambient)
+    group = SymmetryGroup(ambient, tuple(gens), exponent, basis)
+    if group.order != len(elems):
         raise ValueError("element list is not closed under addition")
     return group
 
@@ -252,17 +402,13 @@ def gmax(poly: Polynomial) -> SymmetryGroup:
         if diag[i] > 1:
             generators.append(GroupElement(
                 tuple(Fraction(v[row][i], diag[i]) for row in range(n))))
-    elements = set()
-    for ks in product(*(range(x) for x in diag)):
-        phases = tuple(
-            sum((Fraction(v[row][i] * ks[i], diag[i]) for i in range(n)),
-                Fraction(0)) % 1
-            for row in range(n))
-        elements.add(GroupElement(phases))
-    if len(elements) != prod(diag):
+    exponent = lcm(*diag)
+    columns = [[v[row][i] * (exponent // diag[i]) for row in range(n)] for i in range(n)]
+    group = SymmetryGroup(n, tuple(generators), exponent,
+                          _hermite_basis(columns, exponent, n), snf_diagonal=tuple(diag))
+    if group.order != prod(diag):
         raise AssertionError("Smith normal form produced a defective group")
-    return SymmetryGroup(n, tuple(generators), tuple(sorted(elements)),
-                         snf_diagonal=tuple(diag))
+    return group
 
 
 def gmax_bruteforce(poly: Polynomial, denominator_bound: int) -> SymmetryGroup:
@@ -289,21 +435,14 @@ def is_admissible_group(group: SymmetryGroup, weights: WeightSystem) -> bool:
 
 def sl_subgroup(group: SymmetryGroup) -> SymmetryGroup:
     """Subgroup of elements whose phases sum to an integer (determinant one)."""
-    kept = [g for g in group.elements
-            if sum(g.phases, Fraction(0)).denominator == 1]
+    kept = [g for g, v in zip(group.elements, group.vectors)
+            if sum(v) % group.exponent == 0]
     return group_from_elements(kept, group.ambient)
 
 
 def fixed_locus(element: GroupElement) -> frozenset[int]:
     """Zero-based indices of the variables fixed by the element."""
     return frozenset(i for i, p in enumerate(element.phases) if p == 0)
-
-
-def _pairing_integral(g: GroupElement, rows, h: GroupElement) -> bool:
-    total = Fraction(0)
-    for i, row in enumerate(rows):
-        total += g.phases[i] * sum(row[j] * h.phases[j] for j in range(len(row)))
-    return total.denominator == 1
 
 
 def transpose_group(group: SymmetryGroup, poly: Polynomial) -> SymmetryGroup:
@@ -318,9 +457,13 @@ def transpose_group(group: SymmetryGroup, poly: Polynomial) -> SymmetryGroup:
     transposed = transpose_polynomial(poly)
     ambient_max = gmax(transposed)
     rows = exponent_matrix(poly).rows
-    generators = group.generators if group.generators else ()
-    kept = [g for g in ambient_max.elements
-            if all(_pairing_integral(g, rows, h) for h in generators)]
+    # with g = u/M and h = w/N, g A h^T is integral iff u.(A w) = 0 mod M*N
+    modulus = ambient_max.exponent * group.exponent
+    images = [[sum(a * b for a, b in zip(row, group.vector(h))) for row in rows]
+              for h in group.generators]
+    kept = [g for g, u in zip(ambient_max.elements, ambient_max.vectors)
+            if all(sum(a * b for a, b in zip(u, image)) % modulus == 0
+                   for image in images)]
     return group_from_elements(kept, ambient_max.ambient)
 
 
@@ -341,78 +484,43 @@ def gmax_fermat_plus_monomial(p: int, q: int, r: int, s: int) -> SymmetryGroup:
 
 
 def check_symmetry(group: SymmetryGroup, poly: Polynomial) -> None:
-    """Raise GroupNotSymmetry unless every element fixes the polynomial."""
+    """Raise GroupNotSymmetry unless the group fixes the polynomial.
+
+    g fixes every monomial iff A g is integral; that is additive in g, so
+    the generators decide it."""
     matrix = exponent_matrix(poly)
     if group.ambient != matrix.n:
         raise GroupNotSymmetry(
             f"group lives in (Q/Z)^{group.ambient}, polynomial has {matrix.n} variables")
-    for g in group.elements:
+    for g in group.generators:
+        v = group.vector(g)
         for row in matrix.rows:
-            phase = sum((row[j] * g.phases[j] for j in range(matrix.n)), Fraction(0))
-            if phase.denominator != 1:
+            if sum(a * b for a, b in zip(row, v)) % group.exponent:
                 raise GroupNotSymmetry(f"element {g} does not fix the polynomial")
-
-
-# ---------------------------------------------------------------------------
-# Invariant factors of abstract finite abelian groups
-# ---------------------------------------------------------------------------
-
-def _element_order(e, add, zero) -> int:
-    k = 1
-    acc = e
-    while acc != zero:
-        acc = add(acc, e)
-        k += 1
-    return k
-
-
-def _abelian_invariants(elements, add, zero) -> tuple[int, ...]:
-    """Invariant factors via repeated splitting at an element of maximal order.
-
-    An element of maximal order in a finite abelian group generates a direct
-    summand, so the remaining factors are those of the quotient.
-    """
-    if len(elements) == 1:
-        return ()
-    orders = {e: _element_order(e, add, zero) for e in elements}
-    x = max(elements, key=lambda e: (orders[e], e))
-    d = orders[x]
-    cyclic = {zero}
-    acc = x
-    while acc != zero:
-        cyclic.add(acc)
-        acc = add(acc, x)
-
-    def canon(e):
-        return min(add(e, h) for h in cyclic)
-
-    reps = sorted({canon(e) for e in elements})
-    rest = _abelian_invariants(reps, lambda a, b: canon(add(a, b)), canon(zero))
-    return rest + (d,)
 
 
 def quotient_invariant_factors(group: SymmetryGroup,
                                subgroup: SymmetryGroup) -> tuple[int, ...]:
-    """Invariant factors of group/subgroup (subgroup must be contained)."""
+    """Invariant factors of group/subgroup (subgroup must be contained).
+
+    The subgroup's basis has integer coordinates in the group's basis; the
+    quotient is presented by that coordinate matrix."""
     if not subgroup.is_subgroup_of(group):
         raise ValueError("second argument is not a subgroup of the first")
-    sub = subgroup.element_set()
-
-    def canon(e):
-        return min(e + h for h in sub)
-
-    reps = sorted({canon(e) for e in group.elements})
-    zero = canon(GroupElement.identity(group.ambient))
-    return _abelian_invariants(reps, lambda a, b: canon(a + b), zero)
+    return _nontrivial_factors(
+        [_coordinates(row, group.basis) for row in subgroup._scaled_basis(group.exponent)])
 
 
 def subgroups_containing(group: SymmetryGroup,
                          seed: list[GroupElement]) -> list[SymmetryGroup]:
-    """Every subgroup of the group that contains all the seed elements."""
+    """Every subgroup of the group that contains all the seed elements.
+
+    Subgroups are found by adjoining one element at a time to those already
+    found; a lattice is known by its exponent and Hermite basis."""
     base = subgroup_generated(list(seed), group.ambient)
     if not base.is_subgroup_of(group):
         raise ValueError("seed elements do not lie in the group")
-    seen = {base.element_set()}
+    seen = {(base.exponent, base.basis)}
     queue = [base]
     out = [base]
     while queue:
@@ -422,8 +530,9 @@ def subgroups_containing(group: SymmetryGroup,
                 continue
             extended = subgroup_generated(list(current.generators) + [x],
                                           group.ambient)
-            if extended.element_set() not in seen:
-                seen.add(extended.element_set())
+            key = (extended.exponent, extended.basis)
+            if key not in seen:
+                seen.add(key)
                 queue.append(extended)
                 out.append(extended)
     out.sort(key=lambda s: (s.order, s.elements))

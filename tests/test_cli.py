@@ -169,6 +169,37 @@ class TestExitCodes:
         assert code == 6
 
 
+class TestBadInput:
+    """Out-of-range arguments end in one error line and exit code 2."""
+
+    def assert_bad_input(self, capsys, *argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_dimension_minus_one(self, capsys):
+        self.assert_bad_input(capsys, "search", "-1", "2", "3")
+
+    def test_zero_variables(self, capsys):
+        self.assert_bad_input(capsys, "search", "8", "12/5", "0")
+
+    def test_bound_one(self, capsys):
+        self.assert_bad_input(capsys, "search", "8", "12/5", "3", "--bound", "1")
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_search_threads_below_one(self, capsys, threads):
+        self.assert_bad_input(capsys, "search", "8", "12/5", "3", "--threads", threads)
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_amodel_threads_below_one(self, capsys, threads):
+        self.assert_bad_input(capsys, "amodel", "x^3", "max", "--threads", threads)
+
+    def test_pair_budget_not_an_integer(self, capsys, monkeypatch):
+        monkeypatch.setenv("LGMK_PAIR_BUDGET", "abc")
+        self.assert_bad_input(capsys, "bmodel", "x^4+y^4+x^3*y")
+
+
 class TestTextJsonAgreement:
     CASES = [
         (("weights", "x^3+y^3"), ["1/3", "invertible"]),
