@@ -38,6 +38,7 @@ from .milnor import (
     bmodel,
     btop_formula,
     is_nondegenerate,
+    jacobian_groebner,
     jacobian_ideal,
 )
 from .mirror import (
@@ -53,7 +54,6 @@ from .mirror import (
     reduce_to_pair,
     search_weight_systems,
     solve_pair,
-    transpose_polynomial,
 )
 from .polycore import (
     Classification,
@@ -67,6 +67,7 @@ from .polycore import (
     monomial_bdegree,
     parse_polynomial,
     solve_weights,
+    transpose_polynomial,
 )
 from .symmetry import (
     GroupElement,

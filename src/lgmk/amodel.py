@@ -22,13 +22,15 @@ from .errors import (
     GroupNotAdmissible,
     NotAdmissibleError,
 )
-from .groebner import MonomialOrder, buchberger, is_zero_dimensional, standard_monomials
-from .milnor import GradedDims, jacobian_ideal
+from .groebner import standard_monomials
+from .milnor import GradedDims, jacobian_groebner
 from .polycore import (
     Monomial,
     Polynomial,
     WeightSystem,
     classify,
+    exponent_matrix,
+    solve_weights,
 )
 from .symmetry import GroupElement, SymmetryGroup, check_symmetry, fixed_locus, is_admissible_group
 
@@ -48,7 +50,6 @@ class AModel:
     group: SymmetryGroup
     basis: tuple[SectorElement, ...]
     graded: GradedDims
-    convention_notes: tuple[str, ...] = ()
 
 
 def restrict(poly: Polynomial, fix: frozenset[int] | set[int]) -> Polynomial | None:
@@ -82,12 +83,8 @@ def _restricted_milnor_basis(poly: Polynomial, weights: WeightSystem,
         raise DegenerateRestriction(
             f"restriction to variables {sorted(fix)} is the zero polynomial")
     sub_weights = WeightSystem(tuple(weights[i] for i in sorted(fix)))
-    gens = [p for p in jacobian_ideal(restricted) if not p.is_zero()]
-    if not gens:
-        raise DegenerateRestriction(
-            f"restriction to variables {sorted(fix)} has a zero Jacobian ideal")
-    basis = buchberger(gens, MonomialOrder.weighted_degrevlex(sub_weights))
-    if not is_zero_dimensional(basis):
+    basis = jacobian_groebner(restricted, sub_weights)
+    if basis is None:
         raise DegenerateRestriction(
             f"restriction to variables {sorted(fix)} has a non-finite Milnor ring")
     return standard_monomials(basis)
@@ -100,16 +97,12 @@ def invariant_monomials(sector: GroupElement, poly: Polynomial,
     A sector with empty fixed locus contributes the single empty monomial
     unconditionally.
     """
-    from .polycore import exponent_matrix, solve_weights
-
     weights = solve_weights(exponent_matrix(poly))
     return _invariant_monomials(fixed_locus(sector), _generator_vectors(group),
-                                group.exponent, _restricted_cache(poly, weights))
+                                group.exponent, _restricted_cache(poly, weights, {}))
 
 
-def _restricted_cache(poly, weights):
-    cache: dict[frozenset[int], list[Monomial]] = {}
-
+def _restricted_cache(poly, weights, cache: dict[frozenset[int], list[Monomial]]):
     def lookup(fix: frozenset[int]) -> list[Monomial]:
         if fix not in cache:
             cache[fix] = _restricted_milnor_basis(poly, weights, fix)
@@ -134,14 +127,6 @@ def _invariant_monomials(fix, generators, exponent, restricted_basis):
                    for w in generators)]
 
 
-def _ambient_reading_count(fix, generators, exponent, monomials) -> int:
-    # alternative reading: determinant over all ambient variables
-    indices = sorted(fix)
-    return sum(1 for m in monomials
-               if all((sum(w) + sum(a * w[i] for a, i in zip(m.exponents, indices)))
-                      % exponent == 0 for w in generators))
-
-
 def amodel(poly: Polynomial, group: SymmetryGroup, threads: int = 1) -> AModel:
     """State space of (poly, group) with its rational grading.
 
@@ -159,38 +144,30 @@ def amodel(poly: Polynomial, group: SymmetryGroup, threads: int = 1) -> AModel:
     if not is_admissible_group(group, weights):
         raise GroupNotAdmissible(
             f"J = {weights} is not an element of the group {group}")
-    restricted_basis = _restricted_cache(poly, weights)
+    # the full locus is the Milnor ring of poly, whose basis classify kept
+    full = frozenset(range(poly.n_variables))
+    restricted_basis = _restricted_cache(
+        poly, weights, {full: standard_monomials(verdict.jacobian_basis)})
     generators = _generator_vectors(group)
     exponent = group.exponent
-    n = poly.n_variables
     # adegree(g) = |fix(g)| + 2*sum(g) - 2*sum(q), with sum(g) = sum(v)/exponent
     shift = 2 * sum(weights, Fraction(0))
-    loci: dict[frozenset[int], tuple[list[Monomial], int | None]] = {}
+    loci: dict[frozenset[int], list[Monomial]] = {}
     keyed = []
-    notes = []
     for g, v in zip(group.elements, group.vectors):
         fix = frozenset(i for i, a in enumerate(v) if a == 0)
         if fix not in loci:
-            monomials = _invariant_monomials(fix, generators, exponent, restricted_basis)
-            ambient_count = None
-            if fix and len(fix) < n:
-                ambient_count = _ambient_reading_count(fix, generators, exponent,
-                                                       restricted_basis(fix))
-            loci[fix] = (monomials, ambient_count)
-        monomials, ambient_count = loci[fix]
+            loci[fix] = _invariant_monomials(fix, generators, exponent, restricted_basis)
+        monomials = loci[fix]
         if monomials:
             degree = Fraction(len(fix) * exponent + 2 * sum(v), exponent) - shift
             keyed.extend((degree, v, m.exponents, SectorElement(m, g, degree))
                          for m in monomials)
-        if ambient_count is not None and ambient_count != len(monomials):
-            notes.append(
-                f"sector {g}: ambient-determinant reading gives {ambient_count} "
-                f"invariants, fixed-locus reading gives {len(monomials)}")
     # vectors sort like the phase tuples they scale
     keyed.sort(key=lambda entry: entry[:3])
     basis = tuple(entry[3] for entry in keyed)
     graded = GradedDims.from_degrees(s.adegree for s in basis)
-    return AModel(poly, group, basis, graded, tuple(notes))
+    return AModel(poly, group, basis, graded)
 
 
 def group_weights_compare(poly_a: Polynomial, poly_b: Polynomial,

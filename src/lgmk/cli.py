@@ -25,18 +25,24 @@ from .errors import (
     ResourceLimitExceeded,
     WeightError,
 )
-from .milnor import bdim_formula, bmodel, btop_formula, is_nondegenerate
+from .milnor import _dim_product, _top_sum, bdim_formula, bmodel, btop_formula, is_nondegenerate
 from .mirror import (
     STATUS_NONE_EXACT,
     STATUS_NONE_WITHIN_BOUND,
     discriminant_2var,
     discriminant_sign_boundary,
-    mirror_check,
     search_weight_systems,
     transpose_polynomial,
 )
 from .polycore import Polynomial, classify, parse_polynomial
-from .symmetry import GroupElement, SymmetryGroup, gmax, sl_subgroup, subgroup_generated
+from .symmetry import (
+    GroupElement,
+    SymmetryGroup,
+    fixed_locus,
+    gmax,
+    sl_subgroup,
+    subgroup_generated,
+)
 
 
 def _rat(value) -> str:
@@ -172,7 +178,6 @@ def cmd_amodel(args) -> tuple[dict, list[str]]:
             for s in model.basis
         ],
     }
-    warnings = list(model.convention_notes)
     lines = [f"polynomial: {payload['polynomial']}",
              f"group: order {group.order}",
              f"dimension: {model.graded.total_dim}",
@@ -183,17 +188,13 @@ def cmd_amodel(args) -> tuple[dict, list[str]]:
     lines.append("basis:")
     for s in model.basis:
         lines.append(f"  [{_sector_monomial_text(s, poly)}; {s.sector}]  degree {s.adegree}")
-    for note in warnings:
-        lines.append(f"warning: {note}")
     report = {"command": "amodel",
               "inputs": {"polynomial": args.polynomial, "group": args.group},
-              "payload": payload, "warnings": warnings}
+              "payload": payload, "warnings": []}
     return report, lines
 
 
 def _sector_monomial_text(sector_element, poly: Polynomial) -> str:
-    from .symmetry import fixed_locus
-
     fix = sorted(fixed_locus(sector_element.sector))
     names = tuple(poly.variables[i] for i in fix)
     return sector_element.monomial.render(names)
@@ -233,8 +234,6 @@ def _formula_values(weights):
     try:
         return bdim_formula(weights), btop_formula(weights)
     except ValueError:
-        from .milnor import _dim_product, _top_sum
-
         return _dim_product(weights), _top_sum(weights)
 
 
@@ -395,7 +394,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("top", help="target top degree (rational, e.g. 12/5)")
     p.add_argument("vars", type=int, help="number of variables of the candidate")
     p.add_argument("--bound", type=int, default=60, help="denominator bound for tails")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted for compatibility; tails are searched in one thread")
     add_json(p)
     p.set_defaults(handler=cmd_search)
 

@@ -146,15 +146,16 @@ def _autoreduce(basis: list[TermDict], key) -> list[TermDict]:
 
 
 def _pair_budget(explicit: int | None) -> int:
-    if explicit is not None:
-        return explicit
-    raw = os.environ.get(PAIR_BUDGET_ENV)
+    raw = explicit if explicit is not None else os.environ.get(PAIR_BUDGET_ENV)
     if raw is None:
         return DEFAULT_PAIR_BUDGET
     try:
-        return int(raw)
+        budget = int(raw)
     except ValueError:
         raise InvalidArgument(f"{PAIR_BUDGET_ENV} must be an integer, got {raw!r}") from None
+    if budget < 0:
+        raise InvalidArgument(f"S-pair budget must not be negative, got {budget}")
+    return budget
 
 
 def buchberger(gens: list[Polynomial], order: MonomialOrder,
@@ -164,7 +165,8 @@ def buchberger(gens: list[Polynomial], order: MonomialOrder,
     Pair selection is the normal strategy (smallest lcm in the order); the
     coprime and chain criteria prune useless pairs.  Processing more than
     `pair_budget` S-pairs (default 10^6, overridable through the
-    LGMK_PAIR_BUDGET environment variable) raises ResourceLimitExceeded.
+    LGMK_PAIR_BUDGET environment variable) raises ResourceLimitExceeded; a
+    negative budget raises InvalidArgument.
     """
     if not gens:
         raise ValueError("no generators given")

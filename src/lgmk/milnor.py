@@ -1,7 +1,9 @@
 """Milnor rings and the unorbifolded B-side as graded vector spaces.
 
 The quotient C[x_1..x_n]/(dW/dx_1, ..., dW/dx_n) is computed exactly with
-the Buchberger engine; the closed-form dimension and top-degree expressions
+the Buchberger engine; `jacobian_groebner` is the one place that runs it on
+a Jacobian ideal.  `classify` keeps that basis in its verdict, and `bmodel`
+reads it from there.  The closed-form dimension and top-degree expressions
 are checked against the engine at construction time, so a disagreement
 between the two routes fails loudly.
 """
@@ -25,6 +27,7 @@ from .polycore import (
     Monomial,
     Polynomial,
     WeightSystem,
+    classify,
     exponent_matrix,
     monomial_bdegree,
     solve_weights,
@@ -100,11 +103,18 @@ def jacobian_ideal(poly: Polynomial) -> list[Polynomial]:
     return partials
 
 
-def _jacobian_basis(poly: Polynomial, order: MonomialOrder) -> GroebnerBasis | None:
+def jacobian_groebner(poly: Polynomial,
+                      weights: WeightSystem | None) -> GroebnerBasis | None:
+    """Reduced Groebner basis of the Jacobian ideal, under weighted degrevlex
+    (plain degrevlex when weights is None); None when the Milnor ring is not
+    finite dimensional."""
     gens = [p for p in jacobian_ideal(poly) if not p.is_zero()]
     if not gens:
         return None
-    return buchberger(gens, order)
+    order = (MonomialOrder.degrevlex() if weights is None
+             else MonomialOrder.weighted_degrevlex(weights))
+    basis = buchberger(gens, order)
+    return basis if is_zero_dimensional(basis) else None
 
 
 def is_nondegenerate(poly: Polynomial) -> bool:
@@ -113,13 +123,9 @@ def is_nondegenerate(poly: Polynomial) -> bool:
         return False
     try:
         weights = solve_weights(exponent_matrix(poly))
-        order = MonomialOrder.weighted_degrevlex(weights)
     except WeightError:
-        order = MonomialOrder.degrevlex()
-    basis = _jacobian_basis(poly, order)
-    if basis is None:
-        return False
-    return is_zero_dimensional(basis)
+        weights = None
+    return jacobian_groebner(poly, weights) is not None
 
 
 def _dim_product(weights: WeightSystem) -> Fraction:
@@ -152,14 +158,11 @@ def _require_halved(weights: WeightSystem) -> None:
 
 def bmodel(poly: Polynomial) -> BModel:
     """Milnor ring of an admissible polynomial as a graded vector space."""
-    from .polycore import classify  # deferred: classify also calls into this module
-
     verdict = classify(poly)
     if not verdict.is_admissible:
         raise NotAdmissibleError(verdict.reason or "polynomial is not admissible")
     weights = verdict.weights
-    basis = _jacobian_basis(poly, MonomialOrder.weighted_degrevlex(weights))
-    monomials = tuple(standard_monomials(basis))
+    monomials = tuple(standard_monomials(verdict.jacobian_basis))
     graded = GradedDims.from_degrees(monomial_bdegree(m, weights) for m in monomials)
     if graded.total_dim != _dim_product(weights):
         raise LgmkError(

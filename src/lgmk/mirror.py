@@ -1,4 +1,7 @@
-"""Transpose polynomials, graded mirror checks, and weight-system searches.
+"""Graded mirror checks and weight-system searches.
+
+`transpose_polynomial` lives in polycore, since it needs only `classify` and
+the exponent matrix; it is re-exported here beside `mirror_check`.
 
 The search asks: given a target dimension d and target top degree delta, is
 there a weight system (q_1..q_m), each q_i in (0, 1/2] and rational, with
@@ -15,21 +18,19 @@ nonexistence only within the stated bound.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
-from .errors import InvalidArgument, NotInvertible, TailProductTooLarge, WeightError
-from .milnor import bmodel
+from .amodel import amodel
+from .errors import InvalidArgument, TailProductTooLarge, WeightError
+from .milnor import bmodel, is_nondegenerate
 from .polycore import (
     ExponentMatrix,
     Polynomial,
-    PolynomialClass,
     WeightSystem,
-    classify,
-    exponent_matrix,
     solve_weights,
+    transpose_polynomial,
 )
 from .symmetry import gmax
 
@@ -41,30 +42,12 @@ STATUS_NONE_WITHIN_BOUND = "NoneWithinBound"
 
 
 # ---------------------------------------------------------------------------
-# Transpose polynomials and the graded mirror check
+# The graded mirror check
 # ---------------------------------------------------------------------------
-
-def transpose_polynomial(poly: Polynomial) -> Polynomial:
-    """Polynomial whose exponent matrix is the transpose of poly's.
-
-    Only invertible polynomials transpose: a nonsquare exponent matrix would
-    produce fewer monomials than variables, which cannot be admissible.
-    """
-    verdict = classify(poly)
-    if verdict.kind is not PolynomialClass.INVERTIBLE:
-        raise NotInvertible(
-            "transpose requires an invertible polynomial: a nonsquare exponent "
-            "matrix transposes to fewer monomials than variables")
-    transposed = exponent_matrix(poly).transpose()
-    return Polynomial.from_term_map(poly.variables,
-                                    {row: Fraction(1) for row in transposed.rows})
-
 
 def mirror_check(poly: Polynomial) -> bool:
     """True iff the state space of (W, Gmax) matches the Milnor ring of W^T
     as graded vector spaces, exactly."""
-    from .amodel import amodel  # deferred: amodel and this module are peers
-
     partner = transpose_polynomial(poly)
     a_side = amodel(poly, gmax(poly)).graded
     b_side = bmodel(partner).graded
@@ -243,6 +226,8 @@ def search_weight_systems(d, delta, m: int, denominator_bound: int = 60,
     bounded-denominator grid and the result is relative to that bound.
     Solutions are canonicalized ascending, so permutations collapse.  Raises
     InvalidArgument for m < 1, a bound below 2 or a dimension d <= 0.
+    `threads` is accepted for compatibility and does not change how the work
+    runs.
     """
     d = Fraction(d)
     delta = Fraction(delta)
@@ -265,18 +250,7 @@ def search_weight_systems(d, delta, m: int, denominator_bound: int = 60,
     else:
         lo = 1 / (d + 1)
         grid = _rational_grid(lo, HALF, denominator_bound)
-        tails = list(combinations_with_replacement(grid, m - 2))
-        workers = max(1, int(threads))
-        if workers == 1 or len(tails) < 2:
-            solutions = _tail_solutions(d, delta, m, tails)
-        else:
-            size = (len(tails) + workers - 1) // workers
-            blocks = [tails[k * size:(k + 1) * size] for k in range(workers)]
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                parts = list(pool.map(
-                    lambda block: _tail_solutions(d, delta, m, block), blocks))
-            for part in parts:
-                solutions |= part
+        solutions = _tail_solutions(d, delta, m, combinations_with_replacement(grid, m - 2))
     ordered = tuple(WeightSystem(sol) for sol in sorted(solutions))
     if ordered:
         status = STATUS_FOUND
@@ -294,7 +268,10 @@ def discriminant_sign_boundary(d, delta, denominator_bound: int = 60) -> Fractio
     With A = 1 - d/(1/q3 - 1) and B = (6 - delta)/4 - q3, the pair problem
     becomes A q1^2 - A B q1 + (B - 1) = 0, whose discriminant is
     (A B)^2 - 4 A (B - 1); the degenerate linear case A = 0 counts as 0.
+    Raises InvalidArgument for a bound below 2.
     """
+    if denominator_bound < 2:
+        raise InvalidArgument("denominator bound must be at least 2")
     d = Fraction(d)
     delta = Fraction(delta)
     best = None
@@ -347,8 +324,6 @@ def enumerate_admissible_supports(weights: WeightSystem) -> list[Polynomial]:
     only tested at coefficients one, which matches how example polynomials
     are usually written; genericity in the coefficients is not analyzed.
     """
-    from .milnor import is_nondegenerate
-
     if any(q > HALF for q in weights):
         raise ValueError(f"weights {weights} must lie in (0, 1/2]")
     n = len(weights)

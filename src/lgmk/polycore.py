@@ -1,28 +1,37 @@
-"""Exact multivariate polynomials over Q: parsing, exponent matrices, weights.
+"""Exact multivariate polynomials over Q: parsing, exponent matrices, weights,
+classification and transposition.
 
 Polynomials are kept in a canonical collected form: like terms merged, zero
 coefficients dropped, and terms sorted descending under the canonical
 monomial order (lexicographic on exponent vectors).  All coefficients are
 `fractions.Fraction`, so equality tests throughout the toolkit are exact.
+
+This is the bottom layer.  Only `classify` reaches upward, into milnor, for
+the Groebner basis that proves nondegeneracy; it keeps that basis in its
+verdict so that callers need not compute it again.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from .errors import (
     EmptyPolynomialError,
     NonPositiveWeight,
     NonUniqueWeights,
+    NotInvertible,
     NotQuasihomogeneous,
     ParseError,
     WeightBoundViolated,
     WeightError,
 )
+
+if TYPE_CHECKING:
+    from .groebner import GroebnerBasis
 
 Exps = tuple[int, ...]
 
@@ -385,9 +394,13 @@ class PolynomialClass(Enum):
 
 @dataclass(frozen=True)
 class Classification:
+    """Verdict of `classify`; an admissible verdict carries the reduced
+    Groebner basis of the Jacobian ideal under the weighted order."""
+
     kind: PolynomialClass
     weights: WeightSystem | None
     reason: str | None = None
+    jacobian_basis: GroebnerBasis | None = field(default=None, repr=False)
 
     @property
     def is_admissible(self) -> bool:
@@ -405,11 +418,28 @@ def classify(poly: Polynomial) -> Classification:
     except WeightError as exc:
         return Classification(PolynomialClass.NOT_ADMISSIBLE, None,
                               f"{type(exc).__name__}: {exc}")
-    from .milnor import is_nondegenerate  # deferred: milnor depends on this module
+    from .milnor import jacobian_groebner  # deferred: milnor builds on this module
 
-    if not is_nondegenerate(poly):
+    basis = jacobian_groebner(poly, weights)
+    if basis is None:
         return Classification(PolynomialClass.NOT_ADMISSIBLE, weights,
                               "degenerate: Milnor ring is not finite dimensional")
     if poly.n_monomials == poly.n_variables:
-        return Classification(PolynomialClass.INVERTIBLE, weights)
-    return Classification(PolynomialClass.NONINVERTIBLE, weights)
+        return Classification(PolynomialClass.INVERTIBLE, weights, jacobian_basis=basis)
+    return Classification(PolynomialClass.NONINVERTIBLE, weights, jacobian_basis=basis)
+
+
+def transpose_polynomial(poly: Polynomial) -> Polynomial:
+    """Polynomial whose exponent matrix is the transpose of poly's.
+
+    Only invertible polynomials transpose: a nonsquare exponent matrix would
+    produce fewer monomials than variables, which cannot be admissible.
+    """
+    verdict = classify(poly)
+    if verdict.kind is not PolynomialClass.INVERTIBLE:
+        raise NotInvertible(
+            "transpose requires an invertible polynomial: a nonsquare exponent "
+            "matrix transposes to fewer monomials than variables")
+    transposed = exponent_matrix(poly).transpose()
+    return Polynomial.from_term_map(poly.variables,
+                                    {row: Fraction(1) for row in transposed.rows})

@@ -22,7 +22,7 @@ from .errors import (
     InfiniteGroup,
     WeightConditionViolated,
 )
-from .polycore import Polynomial, WeightSystem, exponent_matrix
+from .polycore import Polynomial, WeightSystem, exponent_matrix, transpose_polynomial
 
 
 @dataclass(frozen=True, order=True)
@@ -452,8 +452,6 @@ def transpose_group(group: SymmetryGroup, poly: Polynomial) -> SymmetryGroup:
     matrix of poly itself.  Checking the generators of the group suffices
     because the pairing is additive in h.
     """
-    from .mirror import transpose_polynomial  # deferred: mirror builds on this module
-
     transposed = transpose_polynomial(poly)
     ambient_max = gmax(transposed)
     rows = exponent_matrix(poly).rows

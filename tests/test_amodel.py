@@ -154,14 +154,6 @@ class TestAModel:
             model = amodel(poly, gmax(poly))
             assert all(s.adegree >= 0 for s in model.basis), str(poly)
 
-    def test_determinant_conventions_agree_on_corpus(self, invertible_corpus):
-        # the fixed-locus and ambient determinant readings coincide on every
-        # partially-fixed sector here; disagreements would surface as notes
-        for poly in invertible_corpus[:15]:
-            assert amodel(poly, gmax(poly)).convention_notes == ()
-        for n in range(3, 8):
-            assert amodel(family_polynomial(n), j_group(n)).convention_notes == ()
-
 
 class TestGroupWeights:
     def test_quintic_pair(self):

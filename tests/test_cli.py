@@ -199,6 +199,10 @@ class TestBadInput:
         monkeypatch.setenv("LGMK_PAIR_BUDGET", "abc")
         self.assert_bad_input(capsys, "bmodel", "x^4+y^4+x^3*y")
 
+    def test_pair_budget_negative(self, capsys, monkeypatch):
+        monkeypatch.setenv("LGMK_PAIR_BUDGET", "-1")
+        self.assert_bad_input(capsys, "bmodel", "x^3+y^3")
+
 
 class TestTextJsonAgreement:
     CASES = [

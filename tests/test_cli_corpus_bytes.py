@@ -5,7 +5,11 @@ the exit code, standard output and standard error of `gmax --elements`,
 `amodel` with each of the group specs `max`, `J`, `sl` and `0`, and
 `mirror-check`, all with `--json`.  The file was recorded with the earlier
 implementation that kept every group as a closed list of elements; the
-lattice implementation must reproduce it exactly, warnings included.
+lattice implementation must reproduce it exactly.  The only edit since is
+the `warnings` list of eight `amodel` records, which is now empty: those
+warnings came from an ambient-determinant diagnostic that was removed because
+it fired only where the fixed-locus reading is the one that passes the
+mirror check.
 """
 
 import io

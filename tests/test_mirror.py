@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from lgmk import (
+    InvalidArgument,
     NotInvertible,
     TailProductTooLarge,
     WeightSystem,
@@ -223,6 +224,11 @@ class TestDiscriminantBoundary:
     def test_boundary_stable_under_bound_growth(self):
         assert discriminant_sign_boundary(8, F(12, 5), 9) == F(1, 9)
         assert discriminant_sign_boundary(8, F(12, 5), 90) == F(1, 9)
+
+    @pytest.mark.parametrize("bound", [0, 1, -5])
+    def test_bound_below_two_is_rejected(self, bound):
+        with pytest.raises(InvalidArgument):
+            discriminant_sign_boundary(8, 2, bound)
 
 
 class TestEnumerateSupports:
