@@ -9,7 +9,10 @@ locus is empty always contributes exactly one basis element.
 The invariants of a sector depend only on its fixed locus and on the
 generators of G, so they are computed once per distinct locus, by integer
 congruences on the group's lattice vectors; each element then only reads its
-degree off the sum of its phases.
+degree off the sum of its phases.  The Milnor ring of each restriction comes
+from milnor's memoized `jacobian_groebner`, so the full locus reuses the
+basis `classify` computed, and further groups over the same polynomial reuse
+every locus already seen.
 """
 
 from __future__ import annotations
@@ -99,30 +102,21 @@ def invariant_monomials(sector: GroupElement, poly: Polynomial,
     """
     weights = solve_weights(exponent_matrix(poly))
     return _invariant_monomials(fixed_locus(sector), _generator_vectors(group),
-                                group.exponent, _restricted_cache(poly, weights, {}))
-
-
-def _restricted_cache(poly, weights, cache: dict[frozenset[int], list[Monomial]]):
-    def lookup(fix: frozenset[int]) -> list[Monomial]:
-        if fix not in cache:
-            cache[fix] = _restricted_milnor_basis(poly, weights, fix)
-        return cache[fix]
-
-    return lookup
+                                group.exponent, poly, weights)
 
 
 def _generator_vectors(group: SymmetryGroup) -> list[tuple[int, ...]]:
     return [group.vector(h) for h in group.generators]
 
 
-def _invariant_monomials(fix, generators, exponent, restricted_basis):
+def _invariant_monomials(fix, generators, exponent, poly, weights):
     # invariance of x^a in a sector fixing fix: sum over fixed i of
     # (1 + a_i) h_i integral for every h in G; with h = w/exponent and the
     # sum additive in h, that is a congruence per generator vector w
     if not fix:
         return [Monomial(())]
     indices = sorted(fix)
-    return [m for m in restricted_basis(fix)
+    return [m for m in _restricted_milnor_basis(poly, weights, fix)
             if all(sum((1 + a) * w[i] for a, i in zip(m.exponents, indices)) % exponent == 0
                    for w in generators)]
 
@@ -144,10 +138,6 @@ def amodel(poly: Polynomial, group: SymmetryGroup, threads: int = 1) -> AModel:
     if not is_admissible_group(group, weights):
         raise GroupNotAdmissible(
             f"J = {weights} is not an element of the group {group}")
-    # the full locus is the Milnor ring of poly, whose basis classify kept
-    full = frozenset(range(poly.n_variables))
-    restricted_basis = _restricted_cache(
-        poly, weights, {full: standard_monomials(verdict.jacobian_basis)})
     generators = _generator_vectors(group)
     exponent = group.exponent
     # adegree(g) = |fix(g)| + 2*sum(g) - 2*sum(q), with sum(g) = sum(v)/exponent
@@ -157,7 +147,7 @@ def amodel(poly: Polynomial, group: SymmetryGroup, threads: int = 1) -> AModel:
     for g, v in zip(group.elements, group.vectors):
         fix = frozenset(i for i, a in enumerate(v) if a == 0)
         if fix not in loci:
-            loci[fix] = _invariant_monomials(fix, generators, exponent, restricted_basis)
+            loci[fix] = _invariant_monomials(fix, generators, exponent, poly, weights)
         monomials = loci[fix]
         if monomials:
             degree = Fraction(len(fix) * exponent + 2 * sum(v), exponent) - shift

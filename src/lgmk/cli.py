@@ -25,7 +25,7 @@ from .errors import (
     ResourceLimitExceeded,
     WeightError,
 )
-from .milnor import _dim_product, _top_sum, bdim_formula, bmodel, btop_formula, is_nondegenerate
+from .milnor import _dim_product, _top_sum, bmodel, is_nondegenerate
 from .mirror import (
     STATUS_NONE_EXACT,
     STATUS_NONE_WITHIN_BOUND,
@@ -204,14 +204,13 @@ def cmd_bmodel(args) -> tuple[dict, list[str]]:
     poly = parse_polynomial(args.polynomial)
     model = bmodel(poly)
     weights = model.weights
-    dim_formula, top_formula = _formula_values(weights)
     payload = {
         "polynomial": str(poly),
         "weights": [_rat(q) for q in weights],
         "dimension": model.graded.total_dim,
-        "dimension_formula": _rat(dim_formula),
+        "dimension_formula": _rat(_dim_product(weights)),
         "top_degree": _rat(model.graded.top_degree()),
-        "top_degree_formula": _rat(top_formula),
+        "top_degree_formula": _rat(_top_sum(weights)),
         "graded": _graded_json(model.graded),
         "basis": [m.render(poly.variables) for m in model.basis],
     }
@@ -226,15 +225,6 @@ def cmd_bmodel(args) -> tuple[dict, list[str]]:
     report = {"command": "bmodel", "inputs": {"polynomial": args.polynomial},
               "payload": payload, "warnings": []}
     return report, lines
-
-
-def _formula_values(weights):
-    # the public formulas insist on weights in (0, 1/2]; admissible polynomials
-    # with cross-terms may exceed that, so fall back to the raw expressions
-    try:
-        return bdim_formula(weights), btop_formula(weights)
-    except ValueError:
-        return _dim_product(weights), _top_sum(weights)
 
 
 def cmd_mirror_check(args) -> tuple[dict, list[str]]:

@@ -2,10 +2,12 @@
 
 The quotient C[x_1..x_n]/(dW/dx_1, ..., dW/dx_n) is computed exactly with
 the Buchberger engine; `jacobian_groebner` is the one place that runs it on
-a Jacobian ideal.  `classify` keeps that basis in its verdict, and `bmodel`
-reads it from there.  The closed-form dimension and top-degree expressions
-are checked against the engine at construction time, so a disagreement
-between the two routes fails loudly.
+a Jacobian ideal.  It memoizes its result per (polynomial, weights, S-pair
+budget), so `classify`, `bmodel`, the A-model's fixed loci and the mirror
+checks share one basis per polynomial and locus without passing it around.
+The closed-form dimension and top-degree expressions are checked against
+the engine at construction time, so a disagreement between the two routes
+fails loudly.
 """
 
 from __future__ import annotations
@@ -13,12 +15,14 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable
 
 from .errors import LgmkError, NotAdmissibleError, WeightError
 from .groebner import (
     GroebnerBasis,
     MonomialOrder,
+    _pair_budget,
     buchberger,
     is_zero_dimensional,
     standard_monomials,
@@ -107,13 +111,23 @@ def jacobian_groebner(poly: Polynomial,
                       weights: WeightSystem | None) -> GroebnerBasis | None:
     """Reduced Groebner basis of the Jacobian ideal, under weighted degrevlex
     (plain degrevlex when weights is None); None when the Milnor ring is not
-    finite dimensional."""
+    finite dimensional.
+
+    Results are memoized; the S-pair budget is part of the key, so a cached
+    basis never hides a budget that is invalid or too small."""
+    return _memoized_jacobian_groebner(poly, weights, _pair_budget(None))
+
+
+# one polynomial needs at most 2^n restricted loci plus its transpose
+@lru_cache(maxsize=64)
+def _memoized_jacobian_groebner(poly: Polynomial, weights: WeightSystem | None,
+                                pair_budget: int) -> GroebnerBasis | None:
     gens = [p for p in jacobian_ideal(poly) if not p.is_zero()]
     if not gens:
         return None
     order = (MonomialOrder.degrevlex() if weights is None
              else MonomialOrder.weighted_degrevlex(weights))
-    basis = buchberger(gens, order)
+    basis = buchberger(gens, order, pair_budget)
     return basis if is_zero_dimensional(basis) else None
 
 
@@ -162,7 +176,7 @@ def bmodel(poly: Polynomial) -> BModel:
     if not verdict.is_admissible:
         raise NotAdmissibleError(verdict.reason or "polynomial is not admissible")
     weights = verdict.weights
-    monomials = tuple(standard_monomials(verdict.jacobian_basis))
+    monomials = tuple(standard_monomials(jacobian_groebner(poly, weights)))
     graded = GradedDims.from_degrees(monomial_bdegree(m, weights) for m in monomials)
     if graded.total_dim != _dim_product(weights):
         raise LgmkError(

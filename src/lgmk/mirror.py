@@ -23,15 +23,9 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
 from .amodel import amodel
-from .errors import InvalidArgument, TailProductTooLarge, WeightError
-from .milnor import bmodel, is_nondegenerate
-from .polycore import (
-    ExponentMatrix,
-    Polynomial,
-    WeightSystem,
-    solve_weights,
-    transpose_polynomial,
-)
+from .errors import InvalidArgument, TailProductTooLarge
+from .milnor import bmodel
+from .polycore import Polynomial, WeightSystem, classify, transpose_polynomial
 from .symmetry import gmax
 
 HALF = Fraction(1, 2)
@@ -332,11 +326,7 @@ def enumerate_admissible_supports(weights: WeightSystem) -> list[Polynomial]:
     found = []
     for size in range(n, len(pool) + 1):
         for combo in combinations(pool, size):
-            try:
-                solve_weights(ExponentMatrix(combo))
-            except WeightError:
-                continue
             candidate = Polynomial.from_term_map(names, {c: 1 for c in combo})
-            if is_nondegenerate(candidate):
+            if classify(candidate).is_admissible:
                 found.append(candidate)
     return found

@@ -7,17 +7,18 @@ monomial order (lexicographic on exponent vectors).  All coefficients are
 `fractions.Fraction`, so equality tests throughout the toolkit are exact.
 
 This is the bottom layer.  Only `classify` reaches upward, into milnor, for
-the Groebner basis that proves nondegeneracy; it keeps that basis in its
-verdict so that callers need not compute it again.
+the Groebner basis that proves nondegeneracy; milnor memoizes that basis,
+so callers that need it again get the same one without a second Buchberger
+run.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import (
     EmptyPolynomialError,
@@ -29,9 +30,6 @@ from .errors import (
     WeightBoundViolated,
     WeightError,
 )
-
-if TYPE_CHECKING:
-    from .groebner import GroebnerBasis
 
 Exps = tuple[int, ...]
 
@@ -394,13 +392,12 @@ class PolynomialClass(Enum):
 
 @dataclass(frozen=True)
 class Classification:
-    """Verdict of `classify`; an admissible verdict carries the reduced
-    Groebner basis of the Jacobian ideal under the weighted order."""
+    """Verdict of `classify`: the class, the weights when they exist, and
+    the reason a polynomial is not admissible."""
 
     kind: PolynomialClass
     weights: WeightSystem | None
     reason: str | None = None
-    jacobian_basis: GroebnerBasis | None = field(default=None, repr=False)
 
     @property
     def is_admissible(self) -> bool:
@@ -420,13 +417,12 @@ def classify(poly: Polynomial) -> Classification:
                               f"{type(exc).__name__}: {exc}")
     from .milnor import jacobian_groebner  # deferred: milnor builds on this module
 
-    basis = jacobian_groebner(poly, weights)
-    if basis is None:
+    if jacobian_groebner(poly, weights) is None:
         return Classification(PolynomialClass.NOT_ADMISSIBLE, weights,
                               "degenerate: Milnor ring is not finite dimensional")
     if poly.n_monomials == poly.n_variables:
-        return Classification(PolynomialClass.INVERTIBLE, weights, jacobian_basis=basis)
-    return Classification(PolynomialClass.NONINVERTIBLE, weights, jacobian_basis=basis)
+        return Classification(PolynomialClass.INVERTIBLE, weights)
+    return Classification(PolynomialClass.NONINVERTIBLE, weights)
 
 
 def transpose_polynomial(poly: Polynomial) -> Polynomial:

@@ -2,9 +2,10 @@
 
 The modules import one another at module level, in layer order; the single
 exception is `polycore.classify`, which reaches up into milnor for the basis
-that proves nondegeneracy.  `classify` keeps that basis in its verdict, so a
-call runs Buchberger once per polynomial it classifies and once per distinct
-proper, nonempty fixed locus of its group.
+that proves nondegeneracy.  `milnor.jacobian_groebner` memoizes that basis
+per (polynomial, weights, S-pair budget), so starting from an empty memo a
+call runs Buchberger once per distinct polynomial it classifies and once per
+distinct proper, nonempty fixed locus of its groups.
 """
 
 import ast
@@ -14,8 +15,18 @@ import sys
 import pytest
 
 import lgmk
-from lgmk import fixed_locus, gmax, mirror_check, parse_polynomial
-from lgmk import milnor, mirror, polycore
+from lgmk import (
+    GroupElement,
+    InvalidArgument,
+    ResourceLimitExceeded,
+    fixed_locus,
+    gmax,
+    mirror_check,
+    parse_polynomial,
+    subgroups_containing,
+    transpose_group,
+)
+from lgmk import cli, milnor, mirror, polycore
 
 SRC = os.path.dirname(lgmk.__file__)
 
@@ -51,7 +62,9 @@ class TestLayering:
 
 @pytest.fixture
 def buchberger_runs(monkeypatch):
-    """Every Buchberger run, wherever in the package it is called from."""
+    """Every Buchberger run, wherever in the package it is called from,
+    starting from an empty memo."""
+    milnor._memoized_jacobian_groebner.cache_clear()
     runs = []
     original = milnor.buchberger
 
@@ -92,7 +105,39 @@ class TestOneJacobianBasis:
         assert len(buchberger_runs) == 1 + loci
 
     @pytest.mark.parametrize("text,loci", CASES)
-    def test_mirror_check_runs_three_plus_once_per_proper_locus(self, buchberger_runs,
-                                                                 text, loci):
-        assert mirror_check(parse_polynomial(text))
-        assert len(buchberger_runs) == 3 + loci
+    def test_mirror_check_runs_two_plus_once_per_proper_locus(self, buchberger_runs,
+                                                               text, loci):
+        poly = parse_polynomial(text)
+        assert mirror_check(poly)
+        # W and W^T once each, or once in all when W^T == W
+        sides = 1 if polycore.transpose_polynomial(poly) == poly else 2
+        assert len(buchberger_runs) == sides + loci
+
+    def test_weights_command_runs_buchberger_once(self, buchberger_runs, capsys):
+        assert cli.main(["weights", CHAIN]) == 0
+        assert len(buchberger_runs) == 1
+
+    def test_orbifold_loop_runs_once_per_polynomial_and_locus(self, buchberger_runs):
+        poly = parse_polynomial("x^3 + y^3 + z^3")
+        ambient = gmax(poly)
+        j = GroupElement(tuple(polycore.classify(poly).weights))
+        for group in subgroups_containing(ambient, [j]):
+            transpose_group(group, poly)
+            lgmk.amodel(poly, group)
+        # one run for W, which is its own transpose, and one per proper locus
+        assert len(buchberger_runs) == 1 + _proper_loci(ambient) == 7
+
+
+class TestMemo:
+    def test_memo_is_bounded(self):
+        assert milnor._memoized_jacobian_groebner.cache_info().maxsize is not None
+
+    def test_warm_memo_does_not_bypass_the_budget(self, monkeypatch):
+        poly = parse_polynomial("x^4 + y^4 + x^3*y")
+        milnor.bmodel(poly)
+        monkeypatch.setenv("LGMK_PAIR_BUDGET", "0")
+        with pytest.raises(ResourceLimitExceeded):
+            milnor.bmodel(poly)
+        monkeypatch.setenv("LGMK_PAIR_BUDGET", "abc")
+        with pytest.raises(InvalidArgument):
+            milnor.bmodel(poly)
