@@ -13,6 +13,18 @@ a quadratic whose discriminant must be a rational square).  From three
 variables on, the tail (q_3..q_m) is enumerated over a bounded-denominator
 rational grid and each tail is finished exactly, so empty results certify
 nonexistence only within the stated bound.
+
+The search runs in integer numerators and denominators.  The grid is a
+stretch of the Farey sequence, walked in ascending order by its next-term
+recurrence, with no set and no sort.  Each tail's product and sum, and the
+pair targets left after it, stay unreduced integer fractions; pruning
+compares them by cross-multiplication, and the pair is decided by its integer
+discriminant and one `math.isqrt`, since N/M with M > 0 is a rational square
+iff N*M is a perfect square.  A `Fraction` is built only for a solution.
+`discriminant_sign_boundary` walks the same grid from the top down and stops
+at the first q_3 whose discriminant, cleared of its positive denominators, is
+nonnegative.  The public `solve_pair` and `reduce_to_pair` are `Fraction`
+wrappers over the integer helpers the search loop calls.
 """
 
 from __future__ import annotations
@@ -62,6 +74,29 @@ def _rational_sqrt(value: Fraction) -> Fraction | None:
     return Fraction(num, den)
 
 
+def _pair_roots(dn: int, dd: int, sn: int, sd: int) -> list[tuple[int, int, int]]:
+    """Integer core of `solve_pair` for d_pair = dn/dd >= 1 and
+    s_pair = sn/sd > 0 (dd, sd > 0): each exact pair as (num1, num2, den)
+    with q1 = num1/den <= q2 = num2/den, both in (0, 1/2]."""
+    e = dn - dd
+    if e == 0:
+        # both factors are >= 1 on (0, 1/2], so each must equal 1
+        return [(1, 1, 2)] if sn == sd else []
+    # q1, q2 are the roots of t^2 - s t + (1 - s)/(d - 1); over the common
+    # denominator sd^2 e the discriminant is n / (sd^2 e), a rational square
+    # iff n * e is a perfect square, with square root isqrt(n * e) / (sd e)
+    n = sn * sn * e - 4 * (sd - sn) * dd * sd
+    if n < 0:
+        return []
+    root = math.isqrt(n * e)
+    if root * root != n * e:
+        return []
+    low, high, den = sn * e - root, sn * e + root, 2 * sd * e
+    if low > 0 and 2 * high <= den:
+        return [(low, high, den)]
+    return []
+
+
 def solve_pair(d_pair, s_pair) -> list[tuple[Fraction, Fraction]]:
     """All exact rational (q1, q2), q1 <= q2, both in (0, 1/2], with
     (1/q1 - 1)(1/q2 - 1) = d_pair and q1 + q2 = s_pair."""
@@ -71,18 +106,8 @@ def solve_pair(d_pair, s_pair) -> list[tuple[Fraction, Fraction]]:
         raise ValueError("dimension product target must be at least 1")
     if s <= 0:
         raise ValueError("weight sum target must be positive")
-    if d == 1:
-        # both factors are >= 1 on (0, 1/2], so each must equal 1
-        candidates = [(HALF, HALF)] if s == 1 else []
-    else:
-        # q1 q2 = (1 - s)/(d - 1); q1, q2 are the roots of t^2 - s t + p
-        p = (1 - s) / (d - 1)
-        root = _rational_sqrt(s * s - 4 * p)
-        if root is None:
-            return []
-        candidates = [((s - root) / 2, (s + root) / 2)]
-    return [(q1, q2) for q1, q2 in candidates
-            if 0 < q1 <= HALF and 0 < q2 <= HALF]
+    return [(Fraction(low, den), Fraction(high, den)) for low, high, den in
+            _pair_roots(d.numerator, d.denominator, s.numerator, s.denominator)]
 
 
 def discriminant_2var(n: int) -> int:
@@ -137,6 +162,19 @@ class PairReduction:
     tail: tuple[Fraction, ...]
 
 
+def _reduce_tail(en: int, ed: int, m: int, tail) -> tuple[int, int, int, int]:
+    """Integer core of `reduce_to_pair` for delta = en/ed (ed > 0) and a tail
+    of (num, den) pairs: (pn, pd, sn, sd), where pn/pd = prod(1/q_i - 1)
+    over the tail and sn/sd = s_pair, with pd, sd > 0 and nothing reduced."""
+    pn = pd = 1
+    tn, td = 0, 1
+    for num, den in tail:
+        pn *= den - num
+        pd *= num
+        tn, td = tn * den + num * td, td * den
+    return pn, pd, (2 * m * ed - en) * td - 4 * ed * tn, 4 * ed * td
+
+
 def reduce_to_pair(d, delta, m: int, tail) -> PairReduction:
     """Divide the dimension product and subtract the weight sum of the tail.
 
@@ -150,14 +188,13 @@ def reduce_to_pair(d, delta, m: int, tail) -> PairReduction:
         raise ValueError(f"tail must have {m - 2} entries for m = {m}")
     if any(not 0 < t <= HALF for t in tail):
         raise ValueError("tail weights must lie in (0, 1/2]")
-    tail_product = Fraction(1)
-    for t in tail:
-        tail_product *= 1 / t - 1
-    if tail_product > d:
+    pn, pd, sn, sd = _reduce_tail(delta.numerator, delta.denominator, m,
+                                  [(t.numerator, t.denominator) for t in tail])
+    if pn * d.denominator > d.numerator * pd:
         raise TailProductTooLarge(
-            f"tail product {tail_product} exceeds the target {d}")
-    s_pair = Fraction(2 * m, 4) - delta / 4 - sum(tail, Fraction(0))
-    return PairReduction(d / tail_product, s_pair, tail)
+            f"tail product {Fraction(pn, pd)} exceeds the target {d}")
+    return PairReduction(Fraction(d.numerator * pd, d.denominator * pn),
+                         Fraction(sn, sd), tail)
 
 
 # ---------------------------------------------------------------------------
@@ -187,28 +224,43 @@ class SearchReport:
         }
 
 
-def _rational_grid(lo: Fraction, hi: Fraction, max_denominator: int) -> list[Fraction]:
-    values = set()
-    for den in range(1, max_denominator + 1):
-        num_lo = math.ceil(lo * den)
-        num_hi = math.floor(hi * den)
-        for num in range(max(num_lo, 1), num_hi + 1):
-            values.add(Fraction(num, den))
-    return sorted(values)
+def _farey_grid(lo: Fraction, hi: Fraction, max_denominator: int):
+    """The positive rationals in [lo, hi] with denominator at most
+    `max_denominator`, ascending, as coprime (num, den) pairs.
+
+    This is a stretch of the Farey sequence of that order: from consecutive
+    terms a/b < c/d the next is (k c - a)/(k d - b) with
+    k = (max_denominator + b) // d.  The walk starts at the least term
+    x = c/d >= lo, found by one pass over the denominators, and at its
+    predecessor a/b, the one with c b - a d = 1 and b <= max_denominator
+    largest."""
+    bound = max_denominator
+    c, d = 1, 0  # 1/0 lies above every candidate
+    for den in range(1, bound + 1):
+        num = max(-(-lo.numerator * den // lo.denominator), 1)
+        if num * d < c * den:
+            c, d = num, den
+    b = pow(c, -1, d)
+    b += (bound - b) // d * d
+    a = (c * b - 1) // d
+    while c * hi.denominator <= hi.numerator * d:
+        yield c, d
+        k = (bound + b) // d
+        a, b, c, d = c, d, k * c - a, k * d - b
 
 
 def _tail_solutions(d: Fraction, delta: Fraction, m: int,
                     tails) -> set[tuple[Fraction, ...]]:
+    dn, dd = d.numerator, d.denominator
+    en, ed = delta.numerator, delta.denominator
     found = set()
     for tail in tails:
-        try:
-            reduced = reduce_to_pair(d, delta, m, tail)
-        except TailProductTooLarge:
+        pn, pd, sn, sd = _reduce_tail(en, ed, m, tail)
+        if pn * dd > dn * pd or sn <= 0:
             continue
-        if reduced.s_pair <= 0:
-            continue
-        for q1, q2 in solve_pair(reduced.d_pair, reduced.s_pair):
-            found.add(tuple(sorted((q1, q2) + tail)))
+        for low, high, den in _pair_roots(dn * pd, dd * pn, sn, sd):
+            found.add(tuple(sorted((Fraction(low, den), Fraction(high, den))
+                                   + tuple(Fraction(*t) for t in tail))))
     return found
 
 
@@ -242,8 +294,7 @@ def search_weight_systems(d, delta, m: int, denominator_bound: int = 60,
             for q1, q2 in solve_pair(d, s):
                 solutions.add((q1, q2))
     else:
-        lo = 1 / (d + 1)
-        grid = _rational_grid(lo, HALF, denominator_bound)
+        grid = _farey_grid(1 / (d + 1), HALF, denominator_bound)
         solutions = _tail_solutions(d, delta, m, combinations_with_replacement(grid, m - 2))
     ordered = tuple(WeightSystem(sol) for sol in sorted(solutions))
     if ordered:
@@ -268,15 +319,19 @@ def discriminant_sign_boundary(d, delta, denominator_bound: int = 60) -> Fractio
         raise InvalidArgument("denominator bound must be at least 2")
     d = Fraction(d)
     delta = Fraction(delta)
-    best = None
-    for q3 in _rational_grid(Fraction(1, denominator_bound), HALF, denominator_bound):
-        factor = 1 / q3 - 1
-        a = 1 - d / factor
-        b = Fraction(6, 4) - delta / 4 - q3
-        disc = Fraction(0) if a == 0 else (a * b) ** 2 - 4 * a * (b - 1)
-        if disc >= 0 and (best is None or q3 > best):
-            best = q3
-    return best
+    dn, dd = d.numerator, d.denominator
+    en, ed = delta.numerator, delta.denominator
+    # The Farey order is symmetric under q -> 1 - q, so the grid on
+    # [1/2, 1 - 1/bound] read as 1 - q walks [1/bound, 1/2] from the top down.
+    for rest, k in _farey_grid(HALF, 1 - Fraction(1, denominator_bound),
+                               denominator_bound):
+        n = k - rest  # q3 = n/k, A = an/ad, B = bn/bd with ad, bd > 0
+        an, ad = dd * rest - dn * n, dd * rest
+        bn, bd = (6 * ed - en) * k - 4 * ed * n, 4 * ed * k
+        # disc * (ad bd)^2; it vanishes with A, as the linear case must
+        if (an * bn) ** 2 >= 4 * an * ad * (bn - bd) * bd:
+            return Fraction(n, k)
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,14 @@ the `warnings` list of eight `amodel` records, which is now empty: those
 warnings came from an ambient-determinant diagnostic that was removed because
 it fired only where the fixed-locus reading is the one that passes the
 mirror check.
+
+`data/cli_search_corpus.json` holds the same for `search` and
+`paper-tables`, recorded with the `Fraction` search before the integer
+kernel replaced it: `search` with `--json` and as text at m = 1..4 on the
+paper family x^n + y^n + x^(n-1)*y, n = 4..12 (m = 3 also with `--json` at
+bound 190), on targets planted from known weight systems, on edge targets
+(d below 1, a fractional d, rejected input), and `paper-tables --json` at
+bounds 20, 60 and 300.
 """
 
 import io
@@ -23,10 +31,16 @@ from lgmk.cli import main
 
 from conftest import INVERTIBLE_CORPUS_TEXTS
 
-DATA = os.path.join(os.path.dirname(__file__), "data", "cli_invertible_corpus.json")
+DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
-with open(DATA) as handle:
-    RECORDS = json.load(handle)
+
+def _load(name: str) -> list[dict]:
+    with open(os.path.join(DATA_DIR, name)) as handle:
+        return json.load(handle)
+
+
+RECORDS = _load("cli_invertible_corpus.json")
+SEARCH_RECORDS = _load("cli_search_corpus.json")
 
 
 def test_every_corpus_command_is_recorded():
@@ -38,11 +52,21 @@ def test_every_corpus_command_is_recorded():
     assert [record["argv"] for record in RECORDS] == expected
 
 
-@pytest.mark.parametrize("record", RECORDS, ids=[" ".join(r["argv"]) for r in RECORDS])
-def test_output_is_byte_identical(record):
+def _assert_replays(record: dict) -> None:
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(record["argv"])
     assert code == record["code"]
     assert out.getvalue() == record["stdout"]
     assert err.getvalue() == record["stderr"]
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=[" ".join(r["argv"]) for r in RECORDS])
+def test_output_is_byte_identical(record):
+    _assert_replays(record)
+
+
+@pytest.mark.parametrize("record", SEARCH_RECORDS,
+                         ids=[" ".join(r["argv"]) for r in SEARCH_RECORDS])
+def test_search_output_is_byte_identical(record):
+    _assert_replays(record)
