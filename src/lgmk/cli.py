@@ -31,8 +31,8 @@ from .mirror import (
     STATUS_NONE_WITHIN_BOUND,
     discriminant_2var,
     discriminant_sign_boundary,
+    mirror_sides,
     search_weight_systems,
-    transpose_polynomial,
 )
 from .polycore import Polynomial, classify, parse_polynomial
 from .symmetry import (
@@ -47,11 +47,6 @@ from .symmetry import (
 
 def _rat(value) -> str:
     return str(Fraction(value))
-
-
-def _json_rat(value) -> list[int]:
-    f = Fraction(value)
-    return [f.numerator, f.denominator]
 
 
 def _graded_json(graded) -> dict[str, int]:
@@ -229,9 +224,7 @@ def cmd_bmodel(args) -> tuple[dict, list[str]]:
 
 def cmd_mirror_check(args) -> tuple[dict, list[str]]:
     poly = parse_polynomial(args.polynomial)
-    partner = transpose_polynomial(poly)
-    a_side = amodel(poly, gmax(poly)).graded
-    b_side = bmodel(partner).graded
+    partner, a_side, b_side = mirror_sides(poly)
     verdict = a_side == b_side
     payload = {
         "polynomial": str(poly),

@@ -4,15 +4,23 @@ Polynomials enter and leave as `polycore.Polynomial`; internally everything
 is a dict mapping exponent tuples to Fractions.  The default order for
 quasihomogeneous work is weighted-degree reverse-lexicographic, under which
 Jacobian ideals are homogeneous and standard monomial bases are graded.
+
+Monomials are compared by integer keys: a weighted order scales its weights
+once by the lcm L of their denominators, so the first component of
+`MonomialOrder.key` is the weighted degree times L, an integer.  `buchberger`
+computes each exponent tuple's key once per run, in a dict that lives only
+as long as the call.
 """
 
 from __future__ import annotations
 
 import heapq
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from math import lcm
+from operator import mul
 
 from .errors import InvalidArgument, NotFiniteDimensional, ResourceLimitExceeded
 from .polycore import Exps, Monomial, Polynomial, WeightSystem
@@ -28,10 +36,23 @@ class MonomialOrder:
     """Graded reverse-lexicographic order, graded by weights or total degree.
 
     key() returns a tuple that sorts ascending in the order; 1 is minimal
-    because all weights are positive.
+    because all weights are positive.  The first component of the key is an
+    integer grade: the total degree, or for weights q_i the weighted degree
+    sum(e_i * q_i) times L, the lcm of the weights' denominators.  L > 0, so
+    this is the same order as the one graded by the rational weighted degree.
     """
 
     weights: tuple[Fraction, ...] | None = None
+    # L * q_i, fixed when the order is built
+    _integer_weights: tuple[int, ...] | None = field(init=False, repr=False,
+                                                     compare=False)
+
+    def __post_init__(self):
+        integer_weights = None
+        if self.weights is not None:
+            scale = lcm(*(w.denominator for w in self.weights))
+            integer_weights = tuple(int(w * scale) for w in self.weights)
+        object.__setattr__(self, "_integer_weights", integer_weights)
 
     @staticmethod
     def degrevlex() -> "MonomialOrder":
@@ -43,9 +64,9 @@ class MonomialOrder:
 
     def key(self, exps: Exps):
         if self.weights is None:
-            grade: Fraction | int = sum(exps)
+            grade = sum(exps)
         else:
-            grade = sum((e * w for e, w in zip(exps, self.weights)), Fraction(0))
+            grade = sum(map(mul, exps, self._integer_weights))
         return (grade, tuple(-e for e in reversed(exps)))
 
 
@@ -174,7 +195,14 @@ def buchberger(gens: list[Polynomial], order: MonomialOrder,
     if any(g.variables != variables for g in gens):
         raise ValueError("generators must share one ambient variable list")
     budget = _pair_budget(pair_budget)
-    key = order.key
+    # every exponent tuple is keyed once per run; the memo dies with the call
+    keys: dict[Exps, tuple] = {}
+
+    def key(exps: Exps) -> tuple:
+        found = keys.get(exps)
+        if found is None:
+            found = keys[exps] = order.key(exps)
+        return found
 
     basis: list[TermDict] = []
     leads: list[Exps] = []

@@ -2,6 +2,8 @@
 
 `transpose_polynomial` lives in polycore, since it needs only `classify` and
 the exponent matrix; it is re-exported here beside `mirror_check`.
+`mirror_sides` computes W^T and both graded sides once; `mirror_check` and the
+CLI's `mirror-check` both read them from it.
 
 The search asks: given a target dimension d and target top degree delta, is
 there a weight system (q_1..q_m), each q_i in (0, 1/2] and rational, with
@@ -36,7 +38,7 @@ from itertools import combinations, combinations_with_replacement
 
 from .amodel import amodel
 from .errors import InvalidArgument, TailProductTooLarge
-from .milnor import bmodel
+from .milnor import GradedDims, bmodel
 from .polycore import Polynomial, WeightSystem, classify, transpose_polynomial
 from .symmetry import gmax
 
@@ -51,12 +53,17 @@ STATUS_NONE_WITHIN_BOUND = "NoneWithinBound"
 # The graded mirror check
 # ---------------------------------------------------------------------------
 
+def mirror_sides(poly: Polynomial) -> tuple[Polynomial, GradedDims, GradedDims]:
+    """The transpose W^T, the graded state space of (W, Gmax) and the graded
+    Milnor ring of W^T."""
+    partner = transpose_polynomial(poly)
+    return partner, amodel(poly, gmax(poly)).graded, bmodel(partner).graded
+
+
 def mirror_check(poly: Polynomial) -> bool:
     """True iff the state space of (W, Gmax) matches the Milnor ring of W^T
     as graded vector spaces, exactly."""
-    partner = transpose_polynomial(poly)
-    a_side = amodel(poly, gmax(poly)).graded
-    b_side = bmodel(partner).graded
+    _, a_side, b_side = mirror_sides(poly)
     return a_side == b_side
 
 

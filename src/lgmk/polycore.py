@@ -49,10 +49,6 @@ class Monomial:
     def __len__(self) -> int:
         return len(self.exponents)
 
-    @property
-    def total_degree(self) -> int:
-        return sum(self.exponents)
-
     def is_constant(self) -> bool:
         return not any(self.exponents)
 

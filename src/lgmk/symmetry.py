@@ -48,9 +48,6 @@ class GroupElement:
     def __neg__(self) -> "GroupElement":
         return GroupElement(tuple(-p for p in self.phases))
 
-    def is_identity(self) -> bool:
-        return not any(self.phases)
-
     def order(self) -> int:
         return lcm(*(p.denominator for p in self.phases)) if self.phases else 1
 

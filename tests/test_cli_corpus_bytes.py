@@ -18,6 +18,17 @@ paper family x^n + y^n + x^(n-1)*y, n = 4..12 (m = 3 also with `--json` at
 bound 190), on targets planted from known weight systems, on edge targets
 (d below 1, a fractional d, rejected input), and `paper-tables --json` at
 bounds 20, 60 and 300.
+
+`data/cli_bmodel_corpus.json` holds the same for `bmodel` (with `--json` and
+as text) and `weights --json`, recorded before the Buchberger engine's
+monomial order moved from `Fraction` grades to integer grades.  `bmodel`
+lists its standard monomials in the order of `MonomialOrder.key`, so these
+records pin that order.  The polynomials are the invertible corpus and 20
+seeded dense ones in three variables: x^a + y^b + z^c plus each further
+monomial of weight one with probability 0.8, with nonzero integer
+coefficients in -9..9, for (a, b, c) a permutation of (3, 3, 3), (4, 4, 4),
+(2, 4, 4), (3, 6, 6), (2, 3, 6), (2, 6, 6), (3, 4, 12), (4, 4, 6), (3, 3, 6)
+and (5, 5, 5), twice each; only nondegenerate ones were kept.
 """
 
 import io
@@ -41,6 +52,7 @@ def _load(name: str) -> list[dict]:
 
 RECORDS = _load("cli_invertible_corpus.json")
 SEARCH_RECORDS = _load("cli_search_corpus.json")
+BMODEL_RECORDS = _load("cli_bmodel_corpus.json")
 
 
 def test_every_corpus_command_is_recorded():
@@ -69,4 +81,10 @@ def test_output_is_byte_identical(record):
 @pytest.mark.parametrize("record", SEARCH_RECORDS,
                          ids=[" ".join(r["argv"]) for r in SEARCH_RECORDS])
 def test_search_output_is_byte_identical(record):
+    _assert_replays(record)
+
+
+@pytest.mark.parametrize("record", BMODEL_RECORDS,
+                         ids=[" ".join(r["argv"]) for r in BMODEL_RECORDS])
+def test_bmodel_output_is_byte_identical(record):
     _assert_replays(record)

@@ -5,12 +5,14 @@ exception is `polycore.classify`, which reaches up into milnor for the basis
 that proves nondegeneracy.  `milnor.jacobian_groebner` memoizes that basis
 per (polynomial, weights, S-pair budget), so starting from an empty memo a
 call runs Buchberger once per distinct polynomial it classifies and once per
-distinct proper, nonempty fixed locus of its groups.
+distinct proper, nonempty fixed locus of its groups.  Within one run,
+`buchberger` computes the order key of each exponent tuple once.
 """
 
 import ast
 import os
 import sys
+from collections import Counter
 
 import pytest
 
@@ -18,7 +20,9 @@ import lgmk
 from lgmk import (
     GroupElement,
     InvalidArgument,
+    MonomialOrder,
     ResourceLimitExceeded,
+    buchberger,
     fixed_locus,
     gmax,
     mirror_check,
@@ -141,3 +145,26 @@ class TestMemo:
         monkeypatch.setenv("LGMK_PAIR_BUDGET", "abc")
         with pytest.raises(InvalidArgument):
             milnor.bmodel(poly)
+
+
+# dense, with weights (1/4, 1/4, 1/2); one Buchberger run on its Jacobian
+# compares 49 distinct exponent tuples, and without a memo keys them 359 times
+DENSE = "6*x^4 + 6*x^2*y^2 - 2*x^2*z + 3*x*y^3 - 7*x*y*z - 6*y^4 + 3*y^2*z + 7*z^2"
+
+
+class TestKeyMemo:
+    def test_buchberger_keys_each_exponent_tuple_once(self, monkeypatch):
+        poly = parse_polynomial(DENSE)
+        order = MonomialOrder.weighted_degrevlex(polycore.classify(poly).weights)
+        gens = [g for g in milnor.jacobian_ideal(poly) if not g.is_zero()]
+        calls = Counter()
+        original = MonomialOrder.key
+
+        def counted(self, exps):
+            calls[exps] += 1
+            return original(self, exps)
+
+        monkeypatch.setattr(MonomialOrder, "key", counted)
+        buchberger(gens, order)
+        assert calls
+        assert max(calls.values()) == 1
