@@ -33,6 +33,7 @@ from .polycore import (
     WeightSystem,
     classify,
     exponent_matrix,
+    require_admissible,
     solve_weights,
 )
 from .symmetry import GroupElement, SymmetryGroup, check_symmetry, fixed_locus, is_admissible_group
@@ -130,10 +131,7 @@ def amodel(poly: Polynomial, group: SymmetryGroup, threads: int = 1) -> AModel:
     distinct locus; only the degree is read per element.  `threads` is
     accepted for compatibility and does not change how the work runs.
     """
-    verdict = classify(poly)
-    if not verdict.is_admissible:
-        raise NotAdmissibleError(verdict.reason or "polynomial is not admissible")
-    weights = verdict.weights
+    weights = require_admissible(poly).weights
     check_symmetry(group, poly)
     if not is_admissible_group(group, weights):
         raise GroupNotAdmissible(

@@ -34,7 +34,7 @@ from .mirror import (
     mirror_sides,
     search_weight_systems,
 )
-from .polycore import Polynomial, classify, parse_polynomial
+from .polycore import Polynomial, classify, parse_polynomial, require_admissible
 from .symmetry import (
     GroupElement,
     SymmetryGroup,
@@ -49,10 +49,6 @@ def _rat(value) -> str:
     return str(Fraction(value))
 
 
-def _graded_json(graded) -> dict[str, int]:
-    return graded.as_json_dict()
-
-
 def _parse_fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -64,13 +60,6 @@ def _thread_count(value: int) -> int:
     if value < 1:
         raise InvalidArgument(f"--threads must be at least 1, got {value}")
     return value
-
-
-def _require_admissible(poly: Polynomial):
-    verdict = classify(poly)
-    if not verdict.is_admissible:
-        raise NotAdmissibleError(verdict.reason or "polynomial is not admissible")
-    return verdict
 
 
 def _parse_group_spec(spec: str, poly: Polynomial, weights) -> SymmetryGroup:
@@ -96,10 +85,10 @@ def _parse_group_spec(spec: str, poly: Polynomial, weights) -> SymmetryGroup:
 
 
 # ---------------------------------------------------------------------------
-# Command handlers: each returns (report dict, text lines)
+# Command handlers: each returns (inputs, payload, text lines)
 # ---------------------------------------------------------------------------
 
-def cmd_weights(args) -> tuple[dict, list[str]]:
+def cmd_weights(args) -> tuple[dict, dict, list[str]]:
     poly = parse_polynomial(args.polynomial)
     verdict = classify(poly)
     payload: dict = {
@@ -124,14 +113,12 @@ def cmd_weights(args) -> tuple[dict, list[str]]:
     lines.append(f"nondegenerate: {str(payload['nondegenerate']).lower()}")
     if verdict.reason:
         lines.append(f"reason: {verdict.reason}")
-    report = {"command": "weights", "inputs": {"polynomial": args.polynomial},
-              "payload": payload, "warnings": []}
-    return report, lines
+    return {"polynomial": args.polynomial}, payload, lines
 
 
-def cmd_gmax(args) -> tuple[dict, list[str]]:
+def cmd_gmax(args) -> tuple[dict, dict, list[str]]:
     poly = parse_polynomial(args.polynomial)
-    _require_admissible(poly)
+    require_admissible(poly)
     group = gmax(poly)
     payload = {
         "polynomial": str(poly),
@@ -149,14 +136,12 @@ def cmd_gmax(args) -> tuple[dict, list[str]]:
     if args.elements:
         for g in group.elements:
             lines.append(f"element: {g}")
-    report = {"command": "gmax", "inputs": {"polynomial": args.polynomial},
-              "payload": payload, "warnings": []}
-    return report, lines
+    return {"polynomial": args.polynomial}, payload, lines
 
 
-def cmd_amodel(args) -> tuple[dict, list[str]]:
+def cmd_amodel(args) -> tuple[dict, dict, list[str]]:
     poly = parse_polynomial(args.polynomial)
-    verdict = _require_admissible(poly)
+    verdict = require_admissible(poly)
     group = _parse_group_spec(args.group, poly, verdict.weights)
     model = amodel(poly, group, threads=_thread_count(args.threads))
     payload = {
@@ -165,7 +150,7 @@ def cmd_amodel(args) -> tuple[dict, list[str]]:
         "group_generators": [[_rat(p) for p in g.phases] for g in group.generators],
         "dimension": model.graded.total_dim,
         "top_degree": _rat(model.graded.top_degree()),
-        "graded": _graded_json(model.graded),
+        "graded": model.graded.as_json_dict(),
         "basis": [
             {"monomial": _sector_monomial_text(s, poly),
              "sector": [_rat(p) for p in s.sector.phases],
@@ -183,10 +168,7 @@ def cmd_amodel(args) -> tuple[dict, list[str]]:
     lines.append("basis:")
     for s in model.basis:
         lines.append(f"  [{_sector_monomial_text(s, poly)}; {s.sector}]  degree {s.adegree}")
-    report = {"command": "amodel",
-              "inputs": {"polynomial": args.polynomial, "group": args.group},
-              "payload": payload, "warnings": []}
-    return report, lines
+    return {"polynomial": args.polynomial, "group": args.group}, payload, lines
 
 
 def _sector_monomial_text(sector_element, poly: Polynomial) -> str:
@@ -195,7 +177,7 @@ def _sector_monomial_text(sector_element, poly: Polynomial) -> str:
     return sector_element.monomial.render(names)
 
 
-def cmd_bmodel(args) -> tuple[dict, list[str]]:
+def cmd_bmodel(args) -> tuple[dict, dict, list[str]]:
     poly = parse_polynomial(args.polynomial)
     model = bmodel(poly)
     weights = model.weights
@@ -206,7 +188,7 @@ def cmd_bmodel(args) -> tuple[dict, list[str]]:
         "dimension_formula": _rat(_dim_product(weights)),
         "top_degree": _rat(model.graded.top_degree()),
         "top_degree_formula": _rat(_top_sum(weights)),
-        "graded": _graded_json(model.graded),
+        "graded": model.graded.as_json_dict(),
         "basis": [m.render(poly.variables) for m in model.basis],
     }
     lines = [f"polynomial: {payload['polynomial']}",
@@ -217,20 +199,18 @@ def cmd_bmodel(args) -> tuple[dict, list[str]]:
     for degree, dim in model.graded.entries:
         lines.append(f"  {degree}: {dim}")
     lines.append("basis: " + ", ".join(payload["basis"]))
-    report = {"command": "bmodel", "inputs": {"polynomial": args.polynomial},
-              "payload": payload, "warnings": []}
-    return report, lines
+    return {"polynomial": args.polynomial}, payload, lines
 
 
-def cmd_mirror_check(args) -> tuple[dict, list[str]]:
+def cmd_mirror_check(args) -> tuple[dict, dict, list[str]]:
     poly = parse_polynomial(args.polynomial)
     partner, a_side, b_side = mirror_sides(poly)
     verdict = a_side == b_side
     payload = {
         "polynomial": str(poly),
         "transpose": str(partner),
-        "a_graded": _graded_json(a_side),
-        "b_graded": _graded_json(b_side),
+        "a_graded": a_side.as_json_dict(),
+        "b_graded": b_side.as_json_dict(),
         "isomorphic": verdict,
     }
     lines = [f"polynomial: {payload['polynomial']}",
@@ -238,9 +218,7 @@ def cmd_mirror_check(args) -> tuple[dict, list[str]]:
              "A-side graded: " + str(a_side),
              "B-side graded: " + str(b_side),
              f"graded vector spaces equal: {str(verdict).lower()}"]
-    report = {"command": "mirror-check", "inputs": {"polynomial": args.polynomial},
-              "payload": payload, "warnings": []}
-    return report, lines
+    return {"polynomial": args.polynomial}, payload, lines
 
 
 def _family_parameter(dim: Fraction, top: Fraction) -> int | None:
@@ -254,7 +232,7 @@ def _family_parameter(dim: Fraction, top: Fraction) -> int | None:
     return None
 
 
-def cmd_search(args) -> tuple[dict, list[str]]:
+def cmd_search(args) -> tuple[dict, dict, list[str]]:
     dim = _parse_fraction(args.dim)
     top = _parse_fraction(args.top)
     report_obj = search_weight_systems(dim, top, args.vars,
@@ -282,14 +260,11 @@ def cmd_search(args) -> tuple[dict, list[str]]:
         lines.append("solution: (" + ", ".join(_rat(q) for q in ws) + ")")
     if not report_obj.solutions:
         lines.append("solutions: none")
-    report = {"command": "search",
-              "inputs": {"dim": args.dim, "top": args.top, "vars": args.vars,
-                         "bound": args.bound},
-              "payload": payload, "warnings": []}
-    return report, lines
+    inputs = {"dim": args.dim, "top": args.top, "vars": args.vars, "bound": args.bound}
+    return inputs, payload, lines
 
 
-def cmd_paper_tables(args) -> tuple[dict, list[str]]:
+def cmd_paper_tables(args) -> tuple[dict, dict, list[str]]:
     dims_rows = []
     for n in range(3, 13):
         dims_rows.append({"n": n, "dim": 2 * n - 2,
@@ -324,9 +299,7 @@ def cmd_paper_tables(args) -> tuple[dict, list[str]]:
     lines.append("  n | dim   top degree")
     for row in dims_rows:
         lines.append(f"  {row['n']:>2} | {row['dim']:<5} {row['top_degree']}")
-    report = {"command": "paper-tables", "inputs": {"bound": args.bound},
-              "payload": payload, "warnings": []}
-    return report, lines
+    return {"bound": args.bound}, payload, lines
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +378,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        report, lines = args.handler(args)
+        inputs, payload, lines = args.handler(args)
     except Exception as exc:  # noqa: BLE001 - mapped to documented exit codes
         for types, code in _EXIT_CODES:
             if isinstance(exc, types):
@@ -413,6 +386,8 @@ def main(argv=None) -> int:
                 return code
         raise
     if args.json:
+        report = {"command": args.command, "inputs": inputs, "payload": payload,
+                  "warnings": []}
         print(json.dumps(report, sort_keys=True))
     else:
         print("\n".join(lines))

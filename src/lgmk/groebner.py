@@ -10,6 +10,10 @@ once by the lcm L of their denominators, so the first component of
 `MonomialOrder.key` is the weighted degree times L, an integer.  `buchberger`
 computes each exponent tuple's key once per run, in a dict that lives only
 as long as the call.
+
+Every generator the engine keeps is monic, and once the basis is minimal one
+interreduction pass makes it reduced.  `standard_monomials` checks
+zero-dimensionality while it computes its exponent bounds.
 """
 
 from __future__ import annotations
@@ -99,7 +103,12 @@ def _monic(poly: TermDict, key) -> TermDict:
 
 
 def _normal_form_dict(poly: TermDict, basis: list[tuple[TermDict, Exps]], key) -> TermDict:
-    """Full remainder of poly on division by basis; no result term reducible."""
+    """Full remainder of poly on division by basis; no result term reducible.
+
+    Every basis generator is monic, here and in `_s_polynomial`: gens and
+    S-pair remainders pass through `_monic`, and interreduction never changes
+    a leading coefficient.
+    """
     work = dict(poly)
     remainder: TermDict = {}
     while work:
@@ -107,11 +116,10 @@ def _normal_form_dict(poly: TermDict, basis: list[tuple[TermDict, Exps]], key) -
         coeff = work[term]
         for gen, lead in basis:
             if _divides(lead, term):
-                factor = coeff / gen[lead]
                 shift = tuple(t - l for t, l in zip(term, lead))
                 for exps, c in gen.items():
                     target = tuple(e + s for e, s in zip(exps, shift))
-                    value = work.get(target, Fraction(0)) - factor * c
+                    value = work.get(target, Fraction(0)) - coeff * c
                     if value:
                         work[target] = value
                     else:
@@ -127,20 +135,15 @@ def _s_polynomial(f: TermDict, lt_f: Exps, g: TermDict, lt_g: Exps) -> TermDict:
     lcm = _lcm(lt_f, lt_g)
     shift_f = tuple(l - e for l, e in zip(lcm, lt_f))
     shift_g = tuple(l - e for l, e in zip(lcm, lt_g))
-    inv_f = 1 / f[lt_f]
-    inv_g = 1 / g[lt_g]
-    result: TermDict = {}
-    for exps, c in f.items():
-        target = tuple(e + s for e, s in zip(exps, shift_f))
-        result[target] = result.get(target, Fraction(0)) + c * inv_f
+    result = {tuple(e + s for e, s in zip(exps, shift_f)): c for exps, c in f.items()}
     for exps, c in g.items():
         target = tuple(e + s for e, s in zip(exps, shift_g))
-        value = result.get(target, Fraction(0)) - c * inv_g
+        value = result.get(target, Fraction(0)) - c
         if value:
             result[target] = value
         else:
             result.pop(target, None)
-    return {e: c for e, c in result.items() if c}
+    return result
 
 
 def _autoreduce(basis: list[TermDict], key) -> list[TermDict]:
@@ -151,18 +154,11 @@ def _autoreduce(basis: list[TermDict], key) -> list[TermDict]:
     for d, lt in items:
         if not any(_divides(other_lt, lt) for _, other_lt in kept):
             kept.append((d, lt))
-    # reduced: every generator in normal form with respect to the others
-    changed = True
-    while changed:
-        changed = False
-        for i, (d, lt) in enumerate(kept):
-            others = [kept[j] for j in range(len(kept)) if j != i]
-            reduced = _normal_form_dict(d, others, key)
-            reduced = _monic(reduced, key)
-            if reduced != d:
-                kept[i] = (reduced, max(reduced, key=key))
-                changed = True
-    kept.sort(key=lambda pair: key(pair[1]))
+    # reduced: the leading terms are now fixed, so a generator reduced once
+    # against the others keeps its leading term and stays reduced
+    for i, (d, lt) in enumerate(kept):
+        others = kept[:i] + kept[i + 1:]
+        kept[i] = (_normal_form_dict(d, others, key), lt)
     return [d for d, _ in kept]
 
 
@@ -230,9 +226,7 @@ def buchberger(gens: list[Polynomial], order: MonomialOrder,
     processed = 0
     while heap:
         _, _, i, j = heapq.heappop(heap)
-        if (i, j) not in pending:
-            continue
-        pending.discard((i, j))
+        pending.remove((i, j))  # each pair is pushed once and popped once
         processed += 1
         if processed > budget:
             raise ResourceLimitExceeded(
@@ -270,7 +264,9 @@ def normal_form(poly: Polynomial, basis: GroebnerBasis) -> Polynomial:
     if poly.variables != basis.variables:
         raise ValueError("polynomial and basis have different ambient variables")
     key = basis.order.key
-    pairs = [(g.term_map(), lt) for g, lt in zip(basis.generators, basis.leading_terms())]
+    # a basis built by hand need not be monic
+    pairs = [(_monic(g.term_map(), key), lt)
+             for g, lt in zip(basis.generators, basis.leading_terms())]
     remainder = _normal_form_dict(poly.term_map(), pairs, key)
     return Polynomial.from_term_map(poly.variables, remainder)
 
@@ -294,17 +290,17 @@ def standard_monomials(basis: GroebnerBasis) -> list[Monomial]:
     """Monomials divisible by no leading term: a basis of the quotient.
 
     Sorted ascending in the basis order.  Raises NotFiniteDimensional when
-    the quotient is not a finite-dimensional vector space.
+    some variable has no pure-power leading term, that is when the quotient
+    is not a finite-dimensional vector space.
     """
-    if not is_zero_dimensional(basis):
-        raise NotFiniteDimensional("ideal is not zero dimensional")
     leads = basis.leading_terms()
     if any(not any(lt) for lt in leads):
         return []  # unit ideal
-    n = len(basis.variables)
     bounds = []
-    for i in range(n):
+    for i in range(len(basis.variables)):
         pures = [lt[i] for lt in leads if _pure_power_of(lt, i)]
+        if not pures:
+            raise NotFiniteDimensional("ideal is not zero dimensional")
         bounds.append(min(pures))
     key = basis.order.key
     found = [exps for exps in product(*(range(b) for b in bounds))

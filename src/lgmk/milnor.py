@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
 
-from .errors import LgmkError, NotAdmissibleError, WeightError
+from .errors import LgmkError, WeightError
 from .groebner import (
     GroebnerBasis,
     MonomialOrder,
@@ -31,9 +31,9 @@ from .polycore import (
     Monomial,
     Polynomial,
     WeightSystem,
-    classify,
     exponent_matrix,
     monomial_bdegree,
+    require_admissible,
     solve_weights,
 )
 
@@ -172,10 +172,7 @@ def _require_halved(weights: WeightSystem) -> None:
 
 def bmodel(poly: Polynomial) -> BModel:
     """Milnor ring of an admissible polynomial as a graded vector space."""
-    verdict = classify(poly)
-    if not verdict.is_admissible:
-        raise NotAdmissibleError(verdict.reason or "polynomial is not admissible")
-    weights = verdict.weights
+    weights = require_admissible(poly).weights
     monomials = tuple(standard_monomials(jacobian_groebner(poly, weights)))
     graded = GradedDims.from_degrees(monomial_bdegree(m, weights) for m in monomials)
     if graded.total_dim != _dim_product(weights):

@@ -24,6 +24,7 @@ from .errors import (
     EmptyPolynomialError,
     NonPositiveWeight,
     NonUniqueWeights,
+    NotAdmissibleError,
     NotInvertible,
     NotQuasihomogeneous,
     ParseError,
@@ -419,6 +420,14 @@ def classify(poly: Polynomial) -> Classification:
     if poly.n_monomials == poly.n_variables:
         return Classification(PolynomialClass.INVERTIBLE, weights)
     return Classification(PolynomialClass.NONINVERTIBLE, weights)
+
+
+def require_admissible(poly: Polynomial) -> Classification:
+    """`classify(poly)`; raises NotAdmissibleError when poly is not admissible."""
+    verdict = classify(poly)
+    if not verdict.is_admissible:
+        raise NotAdmissibleError(verdict.reason or "polynomial is not admissible")
+    return verdict
 
 
 def transpose_polynomial(poly: Polynomial) -> Polynomial:

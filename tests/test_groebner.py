@@ -93,6 +93,11 @@ class TestNormalForm:
         result = normal_form(parse_polynomial("x*y + x^2"), basis)
         assert str(result) == "x*y"
 
+    def test_hand_built_basis_need_not_be_monic(self):
+        basis = GroebnerBasis((parse_polynomial("2*x^2 + 4*y^2"),), W13, ("x", "y"))
+        result = normal_form(parse_polynomial("x^2 + x*y"), basis)
+        assert str(result) == "x*y - 2*y^2"
+
     def test_result_supported_on_standard_monomials(self):
         basis = jacobian_basis("x^4 + y^4 + x^3*y", W14)
         standards = {m.exponents for m in standard_monomials(basis)}

@@ -6,7 +6,8 @@ that proves nondegeneracy.  `milnor.jacobian_groebner` memoizes that basis
 per (polynomial, weights, S-pair budget), so starting from an empty memo a
 call runs Buchberger once per distinct polynomial it classifies and once per
 distinct proper, nonempty fixed locus of its groups.  Within one run,
-`buchberger` computes the order key of each exponent tuple once.
+`buchberger` computes the order key of each exponent tuple once, and
+interreduces its minimal basis in one pass.
 """
 
 import ast
@@ -30,7 +31,7 @@ from lgmk import (
     subgroups_containing,
     transpose_group,
 )
-from lgmk import cli, milnor, mirror, polycore
+from lgmk import cli, groebner, milnor, mirror, polycore
 
 SRC = os.path.dirname(lgmk.__file__)
 
@@ -168,3 +169,32 @@ class TestKeyMemo:
         buchberger(gens, order)
         assert calls
         assert max(calls.values()) == 1
+
+
+class TestOneInterreductionPass:
+    def test_autoreduce_reduces_each_generator_once(self, monkeypatch):
+        poly = parse_polynomial(DENSE)
+        order = MonomialOrder.weighted_degrevlex(polycore.classify(poly).weights)
+        gens = [g for g in milnor.jacobian_ideal(poly) if not g.is_zero()]
+        inside = []
+        reductions = []
+        autoreduce = groebner._autoreduce
+        normal_form_dict = groebner._normal_form_dict
+
+        def traced_autoreduce(*args):
+            inside.append(True)
+            try:
+                return autoreduce(*args)
+            finally:
+                inside.pop()
+
+        def counted(*args):
+            if inside:
+                reductions.append(args[0])
+            return normal_form_dict(*args)
+
+        monkeypatch.setattr(groebner, "_autoreduce", traced_autoreduce)
+        monkeypatch.setattr(groebner, "_normal_form_dict", counted)
+        basis = buchberger(gens, order)
+        assert len(basis.generators) == 8
+        assert len(reductions) == len(basis.generators)
