@@ -75,7 +75,8 @@ class DegenerateRestriction(LgmkError):
 
 
 class ResourceLimitExceeded(LgmkError):
-    """The Groebner engine exhausted its S-pair budget."""
+    """The Groebner engine exhausted its S-pair budget, or a standard-monomial
+    box exceeds its limit."""
 
 
 class WeightConditionViolated(LgmkError):

@@ -1,19 +1,27 @@
 """Buchberger engine over Q for the quotient-ring computations.
 
-Polynomials enter and leave as `polycore.Polynomial`; internally everything
-is a dict mapping exponent tuples to Fractions.  The default order for
-quasihomogeneous work is weighted-degree reverse-lexicographic, under which
-Jacobian ideals are homogeneous and standard monomial bases are graded.
+Polynomials enter and leave as `polycore.Polynomial`, with `Fraction`
+coefficients.  Inside, a polynomial is a dict mapping exponent tuples to
+integers, and division is fraction-free: every generator the engine keeps
+is primitive (denominators cleared, content divided out, leading
+coefficient positive), S-polynomials scale by the lcm of the two leading
+coefficients, and `_normal_form_dict` pseudo-divides, returning the
+remainder and the positive factor it scaled the input by.  The reduced basis
+becomes monic `Fraction` polynomials once, at the end.  `normal_form`
+divides the integer remainder by the input's denominator times that factor.
 
-Monomials are compared by integer keys: a weighted order scales its weights
-once by the lcm L of their denominators, so the first component of
-`MonomialOrder.key` is the weighted degree times L, an integer.  `buchberger`
-computes each exponent tuple's key once per run, in a dict that lives only
-as long as the call.
+The default order for quasihomogeneous work is weighted-degree
+reverse-lexicographic, under which Jacobian ideals are homogeneous and
+standard monomial bases are graded.  Monomials are compared by integer
+keys: a weighted order scales its weights once by the lcm L of their
+denominators, so the first component of `MonomialOrder.key` is the weighted
+degree times L, an integer.  `buchberger` computes each exponent tuple's key
+once per run, in a dict that lives only as long as the call.
 
-Every generator the engine keeps is monic, and once the basis is minimal one
-interreduction pass makes it reduced.  `standard_monomials` checks
-zero-dimensionality while it computes its exponent bounds.
+Once the basis is minimal one interreduction pass makes it reduced.
+`standard_monomials` checks zero-dimensionality while it computes its
+exponent bounds, refuses a box larger than STANDARD_MONOMIAL_BOX_LIMIT, and
+walks the staircase under the leading terms, one variable at a time.
 """
 
 from __future__ import annotations
@@ -22,17 +30,20 @@ import heapq
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
-from math import lcm
-from operator import mul
+from math import gcd, lcm, prod
+from operator import add, le, mul, sub
 
 from .errors import InvalidArgument, NotFiniteDimensional, ResourceLimitExceeded
 from .polycore import Exps, Monomial, Polynomial, WeightSystem
 
 DEFAULT_PAIR_BUDGET = 10**6
 PAIR_BUDGET_ENV = "LGMK_PAIR_BUDGET"
+# most exponent tuples standard_monomials may enumerate: the product of the
+# least pure-power exponents, one per variable
+STANDARD_MONOMIAL_BOX_LIMIT = 10**7
 
-TermDict = dict[Exps, Fraction]
+# integer coefficients; a generator inside the engine is primitive
+TermDict = dict[Exps, int]
 
 
 @dataclass(frozen=True)
@@ -88,38 +99,63 @@ class GroebnerBasis:
 
 
 def _divides(a: Exps, b: Exps) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def _lcm(a: Exps, b: Exps) -> Exps:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
-def _monic(poly: TermDict, key) -> TermDict:
-    lead = poly[max(poly, key=key)]
-    if lead == 1:
+def _cleared(term_map: dict[Exps, Fraction]) -> tuple[TermDict, int]:
+    """Integer numerators of term_map over its common denominator, and that
+    denominator."""
+    den = lcm(*(c.denominator for c in term_map.values()))
+    return {e: c.numerator * (den // c.denominator) for e, c in term_map.items()}, den
+
+
+def _primitive(poly: TermDict, lead: Exps) -> TermDict:
+    """poly divided by its content, signed so the leading coefficient is positive."""
+    content = gcd(*poly.values())
+    if poly[lead] < 0:
+        content = -content
+    if content == 1:
         return poly
-    return {e: c / lead for e, c in poly.items()}
+    return {e: c // content for e, c in poly.items()}
 
 
-def _normal_form_dict(poly: TermDict, basis: list[tuple[TermDict, Exps]], key) -> TermDict:
-    """Full remainder of poly on division by basis; no result term reducible.
+def _normal_form_dict(poly: TermDict, basis: list[tuple[TermDict, Exps]],
+                      key) -> tuple[TermDict, int]:
+    """Pseudo-remainder (r, f) of poly on division by basis: f * poly - r lies
+    in the ideal of basis, f is a positive integer, and no term of r is
+    reducible.
 
-    Every basis generator is monic, here and in `_s_polynomial`: gens and
-    S-pair remainders pass through `_monic`, and interreduction never changes
-    a leading coefficient.
+    Every coefficient is an integer and every basis generator has a positive
+    leading coefficient lc.  A term c*t is cancelled by scaling work and
+    remainder by lc/g and subtracting c/g times the shifted generator, where
+    g = gcd(c, lc); f is the product of the scales.
     """
     work = dict(poly)
     remainder: TermDict = {}
+    factor = 1
     while work:
         term = max(work, key=key)
         coeff = work[term]
         for gen, lead in basis:
-            if _divides(lead, term):
-                shift = tuple(t - l for t, l in zip(term, lead))
+            if all(map(le, lead, term)):  # _divides, inlined on the hot path
+                lc = gen[lead]
+                common = gcd(coeff, lc)
+                scale = lc // common
+                coeff //= common
+                if scale != 1:
+                    factor *= scale
+                    for e in work:
+                        work[e] *= scale
+                    for e in remainder:
+                        remainder[e] *= scale
+                shift = tuple(map(sub, term, lead))
                 for exps, c in gen.items():
-                    target = tuple(e + s for e, s in zip(exps, shift))
-                    value = work.get(target, Fraction(0)) - coeff * c
+                    target = tuple(map(add, exps, shift))
+                    value = work.get(target, 0) - coeff * c
                     if value:
                         work[target] = value
                     else:
@@ -128,17 +164,21 @@ def _normal_form_dict(poly: TermDict, basis: list[tuple[TermDict, Exps]], key) -
         else:
             remainder[term] = coeff
             del work[term]
-    return remainder
+    return remainder, factor
 
 
 def _s_polynomial(f: TermDict, lt_f: Exps, g: TermDict, lt_g: Exps) -> TermDict:
-    lcm = _lcm(lt_f, lt_g)
-    shift_f = tuple(l - e for l, e in zip(lcm, lt_f))
-    shift_g = tuple(l - e for l, e in zip(lcm, lt_g))
-    result = {tuple(e + s for e, s in zip(exps, shift_f)): c for exps, c in f.items()}
+    """(m/lc_f) * (t/lt_f) * f - (m/lc_g) * (t/lt_g) * g, with t = lcm(lt_f, lt_g)
+    and m = lcm(lc_f, lc_g)."""
+    top = _lcm(lt_f, lt_g)
+    common = lcm(f[lt_f], g[lt_g])
+    scale_f, scale_g = common // f[lt_f], common // g[lt_g]
+    shift_f = tuple(map(sub, top, lt_f))
+    shift_g = tuple(map(sub, top, lt_g))
+    result = {tuple(map(add, exps, shift_f)): scale_f * c for exps, c in f.items()}
     for exps, c in g.items():
-        target = tuple(e + s for e, s in zip(exps, shift_g))
-        value = result.get(target, Fraction(0)) - c
+        target = tuple(map(add, exps, shift_g))
+        value = result.get(target, 0) - scale_g * c
         if value:
             result[target] = value
         else:
@@ -158,7 +198,8 @@ def _autoreduce(basis: list[TermDict], key) -> list[TermDict]:
     # against the others keeps its leading term and stays reduced
     for i, (d, lt) in enumerate(kept):
         others = kept[:i] + kept[i + 1:]
-        kept[i] = (_normal_form_dict(d, others, key), lt)
+        reduced, _ = _normal_form_dict(d, others, key)
+        kept[i] = (_primitive(reduced, lt), lt)
     return [d for d, _ in kept]
 
 
@@ -203,11 +244,11 @@ def buchberger(gens: list[Polynomial], order: MonomialOrder,
     basis: list[TermDict] = []
     leads: list[Exps] = []
     for g in gens:
-        d = g.term_map()
-        if d:
-            d = _monic(d, key)
-            basis.append(d)
-            leads.append(max(d, key=key))
+        if not g.is_zero():
+            d, _ = _cleared(g.term_map())
+            lead = max(d, key=key)
+            basis.append(_primitive(d, lead))
+            leads.append(lead)
 
     pending: set[tuple[int, int]] = set()
     heap: list = []
@@ -231,12 +272,12 @@ def buchberger(gens: list[Polynomial], order: MonomialOrder,
         if processed > budget:
             raise ResourceLimitExceeded(
                 f"S-pair budget of {budget} exceeded; set {PAIR_BUDGET_ENV} to raise it")
-        lcm = _lcm(leads[i], leads[j])
-        if lcm == tuple(a + b for a, b in zip(leads[i], leads[j])):
+        top = _lcm(leads[i], leads[j])
+        if top == tuple(map(add, leads[i], leads[j])):
             continue  # coprime leading terms reduce to zero
         skip = False
         for k in range(len(basis)):
-            if k in (i, j) or not _divides(leads[k], lcm):
+            if k in (i, j) or not _divides(leads[k], top):
                 continue
             if (min(i, k), max(i, k)) not in pending and \
                (min(j, k), max(j, k)) not in pending:
@@ -245,30 +286,35 @@ def buchberger(gens: list[Polynomial], order: MonomialOrder,
         if skip:
             continue
         s_poly = _s_polynomial(basis[i], leads[i], basis[j], leads[j])
-        remainder = _normal_form_dict(s_poly, list(zip(basis, leads)), key)
+        remainder, _ = _normal_form_dict(s_poly, list(zip(basis, leads)), key)
         if remainder:
-            remainder = _monic(remainder, key)
-            basis.append(remainder)
-            leads.append(max(remainder, key=key))
+            lead = max(remainder, key=key)
+            basis.append(_primitive(remainder, lead))
+            leads.append(lead)
             new = len(basis) - 1
             for k in range(new):
                 push_pair(k, new)
 
-    reduced = _autoreduce(basis, key) if basis else []
-    generators = tuple(Polynomial.from_term_map(variables, d) for d in reduced)
-    return GroebnerBasis(generators, order, variables)
+    generators = []
+    for d in _autoreduce(basis, key) if basis else []:
+        lc = d[max(d, key=key)]
+        generators.append(Polynomial.from_term_map(
+            variables, {e: Fraction(c, lc) for e, c in d.items()}))
+    return GroebnerBasis(tuple(generators), order, variables)
 
 
 def normal_form(poly: Polynomial, basis: GroebnerBasis) -> Polynomial:
     """Canonical representative of poly in the quotient ring."""
     if poly.variables != basis.variables:
         raise ValueError("polynomial and basis have different ambient variables")
-    key = basis.order.key
-    # a basis built by hand need not be monic
-    pairs = [(_monic(g.term_map(), key), lt)
+    # a basis built by hand need not be monic; primitive generators do
+    pairs = [(_primitive(_cleared(g.term_map())[0], lt), lt)
              for g, lt in zip(basis.generators, basis.leading_terms())]
-    remainder = _normal_form_dict(poly.term_map(), pairs, key)
-    return Polynomial.from_term_map(poly.variables, remainder)
+    numerators, den = _cleared(poly.term_map())
+    remainder, factor = _normal_form_dict(numerators, pairs, basis.order.key)
+    den *= factor
+    return Polynomial.from_term_map(
+        poly.variables, {e: Fraction(c, den) for e, c in remainder.items()})
 
 
 def _pure_power_of(lt: Exps, i: int) -> bool:
@@ -291,19 +337,42 @@ def standard_monomials(basis: GroebnerBasis) -> list[Monomial]:
 
     Sorted ascending in the basis order.  Raises NotFiniteDimensional when
     some variable has no pure-power leading term, that is when the quotient
-    is not a finite-dimensional vector space.
+    is not a finite-dimensional vector space, and ResourceLimitExceeded when
+    the box bounded by the pure powers holds more than
+    STANDARD_MONOMIAL_BOX_LIMIT exponent tuples.
     """
     leads = basis.leading_terms()
     if any(not any(lt) for lt in leads):
         return []  # unit ideal
+    n = len(basis.variables)
     bounds = []
-    for i in range(len(basis.variables)):
+    for i in range(n):
         pures = [lt[i] for lt in leads if _pure_power_of(lt, i)]
         if not pures:
             raise NotFiniteDimensional("ideal is not zero dimensional")
         bounds.append(min(pures))
-    key = basis.order.key
-    found = [exps for exps in product(*(range(b) for b in bounds))
-             if not any(_divides(lt, exps) for lt in leads)]
-    found.sort(key=key)
+    box = prod(bounds)
+    if box > STANDARD_MONOMIAL_BOX_LIMIT:
+        raise ResourceLimitExceeded(
+            f"the standard monomials lie in a box of {box} exponent tuples, "
+            f"more than the limit of {STANDARD_MONOMIAL_BOX_LIMIT}")
+    found: list[Exps] = []
+
+    def walk(prefix: Exps, active: list[Exps]) -> None:
+        # active: the leading terms whose first len(prefix) exponents divide
+        # prefix.  One that is zero past position i divides every extension
+        # whose exponent i reaches its own, so exponent i stops below the least.
+        i = len(prefix)
+        stop = min(lt[i] for lt in active if not any(lt[i + 1:]))
+        if i == n - 1:
+            found.extend(prefix + (e,) for e in range(stop))
+            return
+        for e in range(stop):
+            walk(prefix + (e,), [lt for lt in active if lt[i] <= e])
+
+    if n:
+        walk((), leads)
+    else:
+        found.append(())
+    found.sort(key=basis.order.key)
     return [Monomial(exps) for exps in found]

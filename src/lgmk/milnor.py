@@ -5,9 +5,11 @@ the Buchberger engine; `jacobian_groebner` is the one place that runs it on
 a Jacobian ideal.  It memoizes its result per (polynomial, weights, S-pair
 budget), so `classify`, `bmodel`, the A-model's fixed loci and the mirror
 checks share one basis per polynomial and locus without passing it around.
-The closed-form dimension and top-degree expressions are checked against
-the engine at construction time, so a disagreement between the two routes
-fails loudly.
+`bmodel` counts the degrees of its standard monomials as integers, the
+weighted degree times the lcm L of the weight denominators, and builds one
+`Fraction` per distinct degree.  The closed-form dimension and top-degree
+expressions are checked against the engine at construction time, so a
+disagreement between the two routes fails loudly.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
+from operator import mul
 from typing import Iterable
 
 from .errors import LgmkError, WeightError
@@ -32,7 +36,6 @@ from .polycore import (
     Polynomial,
     WeightSystem,
     exponent_matrix,
-    monomial_bdegree,
     require_admissible,
     solve_weights,
 )
@@ -174,7 +177,11 @@ def bmodel(poly: Polynomial) -> BModel:
     """Milnor ring of an admissible polynomial as a graded vector space."""
     weights = require_admissible(poly).weights
     monomials = tuple(standard_monomials(jacobian_groebner(poly, weights)))
-    graded = GradedDims.from_degrees(monomial_bdegree(m, weights) for m in monomials)
+    # degree 2*sum(e_i q_i) = 2k/L, counted by the integer k = sum(e_i L q_i)
+    scale = lcm(*(q.denominator for q in weights))
+    integer_weights = [q.numerator * (scale // q.denominator) for q in weights]
+    counts = Counter(sum(map(mul, m.exponents, integer_weights)) for m in monomials)
+    graded = GradedDims(tuple((Fraction(2 * k, scale), dim) for k, dim in counts.items()))
     if graded.total_dim != _dim_product(weights):
         raise LgmkError(
             f"Milnor dimension {graded.total_dim} disagrees with the "

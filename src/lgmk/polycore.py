@@ -256,7 +256,10 @@ class _Parser:
             raise ParseError("unexpected end of input", self.length)
         if tok[0] == "number":
             _, value, pos = self.take()
-            coeff *= Fraction(value)
+            try:
+                coeff *= Fraction(value)
+            except ZeroDivisionError:
+                raise ParseError("coefficient has a zero denominator", pos) from None
             star = self.take("op")
             if star[1] != "*":
                 raise ParseError("coefficient must be followed by '*'", star[2])

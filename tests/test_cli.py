@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import lgmk
 from lgmk.cli import main
 
 
@@ -168,6 +172,13 @@ class TestExitCodes:
         code, _, _ = run(capsys, "bmodel", "x^4+y^4+x^3*y")
         assert code == 6
 
+    def test_standard_monomial_box_limit(self, capsys):
+        # 10^20 - 1 standard monomials: refused before any is enumerated
+        code, out, err = run(capsys, "bmodel", "x^99999999999999999999")
+        assert (code, out) == (6, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "10000000" in err
+
 
 class TestBadInput:
     """Out-of-range arguments end in one error line and exit code 2."""
@@ -177,6 +188,7 @@ class TestBadInput:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+        return err
 
     def test_dimension_minus_one(self, capsys):
         self.assert_bad_input(capsys, "search", "-1", "2", "3")
@@ -202,6 +214,11 @@ class TestBadInput:
     def test_pair_budget_negative(self, capsys, monkeypatch):
         monkeypatch.setenv("LGMK_PAIR_BUDGET", "-1")
         self.assert_bad_input(capsys, "bmodel", "x^3+y^3")
+
+    @pytest.mark.parametrize("text,position", [("2/0*x^3", 0), ("x^3+1/0*y^3", 4)])
+    def test_zero_denominator(self, capsys, text, position):
+        err = self.assert_bad_input(capsys, "bmodel", text)
+        assert err == f"error: coefficient has a zero denominator (at position {position})\n"
 
 
 class TestTextJsonAgreement:
@@ -247,3 +264,15 @@ class TestDeterminism:
             assert code == 0
             outputs.add(out)
         assert len(outputs) == 1
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_runs_the_cli(self, capsys):
+        # the directory lgmk was imported from, src/ in a checkout
+        src_dir = os.path.dirname(os.path.dirname(os.path.abspath(lgmk.__file__)))
+        env = dict(os.environ, PYTHONPATH=src_dir)
+        done = subprocess.run([sys.executable, "-m", "lgmk", "bmodel", "x^9", "--json"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        code, out, err = run(capsys, "bmodel", "x^9", "--json")
+        assert (done.returncode, done.stdout, done.stderr) == (code, out, err) == (0, out, "")
+        assert json.loads(done.stdout)["payload"]["dimension"] == 8

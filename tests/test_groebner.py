@@ -19,6 +19,7 @@ from lgmk import (
     solve_weights,
     standard_monomials,
 )
+from lgmk import groebner
 from lgmk.polycore import Polynomial
 
 W13 = MonomialOrder.weighted_degrevlex(WeightSystem((F(1, 3), F(1, 3))))
@@ -158,6 +159,26 @@ class TestStandardMonomials:
         basis = buchberger([parse_polynomial("x*y")], MonomialOrder.degrevlex())
         with pytest.raises(NotFiniteDimensional):
             standard_monomials(basis)
+
+    @staticmethod
+    def pure_powers(*exponents):
+        n = len(exponents)
+        names = ("x", "y", "z")[:n]
+        return GroebnerBasis(tuple(
+            Polynomial.from_term_map(names, {tuple(a if j == i else 0 for j in range(n)): 1})
+            for i, a in enumerate(exponents)), MonomialOrder.degrevlex(), names)
+
+    @pytest.mark.parametrize("exponents", [(10**20,), (10001, 1000), (10**7 + 1,)])
+    def test_box_over_the_limit_is_refused(self, exponents):
+        assert groebner.STANDARD_MONOMIAL_BOX_LIMIT == 10**7
+        with pytest.raises(ResourceLimitExceeded):
+            standard_monomials(self.pure_powers(*exponents))
+
+    def test_box_at_the_limit_is_enumerated(self, monkeypatch):
+        monkeypatch.setattr(groebner, "STANDARD_MONOMIAL_BOX_LIMIT", 12)
+        assert len(standard_monomials(self.pure_powers(3, 4))) == 12
+        with pytest.raises(ResourceLimitExceeded):
+            standard_monomials(self.pure_powers(13, 1))
 
     def test_sorted_ascending_in_order(self):
         basis = jacobian_basis("x^4 + y^4 + x^3*y", W14)

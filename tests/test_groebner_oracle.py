@@ -1,9 +1,17 @@
-"""The Buchberger engine against two references.
+"""The Buchberger engine against three references.
 
 The monomial order once graded by a `Fraction` weighted sum; it now grades
 by that sum times the lcm of the weights' denominators, an integer.  The
 earlier key is kept below verbatim, and sorting random exponent sets by both
 keys must give one order.
+
+The engine once divided in `Fraction` coefficients with monic generators; it
+now divides in primitive integer coefficients, and `standard_monomials`
+walks the staircase where it once filtered the whole exponent box.  That
+earlier engine is kept below verbatim, under `oracle_` names.  On random
+quasihomogeneous Jacobians, with small, rational and large coefficients, the
+two must give identical bases and identical normal forms, and on random
+monomial ideals identical standard monomials or the same error.
 
 Reduced Groebner bases of random quasihomogeneous Jacobian ideals in two and
 three variables must equal those `sympy.groebner` computes, both made monic.
@@ -14,16 +22,30 @@ and monomials of one weighted degree can differ in total degree (x and y^2
 under weights (1/2, 1/4)), which changes the basis.
 """
 
+import heapq
 from fractions import Fraction
 from itertools import product
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import QQ, Poly, Rational, groebner, symbols
 from sympy.polys.orderings import ProductOrder
 
-from lgmk import MonomialOrder, Polynomial, WeightSystem, buchberger
+from lgmk import (
+    GroebnerBasis,
+    MonomialOrder,
+    NotFiniteDimensional,
+    Polynomial,
+    ResourceLimitExceeded,
+    WeightSystem,
+    buchberger,
+    normal_form,
+    standard_monomials,
+)
+from lgmk.groebner import PAIR_BUDGET_ENV, _pair_budget
 from lgmk.milnor import jacobian_ideal
+from lgmk.polycore import Exps, Monomial
 
 
 # ---------------------------------------------------------------------------
@@ -77,17 +99,26 @@ def test_order_equality_and_repr_ignore_the_integer_weights():
 # Buchberger against sympy.groebner
 # ---------------------------------------------------------------------------
 
-VARIABLES = ("x", "y", "z")
+VARIABLES = ("x", "y", "z", "w")
 # exponents (a_i) with many mixed monomials of weight one under q_i = 1/a_i
 RICH_DENOMINATORS = {2: st.sampled_from([(4, 4), (3, 6), (6, 6), (4, 8), (6, 9)]),
                      3: st.sampled_from([(3, 3, 3), (4, 4, 4), (2, 4, 4), (2, 3, 6),
                                          (3, 3, 6), (4, 4, 6), (5, 5, 5)])}
 
 
+SMALL = st.builds(lambda sign, size: Fraction(sign * size),
+                  st.sampled_from((-1, 1)), st.integers(1, 9))
+RATIONAL = st.fractions(min_value=-50, max_value=50, max_denominator=50).filter(bool)
+LARGE = st.builds(lambda sign, size: Fraction(sign * size),
+                  st.sampled_from((-1, 1)), st.integers(10**20, 10**30))
+MIXED = st.one_of(SMALL, RATIONAL, LARGE)
+
+
 @st.composite
-def quasihomogeneous(draw):
+def quasihomogeneous(draw, coefficients=SMALL):
     """W = x_1^a_1 + ... + x_n^a_n plus a random set of other monomials of
-    weight one under q_i = 1/a_i, all with nonzero coefficients in -9..9."""
+    weight one under q_i = 1/a_i, all with nonzero coefficients drawn from
+    coefficients (by default, integers in -9..9)."""
     n = draw(st.integers(2, 3))
     denominators = draw(st.tuples(*[st.integers(2, 9 if n == 2 else 5)] * n)
                         | RICH_DENOMINATORS[n].flatmap(st.permutations).map(tuple))
@@ -97,9 +128,7 @@ def quasihomogeneous(draw):
     weight_one = [m for m in product(*(range(a + 1) for a in denominators))
                   if sum(e * q for e, q in zip(m, weights)) == 1 and m not in fermat]
     chosen = [m for m in weight_one if draw(st.booleans())]
-    coeff = st.builds(lambda sign, size: sign * size,
-                      st.sampled_from((-1, 1)), st.integers(1, 9))
-    terms = {m: Fraction(draw(coeff)) for m in fermat + chosen}
+    terms = {m: draw(coefficients) for m in fermat + chosen}
     return Polynomial.from_term_map(VARIABLES[:n], terms), WeightSystem(weights)
 
 
@@ -132,3 +161,303 @@ def test_buchberger_matches_sympy_on_quasihomogeneous_jacobians(case):
     # generators come sorted by their leading terms in the order
     leads = [order.key(lt) for lt in ours.leading_terms()]
     assert leads == sorted(leads)
+
+
+# ---------------------------------------------------------------------------
+# The earlier Fraction engine
+# ---------------------------------------------------------------------------
+
+TermDict = dict[Exps, Fraction]
+
+
+def oracle_divides(a: Exps, b: Exps) -> bool:
+    return all(x <= y for x, y in zip(a, b))
+
+
+def oracle_lcm(a: Exps, b: Exps) -> Exps:
+    return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def oracle_monic(poly: TermDict, key) -> TermDict:
+    lead = poly[max(poly, key=key)]
+    if lead == 1:
+        return poly
+    return {e: c / lead for e, c in poly.items()}
+
+
+def oracle_normal_form_dict(poly: TermDict, basis: list[tuple[TermDict, Exps]], key) -> TermDict:
+    """Full remainder of poly on division by basis; no result term reducible.
+
+    Every basis generator is monic, here and in `_s_polynomial`: gens and
+    S-pair remainders pass through `_monic`, and interreduction never changes
+    a leading coefficient.
+    """
+    work = dict(poly)
+    remainder: TermDict = {}
+    while work:
+        term = max(work, key=key)
+        coeff = work[term]
+        for gen, lead in basis:
+            if oracle_divides(lead, term):
+                shift = tuple(t - l for t, l in zip(term, lead))
+                for exps, c in gen.items():
+                    target = tuple(e + s for e, s in zip(exps, shift))
+                    value = work.get(target, Fraction(0)) - coeff * c
+                    if value:
+                        work[target] = value
+                    else:
+                        work.pop(target, None)
+                break
+        else:
+            remainder[term] = coeff
+            del work[term]
+    return remainder
+
+
+def oracle_s_polynomial(f: TermDict, lt_f: Exps, g: TermDict, lt_g: Exps) -> TermDict:
+    lcm = oracle_lcm(lt_f, lt_g)
+    shift_f = tuple(l - e for l, e in zip(lcm, lt_f))
+    shift_g = tuple(l - e for l, e in zip(lcm, lt_g))
+    result = {tuple(e + s for e, s in zip(exps, shift_f)): c for exps, c in f.items()}
+    for exps, c in g.items():
+        target = tuple(e + s for e, s in zip(exps, shift_g))
+        value = result.get(target, Fraction(0)) - c
+        if value:
+            result[target] = value
+        else:
+            result.pop(target, None)
+    return result
+
+
+def oracle_autoreduce(basis: list[TermDict], key) -> list[TermDict]:
+    # minimal: drop generators whose leading term another leading term divides
+    items = [(d, max(d, key=key)) for d in basis]
+    items.sort(key=lambda pair: key(pair[1]))
+    kept: list[tuple[TermDict, Exps]] = []
+    for d, lt in items:
+        if not any(oracle_divides(other_lt, lt) for _, other_lt in kept):
+            kept.append((d, lt))
+    # reduced: the leading terms are now fixed, so a generator reduced once
+    # against the others keeps its leading term and stays reduced
+    for i, (d, lt) in enumerate(kept):
+        others = kept[:i] + kept[i + 1:]
+        kept[i] = (oracle_normal_form_dict(d, others, key), lt)
+    return [d for d, _ in kept]
+
+
+def oracle_buchberger(gens: list[Polynomial], order: MonomialOrder,
+               pair_budget: int | None = None) -> GroebnerBasis:
+    """Reduced Groebner basis of the ideal generated by gens.
+
+    Pair selection is the normal strategy (smallest lcm in the order); the
+    coprime and chain criteria prune useless pairs.  Processing more than
+    `pair_budget` S-pairs (default 10^6, overridable through the
+    LGMK_PAIR_BUDGET environment variable) raises ResourceLimitExceeded; a
+    negative budget raises InvalidArgument.
+    """
+    if not gens:
+        raise ValueError("no generators given")
+    variables = gens[0].variables
+    if any(g.variables != variables for g in gens):
+        raise ValueError("generators must share one ambient variable list")
+    budget = _pair_budget(pair_budget)
+    # every exponent tuple is keyed once per run; the memo dies with the call
+    keys: dict[Exps, tuple] = {}
+
+    def key(exps: Exps) -> tuple:
+        found = keys.get(exps)
+        if found is None:
+            found = keys[exps] = order.key(exps)
+        return found
+
+    basis: list[TermDict] = []
+    leads: list[Exps] = []
+    for g in gens:
+        d = g.term_map()
+        if d:
+            d = oracle_monic(d, key)
+            basis.append(d)
+            leads.append(max(d, key=key))
+
+    pending: set[tuple[int, int]] = set()
+    heap: list = []
+    counter = 0
+
+    def push_pair(i: int, j: int) -> None:
+        nonlocal counter
+        pending.add((i, j))
+        heapq.heappush(heap, (key(oracle_lcm(leads[i], leads[j])), counter, i, j))
+        counter += 1
+
+    for j in range(len(basis)):
+        for i in range(j):
+            push_pair(i, j)
+
+    processed = 0
+    while heap:
+        _, _, i, j = heapq.heappop(heap)
+        pending.remove((i, j))  # each pair is pushed once and popped once
+        processed += 1
+        if processed > budget:
+            raise ResourceLimitExceeded(
+                f"S-pair budget of {budget} exceeded; set {PAIR_BUDGET_ENV} to raise it")
+        lcm = oracle_lcm(leads[i], leads[j])
+        if lcm == tuple(a + b for a, b in zip(leads[i], leads[j])):
+            continue  # coprime leading terms reduce to zero
+        skip = False
+        for k in range(len(basis)):
+            if k in (i, j) or not oracle_divides(leads[k], lcm):
+                continue
+            if (min(i, k), max(i, k)) not in pending and \
+               (min(j, k), max(j, k)) not in pending:
+                skip = True
+                break
+        if skip:
+            continue
+        s_poly = oracle_s_polynomial(basis[i], leads[i], basis[j], leads[j])
+        remainder = oracle_normal_form_dict(s_poly, list(zip(basis, leads)), key)
+        if remainder:
+            remainder = oracle_monic(remainder, key)
+            basis.append(remainder)
+            leads.append(max(remainder, key=key))
+            new = len(basis) - 1
+            for k in range(new):
+                push_pair(k, new)
+
+    reduced = oracle_autoreduce(basis, key) if basis else []
+    generators = tuple(Polynomial.from_term_map(variables, d) for d in reduced)
+    return GroebnerBasis(generators, order, variables)
+
+
+def oracle_normal_form(poly: Polynomial, basis: GroebnerBasis) -> Polynomial:
+    """Canonical representative of poly in the quotient ring."""
+    if poly.variables != basis.variables:
+        raise ValueError("polynomial and basis have different ambient variables")
+    key = basis.order.key
+    # a basis built by hand need not be monic
+    pairs = [(oracle_monic(g.term_map(), key), lt)
+             for g, lt in zip(basis.generators, basis.leading_terms())]
+    remainder = oracle_normal_form_dict(poly.term_map(), pairs, key)
+    return Polynomial.from_term_map(poly.variables, remainder)
+
+
+def oracle_pure_power_of(lt: Exps, i: int) -> bool:
+    return lt[i] > 0 and all(e == 0 for j, e in enumerate(lt) if j != i)
+
+
+def oracle_standard_monomials(basis: GroebnerBasis) -> list[Monomial]:
+    """Monomials divisible by no leading term: a basis of the quotient.
+
+    Sorted ascending in the basis order.  Raises NotFiniteDimensional when
+    some variable has no pure-power leading term, that is when the quotient
+    is not a finite-dimensional vector space.
+    """
+    leads = basis.leading_terms()
+    if any(not any(lt) for lt in leads):
+        return []  # unit ideal
+    bounds = []
+    for i in range(len(basis.variables)):
+        pures = [lt[i] for lt in leads if oracle_pure_power_of(lt, i)]
+        if not pures:
+            raise NotFiniteDimensional("ideal is not zero dimensional")
+        bounds.append(min(pures))
+    key = basis.order.key
+    found = [exps for exps in product(*(range(b) for b in bounds))
+             if not any(oracle_divides(lt, exps) for lt in leads)]
+    found.sort(key=key)
+    return [Monomial(exps) for exps in found]
+
+
+# ---------------------------------------------------------------------------
+# The integer engine against the Fraction engine
+# ---------------------------------------------------------------------------
+
+@st.composite
+def jacobians(draw):
+    """A random quasihomogeneous Jacobian and an order: weighted degrevlex,
+    or plain degrevlex, under which it need not be homogeneous."""
+    poly, weights = draw(quasihomogeneous(MIXED))
+    gens = [g for g in jacobian_ideal(poly) if not g.is_zero()]
+    order = (MonomialOrder.degrevlex() if draw(st.booleans())
+             else MonomialOrder.weighted_degrevlex(weights))
+    return gens, order
+
+
+@settings(max_examples=60, deadline=None)
+@given(jacobians())
+def test_buchberger_matches_the_fraction_engine(case):
+    gens, order = case
+    assert buchberger(gens, order) == oracle_buchberger(gens, order)
+
+
+@settings(max_examples=40, deadline=None)
+@given(jacobians(), st.data())
+def test_normal_form_matches_the_fraction_engine(case, data):
+    gens, order = case
+    basis = buchberger(gens, order)
+    n = len(basis.variables)
+    terms = data.draw(st.dictionaries(st.tuples(*[st.integers(0, 8)] * n), MIXED,
+                                      max_size=10))
+    poly = Polynomial.from_term_map(basis.variables, terms)
+    assert normal_form(poly, basis) == oracle_normal_form(poly, basis)
+    # the same ideal with generators scaled away from monic
+    scales = data.draw(st.lists(MIXED, min_size=len(basis.generators),
+                                max_size=len(basis.generators)))
+    scaled = GroebnerBasis(tuple(
+        Polynomial.from_term_map(g.variables, {e: s * c for e, c in g.term_map().items()})
+        for g, s in zip(basis.generators, scales)), basis.order, basis.variables)
+    assert normal_form(poly, scaled) == oracle_normal_form(poly, basis)
+
+
+@st.composite
+def monomial_ideals(draw):
+    """A hand-built basis of monomials in 1 to 4 variables, of one kind:
+    zero dimensional, not zero dimensional, or the unit ideal."""
+    n = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["zero-dimensional", "not-zero-dimensional", "unit"]))
+    leads = draw(st.lists(st.tuples(*[st.integers(0, 7)] * n).filter(any), max_size=8))
+    pure = [tuple(draw(st.integers(1, 7)) if j == i else 0 for j in range(n))
+            for i in range(n)]
+    if kind == "zero-dimensional":
+        leads += pure
+    elif kind == "not-zero-dimensional":
+        missing = draw(st.integers(0, n - 1))
+        leads = [lt for lt in leads if sum(lt) != lt[missing]] + \
+            [lt for i, lt in enumerate(pure) if i != missing]
+    else:
+        leads.append((0,) * n)
+    weights = draw(st.none() | st.tuples(*[
+        st.fractions(min_value=Fraction(1, 12), max_value=1, max_denominator=12)] * n))
+    generators = tuple(Polynomial.from_term_map(VARIABLES[:n], {lt: 1})
+                       for lt in draw(st.permutations(leads)))
+    return kind, GroebnerBasis(generators, MonomialOrder(weights), VARIABLES[:n])
+
+
+def _standard_or_error(function, basis):
+    try:
+        return function(basis)
+    except NotFiniteDimensional:
+        return NotFiniteDimensional
+
+
+@settings(max_examples=300, deadline=None)
+@given(monomial_ideals())
+def test_staircase_matches_the_box_filter(case):
+    kind, basis = case
+    found = _standard_or_error(standard_monomials, basis)
+    assert found == _standard_or_error(oracle_standard_monomials, basis)
+    if kind == "zero-dimensional":
+        assert found and found[0] == Monomial((0,) * len(basis.variables))
+    elif kind == "not-zero-dimensional":
+        assert found is NotFiniteDimensional
+    else:
+        assert found == []
+
+
+@pytest.mark.parametrize("generators,expected", [((), [Monomial(())]),
+                                                 (({(): 3},), [])])
+def test_staircase_matches_the_box_filter_without_variables(generators, expected):
+    basis = GroebnerBasis(tuple(Polynomial.from_term_map((), g) for g in generators),
+                          MonomialOrder.degrevlex(), ())
+    assert standard_monomials(basis) == oracle_standard_monomials(basis) == expected
+

@@ -6,14 +6,17 @@ that proves nondegeneracy.  `milnor.jacobian_groebner` memoizes that basis
 per (polynomial, weights, S-pair budget), so starting from an empty memo a
 call runs Buchberger once per distinct polynomial it classifies and once per
 distinct proper, nonempty fixed locus of its groups.  Within one run,
-`buchberger` computes the order key of each exponent tuple once, and
-interreduces its minimal basis in one pass.
+`buchberger` computes the order key of each exponent tuple once,
+interreduces its minimal basis in one pass, and divides in integer
+coefficients only.
 """
 
 import ast
 import os
 import sys
 from collections import Counter
+from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -198,3 +201,27 @@ class TestOneInterreductionPass:
         basis = buchberger(gens, order)
         assert len(basis.generators) == 8
         assert len(reductions) == len(basis.generators)
+
+
+class TestFractionFreeDivision:
+    def test_division_receives_no_fraction(self, monkeypatch):
+        poly = parse_polynomial(DENSE)
+        order = MonomialOrder.weighted_degrevlex(polycore.classify(poly).weights)
+        gens = [g for g in milnor.jacobian_ideal(poly) if not g.is_zero()]
+        coefficients = []
+        divisors = []
+        normal_form_dict = groebner._normal_form_dict
+
+        def recorded(poly, basis, key):
+            coefficients.extend(poly.values())
+            coefficients.extend(c for gen, _ in basis for c in gen.values())
+            divisors.extend((tuple(gen.values()), gen[lead]) for gen, lead in basis)
+            return normal_form_dict(poly, basis, key)
+
+        monkeypatch.setattr(groebner, "_normal_form_dict", recorded)
+        buchberger(gens, order)
+        assert coefficients
+        assert not any(isinstance(c, Fraction) for c in coefficients)
+        assert all(type(c) is int for c in coefficients)
+        # every divisor is primitive: content 1, positive leading coefficient
+        assert all(gcd(*values) == 1 and lc > 0 for values, lc in divisors)

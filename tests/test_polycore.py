@@ -44,6 +44,14 @@ class TestParse:
             parse_polynomial("x^4 + @")
         assert err.value.position == 6
 
+    @pytest.mark.parametrize("text,position", [("2/0*x^3", 0), ("x^3+1/0*y^3", 4),
+                                               ("x + 0/0*y", 4)])
+    def test_zero_denominator_carries_position(self, text, position):
+        with pytest.raises(ParseError) as err:
+            parse_polynomial(text)
+        assert err.value.position == position
+        assert "zero denominator" in str(err.value)
+
     def test_truncated_input(self):
         with pytest.raises(ParseError):
             parse_polynomial("x^4 +")
