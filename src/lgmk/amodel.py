@@ -122,14 +122,13 @@ def _invariant_monomials(fix, generators, exponent, poly, weights):
                    for w in generators)]
 
 
-def amodel(poly: Polynomial, group: SymmetryGroup, threads: int = 1) -> AModel:
+def amodel(poly: Polynomial, group: SymmetryGroup) -> AModel:
     """State space of (poly, group) with its rational grading.
 
     Requires poly admissible, the group a symmetry group of poly, and the
     weights vector J an element of the group.  The sector invariants depend
     only on the fixed locus and the generators, so they are computed once per
-    distinct locus; only the degree is read per element.  `threads` is
-    accepted for compatibility and does not change how the work runs.
+    distinct locus; only the degree is read per element.
     """
     weights = require_admissible(poly).weights
     check_symmetry(group, poly)

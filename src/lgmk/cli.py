@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 2 parse error or argument out of range, 3 polynomial
 not admissible, 4 group not admissible or not a symmetry group, 5 polynomial
-not invertible, 6 Groebner resource limit exceeded.
+not invertible, 6 resource limit (S-pair budget, group order, grid) exceeded.
 """
 
 from __future__ import annotations
@@ -143,7 +143,8 @@ def cmd_amodel(args) -> tuple[dict, dict, list[str]]:
     poly = parse_polynomial(args.polynomial)
     verdict = require_admissible(poly)
     group = _parse_group_spec(args.group, poly, verdict.weights)
-    model = amodel(poly, group, threads=_thread_count(args.threads))
+    _thread_count(args.threads)
+    model = amodel(poly, group)
     payload = {
         "polynomial": str(poly),
         "group_order": group.order,
@@ -235,9 +236,8 @@ def _family_parameter(dim: Fraction, top: Fraction) -> int | None:
 def cmd_search(args) -> tuple[dict, dict, list[str]]:
     dim = _parse_fraction(args.dim)
     top = _parse_fraction(args.top)
-    report_obj = search_weight_systems(dim, top, args.vars,
-                                       denominator_bound=args.bound,
-                                       threads=_thread_count(args.threads))
+    _thread_count(args.threads)
+    report_obj = search_weight_systems(dim, top, args.vars, denominator_bound=args.bound)
     payload = report_obj.to_json_dict()
     lines = [f"target dimension: {_rat(dim)}",
              f"target top degree: {_rat(top)}",

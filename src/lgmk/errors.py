@@ -75,8 +75,9 @@ class DegenerateRestriction(LgmkError):
 
 
 class ResourceLimitExceeded(LgmkError):
-    """The Groebner engine exhausted its S-pair budget, or a standard-monomial
-    box exceeds its limit."""
+    """The Groebner engine exhausted its S-pair budget, a standard-monomial
+    box exceeds its limit, a group is too large to list its elements, or a
+    search grid is too large to hold."""
 
 
 class WeightConditionViolated(LgmkError):

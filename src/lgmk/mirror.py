@@ -34,10 +34,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, islice
 
 from .amodel import amodel
-from .errors import InvalidArgument, TailProductTooLarge
+from .errors import InvalidArgument, ResourceLimitExceeded, TailProductTooLarge
 from .milnor import GradedDims, bmodel
 from .polycore import Polynomial, WeightSystem, classify, transpose_polynomial
 from .symmetry import gmax
@@ -47,6 +47,8 @@ HALF = Fraction(1, 2)
 STATUS_FOUND = "SolutionsFound"
 STATUS_NONE_EXACT = "NoneExact"
 STATUS_NONE_WITHIN_BOUND = "NoneWithinBound"
+
+GRID_LIMIT = 10**5  # the most grid points held for tails of m >= 4 variables
 
 
 # ---------------------------------------------------------------------------
@@ -271,16 +273,15 @@ def _tail_solutions(d: Fraction, delta: Fraction, m: int,
     return found
 
 
-def search_weight_systems(d, delta, m: int, denominator_bound: int = 60,
-                          threads: int = 1) -> SearchReport:
+def search_weight_systems(d, delta, m: int, denominator_bound: int = 60) -> SearchReport:
     """Search for weight systems in m variables matching (d, delta).
 
     m = 1 and m = 2 are decided exactly; for m >= 3 the tails run over the
     bounded-denominator grid and the result is relative to that bound.
     Solutions are canonicalized ascending, so permutations collapse.  Raises
-    InvalidArgument for m < 1, a bound below 2 or a dimension d <= 0.
-    `threads` is accepted for compatibility and does not change how the work
-    runs.
+    InvalidArgument for m < 1, a bound below 2 or a dimension d <= 0, and
+    ResourceLimitExceeded for m >= 4 when the grid has more than GRID_LIMIT
+    points.
     """
     d = Fraction(d)
     delta = Fraction(delta)
@@ -302,7 +303,13 @@ def search_weight_systems(d, delta, m: int, denominator_bound: int = 60,
                 solutions.add((q1, q2))
     else:
         grid = _farey_grid(1 / (d + 1), HALF, denominator_bound)
-        solutions = _tail_solutions(d, delta, m, combinations_with_replacement(grid, m - 2))
+        if m > 3:
+            grid = tuple(islice(grid, GRID_LIMIT + 1))
+            if len(grid) > GRID_LIMIT:
+                raise ResourceLimitExceeded(f"the tail grid at denominator bound "
+                                            f"{denominator_bound} exceeds {GRID_LIMIT} points")
+        tails = zip(grid) if m == 3 else combinations_with_replacement(grid, m - 2)
+        solutions = _tail_solutions(d, delta, m, tails)
     ordered = tuple(WeightSystem(sol) for sol in sorted(solutions))
     if ordered:
         status = STATUS_FOUND

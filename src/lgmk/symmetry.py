@@ -5,24 +5,27 @@ into [0, 1).  A group G of exponent N is kept as the integer lattice
 L = {v in Z^n : v/N in G}, which satisfies N*Z^n <= L <= Z^n, through the
 Hermite normal form of a basis of L.  Order, membership, containment,
 invariant factors and quotients are integer linear algebra on that basis.
-The sorted element list is still built with the group, read off the
-triangular basis in increasing order.
+The sorted element list is read off the triangular basis in increasing
+order on first use, for groups of order up to GROUP_ORDER_LIMIT.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from math import gcd, lcm, prod
 
 from .errors import (
     GroupNotSymmetry,
     InfiniteGroup,
+    ResourceLimitExceeded,
     WeightConditionViolated,
 )
 from .polycore import Polynomial, WeightSystem, exponent_matrix, transpose_polynomial
+
+GROUP_ORDER_LIMIT = 10**6  # the largest group whose elements are listed
 
 
 @dataclass(frozen=True, order=True)
@@ -151,38 +154,30 @@ def _phase_table(exponent: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(k, exponent) for k in range(exponent))
 
 
-def _sorted_vectors(exponent: int, basis) -> tuple[list, list]:
+def _sorted_vectors(exponent: int, basis) -> list[tuple[int, ...]]:
     """Every vector of L mod exponent (coordinates in [0, exponent)) in
-    increasing order, with its phase vector.
+    increasing order.
 
     Level j fixes coordinate j: adding multiples of basis row j runs it
     through r, r + d, r + 2d, ... below the exponent, with d the pivot and
     r its residue mod d, and leaves the coordinates before j alone.  A
-    partial vector is its fixed prefix, that prefix as phases, and its
-    integer coordinates from j on."""
-    table = _phase_table(exponent)
+    partial vector is its fixed prefix and its coordinates from j on."""
     last = len(basis) - 1
-    partial = [((), (), (0,) * len(basis))]
+    partial = [((), (0,) * len(basis))]
     for j, row in enumerate(basis[:last]):
         d = row[j]
         tail = row[j + 1:]
         grown = []
-        for head, phases, rest in partial:
+        for head, rest in partial:
             start = -(rest[0] // d)
             for c in range(start, start + exponent // d):
-                k = rest[0] + c * d
-                grown.append((head + (k,), phases + (table[k],),
+                grown.append((head + (rest[0] + c * d,),
                               tuple([(a + c * b) % exponent
                                      for a, b in zip(rest[1:], tail)])))
         partial = grown
     d = basis[last][last]
-    vectors = []
-    phase_vectors = []
-    for head, phases, rest in partial:
-        for k in range(rest[0] % d, exponent, d):
-            vectors.append(head + (k,))
-            phase_vectors.append(phases + (table[k],))
-    return vectors, phase_vectors
+    return [head + (k,) for head, rest in partial
+            for k in range(rest[0] % d, exponent, d)]
 
 
 def _element(phases: tuple[Fraction, ...]) -> GroupElement:
@@ -197,9 +192,9 @@ class SymmetryGroup:
     """Finite subgroup of (Q/Z)^n.
 
     `exponent` N is the lcm of the element orders and `basis` the Hermite
-    basis of the lattice {v in Z^n : v/N in the group}.  The group is built
-    from these two with `elements`, its members in sorted order, and
-    `vectors`, the integer vectors v of those members in the same order.
+    basis of the lattice {v in Z^n : v/N in the group}; the group is these
+    two.  `elements`, its members in sorted order, and `vectors`, their
+    integer vectors v, are listed on first use, up to GROUP_ORDER_LIMIT.
     """
 
     ambient: int
@@ -207,13 +202,20 @@ class SymmetryGroup:
     exponent: int = field(compare=False)
     basis: tuple[tuple[int, ...], ...] = field(compare=False)
     snf_diagonal: tuple[int, ...] | None = field(default=None, compare=False)
-    elements: tuple[GroupElement, ...] = field(init=False)
-    vectors: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        vectors, phases = _sorted_vectors(self.exponent, self.basis)
-        object.__setattr__(self, "vectors", tuple(vectors))
-        object.__setattr__(self, "elements", tuple(map(_element, phases)))
+    @cached_property
+    def vectors(self) -> tuple[tuple[int, ...], ...]:
+        if self.order > GROUP_ORDER_LIMIT:
+            raise ResourceLimitExceeded(
+                f"group of order {self.order} is too large to list its elements "
+                f"(limit {GROUP_ORDER_LIMIT})")
+        return tuple(_sorted_vectors(self.exponent, self.basis))
+
+    @cached_property
+    def elements(self) -> tuple[GroupElement, ...]:
+        vectors = self.vectors  # the order guard comes before the phase table
+        phase = _phase_table(self.exponent).__getitem__
+        return tuple(_element(tuple(map(phase, v))) for v in vectors)
 
     @property
     def order(self) -> int:

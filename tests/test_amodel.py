@@ -142,13 +142,6 @@ class TestAModel:
                 for s in model.basis]
         assert keys == sorted(keys)
 
-    def test_threads_do_not_change_result(self):
-        poly = parse_polynomial("x^3 + y^3 + z^3")
-        group = gmax(poly)
-        single = amodel(poly, group, threads=1)
-        assert amodel(poly, group, threads=2) == single
-        assert amodel(poly, group, threads=8) == single
-
     def test_degrees_never_negative_on_corpus(self, invertible_corpus):
         for poly in invertible_corpus[:15]:
             model = amodel(poly, gmax(poly))

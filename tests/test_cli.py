@@ -2,10 +2,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 import lgmk
+from lgmk import mirror
 from lgmk.cli import main
 
 
@@ -178,6 +180,42 @@ class TestExitCodes:
         assert (code, out) == (6, "")
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "10000000" in err
+
+
+# Gmax of x^N is Z/N, here of order 10^20 - 1: the group itself answers at
+# once, and listing its elements is refused before any is built
+HUGE = "x^99999999999999999999"
+
+
+class TestGroupOrderLimit:
+    def test_gmax_reports_order_and_factors(self, capsys):
+        begin = time.perf_counter()
+        report = run_json(capsys, "gmax", HUGE)
+        assert time.perf_counter() - begin < 1
+        assert report["payload"]["order"] == 10**20 - 1
+        assert report["payload"]["invariant_factors"] == [10**20 - 1]
+
+    @pytest.mark.parametrize("argv", [("gmax", HUGE, "--elements"),
+                                      ("amodel", HUGE, "J"),
+                                      ("mirror-check", HUGE)])
+    def test_listing_elements_exits_6(self, capsys, argv):
+        begin = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - begin < 1
+        assert (code, out) == (6, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "order 99999999999999999999" in err
+
+
+class TestGridLimit:
+    def test_four_variables_exit_6_and_three_still_answer(self, capsys, monkeypatch):
+        # at bound 20 the grid on [1/9, 1/2] has more than 20 points
+        three = run_json(capsys, "search", "8", "12/5", "3", "--bound", "20")
+        monkeypatch.setattr(mirror, "GRID_LIMIT", 20)
+        code, out, err = run(capsys, "search", "8", "12/5", "4", "--bound", "20")
+        assert (code, out) == (6, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert run_json(capsys, "search", "8", "12/5", "3", "--bound", "20") == three
 
 
 class TestBadInput:

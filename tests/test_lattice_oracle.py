@@ -7,7 +7,8 @@ maximal order, and quotients by canonical coset representatives.  On random
 small groups and on the two- and three-variable corpora, every operation
 must give exactly what the oracle gives: elements, generators, invariant
 factors, quotient factors, the subgroup list and its order, the
-determinant-one subgroup and the transpose group.
+determinant-one subgroup and the transpose group.  Two groups are equal,
+with equal hashes, exactly when their generators and elements are.
 """
 
 from fractions import Fraction as F
@@ -230,6 +231,29 @@ def test_random_groups_match_the_oracle(case):
     check_group(group, ambient)
     if gens and group.order <= SEARCH_ORDER_LIMIT:
         check_subgroups(group, gens[:1], ambient)
+
+
+tiny_phase = st.builds(F, st.integers(0, 3), st.sampled_from([1, 2, 4]))
+
+
+@st.composite
+def built_groups(draw):
+    """A group in one or two variables from a few small generators, built
+    from them or from its element list, so equal groups come up often."""
+    ambient = draw(st.integers(1, 2))
+    gens = draw(st.lists(st.tuples(*[tiny_phase] * ambient).map(GroupElement),
+                         max_size=2))
+    if draw(st.booleans()):
+        return subgroup_generated(gens, ambient)
+    return group_from_elements(closure(gens, ambient), ambient)
+
+
+@settings(max_examples=200, deadline=None)
+@given(built_groups(), built_groups())
+def test_equality_is_generators_and_elements(a, b):
+    assert (a == b) == (pair(a) == pair(b))
+    if a == b:
+        assert hash(a) == hash(b)
 
 
 @settings(max_examples=40, deadline=None)

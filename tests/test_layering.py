@@ -8,7 +8,9 @@ call runs Buchberger once per distinct polynomial it classifies and once per
 distinct proper, nonempty fixed locus of its groups.  Within one run,
 `buchberger` computes the order key of each exponent tuple once,
 interreduces its minimal basis in one pass, and divides in integer
-coefficients only.
+coefficients only.  A group lists its elements only when `elements` or
+`vectors` is first read, so lattice operations and the subgroups that
+`subgroups_containing` discards never list theirs.
 """
 
 import ast
@@ -31,10 +33,12 @@ from lgmk import (
     gmax,
     mirror_check,
     parse_polynomial,
+    quotient_invariant_factors,
+    subgroup_generated,
     subgroups_containing,
     transpose_group,
 )
-from lgmk import cli, groebner, milnor, mirror, polycore
+from lgmk import cli, groebner, milnor, mirror, polycore, symmetry
 
 SRC = os.path.dirname(lgmk.__file__)
 
@@ -225,3 +229,47 @@ class TestFractionFreeDivision:
         assert all(type(c) is int for c in coefficients)
         # every divisor is primitive: content 1, positive leading coefficient
         assert all(gcd(*values) == 1 and lc > 0 for values, lc in divisors)
+
+
+@pytest.fixture
+def listings(monkeypatch):
+    """Every call of `symmetry._sorted_vectors`, the one place that lists the
+    elements of a group."""
+    calls = []
+    original = symmetry._sorted_vectors
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(symmetry, "_sorted_vectors", counted)
+    return calls
+
+
+FERMAT = "x^3 + y^3 + z^3"
+
+
+class TestLazyElements:
+    def test_lattice_operations_list_no_group(self, listings):
+        poly = parse_polynomial(FERMAT)
+        full = gmax(poly)
+        j = GroupElement(tuple(polycore.classify(poly).weights))
+        sub = subgroup_generated([j], 3)
+        assert (full.order, sub.order) == (27, 3)
+        assert full.invariant_factors() == (3, 3, 3)
+        assert j in full and sub.is_subgroup_of(full)
+        assert quotient_invariant_factors(full, sub) == (3, 3)
+        assert listings == []
+
+    def test_views_are_listed_once(self, listings):
+        group = gmax(parse_polynomial(FERMAT))
+        for _ in range(3):
+            assert len(group.elements) == len(group.vectors) == 27
+        assert len(listings) == 1
+
+    def test_discarded_candidates_are_never_listed(self, listings):
+        poly = parse_polynomial(FERMAT)
+        j = GroupElement(tuple(polycore.classify(poly).weights))
+        found = subgroups_containing(gmax(poly), [j])
+        # the ambient group once, then each returned subgroup for the sort
+        assert len(listings) <= 1 + len(found)

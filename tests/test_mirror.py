@@ -197,13 +197,6 @@ class TestSearch:
         large_set = {tuple(ws) for ws in large.solutions}
         assert small_set <= large_set
 
-    def test_thread_count_never_changes_results(self):
-        single = search_weight_systems(8, F(12, 5), 3, denominator_bound=30, threads=1)
-        for threads in (2, 8):
-            multi = search_weight_systems(8, F(12, 5), 3,
-                                          denominator_bound=30, threads=threads)
-            assert multi == single
-
     def test_json_shape(self):
         report = search_weight_systems(4, F(4, 3), 2)
         payload = report.to_json_dict()
