@@ -22,7 +22,7 @@ from math import lcm
 from operator import mul
 from typing import Iterable
 
-from .errors import LgmkError, WeightError
+from .errors import LgmkError
 from .groebner import (
     GroebnerBasis,
     MonomialOrder,
@@ -31,14 +31,7 @@ from .groebner import (
     is_zero_dimensional,
     standard_monomials,
 )
-from .polycore import (
-    Monomial,
-    Polynomial,
-    WeightSystem,
-    exponent_matrix,
-    require_admissible,
-    solve_weights,
-)
+from .polycore import Monomial, Polynomial, WeightSystem, classify, require_admissible
 
 
 @dataclass(frozen=True)
@@ -138,11 +131,7 @@ def is_nondegenerate(poly: Polynomial) -> bool:
     """True iff the Jacobian ideal is zero dimensional (finite Milnor ring)."""
     if poly.is_zero() or poly.n_variables == 0:
         return False
-    try:
-        weights = solve_weights(exponent_matrix(poly))
-    except WeightError:
-        weights = None
-    return jacobian_groebner(poly, weights) is not None
+    return jacobian_groebner(poly, classify(poly).weights) is not None
 
 
 def _dim_product(weights: WeightSystem) -> Fraction:

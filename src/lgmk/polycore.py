@@ -433,17 +433,21 @@ def require_admissible(poly: Polynomial) -> Classification:
     return verdict
 
 
-def transpose_polynomial(poly: Polynomial) -> Polynomial:
-    """Polynomial whose exponent matrix is the transpose of poly's.
+def _invertible_matrix(poly: Polynomial) -> ExponentMatrix:
+    """The exponent matrix of poly, which must be invertible to transpose.
 
     Only invertible polynomials transpose: a nonsquare exponent matrix would
     produce fewer monomials than variables, which cannot be admissible.
     """
-    verdict = classify(poly)
-    if verdict.kind is not PolynomialClass.INVERTIBLE:
+    if classify(poly).kind is not PolynomialClass.INVERTIBLE:
         raise NotInvertible(
             "transpose requires an invertible polynomial: a nonsquare exponent "
             "matrix transposes to fewer monomials than variables")
-    transposed = exponent_matrix(poly).transpose()
+    return exponent_matrix(poly)
+
+
+def transpose_polynomial(poly: Polynomial) -> Polynomial:
+    """Polynomial whose exponent matrix is the transpose of poly's."""
+    transposed = _invertible_matrix(poly).transpose()
     return Polynomial.from_term_map(poly.variables,
                                     {row: Fraction(1) for row in transposed.rows})

@@ -7,6 +7,11 @@ Hermite normal form of a basis of L.  Order, membership, containment,
 invariant factors and quotients are integer linear algebra on that basis.
 The sorted element list is read off the triangular basis in increasing
 order on first use, for groups of order up to GROUP_ORDER_LIMIT.
+
+Gmax and the transpose group are both read off one Smith form, of a matrix
+R of relations: the group {g : R.g integral}.  R is the exponent matrix A
+for Gmax(W); for the dual of G it is A^T, which cuts out Gmax(W^T), stacked
+with one row A h per generator h of G, because g A h^T = (A h).g.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from .errors import (
     ResourceLimitExceeded,
     WeightConditionViolated,
 )
-from .polycore import Polynomial, WeightSystem, exponent_matrix, transpose_polynomial
+from .polycore import Polynomial, WeightSystem, _invertible_matrix, exponent_matrix
 
 GROUP_ORDER_LIMIT = 10**6  # the largest group whose elements are listed
 
@@ -383,17 +388,16 @@ def smith_normal_form(matrix) -> tuple[list[list[int]], list[list[int]], list[li
     return u, a, v
 
 
-def gmax(poly: Polynomial) -> SymmetryGroup:
-    """Maximal diagonal symmetry group {g in (Q/Z)^n : A.g integral}.
+def _relation_group(relations) -> SymmetryGroup:
+    """The group {g in (Q/Z)^n : R.g integral} of an integer m x n matrix R.
 
-    Computed through the Smith normal form U*A*V = D: writing h = V^{-1} g the
+    Computed through the Smith normal form U*R*V = D: writing h = V^{-1} g the
     condition becomes d_i h_i integral, so the group is generated by the
-    columns of V scaled by 1/d_i.  Raises InfiniteGroup when rank(A) < n.
+    columns of V scaled by 1/d_i.  Raises InfiniteGroup when rank(R) < n.
     """
-    matrix = exponent_matrix(poly)
-    n = matrix.n
-    _, d, v = smith_normal_form(matrix.rows)
-    diag = [d[i][i] for i in range(min(matrix.m, n))]
+    n = len(relations[0])
+    _, d, v = smith_normal_form(relations)
+    diag = [d[i][i] for i in range(min(len(relations), n))]
     if len(diag) < n or any(x == 0 for x in diag):
         raise InfiniteGroup(f"rank of the exponent matrix is below {n}")
     generators = []
@@ -408,6 +412,11 @@ def gmax(poly: Polynomial) -> SymmetryGroup:
     if group.order != prod(diag):
         raise AssertionError("Smith normal form produced a defective group")
     return group
+
+
+def gmax(poly: Polynomial) -> SymmetryGroup:
+    """Maximal diagonal symmetry group {g in (Q/Z)^n : A.g integral}."""
+    return _relation_group(exponent_matrix(poly).rows)
 
 
 def gmax_bruteforce(poly: Polynomial, denominator_bound: int) -> SymmetryGroup:
@@ -447,21 +456,19 @@ def fixed_locus(element: GroupElement) -> frozenset[int]:
 def transpose_group(group: SymmetryGroup, poly: Polynomial) -> SymmetryGroup:
     """Dual group {g in Gmax(W^T) : g A h^T integral for all h in the group}.
 
-    Defined for invertible polynomials only; the pairing uses the exponent
-    matrix of poly itself.  Checking the generators of the group suffices
-    because the pairing is additive in h.
+    Defined for invertible polynomials and groups that fix them, with A the
+    exponent matrix of poly itself.  Since Gmax(W^T) = {g : A^T.g integral}
+    and g A h^T = (A h).g, the dual is {g : R.g integral} for R = A^T stacked
+    with one row A h per generator h of the group; A h is integral because
+    h fixes poly.
     """
-    transposed = transpose_polynomial(poly)
-    ambient_max = gmax(transposed)
-    rows = exponent_matrix(poly).rows
-    # with g = u/M and h = w/N, g A h^T is integral iff u.(A w) = 0 mod M*N
-    modulus = ambient_max.exponent * group.exponent
-    images = [[sum(a * b for a, b in zip(row, group.vector(h))) for row in rows]
-              for h in group.generators]
-    kept = [g for g, u in zip(ambient_max.elements, ambient_max.vectors)
-            if all(sum(a * b for a, b in zip(u, image)) % modulus == 0
-                   for image in images)]
-    return group_from_elements(kept, ambient_max.ambient)
+    matrix = _invertible_matrix(poly)
+    check_symmetry(group, poly)
+    images = [[sum(a * b for a, b in zip(row, group.vector(h))) // group.exponent
+               for row in matrix.rows] for h in group.generators]
+    dual = _relation_group(matrix.transpose().rows + tuple(images))
+    # groups compare by their generators, so pick them greedily from the elements
+    return group_from_elements(dual.elements, group.ambient)
 
 
 def gmax_fermat_plus_monomial(p: int, q: int, r: int, s: int) -> SymmetryGroup:

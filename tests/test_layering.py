@@ -10,7 +10,9 @@ distinct proper, nonempty fixed locus of its groups.  Within one run,
 interreduces its minimal basis in one pass, and divides in integer
 coefficients only.  A group lists its elements only when `elements` or
 `vectors` is first read, so lattice operations and the subgroups that
-`subgroups_containing` discards never list theirs.
+`subgroups_containing` discards never list theirs.  `transpose_group` solves
+its relations through one Smith form: it never calls `gmax` and lists only
+its own result.
 """
 
 import ast
@@ -273,3 +275,19 @@ class TestLazyElements:
         found = subgroups_containing(gmax(poly), [j])
         # the ambient group once, then each returned subgroup for the sort
         assert len(listings) <= 1 + len(found)
+
+
+class TestTransposeByRelations:
+    @pytest.mark.parametrize("text", ["x^1001 + y^1001", "x^900 + y^1000"])
+    def test_dual_of_a_large_gmax_lists_only_itself(self, listings, monkeypatch, text):
+        poly = parse_polynomial(text)
+        full = gmax(poly)
+
+        def forbidden(*args):
+            raise AssertionError("transpose_group called gmax")
+
+        monkeypatch.setattr(symmetry, "gmax", forbidden)
+        dual = transpose_group(full, poly)
+        assert dual.order == 1
+        # one listing, of the order-1 result (exponent 1)
+        assert [exponent for exponent, _ in listings] == [1]

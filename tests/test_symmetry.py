@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from lgmk import (
     GroupElement,
+    GroupNotSymmetry,
     InfiniteGroup,
     NotInvertible,
     WeightConditionViolated,
@@ -224,6 +225,11 @@ class TestTransposeGroup:
     def test_requires_invertible(self):
         with pytest.raises(NotInvertible):
             transpose_group(j_group(4), parse_polynomial("x^4 + y^4 + x^3*y"))
+
+    def test_requires_a_symmetry_of_the_polynomial(self):
+        with pytest.raises(GroupNotSymmetry):
+            transpose_group(subgroup_generated([ge("1/2", 0)], 2),
+                            parse_polynomial("x^3 + y^3"))
 
     def test_duality_laws_on_two_variable_corpus(self, invertible_corpus_2var):
         for poly in invertible_corpus_2var:
