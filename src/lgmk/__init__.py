@@ -26,9 +26,10 @@ from .errors import (
 from .groebner import (
     GroebnerBasis,
     MonomialOrder,
+    Staircase,
     buchberger,
-    is_zero_dimensional,
     normal_form,
+    staircase,
     standard_monomials,
 )
 from .milnor import (
@@ -40,6 +41,7 @@ from .milnor import (
     is_nondegenerate,
     jacobian_groebner,
     jacobian_ideal,
+    jacobian_staircase,
 )
 from .mirror import (
     PairReduction,

@@ -9,10 +9,10 @@ locus is empty always contributes exactly one basis element.
 The invariants of a sector depend only on its fixed locus and on the
 generators of G, so they are computed once per distinct locus, by integer
 congruences on the group's lattice vectors; each element then only reads its
-degree off the sum of its phases.  The Milnor ring of each restriction comes
-from milnor's memoized `jacobian_groebner`, so the full locus reuses the
-basis `classify` computed, and further groups over the same polynomial reuse
-every locus already seen.
+degree off the sum of its phases.  The Milnor ring of each restriction is
+the staircase of milnor's memoized `jacobian_staircase`, so the full locus
+reuses the one `classify` computed, and further groups over the same
+polynomial reuse every locus already seen.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .errors import (
     NotAdmissibleError,
 )
 from .groebner import standard_monomials
-from .milnor import GradedDims, jacobian_groebner
+from .milnor import GradedDims, jacobian_staircase
 from .polycore import (
     Monomial,
     Polynomial,
@@ -87,11 +87,11 @@ def _restricted_milnor_basis(poly: Polynomial, weights: WeightSystem,
         raise DegenerateRestriction(
             f"restriction to variables {sorted(fix)} is the zero polynomial")
     sub_weights = WeightSystem(tuple(weights[i] for i in sorted(fix)))
-    basis = jacobian_groebner(restricted, sub_weights)
-    if basis is None:
+    found = jacobian_staircase(restricted, sub_weights)
+    if found is None:
         raise DegenerateRestriction(
             f"restriction to variables {sorted(fix)} has a non-finite Milnor ring")
-    return standard_monomials(basis)
+    return standard_monomials(found)
 
 
 def invariant_monomials(sector: GroupElement, poly: Polynomial,

@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 
 from .amodel import amodel
 from .errors import (
@@ -374,9 +375,15 @@ _EXIT_CODES = (
 )
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    # built on the first call of main, not at import: parsing leaves the
+    # parser unchanged, so every later call reuses it
+    return _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         inputs, payload, lines = args.handler(args)
     except Exception as exc:  # noqa: BLE001 - mapped to documented exit codes

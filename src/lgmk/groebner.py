@@ -1,27 +1,42 @@
 """Buchberger engine over Q for the quotient-ring computations.
 
 Polynomials enter and leave as `polycore.Polynomial`, with `Fraction`
-coefficients.  Inside, a polynomial is a dict mapping exponent tuples to
-integers, and division is fraction-free: every generator the engine keeps
-is primitive (denominators cleared, content divided out, leading
-coefficient positive), S-polynomials scale by the lcm of the two leading
-coefficients, and `_normal_form_dict` pseudo-divides, returning the
-remainder and the positive factor it scaled the input by.  The reduced basis
-becomes monic `Fraction` polynomials once, at the end.  `normal_form`
-divides the integer remainder by the input's denominator times that factor.
+coefficients.  Inside, a polynomial is a dict mapping packed monomials to
+integers.
 
-The default order for quasihomogeneous work is weighted-degree
-reverse-lexicographic, under which Jacobian ideals are homogeneous and
-standard monomial bases are graded.  Monomials are compared by integer
-keys: a weighted order scales its weights once by the lcm L of their
-denominators, so the first component of `MonomialOrder.key` is the weighted
-degree times L, an integer.  `buchberger` computes each exponent tuple's key
-once per run, in a dict that lives only as long as the call.
+The orders are graded: weighted-degree reverse-lexicographic (under which
+Jacobian ideals of quasihomogeneous polynomials are homogeneous and standard
+monomial bases are graded) or plain degrevlex.  The grade of x^e is the
+integer sum(w_i * e_i): the total degree, or the weighted degree times the
+lcm L of the weights' denominators.  With B bits per exponent, x^e is packed
+as the integer (Monagan and Pearce 2007)
 
-Once the basis is minimal one interreduction pass makes it reduced.
-`standard_monomials` checks zero-dimensionality while it computes its
-exponent bounds, refuses a box larger than STANDARD_MONOMIAL_BOX_LIMIT, and
-walks the staircase under the leading terms, one variable at a time.
+    K = grade * 2^(B*n) - sum(e_i * 2^(B*i)).
+
+While every exponent stays below 2^(B-1), the top bit of each field (its
+guard bit) is clear, and then: integer order on K is `MonomialOrder.key`
+order, so the leading term of a dict is `max(d)`; K is additive, so
+multiplying by x^t/x^l adds `t - l` to every key; and with
+E = -K mod 2^(B*n), the exponent fields, x^l divides x^t iff
+((E_t | GUARD) - E_l) & GUARD == GUARD.  Every exponent is at most the grade
+over the least weight, and under a graded order no term met while reducing
+an S-pair has a grade above the grade of that pair's lcm.  So the width is
+checked once per input and once per S-pair; when a grade would not fit,
+the run re-packs everything at a wider field.
+
+Division is fraction-free: every generator the engine keeps is primitive
+(denominators cleared, content divided out, leading coefficient positive),
+S-polynomials scale by the lcm of the two leading coefficients, and
+`_normal_form_dict` pseudo-divides, returning the remainder and the
+positive factor it scaled the input by.
+
+`staircase` is the kernel: the pair loop, returning the minimal leading
+terms and whether they bound a finite staircase.  It neither interreduces
+nor builds a `Fraction`.  `buchberger` runs the same loop, makes the basis
+reduced with one interreduction pass, and converts it to monic `Fraction`
+polynomials.  `normal_form` packs its input and divides with the same code.
+`standard_monomials` refuses a box larger than STANDARD_MONOMIAL_BOX_LIMIT
+and walks the staircase under the leading terms, one variable at a time.
 """
 
 from __future__ import annotations
@@ -31,7 +46,7 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm, prod
-from operator import add, le, mul, sub
+from operator import mul
 
 from .errors import InvalidArgument, NotFiniteDimensional, ResourceLimitExceeded
 from .polycore import Exps, Monomial, Polynomial, WeightSystem
@@ -41,9 +56,12 @@ PAIR_BUDGET_ENV = "LGMK_PAIR_BUDGET"
 # most exponent tuples standard_monomials may enumerate: the product of the
 # least pure-power exponents, one per variable
 STANDARD_MONOMIAL_BOX_LIMIT = 10**7
+# bits per packed exponent when a run starts; the run widens them to fit
+_FIELD_BITS = 8
 
-# integer coefficients; a generator inside the engine is primitive
-TermDict = dict[Exps, int]
+# packed monomial -> integer coefficient; a generator inside the engine is
+# primitive
+TermDict = dict[int, int]
 
 
 @dataclass(frozen=True)
@@ -98,22 +116,85 @@ class GroebnerBasis:
         return [max(g.term_map(), key=key) for g in self.generators]
 
 
-def _divides(a: Exps, b: Exps) -> bool:
-    return all(map(le, a, b))
+@dataclass(frozen=True)
+class Staircase:
+    """The minimal leading terms of a Groebner basis, ascending in its order:
+    the corners of the staircase of standard monomials under them."""
+
+    leads: tuple[Exps, ...]
+    order: MonomialOrder
+    variables: tuple[str, ...]
+
+    def leading_terms(self) -> list[Exps]:
+        return list(self.leads)
+
+    @property
+    def finite(self) -> bool:
+        """True iff the quotient is finite dimensional: some leading term is
+        1, or every variable has a pure-power leading term."""
+        return (_unit(self.leads)
+                or _pure_power_bounds(self.leads, len(self.variables)) is not None)
 
 
-def _lcm(a: Exps, b: Exps) -> Exps:
-    return tuple(map(max, a, b))
+class _Packing:
+    """Monomials packed into integers, `width` bits per exponent."""
+
+    __slots__ = ("weights", "width", "shift", "places", "guard", "mask", "limit")
+
+    def __init__(self, weights: tuple[int, ...], width: int):
+        self.weights = weights
+        self.width = width
+        self.shift = width * len(weights)
+        self.places = tuple(1 << (width * i) for i in range(len(weights)))
+        self.guard = sum(place << (width - 1) for place in self.places)
+        self.mask = (1 << self.shift) - 1
+        # every exponent of a monomial whose grade is below this fits
+        self.limit = min(weights, default=1) << (width - 1)
+
+    def fit(self, grade: int) -> "_Packing":
+        """This packing if it holds every monomial of grade `grade`, else a
+        wider one that does."""
+        if grade < self.limit:
+            return self
+        need = (grade // min(self.weights)).bit_length() + 1
+        return _Packing(self.weights, max(2 * self.width, need))
+
+    def pack(self, exps: Exps) -> int:
+        return (sum(map(mul, exps, self.weights)) << self.shift) - \
+            sum(map(mul, exps, self.places))
+
+    def unpack(self, key: int) -> Exps:
+        exps = -key & self.mask
+        low = (1 << self.width) - 1
+        return tuple(exps >> (self.width * i) & low for i in range(len(self.weights)))
+
+    def divides(self, a: int, b: int) -> bool:
+        return ((-b & self.mask | self.guard) - (-a & self.mask)) & self.guard == self.guard
 
 
-def _cleared(term_map: dict[Exps, Fraction]) -> tuple[TermDict, int]:
+def _grade_weights(order: MonomialOrder, n: int) -> tuple[int, ...]:
+    return order._integer_weights if order.weights is not None else (1,) * n
+
+
+def _cleared(term_map: dict[Exps, Fraction]) -> tuple[dict[Exps, int], int]:
     """Integer numerators of term_map over its common denominator, and that
     denominator."""
     den = lcm(*(c.denominator for c in term_map.values()))
     return {e: c.numerator * (den // c.denominator) for e, c in term_map.items()}, den
 
 
-def _primitive(poly: TermDict, lead: Exps) -> TermDict:
+def _packed(term_maps: list[dict[Exps, int]],
+            weights: tuple[int, ...]) -> tuple[_Packing, list[TermDict]]:
+    """term_maps packed at a width that holds their largest grade; each
+    distinct exponent tuple is packed once."""
+    tuples = set().union(*term_maps)
+    top = max((sum(map(mul, e, weights)) for e in tuples), default=0)
+    packing = _Packing(weights, _FIELD_BITS).fit(top)
+    packed = {e: packing.pack(e) for e in tuples}
+    return packing, [{packed[e]: c for e, c in d.items()} for d in term_maps]
+
+
+def _primitive(poly: TermDict, lead: int) -> TermDict:
     """poly divided by its content, signed so the leading coefficient is positive."""
     content = gcd(*poly.values())
     if poly[lead] < 0:
@@ -123,26 +204,28 @@ def _primitive(poly: TermDict, lead: Exps) -> TermDict:
     return {e: c // content for e, c in poly.items()}
 
 
-def _normal_form_dict(poly: TermDict, basis: list[tuple[TermDict, Exps]],
-                      key) -> tuple[TermDict, int]:
-    """Pseudo-remainder (r, f) of poly on division by basis: f * poly - r lies
-    in the ideal of basis, f is a positive integer, and no term of r is
-    reducible.
+def _normal_form_dict(poly: TermDict, basis: list[tuple[TermDict, int]],
+                      packing: _Packing) -> tuple[TermDict, int]:
+    """Pseudo-remainder (r, f) of poly on division by basis, a list of
+    (generator, leading term) pairs: f * poly - r lies in the ideal of basis,
+    f is a positive integer, and no term of r is reducible.
 
     Every coefficient is an integer and every basis generator has a positive
     leading coefficient lc.  A term c*t is cancelled by scaling work and
     remainder by lc/g and subtracting c/g times the shifted generator, where
     g = gcd(c, lc); f is the product of the scales.
     """
+    guard, mask = packing.guard, packing.mask
+    divisors = [(gen, lead, -lead & mask, gen[lead]) for gen, lead in basis]
     work = dict(poly)
     remainder: TermDict = {}
     factor = 1
     while work:
-        term = max(work, key=key)
+        term = max(work)
         coeff = work[term]
-        for gen, lead in basis:
-            if all(map(le, lead, term)):  # _divides, inlined on the hot path
-                lc = gen[lead]
+        exps = -term & mask | guard
+        for gen, lead, lead_exps, lc in divisors:
+            if (exps - lead_exps) & guard == guard:  # lead divides term
                 common = gcd(coeff, lc)
                 scale = lc // common
                 coeff //= common
@@ -152,14 +235,14 @@ def _normal_form_dict(poly: TermDict, basis: list[tuple[TermDict, Exps]],
                         work[e] *= scale
                     for e in remainder:
                         remainder[e] *= scale
-                shift = tuple(map(sub, term, lead))
-                for exps, c in gen.items():
-                    target = tuple(map(add, exps, shift))
+                shift = term - lead
+                for key, c in gen.items():
+                    target = key + shift
                     value = work.get(target, 0) - coeff * c
                     if value:
                         work[target] = value
                     else:
-                        work.pop(target, None)
+                        del work[target]
                 break
         else:
             remainder[term] = coeff
@@ -167,40 +250,47 @@ def _normal_form_dict(poly: TermDict, basis: list[tuple[TermDict, Exps]],
     return remainder, factor
 
 
-def _s_polynomial(f: TermDict, lt_f: Exps, g: TermDict, lt_g: Exps) -> TermDict:
-    """(m/lc_f) * (t/lt_f) * f - (m/lc_g) * (t/lt_g) * g, with t = lcm(lt_f, lt_g)
-    and m = lcm(lc_f, lc_g)."""
-    top = _lcm(lt_f, lt_g)
+def _s_polynomial(f: TermDict, lt_f: int, g: TermDict, lt_g: int, top: int) -> TermDict:
+    """(m/lc_f) * (t/lt_f) * f - (m/lc_g) * (t/lt_g) * g, with t = top, the
+    lcm of lt_f and lt_g, and m = lcm(lc_f, lc_g)."""
     common = lcm(f[lt_f], g[lt_g])
     scale_f, scale_g = common // f[lt_f], common // g[lt_g]
-    shift_f = tuple(map(sub, top, lt_f))
-    shift_g = tuple(map(sub, top, lt_g))
-    result = {tuple(map(add, exps, shift_f)): scale_f * c for exps, c in f.items()}
-    for exps, c in g.items():
-        target = tuple(map(add, exps, shift_g))
+    shift_f, shift_g = top - lt_f, top - lt_g
+    result = {key + shift_f: scale_f * c for key, c in f.items()}
+    for key, c in g.items():
+        target = key + shift_g
         value = result.get(target, 0) - scale_g * c
         if value:
             result[target] = value
         else:
-            result.pop(target, None)
+            del result[target]
     return result
 
 
-def _autoreduce(basis: list[TermDict], key) -> list[TermDict]:
-    # minimal: drop generators whose leading term another leading term divides
-    items = [(d, max(d, key=key)) for d in basis]
-    items.sort(key=lambda pair: key(pair[1]))
-    kept: list[tuple[TermDict, Exps]] = []
-    for d, lt in items:
-        if not any(_divides(other_lt, lt) for _, other_lt in kept):
-            kept.append((d, lt))
+def _minimal_leads(leads: list[int], packing: _Packing) -> list[int]:
+    """The leading terms no other one divides, ascending; of equal ones,
+    one is kept."""
+    kept: list[int] = []
+    for lead in sorted(set(leads)):
+        if not any(packing.divides(other, lead) for other in kept):
+            kept.append(lead)
+    return kept
+
+
+def _autoreduce(basis: list[TermDict], leads: list[int],
+                packing: _Packing) -> list[tuple[TermDict, int]]:
+    # minimal: the first generator for each leading term no other one divides
+    first: dict[int, TermDict] = {}
+    for d, lt in zip(basis, leads):
+        first.setdefault(lt, d)
+    kept = [(first[lt], lt) for lt in _minimal_leads(leads, packing)]
     # reduced: the leading terms are now fixed, so a generator reduced once
     # against the others keeps its leading term and stays reduced
     for i, (d, lt) in enumerate(kept):
         others = kept[:i] + kept[i + 1:]
-        reduced, _ = _normal_form_dict(d, others, key)
+        reduced, _ = _normal_form_dict(d, others, packing)
         kept[i] = (_primitive(reduced, lt), lt)
-    return [d for d, _ in kept]
+    return kept
 
 
 def _pair_budget(explicit: int | None) -> int:
@@ -216,6 +306,99 @@ def _pair_budget(explicit: int | None) -> int:
     return budget
 
 
+def _groebner(gens: list[Polynomial], order: MonomialOrder, pair_budget: int | None
+              ) -> tuple[list[TermDict], list[int], _Packing]:
+    """A Groebner basis of the ideal of gens, packed, with its leading terms
+    and its packing; neither minimal nor reduced."""
+    if not gens:
+        raise ValueError("no generators given")
+    variables = gens[0].variables
+    if any(g.variables != variables for g in gens):
+        raise ValueError("generators must share one ambient variable list")
+    budget = _pair_budget(pair_budget)
+    weights = _grade_weights(order, len(variables))
+    packing, basis = _packed([_cleared(g.term_map())[0] for g in gens if not g.is_zero()],
+                             weights)
+    leads = [max(d) for d in basis]
+    basis = [_primitive(d, lead) for d, lead in zip(basis, leads)]
+    lead_exps = [packing.unpack(lead) for lead in leads]
+
+    pending: set[tuple[int, int]] = set()
+    heap: list = []
+    counter = 0
+
+    def push_pairs(new: int) -> None:
+        # the pairs (k, new), keyed by their lcms, after widening the fields
+        # to hold the largest of them
+        nonlocal counter, packing
+        tops = [tuple(map(max, lead_exps[k], lead_exps[new])) for k in range(new)]
+        grades = [sum(map(mul, top, weights)) for top in tops]
+        wider = packing.fit(max(grades, default=0))
+        if wider is not packing:
+            repack = wider.pack
+            unpack = packing.unpack
+            basis[:] = [{repack(unpack(e)): c for e, c in d.items()} for d in basis]
+            leads[:] = [repack(unpack(lead)) for lead in leads]
+            # the order is kept, so the heap stays a heap
+            heap[:] = [(repack(unpack(top)), *rest) for top, *rest in heap]
+            packing = wider
+        shift, places = packing.shift, packing.places
+        for k, (top, grade) in enumerate(zip(tops, grades)):
+            pending.add((k, new))
+            heapq.heappush(heap, ((grade << shift) - sum(map(mul, top, places)),
+                                  counter, k, new))
+            counter += 1
+
+    for j in range(len(basis)):
+        push_pairs(j)
+
+    processed = 0
+    while heap:
+        top, _, i, j = heapq.heappop(heap)
+        pending.remove((i, j))  # each pair is pushed once and popped once
+        processed += 1
+        if processed > budget:
+            raise ResourceLimitExceeded(
+                f"S-pair budget of {budget} exceeded; set {PAIR_BUDGET_ENV} to raise it")
+        if top == leads[i] + leads[j]:
+            continue  # coprime leading terms reduce to zero
+        guard, mask = packing.guard, packing.mask
+        top_exps = -top & mask | guard
+        skip = False
+        for k, lead in enumerate(leads):
+            if k == i or k == j or (top_exps - (-lead & mask)) & guard != guard:
+                continue  # only a third leading term dividing top can chain
+            if (min(i, k), max(i, k)) not in pending and \
+               (min(j, k), max(j, k)) not in pending:
+                skip = True
+                break
+        if skip:
+            continue
+        s_poly = _s_polynomial(basis[i], leads[i], basis[j], leads[j], top)
+        remainder, _ = _normal_form_dict(s_poly, list(zip(basis, leads)), packing)
+        if remainder:
+            lead = max(remainder)
+            basis.append(_primitive(remainder, lead))
+            leads.append(lead)
+            lead_exps.append(packing.unpack(lead))
+            push_pairs(len(basis) - 1)
+    return basis, leads, packing
+
+
+def staircase(gens: list[Polynomial], order: MonomialOrder,
+              pair_budget: int | None = None) -> Staircase:
+    """The minimal leading terms of a Groebner basis of the ideal of gens.
+
+    Runs the pair loop of `buchberger`, with its strategy, criteria and
+    budget, and stops there: the leading terms decide zero-dimensionality
+    (`Staircase.finite`) and the standard monomials, and no coefficient of
+    a reduced basis is needed for either.
+    """
+    _, leads, packing = _groebner(gens, order, pair_budget)
+    return Staircase(tuple(packing.unpack(lead) for lead in _minimal_leads(leads, packing)),
+                     order, gens[0].variables)
+
+
 def buchberger(gens: list[Polynomial], order: MonomialOrder,
                pair_budget: int | None = None) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by gens.
@@ -226,80 +409,13 @@ def buchberger(gens: list[Polynomial], order: MonomialOrder,
     LGMK_PAIR_BUDGET environment variable) raises ResourceLimitExceeded; a
     negative budget raises InvalidArgument.
     """
-    if not gens:
-        raise ValueError("no generators given")
+    basis, leads, packing = _groebner(gens, order, pair_budget)
     variables = gens[0].variables
-    if any(g.variables != variables for g in gens):
-        raise ValueError("generators must share one ambient variable list")
-    budget = _pair_budget(pair_budget)
-    # every exponent tuple is keyed once per run; the memo dies with the call
-    keys: dict[Exps, tuple] = {}
-
-    def key(exps: Exps) -> tuple:
-        found = keys.get(exps)
-        if found is None:
-            found = keys[exps] = order.key(exps)
-        return found
-
-    basis: list[TermDict] = []
-    leads: list[Exps] = []
-    for g in gens:
-        if not g.is_zero():
-            d, _ = _cleared(g.term_map())
-            lead = max(d, key=key)
-            basis.append(_primitive(d, lead))
-            leads.append(lead)
-
-    pending: set[tuple[int, int]] = set()
-    heap: list = []
-    counter = 0
-
-    def push_pair(i: int, j: int) -> None:
-        nonlocal counter
-        pending.add((i, j))
-        heapq.heappush(heap, (key(_lcm(leads[i], leads[j])), counter, i, j))
-        counter += 1
-
-    for j in range(len(basis)):
-        for i in range(j):
-            push_pair(i, j)
-
-    processed = 0
-    while heap:
-        _, _, i, j = heapq.heappop(heap)
-        pending.remove((i, j))  # each pair is pushed once and popped once
-        processed += 1
-        if processed > budget:
-            raise ResourceLimitExceeded(
-                f"S-pair budget of {budget} exceeded; set {PAIR_BUDGET_ENV} to raise it")
-        top = _lcm(leads[i], leads[j])
-        if top == tuple(map(add, leads[i], leads[j])):
-            continue  # coprime leading terms reduce to zero
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j) or not _divides(leads[k], top):
-                continue
-            if (min(i, k), max(i, k)) not in pending and \
-               (min(j, k), max(j, k)) not in pending:
-                skip = True
-                break
-        if skip:
-            continue
-        s_poly = _s_polynomial(basis[i], leads[i], basis[j], leads[j])
-        remainder, _ = _normal_form_dict(s_poly, list(zip(basis, leads)), key)
-        if remainder:
-            lead = max(remainder, key=key)
-            basis.append(_primitive(remainder, lead))
-            leads.append(lead)
-            new = len(basis) - 1
-            for k in range(new):
-                push_pair(k, new)
-
     generators = []
-    for d in _autoreduce(basis, key) if basis else []:
-        lc = d[max(d, key=key)]
+    for d, lead in _autoreduce(basis, leads, packing):
+        lc = d[lead]
         generators.append(Polynomial.from_term_map(
-            variables, {e: Fraction(c, lc) for e, c in d.items()}))
+            variables, {packing.unpack(e): Fraction(c, lc) for e, c in d.items()}))
     return GroebnerBasis(tuple(generators), order, variables)
 
 
@@ -307,32 +423,37 @@ def normal_form(poly: Polynomial, basis: GroebnerBasis) -> Polynomial:
     """Canonical representative of poly in the quotient ring."""
     if poly.variables != basis.variables:
         raise ValueError("polynomial and basis have different ambient variables")
-    # a basis built by hand need not be monic; primitive generators do
-    pairs = [(_primitive(_cleared(g.term_map())[0], lt), lt)
-             for g, lt in zip(basis.generators, basis.leading_terms())]
     numerators, den = _cleared(poly.term_map())
-    remainder, factor = _normal_form_dict(numerators, pairs, basis.order.key)
+    packing, packed = _packed(
+        [numerators] + [_cleared(g.term_map())[0] for g in basis.generators],
+        _grade_weights(basis.order, len(poly.variables)))
+    # a basis built by hand need not be monic; primitive generators do
+    gens = packed[1:]
+    pairs = [(_primitive(d, lead), lead) for d, lead in zip(gens, map(max, gens))]
+    remainder, factor = _normal_form_dict(packed[0], pairs, packing)
     den *= factor
     return Polynomial.from_term_map(
-        poly.variables, {e: Fraction(c, den) for e, c in remainder.items()})
+        poly.variables, {packing.unpack(e): Fraction(c, den) for e, c in remainder.items()})
 
 
-def _pure_power_of(lt: Exps, i: int) -> bool:
-    return lt[i] > 0 and all(e == 0 for j, e in enumerate(lt) if j != i)
+def _unit(leads) -> bool:
+    return any(not any(lt) for lt in leads)
 
 
-def is_zero_dimensional(basis: GroebnerBasis) -> bool:
-    """True iff every variable has a pure-power leading term in the basis."""
-    if not basis.variables:
-        return True
-    leads = basis.leading_terms()
-    if any(not any(lt) for lt in leads):
-        return True  # unit ideal: the quotient is the zero space
-    return all(any(_pure_power_of(lt, i) for lt in leads)
-               for i in range(len(basis.variables)))
+def _pure_power_bounds(leads, n: int) -> list[int] | None:
+    """The least pure-power exponent of each variable among leads, or None
+    when some variable has no pure-power leading term."""
+    bounds = []
+    for i in range(n):
+        pures = [lt[i] for lt in leads
+                 if lt[i] > 0 and all(e == 0 for j, e in enumerate(lt) if j != i)]
+        if not pures:
+            return None
+        bounds.append(min(pures))
+    return bounds
 
 
-def standard_monomials(basis: GroebnerBasis) -> list[Monomial]:
+def standard_monomials(basis: GroebnerBasis | Staircase) -> list[Monomial]:
     """Monomials divisible by no leading term: a basis of the quotient.
 
     Sorted ascending in the basis order.  Raises NotFiniteDimensional when
@@ -342,15 +463,12 @@ def standard_monomials(basis: GroebnerBasis) -> list[Monomial]:
     STANDARD_MONOMIAL_BOX_LIMIT exponent tuples.
     """
     leads = basis.leading_terms()
-    if any(not any(lt) for lt in leads):
-        return []  # unit ideal
+    if _unit(leads):
+        return []
     n = len(basis.variables)
-    bounds = []
-    for i in range(n):
-        pures = [lt[i] for lt in leads if _pure_power_of(lt, i)]
-        if not pures:
-            raise NotFiniteDimensional("ideal is not zero dimensional")
-        bounds.append(min(pures))
+    bounds = _pure_power_bounds(leads, n)
+    if bounds is None:
+        raise NotFiniteDimensional("ideal is not zero dimensional")
     box = prod(bounds)
     if box > STANDARD_MONOMIAL_BOX_LIMIT:
         raise ResourceLimitExceeded(
@@ -374,5 +492,7 @@ def standard_monomials(basis: GroebnerBasis) -> list[Monomial]:
         walk((), leads)
     else:
         found.append(())
-    found.sort(key=basis.order.key)
+    # every grade in the box is below its corner's
+    weights = _grade_weights(basis.order, n)
+    found.sort(key=_Packing(weights, _FIELD_BITS).fit(sum(map(mul, bounds, weights))).pack)
     return [Monomial(exps) for exps in found]

@@ -1,10 +1,16 @@
 """Milnor rings and the unorbifolded B-side as graded vector spaces.
 
 The quotient C[x_1..x_n]/(dW/dx_1, ..., dW/dx_n) is computed exactly with
-the Buchberger engine; `jacobian_groebner` is the one place that runs it on
-a Jacobian ideal.  It memoizes its result per (polynomial, weights, S-pair
-budget), so `classify`, `bmodel`, the A-model's fixed loci and the mirror
-checks share one basis per polynomial and locus without passing it around.
+the Buchberger engine's `staircase` kernel; `jacobian_staircase` is the one
+place that runs it on a Jacobian ideal.  The kernel returns the minimal
+leading terms, which decide both whether the Milnor ring is finite
+dimensional and which monomials form its basis; no consumer reads the
+coefficients of a reduced basis.  The staircase is memoized per
+(polynomial, weights, S-pair budget), so `classify`, `bmodel`, the
+A-model's fixed loci and the mirror checks share one kernel run per
+polynomial and locus without passing it around.  `classify` reads only the
+verdict; the monomials are enumerated, under the box limit of
+`standard_monomials`, only by the consumers that print or count them.
 `bmodel` counts the degrees of its standard monomials as integers, the
 weighted degree times the lcm L of the weight denominators, and builds one
 `Fraction` per distinct degree.  The closed-form dimension and top-degree
@@ -26,9 +32,10 @@ from .errors import LgmkError
 from .groebner import (
     GroebnerBasis,
     MonomialOrder,
+    Staircase,
     _pair_budget,
     buchberger,
-    is_zero_dimensional,
+    staircase,
     standard_monomials,
 )
 from .polycore import Monomial, Polynomial, WeightSystem, classify, require_admissible
@@ -103,35 +110,49 @@ def jacobian_ideal(poly: Polynomial) -> list[Polynomial]:
     return partials
 
 
-def jacobian_groebner(poly: Polynomial,
-                      weights: WeightSystem | None) -> GroebnerBasis | None:
-    """Reduced Groebner basis of the Jacobian ideal, under weighted degrevlex
-    (plain degrevlex when weights is None); None when the Milnor ring is not
-    finite dimensional.
+def jacobian_staircase(poly: Polynomial,
+                       weights: WeightSystem | None) -> Staircase | None:
+    """Staircase of the Jacobian ideal under weighted degrevlex (plain
+    degrevlex when weights is None); None when the Milnor ring is not finite
+    dimensional.  `standard_monomials` of the result is the Milnor ring's
+    monomial basis, sorted in the order.
 
     Results are memoized; the S-pair budget is part of the key, so a cached
-    basis never hides a budget that is invalid or too small."""
-    return _memoized_jacobian_groebner(poly, weights, _pair_budget(None))
+    staircase never hides a budget that is invalid or too small."""
+    return _memoized_staircase(poly, weights, _pair_budget(None))
+
+
+def _order(weights: WeightSystem | None) -> MonomialOrder:
+    return (MonomialOrder.degrevlex() if weights is None
+            else MonomialOrder.weighted_degrevlex(weights))
 
 
 # one polynomial needs at most 2^n restricted loci plus its transpose
 @lru_cache(maxsize=64)
-def _memoized_jacobian_groebner(poly: Polynomial, weights: WeightSystem | None,
-                                pair_budget: int) -> GroebnerBasis | None:
+def _memoized_staircase(poly: Polynomial, weights: WeightSystem | None,
+                        pair_budget: int) -> Staircase | None:
     gens = [p for p in jacobian_ideal(poly) if not p.is_zero()]
     if not gens:
         return None
-    order = (MonomialOrder.degrevlex() if weights is None
-             else MonomialOrder.weighted_degrevlex(weights))
-    basis = buchberger(gens, order, pair_budget)
-    return basis if is_zero_dimensional(basis) else None
+    found = staircase(gens, _order(weights), pair_budget)
+    return found if found.finite else None
+
+
+def jacobian_groebner(poly: Polynomial,
+                      weights: WeightSystem | None) -> GroebnerBasis | None:
+    """Reduced Groebner basis of the Jacobian ideal, in the order of
+    `jacobian_staircase`; None when the Milnor ring is not finite
+    dimensional.  Not memoized: nothing in the package reads a basis."""
+    if jacobian_staircase(poly, weights) is None:
+        return None
+    return buchberger([p for p in jacobian_ideal(poly) if not p.is_zero()], _order(weights))
 
 
 def is_nondegenerate(poly: Polynomial) -> bool:
     """True iff the Jacobian ideal is zero dimensional (finite Milnor ring)."""
     if poly.is_zero() or poly.n_variables == 0:
         return False
-    return jacobian_groebner(poly, classify(poly).weights) is not None
+    return jacobian_staircase(poly, classify(poly).weights) is not None
 
 
 def _dim_product(weights: WeightSystem) -> Fraction:
@@ -165,7 +186,7 @@ def _require_halved(weights: WeightSystem) -> None:
 def bmodel(poly: Polynomial) -> BModel:
     """Milnor ring of an admissible polynomial as a graded vector space."""
     weights = require_admissible(poly).weights
-    monomials = tuple(standard_monomials(jacobian_groebner(poly, weights)))
+    monomials = tuple(standard_monomials(jacobian_staircase(poly, weights)))
     # degree 2*sum(e_i q_i) = 2k/L, counted by the integer k = sum(e_i L q_i)
     scale = lcm(*(q.denominator for q in weights))
     integer_weights = [q.numerator * (scale // q.denominator) for q in weights]

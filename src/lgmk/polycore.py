@@ -7,9 +7,9 @@ monomial order (lexicographic on exponent vectors).  All coefficients are
 `fractions.Fraction`, so equality tests throughout the toolkit are exact.
 
 This is the bottom layer.  Only `classify` reaches upward, into milnor, for
-the Groebner basis that proves nondegeneracy; milnor memoizes that basis,
-so callers that need it again get the same one without a second Buchberger
-run.
+the Jacobian staircase that proves nondegeneracy.  It reads only the
+verdict; milnor memoizes the staircase, so callers that need its monomials
+get them without a second Buchberger run.
 """
 
 from __future__ import annotations
@@ -415,9 +415,9 @@ def classify(poly: Polynomial) -> Classification:
     except WeightError as exc:
         return Classification(PolynomialClass.NOT_ADMISSIBLE, None,
                               f"{type(exc).__name__}: {exc}")
-    from .milnor import jacobian_groebner  # deferred: milnor builds on this module
+    from .milnor import jacobian_staircase  # deferred: milnor builds on this module
 
-    if jacobian_groebner(poly, weights) is None:
+    if jacobian_staircase(poly, weights) is None:
         return Classification(PolynomialClass.NOT_ADMISSIBLE, weights,
                               "degenerate: Milnor ring is not finite dimensional")
     if poly.n_monomials == poly.n_variables:

@@ -38,6 +38,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+from lgmk import cli
 from lgmk.cli import main
 
 from conftest import INVERTIBLE_CORPUS_TEXTS
@@ -88,3 +89,20 @@ def test_search_output_is_byte_identical(record):
                          ids=[" ".join(r["argv"]) for r in BMODEL_RECORDS])
 def test_bmodel_output_is_byte_identical(record):
     _assert_replays(record)
+
+
+def test_one_parser_serves_calls_after_an_argument_error():
+    """`main` builds its parser once and reuses it: after an argparse error
+    (exit 2) in the same process, `bmodel` and then `search` still replay
+    their records byte for byte."""
+    err = io.StringIO()
+    with redirect_stderr(err), pytest.raises(SystemExit) as exit_info:
+        main(["search", "8", "12/5", "three"])
+    assert exit_info.value.code == 2
+    assert "invalid int value: 'three'" in err.getvalue()
+    parser = cli._parser()
+    dense = next(r for r in BMODEL_RECORDS if r["argv"][0] == "bmodel" and "z" in r["argv"][1])
+    three = next(r for r in SEARCH_RECORDS if r["argv"][0] == "search" and r["argv"][3] == "3")
+    _assert_replays(dense)
+    _assert_replays(three)
+    assert cli._parser() is parser

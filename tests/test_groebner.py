@@ -12,11 +12,11 @@ from lgmk import (
     WeightSystem,
     buchberger,
     exponent_matrix,
-    is_zero_dimensional,
     jacobian_ideal,
     normal_form,
     parse_polynomial,
     solve_weights,
+    staircase,
     standard_monomials,
 )
 from lgmk import groebner
@@ -129,16 +129,28 @@ class TestNormalForm:
 
 
 class TestZeroDimensional:
+    """The verdict of the `staircase` kernel: finite iff every variable has a
+    pure-power leading term."""
+
     def test_box_ideal(self):
-        basis = jacobian_basis("x^3 + y^3", W13)
-        assert is_zero_dimensional(basis)
+        poly = parse_polynomial("x^3 + y^3")
+        assert staircase([p for p in jacobian_ideal(poly) if not p.is_zero()], W13).finite
 
     def test_single_mixed_monomial(self):
-        basis = buchberger([parse_polynomial("x*y")], MonomialOrder.degrevlex())
-        assert not is_zero_dimensional(basis)
+        assert not staircase([parse_polynomial("x*y")], MonomialOrder.degrevlex()).finite
 
     def test_noninvertible_jacobian(self):
-        assert is_zero_dimensional(jacobian_basis("x^4 + y^4 + x^3*y", W14))
+        poly = parse_polynomial("x^4 + y^4 + x^3*y")
+        found = staircase([p for p in jacobian_ideal(poly) if not p.is_zero()], W14)
+        assert found.finite
+        assert found.leading_terms() == jacobian_basis("x^4 + y^4 + x^3*y", W14).leading_terms()
+
+    def test_unit_ideal(self):
+        gens = [Polynomial.from_term_map(("x", "y"), terms)
+                for terms in ({(1, 0): 1, (0, 0): 1}, {(1, 0): 1})]
+        found = staircase(gens, MonomialOrder.degrevlex())
+        assert found.finite and found.leading_terms() == [(0, 0)]
+        assert standard_monomials(found) == []
 
 
 class TestStandardMonomials:

@@ -11,7 +11,11 @@ walks the staircase where it once filtered the whole exponent box.  That
 earlier engine is kept below verbatim, under `oracle_` names.  On random
 quasihomogeneous Jacobians, with small, rational and large coefficients, the
 two must give identical bases and identical normal forms, and on random
-monomial ideals identical standard monomials or the same error.
+monomial ideals identical standard monomials or the same error.  The
+`staircase` kernel, which packs monomials into integers, must give that
+engine's verdict, minimal leading terms and standard monomials on random
+quasihomogeneous Jacobians in two to four variables, degenerate ones
+included, also when every run starts from one-bit fields and must re-pack.
 
 Reduced Groebner bases of random quasihomogeneous Jacobian ideals in two and
 three variables must equal those `sympy.groebner` computes, both made monic.
@@ -25,9 +29,10 @@ under weights (1/2, 1/4)), which changes the basis.
 import heapq
 from fractions import Fraction
 from itertools import product
+from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy import QQ, Poly, Rational, groebner, symbols
 from sympy.polys.orderings import ProductOrder
@@ -41,9 +46,11 @@ from lgmk import (
     WeightSystem,
     buchberger,
     normal_form,
+    parse_polynomial,
     standard_monomials,
 )
-from lgmk.groebner import PAIR_BUDGET_ENV, _pair_budget
+from lgmk import groebner as engine
+from lgmk.groebner import PAIR_BUDGET_ENV, _pair_budget, staircase
 from lgmk.milnor import jacobian_ideal
 from lgmk.polycore import Exps, Monomial
 
@@ -461,3 +468,69 @@ def test_staircase_matches_the_box_filter_without_variables(generators, expected
                           MonomialOrder.degrevlex(), ())
     assert standard_monomials(basis) == oracle_standard_monomials(basis) == expected
 
+
+
+# ---------------------------------------------------------------------------
+# The staircase kernel against the Fraction engine
+# ---------------------------------------------------------------------------
+
+@st.composite
+def weighted_jacobians(draw):
+    """The Jacobian of a random quasihomogeneous W in 2 to 4 variables, and
+    its weights.  W is a random set of monomials of weight one under
+    q_i = 1/a_i; half the time it holds every pure power x_i^a_i, otherwise
+    any of them may be missing, so degenerate W are common."""
+    n = draw(st.integers(2, 4))
+    denominators = draw(st.tuples(*[st.integers(2, (9, 5, 4)[n - 2])] * n))
+    weights = tuple(Fraction(1, a) for a in denominators)
+    weight_one = [m for m in product(*(range(a + 1) for a in denominators))
+                  if sum(e * q for e, q in zip(m, weights)) == 1]
+    every_pure_power = draw(st.booleans())
+    chosen = [m for m in weight_one
+              if (every_pure_power and max(m) == sum(m)) or draw(st.booleans())]
+    terms = {m: draw(SMALL | RATIONAL) for m in chosen or weight_one[:1]}
+    poly = Polynomial.from_term_map(VARIABLES[:n], terms)
+    return [g for g in jacobian_ideal(poly) if not g.is_zero()], WeightSystem(weights)
+
+
+def _check_staircase_against_the_fraction_engine(case):
+    gens, weights = case
+    order = MonomialOrder.weighted_degrevlex(weights)
+    found = staircase(gens, order)
+    reference = oracle_buchberger(gens, order)
+    expected = _standard_or_error(oracle_standard_monomials, reference)
+    assert found.finite == (expected is not NotFiniteDimensional)
+    assert found.leading_terms() == reference.leading_terms()
+    assert _standard_or_error(standard_monomials, found) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(weighted_jacobians())
+def test_staircase_matches_the_fraction_engine(case):
+    _check_staircase_against_the_fraction_engine(case)
+
+
+# from one bit, the fields widen at the inputs and again when S-pairs are
+# queued, while earlier pairs wait in the queue with keys to re-pack
+WIDENS_WITH_A_PAIR_QUEUED = (
+    jacobian_ideal(parse_polynomial("x^3 + y^2 + y*z + z^2 + w^3")),
+    WeightSystem((Fraction(1, 3), Fraction(1, 2), Fraction(1, 2), Fraction(1, 3))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(weighted_jacobians())
+@example(WIDENS_WITH_A_PAIR_QUEUED)
+def test_staircase_matches_the_fraction_engine_when_every_run_repacks(case):
+    # one bit per exponent is the guard bit alone, so every run widens its
+    # fields at its inputs, to just fit them, and most again at S-pairs
+    widths = []
+    init = engine._Packing.__init__
+
+    def recorded(self, weights, width):
+        widths.append(width)
+        init(self, weights, width)
+
+    with patch.object(engine, "_FIELD_BITS", 1), \
+            patch.object(engine._Packing, "__init__", recorded):
+        _check_staircase_against_the_fraction_engine(case)
+    assert widths[0] == 1 and len(widths) > 1

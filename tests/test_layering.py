@@ -1,18 +1,18 @@
-"""Module layering and reuse of the Jacobian Groebner basis.
+"""Module layering and reuse of the Jacobian staircase.
 
 The modules import one another at module level, in layer order; the single
-exception is `polycore.classify`, which reaches up into milnor for the basis
-that proves nondegeneracy.  `milnor.jacobian_groebner` memoizes that basis
-per (polynomial, weights, S-pair budget), so starting from an empty memo a
-call runs Buchberger once per distinct polynomial it classifies and once per
-distinct proper, nonempty fixed locus of its groups.  Within one run,
-`buchberger` computes the order key of each exponent tuple once,
-interreduces its minimal basis in one pass, and divides in integer
-coefficients only.  A group lists its elements only when `elements` or
-`vectors` is first read, so lattice operations and the subgroups that
-`subgroups_containing` discards never list theirs.  `transpose_group` solves
-its relations through one Smith form: it never calls `gmax` and lists only
-its own result.
+exception is `polycore.classify`, which reaches up into milnor for the
+staircase that proves nondegeneracy.  `milnor.jacobian_staircase` memoizes
+the `staircase` kernel's result per (polynomial, weights, S-pair budget), so
+starting from an empty memo a call runs the kernel once per distinct
+polynomial it classifies and once per distinct proper, nonempty fixed locus
+of its groups.  Within one run, the engine packs each input exponent tuple
+into an integer once and never calls `MonomialOrder.key`, interreduces its
+minimal basis in one pass, and divides in integer coefficients only.  A
+group lists its elements only when `elements` or `vectors` is first read, so
+lattice operations and the subgroups that `subgroups_containing` discards
+never list theirs.  `transpose_group` solves its relations through one
+Smith form: it never calls `gmax` and lists only its own result.
 """
 
 import ast
@@ -76,19 +76,19 @@ class TestLayering:
 
 @pytest.fixture
 def buchberger_runs(monkeypatch):
-    """Every Buchberger run, wherever in the package it is called from,
-    starting from an empty memo."""
-    milnor._memoized_jacobian_groebner.cache_clear()
+    """Every run of the `staircase` kernel, wherever in the package it is
+    called from, starting from an empty memo."""
+    milnor._memoized_staircase.cache_clear()
     runs = []
-    original = milnor.buchberger
+    original = groebner.staircase
 
     def counted(*args, **kwargs):
         runs.append(args[0])
         return original(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "lgmk" and vars(module).get("buchberger") is original:
-            monkeypatch.setattr(module, "buchberger", counted)
+        if name.split(".")[0] == "lgmk" and vars(module).get("staircase") is original:
+            monkeypatch.setattr(module, "staircase", counted)
     return runs
 
 
@@ -144,7 +144,7 @@ class TestOneJacobianBasis:
 
 class TestMemo:
     def test_memo_is_bounded(self):
-        assert milnor._memoized_jacobian_groebner.cache_info().maxsize is not None
+        assert milnor._memoized_staircase.cache_info().maxsize is not None
 
     def test_warm_memo_does_not_bypass_the_budget(self, monkeypatch):
         poly = parse_polynomial("x^4 + y^4 + x^3*y")
@@ -157,8 +157,9 @@ class TestMemo:
             milnor.bmodel(poly)
 
 
-# dense, with weights (1/4, 1/4, 1/2); one Buchberger run on its Jacobian
-# compares 49 distinct exponent tuples, and without a memo keys them 359 times
+# dense, with weights (1/4, 1/4, 1/2); its Jacobian has 10 distinct exponent
+# tuples, one Buchberger run on it meets 49, and the earlier tuple-keyed
+# engine, without a memo, keyed them 359 times
 DENSE = "6*x^4 + 6*x^2*y^2 - 2*x^2*z + 3*x*y^3 - 7*x*y*z - 6*y^4 + 3*y^2*z + 7*z^2"
 
 
@@ -167,17 +168,21 @@ class TestKeyMemo:
         poly = parse_polynomial(DENSE)
         order = MonomialOrder.weighted_degrevlex(polycore.classify(poly).weights)
         gens = [g for g in milnor.jacobian_ideal(poly) if not g.is_zero()]
-        calls = Counter()
-        original = MonomialOrder.key
+        packed = Counter()
+        keyed = []
+        pack = groebner._Packing.pack
 
         def counted(self, exps):
-            calls[exps] += 1
-            return original(self, exps)
+            packed[exps] += 1
+            return pack(self, exps)
 
-        monkeypatch.setattr(MonomialOrder, "key", counted)
+        monkeypatch.setattr(groebner._Packing, "pack", counted)
+        monkeypatch.setattr(MonomialOrder, "key", lambda self, exps: keyed.append(exps))
         buchberger(gens, order)
-        assert calls
-        assert max(calls.values()) == 1
+        # each input exponent tuple once, and no other tuple: pair lcms,
+        # shifts and every product in the division loop are integer sums
+        assert packed == Counter({exps: 1 for g in gens for exps in g.term_map()})
+        assert keyed == []
 
 
 class TestOneInterreductionPass:

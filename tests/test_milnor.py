@@ -11,8 +11,11 @@ from lgmk import (
     bmodel,
     btop_formula,
     is_nondegenerate,
+    jacobian_groebner,
     jacobian_ideal,
+    jacobian_staircase,
     parse_polynomial,
+    standard_monomials,
 )
 from lgmk.polycore import Polynomial
 
@@ -55,6 +58,23 @@ class TestJacobian:
         partials = jacobian_ideal(poly)
         assert partials[0].is_zero()
         assert str(partials[1]) == "4*y^3"
+
+
+class TestJacobianStaircase:
+    def test_reduced_basis_has_the_staircase_corners(self):
+        poly = parse_polynomial("x^4 + y^4 + x^3*y")
+        weights = WeightSystem((F(1, 4), F(1, 4)))
+        corners = jacobian_staircase(poly, weights)
+        basis = jacobian_groebner(poly, weights)
+        assert corners.leading_terms() == basis.leading_terms()
+        assert standard_monomials(corners) == standard_monomials(basis)
+        assert len(standard_monomials(corners)) == 9
+
+    def test_degenerate_gives_none(self):
+        poly = parse_polynomial("x^2*y^2")
+        weights = WeightSystem((F(1, 4), F(1, 4)))
+        assert jacobian_staircase(poly, weights) is None
+        assert jacobian_groebner(poly, weights) is None
 
 
 class TestNondegeneracy:
