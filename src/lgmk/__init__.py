@@ -24,22 +24,17 @@ from .errors import (
     WeightError,
 )
 from .groebner import (
-    GroebnerBasis,
     MonomialOrder,
     Staircase,
-    buchberger,
-    normal_form,
     staircase,
     standard_monomials,
 )
 from .milnor import (
     BModel,
     GradedDims,
-    bdim_formula,
     bmodel,
     btop_formula,
     is_nondegenerate,
-    jacobian_groebner,
     jacobian_ideal,
     jacobian_staircase,
 )
@@ -66,7 +61,6 @@ from .polycore import (
     WeightSystem,
     classify,
     exponent_matrix,
-    monomial_bdegree,
     parse_polynomial,
     solve_weights,
     transpose_polynomial,
@@ -87,6 +81,5 @@ from .symmetry import (
     subgroups_containing,
     transpose_group,
 )
-from .amodel import invariant_monomials
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -27,15 +27,7 @@ from .errors import (
 )
 from .groebner import standard_monomials
 from .milnor import GradedDims, jacobian_staircase
-from .polycore import (
-    Monomial,
-    Polynomial,
-    WeightSystem,
-    classify,
-    exponent_matrix,
-    require_admissible,
-    solve_weights,
-)
+from .polycore import Monomial, Polynomial, WeightSystem, classify, require_admissible
 from .symmetry import GroupElement, SymmetryGroup, check_symmetry, fixed_locus, is_admissible_group
 
 
@@ -94,22 +86,6 @@ def _restricted_milnor_basis(poly: Polynomial, weights: WeightSystem,
     return standard_monomials(found)
 
 
-def invariant_monomials(sector: GroupElement, poly: Polynomial,
-                        group: SymmetryGroup) -> list[Monomial]:
-    """Basis monomials of the restricted Milnor ring that the group fixes.
-
-    A sector with empty fixed locus contributes the single empty monomial
-    unconditionally.
-    """
-    weights = solve_weights(exponent_matrix(poly))
-    return _invariant_monomials(fixed_locus(sector), _generator_vectors(group),
-                                group.exponent, poly, weights)
-
-
-def _generator_vectors(group: SymmetryGroup) -> list[tuple[int, ...]]:
-    return [group.vector(h) for h in group.generators]
-
-
 def _invariant_monomials(fix, generators, exponent, poly, weights):
     # invariance of x^a in a sector fixing fix: sum over fixed i of
     # (1 + a_i) h_i integral for every h in G; with h = w/exponent and the
@@ -135,7 +111,7 @@ def amodel(poly: Polynomial, group: SymmetryGroup) -> AModel:
     if not is_admissible_group(group, weights):
         raise GroupNotAdmissible(
             f"J = {weights} is not an element of the group {group}")
-    generators = _generator_vectors(group)
+    generators = [group.vector(h) for h in group.generators]
     exponent = group.exponent
     # adegree(g) = |fix(g)| + 2*sum(g) - 2*sum(q), with sum(g) = sum(v)/exponent
     shift = 2 * sum(weights, Fraction(0))

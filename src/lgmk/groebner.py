@@ -1,8 +1,7 @@
-"""Buchberger engine over Q for the quotient-ring computations.
+"""The Groebner kernel over Q: the staircase of a polynomial ideal.
 
-Polynomials enter and leave as `polycore.Polynomial`, with `Fraction`
-coefficients.  Inside, a polynomial is a dict mapping packed monomials to
-integers.
+Polynomials enter as `polycore.Polynomial`, with `Fraction` coefficients.
+Inside, a polynomial is a dict mapping packed monomials to integers.
 
 The orders are graded: weighted-degree reverse-lexicographic (under which
 Jacobian ideals of quasihomogeneous polynomials are homogeneous and standard
@@ -24,19 +23,18 @@ an S-pair has a grade above the grade of that pair's lcm.  So the width is
 checked once per input and once per S-pair; when a grade would not fit,
 the run re-packs everything at a wider field.
 
-Division is fraction-free: every generator the engine keeps is primitive
+Division is fraction-free: every generator the kernel keeps is primitive
 (denominators cleared, content divided out, leading coefficient positive),
 S-polynomials scale by the lcm of the two leading coefficients, and
-`_normal_form_dict` pseudo-divides, returning the remainder and the
-positive factor it scaled the input by.
+`_normal_form_dict` pseudo-divides, scaling the polynomial it reduces
+instead of dividing by a leading coefficient.
 
-`staircase` is the kernel: the pair loop, returning the minimal leading
-terms and whether they bound a finite staircase.  It neither interreduces
-nor builds a `Fraction`.  `buchberger` runs the same loop, makes the basis
-reduced with one interreduction pass, and converts it to monic `Fraction`
-polynomials.  `normal_form` packs its input and divides with the same code.
-`standard_monomials` refuses a box larger than STANDARD_MONOMIAL_BOX_LIMIT
-and walks the staircase under the leading terms, one variable at a time.
+`staircase` is the only entry point and the only product: it runs the pair
+loop and returns the minimal leading terms, which decide whether the
+quotient is finite dimensional and which monomials span it.  No basis is
+interreduced and no coefficient leaves the loop.  `standard_monomials`
+refuses a box larger than STANDARD_MONOMIAL_BOX_LIMIT and walks the
+staircase under the leading terms, one variable at a time.
 """
 
 from __future__ import annotations
@@ -49,7 +47,7 @@ from math import gcd, lcm, prod
 from operator import mul
 
 from .errors import InvalidArgument, NotFiniteDimensional, ResourceLimitExceeded
-from .polycore import Exps, Monomial, Polynomial, WeightSystem
+from .polycore import Exps, Monomial, Polynomial, WeightSystem, _monomial
 
 DEFAULT_PAIR_BUDGET = 10**6
 PAIR_BUDGET_ENV = "LGMK_PAIR_BUDGET"
@@ -104,19 +102,6 @@ class MonomialOrder:
 
 
 @dataclass(frozen=True)
-class GroebnerBasis:
-    """Reduced basis: monic generators, no leading term divides another."""
-
-    generators: tuple[Polynomial, ...]
-    order: MonomialOrder
-    variables: tuple[str, ...]
-
-    def leading_terms(self) -> list[Exps]:
-        key = self.order.key
-        return [max(g.term_map(), key=key) for g in self.generators]
-
-
-@dataclass(frozen=True)
 class Staircase:
     """The minimal leading terms of a Groebner basis, ascending in its order:
     the corners of the staircase of standard monomials under them."""
@@ -124,9 +109,6 @@ class Staircase:
     leads: tuple[Exps, ...]
     order: MonomialOrder
     variables: tuple[str, ...]
-
-    def leading_terms(self) -> list[Exps]:
-        return list(self.leads)
 
     @property
     def finite(self) -> bool:
@@ -176,11 +158,10 @@ def _grade_weights(order: MonomialOrder, n: int) -> tuple[int, ...]:
     return order._integer_weights if order.weights is not None else (1,) * n
 
 
-def _cleared(term_map: dict[Exps, Fraction]) -> tuple[dict[Exps, int], int]:
-    """Integer numerators of term_map over its common denominator, and that
-    denominator."""
+def _cleared(term_map: dict[Exps, Fraction]) -> dict[Exps, int]:
+    """Integer numerators of term_map over its common denominator."""
     den = lcm(*(c.denominator for c in term_map.values()))
-    return {e: c.numerator * (den // c.denominator) for e, c in term_map.items()}, den
+    return {e: c.numerator * (den // c.denominator) for e, c in term_map.items()}
 
 
 def _packed(term_maps: list[dict[Exps, int]],
@@ -205,21 +186,20 @@ def _primitive(poly: TermDict, lead: int) -> TermDict:
 
 
 def _normal_form_dict(poly: TermDict, basis: list[tuple[TermDict, int]],
-                      packing: _Packing) -> tuple[TermDict, int]:
-    """Pseudo-remainder (r, f) of poly on division by basis, a list of
-    (generator, leading term) pairs: f * poly - r lies in the ideal of basis,
-    f is a positive integer, and no term of r is reducible.
+                      packing: _Packing) -> TermDict:
+    """Pseudo-remainder r of poly on division by basis, a list of
+    (generator, leading term) pairs: f * poly - r lies in the ideal of basis
+    for some positive integer f, and no term of r is reducible.
 
     Every coefficient is an integer and every basis generator has a positive
     leading coefficient lc.  A term c*t is cancelled by scaling work and
     remainder by lc/g and subtracting c/g times the shifted generator, where
-    g = gcd(c, lc); f is the product of the scales.
+    g = gcd(c, lc).
     """
     guard, mask = packing.guard, packing.mask
     divisors = [(gen, lead, -lead & mask, gen[lead]) for gen, lead in basis]
     work = dict(poly)
     remainder: TermDict = {}
-    factor = 1
     while work:
         term = max(work)
         coeff = work[term]
@@ -230,7 +210,6 @@ def _normal_form_dict(poly: TermDict, basis: list[tuple[TermDict, int]],
                 scale = lc // common
                 coeff //= common
                 if scale != 1:
-                    factor *= scale
                     for e in work:
                         work[e] *= scale
                     for e in remainder:
@@ -247,7 +226,7 @@ def _normal_form_dict(poly: TermDict, basis: list[tuple[TermDict, int]],
         else:
             remainder[term] = coeff
             del work[term]
-    return remainder, factor
+    return remainder
 
 
 def _s_polynomial(f: TermDict, lt_f: int, g: TermDict, lt_g: int, top: int) -> TermDict:
@@ -277,22 +256,6 @@ def _minimal_leads(leads: list[int], packing: _Packing) -> list[int]:
     return kept
 
 
-def _autoreduce(basis: list[TermDict], leads: list[int],
-                packing: _Packing) -> list[tuple[TermDict, int]]:
-    # minimal: the first generator for each leading term no other one divides
-    first: dict[int, TermDict] = {}
-    for d, lt in zip(basis, leads):
-        first.setdefault(lt, d)
-    kept = [(first[lt], lt) for lt in _minimal_leads(leads, packing)]
-    # reduced: the leading terms are now fixed, so a generator reduced once
-    # against the others keeps its leading term and stays reduced
-    for i, (d, lt) in enumerate(kept):
-        others = kept[:i] + kept[i + 1:]
-        reduced, _ = _normal_form_dict(d, others, packing)
-        kept[i] = (_primitive(reduced, lt), lt)
-    return kept
-
-
 def _pair_budget(explicit: int | None) -> int:
     raw = explicit if explicit is not None else os.environ.get(PAIR_BUDGET_ENV)
     if raw is None:
@@ -306,10 +269,18 @@ def _pair_budget(explicit: int | None) -> int:
     return budget
 
 
-def _groebner(gens: list[Polynomial], order: MonomialOrder, pair_budget: int | None
-              ) -> tuple[list[TermDict], list[int], _Packing]:
-    """A Groebner basis of the ideal of gens, packed, with its leading terms
-    and its packing; neither minimal nor reduced."""
+def staircase(gens: list[Polynomial], order: MonomialOrder,
+              pair_budget: int | None = None) -> Staircase:
+    """The minimal leading terms of a Groebner basis of the ideal of gens.
+
+    Pair selection is the normal strategy (smallest lcm in the order); the
+    coprime and chain criteria prune useless pairs.  Processing more than
+    `pair_budget` S-pairs (default 10^6, overridable through the
+    LGMK_PAIR_BUDGET environment variable) raises ResourceLimitExceeded; a
+    negative budget raises InvalidArgument.  The leading terms decide
+    zero-dimensionality (`Staircase.finite`) and the standard monomials, and
+    no coefficient of a reduced basis is needed for either.
+    """
     if not gens:
         raise ValueError("no generators given")
     variables = gens[0].variables
@@ -317,7 +288,7 @@ def _groebner(gens: list[Polynomial], order: MonomialOrder, pair_budget: int | N
         raise ValueError("generators must share one ambient variable list")
     budget = _pair_budget(pair_budget)
     weights = _grade_weights(order, len(variables))
-    packing, basis = _packed([_cleared(g.term_map())[0] for g in gens if not g.is_zero()],
+    packing, basis = _packed([_cleared(g.term_map()) for g in gens if not g.is_zero()],
                              weights)
     leads = [max(d) for d in basis]
     basis = [_primitive(d, lead) for d, lead in zip(basis, leads)]
@@ -375,65 +346,15 @@ def _groebner(gens: list[Polynomial], order: MonomialOrder, pair_budget: int | N
         if skip:
             continue
         s_poly = _s_polynomial(basis[i], leads[i], basis[j], leads[j], top)
-        remainder, _ = _normal_form_dict(s_poly, list(zip(basis, leads)), packing)
+        remainder = _normal_form_dict(s_poly, list(zip(basis, leads)), packing)
         if remainder:
             lead = max(remainder)
             basis.append(_primitive(remainder, lead))
             leads.append(lead)
             lead_exps.append(packing.unpack(lead))
             push_pairs(len(basis) - 1)
-    return basis, leads, packing
-
-
-def staircase(gens: list[Polynomial], order: MonomialOrder,
-              pair_budget: int | None = None) -> Staircase:
-    """The minimal leading terms of a Groebner basis of the ideal of gens.
-
-    Runs the pair loop of `buchberger`, with its strategy, criteria and
-    budget, and stops there: the leading terms decide zero-dimensionality
-    (`Staircase.finite`) and the standard monomials, and no coefficient of
-    a reduced basis is needed for either.
-    """
-    _, leads, packing = _groebner(gens, order, pair_budget)
     return Staircase(tuple(packing.unpack(lead) for lead in _minimal_leads(leads, packing)),
-                     order, gens[0].variables)
-
-
-def buchberger(gens: list[Polynomial], order: MonomialOrder,
-               pair_budget: int | None = None) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal generated by gens.
-
-    Pair selection is the normal strategy (smallest lcm in the order); the
-    coprime and chain criteria prune useless pairs.  Processing more than
-    `pair_budget` S-pairs (default 10^6, overridable through the
-    LGMK_PAIR_BUDGET environment variable) raises ResourceLimitExceeded; a
-    negative budget raises InvalidArgument.
-    """
-    basis, leads, packing = _groebner(gens, order, pair_budget)
-    variables = gens[0].variables
-    generators = []
-    for d, lead in _autoreduce(basis, leads, packing):
-        lc = d[lead]
-        generators.append(Polynomial.from_term_map(
-            variables, {packing.unpack(e): Fraction(c, lc) for e, c in d.items()}))
-    return GroebnerBasis(tuple(generators), order, variables)
-
-
-def normal_form(poly: Polynomial, basis: GroebnerBasis) -> Polynomial:
-    """Canonical representative of poly in the quotient ring."""
-    if poly.variables != basis.variables:
-        raise ValueError("polynomial and basis have different ambient variables")
-    numerators, den = _cleared(poly.term_map())
-    packing, packed = _packed(
-        [numerators] + [_cleared(g.term_map())[0] for g in basis.generators],
-        _grade_weights(basis.order, len(poly.variables)))
-    # a basis built by hand need not be monic; primitive generators do
-    gens = packed[1:]
-    pairs = [(_primitive(d, lead), lead) for d, lead in zip(gens, map(max, gens))]
-    remainder, factor = _normal_form_dict(packed[0], pairs, packing)
-    den *= factor
-    return Polynomial.from_term_map(
-        poly.variables, {packing.unpack(e): Fraction(c, den) for e, c in remainder.items()})
+                     order, variables)
 
 
 def _unit(leads) -> bool:
@@ -453,7 +374,7 @@ def _pure_power_bounds(leads, n: int) -> list[int] | None:
     return bounds
 
 
-def standard_monomials(basis: GroebnerBasis | Staircase) -> list[Monomial]:
+def standard_monomials(basis: Staircase) -> list[Monomial]:
     """Monomials divisible by no leading term: a basis of the quotient.
 
     Sorted ascending in the basis order.  Raises NotFiniteDimensional when
@@ -462,7 +383,7 @@ def standard_monomials(basis: GroebnerBasis | Staircase) -> list[Monomial]:
     the box bounded by the pure powers holds more than
     STANDARD_MONOMIAL_BOX_LIMIT exponent tuples.
     """
-    leads = basis.leading_terms()
+    leads = basis.leads
     if _unit(leads):
         return []
     n = len(basis.variables)
@@ -495,4 +416,4 @@ def standard_monomials(basis: GroebnerBasis | Staircase) -> list[Monomial]:
     # every grade in the box is below its corner's
     weights = _grade_weights(basis.order, n)
     found.sort(key=_Packing(weights, _FIELD_BITS).fit(sum(map(mul, bounds, weights))).pack)
-    return [Monomial(exps) for exps in found]
+    return [_monomial(exps) for exps in found]

@@ -1,21 +1,20 @@
 """Milnor rings and the unorbifolded B-side as graded vector spaces.
 
 The quotient C[x_1..x_n]/(dW/dx_1, ..., dW/dx_n) is computed exactly with
-the Buchberger engine's `staircase` kernel; `jacobian_staircase` is the one
-place that runs it on a Jacobian ideal.  The kernel returns the minimal
+the Groebner kernel `staircase`; `jacobian_staircase` is the one place that
+runs it on a Jacobian ideal.  The kernel's only product is the minimal
 leading terms, which decide both whether the Milnor ring is finite
-dimensional and which monomials form its basis; no consumer reads the
-coefficients of a reduced basis.  The staircase is memoized per
-(polynomial, weights, S-pair budget), so `classify`, `bmodel`, the
-A-model's fixed loci and the mirror checks share one kernel run per
-polynomial and locus without passing it around.  `classify` reads only the
-verdict; the monomials are enumerated, under the box limit of
-`standard_monomials`, only by the consumers that print or count them.
-`bmodel` counts the degrees of its standard monomials as integers, the
-weighted degree times the lcm L of the weight denominators, and builds one
-`Fraction` per distinct degree.  The closed-form dimension and top-degree
-expressions are checked against the engine at construction time, so a
-disagreement between the two routes fails loudly.
+dimensional and which monomials form its basis; no consumer needs more.
+The staircase is memoized per (polynomial, weights, S-pair budget), so
+`classify`, `bmodel`, the A-model's fixed loci and the mirror checks share
+one kernel run per polynomial and locus without passing it around.
+`classify` reads only the verdict; the monomials are enumerated, under the
+box limit of `standard_monomials`, only by the consumers that print or
+count them.  `bmodel` counts the degrees of its standard monomials as
+integers, the weighted degree times the lcm L of the weight denominators,
+and builds one `Fraction` per distinct degree.  The closed-form dimension
+and top-degree expressions are checked against the kernel at construction
+time, so a disagreement between the two routes fails loudly.
 """
 
 from __future__ import annotations
@@ -29,15 +28,7 @@ from operator import mul
 from typing import Iterable
 
 from .errors import LgmkError
-from .groebner import (
-    GroebnerBasis,
-    MonomialOrder,
-    Staircase,
-    _pair_budget,
-    buchberger,
-    staircase,
-    standard_monomials,
-)
+from .groebner import MonomialOrder, Staircase, _pair_budget, staircase, standard_monomials
 from .polycore import Monomial, Polynomial, WeightSystem, classify, require_admissible
 
 
@@ -122,11 +113,6 @@ def jacobian_staircase(poly: Polynomial,
     return _memoized_staircase(poly, weights, _pair_budget(None))
 
 
-def _order(weights: WeightSystem | None) -> MonomialOrder:
-    return (MonomialOrder.degrevlex() if weights is None
-            else MonomialOrder.weighted_degrevlex(weights))
-
-
 # one polynomial needs at most 2^n restricted loci plus its transpose
 @lru_cache(maxsize=64)
 def _memoized_staircase(poly: Polynomial, weights: WeightSystem | None,
@@ -134,18 +120,10 @@ def _memoized_staircase(poly: Polynomial, weights: WeightSystem | None,
     gens = [p for p in jacobian_ideal(poly) if not p.is_zero()]
     if not gens:
         return None
-    found = staircase(gens, _order(weights), pair_budget)
+    order = (MonomialOrder.degrevlex() if weights is None
+             else MonomialOrder.weighted_degrevlex(weights))
+    found = staircase(gens, order, pair_budget)
     return found if found.finite else None
-
-
-def jacobian_groebner(poly: Polynomial,
-                      weights: WeightSystem | None) -> GroebnerBasis | None:
-    """Reduced Groebner basis of the Jacobian ideal, in the order of
-    `jacobian_staircase`; None when the Milnor ring is not finite
-    dimensional.  Not memoized: nothing in the package reads a basis."""
-    if jacobian_staircase(poly, weights) is None:
-        return None
-    return buchberger([p for p in jacobian_ideal(poly) if not p.is_zero()], _order(weights))
 
 
 def is_nondegenerate(poly: Polynomial) -> bool:
@@ -164,12 +142,6 @@ def _dim_product(weights: WeightSystem) -> Fraction:
 
 def _top_sum(weights: WeightSystem) -> Fraction:
     return 2 * sum((1 - 2 * q for q in weights), Fraction(0))
-
-
-def bdim_formula(weights: WeightSystem) -> Fraction:
-    """prod(1/q_i - 1), the closed-form Milnor ring dimension."""
-    _require_halved(weights)
-    return _dim_product(weights)
 
 
 def btop_formula(weights: WeightSystem) -> Fraction:

@@ -68,6 +68,13 @@ class Monomial:
         return "*".join(parts)
 
 
+def _monomial(exps: Exps) -> Monomial:
+    # a tuple of non-negative ints skips re-validation
+    mono = object.__new__(Monomial)
+    object.__setattr__(mono, "exponents", exps)
+    return mono
+
+
 @dataclass(frozen=True)
 class WeightSystem:
     """Vector of positive rational quasihomogeneous weights (q_1, ..., q_n)."""
@@ -371,13 +378,6 @@ def solve_weights(matrix: ExponentMatrix) -> WeightSystem:
         raise WeightBoundViolated(
             f"weights {tuple(map(str, q))} exceed 1/2 with no cross-term present")
     return WeightSystem(tuple(q))
-
-
-def monomial_bdegree(mono: Monomial, weights: WeightSystem) -> Fraction:
-    """Degree 2*sum(a_i q_i) of a monomial in the graded Milnor ring."""
-    if len(mono) != len(weights):
-        raise ValueError("monomial and weight system lengths differ")
-    return 2 * sum((a * q for a, q in zip(mono.exponents, weights)), Fraction(0))
 
 
 # ---------------------------------------------------------------------------

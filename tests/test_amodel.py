@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from lgmk import (
+    DegenerateRestriction,
     GradedDims,
     GroupElement,
     GroupNotAdmissible,
@@ -14,11 +15,11 @@ from lgmk import (
     classify,
     gmax,
     group_weights_compare,
-    invariant_monomials,
     parse_polynomial,
     restrict,
     subgroup_generated,
 )
+from lgmk.amodel import _restricted_milnor_basis
 
 from conftest import family_polynomial, j_group
 
@@ -45,11 +46,15 @@ class TestRestrict:
         assert restrict(parse_polynomial("x*y + x^2"), {1}) is None
 
 
+def sector_monomials(model, sector):
+    return [s.monomial for s in model.basis if s.sector == sector]
+
+
 class TestInvariantMonomials:
     def test_identity_sector_of_family(self):
         for n in (4, 5, 7):
-            poly = family_polynomial(n)
-            kept = invariant_monomials(ge(0, 0), poly, j_group(n))
+            model = amodel(family_polynomial(n), j_group(n))
+            kept = sector_monomials(model, ge(0, 0))
             assert len(kept) == n - 1
             for mono in kept:
                 a, b = mono.exponents
@@ -57,24 +62,19 @@ class TestInvariantMonomials:
                 assert a <= n - 2 and b <= n - 2
 
     def test_empty_locus_contributes_unit(self):
-        poly = family_polynomial(5)
-        kept = invariant_monomials(ge("1/5", "1/5"), poly, j_group(5))
-        assert kept == [Monomial(())]
+        model = amodel(family_polynomial(5), j_group(5))
+        assert sector_monomials(model, ge("1/5", "1/5")) == [Monomial(())]
 
     def test_cubic_identity_sector_is_empty(self):
-        poly = parse_polynomial("x^3")
-        group = subgroup_generated([ge("1/3")], 1)
-        assert invariant_monomials(ge(0), poly, group) == []
+        model = amodel(parse_polynomial("x^3"), subgroup_generated([ge("1/3")], 1))
+        assert sector_monomials(model, ge(0)) == []
 
     def test_degenerate_restriction_is_loud(self):
-        from lgmk import DegenerateRestriction
-
         # no term of the chain x^2*y + y^3 lives purely in x, so a sector
         # fixing only x restricts to zero
         poly = parse_polynomial("x^2*y + y^3")
-        group = subgroup_generated([ge(0, "1/2")], 2)
         with pytest.raises(DegenerateRestriction):
-            invariant_monomials(ge(0, "1/2"), poly, group)
+            _restricted_milnor_basis(poly, classify(poly).weights, frozenset({0}))
 
 
 class TestADegree:

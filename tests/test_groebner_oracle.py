@@ -1,32 +1,38 @@
-"""The Buchberger engine against three references.
+"""The Groebner kernel against three references.
+
+The kernel's only product is a `Staircase`: the minimal leading terms of a
+Groebner basis, ascending in the order, with the verdict whether they bound
+a finite staircase.  The kernel checks below compare that product.
 
 The monomial order once graded by a `Fraction` weighted sum; it now grades
 by that sum times the lcm of the weights' denominators, an integer.  The
 earlier key is kept below verbatim, and sorting random exponent sets by both
 keys must give one order.
 
-The engine once divided in `Fraction` coefficients with monic generators; it
-now divides in primitive integer coefficients, and `standard_monomials`
+The engine once divided in `Fraction` coefficients with monic generators and
+returned reduced bases; the kernel divides in primitive integer coefficients
+on packed monomials and stops at the leading terms, and `standard_monomials`
 walks the staircase where it once filtered the whole exponent box.  That
-earlier engine is kept below verbatim, under `oracle_` names.  On random
-quasihomogeneous Jacobians, with small, rational and large coefficients, the
-two must give identical bases and identical normal forms, and on random
-monomial ideals identical standard monomials or the same error.  The
-`staircase` kernel, which packs monomials into integers, must give that
-engine's verdict, minimal leading terms and standard monomials on random
-quasihomogeneous Jacobians in two to four variables, degenerate ones
-included, also when every run starts from one-bit fields and must re-pack.
+earlier engine is kept below verbatim, under `oracle_` names, with the
+reduced-basis container it returned as a test-local `GroebnerBasis`.  On
+random quasihomogeneous Jacobians, with small, rational and large
+coefficients, in either order, the kernel must give that engine's verdict,
+minimal leading terms and standard monomials, also when every run starts
+from one-bit fields and must re-pack; on random monomial ideals,
+`standard_monomials` must give the box filter's monomials or the same error.
 
-Reduced Groebner bases of random quasihomogeneous Jacobian ideals in two and
-three variables must equal those `sympy.groebner` computes, both made monic.
-sympy gets the engine's order as a `ProductOrder`: the weighted grade first,
-then the engine's tie-break, the reversed exponents negated.  sympy's own
-`grevlex` would not do as the tie-break: it compares total degrees first,
-and monomials of one weighted degree can differ in total degree (x and y^2
-under weights (1/2, 1/4)), which changes the basis.
+On random quasihomogeneous Jacobian ideals in two and three variables, the
+`Fraction` engine's reduced basis must equal the one `sympy.groebner`
+computes, both made monic, and the kernel's leading terms must be those of
+sympy's basis.  sympy gets the engine's order as a `ProductOrder`: the
+weighted grade first, then the engine's tie-break, the reversed exponents
+negated.  sympy's own `grevlex` would not do as the tie-break: it compares
+total degrees first, and monomials of one weighted degree can differ in
+total degree (x and y^2 under weights (1/2, 1/4)), which changes the basis.
 """
 
 import heapq
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from unittest.mock import patch
@@ -38,14 +44,12 @@ from sympy import QQ, Poly, Rational, groebner, symbols
 from sympy.polys.orderings import ProductOrder
 
 from lgmk import (
-    GroebnerBasis,
     MonomialOrder,
     NotFiniteDimensional,
     Polynomial,
     ResourceLimitExceeded,
+    Staircase,
     WeightSystem,
-    buchberger,
-    normal_form,
     parse_polynomial,
     standard_monomials,
 )
@@ -103,7 +107,7 @@ def test_order_equality_and_repr_ignore_the_integer_weights():
 
 
 # ---------------------------------------------------------------------------
-# Buchberger against sympy.groebner
+# The kernel and the Fraction engine against sympy.groebner
 # ---------------------------------------------------------------------------
 
 VARIABLES = ("x", "y", "z", "w")
@@ -144,7 +148,7 @@ def _monic(term_map: dict, weights) -> frozenset:
     return frozenset((e, c / lead) for e, c in term_map.items())
 
 
-def _sympy_basis(gens: list[Polynomial], order: MonomialOrder) -> set[frozenset]:
+def _sympy_basis(gens: list[Polynomial], order: MonomialOrder) -> list[dict]:
     syms = symbols(gens[0].variables)
     polys = [Poly.from_dict({e: Rational(c.numerator, c.denominator)
                              for e, c in g.term_map().items()}, *syms, domain=QQ)
@@ -152,22 +156,21 @@ def _sympy_basis(gens: list[Polynomial], order: MonomialOrder) -> set[frozenset]
     sympy_order = ProductOrder((lambda m: fraction_key(order.weights, m)[0], lambda m: m),
                                (lambda m: tuple(-e for e in reversed(m)), lambda m: m))
     basis = groebner(polys, *syms, order=sympy_order, domain=QQ)
-    return {_monic({e: Fraction(int(c.p), int(c.q)) for e, c in g.terms()}, order.weights)
-            for g in basis.polys}
+    return [{e: Fraction(int(c.p), int(c.q)) for e, c in g.terms()} for g in basis.polys]
 
 
 @settings(max_examples=40, deadline=None)
 @given(quasihomogeneous())
-def test_buchberger_matches_sympy_on_quasihomogeneous_jacobians(case):
+def test_staircase_and_fraction_engine_match_sympy_on_quasihomogeneous_jacobians(case):
     poly, weights = case
     gens = [g for g in jacobian_ideal(poly) if not g.is_zero()]
     order = MonomialOrder.weighted_degrevlex(weights)
-    ours = buchberger(gens, order)
-    assert {_monic(g.term_map(), weights) for g in ours.generators} == \
-        _sympy_basis(gens, order)
-    # generators come sorted by their leading terms in the order
-    leads = [order.key(lt) for lt in ours.leading_terms()]
-    assert leads == sorted(leads)
+    expected = _sympy_basis(gens, order)
+    # the leading terms of sympy's reduced basis, ascending in the order
+    leads = sorted((max(g, key=order.key) for g in expected), key=order.key)
+    assert list(staircase(gens, order).leads) == leads
+    assert {_monic(g.term_map(), weights) for g in oracle_buchberger(gens, order).generators} \
+        == {_monic(g, weights) for g in expected}
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +178,19 @@ def test_buchberger_matches_sympy_on_quasihomogeneous_jacobians(case):
 # ---------------------------------------------------------------------------
 
 TermDict = dict[Exps, Fraction]
+
+
+@dataclass(frozen=True)
+class GroebnerBasis:
+    """Reduced basis: monic generators, no leading term divides another."""
+
+    generators: tuple[Polynomial, ...]
+    order: MonomialOrder
+    variables: tuple[str, ...]
+
+    def leading_terms(self) -> list[Exps]:
+        key = self.order.key
+        return [max(g.term_map(), key=key) for g in self.generators]
 
 
 def oracle_divides(a: Exps, b: Exps) -> bool:
@@ -336,18 +352,6 @@ def oracle_buchberger(gens: list[Polynomial], order: MonomialOrder,
     return GroebnerBasis(generators, order, variables)
 
 
-def oracle_normal_form(poly: Polynomial, basis: GroebnerBasis) -> Polynomial:
-    """Canonical representative of poly in the quotient ring."""
-    if poly.variables != basis.variables:
-        raise ValueError("polynomial and basis have different ambient variables")
-    key = basis.order.key
-    # a basis built by hand need not be monic
-    pairs = [(oracle_monic(g.term_map(), key), lt)
-             for g, lt in zip(basis.generators, basis.leading_terms())]
-    remainder = oracle_normal_form_dict(poly.term_map(), pairs, key)
-    return Polynomial.from_term_map(poly.variables, remainder)
-
-
 def oracle_pure_power_of(lt: Exps, i: int) -> bool:
     return lt[i] > 0 and all(e == 0 for j, e in enumerate(lt) if j != i)
 
@@ -376,45 +380,8 @@ def oracle_standard_monomials(basis: GroebnerBasis) -> list[Monomial]:
 
 
 # ---------------------------------------------------------------------------
-# The integer engine against the Fraction engine
+# Standard monomials against the box filter
 # ---------------------------------------------------------------------------
-
-@st.composite
-def jacobians(draw):
-    """A random quasihomogeneous Jacobian and an order: weighted degrevlex,
-    or plain degrevlex, under which it need not be homogeneous."""
-    poly, weights = draw(quasihomogeneous(MIXED))
-    gens = [g for g in jacobian_ideal(poly) if not g.is_zero()]
-    order = (MonomialOrder.degrevlex() if draw(st.booleans())
-             else MonomialOrder.weighted_degrevlex(weights))
-    return gens, order
-
-
-@settings(max_examples=60, deadline=None)
-@given(jacobians())
-def test_buchberger_matches_the_fraction_engine(case):
-    gens, order = case
-    assert buchberger(gens, order) == oracle_buchberger(gens, order)
-
-
-@settings(max_examples=40, deadline=None)
-@given(jacobians(), st.data())
-def test_normal_form_matches_the_fraction_engine(case, data):
-    gens, order = case
-    basis = buchberger(gens, order)
-    n = len(basis.variables)
-    terms = data.draw(st.dictionaries(st.tuples(*[st.integers(0, 8)] * n), MIXED,
-                                      max_size=10))
-    poly = Polynomial.from_term_map(basis.variables, terms)
-    assert normal_form(poly, basis) == oracle_normal_form(poly, basis)
-    # the same ideal with generators scaled away from monic
-    scales = data.draw(st.lists(MIXED, min_size=len(basis.generators),
-                                max_size=len(basis.generators)))
-    scaled = GroebnerBasis(tuple(
-        Polynomial.from_term_map(g.variables, {e: s * c for e, c in g.term_map().items()})
-        for g, s in zip(basis.generators, scales)), basis.order, basis.variables)
-    assert normal_form(poly, scaled) == oracle_normal_form(poly, basis)
-
 
 @st.composite
 def monomial_ideals(draw):
@@ -435,9 +402,11 @@ def monomial_ideals(draw):
         leads.append((0,) * n)
     weights = draw(st.none() | st.tuples(*[
         st.fractions(min_value=Fraction(1, 12), max_value=1, max_denominator=12)] * n))
-    generators = tuple(Polynomial.from_term_map(VARIABLES[:n], {lt: 1})
-                       for lt in draw(st.permutations(leads)))
-    return kind, GroebnerBasis(generators, MonomialOrder(weights), VARIABLES[:n])
+    leads = draw(st.permutations(leads))
+    order = MonomialOrder(weights)
+    generators = tuple(Polynomial.from_term_map(VARIABLES[:n], {lt: 1}) for lt in leads)
+    return kind, Staircase(tuple(leads), order, VARIABLES[:n]), \
+        GroebnerBasis(generators, order, VARIABLES[:n])
 
 
 def _standard_or_error(function, basis):
@@ -450,8 +419,8 @@ def _standard_or_error(function, basis):
 @settings(max_examples=300, deadline=None)
 @given(monomial_ideals())
 def test_staircase_matches_the_box_filter(case):
-    kind, basis = case
-    found = _standard_or_error(standard_monomials, basis)
+    kind, corners, basis = case
+    found = _standard_or_error(standard_monomials, corners)
     assert found == _standard_or_error(oracle_standard_monomials, basis)
     if kind == "zero-dimensional":
         assert found and found[0] == Monomial((0,) * len(basis.variables))
@@ -466,7 +435,8 @@ def test_staircase_matches_the_box_filter(case):
 def test_staircase_matches_the_box_filter_without_variables(generators, expected):
     basis = GroebnerBasis(tuple(Polynomial.from_term_map((), g) for g in generators),
                           MonomialOrder.degrevlex(), ())
-    assert standard_monomials(basis) == oracle_standard_monomials(basis) == expected
+    corners = Staircase(tuple(basis.leading_terms()), basis.order, ())
+    assert standard_monomials(corners) == oracle_standard_monomials(basis) == expected
 
 
 
@@ -493,21 +463,38 @@ def weighted_jacobians(draw):
     return [g for g in jacobian_ideal(poly) if not g.is_zero()], WeightSystem(weights)
 
 
-def _check_staircase_against_the_fraction_engine(case):
-    gens, weights = case
-    order = MonomialOrder.weighted_degrevlex(weights)
+def _check_staircase_against_the_fraction_engine(gens, order):
     found = staircase(gens, order)
     reference = oracle_buchberger(gens, order)
     expected = _standard_or_error(oracle_standard_monomials, reference)
     assert found.finite == (expected is not NotFiniteDimensional)
-    assert found.leading_terms() == reference.leading_terms()
+    assert list(found.leads) == reference.leading_terms()
     assert _standard_or_error(standard_monomials, found) == expected
 
 
 @settings(max_examples=60, deadline=None)
 @given(weighted_jacobians())
 def test_staircase_matches_the_fraction_engine(case):
-    _check_staircase_against_the_fraction_engine(case)
+    gens, weights = case
+    _check_staircase_against_the_fraction_engine(gens, MonomialOrder.weighted_degrevlex(weights))
+
+
+@st.composite
+def jacobians(draw):
+    """A random quasihomogeneous Jacobian with small, rational and large
+    coefficients, and an order: weighted degrevlex, or plain degrevlex,
+    under which it need not be homogeneous."""
+    poly, weights = draw(quasihomogeneous(MIXED))
+    gens = [g for g in jacobian_ideal(poly) if not g.is_zero()]
+    order = (MonomialOrder.degrevlex() if draw(st.booleans())
+             else MonomialOrder.weighted_degrevlex(weights))
+    return gens, order
+
+
+@settings(max_examples=60, deadline=None)
+@given(jacobians())
+def test_staircase_matches_the_fraction_engine_on_mixed_coefficients_in_either_order(case):
+    _check_staircase_against_the_fraction_engine(*case)
 
 
 # from one bit, the fields widen at the inputs and again when S-pairs are
@@ -530,7 +517,9 @@ def test_staircase_matches_the_fraction_engine_when_every_run_repacks(case):
         widths.append(width)
         init(self, weights, width)
 
+    gens, weights = case
     with patch.object(engine, "_FIELD_BITS", 1), \
             patch.object(engine._Packing, "__init__", recorded):
-        _check_staircase_against_the_fraction_engine(case)
+        _check_staircase_against_the_fraction_engine(
+            gens, MonomialOrder.weighted_degrevlex(weights))
     assert widths[0] == 1 and len(widths) > 1

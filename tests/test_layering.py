@@ -2,13 +2,13 @@
 
 The modules import one another at module level, in layer order; the single
 exception is `polycore.classify`, which reaches up into milnor for the
-staircase that proves nondegeneracy.  `milnor.jacobian_staircase` memoizes
-the `staircase` kernel's result per (polynomial, weights, S-pair budget), so
-starting from an empty memo a call runs the kernel once per distinct
-polynomial it classifies and once per distinct proper, nonempty fixed locus
-of its groups.  Within one run, the engine packs each input exponent tuple
-into an integer once and never calls `MonomialOrder.key`, interreduces its
-minimal basis in one pass, and divides in integer coefficients only.  A
+staircase that proves nondegeneracy.  The Groebner kernel `staircase` is the
+engine's only product, and `milnor.jacobian_staircase` memoizes it per
+(polynomial, weights, S-pair budget), so starting from an empty memo a call
+runs the kernel once per distinct polynomial it classifies and once per
+distinct proper, nonempty fixed locus of its groups.  Within one run, the
+kernel packs each input exponent tuple into an integer once and never calls
+`MonomialOrder.key`, and divides in primitive integer coefficients only.  A
 group lists its elements only when `elements` or `vectors` is first read, so
 lattice operations and the subgroups that `subgroups_containing` discards
 never list theirs.  `transpose_group` solves its relations through one
@@ -30,7 +30,6 @@ from lgmk import (
     InvalidArgument,
     MonomialOrder,
     ResourceLimitExceeded,
-    buchberger,
     fixed_locus,
     gmax,
     mirror_check,
@@ -158,13 +157,13 @@ class TestMemo:
 
 
 # dense, with weights (1/4, 1/4, 1/2); its Jacobian has 10 distinct exponent
-# tuples, one Buchberger run on it meets 49, and the earlier tuple-keyed
-# engine, without a memo, keyed them 359 times
+# tuples, and the earlier tuple-keyed engine, without a memo, keyed the 49
+# it met in one run 359 times
 DENSE = "6*x^4 + 6*x^2*y^2 - 2*x^2*z + 3*x*y^3 - 7*x*y*z - 6*y^4 + 3*y^2*z + 7*z^2"
 
 
 class TestKeyMemo:
-    def test_buchberger_keys_each_exponent_tuple_once(self, monkeypatch):
+    def test_staircase_keys_each_exponent_tuple_once(self, monkeypatch):
         poly = parse_polynomial(DENSE)
         order = MonomialOrder.weighted_degrevlex(polycore.classify(poly).weights)
         gens = [g for g in milnor.jacobian_ideal(poly) if not g.is_zero()]
@@ -178,40 +177,11 @@ class TestKeyMemo:
 
         monkeypatch.setattr(groebner._Packing, "pack", counted)
         monkeypatch.setattr(MonomialOrder, "key", lambda self, exps: keyed.append(exps))
-        buchberger(gens, order)
+        groebner.staircase(gens, order)
         # each input exponent tuple once, and no other tuple: pair lcms,
         # shifts and every product in the division loop are integer sums
         assert packed == Counter({exps: 1 for g in gens for exps in g.term_map()})
         assert keyed == []
-
-
-class TestOneInterreductionPass:
-    def test_autoreduce_reduces_each_generator_once(self, monkeypatch):
-        poly = parse_polynomial(DENSE)
-        order = MonomialOrder.weighted_degrevlex(polycore.classify(poly).weights)
-        gens = [g for g in milnor.jacobian_ideal(poly) if not g.is_zero()]
-        inside = []
-        reductions = []
-        autoreduce = groebner._autoreduce
-        normal_form_dict = groebner._normal_form_dict
-
-        def traced_autoreduce(*args):
-            inside.append(True)
-            try:
-                return autoreduce(*args)
-            finally:
-                inside.pop()
-
-        def counted(*args):
-            if inside:
-                reductions.append(args[0])
-            return normal_form_dict(*args)
-
-        monkeypatch.setattr(groebner, "_autoreduce", traced_autoreduce)
-        monkeypatch.setattr(groebner, "_normal_form_dict", counted)
-        basis = buchberger(gens, order)
-        assert len(basis.generators) == 8
-        assert len(reductions) == len(basis.generators)
 
 
 class TestFractionFreeDivision:
@@ -223,14 +193,14 @@ class TestFractionFreeDivision:
         divisors = []
         normal_form_dict = groebner._normal_form_dict
 
-        def recorded(poly, basis, key):
+        def recorded(poly, basis, packing):
             coefficients.extend(poly.values())
             coefficients.extend(c for gen, _ in basis for c in gen.values())
             divisors.extend((tuple(gen.values()), gen[lead]) for gen, lead in basis)
-            return normal_form_dict(poly, basis, key)
+            return normal_form_dict(poly, basis, packing)
 
         monkeypatch.setattr(groebner, "_normal_form_dict", recorded)
-        buchberger(gens, order)
+        groebner.staircase(gens, order)
         assert coefficients
         assert not any(isinstance(c, Fraction) for c in coefficients)
         assert all(type(c) is int for c in coefficients)

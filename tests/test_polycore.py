@@ -16,10 +16,8 @@ from lgmk import (
     Polynomial,
     PolynomialClass,
     WeightBoundViolated,
-    WeightSystem,
     classify,
     exponent_matrix,
-    monomial_bdegree,
     parse_polynomial,
     solve_weights,
 )
@@ -215,16 +213,7 @@ class TestClassify:
                 assert all(w <= F(1, 2) for w in solve_weights(matrix))
 
 
-class TestMonomialBDegree:
-    def test_top_of_cubic_milnor_ring(self):
-        assert monomial_bdegree(Monomial((1, 1)), WeightSystem((F(1, 3), F(1, 3)))) == F(4, 3)
-
-    def test_constant(self):
-        assert monomial_bdegree(Monomial((0, 0)), WeightSystem((F(1, 5), F(1, 2)))) == 0
-
-    def test_weighted_degree_two(self):
-        assert monomial_bdegree(Monomial((3, 1)), WeightSystem((F(1, 4), F(1, 4)))) == 2
-
-    def test_length_mismatch(self):
+class TestMonomial:
+    def test_negative_exponent_is_rejected(self):
         with pytest.raises(ValueError):
-            monomial_bdegree(Monomial((1,)), WeightSystem((F(1, 3), F(1, 3))))
+            Monomial((1, -1))
