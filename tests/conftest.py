@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from lgmk import GroupElement, Polynomial, parse_polynomial, subgroup_generated
+from lgmk import groebner
 
 # Invertible polynomials in up to three variables, exponents at most 7:
 # sums of one-variable powers, chains, and loops, plus mixed sums.
@@ -34,6 +35,40 @@ EXAMPLE_TABLE = {
         "x^6 + x^2*y^4 + x*y^5 + y^6"],
     7: ["x^7 + y^7 + x^6*y", "x^6*y + x^5*y^2 + y^7", "x^6*y + x*y^6"],
 }
+
+
+def kernel_remainder(poly: Polynomial, generators, order,
+                     primitive: bool = True) -> Polynomial:
+    """The Groebner kernel's pseudo-remainder of poly on division by
+    generators.  They are made primitive first, as the kernel makes its own
+    basis, or with primitive=False only cleared of denominators and signed so
+    that their leading coefficients are positive."""
+    assert all(g.variables == poly.variables for g in generators)
+    weights = groebner._grade_weights(order, len(poly.variables))
+    packing, (work, *basis) = groebner._packed(
+        [groebner._cleared(p.term_map()) for p in (poly, *generators)], weights)
+    pairs = []
+    for d in basis:
+        lead = max(d)
+        if primitive:
+            d = groebner._primitive(d, lead)
+        elif d[lead] < 0:
+            d = {key: -c for key, c in d.items()}
+        pairs.append((d, lead))
+    remainder = groebner._normal_form_dict(work, pairs, packing)
+    return Polynomial.from_term_map(
+        poly.variables, {packing.unpack(key): c for key, c in remainder.items()})
+
+
+def positive_multiple(a: Polynomial, b: Polynomial) -> bool:
+    """True iff a = c * b for some rational c > 0."""
+    ta, tb = a.term_map(), b.term_map()
+    if set(ta) != set(tb):
+        return False
+    if not ta:
+        return True
+    ratios = {ta[e] / tb[e] for e in ta}
+    return len(ratios) == 1 and ratios.pop() > 0
 
 
 def family_polynomial(n: int) -> Polynomial:

@@ -2,7 +2,9 @@
 
 The kernel's only product is a `Staircase`: the minimal leading terms of a
 Groebner basis, ascending in the order, with the verdict whether they bound
-a finite staircase.  The kernel checks below compare that product.
+a finite staircase.  The kernel checks below compare that product, and
+the kernel's fraction-free remainder, which must be a positive multiple of
+the normal form.
 
 The monomial order once graded by a `Fraction` weighted sum; it now grades
 by that sum times the lcm of the weights' denominators, an integer.  The
@@ -57,6 +59,8 @@ from lgmk import groebner as engine
 from lgmk.groebner import PAIR_BUDGET_ENV, _pair_budget, staircase
 from lgmk.milnor import jacobian_ideal
 from lgmk.polycore import Exps, Monomial
+
+from conftest import kernel_remainder, positive_multiple
 
 
 # ---------------------------------------------------------------------------
@@ -495,6 +499,34 @@ def jacobians(draw):
 @given(jacobians())
 def test_staircase_matches_the_fraction_engine_on_mixed_coefficients_in_either_order(case):
     _check_staircase_against_the_fraction_engine(*case)
+
+
+@settings(max_examples=40, deadline=None)
+@given(jacobians(), st.data())
+def test_normal_form_matches_the_fraction_engine(case, data):
+    # the kernel's pseudo-remainder on the Fraction engine's reduced basis is
+    # a positive multiple of that engine's normal form, also when the basis
+    # generators are scaled away from monic, by any sign, and divided with
+    # those leading coefficients
+    gens, order = case
+    basis = oracle_buchberger(gens, order)
+    n = len(basis.variables)
+    # exponents up to 3: most monomials much above that lie in the ideal,
+    # and a polynomial of them reduces to zero
+    terms = data.draw(st.dictionaries(st.tuples(*[st.integers(0, 3)] * n), MIXED,
+                                      max_size=10))
+    poly = Polynomial.from_term_map(basis.variables, terms)
+    pairs = list(zip((g.term_map() for g in basis.generators), basis.leading_terms()))
+    expected = Polynomial.from_term_map(
+        basis.variables, oracle_normal_form_dict(poly.term_map(), pairs, order.key))
+    assert positive_multiple(kernel_remainder(poly, basis.generators, order), expected)
+    scales = data.draw(st.lists(MIXED, min_size=len(basis.generators),
+                                max_size=len(basis.generators)))
+    scaled = [Polynomial.from_term_map(g.variables, {e: s * c for e, c in g.term_map().items()})
+              for g, s in zip(basis.generators, scales)]
+    assert positive_multiple(kernel_remainder(poly, scaled, order), expected)
+    assert positive_multiple(kernel_remainder(poly, scaled, order, primitive=False),
+                             expected)
 
 
 # from one bit, the fields widen at the inputs and again when S-pairs are
