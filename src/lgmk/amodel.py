@@ -8,17 +8,24 @@ locus is empty always contributes exactly one basis element.
 
 The invariants of a sector depend only on its fixed locus and on the
 generators of G, so they are computed once per distinct locus, by integer
-congruences on the group's lattice vectors; each element then only reads its
-degree off the sum of its phases.  The Milnor ring of each restriction is
-the staircase of milnor's memoized `jacobian_staircase`, so the full locus
-reuses the one `classify` computed, and further groups over the same
-polynomial reuse every locus already seen.
+congruences on the group's lattice vectors.  The graded table is counted in
+integers: with N the group exponent, an element g = v/N has degree
+numerator N*adegree(g) = |fix(g)|*N + 2*sum(v) - 2*N*sum(q), so `amodel`
+walks the integer vectors, never lists the phase elements, and builds one
+`Fraction` per distinct degree.  The basis elements [m; g] are listed only
+when `AModel.basis` is first read, as the CLI does to print them; the
+mirror checks read only the graded table.  The Milnor ring of each
+restriction is the staircase of milnor's memoized `jacobian_staircase`, so
+the full locus reuses the one `classify` computed, and further groups over
+the same polynomial reuse every locus already seen.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (
     DegenerateRestriction,
@@ -42,10 +49,29 @@ class SectorElement:
 
 @dataclass(frozen=True)
 class AModel:
+    """State space of (source, group): `graded` is counted when the model is
+    built, `basis` is listed on first read.  `loci` maps each fixed locus of
+    the group to its invariant monomials."""
+
     source: Polynomial
     group: SymmetryGroup
-    basis: tuple[SectorElement, ...]
     graded: GradedDims
+    loci: dict[frozenset[int], list[Monomial]] = field(compare=False, repr=False)
+
+    @cached_property
+    def basis(self) -> tuple[SectorElement, ...]:
+        """The elements [m; g], sorted by degree, sector and monomial."""
+        exponent = self.group.exponent
+        shift = _degree_shift(classify(self.source).weights, exponent)
+        keyed = []
+        for g, v in zip(self.group.elements, self.group.vectors):
+            fix = frozenset(i for i, a in enumerate(v) if a == 0)
+            k = len(fix) * exponent + 2 * sum(v)
+            keyed.extend((k, v, m.exponents, m, g) for m in self.loci[fix])
+        # degree numerators sort like degrees, vectors like the phases they scale
+        keyed.sort(key=lambda entry: entry[:3])
+        degrees = {k: Fraction(k - shift, exponent) for k in {entry[0] for entry in keyed}}
+        return tuple(SectorElement(m, g, degrees[k]) for k, _, _, m, g in keyed)
 
 
 def restrict(poly: Polynomial, fix: frozenset[int] | set[int]) -> Polynomial | None:
@@ -98,13 +124,21 @@ def _invariant_monomials(fix, generators, exponent, poly, weights):
                    for w in generators)]
 
 
+def _degree_shift(weights: WeightSystem, exponent: int) -> int:
+    """2*N*sum(q_i) for the group exponent N; an integer because J lies in
+    the group, so N*q_i is one."""
+    return 2 * sum(q.numerator * (exponent // q.denominator) for q in weights)
+
+
 def amodel(poly: Polynomial, group: SymmetryGroup) -> AModel:
     """State space of (poly, group) with its rational grading.
 
     Requires poly admissible, the group a symmetry group of poly, and the
     weights vector J an element of the group.  The sector invariants depend
     only on the fixed locus and the generators, so they are computed once per
-    distinct locus; only the degree is read per element.
+    distinct locus.  With N the group exponent and v = N*g, an element g adds
+    its locus's invariants at the integer degree numerator
+    N*adegree(g) = |fix(g)|*N + 2*sum(v) - 2*N*sum(q).
     """
     weights = require_admissible(poly).weights
     check_symmetry(group, poly)
@@ -113,24 +147,17 @@ def amodel(poly: Polynomial, group: SymmetryGroup) -> AModel:
             f"J = {weights} is not an element of the group {group}")
     generators = [group.vector(h) for h in group.generators]
     exponent = group.exponent
-    # adegree(g) = |fix(g)| + 2*sum(g) - 2*sum(q), with sum(g) = sum(v)/exponent
-    shift = 2 * sum(weights, Fraction(0))
     loci: dict[frozenset[int], list[Monomial]] = {}
-    keyed = []
-    for g, v in zip(group.elements, group.vectors):
-        fix = frozenset(i for i, a in enumerate(v) if a == 0)
+    counts: Counter[int] = Counter()
+    # elements with one zero pattern and one phase sum share their degree
+    for (moved, total), n in Counter((tuple(map(bool, v)), sum(v))
+                                     for v in group.vectors).items():
+        fix = frozenset(i for i, a in enumerate(moved) if not a)
         if fix not in loci:
             loci[fix] = _invariant_monomials(fix, generators, exponent, poly, weights)
-        monomials = loci[fix]
-        if monomials:
-            degree = Fraction(len(fix) * exponent + 2 * sum(v), exponent) - shift
-            keyed.extend((degree, v, m.exponents, SectorElement(m, g, degree))
-                         for m in monomials)
-    # vectors sort like the phase tuples they scale
-    keyed.sort(key=lambda entry: entry[:3])
-    basis = tuple(entry[3] for entry in keyed)
-    graded = GradedDims.from_degrees(s.adegree for s in basis)
-    return AModel(poly, group, basis, graded)
+        counts[len(fix) * exponent + 2 * total] += n * len(loci[fix])
+    graded = GradedDims._from_counts(counts, exponent, _degree_shift(weights, exponent))
+    return AModel(poly, group, graded, loci)
 
 
 def group_weights_compare(poly_a: Polynomial, poly_b: Polynomial,

@@ -10,11 +10,13 @@ The staircase is memoized per (polynomial, weights, S-pair budget), so
 one kernel run per polynomial and locus without passing it around.
 `classify` reads only the verdict; the monomials are enumerated, under the
 box limit of `standard_monomials`, only by the consumers that print or
-count them.  `bmodel` counts the degrees of its standard monomials as
-integers, the weighted degree times the lcm L of the weight denominators,
-and builds one `Fraction` per distinct degree.  The closed-form dimension
-and top-degree expressions are checked against the kernel at construction
-time, so a disagreement between the two routes fails loudly.
+count them.  Both graded sides count degrees as integer numerators over
+one denominator, and `GradedDims._from_counts` builds one `Fraction` per
+distinct degree: `bmodel` counts its standard monomials over the lcm L of
+the weight denominators, `amodel` its sectors over the group exponent.
+The closed-form dimension and top-degree expressions are checked against
+the kernel at construction time, so a disagreement between the two routes
+fails loudly.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from operator import mul
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from .errors import LgmkError
 from .groebner import MonomialOrder, Staircase, _pair_budget, staircase, standard_monomials
@@ -51,6 +53,18 @@ class GradedDims:
     def from_degrees(degrees: Iterable[Fraction]) -> "GradedDims":
         counts = Counter(degrees)
         return GradedDims(tuple(counts.items()))
+
+    @staticmethod
+    def _from_counts(counts: Mapping[int, int], scale: int,
+                     shift: int = 0) -> "GradedDims":
+        """Dimension counts keyed by integer degree numerators n, each of
+        degree (n - shift)/scale with scale > 0; zero counts are dropped."""
+        # distinct integer keys over one positive scale give sorted, distinct
+        # degrees, so the entries skip re-validation
+        graded = object.__new__(GradedDims)
+        object.__setattr__(graded, "entries", tuple(
+            (Fraction(n - shift, scale), k) for n, k in sorted(counts.items()) if k))
+        return graded
 
     @property
     def total_dim(self) -> int:
@@ -159,11 +173,11 @@ def bmodel(poly: Polynomial) -> BModel:
     """Milnor ring of an admissible polynomial as a graded vector space."""
     weights = require_admissible(poly).weights
     monomials = tuple(standard_monomials(jacobian_staircase(poly, weights)))
-    # degree 2*sum(e_i q_i) = 2k/L, counted by the integer k = sum(e_i L q_i)
+    # degree 2*sum(e_i q_i) = 2k/L, counted by its numerator 2k, k = sum(e_i L q_i)
     scale = lcm(*(q.denominator for q in weights))
     integer_weights = [q.numerator * (scale // q.denominator) for q in weights]
-    counts = Counter(sum(map(mul, m.exponents, integer_weights)) for m in monomials)
-    graded = GradedDims(tuple((Fraction(2 * k, scale), dim) for k, dim in counts.items()))
+    counts = Counter(2 * sum(map(mul, m.exponents, integer_weights)) for m in monomials)
+    graded = GradedDims._from_counts(counts, scale)
     if graded.total_dim != _dim_product(weights):
         raise LgmkError(
             f"Milnor dimension {graded.total_dim} disagrees with the "

@@ -267,6 +267,9 @@ class _Parser:
                 coeff *= Fraction(value)
             except ZeroDivisionError:
                 raise ParseError("coefficient has a zero denominator", pos) from None
+            after = self.peek()
+            if after is None or after[0] == "op" and after[1] in "+-":
+                raise ParseError("a term needs at least one variable (constant term)", pos)
             star = self.take("op")
             if star[1] != "*":
                 raise ParseError("coefficient must be followed by '*'", star[2])

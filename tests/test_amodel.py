@@ -15,9 +15,12 @@ from lgmk import (
     classify,
     gmax,
     group_weights_compare,
+    is_admissible_group,
     parse_polynomial,
     restrict,
+    sl_subgroup,
     subgroup_generated,
+    subgroups_containing,
 )
 from lgmk.amodel import _restricted_milnor_basis
 
@@ -146,6 +149,45 @@ class TestAModel:
         for poly in invertible_corpus[:15]:
             model = amodel(poly, gmax(poly))
             assert all(s.adegree >= 0 for s in model.basis), str(poly)
+
+
+def assert_two_routes_agree(poly, group):
+    """The integer count of `amodel` against the per-element `Fraction`
+    formula `adegree`, read off the basis."""
+    weights = classify(poly).weights
+    model = amodel(poly, group)
+    assert all(s.adegree == adegree(s.sector, weights) for s in model.basis), str(poly)
+    assert model.graded == GradedDims.from_degrees(
+        adegree(s.sector, weights) for s in model.basis), str(poly)
+
+
+class TestTwoRoutes:
+    def test_named_groups_on_the_corpus(self, invertible_corpus):
+        checked = 0
+        for poly in invertible_corpus:
+            weights = classify(poly).weights
+            n = poly.n_variables
+            full = gmax(poly)
+            # the CLI's group specs max, J, sl and 0
+            for group in (full, subgroup_generated([GroupElement(tuple(weights))], n),
+                          sl_subgroup(full), subgroup_generated([], n)):
+                if is_admissible_group(group, weights):
+                    assert_two_routes_agree(poly, group)
+                    checked += 1
+        # max and J for all 37 members, sl for the 4 whose J has determinant
+        # one, and 0 for none
+        assert checked == 78
+
+    def test_every_group_containing_j(self, invertible_corpus):
+        checked = 0
+        for poly in invertible_corpus:
+            if poly.n_variables not in (2, 3):
+                continue
+            j = GroupElement(tuple(classify(poly).weights))
+            for group in subgroups_containing(gmax(poly), [j]):
+                assert_two_routes_agree(poly, group)
+                checked += 1
+        assert checked == 60
 
 
 class TestGroupWeights:

@@ -258,6 +258,13 @@ class TestBadInput:
         err = self.assert_bad_input(capsys, "bmodel", text)
         assert err == f"error: coefficient has a zero denominator (at position {position})\n"
 
+    @pytest.mark.parametrize("argv,position", [(("weights", "x^2+1"), 4),
+                                               (("bmodel", "1"), 0)])
+    def test_constant_term(self, capsys, argv, position):
+        err = self.assert_bad_input(capsys, *argv)
+        assert err == ("error: a term needs at least one variable (constant term) "
+                       f"(at position {position})\n")
+
 
 class TestTextJsonAgreement:
     CASES = [

@@ -12,10 +12,13 @@ kernel packs each input exponent tuple into an integer once and never calls
 group lists its elements only when `elements` or `vectors` is first read, so
 lattice operations and the subgroups that `subgroups_containing` discards
 never list theirs.  `transpose_group` solves its relations through one
-Smith form: it never calls `gmax` and lists only its own result.
+Smith form: it never calls `gmax` and lists only its own result.  `amodel`
+counts its graded table on the integer vectors: it lists no phase element
+and builds no `SectorElement` until its basis is read.
 """
 
 import ast
+import importlib
 import os
 import sys
 from collections import Counter
@@ -41,7 +44,11 @@ from lgmk import (
 )
 from lgmk import cli, groebner, milnor, mirror, polycore, symmetry
 
+from conftest import family_polynomial, j_group
+
 SRC = os.path.dirname(lgmk.__file__)
+# the function lgmk.amodel shadows its module
+AMODEL = importlib.import_module("lgmk.amodel")
 
 
 def _intra_package_imports_in_functions():
@@ -250,6 +257,50 @@ class TestLazyElements:
         found = subgroups_containing(gmax(poly), [j])
         # the ambient group once, then each returned subgroup for the sort
         assert len(listings) <= 1 + len(found)
+
+
+class TestLazyBasis:
+    def test_mirror_sides_lists_no_element_and_no_basis(self, monkeypatch):
+        groups, models = [], []
+
+        def recorded_gmax(poly):
+            groups.append(symmetry.gmax(poly))
+            return groups[-1]
+
+        def recorded_amodel(poly, group):
+            models.append(AMODEL.amodel(poly, group))
+            return models[-1]
+
+        monkeypatch.setattr(mirror, "gmax", recorded_gmax)
+        monkeypatch.setattr(mirror, "amodel", recorded_amodel)
+        _, a_side, b_side = mirror.mirror_sides(parse_polynomial(CHAIN))
+        assert a_side == b_side
+        assert len(groups) == len(models) == 1
+        assert "elements" not in groups[0].__dict__
+        assert "basis" not in models[0].__dict__
+
+    def test_basis_is_built_on_first_read(self):
+        group = j_group(7)
+        model = lgmk.amodel(family_polynomial(7), group)
+        assert model.graded.total_dim == 12
+        assert "elements" not in group.__dict__
+        assert "basis" not in model.__dict__
+        keys = [(s.adegree, s.sector.phases, s.monomial.exponents) for s in model.basis]
+        assert keys == sorted(keys)
+        assert len(keys) == model.graded.total_dim
+        assert model.basis is model.basis
+
+    @pytest.mark.parametrize("text", [CHAIN, LOOP, FERMAT])
+    def test_graded_path_builds_no_sector_element(self, monkeypatch, text):
+        def forbidden(*args):
+            raise AssertionError("a SectorElement was built")
+
+        monkeypatch.setattr(AMODEL, "SectorElement", forbidden)
+        poly = parse_polynomial(text)
+        assert mirror_check(poly)
+        j = GroupElement(tuple(polycore.classify(poly).weights))
+        for group in subgroups_containing(gmax(poly), [j]):
+            assert lgmk.amodel(poly, group).graded.total_dim > 0
 
 
 class TestTransposeByRelations:

@@ -1,7 +1,10 @@
+from collections import Counter
 from fractions import Fraction as F
 from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lgmk import (
     GradedDims,
@@ -39,6 +42,32 @@ class TestGradedDims:
     def test_json_keys(self):
         graded = GradedDims.from_degrees([F(0), F(12, 5)])
         assert graded.as_json_dict() == {"0": 1, "12/5": 1}
+
+
+class TestIntegerCounts:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-60, 60), max_size=30),
+           st.integers(1, 36), st.integers(-40, 40),
+           st.lists(st.integers(-60, 60), max_size=5))
+    def test_counts_match_fraction_degrees(self, numerators, scale, shift, empty):
+        counts = Counter(numerators)
+        for n in empty:
+            counts.setdefault(n, 0)
+        expected = GradedDims.from_degrees(F(n - shift, scale) for n in numerators)
+        found = GradedDims._from_counts(counts, scale, shift)
+        assert found == expected
+        assert all(type(d) is F and type(k) is int for d, k in found.entries)
+
+    def test_non_reduced_scale_merges_nothing(self):
+        found = GradedDims._from_counts({2: 1, 3: 2, 4: 1}, 6)
+        assert found.entries == ((F(1, 3), 1), (F(1, 2), 2), (F(2, 3), 1))
+
+    def test_public_constructor_still_validates(self):
+        with pytest.raises(ValueError, match="repeated degree"):
+            GradedDims(((F(1, 3), 1), (F(2, 6), 2)))
+        for dim in (0, -1):
+            with pytest.raises(ValueError, match="positive"):
+                GradedDims(((F(1, 3), dim),))
 
 
 class TestJacobian:

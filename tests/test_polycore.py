@@ -50,6 +50,14 @@ class TestParse:
         assert err.value.position == position
         assert "zero denominator" in str(err.value)
 
+    @pytest.mark.parametrize("text,position", [("x^2+1", 4), ("1", 0), ("-3/2", 1),
+                                               ("2 + x^2", 0), ("x - 5 + y", 4)])
+    def test_constant_term_carries_position(self, text, position):
+        with pytest.raises(ParseError) as err:
+            parse_polynomial(text)
+        assert err.value.position == position
+        assert "constant term" in str(err.value)
+
     def test_truncated_input(self):
         with pytest.raises(ParseError):
             parse_polynomial("x^4 +")
