@@ -12,21 +12,29 @@ there a weight system (q_1..q_m), each q_i in (0, 1/2] and rational, with
 
 One and two variables admit exact answers (the two-variable case reduces to
 a quadratic whose discriminant must be a rational square).  From three
-variables on, the tail (q_3..q_m) is enumerated over a bounded-denominator
-rational grid and each tail is finished exactly, so empty results certify
-nonexistence only within the stated bound.
+variables on, a target is first tested against a certificate: f(q) =
+log(1/q - 1) is convex on (0, 1/2], so by Jensen m weights with sum
+S = (2m - delta)/4 have prod(1/q_i - 1) >= (m/S - 1)^m, and a target d below
+that bound has no weight system at all.  The search then skips enumeration,
+though its status stays NoneWithinBound.  Otherwise the tail (q_3..q_m) is
+enumerated over a bounded-denominator rational grid and each tail is
+finished exactly, so empty results certify nonexistence only within the
+stated bound.
 
 The search runs in integer numerators and denominators.  The grid is a
 stretch of the Farey sequence, walked in ascending order by its next-term
-recurrence, with no set and no sort.  Each tail's product and sum, and the
-pair targets left after it, stay unreduced integer fractions; pruning
-compares them by cross-multiplication, and the pair is decided by its integer
-discriminant and one `math.isqrt`, since N/M with M > 0 is a rational square
-iff N*M is a perfect square.  A `Fraction` is built only for a solution.
-`discriminant_sign_boundary` walks the same grid from the top down and stops
-at the first q_3 whose discriminant, cleared of its positive denominators, is
-nonnegative.  The public `solve_pair` and `reduce_to_pair` are `Fraction`
-wrappers over the integer helpers the search loop calls.
+recurrence, with no set and no sort.  Tails are walked one ascending entry
+at a time; each entry divides the product target left and subtracts from
+the sum left, as unreduced integer fractions, so a tail costs O(1) work.  A
+prefix is dropped when the same certificate excludes the variables left, and
+a tail's pair is decided by its integer discriminant and one `math.isqrt`,
+since N/M with M > 0 is a rational square iff N*M is a perfect square.  A
+`Fraction` is built only for a solution, and a search visits at most
+TAIL_LIMIT tails.  `discriminant_sign_boundary` isolates the real roots of
+a quartic with Sturm sequences and finds the largest grid point where it is
+nonnegative by Stern-Brocot descents, in O(log bound) sign tests.  The
+public `solve_pair` and `reduce_to_pair` are `Fraction` wrappers over the
+integer helpers the search loop calls.
 """
 
 from __future__ import annotations
@@ -34,7 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, islice
+from itertools import combinations, islice
 
 from .amodel import amodel
 from .errors import InvalidArgument, ResourceLimitExceeded, TailProductTooLarge
@@ -49,6 +57,7 @@ STATUS_NONE_EXACT = "NoneExact"
 STATUS_NONE_WITHIN_BOUND = "NoneWithinBound"
 
 GRID_LIMIT = 10**5  # the most grid points held for tails of m >= 4 variables
+TAIL_LIMIT = 10**7  # the most tails, whole or partial, one search visits
 
 
 # ---------------------------------------------------------------------------
@@ -258,30 +267,68 @@ def _farey_grid(lo: Fraction, hi: Fraction, max_denominator: int):
         a, b, c, d = c, d, k * c - a, k * d - b
 
 
-def _tail_solutions(d: Fraction, delta: Fraction, m: int,
-                    tails) -> set[tuple[Fraction, ...]]:
-    dn, dd = d.numerator, d.denominator
-    en, ed = delta.numerator, delta.denominator
+def _certified(k: int, sn: int, sd: int, dn: int, dd: int) -> bool:
+    """True when no k weights in (0, 1/2] have sum sn/sd and
+    prod(1/q_i - 1) = dn/dd (sd, dd > 0).
+
+    The sum must lie in (0, k/2], and since log(1/q - 1) is convex on
+    (0, 1/2], Jensen gives prod(1/q_i - 1) >= (k/S - 1)^k for sum S; cleared
+    of denominators, (k/S - 1)^k > d reads (k sd - sn)^k dd > dn sn^k."""
+    return sn <= 0 or 2 * sn > k * sd or (k * sd - sn) ** k * dd > dn * sn ** k
+
+
+def _walk_tails(grid, m: int, sn: int, sd: int, dn: int, dd: int) -> set[tuple[Fraction, ...]]:
+    """Every m-variable solution with weight sum sn/sd and
+    prod(1/q_i - 1) = dn/dd whose tail (q_3 <= ... <= q_m) lies on `grid`,
+    an iterable of ascending (num, den) pairs for m = 3 and a tuple beyond.
+
+    Taking an entry t divides the product target left by 1/t - 1 and
+    subtracts t from the sum left, as unreduced integer fractions.  An entry
+    is skipped when the product left falls below 1, or when `_certified`
+    excludes the variables left; a level stops once the entries still to
+    come (each at least t) would leave the pair no positive sum.  Raises
+    ResourceLimitExceeded past TAIL_LIMIT visited entries."""
     found = set()
-    for tail in tails:
-        pn, pd, sn, sd = _reduce_tail(en, ed, m, tail)
-        if pn * dd > dn * pd or sn <= 0:
-            continue
-        for low, high, den in _pair_roots(dn * pd, dd * pn, sn, sd):
-            found.add(tuple(sorted((Fraction(low, den), Fraction(high, den))
-                                   + tuple(Fraction(*t) for t in tail))))
+    visited = 0
+
+    def walk(start, points, k, sn, sd, dn, dd, prefix):
+        # k variables are left: k - 2 tail entries from `points`, then the pair
+        nonlocal visited
+        entries = k - 2
+        for i, (num, den) in enumerate(points, start):
+            visited += 1
+            if visited > TAIL_LIMIT:
+                raise ResourceLimitExceeded(f"the search visits more than {TAIL_LIMIT} tails")
+            pn, pd = dn * num, dd * (den - num)
+            if pn < pd:
+                continue
+            if entries * num * sd >= sn * den:
+                break
+            tn, td = sn * den - num * sd, sd * den
+            if k > 3:
+                if not _certified(k - 1, tn, td, pn, pd):
+                    walk(i, grid[i:], k - 1, tn, td, pn, pd, prefix + ((num, den),))
+            else:
+                for low, high, pden in _pair_roots(pn, pd, tn, td):
+                    tail = tuple(Fraction(*t) for t in prefix + ((num, den),))
+                    found.add(tuple(sorted((Fraction(low, pden), Fraction(high, pden)) + tail)))
+
+    walk(0, grid, m, sn, sd, dn, dd, ())
     return found
 
 
 def search_weight_systems(d, delta, m: int, denominator_bound: int = 60) -> SearchReport:
     """Search for weight systems in m variables matching (d, delta).
 
-    m = 1 and m = 2 are decided exactly; for m >= 3 the tails run over the
-    bounded-denominator grid and the result is relative to that bound.
-    Solutions are canonicalized ascending, so permutations collapse.  Raises
-    InvalidArgument for m < 1, a bound below 2 or a dimension d <= 0, and
-    ResourceLimitExceeded for m >= 4 when the grid has more than GRID_LIMIT
-    points.
+    m = 1 and m = 2 are decided exactly; for m >= 3 a target the Jensen
+    certificate excludes is answered without enumeration, and otherwise the
+    tails run over the bounded-denominator grid.  Either way the result is
+    reported relative to that bound.  Solutions are canonicalized ascending,
+    so permutations collapse.  Raises InvalidArgument for m < 1, a bound
+    below 2 or a dimension d <= 0, and ResourceLimitExceeded for m >= 4 when
+    the grid has more than GRID_LIMIT points (checked before the
+    certificate) or for m >= 3 when the walk visits more than TAIL_LIMIT
+    tails.
     """
     d = Fraction(d)
     delta = Fraction(delta)
@@ -308,8 +355,10 @@ def search_weight_systems(d, delta, m: int, denominator_bound: int = 60) -> Sear
             if len(grid) > GRID_LIMIT:
                 raise ResourceLimitExceeded(f"the tail grid at denominator bound "
                                             f"{denominator_bound} exceeds {GRID_LIMIT} points")
-        tails = zip(grid) if m == 3 else combinations_with_replacement(grid, m - 2)
-        solutions = _tail_solutions(d, delta, m, tails)
+        # the weight sum S = (2m - delta)/4 as sn/sd
+        sn, sd = 2 * m * delta.denominator - delta.numerator, 4 * delta.denominator
+        if not _certified(m, sn, sd, d.numerator, d.denominator):
+            solutions = _walk_tails(grid, m, sn, sd, d.numerator, d.denominator)
     ordered = tuple(WeightSystem(sol) for sol in sorted(solutions))
     if ordered:
         status = STATUS_FOUND
@@ -320,6 +369,119 @@ def search_weight_systems(d, delta, m: int, denominator_bound: int = 60) -> Sear
     return SearchReport(d, delta, m, denominator_bound, ordered, status)
 
 
+# ---------------------------------------------------------------------------
+# The three-variable discriminant boundary
+# ---------------------------------------------------------------------------
+# Polynomials in q are integer coefficient lists, constant term first, and a
+# point q = n/k (k > 0) is the pair (n, k), not necessarily reduced.
+
+def _poly_mul(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _primitive(poly: list[int]) -> list[int]:
+    """poly divided by the positive gcd of its coefficients (poly nonzero)."""
+    content = math.gcd(*poly)
+    return [c // content for c in poly]
+
+
+def _pseudo_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    """(quo, rem) with c*a = quo*b + rem for some integer c > 0 and
+    deg rem < deg b; b's leading coefficient is nonzero.  The positive c
+    keeps the signs a Sturm sequence reads."""
+    rem, quo = list(a), [0] * max(len(a) - len(b) + 1, 1)
+    scale, sign = abs(b[-1]), 1 if b[-1] > 0 else -1
+    while len(rem) >= len(b):
+        shift, top = len(rem) - len(b), sign * rem[-1]
+        # rem <- |lead b| rem - sign(lead b) top(rem) q^shift b cancels the top term
+        rem = [scale * c for c in rem]
+        quo = [scale * c for c in quo]
+        quo[shift] += top
+        for i, c in enumerate(b):
+            rem[shift + i] -= top * c
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return quo, rem
+
+
+def _derivative(poly: list[int]) -> list[int]:
+    return [i * c for i, c in enumerate(poly)][1:]
+
+
+def _sign_at(poly: list[int], n: int, k: int) -> int:
+    """The sign of poly at n/k, from the integer k^deg * poly(n/k)."""
+    value, power = poly[-1], 1
+    for c in reversed(poly[:-1]):
+        power *= k
+        value = value * n + c * power
+    return (value > 0) - (value < 0)
+
+
+def _sturm_roots(poly: list[int], lo: tuple[int, int],
+                 hi: tuple[int, int]) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+    """Isolating intervals (a, b], descending, one per distinct real root of
+    the square-free `poly` (degree >= 1) in (lo, hi], found by bisection."""
+    chain = [poly, _primitive(_derivative(poly))]
+    while len(chain[-1]) > 1:
+        rem = _pseudo_divmod(chain[-2], chain[-1])[1]
+        if not rem:
+            break
+        chain.append(_primitive([-c for c in rem]))
+
+    def variations(point) -> int:
+        signs = [s for s in (_sign_at(p, *point) for p in chain) if s]
+        return sum(x != y for x, y in zip(signs, signs[1:]))
+
+    roots, stack = [], [(lo, variations(lo), hi, variations(hi))]
+    while stack:
+        a, va, b, vb = stack.pop()
+        if va - vb == 1:
+            roots.append((a, b))
+        elif va - vb > 1:
+            mid = (a[0] * b[1] + b[0] * a[1], 2 * a[1] * b[1])
+            vm = variations(mid)
+            stack += [(a, va, mid, vm), (mid, vm, b, vb)]
+    return roots
+
+
+def _grid_floor(at_most, bound: int) -> tuple[int, int]:
+    """The largest n/k with 1 <= k <= bound and at_most(n, k), for a
+    predicate n/k <= r with 0 < r < 1; (0, 1) when no positive n/k qualifies.
+
+    One Stern-Brocot descent: lo = ln/lk <= r < hi = hn/hk, and each run of
+    equal steps towards r is found by doubling and bisection, so the
+    predicate is tested O(log bound) times."""
+    def run(test, limit):
+        # the largest t in [0, limit] with test(t), for test true then false
+        if limit < 1 or not test(1):
+            return 0
+        good, step = 1, 2
+        while step <= limit and test(step):
+            good, step = step, 2 * step
+        bad = min(step, limit + 1)
+        while bad - good > 1:
+            mid = (good + bad) // 2
+            if test(mid):
+                good = mid
+            else:
+                bad = mid
+        return good
+
+    ln, lk, hn, hk = 0, 1, 1, 1
+    while lk + hk <= bound:
+        t = run(lambda t: at_most(ln + t * hn, lk + t * hk), (bound - lk) // hk)
+        ln, lk = ln + t * hn, lk + t * hk
+        if lk + hk > bound:
+            break
+        t = run(lambda t: not at_most(hn + t * ln, hk + t * lk), (bound - hk) // lk)
+        hn, hk = hn + t * ln, hk + t * lk
+    return ln, lk
+
+
 def discriminant_sign_boundary(d, delta, denominator_bound: int = 60) -> Fraction | None:
     """Largest grid value of q_3 where the three-variable pair quadratic has a
     nonnegative discriminant.
@@ -327,7 +489,14 @@ def discriminant_sign_boundary(d, delta, denominator_bound: int = 60) -> Fractio
     With A = 1 - d/(1/q3 - 1) and B = (6 - delta)/4 - q3, the pair problem
     becomes A q1^2 - A B q1 + (B - 1) = 0, whose discriminant is
     (A B)^2 - 4 A (B - 1); the degenerate linear case A = 0 counts as 0.
-    Raises InvalidArgument for a bound below 2.
+    Since A = L/(1 - q3) with L = 1 - (d + 1) q3, the discriminant has the
+    sign of the quartic P = L^2 B^2 - 4 L (1 - q3)(B - 1) on (0, 1).  The
+    grid is every q3 in [1/bound, 1/2] with denominator at most the bound.
+    Its largest point where P >= 0 is 1/2, or else the largest grid point at
+    or below some root of P in (0, 1/2): the roots are isolated with Sturm
+    sequences, and each root's grid point is one Stern-Brocot descent, from
+    the top root down, so the grid is never walked.  Raises InvalidArgument
+    for a bound below 2.
     """
     if denominator_bound < 2:
         raise InvalidArgument("denominator bound must be at least 2")
@@ -335,15 +504,36 @@ def discriminant_sign_boundary(d, delta, denominator_bound: int = 60) -> Fractio
     delta = Fraction(delta)
     dn, dd = d.numerator, d.denominator
     en, ed = delta.numerator, delta.denominator
-    # The Farey order is symmetric under q -> 1 - q, so the grid on
-    # [1/2, 1 - 1/bound] read as 1 - q walks [1/bound, 1/2] from the top down.
-    for rest, k in _farey_grid(HALF, 1 - Fraction(1, denominator_bound),
-                               denominator_bound):
-        n = k - rest  # q3 = n/k, A = an/ad, B = bn/bd with ad, bd > 0
-        an, ad = dd * rest - dn * n, dd * rest
-        bn, bd = (6 * ed - en) * k - 4 * ed * n, 4 * ed * k
-        # disc * (ad bd)^2; it vanishes with A, as the linear case must
-        if (an * bn) ** 2 >= 4 * an * ad * (bn - bd) * bd:
+    # P * (4 dd ed)^2, from L = lin/dd and B = b/(4 ed)
+    lin, b = [dd, -(dn + dd)], [6 * ed - en, -4 * ed]
+    square = _poly_mul(_poly_mul(lin, b), _poly_mul(lin, b))
+    cross = _poly_mul(_poly_mul(lin, [1, -1]), [2 * ed - en, -4 * ed])
+    quartic = [c - 16 * dd * ed * x for c, x in zip(square, cross + [0])]
+    while quartic and quartic[-1] == 0:
+        quartic.pop()
+    if not quartic or _sign_at(quartic, 1, 2) >= 0:
+        return HALF
+    # the square-free part: the same roots, each simple
+    common, rest = quartic, _derivative(quartic)
+    while rest:
+        rem = _pseudo_divmod(common, rest)[1]
+        common, rest = rest, rem and _primitive(rem)
+    squarefree = _primitive(_pseudo_divmod(quartic, common)[0])
+    if len(squarefree) < 2:
+        return None
+    for (an, ak), (bn, bk) in _sturm_roots(squarefree, (0, 1), (1, 2)):
+        # the root r in (a, b] is b itself, or the sign flips across it
+        sign_b = _sign_at(squarefree, bn, bk)
+
+        def at_most(n, k):
+            if n * ak <= an * k:
+                return True
+            if n * bk >= bn * k:
+                return n * bk == bn * k and sign_b == 0
+            return _sign_at(squarefree, n, k) != sign_b
+
+        n, k = _grid_floor(at_most, denominator_bound)
+        if n and _sign_at(quartic, n, k) >= 0:
             return Fraction(n, k)
     return None
 

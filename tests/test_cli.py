@@ -218,6 +218,31 @@ class TestGridLimit:
         assert run_json(capsys, "search", "8", "12/5", "3", "--bound", "20") == three
 
 
+class TestTailLimit:
+    def assert_exit_6(self, capsys, *argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (6, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_uncertified_walks_exit_6(self, capsys, monkeypatch):
+        # realizable targets are never certified: (1/5, 1/4, 1/3) and
+        # (1/10, 1/5, 1/4, 1/3, 1/3, 1/2)
+        three = run_json(capsys, "search", "24", "43/15", "3", "--bound", "20")
+        assert three["payload"]["status"] == "SolutionsFound"
+        monkeypatch.setattr(mirror, "TAIL_LIMIT", 10)
+        self.assert_exit_6(capsys, "search", "24", "43/15", "3", "--bound", "20")
+        self.assert_exit_6(capsys, "search", "432", "77/15", "6", "--bound", "100")
+
+    def test_certified_targets_still_answer(self, capsys, monkeypatch):
+        before = [run_json(capsys, "search", "8", "12/5", m, "--bound", "20")
+                  for m in ("3", "4")]
+        monkeypatch.setattr(mirror, "TAIL_LIMIT", 0)
+        after = [run_json(capsys, "search", "8", "12/5", m, "--bound", "20")
+                 for m in ("3", "4")]
+        assert after == before
+        assert all(r["payload"]["status"] == "NoneWithinBound" for r in after)
+
+
 class TestBadInput:
     """Out-of-range arguments end in one error line and exit code 2."""
 

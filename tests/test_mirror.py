@@ -1,10 +1,14 @@
+import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lgmk import (
     InvalidArgument,
     NotInvertible,
+    ResourceLimitExceeded,
     TailProductTooLarge,
     WeightSystem,
     discriminant_2var,
@@ -20,6 +24,7 @@ from lgmk import (
     solve_pair,
     transpose_polynomial,
 )
+from lgmk import mirror
 from lgmk.mirror import STATUS_FOUND, STATUS_NONE_EXACT, STATUS_NONE_WITHIN_BOUND
 
 
@@ -210,9 +215,82 @@ class TestSearch:
         }
 
 
+def family(n: int) -> tuple[F, F]:
+    return F(2 * n - 2), F(2 * (2 * n - 4), n)
+
+
+def certified(k: int, weight_sum: F, product: F) -> bool:
+    return mirror._certified(k, weight_sum.numerator, weight_sum.denominator,
+                             product.numerator, product.denominator)
+
+
+class TestCertificate:
+    """The Jensen certificate answers certified targets without enumerating
+    and never excludes a realizable target or a prefix of one."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(2, 41).flatmap(
+        lambda den: st.integers(1, den // 2).map(lambda num: F(num, den))),
+        min_size=1, max_size=6))
+    def test_realizable_targets_and_prefixes_are_never_certified(self, weights):
+        weights = sorted(weights)
+        m = len(weights)
+        d = math.prod(1 / q - 1 for q in weights)
+        delta = 2 * sum(1 - 2 * q for q in weights)
+        assert certified(m, (2 * m - delta) / 4, d) is False
+        for j in range(m):
+            rest = weights[j:]
+            assert certified(m - j, sum(rest), math.prod(1 / q - 1 for q in rest)) is False
+
+    @pytest.fixture
+    def pair_solver_raises(self, monkeypatch):
+        def boom(*_args):
+            raise AssertionError("the pair solver ran on a certified target")
+        monkeypatch.setattr(mirror, "_pair_roots", boom)
+
+    @pytest.mark.parametrize("m, bound", [(3, 190), (3, 10**5), (4, 26)])
+    def test_certified_family_targets_walk_nothing(self, pair_solver_raises, m, bound):
+        for n in range(4, 13):
+            report = search_weight_systems(*family(n), m, denominator_bound=bound)
+            assert report.status == STATUS_NONE_WITHIN_BOUND
+            assert report.solutions == ()
+
+    def test_grid_refusal_comes_before_the_certificate(self, pair_solver_raises):
+        with pytest.raises(ResourceLimitExceeded):
+            search_weight_systems(*family(12), 4, denominator_bound=1000)
+
+    def test_uncertified_target_still_reaches_the_pair_solver(self, pair_solver_raises):
+        # (1/5, 1/4, 1/3): a realizable target is walked
+        with pytest.raises(AssertionError):
+            search_weight_systems(24, F(43, 15), 3, denominator_bound=20)
+
+    def test_six_weights_one_third_at_bound_300(self):
+        # Jensen holds with equality here, so the target is not certified; the
+        # pruned walk still ends, and finds the one solution
+        report = search_weight_systems(64, 4, 6, denominator_bound=300)
+        assert [tuple(ws) for ws in report.solutions] == [(F(1, 3),) * 6]
+
+
 class TestDiscriminantBoundary:
     def test_boundary_sits_at_one_ninth(self):
         assert discriminant_sign_boundary(8, F(12, 5), 60) == F(1, 9)
+
+    @pytest.mark.parametrize("bound", [10**3, 10**6])
+    def test_sign_tests_grow_logarithmically(self, monkeypatch, bound):
+        # the grid below 1/2 has about 0.3 * bound^2 points; a scan of it
+        # fails at the first sign test past the limit instead of running on
+        limit = 4 * math.log2(bound)
+        calls = []
+        sign_at = mirror._sign_at
+
+        def counted(*args):
+            calls.append(args)
+            assert len(calls) <= limit, "more sign tests than 4 log2(bound)"
+            return sign_at(*args)
+
+        monkeypatch.setattr(mirror, "_sign_at", counted)
+        assert discriminant_sign_boundary(22, F(10, 3), bound) == F(1, 23)
+        assert calls
 
     def test_boundary_stable_under_bound_growth(self):
         assert discriminant_sign_boundary(8, F(12, 5), 9) == F(1, 9)
