@@ -6,18 +6,32 @@ The group acts on a sector through the determinant and composition taken
 over the fixed-locus variables only; with that reading a sector whose fixed
 locus is empty always contributes exactly one basis element.
 
-The invariants of a sector depend only on its fixed locus and on the
-generators of G, so they are computed once per distinct locus, by integer
-congruences on the group's lattice vectors.  The graded table is counted in
-integers: with N the group exponent, an element g = v/N has degree
-numerator N*adegree(g) = |fix(g)|*N + 2*sum(v) - 2*N*sum(q), so `amodel`
-walks the integer vectors, never lists the phase elements, and builds one
-`Fraction` per distinct degree.  The basis elements [m; g] are listed only
-when `AModel.basis` is first read, as the CLI does to print them; the
-mirror checks read only the graded table.  The Milnor ring of each
-restriction is the staircase of milnor's memoized `jacobian_staircase`, so
-the full locus reuses the one `classify` computed, and further groups over
-the same polynomial reuse every locus already seen.
+The invariants of a sector depend only on its fixed locus F, and all of a
+sector's basis elements share one degree, so the graded table needs only
+the number c_F of invariants per distinct locus.  `amodel` counts it from
+the group's characters (Vafa 1989; Molien): x^a*omega_F transforms under h
+by prod_{i in F} h_i^(1 + a_i), and when W|F is nondegenerate the trace of
+h on Jac(W|F)*omega_F is prod_{i in F fixed by h}(1/q_i - 1) times -1 per
+i in F moved by h, the value at T = 1 of the equivariant Poincare series
+prod_{i in F}(chi_i - T^(1 - q_i))/(1 - chi_i*T^(q_i)).  Averaging over G,
+with n_P the number of elements whose moved set is P,
+
+    c_F = (1/|G|) * sum_P n_P * prod_{i in F-P}(1/q_i - 1) * (-1)^|F & P|,
+
+an integer division over the common denominator |G| * prod_{i in F} num(q_i)
+that must be exact.  Each nonempty locus runs milnor's memoized
+`jacobian_staircase`, whose verdict (a finite Milnor ring) is the formula's
+hypothesis; the full locus reuses the one `classify` computed.
+The graded table is counted in integers: with N the group exponent, an
+element g = v/N has degree numerator N*adegree(g) = |fix(g)|*N + 2*sum(v) -
+2*N*sum(q), so `amodel` walks the integer vectors, never lists the phase
+elements, and builds one `Fraction` per distinct degree.
+
+The basis elements [m; g] are listed only when `AModel.basis` is first
+read, as the CLI does to print them: each locus's standard monomials are
+filtered by integer congruences on the generators' lattice vectors, and
+their number must equal the locus's character count.  The mirror checks
+read only the graded table, so they never list a Milnor basis.
 """
 
 from __future__ import annotations
@@ -26,13 +40,15 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import prod
 
 from .errors import (
     DegenerateRestriction,
     GroupNotAdmissible,
+    LgmkError,
     NotAdmissibleError,
 )
-from .groebner import standard_monomials
+from .groebner import Staircase, standard_monomials
 from .milnor import GradedDims, jacobian_staircase
 from .polycore import Monomial, Polynomial, WeightSystem, classify, require_admissible
 from .symmetry import GroupElement, SymmetryGroup, check_symmetry, fixed_locus, is_admissible_group
@@ -50,24 +66,36 @@ class SectorElement:
 @dataclass(frozen=True)
 class AModel:
     """State space of (source, group): `graded` is counted when the model is
-    built, `basis` is listed on first read.  `loci` maps each fixed locus of
-    the group to its invariant monomials."""
+    built, `basis` is listed on first read.  `locus_counts` maps each fixed
+    locus of the group to its number of invariant monomials."""
 
     source: Polynomial
     group: SymmetryGroup
     graded: GradedDims
-    loci: dict[frozenset[int], list[Monomial]] = field(compare=False, repr=False)
+    locus_counts: dict[frozenset[int], int] = field(compare=False, repr=False)
 
     @cached_property
     def basis(self) -> tuple[SectorElement, ...]:
-        """The elements [m; g], sorted by degree, sector and monomial."""
+        """The elements [m; g], sorted by degree, sector and monomial.
+
+        Raises LgmkError if a locus lists a different number of invariant
+        monomials than its character count."""
+        weights = classify(self.source).weights
         exponent = self.group.exponent
-        shift = _degree_shift(classify(self.source).weights, exponent)
+        generators = [self.group.vector(h) for h in self.group.generators]
+        loci = {}
+        for fix, count in self.locus_counts.items():
+            loci[fix] = _invariant_monomials(fix, generators, exponent, self.source, weights)
+            if len(loci[fix]) != count:
+                raise LgmkError(
+                    f"locus {sorted(fix)} lists {len(loci[fix])} invariant monomials, "
+                    f"but its character count is {count}")
+        shift = _degree_shift(weights, exponent)
         keyed = []
         for g, v in zip(self.group.elements, self.group.vectors):
             fix = frozenset(i for i, a in enumerate(v) if a == 0)
             k = len(fix) * exponent + 2 * sum(v)
-            keyed.extend((k, v, m.exponents, m, g) for m in self.loci[fix])
+            keyed.extend((k, v, m.exponents, m, g) for m in loci[fix])
         # degree numerators sort like degrees, vectors like the phases they scale
         keyed.sort(key=lambda entry: entry[:3])
         degrees = {k: Fraction(k - shift, exponent) for k in {entry[0] for entry in keyed}}
@@ -97,9 +125,11 @@ def adegree(element: GroupElement, weights: WeightSystem) -> Fraction:
     return Fraction(len(fixed_locus(element))) + shift
 
 
-def _restricted_milnor_basis(poly: Polynomial, weights: WeightSystem,
-                             fix: frozenset[int]) -> list[Monomial]:
-    """Standard monomial basis of the Milnor ring of poly restricted to fix."""
+def _restricted_staircase(poly: Polynomial, weights: WeightSystem,
+                          fix: frozenset[int]) -> Staircase:
+    """Staircase of the Milnor ring of poly restricted to the nonempty fix:
+    the verdict that the restriction is nondegenerate, or
+    DegenerateRestriction."""
     restricted = restrict(poly, fix)
     if restricted is None:
         raise DegenerateRestriction(
@@ -109,7 +139,13 @@ def _restricted_milnor_basis(poly: Polynomial, weights: WeightSystem,
     if found is None:
         raise DegenerateRestriction(
             f"restriction to variables {sorted(fix)} has a non-finite Milnor ring")
-    return standard_monomials(found)
+    return found
+
+
+def _restricted_milnor_basis(poly: Polynomial, weights: WeightSystem,
+                             fix: frozenset[int]) -> list[Monomial]:
+    """Standard monomial basis of the Milnor ring of poly restricted to fix."""
+    return standard_monomials(_restricted_staircase(poly, weights, fix))
 
 
 def _invariant_monomials(fix, generators, exponent, poly, weights):
@@ -124,6 +160,28 @@ def _invariant_monomials(fix, generators, exponent, poly, weights):
                    for w in generators)]
 
 
+def _invariant_count(fix, moved_counts, order, weights) -> int:
+    """Number of invariant monomials on the locus fix, from the characters:
+    moved_counts maps each moved pattern (a tuple of bools) to its number of
+    group elements.  Exact only when the restriction to fix is
+    nondegenerate; raises LgmkError if the average is not a nonnegative
+    integer."""
+    # over the denominator order * prod num(q_i): a fixed i contributes
+    # den(q_i) - num(q_i), a moved one -num(q_i)
+    total = 0
+    for moved, n in moved_counts.items():
+        term = n
+        for i in fix:
+            q = weights[i]
+            term *= -q.numerator if moved[i] else q.denominator - q.numerator
+        total += term
+    count, remainder = divmod(total, order * prod(weights[i].numerator for i in fix))
+    if remainder or count < 0:
+        raise LgmkError(
+            f"character count on locus {sorted(fix)} is not a nonnegative integer")
+    return count
+
+
 def _degree_shift(weights: WeightSystem, exponent: int) -> int:
     """2*N*sum(q_i) for the group exponent N; an integer because J lies in
     the group, so N*q_i is one."""
@@ -135,9 +193,10 @@ def amodel(poly: Polynomial, group: SymmetryGroup) -> AModel:
 
     Requires poly admissible, the group a symmetry group of poly, and the
     weights vector J an element of the group.  The sector invariants depend
-    only on the fixed locus and the generators, so they are computed once per
-    distinct locus.  With N the group exponent and v = N*g, an element g adds
-    its locus's invariants at the integer degree numerator
+    only on the fixed locus, so they are counted once per distinct locus,
+    from the group's characters, after the locus's staircase proves its
+    restriction nondegenerate.  With N the group exponent and v = N*g, an
+    element g adds its locus's count at the integer degree numerator
     N*adegree(g) = |fix(g)|*N + 2*sum(v) - 2*N*sum(q).
     """
     weights = require_admissible(poly).weights
@@ -145,19 +204,23 @@ def amodel(poly: Polynomial, group: SymmetryGroup) -> AModel:
     if not is_admissible_group(group, weights):
         raise GroupNotAdmissible(
             f"J = {weights} is not an element of the group {group}")
-    generators = [group.vector(h) for h in group.generators]
     exponent = group.exponent
-    loci: dict[frozenset[int], list[Monomial]] = {}
-    counts: Counter[int] = Counter()
     # elements with one zero pattern and one phase sum share their degree
-    for (moved, total), n in Counter((tuple(map(bool, v)), sum(v))
-                                     for v in group.vectors).items():
+    patterns = Counter((tuple(map(bool, v)), sum(v)) for v in group.vectors)
+    moved_counts: Counter[tuple[bool, ...]] = Counter()
+    for (moved, _), n in patterns.items():
+        moved_counts[moved] += n
+    locus_counts: dict[frozenset[int], int] = {}
+    counts: Counter[int] = Counter()
+    for (moved, total), n in patterns.items():
         fix = frozenset(i for i, a in enumerate(moved) if not a)
-        if fix not in loci:
-            loci[fix] = _invariant_monomials(fix, generators, exponent, poly, weights)
-        counts[len(fix) * exponent + 2 * total] += n * len(loci[fix])
+        if fix not in locus_counts:
+            if fix:
+                _restricted_staircase(poly, weights, fix)
+            locus_counts[fix] = _invariant_count(fix, moved_counts, group.order, weights)
+        counts[len(fix) * exponent + 2 * total] += n * locus_counts[fix]
     graded = GradedDims._from_counts(counts, exponent, _degree_shift(weights, exponent))
-    return AModel(poly, group, graded, loci)
+    return AModel(poly, group, graded, locus_counts)
 
 
 def group_weights_compare(poly_a: Polynomial, poly_b: Polynomial,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Callable
 from fractions import Fraction
 from functools import cache
 
@@ -86,10 +87,14 @@ def _parse_group_spec(spec: str, poly: Polynomial, weights) -> SymmetryGroup:
 
 
 # ---------------------------------------------------------------------------
-# Command handlers: each returns (inputs, payload, text lines)
+# Command handlers: each returns (inputs, payload, render), where render()
+# builds the text lines; it runs only for text output
 # ---------------------------------------------------------------------------
 
-def cmd_weights(args) -> tuple[dict, dict, list[str]]:
+_Report = tuple[dict, dict, Callable[[], list[str]]]
+
+
+def cmd_weights(args) -> _Report:
     poly = parse_polynomial(args.polynomial)
     verdict = classify(poly)
     payload: dict = {
@@ -104,20 +109,23 @@ def cmd_weights(args) -> tuple[dict, dict, list[str]]:
         payload["weights"] = None
     if verdict.reason:
         payload["reason"] = verdict.reason
-    lines = [f"polynomial: {payload['polynomial']}",
-             f"variables: {', '.join(poly.variables)}"]
-    if verdict.weights is not None:
-        lines.append("weights: (" + ", ".join(payload["weights"]) + ")")
-    else:
-        lines.append("weights: none")
-    lines.append(f"classification: {verdict.kind.value}")
-    lines.append(f"nondegenerate: {str(payload['nondegenerate']).lower()}")
-    if verdict.reason:
-        lines.append(f"reason: {verdict.reason}")
-    return {"polynomial": args.polynomial}, payload, lines
+
+    def render():
+        lines = [f"polynomial: {payload['polynomial']}",
+                 f"variables: {', '.join(poly.variables)}"]
+        if verdict.weights is not None:
+            lines.append("weights: (" + ", ".join(payload["weights"]) + ")")
+        else:
+            lines.append("weights: none")
+        lines.append(f"classification: {verdict.kind.value}")
+        lines.append(f"nondegenerate: {str(payload['nondegenerate']).lower()}")
+        if verdict.reason:
+            lines.append(f"reason: {verdict.reason}")
+        return lines
+    return {"polynomial": args.polynomial}, payload, render
 
 
-def cmd_gmax(args) -> tuple[dict, dict, list[str]]:
+def cmd_gmax(args) -> _Report:
     poly = parse_polynomial(args.polynomial)
     require_admissible(poly)
     group = gmax(poly)
@@ -129,18 +137,21 @@ def cmd_gmax(args) -> tuple[dict, dict, list[str]]:
     }
     if args.elements:
         payload["elements"] = [[_rat(p) for p in g.phases] for g in group.elements]
-    lines = [f"polynomial: {payload['polynomial']}",
-             f"order: {group.order}",
-             "invariant factors: (" + ", ".join(map(str, payload["invariant_factors"])) + ")"]
-    for g in group.generators:
-        lines.append(f"generator: {g}")
-    if args.elements:
-        for g in group.elements:
-            lines.append(f"element: {g}")
-    return {"polynomial": args.polynomial}, payload, lines
+
+    def render():
+        lines = [f"polynomial: {payload['polynomial']}",
+                 f"order: {group.order}",
+                 "invariant factors: (" + ", ".join(map(str, payload["invariant_factors"])) + ")"]
+        for g in group.generators:
+            lines.append(f"generator: {g}")
+        if args.elements:
+            for g in group.elements:
+                lines.append(f"element: {g}")
+        return lines
+    return {"polynomial": args.polynomial}, payload, render
 
 
-def cmd_amodel(args) -> tuple[dict, dict, list[str]]:
+def cmd_amodel(args) -> _Report:
     poly = parse_polynomial(args.polynomial)
     verdict = require_admissible(poly)
     group = _parse_group_spec(args.group, poly, verdict.weights)
@@ -160,17 +171,20 @@ def cmd_amodel(args) -> tuple[dict, dict, list[str]]:
             for s in model.basis
         ],
     }
-    lines = [f"polynomial: {payload['polynomial']}",
-             f"group: order {group.order}",
-             f"dimension: {model.graded.total_dim}",
-             f"top degree: {payload['top_degree']}",
-             "graded dimensions:"]
-    for degree, dim in model.graded.entries:
-        lines.append(f"  {degree}: {dim}")
-    lines.append("basis:")
-    for s in model.basis:
-        lines.append(f"  [{_sector_monomial_text(s, poly)}; {s.sector}]  degree {s.adegree}")
-    return {"polynomial": args.polynomial, "group": args.group}, payload, lines
+
+    def render():
+        lines = [f"polynomial: {payload['polynomial']}",
+                 f"group: order {group.order}",
+                 f"dimension: {model.graded.total_dim}",
+                 f"top degree: {payload['top_degree']}",
+                 "graded dimensions:"]
+        for degree, dim in model.graded.entries:
+            lines.append(f"  {degree}: {dim}")
+        lines.append("basis:")
+        for s in model.basis:
+            lines.append(f"  [{_sector_monomial_text(s, poly)}; {s.sector}]  degree {s.adegree}")
+        return lines
+    return {"polynomial": args.polynomial, "group": args.group}, payload, render
 
 
 def _sector_monomial_text(sector_element, poly: Polynomial) -> str:
@@ -179,7 +193,7 @@ def _sector_monomial_text(sector_element, poly: Polynomial) -> str:
     return sector_element.monomial.render(names)
 
 
-def cmd_bmodel(args) -> tuple[dict, dict, list[str]]:
+def cmd_bmodel(args) -> _Report:
     poly = parse_polynomial(args.polynomial)
     model = bmodel(poly)
     weights = model.weights
@@ -193,18 +207,21 @@ def cmd_bmodel(args) -> tuple[dict, dict, list[str]]:
         "graded": model.graded.as_json_dict(),
         "basis": [m.render(poly.variables) for m in model.basis],
     }
-    lines = [f"polynomial: {payload['polynomial']}",
-             "weights: (" + ", ".join(payload["weights"]) + ")",
-             f"dimension: {model.graded.total_dim} (formula: {payload['dimension_formula']})",
-             f"top degree: {payload['top_degree']} (formula: {payload['top_degree_formula']})",
-             "graded dimensions:"]
-    for degree, dim in model.graded.entries:
-        lines.append(f"  {degree}: {dim}")
-    lines.append("basis: " + ", ".join(payload["basis"]))
-    return {"polynomial": args.polynomial}, payload, lines
+
+    def render():
+        lines = [f"polynomial: {payload['polynomial']}",
+                 "weights: (" + ", ".join(payload["weights"]) + ")",
+                 f"dimension: {model.graded.total_dim} (formula: {payload['dimension_formula']})",
+                 f"top degree: {payload['top_degree']} (formula: {payload['top_degree_formula']})",
+                 "graded dimensions:"]
+        for degree, dim in model.graded.entries:
+            lines.append(f"  {degree}: {dim}")
+        lines.append("basis: " + ", ".join(payload["basis"]))
+        return lines
+    return {"polynomial": args.polynomial}, payload, render
 
 
-def cmd_mirror_check(args) -> tuple[dict, dict, list[str]]:
+def cmd_mirror_check(args) -> _Report:
     poly = parse_polynomial(args.polynomial)
     partner, a_side, b_side = mirror_sides(poly)
     verdict = a_side == b_side
@@ -215,12 +232,14 @@ def cmd_mirror_check(args) -> tuple[dict, dict, list[str]]:
         "b_graded": b_side.as_json_dict(),
         "isomorphic": verdict,
     }
-    lines = [f"polynomial: {payload['polynomial']}",
-             f"transpose: {payload['transpose']}",
-             "A-side graded: " + str(a_side),
-             "B-side graded: " + str(b_side),
-             f"graded vector spaces equal: {str(verdict).lower()}"]
-    return {"polynomial": args.polynomial}, payload, lines
+
+    def render():
+        return [f"polynomial: {payload['polynomial']}",
+                f"transpose: {payload['transpose']}",
+                "A-side graded: " + str(a_side),
+                "B-side graded: " + str(b_side),
+                f"graded vector spaces equal: {str(verdict).lower()}"]
+    return {"polynomial": args.polynomial}, payload, render
 
 
 def _family_parameter(dim: Fraction, top: Fraction) -> int | None:
@@ -234,38 +253,41 @@ def _family_parameter(dim: Fraction, top: Fraction) -> int | None:
     return None
 
 
-def cmd_search(args) -> tuple[dict, dict, list[str]]:
+def cmd_search(args) -> _Report:
     dim = _parse_fraction(args.dim)
     top = _parse_fraction(args.top)
     _thread_count(args.threads)
     report_obj = search_weight_systems(dim, top, args.vars, denominator_bound=args.bound)
     payload = report_obj.to_json_dict()
-    lines = [f"target dimension: {_rat(dim)}",
-             f"target top degree: {_rat(top)}",
-             f"variables: {args.vars}",
-             f"denominator bound: {args.bound}",
-             f"status: {report_obj.status}"]
-    if args.vars == 2:
-        n = _family_parameter(dim, top)
-        if n is not None:
-            disc = discriminant_2var(n)
-            payload["discriminant"] = disc
-            lines.append(f"discriminant: {disc}")
+    n = _family_parameter(dim, top) if args.vars == 2 else None
+    if n is not None:
+        payload["discriminant"] = discriminant_2var(n)
     if args.vars == 3:
         boundary = discriminant_sign_boundary(dim, top, args.bound)
         payload["discriminant_nonnegative_up_to"] = (
             _rat(boundary) if boundary is not None else None)
-        lines.append("discriminant nonnegative for grid q3 up to: "
-                     + (_rat(boundary) if boundary is not None else "none"))
-    for ws in report_obj.solutions:
-        lines.append("solution: (" + ", ".join(_rat(q) for q in ws) + ")")
-    if not report_obj.solutions:
-        lines.append("solutions: none")
+
+    def render():
+        lines = [f"target dimension: {_rat(dim)}",
+                 f"target top degree: {_rat(top)}",
+                 f"variables: {args.vars}",
+                 f"denominator bound: {args.bound}",
+                 f"status: {report_obj.status}"]
+        if n is not None:
+            lines.append(f"discriminant: {payload['discriminant']}")
+        if args.vars == 3:
+            lines.append("discriminant nonnegative for grid q3 up to: "
+                         + (payload["discriminant_nonnegative_up_to"] or "none"))
+        for ws in report_obj.solutions:
+            lines.append("solution: (" + ", ".join(_rat(q) for q in ws) + ")")
+        if not report_obj.solutions:
+            lines.append("solutions: none")
+        return lines
     inputs = {"dim": args.dim, "top": args.top, "vars": args.vars, "bound": args.bound}
-    return inputs, payload, lines
+    return inputs, payload, render
 
 
-def cmd_paper_tables(args) -> tuple[dict, dict, list[str]]:
+def cmd_paper_tables(args) -> _Report:
     dims_rows = []
     for n in range(3, 13):
         dims_rows.append({"n": n, "dim": 2 * n - 2,
@@ -289,18 +311,21 @@ def cmd_paper_tables(args) -> tuple[dict, dict, list[str]]:
                "state_space_dimensions": dims_rows,
                "legend": {"X": "no weight system exists (exact)",
                           "X*": f"no weight system with denominators up to {args.bound}"}}
-    lines = ["nonexistence of candidate weight systems (rows n, columns m):",
-             "  n | m=1  m=2  m=3"]
-    for row in matrix_rows:
-        lines.append(f"  {row['n']:>2} | {row['m1']:<4} {row['m2']:<4} {row['m3']:<4}")
-    lines.append("X = impossible (exact); X* = impossible within denominator bound "
-                 f"{args.bound}")
-    lines.append("")
-    lines.append("state-space dimension and top degree for x^n + y^n + x^(n-1)*y with <J>:")
-    lines.append("  n | dim   top degree")
-    for row in dims_rows:
-        lines.append(f"  {row['n']:>2} | {row['dim']:<5} {row['top_degree']}")
-    return {"bound": args.bound}, payload, lines
+
+    def render():
+        lines = ["nonexistence of candidate weight systems (rows n, columns m):",
+                 "  n | m=1  m=2  m=3"]
+        for row in matrix_rows:
+            lines.append(f"  {row['n']:>2} | {row['m1']:<4} {row['m2']:<4} {row['m3']:<4}")
+        lines.append("X = impossible (exact); X* = impossible within denominator bound "
+                     f"{args.bound}")
+        lines.append("")
+        lines.append("state-space dimension and top degree for x^n + y^n + x^(n-1)*y with <J>:")
+        lines.append("  n | dim   top degree")
+        for row in dims_rows:
+            lines.append(f"  {row['n']:>2} | {row['dim']:<5} {row['top_degree']}")
+        return lines
+    return {"bound": args.bound}, payload, render
 
 
 # ---------------------------------------------------------------------------
@@ -385,19 +410,20 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        inputs, payload, lines = args.handler(args)
+        inputs, payload, render = args.handler(args)
+        if args.json:
+            report = {"command": args.command, "inputs": inputs, "payload": payload,
+                      "warnings": []}
+            output = json.dumps(report, sort_keys=True)
+        else:
+            output = "\n".join(render())
     except Exception as exc:  # noqa: BLE001 - mapped to documented exit codes
         for types, code in _EXIT_CODES:
             if isinstance(exc, types):
                 print(f"error: {exc}", file=sys.stderr)
                 return code
         raise
-    if args.json:
-        report = {"command": args.command, "inputs": inputs, "payload": payload,
-                  "warnings": []}
-        print(json.dumps(report, sort_keys=True))
-    else:
-        print("\n".join(lines))
+    print(output)
     return 0
 
 

@@ -1,3 +1,4 @@
+import importlib
 from fractions import Fraction as F
 
 import pytest
@@ -8,12 +9,14 @@ from lgmk import (
     GroupElement,
     GroupNotAdmissible,
     GroupNotSymmetry,
+    LgmkError,
     Monomial,
     WeightSystem,
     adegree,
     amodel,
     classify,
     gmax,
+    fixed_locus,
     group_weights_compare,
     is_admissible_group,
     parse_polynomial,
@@ -22,9 +25,13 @@ from lgmk import (
     subgroup_generated,
     subgroups_containing,
 )
-from lgmk.amodel import _restricted_milnor_basis
+from lgmk.amodel import _invariant_monomials, _restricted_milnor_basis
+from lgmk.mirror import mirror_sides
 
-from conftest import family_polynomial, j_group
+from conftest import INVERTIBLE_CORPUS_TEXTS, family_polynomial, j_group
+
+# the function lgmk.amodel shadows its module
+AMODEL = importlib.import_module("lgmk.amodel")
 
 
 def ge(*phases):
@@ -217,3 +224,66 @@ class TestGroupWeights:
             for i in range(len(polys)):
                 for j in range(i + 1, len(polys)):
                     assert group_weights_compare(polys[i], polys[j], group), (n, i, j)
+
+
+def groups_containing_j(poly):
+    j = GroupElement(tuple(classify(poly).weights))
+    return subgroups_containing(gmax(poly), [j])
+
+
+# every invertible corpus member and the family x^n + y^n + x^(n-1)*y
+ORACLE_TEXTS = INVERTIBLE_CORPUS_TEXTS + [f"x^{n} + y^{n} + x^{n - 1}*y" for n in range(3, 10)]
+
+
+class TestCharacterCount:
+    """The graded table comes from a character count per fixed locus; the
+    enumeration of invariant monomials is a second, independent route."""
+
+    @pytest.mark.parametrize("text", ORACLE_TEXTS)
+    def test_count_equals_enumeration_on_every_group_containing_j(self, text):
+        poly = parse_polynomial(text)
+        weights = classify(poly).weights
+        for group in groups_containing_j(poly):
+            model = amodel(poly, group)
+            assert set(model.locus_counts) == {fixed_locus(g) for g in group.elements}
+            generators = [group.vector(h) for h in group.generators]
+            for fix, count in model.locus_counts.items():
+                listed = _invariant_monomials(fix, generators, group.exponent, poly, weights)
+                assert count == len(listed), (text, str(group), sorted(fix))
+            assert model.graded == GradedDims.from_degrees(s.adegree for s in model.basis)
+
+    def test_graded_route_lists_no_milnor_basis(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a Milnor basis was listed")
+
+        monkeypatch.setattr(AMODEL, "standard_monomials", forbidden)
+        for text in INVERTIBLE_CORPUS_TEXTS:
+            poly = parse_polynomial(text)
+            _, a_side, b_side = mirror_sides(poly)
+            assert a_side == b_side, text
+            for group in groups_containing_j(poly):
+                model = amodel(poly, group)
+                assert model.graded.total_dim > 0
+            with pytest.raises(AssertionError, match="Milnor basis"):
+                model.basis
+
+    def test_short_enumeration_is_loud(self, monkeypatch):
+        listed = _invariant_monomials
+
+        def one_short(fix, *args):
+            found = listed(fix, *args)
+            return found[:-1] if len(fix) == 2 else found
+
+        monkeypatch.setattr(AMODEL, "_invariant_monomials", one_short)
+        model = amodel(family_polynomial(5), j_group(5))
+        assert model.graded.total_dim == 8
+        with pytest.raises(LgmkError, match="character count is 4"):
+            model.basis
+
+    def test_non_integral_character_sum_is_loud(self):
+        group = gmax(parse_polynomial("x^3 + y^3"))
+        assert group.order == len(group.vectors) == 9
+        # one element fewer than the order: the full locus averages to -1/9
+        group.__dict__["vectors"] = group.vectors[:-1]
+        with pytest.raises(LgmkError, match="not a nonnegative integer"):
+            amodel(parse_polynomial("x^3 + y^3"), group)

@@ -119,6 +119,14 @@ class TestMirrorCheck:
         report = run_json(capsys, "mirror-check", "x^5")
         assert report["payload"]["isomorphic"] is True
 
+    def test_json_renders_no_graded_text(self, capsys, monkeypatch):
+        def forbidden(self):
+            raise AssertionError("graded table rendered as text")
+
+        monkeypatch.setattr(lgmk.GradedDims, "__str__", forbidden)
+        report = run_json(capsys, "mirror-check", "x^3+x*y^2")
+        assert report["payload"]["isomorphic"] is True
+
     def test_noninvertible_exit_code(self, capsys):
         code, _, err = run(capsys, "mirror-check", "x^4+y^4+x^3*y")
         assert code == 5
