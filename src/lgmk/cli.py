@@ -2,13 +2,17 @@
 
 Exit codes: 0 success, 2 parse error or argument out of range, 3 polynomial
 not admissible, 4 group not admissible or not a symmetry group, 5 polynomial
-not invertible, 6 resource limit (S-pair budget, group order, grid) exceeded.
+not invertible, 6 resource limit (S-pair budget, group order, grid) exceeded,
+141 standard output closed before the report was written (as in
+`lgmk ... | head -1`; 128 + SIGPIPE, the status a shell gives a process
+that signal ends).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections.abc import Callable
 from fractions import Fraction
@@ -398,6 +402,7 @@ _EXIT_CODES = (
     (NotInvertible, 5),
     (ResourceLimitExceeded, 6),
 )
+EXIT_PIPE_CLOSED = 141
 
 
 @cache
@@ -423,7 +428,14 @@ def main(argv=None) -> int:
                 print(f"error: {exc}", file=sys.stderr)
                 return code
         raise
-    print(output)
+    try:
+        print(output)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away; with stdout on devnull the interpreter's
+        # flush at shutdown drops the rest of the report quietly too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE_CLOSED
     return 0
 
 

@@ -40,17 +40,22 @@ staircase under the leading terms, one variable at a time.
 from __future__ import annotations
 
 import heapq
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import mul
 
-from .errors import InvalidArgument, NotFiniteDimensional, ResourceLimitExceeded
-from .polycore import Exps, Monomial, Polynomial, WeightSystem, _monomial
+from .errors import NotFiniteDimensional, ResourceLimitExceeded
+from .polycore import (
+    PAIR_BUDGET_ENV,
+    Exps,
+    Monomial,
+    Polynomial,
+    WeightSystem,
+    _monomial,
+    _pair_budget,
+)
 
-DEFAULT_PAIR_BUDGET = 10**6
-PAIR_BUDGET_ENV = "LGMK_PAIR_BUDGET"
 # most exponent tuples standard_monomials may enumerate: the product of the
 # least pure-power exponents, one per variable
 STANDARD_MONOMIAL_BOX_LIMIT = 10**7
@@ -254,19 +259,6 @@ def _minimal_leads(leads: list[int], packing: _Packing) -> list[int]:
         if not any(packing.divides(other, lead) for other in kept):
             kept.append(lead)
     return kept
-
-
-def _pair_budget(explicit: int | None) -> int:
-    raw = explicit if explicit is not None else os.environ.get(PAIR_BUDGET_ENV)
-    if raw is None:
-        return DEFAULT_PAIR_BUDGET
-    try:
-        budget = int(raw)
-    except ValueError:
-        raise InvalidArgument(f"{PAIR_BUDGET_ENV} must be an integer, got {raw!r}") from None
-    if budget < 0:
-        raise InvalidArgument(f"S-pair budget must not be negative, got {budget}")
-    return budget
 
 
 def staircase(gens: list[Polynomial], order: MonomialOrder,

@@ -7,7 +7,9 @@ leading terms, which decide both whether the Milnor ring is finite
 dimensional and which monomials form its basis; no consumer needs more.
 The staircase is memoized per (polynomial, weights, S-pair budget), so
 `classify`, `bmodel`, the A-model's fixed loci and the mirror checks share
-one kernel run per polynomial and locus without passing it around.
+one kernel run per polynomial and locus without passing it around.  The
+weights come from `classify`, whose verdict polycore memoizes too, so
+`bmodel` and `is_nondegenerate` solve no weights of their own.
 `classify` reads only the verdict; the monomials are enumerated, under the
 box limit of `standard_monomials`, only by the consumers that print or
 count them.  Both graded sides count degrees as integer numerators over
@@ -30,8 +32,15 @@ from operator import mul
 from typing import Iterable, Mapping
 
 from .errors import LgmkError
-from .groebner import MonomialOrder, Staircase, _pair_budget, staircase, standard_monomials
-from .polycore import Monomial, Polynomial, WeightSystem, classify, require_admissible
+from .groebner import MonomialOrder, Staircase, staircase, standard_monomials
+from .polycore import (
+    Monomial,
+    Polynomial,
+    WeightSystem,
+    _pair_budget,
+    classify,
+    require_admissible,
+)
 
 
 @dataclass(frozen=True)

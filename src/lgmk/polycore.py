@@ -6,22 +6,34 @@ coefficients dropped, and terms sorted descending under the canonical
 monomial order (lexicographic on exponent vectors).  All coefficients are
 `fractions.Fraction`, so equality tests throughout the toolkit are exact.
 
+Weights are solved in integers: Gauss-Jordan elimination on primitive
+integer rows, with one `Fraction` per weight at the end.
+
 This is the bottom layer.  Only `classify` reaches upward, into milnor, for
 the Jacobian staircase that proves nondegeneracy.  It reads only the
 verdict; milnor memoizes the staircase, so callers that need its monomials
-get them without a second Buchberger run.
+get them without a second Buchberger run.  `classify` is the one analysis
+of a polynomial: its verdict, weights included, is memoized per
+(polynomial, S-pair budget), so `require_admissible`, the transpose,
+`bmodel`, `amodel` and `is_nondegenerate` all read one weight solve.  The
+S-pair budget is read here, below the Groebner kernel, because it keys
+that memo.
 """
 
 from __future__ import annotations
 
+import os
 import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd
 from typing import Iterable, Iterator, Mapping
 
 from .errors import (
     EmptyPolynomialError,
+    InvalidArgument,
     NonPositiveWeight,
     NonUniqueWeights,
     NotAdmissibleError,
@@ -33,6 +45,25 @@ from .errors import (
 )
 
 Exps = tuple[int, ...]
+
+DEFAULT_PAIR_BUDGET = 10**6
+PAIR_BUDGET_ENV = "LGMK_PAIR_BUDGET"
+
+
+def _pair_budget(explicit: int | None) -> int:
+    """The S-pair budget of the Groebner kernel: explicit, else the
+    LGMK_PAIR_BUDGET environment variable, else DEFAULT_PAIR_BUDGET.  Read
+    here, in the bottom layer, because `classify` keys its memo by it."""
+    raw = explicit if explicit is not None else os.environ.get(PAIR_BUDGET_ENV)
+    if raw is None:
+        return DEFAULT_PAIR_BUDGET
+    try:
+        budget = int(raw)
+    except ValueError:
+        raise InvalidArgument(f"{PAIR_BUDGET_ENV} must be an integer, got {raw!r}") from None
+    if budget < 0:
+        raise InvalidArgument(f"S-pair budget must not be negative, got {budget}")
+    return budget
 
 
 @dataclass(frozen=True)
@@ -343,38 +374,41 @@ def _has_cross_term(matrix: ExponentMatrix) -> bool:
 def solve_weights(matrix: ExponentMatrix) -> WeightSystem:
     """Solve A.q = (1,...,1) exactly over Q.
 
-    Raises NonUniqueWeights when rank(A) < n, NotQuasihomogeneous when the
-    system is inconsistent, NonPositiveWeight when some q_i <= 0, and
-    WeightBoundViolated when some q_i > 1/2 although no cross-term x_i*x_j
-    is present.
+    Raises NotQuasihomogeneous when the system is inconsistent, else
+    NonUniqueWeights when rank(A) < n, NonPositiveWeight when some
+    q_i <= 0, and WeightBoundViolated when some q_i > 1/2 although no
+    cross-term x_i*x_j is present.
+
+    Gauss-Jordan elimination runs on primitive integer rows of (A | 1): a
+    row is cleared at a pivot column by cross-multiplying with the pivot
+    row, then divided by its content.  When every column has a pivot, row i
+    pivots on column i and reads a_i*q_i = b_i, and q_i = b_i/a_i is the
+    only `Fraction` built.
     """
     m, n = matrix.m, matrix.n
-    aug = [[Fraction(e) for e in row] + [Fraction(1)] for row in matrix.rows]
-    pivot_cols: list[int] = []
-    row = 0
+    rows = [list(row) + [1] for row in matrix.rows]
+    top = 0
     for col in range(n):
-        pivot = next((r for r in range(row, m) if aug[r][col] != 0), None)
+        pivot = next((r for r in range(top, m) if rows[r][col]), None)
         if pivot is None:
             continue
-        aug[row], aug[pivot] = aug[pivot], aug[row]
-        lead = aug[row][col]
-        aug[row] = [v / lead for v in aug[row]]
+        rows[top], rows[pivot] = rows[pivot], rows[top]
+        lead_row = rows[top]
+        lead = lead_row[col]
         for r in range(m):
-            if r != row and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[row])]
-        pivot_cols.append(col)
-        row += 1
-        if row == m:
+            c = rows[r][col]
+            if c and r != top:
+                cleared = [lead * a - c * b for a, b in zip(rows[r], lead_row)]
+                content = gcd(*cleared)
+                rows[r] = [a // content for a in cleared] if content > 1 else cleared
+        top += 1
+        if top == m:
             break
-    for r in range(row, m):
-        if aug[r][n] != 0:
-            raise NotQuasihomogeneous("A.q = 1 has no solution")
-    if len(pivot_cols) < n:
+    if any(rows[r][n] for r in range(top, m)):
+        raise NotQuasihomogeneous("A.q = 1 has no solution")
+    if top < n:
         raise NonUniqueWeights("weights are not unique (rank(A) < n)")
-    q = [Fraction(0)] * n
-    for r, col in enumerate(pivot_cols):
-        q[col] = aug[r][n]
+    q = [Fraction(row[n], row[i]) for i, row in enumerate(rows[:n])]
     if any(v <= 0 for v in q):
         raise NonPositiveWeight(f"solved weights {tuple(map(str, q))} are not all positive")
     if not _has_cross_term(matrix) and any(v > Fraction(1, 2) for v in q):
@@ -412,7 +446,16 @@ def classify(poly: Polynomial) -> Classification:
 
     The verdict depends only on the exponent matrix: coefficients never enter
     the weight solve, and nondegeneracy is checked on the polynomial as given.
+    Verdicts are memoized; the S-pair budget is part of the key, so a cached
+    verdict never hides a budget that is invalid or too small.
     """
+    return _memoized_classify(poly, _pair_budget(None))
+
+
+# a mirror check classifies W and W^T; the support enumeration one candidate
+# at a time, so a few dozen entries serve every caller
+@lru_cache(maxsize=64)
+def _memoized_classify(poly: Polynomial, pair_budget: int) -> Classification:
     try:
         weights = solve_weights(exponent_matrix(poly))
     except WeightError as exc:

@@ -241,6 +241,12 @@ class SymmetryGroup:
         scale = exponent // self.exponent
         return [[scale * a for a in row] for row in self.basis]
 
+    def _scaled_vectors(self, exponent: int) -> list[tuple[int, ...]]:
+        """This group's sorted vectors at a multiple of its exponent; they
+        compare like the phases they stand for."""
+        scale = exponent // self.exponent
+        return [tuple(scale * a for a in v) for v in self.vectors]
+
     def is_subgroup_of(self, other: "SymmetryGroup") -> bool:
         if self.ambient != other.ambient or other.exponent % self.exponent:
             return False
@@ -520,18 +526,26 @@ def subgroups_containing(group: SymmetryGroup,
     """Every subgroup of the group that contains all the seed elements.
 
     Subgroups are found by adjoining one element at a time to those already
-    found; a lattice is known by its exponent and Hermite basis."""
+    found, one element per coset, since the elements of a coset of a found
+    subgroup all adjoin the same one; membership is tested on the integer
+    vectors at the group's exponent.  A lattice is known by its exponent and
+    Hermite basis."""
     base = subgroup_generated(list(seed), group.ambient)
     if not base.is_subgroup_of(group):
         raise ValueError("seed elements do not lie in the group")
     seen = {(base.exponent, base.basis)}
     queue = [base]
     out = [base]
+    exponent = group.exponent
     while queue:
         current = queue.pop()
-        for x in group.elements:
-            if x in current:
+        members = current._scaled_vectors(exponent)
+        covered = set(members)
+        for x, v in zip(group.elements, group.vectors):
+            if v in covered:
                 continue
+            # every element of the coset v + current adjoins the same subgroup
+            covered.update(tuple([(a + b) % exponent for a, b in zip(v, c)]) for c in members)
             extended = subgroup_generated(list(current.generators) + [x],
                                           group.ambient)
             key = (extended.exponent, extended.basis)
@@ -539,5 +553,5 @@ def subgroups_containing(group: SymmetryGroup,
                 seen.add(key)
                 queue.append(extended)
                 out.append(extended)
-    out.sort(key=lambda s: (s.order, s.elements))
+    out.sort(key=lambda s: (s.order, s._scaled_vectors(exponent)))
     return out

@@ -8,7 +8,7 @@ import pytest
 
 import lgmk
 from lgmk import mirror
-from lgmk.cli import main
+from lgmk.cli import EXIT_PIPE_CLOSED, main
 
 
 def run(capsys, *argv):
@@ -344,13 +344,39 @@ class TestDeterminism:
         assert len(outputs) == 1
 
 
+def _lgmk_env() -> dict:
+    # the directory lgmk was imported from, src/ in a checkout
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(lgmk.__file__)))
+    return dict(os.environ, PYTHONPATH=src_dir)
+
+
+def _lgmk_process(*argv) -> subprocess.Popen:
+    return subprocess.Popen([sys.executable, "-m", "lgmk", *argv], env=_lgmk_env(),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m_runs_the_cli(self, capsys):
-        # the directory lgmk was imported from, src/ in a checkout
-        src_dir = os.path.dirname(os.path.dirname(os.path.abspath(lgmk.__file__)))
-        env = dict(os.environ, PYTHONPATH=src_dir)
         done = subprocess.run([sys.executable, "-m", "lgmk", "bmodel", "x^9", "--json"],
-                              capture_output=True, text=True, env=env, timeout=60)
+                              capture_output=True, text=True, env=_lgmk_env(), timeout=60)
         code, out, err = run(capsys, "bmodel", "x^9", "--json")
         assert (done.returncode, done.stdout, done.stderr) == (code, out, err) == (0, out, "")
         assert json.loads(done.stdout)["payload"]["dimension"] == 8
+
+    def test_reader_gone_before_any_output(self):
+        with _lgmk_process("weights", "x^3 + y^3") as proc:
+            proc.stdout.close()
+            stderr = proc.stderr.read()
+            proc.wait(timeout=60)
+        assert (proc.returncode, stderr) == (EXIT_PIPE_CLOSED, b"")
+
+    def test_reader_gone_after_the_first_line(self):
+        # as `lgmk amodel ... | head -1`: the report, about 96 kB, is more
+        # than the pipe holds, so the write fails once the reader is gone
+        with _lgmk_process("amodel", "x^8+y^8+z^8+w^8", "max") as proc:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            stderr = proc.stderr.read()
+            proc.wait(timeout=60)
+        assert first == b"polynomial: x^8 + y^8 + z^8 + w^8\n"
+        assert (proc.returncode, stderr) == (EXIT_PIPE_CLOSED, b"")

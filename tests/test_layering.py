@@ -1,12 +1,15 @@
 """Module layering and reuse of the Jacobian staircase.
 
 The modules import one another at module level, in layer order; the single
-exception is `polycore.classify`, which reaches up into milnor for the
-staircase that proves nondegeneracy.  The Groebner kernel `staircase` is the
-engine's only product, and `milnor.jacobian_staircase` memoizes it per
-(polynomial, weights, S-pair budget), so starting from an empty memo a call
-runs the kernel once per distinct polynomial it classifies and once per
-distinct proper, nonempty fixed locus of its groups.  Within one run, the
+exception is `polycore._memoized_classify`, the memoized body of `classify`,
+which reaches up into milnor for the staircase that proves nondegeneracy.
+`classify` memoizes its verdict per (polynomial, S-pair budget), so starting
+from empty memos the weights of each distinct polynomial are solved once.
+The Groebner kernel `staircase` is the engine's only product, and
+`milnor.jacobian_staircase` memoizes it per (polynomial, weights, S-pair
+budget), so starting from empty memos a call runs the kernel once per
+distinct polynomial it classifies and once per distinct proper, nonempty
+fixed locus of its groups.  Within one run, the
 kernel packs each input exponent tuple into an integer once and never calls
 `MonomialOrder.key`, and divides in primitive integer coefficients only.  A
 group lists its elements only when `elements` or `vectors` is first read, so
@@ -73,29 +76,43 @@ def _intra_package_imports_in_functions():
 
 class TestLayering:
     def test_only_classify_defers_an_import(self):
-        assert _intra_package_imports_in_functions() == {("polycore", "classify", "milnor")}
+        assert _intra_package_imports_in_functions() == {
+            ("polycore", "_memoized_classify", "milnor")}
 
     def test_transpose_lives_in_polycore(self):
         assert mirror.transpose_polynomial is polycore.transpose_polynomial
         assert lgmk.transpose_polynomial is polycore.transpose_polynomial
 
 
-@pytest.fixture
-def buchberger_runs(monkeypatch):
-    """Every run of the `staircase` kernel, wherever in the package it is
-    called from, starting from an empty memo."""
+def _count_calls(monkeypatch, module, name):
+    """Wrap module.name wherever in the package it is bound, starting from
+    empty memos; returns the list of first arguments it is called with."""
+    polycore._memoized_classify.cache_clear()
     milnor._memoized_staircase.cache_clear()
     runs = []
-    original = groebner.staircase
+    original = getattr(module, name)
 
     def counted(*args, **kwargs):
         runs.append(args[0])
         return original(*args, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "lgmk" and vars(module).get("staircase") is original:
-            monkeypatch.setattr(module, "staircase", counted)
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "lgmk" and vars(mod).get(name) is original:
+            monkeypatch.setattr(mod, name, counted)
     return runs
+
+
+@pytest.fixture
+def buchberger_runs(monkeypatch):
+    """Every run of the `staircase` kernel, wherever in the package it is
+    called from, starting from empty memos."""
+    return _count_calls(monkeypatch, groebner, "staircase")
+
+
+@pytest.fixture
+def weight_solves(monkeypatch):
+    """Every call of `solve_weights`, starting from empty memos."""
+    return _count_calls(monkeypatch, polycore, "solve_weights")
 
 
 def _proper_loci(group):
@@ -148,9 +165,45 @@ class TestOneJacobianBasis:
         assert len(buchberger_runs) == 1 + _proper_loci(ambient) == 7
 
 
+FERMAT = "x^3 + y^3 + z^3"
+
+
+class TestOneWeightSolve:
+    def test_orbifold_loop_solves_once(self, weight_solves):
+        poly = parse_polynomial(FERMAT)
+        ambient = gmax(poly)
+        j = GroupElement(tuple(polycore.classify(poly).weights))
+        groups = subgroups_containing(ambient, [j])
+        assert len(groups) == 6
+        for group in groups:
+            transpose_group(group, poly)
+            lgmk.amodel(poly, group).basis
+        assert len(weight_solves) == 1
+
+    def test_weights_command_solves_once(self, weight_solves, capsys):
+        assert cli.main(["weights", CHAIN]) == 0
+        assert len(weight_solves) == 1
+
+    def test_mirror_check_solves_each_side_once(self, weight_solves):
+        assert mirror_check(parse_polynomial(CHAIN))
+        # W and W^T; the restricted loci take their weights from W's
+        assert len(weight_solves) == 2
+
+
 class TestMemo:
     def test_memo_is_bounded(self):
         assert milnor._memoized_staircase.cache_info().maxsize is not None
+        assert polycore._memoized_classify.cache_info().maxsize is not None
+
+    def test_warm_verdict_does_not_bypass_the_budget(self, monkeypatch):
+        poly = parse_polynomial("x^4 + y^4 + x^3*y")
+        assert polycore.classify(poly).is_admissible
+        monkeypatch.setenv("LGMK_PAIR_BUDGET", "0")
+        with pytest.raises(ResourceLimitExceeded):
+            polycore.classify(poly)
+        monkeypatch.setenv("LGMK_PAIR_BUDGET", "abc")
+        with pytest.raises(InvalidArgument):
+            polycore.classify(poly)
 
     def test_warm_memo_does_not_bypass_the_budget(self, monkeypatch):
         poly = parse_polynomial("x^4 + y^4 + x^3*y")
@@ -228,9 +281,6 @@ def listings(monkeypatch):
 
     monkeypatch.setattr(symmetry, "_sorted_vectors", counted)
     return calls
-
-
-FERMAT = "x^3 + y^3 + z^3"
 
 
 class TestLazyElements:

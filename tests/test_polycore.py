@@ -1,7 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lgmk import (
@@ -16,6 +16,8 @@ from lgmk import (
     Polynomial,
     PolynomialClass,
     WeightBoundViolated,
+    WeightError,
+    WeightSystem,
     classify,
     exponent_matrix,
     parse_polynomial,
@@ -169,6 +171,125 @@ class TestSolveWeights:
     def test_cross_term_lifts_bound(self):
         q = solve_weights(ExponentMatrix(((3, 0), (1, 1))))
         assert tuple(q) == (F(1, 3), F(2, 3))
+
+
+# The Fraction Gauss-Jordan solve that the integer elimination replaced,
+# kept verbatim as the oracle for it
+def oracle_has_cross_term(matrix: ExponentMatrix) -> bool:
+    for row in matrix.rows:
+        nonzero = [e for e in row if e]
+        if len(nonzero) == 2 and nonzero == [1, 1]:
+            return True
+    return False
+
+
+def oracle_solve_weights(matrix: ExponentMatrix) -> WeightSystem:
+    m, n = matrix.m, matrix.n
+    aug = [[F(e) for e in row] + [F(1)] for row in matrix.rows]
+    pivot_cols: list[int] = []
+    row = 0
+    for col in range(n):
+        pivot = next((r for r in range(row, m) if aug[r][col] != 0), None)
+        if pivot is None:
+            continue
+        aug[row], aug[pivot] = aug[pivot], aug[row]
+        lead = aug[row][col]
+        aug[row] = [v / lead for v in aug[row]]
+        for r in range(m):
+            if r != row and aug[r][col] != 0:
+                factor = aug[r][col]
+                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[row])]
+        pivot_cols.append(col)
+        row += 1
+        if row == m:
+            break
+    for r in range(row, m):
+        if aug[r][n] != 0:
+            raise NotQuasihomogeneous("A.q = 1 has no solution")
+    if len(pivot_cols) < n:
+        raise NonUniqueWeights("weights are not unique (rank(A) < n)")
+    q = [F(0)] * n
+    for r, col in enumerate(pivot_cols):
+        q[col] = aug[r][n]
+    if any(v <= 0 for v in q):
+        raise NonPositiveWeight(f"solved weights {tuple(map(str, q))} are not all positive")
+    if not oracle_has_cross_term(matrix) and any(v > F(1, 2) for v in q):
+        raise WeightBoundViolated(
+            f"weights {tuple(map(str, q))} exceed 1/2 with no cross-term present")
+    return WeightSystem(tuple(q))
+
+
+def _outcome(solve, matrix):
+    try:
+        return solve(matrix)
+    except WeightError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def exponent_matrices(draw):
+    """Matrices in 1-4 variables, random with n or n + 1 rows or chain-like
+    and square, kept as drawn or changed by a row that makes them
+    inconsistent (a multiple or a sum of rows) or rank deficient (a row
+    dropped), or that adds a pure variable (weight 1, above 1/2) or a
+    cross-term."""
+    n = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        row = st.lists(st.integers(0, 6), min_size=n, max_size=n).filter(any)
+        rows = draw(st.lists(row, min_size=n, max_size=n + 1))
+    else:
+        # chain-like: x_i^a_i * x_(i+1)^b_i, with a_i = 1 giving weights above 1/2
+        rows = [[draw(st.integers(1, 6)) if k == r else
+                 draw(st.integers(0, 1)) if k == r + 1 else 0 for k in range(n)]
+                for r in range(n)]
+    grow = draw(st.sampled_from(["none", "multiple", "sum", "drop", "pure", "cross"]))
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    if grow == "multiple":
+        rows.append([draw(st.integers(2, 3)) * e for e in rows[0]])
+    elif grow == "sum":
+        rows.append([a + b for a, b in zip(rows[0], rows[-1])])
+    elif grow == "drop" and len(rows) > 1:
+        rows.pop()
+    elif grow == "pure":
+        rows.append([int(k == i) for k in range(n)])
+    elif grow == "cross" and i != j:
+        rows.append([int(k in (i, j)) for k in range(n)])
+    return ExponentMatrix(tuple(map(tuple, rows)))
+
+
+# one matrix per outcome: weights, and each error class
+ORACLE_CASES = [
+    ((4, 0), (0, 4), (3, 1)),        # weights (1/4, 1/4)
+    ((3, 0, 0), (1, 2, 0), (0, 1, 2)),  # a chain
+    ((2,), (3,)),                    # NotQuasihomogeneous
+    ((2, 1, 0), (4, 2, 0), (0, 0, 3)),  # a doubled row: NotQuasihomogeneous
+    ((2, 1),),                       # NonUniqueWeights
+    ((1, 1, 0, 0), (0, 0, 2, 2)),    # NonUniqueWeights
+    ((3, 1), (0, 1)),                # NonPositiveWeight
+    ((1, 0), (0, 3)),                # WeightBoundViolated
+    ((3, 0), (1, 1)),                # a cross-term lifts the bound
+]
+
+
+class TestSolveWeightsOracle:
+    @pytest.mark.parametrize("rows", ORACLE_CASES)
+    def test_each_outcome_matches_the_fraction_solve(self, rows):
+        matrix = ExponentMatrix(rows)
+        assert _outcome(solve_weights, matrix) == _outcome(oracle_solve_weights, matrix)
+
+    def test_the_cases_reach_every_outcome(self):
+        kinds = set()
+        for rows in ORACLE_CASES:
+            outcome = _outcome(solve_weights, ExponentMatrix(rows))
+            kinds.add(outcome[0] if isinstance(outcome, tuple) else WeightSystem)
+        assert kinds == {WeightSystem, NotQuasihomogeneous, NonUniqueWeights,
+                         NonPositiveWeight, WeightBoundViolated}
+
+    @settings(max_examples=400, deadline=None)
+    @given(exponent_matrices())
+    @example(ExponentMatrix(((5, 0, 0, 0), (1, 4, 0, 0), (0, 1, 4, 0), (0, 0, 1, 4))))
+    def test_integer_solve_matches_the_fraction_solve(self, matrix):
+        assert _outcome(solve_weights, matrix) == _outcome(oracle_solve_weights, matrix)
 
 
 class TestClassify:
