@@ -133,10 +133,11 @@ def cmd_gmax(args) -> _Report:
     poly = parse_polynomial(args.polynomial)
     require_admissible(poly)
     group = gmax(poly)
+    factors = group.invariant_factors()
     payload = {
         "polynomial": str(poly),
         "order": group.order,
-        "invariant_factors": list(group.snf_diagonal or ()),
+        "invariant_factors": [1] * (group.ambient - len(factors)) + list(factors),
         "generators": [[_rat(p) for p in g.phases] for g in group.generators],
     }
     if args.elements:

@@ -248,19 +248,19 @@ def _farey_grid(lo: Fraction, hi: Fraction, max_denominator: int):
 
     This is a stretch of the Farey sequence of that order: from consecutive
     terms a/b < c/d the next is (k c - a)/(k d - b) with
-    k = (max_denominator + b) // d.  The walk starts at the least term
-    x = c/d >= lo, found by one pass over the denominators, and at its
-    predecessor a/b, the one with c b - a d = 1 and b <= max_denominator
-    largest."""
+    k = (max_denominator + b) // d.  The walk starts from a/b, the largest
+    term in [0, lo) (0/1 when lo <= 0): its integer part f is read off lo,
+    since the terms in [f, f + 1) are f plus those in [0, 1), and the rest
+    is one Stern-Brocot descent.  The least term c/d >= lo is its successor,
+    the one with c b - a d = 1 and d <= max_denominator largest."""
     bound = max_denominator
-    c, d = 1, 0  # 1/0 lies above every candidate
-    for den in range(1, bound + 1):
-        num = max(-(-lo.numerator * den // lo.denominator), 1)
-        if num * d < c * den:
-            c, d = num, den
-    b = pow(c, -1, d)
-    b += (bound - b) // d * d
-    a = (c * b - 1) // d
+    f = max(-(-lo.numerator // lo.denominator) - 1, 0)
+    r = lo - f
+    n, b = _grid_floor(lambda n, k: n * r.denominator < r.numerator * k, bound)
+    a = f * b + n
+    d = -pow(a, -1, b) % b
+    d += (bound - d) // b * b
+    c = (a * d + 1) // b
     while c * hi.denominator <= hi.numerator * d:
         yield c, d
         k = (bound + b) // d
@@ -450,7 +450,8 @@ def _sturm_roots(poly: list[int], lo: tuple[int, int],
 
 def _grid_floor(at_most, bound: int) -> tuple[int, int]:
     """The largest n/k with 1 <= k <= bound and at_most(n, k), for a
-    predicate n/k <= r with 0 < r < 1; (0, 1) when no positive n/k qualifies.
+    predicate n/k <= r with r < 1 or n/k < r with r <= 1; (0, 1) when no
+    positive n/k qualifies.
 
     One Stern-Brocot descent: lo = ln/lk <= r < hi = hn/hk, and each run of
     equal steps towards r is found by doubling and bisection, so the

@@ -5,8 +5,9 @@ into [0, 1).  A group G of exponent N is kept as the integer lattice
 L = {v in Z^n : v/N in G}, which satisfies N*Z^n <= L <= Z^n, through the
 Hermite normal form of a basis of L.  Order, membership, containment,
 invariant factors and quotients are integer linear algebra on that basis.
-The sorted element list is read off the triangular basis in increasing
-order on first use, for groups of order up to GROUP_ORDER_LIMIT.
+Every other computation reads the sorted vectors v, listed on first use for
+groups of order up to GROUP_ORDER_LIMIT; phase elements are built only for
+generators and for output.
 
 Gmax and the transpose group are both read off one Smith form, of a matrix
 R of relations: the group {g : R.g integral}.  R is the exponent matrix A
@@ -206,7 +207,6 @@ class SymmetryGroup:
     generators: tuple[GroupElement, ...]
     exponent: int = field(compare=False)
     basis: tuple[tuple[int, ...], ...] = field(compare=False)
-    snf_diagonal: tuple[int, ...] | None = field(default=None, compare=False)
 
     @cached_property
     def vectors(self) -> tuple[tuple[int, ...], ...]:
@@ -278,21 +278,26 @@ def subgroup_generated(gens: list[GroupElement], ambient: int) -> SymmetryGroup:
     return SymmetryGroup(ambient, tuple(gens), exponent, basis)
 
 
-def group_from_elements(elements, ambient: int) -> SymmetryGroup:
-    """Group from a complete element list, with a small generating set.
-
-    Generators are chosen greedily: elements by descending order, then
-    ascending, each kept when the ones before it do not generate it."""
-    elems = sorted(set(elements)) or [GroupElement.identity(ambient)]
-    exponent = lcm(*(e.order() for e in elems))
+def _greedy_group(vectors, exponent: int, ambient: int) -> SymmetryGroup:
+    """Group of the ascending vectors v (elements v/exponent), generated greedily:
+    by descending element order exponent/gcd(exponent, *v), ties ascending,
+    each v kept when the ones before it do not generate it."""
     basis = _hermite_basis((), exponent, ambient)
     gens = []
-    for e in sorted(elems, key=lambda g: (-g.order(), g)):
-        v = _numerators(e, exponent)
+    for v in sorted(vectors, key=lambda v: gcd(exponent, *v)):
         if _coordinates(v, basis) is None:
-            gens.append(e)
+            gens.append(GroupElement(tuple(Fraction(a, exponent) for a in v)))
             basis = _hermite_basis(basis + (v,), exponent, ambient)
-    group = SymmetryGroup(ambient, tuple(gens), exponent, basis)
+    return subgroup_generated(gens, ambient)
+
+
+def group_from_elements(elements, ambient: int) -> SymmetryGroup:
+    """Group from a complete element list, with the generators of _greedy_group."""
+    elems = sorted(set(elements)) or [GroupElement.identity(ambient)]
+    if any(len(e) != ambient for e in elems):
+        raise ValueError("element length does not match ambient dimension")
+    exponent = lcm(*(e.order() for e in elems))
+    group = _greedy_group([_numerators(e, exponent) for e in elems], exponent, ambient)
     if group.order != len(elems):
         raise ValueError("element list is not closed under addition")
     return group
@@ -413,8 +418,7 @@ def _relation_group(relations) -> SymmetryGroup:
                 tuple(Fraction(v[row][i], diag[i]) for row in range(n))))
     exponent = lcm(*diag)
     columns = [[v[row][i] * (exponent // diag[i]) for row in range(n)] for i in range(n)]
-    group = SymmetryGroup(n, tuple(generators), exponent,
-                          _hermite_basis(columns, exponent, n), snf_diagonal=tuple(diag))
+    group = SymmetryGroup(n, tuple(generators), exponent, _hermite_basis(columns, exponent, n))
     if group.order != prod(diag):
         raise AssertionError("Smith normal form produced a defective group")
     return group
@@ -436,8 +440,8 @@ def gmax_bruteforce(poly: Polynomial, denominator_bound: int) -> SymmetryGroup:
     for ks in product(range(b), repeat=n):
         if all(sum(row[j] * ks[j] for j in range(n)) % b == 0
                for row in matrix.rows):
-            found.append(GroupElement(tuple(Fraction(k, b) for k in ks)))
-    return group_from_elements(found, n)
+            found.append(ks)
+    return _greedy_group(found, b, n)
 
 
 def is_admissible_group(group: SymmetryGroup, weights: WeightSystem) -> bool:
@@ -449,9 +453,8 @@ def is_admissible_group(group: SymmetryGroup, weights: WeightSystem) -> bool:
 
 def sl_subgroup(group: SymmetryGroup) -> SymmetryGroup:
     """Subgroup of elements whose phases sum to an integer (determinant one)."""
-    kept = [g for g, v in zip(group.elements, group.vectors)
-            if sum(v) % group.exponent == 0]
-    return group_from_elements(kept, group.ambient)
+    kept = [v for v in group.vectors if sum(v) % group.exponent == 0]
+    return _greedy_group(kept, group.exponent, group.ambient)
 
 
 def fixed_locus(element: GroupElement) -> frozenset[int]:
@@ -473,8 +476,8 @@ def transpose_group(group: SymmetryGroup, poly: Polynomial) -> SymmetryGroup:
     images = [[sum(a * b for a, b in zip(row, group.vector(h))) // group.exponent
                for row in matrix.rows] for h in group.generators]
     dual = _relation_group(matrix.transpose().rows + tuple(images))
-    # groups compare by their generators, so pick them greedily from the elements
-    return group_from_elements(dual.elements, group.ambient)
+    # groups compare by their generators, so pick them greedily from the vectors
+    return _greedy_group(dual.vectors, dual.exponent, group.ambient)
 
 
 def gmax_fermat_plus_monomial(p: int, q: int, r: int, s: int) -> SymmetryGroup:
@@ -541,11 +544,12 @@ def subgroups_containing(group: SymmetryGroup,
         current = queue.pop()
         members = current._scaled_vectors(exponent)
         covered = set(members)
-        for x, v in zip(group.elements, group.vectors):
+        for v in group.vectors:
             if v in covered:
                 continue
             # every element of the coset v + current adjoins the same subgroup
             covered.update(tuple([(a + b) % exponent for a, b in zip(v, c)]) for c in members)
+            x = GroupElement(tuple(Fraction(a, exponent) for a in v))
             extended = subgroup_generated(list(current.generators) + [x],
                                           group.ambient)
             key = (extended.exponent, extended.basis)

@@ -225,6 +225,13 @@ class TestGridLimit:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert run_json(capsys, "search", "8", "12/5", "3", "--bound", "20") == three
 
+    def test_huge_bound_exits_6_without_walking_the_denominators(self, capsys):
+        begin = time.perf_counter()
+        code, out, err = run(capsys, "search", "8", "12/5", "4", "--bound", str(10**12))
+        assert time.perf_counter() - begin < 10
+        assert (code, out) == (6, "")
+        assert "exceeds 100000 points" in err
+
 
 class TestTailLimit:
     def assert_exit_6(self, capsys, *argv):

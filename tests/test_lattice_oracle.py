@@ -12,6 +12,7 @@ with equal hashes, exactly when their generators and elements are.
 """
 
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -190,8 +191,13 @@ def pair(group):
     return group.generators, group.elements
 
 
-def check_group(group, ambient):
-    """Everything the lattice group derives from itself matches the oracle."""
+def assert_minimal_exponent(group):
+    assert group.exponent == lcm(*(e.order() for e in group.elements))
+
+
+def check_group(group, ambient, poly=None):
+    """Everything the lattice group derives from itself matches the oracle;
+    the groups it derives have the least exponent."""
     elements = closure(group.generators, ambient)
     assert group.elements == elements
     assert group.order == len(elements)
@@ -199,6 +205,10 @@ def check_group(group, ambient):
     assert pair(group_from_elements(elements, ambient)) == from_elements(elements, ambient)
     assert pair(sl_subgroup(group)) == sl_part(elements, ambient)
     assert all(e in group for e in elements)
+    assert_minimal_exponent(group_from_elements(elements, ambient))
+    assert_minimal_exponent(sl_subgroup(group))
+    if poly is not None:
+        assert_minimal_exponent(transpose_group(group, poly))
 
 
 def check_subgroups(group, seed, ambient):
@@ -264,7 +274,7 @@ def test_random_subgroups_of_corpus_groups(text, data):
     elements = maximal_elements(poly)
     gens = data.draw(st.lists(st.sampled_from(elements), max_size=2))
     group = subgroup_generated(gens, ambient)
-    check_group(group, ambient)
+    check_group(group, ambient, poly)
     assert pair(transpose_group(group, poly)) == transpose_part(gens, poly)
 
 
@@ -274,8 +284,16 @@ def test_corpus_lattices_match_the_oracle(text):
     ambient = poly.n_variables
     full = gmax(poly)
     assert full.elements == maximal_elements(poly)
-    check_group(full, ambient)
+    check_group(full, ambient, poly)
     j = GroupElement(tuple(classify(poly).weights))
     for sub in check_subgroups(full, [j], ambient):
-        check_group(sub, ambient)
+        check_group(sub, ambient, poly)
         assert pair(transpose_group(sub, poly)) == transpose_part(sub.generators, poly)
+
+
+def test_determinant_one_subgroup_drops_the_exponent():
+    full = gmax(parse_polynomial("x^4 + y^2"))
+    sl = sl_subgroup(full)
+    assert full.exponent == 4
+    assert (sl.exponent, sl.order) == (2, 2)
+    assert sl.generators == (GroupElement((F(1, 2), F(1, 2))),)

@@ -14,10 +14,12 @@ kernel packs each input exponent tuple into an integer once and never calls
 `MonomialOrder.key`, and divides in primitive integer coefficients only.  A
 group lists its elements only when `elements` or `vectors` is first read, so
 lattice operations and the subgroups that `subgroups_containing` discards
-never list theirs.  `transpose_group` solves its relations through one
-Smith form: it never calls `gmax` and lists only its own result.  `amodel`
-counts its graded table on the integer vectors: it lists no phase element
-and builds no `SectorElement` until its basis is read.
+never list theirs.  Group computations read the integer `vectors` only: no
+library computation reads the phase list `elements`.  `transpose_group`
+solves its relations through one Smith form: it never calls `gmax` and
+lists only its relation group's vectors, once, to pick the dual's
+generators.  `amodel` counts its graded table on the integer vectors: it
+builds no `SectorElement` until its basis is read.
 """
 
 import ast
@@ -26,7 +28,7 @@ import os
 import sys
 from collections import Counter
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
@@ -41,6 +43,7 @@ from lgmk import (
     mirror_check,
     parse_polynomial,
     quotient_invariant_factors,
+    sl_subgroup,
     subgroup_generated,
     subgroups_containing,
     transpose_group,
@@ -365,5 +368,25 @@ class TestTransposeByRelations:
         monkeypatch.setattr(symmetry, "gmax", forbidden)
         dual = transpose_group(full, poly)
         assert dual.order == 1
-        # one listing, of the order-1 result (exponent 1)
+        # one listing, of the relation group's vectors (order 1, exponent 1)
         assert [exponent for exponent, _ in listings] == [1]
+
+
+class TestIntegerGroups:
+    @pytest.mark.parametrize("text", [FERMAT, CHAIN, LOOP])
+    def test_group_computations_read_no_phase_list(self, monkeypatch, text):
+        def forbidden(self):
+            raise AssertionError("SymmetryGroup.elements was read")
+
+        monkeypatch.setattr(symmetry.SymmetryGroup, "elements", property(forbidden))
+        poly = parse_polynomial(text)
+        full = gmax(poly)
+        j = GroupElement(tuple(polycore.classify(poly).weights))
+        found = subgroups_containing(full, [j])
+        assert found
+        for group in found:
+            assert prod(group.invariant_factors()) == group.order
+            assert transpose_group(group, poly).order * group.order == full.order
+            assert prod(quotient_invariant_factors(full, group)) * group.order == full.order
+            assert lgmk.amodel(poly, group).graded.total_dim > 0
+        assert sl_subgroup(full).is_subgroup_of(full)

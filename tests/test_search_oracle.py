@@ -287,6 +287,16 @@ def test_farey_grid_matches_sorted_set(lo, hi, bound):
     assert_grid_matches(lo, hi, bound)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 60), st.data())
+def test_farey_grid_start_matches_brute_force(bound, data):
+    # lo often has a denominator above the bound; the short stretch checks the start
+    lo = data.draw(st.fractions(min_value=-1, max_value=2, max_denominator=4 * bound))
+    hi = lo + data.draw(st.fractions(min_value=0, max_value=Fraction(1, 4),
+                                     max_denominator=4 * bound))
+    assert_grid_matches(lo, hi, bound)
+
+
 @pytest.mark.parametrize("lo, hi, bound", [
     (Fraction(3, 23), HALF, 20),          # lo has a denominator above the bound
     (Fraction(1, 61), HALF, 60),
@@ -296,6 +306,9 @@ def test_farey_grid_matches_sorted_set(lo, hi, bound):
     (Fraction(1, 1000), HALF, 2),
     (Fraction(1, 2), Fraction(1, 2), 7),
     (Fraction(5, 11), Fraction(6, 13), 10),  # no grid point in between
+    (Fraction(1), Fraction(2), 5),        # lo and hi integers
+    (Fraction(3, 2), Fraction(2), 60),
+    (Fraction(-1, 2), Fraction(1, 10), 9),
 ])
 def test_farey_grid_edges(lo, hi, bound):
     assert_grid_matches(lo, hi, bound)

@@ -1,5 +1,5 @@
 from fractions import Fraction as F
-from math import gcd, lcm
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -117,7 +117,7 @@ class TestGmax:
 
     def test_noninvertible_invariant_factors(self):
         group = gmax(parse_polynomial("x^4 + y^4 + x^3*y"))
-        assert group.snf_diagonal == (1, 4)
+        assert group.invariant_factors() == (4,)
         assert group.order == 4
 
     def test_infinite_group_rejected(self):
@@ -127,8 +127,7 @@ class TestGmax:
     def test_matches_bruteforce_on_corpus(self, invertible_corpus):
         for poly in invertible_corpus:
             group = gmax(poly)
-            bound = lcm(*(x for x in group.snf_diagonal)) if group.snf_diagonal else 1
-            brute = gmax_bruteforce(poly, max(bound, 2))
+            brute = gmax_bruteforce(poly, max(group.exponent, 2))
             assert group.elements == brute.elements, str(poly)
 
     def test_weights_vector_always_inside(self, invertible_corpus, example_table):
@@ -315,3 +314,8 @@ class TestInvariantFactors:
     def test_group_from_elements_rejects_non_closed(self):
         with pytest.raises(ValueError):
             group_from_elements([GroupElement.identity(1), ge("1/3")], 1)
+
+    @pytest.mark.parametrize("element, ambient", [(("1/2",), 2), (("1/2", 0), 1)])
+    def test_group_from_elements_rejects_wrong_length(self, element, ambient):
+        with pytest.raises(ValueError, match="length does not match ambient dimension"):
+            group_from_elements([ge(*element)], ambient)
