@@ -21,16 +21,24 @@ enumerated over a bounded-denominator rational grid and each tail is
 finished exactly, so empty results certify nonexistence only within the
 stated bound.
 
-The search runs in integer numerators and denominators.  The grid is a
-stretch of the Farey sequence, walked in ascending order by its next-term
-recurrence, with no set and no sort.  Tails are walked one ascending entry
-at a time; each entry divides the product target left and subtracts from
-the sum left, as unreduced integer fractions, so a tail costs O(1) work.  A
-prefix is dropped when the same certificate excludes the variables left, and
-a tail's pair is decided by its integer discriminant and one `math.isqrt`,
-since N/M with M > 0 is a rational square iff N*M is a perfect square.  A
-`Fraction` is built only for a solution, and a search visits at most
-TAIL_LIMIT tails.  `discriminant_sign_boundary` isolates the real roots of
+The search runs in integer numerators and denominators.  From four
+variables on, the tail (q_3..q_m) runs over a grid that is a stretch of the
+Farey sequence, walked in ascending order by its next-term recurrence, with
+no set and no sort, and held as a tuple.  Tails are walked one ascending
+entry at a time; each entry divides the product target left and subtracts
+from the sum left, as unreduced integer fractions, so a tail costs O(1)
+work.  A prefix is dropped when the same certificate excludes the variables
+left, and a tail's pair is decided by its integer discriminant and one
+`math.isqrt`, since N/M with M > 0 is a rational square iff N*M is a
+perfect square.  Three variables have a one-entry tail q3 = a/b, walked by
+denominator rows: the pair of a/b needs a homogeneous quartic F(a, b) to be
+a perfect square, so each row is first sieved by the quadratic residues of
+F modulo a few odd primes, a bit mask per row, and only the survivors reach
+the exact test (a square-residue sieve, as in Cohen, A Course in
+Computational Algebraic Number Theory, 1.7.2).  A `Fraction` is built only
+for a solution, and a search makes at most TAIL_LIMIT visits: one per tail
+entry from four variables on, and one per row and per numerator in it for
+three.  `discriminant_sign_boundary` isolates the real roots of
 a quartic with Sturm sequences and finds the largest grid point where it is
 nonnegative by Stern-Brocot descents, in O(log bound) sign tests.  The
 public `solve_pair` and `reduce_to_pair` are `Fraction` wrappers over the
@@ -57,7 +65,15 @@ STATUS_NONE_EXACT = "NoneExact"
 STATUS_NONE_WITHIN_BOUND = "NoneWithinBound"
 
 GRID_LIMIT = 10**5  # the most grid points held for tails of m >= 4 variables
-TAIL_LIMIT = 10**7  # the most tails, whole or partial, one search visits
+# The most visits one search makes: a tail entry, whole or partial, for
+# m >= 4; a denominator row and each numerator in it for m = 3.
+TAIL_LIMIT = 10**7
+
+# The odd primes below 128 with their quadratic residues: the pool from
+# which a three-variable walk takes the primes that sieve its rows.
+_SIEVE_SQUARES = {p: frozenset([u * u % p for u in range(p // 2 + 1)])
+                  for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
+                            61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127)}
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +293,11 @@ def _certified(k: int, sn: int, sd: int, dn: int, dd: int) -> bool:
     return sn <= 0 or 2 * sn > k * sd or (k * sd - sn) ** k * dd > dn * sn ** k
 
 
-def _walk_tails(grid, m: int, sn: int, sd: int, dn: int, dd: int) -> set[tuple[Fraction, ...]]:
-    """Every m-variable solution with weight sum sn/sd and
-    prod(1/q_i - 1) = dn/dd whose tail (q_3 <= ... <= q_m) lies on `grid`,
-    an iterable of ascending (num, den) pairs for m = 3 and a tuple beyond.
+def _walk_tails(grid: tuple[tuple[int, int], ...], m: int, sn: int, sd: int,
+                dn: int, dd: int) -> set[tuple[Fraction, ...]]:
+    """Every m-variable solution (m >= 4) with weight sum sn/sd and
+    prod(1/q_i - 1) = dn/dd whose tail (q_3 <= ... <= q_m) lies on `grid`, a
+    tuple of ascending (num, den) pairs, walked by index.
 
     Taking an entry t divides the product target left by 1/t - 1 and
     subtracts t from the sum left, as unreduced integer fractions.  An entry
@@ -291,14 +308,15 @@ def _walk_tails(grid, m: int, sn: int, sd: int, dn: int, dd: int) -> set[tuple[F
     found = set()
     visited = 0
 
-    def walk(start, points, k, sn, sd, dn, dd, prefix):
-        # k variables are left: k - 2 tail entries from `points`, then the pair
+    def walk(start, k, sn, sd, dn, dd, prefix):
+        # k variables are left: k - 2 tail entries from grid[start:], then the pair
         nonlocal visited
         entries = k - 2
-        for i, (num, den) in enumerate(points, start):
+        for i in range(start, len(grid)):
             visited += 1
             if visited > TAIL_LIMIT:
                 raise ResourceLimitExceeded(f"the search visits more than {TAIL_LIMIT} tails")
+            num, den = grid[i]
             pn, pd = dn * num, dd * (den - num)
             if pn < pd:
                 continue
@@ -307,13 +325,104 @@ def _walk_tails(grid, m: int, sn: int, sd: int, dn: int, dd: int) -> set[tuple[F
             tn, td = sn * den - num * sd, sd * den
             if k > 3:
                 if not _certified(k - 1, tn, td, pn, pd):
-                    walk(i, grid[i:], k - 1, tn, td, pn, pd, prefix + ((num, den),))
+                    walk(i, k - 1, tn, td, pn, pd, prefix + ((num, den),))
             else:
                 for low, high, pden in _pair_roots(pn, pd, tn, td):
                     tail = tuple(Fraction(*t) for t in prefix + ((num, den),))
                     found.add(tuple(sorted((Fraction(low, pden), Fraction(high, pden)) + tail)))
 
-    walk(0, grid, m, sn, sd, dn, dd, ())
+    walk(0, m, sn, sd, dn, dd, ())
+    return found
+
+
+def _pair_quartic(a: int, b: int, sn: int, sd: int, dn: int, dd: int) -> int:
+    """F(a, b) = n e, the integer `_pair_roots` tests for a perfect square
+    when q3 = a/b: a homogeneous quartic in (a, b)."""
+    e = (dn + dd) * a - dd * b
+    tn, td = sn * b - sd * a, sd * b
+    return (tn * tn * e - 4 * (td - tn) * dd * (b - a) * td) * e
+
+
+def _row_sieves(bound: int, sn: int, sd: int, dn: int,
+                dd: int) -> list[tuple[int, list[int]]]:
+    """The primes that sieve a three-variable walk to `bound`, ascending, as
+    (p, good): good lists the u mod p where F(u, 1) is a square mod p, zero
+    included.
+
+    A prime dividing dn, dd or sd never sieves, since F is then a square
+    mod p, nor does one whose every F(u, 1) is a square.  Each prime leaves
+    about half the candidates and costs p evaluations and up to p - 1
+    patterns, so the number tried grows with the at most bound^2/4
+    numerators: the walk tries the first 2k - 9 primes of _SIEVE_SQUARES
+    that divide none of dn, dd and sd, for k the bit length of the bound
+    (none below bound 16, one up to 31, seven from 128 to 255)."""
+    sieves = []
+    tried = 0
+    for p, squares in _SIEVE_SQUARES.items():
+        if tried >= 2 * bound.bit_length() - 9:
+            break
+        if dn % p and dd % p and sd % p:
+            tried += 1
+            residues = sn % p, sd % p, dn % p, dd % p
+            good = [u for u in range(p) if _pair_quartic(u, 1, *residues) % p in squares]
+            if len(good) < p:
+                sieves.append((p, good))
+    return sieves
+
+
+def _walk_rows(bound: int, sn: int, sd: int, dn: int, dd: int) -> set[tuple[Fraction, ...]]:
+    """Every three-variable solution with weight sum sn/sd and
+    prod(1/q_i - 1) = dn/dd whose tail q3 has denominator at most `bound`.
+
+    Row b holds the numerators a with 1/(d+1) <= a/b <= 1/2 and a/b below
+    the sum, the tails whose pair can have a positive sum.  The pair of a/b
+    is `_pair_roots(dn a, dd (b - a), sn b - sd a, sd b)`, which succeeds
+    only if F(a, b) (`_pair_quartic`) is a perfect square.  For an odd prime
+    p not dividing b, F(a, b) = b^4 F(a/b, 1) mod p, so the p values
+    F(u, 1) mod p tell every point where F is a nonresidue mod p, hence no
+    square; when p divides b, F = (sd (dn + dd) a^2)^2 mod p and p sieves
+    nothing.  A row's candidates are a bit mask, one bit per numerator,
+    ANDed with each prime's periodic pattern for b mod p shifted to the
+    row's first numerator.  Of the bits left, those of reduced a/b reach
+    `_pair_roots`: a non-reduced point repeats one of a smaller row, with
+    the same pair.  A pattern is built when a row first needs it and
+    doubled when a longer row does, so it spans fewer than 2 (w + p) bits
+    for the longest row w that used it.  Each row counts one visit plus one
+    per numerator, checked against TAIL_LIMIT before the row is sieved."""
+    sieves = [(p, good, {}) for p, good in _row_sieves(bound, sn, sd, dn, dd)]
+    found = set()
+    visited = 0
+    for b in range(2, bound + 1):
+        first = max(-(-b * dd // (dn + dd)), 1)
+        width = min(b // 2, (sn * b - 1) // sd) - first + 1
+        visited += 1 + max(width, 0)
+        if visited > TAIL_LIMIT:
+            raise ResourceLimitExceeded(f"the search visits more than {TAIL_LIMIT} tails")
+        if width <= 0:
+            continue
+        mask = (1 << width) - 1
+        for p, good, patterns in sieves:
+            r = b % p
+            if not r:
+                continue
+            # bit j of a pattern stands for the numerators a = j mod p
+            pattern, length = patterns.get(r) or (sum(1 << u * r % p for u in good), p)
+            if length < width + p:
+                while length < width + p:
+                    pattern |= pattern << length
+                    length *= 2
+                patterns[r] = pattern, length
+            mask &= pattern >> first % p
+            if not mask:
+                break
+        while mask:
+            bit = mask & -mask
+            mask ^= bit
+            a = first + bit.bit_length() - 1
+            if math.gcd(a, b) > 1:
+                continue
+            for low, high, den in _pair_roots(dn * a, dd * (b - a), sn * b - sd * a, sd * b):
+                found.add(tuple(sorted((Fraction(low, den), Fraction(high, den), Fraction(a, b)))))
     return found
 
 
@@ -322,13 +431,13 @@ def search_weight_systems(d, delta, m: int, denominator_bound: int = 60) -> Sear
 
     m = 1 and m = 2 are decided exactly; for m >= 3 a target the Jensen
     certificate excludes is answered without enumeration, and otherwise the
-    tails run over the bounded-denominator grid.  Either way the result is
-    reported relative to that bound.  Solutions are canonicalized ascending,
+    tails run over the rationals with denominators up to the bound.  Either
+    way the result is reported relative to that bound.  Solutions are canonicalized ascending,
     so permutations collapse.  Raises InvalidArgument for m < 1, a bound
     below 2 or a dimension d <= 0, and ResourceLimitExceeded for m >= 4 when
     the grid has more than GRID_LIMIT points (checked before the
-    certificate) or for m >= 3 when the walk visits more than TAIL_LIMIT
-    tails.
+    certificate) or for m >= 3 when the walk makes more than TAIL_LIMIT
+    visits.
     """
     d = Fraction(d)
     delta = Fraction(delta)
@@ -349,16 +458,20 @@ def search_weight_systems(d, delta, m: int, denominator_bound: int = 60) -> Sear
             for q1, q2 in solve_pair(d, s):
                 solutions.add((q1, q2))
     else:
-        grid = _farey_grid(1 / (d + 1), HALF, denominator_bound)
         if m > 3:
-            grid = tuple(islice(grid, GRID_LIMIT + 1))
+            grid = tuple(islice(_farey_grid(1 / (d + 1), HALF, denominator_bound),
+                                GRID_LIMIT + 1))
             if len(grid) > GRID_LIMIT:
                 raise ResourceLimitExceeded(f"the tail grid at denominator bound "
                                             f"{denominator_bound} exceeds {GRID_LIMIT} points")
         # the weight sum S = (2m - delta)/4 as sn/sd
         sn, sd = 2 * m * delta.denominator - delta.numerator, 4 * delta.denominator
-        if not _certified(m, sn, sd, d.numerator, d.denominator):
-            solutions = _walk_tails(grid, m, sn, sd, d.numerator, d.denominator)
+        dn, dd = d.numerator, d.denominator
+        if not _certified(m, sn, sd, dn, dd):
+            if m == 3:
+                solutions = _walk_rows(denominator_bound, sn, sd, dn, dd)
+            else:
+                solutions = _walk_tails(grid, m, sn, sd, dn, dd)
     ordered = tuple(WeightSystem(sol) for sol in sorted(solutions))
     if ordered:
         status = STATUS_FOUND

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -256,6 +257,45 @@ class TestTailLimit:
                  for m in ("3", "4")]
         assert after == before
         assert all(r["payload"]["status"] == "NoneWithinBound" for r in after)
+
+
+def three_variable_visits(d: Fraction, delta: Fraction, bound: int) -> int:
+    """The visits of an uncertified m = 3 walk, counted over its rows: one per
+    denominator b in 2..bound, plus one per numerator a >= 1 with
+    1/(d+1) <= a/b <= 1/2 and a/b below the weight sum (6 - delta)/4."""
+    weight_sum = (6 - delta) / 4
+    visits = 0
+    for b in range(2, bound + 1):
+        visits += 1
+        for a in range(1, b + 1):
+            q = Fraction(a, b)
+            visits += 1 / (d + 1) <= q <= Fraction(1, 2) and q < weight_sum
+    return visits
+
+
+class TestTailBudget:
+    """The m = 3 row walk spends TAIL_LIMIT on rows and their numerators."""
+
+    def test_huge_bound_exits_6_after_the_budget_not_the_bound(self, capsys):
+        begin = time.perf_counter()
+        code, out, err = run(capsys, "search", "24", "43/15", "3", "--bound", str(10**9))
+        assert time.perf_counter() - begin < 10
+        assert (code, out) == (6, "")
+        assert err == "error: the search visits more than 10000000 tails\n"
+
+    @pytest.mark.parametrize("argv", [("24", "43/15", "3", "--bound", "20"),
+                                      ("1", "0", "3", "--bound", "9"),
+                                      ("45", "479/143", "3", "--bound", "60")])
+    def test_budget_is_exact(self, capsys, monkeypatch, argv):
+        answer = run_json(capsys, "search", *argv)
+        assert answer["payload"]["status"] == "SolutionsFound"
+        visits = three_variable_visits(Fraction(argv[0]), Fraction(argv[1]), int(argv[4]))
+        monkeypatch.setattr(mirror, "TAIL_LIMIT", visits)
+        assert run_json(capsys, "search", *argv) == answer
+        monkeypatch.setattr(mirror, "TAIL_LIMIT", visits - 1)
+        code, out, err = run(capsys, "search", *argv)
+        assert (code, out) == (6, "")
+        assert err == f"error: the search visits more than {visits - 1} tails\n"
 
 
 class TestBadInput:

@@ -17,7 +17,12 @@ kernel replaced it: `search` with `--json` and as text at m = 1..4 on the
 paper family x^n + y^n + x^(n-1)*y, n = 4..12 (m = 3 also with `--json` at
 bound 190), on targets planted from known weight systems, on edge targets
 (d below 1, a fractional d, rejected input), and `paper-tables --json` at
-bounds 20, 60 and 300.
+bounds 20, 60 and 300.  Nine uncertified m = 3 searches at bounds 156-200
+were added before the three-variable walk moved from the Farey grid to
+residue-sieved denominator rows, recorded with the grid walk: six with
+solutions (up to seven, one the target (1/3, 1/2, 1/2) whose pair is
+(1/2, 1/2)) and three with none, planted from weights whose denominators
+all exceed the bound.
 
 `data/cli_bmodel_corpus.json` holds the same for `bmodel` (with `--json` and
 as text) and `weights --json`, recorded before the Buchberger engine's

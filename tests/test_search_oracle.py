@@ -7,7 +7,11 @@ boundary found by scanning the whole grid.  On paper-family and planted
 targets the integer kernel must give the same solutions, status and
 boundary; the public per-tail functions must give the same values and
 errors; and the Farey walk must give the same grid, whose length over (0, 1]
-is also checked against an independent count.
+is also checked against an independent count.  The three-variable search
+sieves its rows by quadratic residues before the exact pair test, so it is
+also compared at bounds 150-220, on targets whose pair is (1/2, 1/2), on
+weight sums over the sieve primes, and on tails in rows a sieving prime
+divides; and the sieve itself must drop only points with no pair.
 """
 
 import math
@@ -19,11 +23,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lgmk import TailProductTooLarge
+from lgmk import TailProductTooLarge, mirror
 from lgmk.mirror import (
     STATUS_FOUND,
     STATUS_NONE_WITHIN_BOUND,
     _farey_grid,
+    _pair_quartic,
+    _pair_roots,
+    _row_sieves,
     discriminant_sign_boundary,
     reduce_to_pair,
     search_weight_systems,
@@ -195,6 +202,95 @@ def test_three_variable_search_matches_oracle(case):
     assert_search_matches(case)
     d, delta, _, bound = case
     assert discriminant_sign_boundary(d, delta, bound) == oracle_boundary(d, delta, bound)
+
+
+@settings(max_examples=4, deadline=None)
+@given(st.integers(150, 220).flatmap(
+    lambda bound: weights_in_range(3, 2 * bound).map(lambda w: (*target_of(w), 3, bound))))
+def test_three_variable_search_matches_oracle_at_large_bounds(case):
+    assert_search_matches(case)
+
+
+@pytest.mark.parametrize("bound", [2, 3, 9, 60])
+@pytest.mark.parametrize("tail", [HALF, Fraction(1, 3), Fraction(2, 7), Fraction(1, 60)])
+def test_pair_of_halves_matches_oracle(tail, bound):
+    # the tail's factor is the whole product target, so e = 0 and the pair
+    # is (1/2, 1/2); the tail 1/2 is the target (1, 0)
+    assert_search_matches((*target_of([tail, HALF, HALF]), 3, bound))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([(3, 5, 7), (11, 13, 4), (15, 21, 35), (3, 11, 13),
+                        (17, 19, 6), (23, 29, 31), (37, 41, 43)]),
+       st.integers(30, 150), st.data())
+def test_weight_sums_over_sieve_primes_match_oracle(dens, bound, data):
+    # d and the weight sum carry the primes of the denominators, which then
+    # cannot sieve; the primes left must still keep every solution
+    weights = [Fraction(data.draw(st.integers(1, den // 2)), den) for den in dens]
+    assert_search_matches((*target_of(weights), 3, bound))
+
+
+@pytest.mark.parametrize("weights, prime", [
+    ((Fraction(23, 120), Fraction(58, 119), Fraction(22, 45)), 5),
+    ((Fraction(2, 15), Fraction(17, 70), Fraction(29, 90)), 5),
+    ((Fraction(17, 96), Fraction(10, 39), Fraction(56, 141)), 3),
+    ((Fraction(3, 55), Fraction(11, 65), Fraction(33, 146)), 5),
+    ((Fraction(7, 71), Fraction(9, 65), Fraction(12, 55)), 5),
+])
+def test_tail_in_a_row_the_prime_divides_matches_oracle(weights, prime):
+    # one weight has a denominator within the bound 60, a multiple of a
+    # prime that sieves the walk, so only that row, which the prime leaves
+    # alone, can find the solution
+    d, delta = target_of(weights)
+    sn, sd = 6 * delta.denominator - delta.numerator, 4 * delta.denominator
+    sieves = _row_sieves(60, sn, sd, d.numerator, d.denominator)
+    assert prime in [p for p, _ in sieves]
+    report = search_weight_systems(d, delta, 3, denominator_bound=60)
+    assert weights in [tuple(ws) for ws in report.solutions]
+    assert_search_matches((d, delta, 3, 60))
+
+
+@settings(max_examples=60, deadline=None)
+@given(search_cases(3, 60))
+def test_sieve_drops_only_points_without_a_pair(case):
+    """F (`_pair_quartic`) is a perfect square wherever `_pair_roots` finds a
+    pair; a point a prime's residues drop has F a nonresidue mod p and no
+    pair; and F is a square mod p on every row p divides.  The primes are
+    those a walk to bound 10^6 would try, the whole pool."""
+    d, delta, _, bound = case
+    sn, sd = 6 * delta.denominator - delta.numerator, 4 * delta.denominator
+    dn, dd = d.numerator, d.denominator
+    sieves = [(p, good, {u * u % p for u in range(p)})
+              for p, good in _row_sieves(10**6, sn, sd, dn, dd)]
+    for b in range(2, bound + 1):
+        for a in range(1, b // 2 + 1):
+            quartic = _pair_quartic(a, b, sn, sd, dn, dd)
+            walked = 1 / (d + 1) <= Fraction(a, b) < (6 - delta) / 4
+            pair = walked and _pair_roots(dn * a, dd * (b - a), sn * b - sd * a, sd * b)
+            if pair:
+                assert math.isqrt(quartic) ** 2 == quartic
+            for p, good, squares in sieves:
+                square = quartic % p in squares
+                if b % p == 0:
+                    assert square
+                elif a * pow(b, -1, p) % p not in good:
+                    assert not square and not pair
+
+
+def test_sieve_leaves_few_numerators_to_the_pair_solver(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _pair_roots(*args)
+
+    monkeypatch.setattr(mirror, "_pair_roots", counted)
+    d, delta = target_of([Fraction(1, 5), Fraction(1, 4), Fraction(1, 3)])
+    assert_search_matches((d, delta, 3, 200))
+    weight_sum = (6 - delta) / 4
+    numerators = sum(1 / (d + 1) <= Fraction(a, b) < weight_sum
+                     for b in range(2, 201) for a in range(1, b // 2 + 1))
+    assert 0 < len(calls) < numerators / 20
 
 
 @settings(max_examples=30, deadline=None)
