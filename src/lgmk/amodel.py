@@ -25,7 +25,8 @@ hypothesis; the full locus reuses the one `classify` computed.
 The graded table is counted in integers: with N the group exponent, an
 element g = v/N has degree numerator N*adegree(g) = |fix(g)|*N + 2*sum(v) -
 2*N*sum(q), so `amodel` walks the integer vectors, never lists the phase
-elements, and builds one `Fraction` per distinct degree.
+elements, and hands the counts to `GradedDims._from_counts` over the scale
+N, which builds no `Fraction`.
 
 The basis elements [m; g] are listed only when `AModel.basis` is first
 read, as the CLI does to print them: each locus's standard monomials are

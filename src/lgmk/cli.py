@@ -183,7 +183,7 @@ def cmd_amodel(args) -> _Report:
                  f"dimension: {model.graded.total_dim}",
                  f"top degree: {payload['top_degree']}",
                  "graded dimensions:"]
-        for degree, dim in model.graded.entries:
+        for degree, dim in payload["graded"].items():
             lines.append(f"  {degree}: {dim}")
         lines.append("basis:")
         for s in model.basis:
@@ -219,7 +219,7 @@ def cmd_bmodel(args) -> _Report:
                  f"dimension: {model.graded.total_dim} (formula: {payload['dimension_formula']})",
                  f"top degree: {payload['top_degree']} (formula: {payload['top_degree_formula']})",
                  "graded dimensions:"]
-        for degree, dim in model.graded.entries:
+        for degree, dim in payload["graded"].items():
             lines.append(f"  {degree}: {dim}")
         lines.append("basis: " + ", ".join(payload["basis"]))
         return lines

@@ -77,7 +77,12 @@ class DegenerateRestriction(LgmkError):
 class ResourceLimitExceeded(LgmkError):
     """The Groebner engine exhausted its S-pair budget, a standard-monomial
     box exceeds its limit, a group is too large to list its elements, or a
-    search grid is too large to hold."""
+    search grid is too large to hold.
+
+    The box is the product of the least pure-power leading exponents of a
+    staircase.  Past STANDARD_MONOMIAL_BOX_LIMIT tuples, `standard_monomials`
+    lists nothing, and `bmodel` refuses the polynomial before it builds its
+    series, whether or not the basis is ever read."""
 
 
 class WeightConditionViolated(LgmkError):

@@ -366,20 +366,15 @@ def _pure_power_bounds(leads, n: int) -> list[int] | None:
     return bounds
 
 
-def standard_monomials(basis: Staircase) -> list[Monomial]:
-    """Monomials divisible by no leading term: a basis of the quotient.
+def _box_bounds(basis: Staircase) -> list[int]:
+    """The least pure-power exponent of each variable among the leading
+    terms: the sides of the box that holds every standard monomial.
 
-    Sorted ascending in the basis order.  Raises NotFiniteDimensional when
-    some variable has no pure-power leading term, that is when the quotient
-    is not a finite-dimensional vector space, and ResourceLimitExceeded when
-    the box bounded by the pure powers holds more than
+    Raises NotFiniteDimensional when some variable has no pure-power leading
+    term, and ResourceLimitExceeded when the box holds more than
     STANDARD_MONOMIAL_BOX_LIMIT exponent tuples.
     """
-    leads = basis.leads
-    if _unit(leads):
-        return []
-    n = len(basis.variables)
-    bounds = _pure_power_bounds(leads, n)
+    bounds = _pure_power_bounds(basis.leads, len(basis.variables))
     if bounds is None:
         raise NotFiniteDimensional("ideal is not zero dimensional")
     box = prod(bounds)
@@ -387,6 +382,23 @@ def standard_monomials(basis: Staircase) -> list[Monomial]:
         raise ResourceLimitExceeded(
             f"the standard monomials lie in a box of {box} exponent tuples, "
             f"more than the limit of {STANDARD_MONOMIAL_BOX_LIMIT}")
+    return bounds
+
+
+def standard_monomials(basis: Staircase) -> list[Monomial]:
+    """Monomials divisible by no leading term: a basis of the quotient.
+
+    Sorted ascending in the basis order.  Raises NotFiniteDimensional when
+    some variable has no pure-power leading term, that is when the quotient
+    is not a finite-dimensional vector space, and ResourceLimitExceeded when
+    the box bounded by the pure powers holds more than
+    STANDARD_MONOMIAL_BOX_LIMIT exponent tuples (`_box_bounds`).
+    """
+    leads = basis.leads
+    if _unit(leads):
+        return []
+    n = len(basis.variables)
+    bounds = _box_bounds(basis)
     found: list[Exps] = []
 
     def walk(prefix: Exps, active: list[Exps]) -> None:

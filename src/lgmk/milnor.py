@@ -11,14 +11,27 @@ one kernel run per polynomial and locus without passing it around.  The
 weights come from `classify`, whose verdict polycore memoizes too, so
 `bmodel` and `is_nondegenerate` solve no weights of their own.
 `classify` reads only the verdict; the monomials are enumerated, under the
-box limit of `standard_monomials`, only by the consumers that print or
-count them.  Both graded sides count degrees as integer numerators over
-one denominator, and `GradedDims._from_counts` builds one `Fraction` per
-distinct degree: `bmodel` counts its standard monomials over the lcm L of
-the weight denominators, `amodel` its sectors over the group exponent.
-The closed-form dimension and top-degree expressions are checked against
-the kernel at construction time, so a disagreement between the two routes
-fails loudly.
+box limit of `standard_monomials`, only by the consumers that print them.
+
+`bmodel` counts the B side without listing it.  Once the staircase has
+proved W nondegenerate, the partials form a regular sequence, so the Milnor
+ring's Hilbert series is the Milnor-Orlik product
+prod (1 - t^(1 - q_i)) / (1 - t^(q_i)).  Over the lcm L of the weight
+denominators, with integer weights w_i = L*q_i, that is a polynomial in
+u = t^(1/L) of degree top = sum(L - 2 w_i), computed as a dense list of
+top + 1 integers: one slice operation per factor of the numerator and one
+running sum per residue class of each factor of the denominator.
+`BModel.basis` lists the standard monomials only when first read, as the
+CLI does to print them, and their count in every degree must equal the
+series', so the Groebner route and the closed form check each other
+wherever a basis is printed.  Before it counts, `bmodel` applies the box
+rule of `standard_monomials` to the staircase, so it refuses exactly the
+polynomials whose listing would be refused.
+
+`GradedDims` holds both graded sides as integer degree numerators over one
+positive scale: `bmodel` counts over L, `amodel` over the group exponent.
+Tables compare by cross-multiplying, and render `n/s` reduced by `gcd` as
+`str(Fraction)` would; a `Fraction` is built only when `entries` is read.
 """
 
 from __future__ import annotations
@@ -26,13 +39,20 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import lcm
-from operator import mul
+from functools import cached_property, lru_cache
+from itertools import accumulate
+from math import gcd, lcm
+from operator import mul, sub
 from typing import Iterable, Mapping
 
 from .errors import LgmkError
-from .groebner import MonomialOrder, Staircase, staircase, standard_monomials
+from .groebner import (
+    MonomialOrder,
+    Staircase,
+    _box_bounds,
+    staircase,
+    standard_monomials,
+)
 from .polycore import (
     Monomial,
     Polynomial,
@@ -43,20 +63,24 @@ from .polycore import (
 )
 
 
-@dataclass(frozen=True)
 class GradedDims:
-    """Finitely supported map degree -> dimension; equality is the
-    graded-vector-space isomorphism test."""
+    """Finitely supported map degree -> dimension, held as sorted integer
+    degree numerators over one positive scale with their dimensions;
+    equality is the graded-vector-space isomorphism test."""
 
-    entries: tuple[tuple[Fraction, int], ...]
+    __slots__ = ("scale", "numerators", "dims", "_entries")
 
-    def __post_init__(self):
-        cleaned = tuple(sorted((Fraction(d), int(k)) for d, k in self.entries))
+    def __init__(self, entries: Iterable[tuple[Fraction, int]]):
+        cleaned = tuple(sorted((Fraction(d), int(k)) for d, k in entries))
         if any(k <= 0 for _, k in cleaned):
             raise ValueError("graded dimensions must be positive")
         if len({d for d, _ in cleaned}) != len(cleaned):
             raise ValueError("repeated degree in graded dimensions")
-        object.__setattr__(self, "entries", cleaned)
+        self.scale = lcm(*(d.denominator for d, _ in cleaned))
+        self.numerators = tuple(d.numerator * (self.scale // d.denominator)
+                                for d, _ in cleaned)
+        self.dims = tuple(k for _, k in cleaned)
+        self._entries = cleaned
 
     @staticmethod
     def from_degrees(degrees: Iterable[Fraction]) -> "GradedDims":
@@ -70,42 +94,106 @@ class GradedDims:
         degree (n - shift)/scale with scale > 0; zero counts are dropped."""
         # distinct integer keys over one positive scale give sorted, distinct
         # degrees, so the entries skip re-validation
+        keys = sorted(counts)
+        dims = tuple(map(counts.__getitem__, keys))
+        if 0 in dims:
+            keys = [n for n in keys if counts[n]]
+            dims = tuple(filter(None, dims))
         graded = object.__new__(GradedDims)
-        object.__setattr__(graded, "entries", tuple(
-            (Fraction(n - shift, scale), k) for n, k in sorted(counts.items()) if k))
+        graded.scale = scale
+        graded.numerators = tuple(map((-shift).__add__, keys))
+        graded.dims = dims
+        graded._entries = None
         return graded
 
     @property
+    def entries(self) -> tuple[tuple[Fraction, int], ...]:
+        """The (degree, dimension) pairs, sorted by degree."""
+        if self._entries is None:
+            self._entries = tuple((Fraction(n, self.scale), k)
+                                  for n, k in zip(self.numerators, self.dims))
+        return self._entries
+
+    @property
     def total_dim(self) -> int:
-        return sum(k for _, k in self.entries)
+        return sum(self.dims)
 
     def top_degree(self) -> Fraction:
-        if not self.entries:
+        if not self.dims:
             raise ValueError("empty graded vector space has no top degree")
-        return self.entries[-1][0]
+        return Fraction(self.numerators[-1], self.scale)
 
     def dim_at(self, degree) -> int:
         d = Fraction(degree)
-        for deg, k in self.entries:
-            if deg == d:
+        for n, k in zip(self.numerators, self.dims):
+            if n * d.denominator == d.numerator * self.scale:
                 return k
         return 0
 
+    def __eq__(self, other):
+        if not isinstance(other, GradedDims):
+            return NotImplemented
+        # n/s == m/t iff n*t == m*s, as both scales are positive
+        s, t = self.scale, other.scale
+        return (self.dims == other.dims
+                and [n * t for n in self.numerators] == [m * s for m in other.numerators])
+
+    def __hash__(self):
+        # the least common scale: s/gcd(s, every numerator)
+        g = gcd(self.scale, *self.numerators)
+        return hash((self.dims, self.scale // g, tuple(n // g for n in self.numerators)))
+
+    def _degree_texts(self) -> list[str]:
+        """Each degree as `str(Fraction)` renders it."""
+        scale = self.scale
+        texts = []
+        for n in self.numerators:
+            g = gcd(n, scale)
+            texts.append(str(n // g) if g == scale else f"{n // g}/{scale // g}")
+        return texts
+
     def as_json_dict(self) -> dict[str, int]:
-        return {str(d): k for d, k in self.entries}
+        return dict(zip(self._degree_texts(), self.dims))
 
     def __str__(self) -> str:
-        return "{" + ", ".join(f"{d}: {k}" for d, k in self.entries) + "}"
+        return "{" + ", ".join(
+            f"{d}: {k}" for d, k in zip(self._degree_texts(), self.dims)) + "}"
+
+    def __repr__(self) -> str:
+        return f"GradedDims(entries={self.entries!r})"
 
 
 @dataclass(frozen=True)
 class BModel:
-    """Unorbifolded B-side: the Milnor ring with its rational grading."""
+    """Unorbifolded B-side: the Milnor ring with its rational grading.
+    `graded` is counted from the Milnor-Orlik series when the model is
+    built; `basis` is listed on first read."""
 
     source: Polynomial
     weights: WeightSystem
-    basis: tuple[Monomial, ...]
     graded: GradedDims
+
+    @cached_property
+    def basis(self) -> tuple[Monomial, ...]:
+        """The standard monomials of the Jacobian ideal, sorted in weighted
+        degrevlex order.
+
+        Raises LgmkError if the listing has a different number of monomials
+        than the series in some degree."""
+        monomials = tuple(standard_monomials(jacobian_staircase(self.source, self.weights)))
+        # degree 2*sum(e_i q_i) = 2k/L, counted by its numerator 2k over the
+        # scale L that `bmodel` counts the series over
+        scale, integer_weights = _integer_weights(self.weights)
+        listed = Counter(2 * sum(map(mul, m.exponents, integer_weights)) for m in monomials)
+        series = dict(zip(self.graded.numerators, self.graded.dims))
+        if listed != series:
+            n = min(n for n in listed.keys() | series.keys()
+                    if listed[n] != series.get(n, 0))
+            raise LgmkError(
+                f"the Milnor basis of {self.source} lists {listed[n]} monomials "
+                f"of degree {Fraction(n, scale)}, but the series counts "
+                f"{series.get(n, 0)}")
+        return monomials
 
 
 def jacobian_ideal(poly: Polynomial) -> list[Polynomial]:
@@ -178,21 +266,43 @@ def _require_halved(weights: WeightSystem) -> None:
         raise ValueError(f"weights {weights} must lie in (0, 1/2]")
 
 
-def bmodel(poly: Polynomial) -> BModel:
-    """Milnor ring of an admissible polynomial as a graded vector space."""
-    weights = require_admissible(poly).weights
-    monomials = tuple(standard_monomials(jacobian_staircase(poly, weights)))
-    # degree 2*sum(e_i q_i) = 2k/L, counted by its numerator 2k, k = sum(e_i L q_i)
+def _integer_weights(weights: WeightSystem) -> tuple[int, list[int]]:
+    """The lcm L of the weight denominators and the integer weights L*q_i."""
     scale = lcm(*(q.denominator for q in weights))
-    integer_weights = [q.numerator * (scale // q.denominator) for q in weights]
-    counts = Counter(2 * sum(map(mul, m.exponents, integer_weights)) for m in monomials)
-    graded = GradedDims._from_counts(counts, scale)
-    if graded.total_dim != _dim_product(weights):
-        raise LgmkError(
-            f"Milnor dimension {graded.total_dim} disagrees with the "
-            f"closed form {_dim_product(weights)} for {poly}")
-    if graded.top_degree() != _top_sum(weights):
-        raise LgmkError(
-            f"top degree {graded.top_degree()} disagrees with the "
-            f"closed form {_top_sum(weights)} for {poly}")
-    return BModel(poly, weights, monomials, graded)
+    return scale, [q.numerator * (scale // q.denominator) for q in weights]
+
+
+def _milnor_series(integer_weights: list[int], scale: int) -> list[int]:
+    """Coefficients of u^0 .. u^top of prod (1 - u^(L - w_i)) / (1 - u^(w_i))
+    for integer weights w_i over L, top = sum(L - 2 w_i): the Hilbert series
+    of the Milnor ring of a nondegenerate W, u^k in weighted degree k/L
+    (Milnor and Orlik 1970)."""
+    top = sum(scale - 2 * w for w in integer_weights)
+    series = [1] + [0] * top
+    size = top + 1
+    for w in integer_weights:
+        # times 1 - u^(L - w): subtract the series shifted up by L - w
+        a = scale - w
+        if a < size:
+            series[a:] = map(sub, series[a:], series[:size - a])
+        # over 1 - u^w: a running sum along each residue class mod w
+        if w < size:
+            for r in range(w):
+                series[r::w] = accumulate(series[r::w])
+    return series
+
+
+def bmodel(poly: Polynomial) -> BModel:
+    """Milnor ring of an admissible polynomial as a graded vector space.
+
+    The staircase that proves W nondegenerate also bounds it: W is refused
+    with ResourceLimitExceeded, before anything is counted, when its
+    standard monomials lie in a box of more than STANDARD_MONOMIAL_BOX_LIMIT
+    exponent tuples, the rule `standard_monomials` applies to the listing.
+    The table is the Milnor-Orlik series; degree 2k/L counts u^k."""
+    weights = require_admissible(poly).weights
+    _box_bounds(jacobian_staircase(poly, weights))
+    scale, integer_weights = _integer_weights(weights)
+    series = _milnor_series(integer_weights, scale)
+    counts = {2 * k: c for k, c in enumerate(series) if c}
+    return BModel(poly, weights, GradedDims._from_counts(counts, scale))

@@ -19,7 +19,9 @@ library computation reads the phase list `elements`.  `transpose_group`
 solves its relations through one Smith form: it never calls `gmax` and
 lists only its relation group's vectors, once, to pick the dual's
 generators.  `amodel` counts its graded table on the integer vectors: it
-builds no `SectorElement` until its basis is read.
+builds no `SectorElement` until its basis is read.  `bmodel` counts its
+table from the Milnor-Orlik series, so `mirror_sides` lists no standard
+monomial, and `BModel.basis` is listed only when first read.
 """
 
 import ast
@@ -341,6 +343,24 @@ class TestLazyBasis:
         keys = [(s.adegree, s.sector.phases, s.monomial.exponents) for s in model.basis]
         assert keys == sorted(keys)
         assert len(keys) == model.graded.total_dim
+        assert model.basis is model.basis
+
+    @pytest.mark.parametrize("text", [CHAIN, LOOP, FERMAT, "x^5*y + y^4*z + z^3 + w^7"])
+    def test_mirror_sides_lists_no_standard_monomial(self, monkeypatch, text):
+        def forbidden(*args):
+            raise AssertionError("standard_monomials was called")
+
+        for module in (groebner, milnor, AMODEL):
+            monkeypatch.setattr(module, "standard_monomials", forbidden)
+        _, a_side, b_side = mirror.mirror_sides(parse_polynomial(text))
+        assert a_side == b_side
+        assert b_side.total_dim > 0
+
+    @pytest.mark.parametrize("text", [CHAIN, LOOP, "x^4 + y^4 + x^3*y"])
+    def test_bmodel_basis_is_built_on_first_read(self, text):
+        model = milnor.bmodel(parse_polynomial(text))
+        assert "basis" not in model.__dict__
+        assert len(model.basis) == model.graded.total_dim
         assert model.basis is model.basis
 
     @pytest.mark.parametrize("text", [CHAIN, LOOP, FERMAT])
