@@ -39,7 +39,6 @@ from .milnor import (
     jacobian_staircase,
 )
 from .mirror import (
-    PairReduction,
     SearchReport,
     discriminant_2var,
     discriminant_sign_boundary,
@@ -48,9 +47,7 @@ from .mirror import (
     nfamily_pair_solutions,
     nfamily_quadratic,
     nfamily_quadratic_roots,
-    reduce_to_pair,
     search_weight_systems,
-    solve_pair,
 )
 from .polycore import (
     Classification,

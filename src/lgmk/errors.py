@@ -82,7 +82,9 @@ class ResourceLimitExceeded(LgmkError):
     The box is the product of the least pure-power leading exponents of a
     staircase.  Past STANDARD_MONOMIAL_BOX_LIMIT tuples, `standard_monomials`
     lists nothing, and `bmodel` refuses the polynomial before it builds its
-    series, whether or not the basis is ever read."""
+    series, whether or not the basis is ever read.  `bmodel` also refuses a
+    Milnor-Orlik series of more than STANDARD_MONOMIAL_BOX_LIMIT
+    coefficients, which a box under the limit does not rule out."""
 
 
 class WeightConditionViolated(LgmkError):
@@ -90,4 +92,8 @@ class WeightConditionViolated(LgmkError):
 
 
 class TailProductTooLarge(LgmkError):
-    """The tail weights alone already exceed the target dimension product."""
+    """The tail weights alone already exceed the target dimension product.
+
+    No library code raises it: the search skips such tails.  The test
+    oracle of the earlier search raises it, and the benchmark's tracer
+    (`perfbench/tracer.py`) imports it."""

@@ -25,8 +25,11 @@ running sum per residue class of each factor of the denominator.
 CLI does to print them, and their count in every degree must equal the
 series', so the Groebner route and the closed form check each other
 wherever a basis is printed.  Before it counts, `bmodel` applies the box
-rule of `standard_monomials` to the staircase, so it refuses exactly the
-polynomials whose listing would be refused.
+rule of `standard_monomials` to the staircase, so it refuses every
+polynomial whose listing would be refused.  The box does not bound the
+series, whose length top + 1 grows with L (for pairwise coprime exponents,
+like their product), so `bmodel` also refuses a series of more than
+STANDARD_MONOMIAL_BOX_LIMIT coefficients before it allocates one.
 
 `GradedDims` holds both graded sides as integer degree numerators over one
 positive scale: `bmodel` counts over L, `amodel` over the group exponent.
@@ -45,7 +48,8 @@ from math import gcd, lcm
 from operator import mul, sub
 from typing import Iterable, Mapping
 
-from .errors import LgmkError
+from . import groebner
+from .errors import LgmkError, ResourceLimitExceeded
 from .groebner import (
     MonomialOrder,
     Staircase,
@@ -298,11 +302,18 @@ def bmodel(poly: Polynomial) -> BModel:
     The staircase that proves W nondegenerate also bounds it: W is refused
     with ResourceLimitExceeded, before anything is counted, when its
     standard monomials lie in a box of more than STANDARD_MONOMIAL_BOX_LIMIT
-    exponent tuples, the rule `standard_monomials` applies to the listing.
-    The table is the Milnor-Orlik series; degree 2k/L counts u^k."""
+    exponent tuples, the rule `standard_monomials` applies to the listing,
+    or when its series has more than that many coefficients.  The table is
+    the Milnor-Orlik series; degree 2k/L counts u^k."""
     weights = require_admissible(poly).weights
     _box_bounds(jacobian_staircase(poly, weights))
     scale, integer_weights = _integer_weights(weights)
+    size = 1 + sum(scale - 2 * w for w in integer_weights)
+    limit = groebner.STANDARD_MONOMIAL_BOX_LIMIT
+    if size > limit:
+        raise ResourceLimitExceeded(
+            f"the Milnor-Orlik series has {size} coefficients, "
+            f"more than the limit of {limit}")
     series = _milnor_series(integer_weights, scale)
     counts = {2 * k: c for k, c in enumerate(series) if c}
     return BModel(poly, weights, GradedDims._from_counts(counts, scale))

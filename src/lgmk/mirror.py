@@ -11,7 +11,8 @@ there a weight system (q_1..q_m), each q_i in (0, 1/2] and rational, with
     prod(1/q_i - 1) = d      and      2*sum(1 - 2 q_i) = delta?
 
 One and two variables admit exact answers (the two-variable case reduces to
-a quadratic whose discriminant must be a rational square).  From three
+a quadratic whose discriminant must be a rational square).  Every m reads
+the same integer target: the weight sum as sn/sd and d as dn/dd.  From three
 variables on, a target is first tested against a certificate: f(q) =
 log(1/q - 1) is convex on (0, 1/2], so by Jensen m weights with sum
 S = (2m - delta)/4 have prod(1/q_i - 1) >= (m/S - 1)^m, and a target d below
@@ -30,19 +31,19 @@ from the sum left, as unreduced integer fractions, so a tail costs O(1)
 work.  A prefix is dropped when the same certificate excludes the variables
 left, and a tail's pair is decided by its integer discriminant and one
 `math.isqrt`, since N/M with M > 0 is a rational square iff N*M is a
-perfect square.  Three variables have a one-entry tail q3 = a/b, walked by
-denominator rows: the pair of a/b needs a homogeneous quartic F(a, b) to be
-a perfect square, so each row is first sieved by the quadratic residues of
-F modulo a few odd primes, a bit mask per row, and only the survivors reach
-the exact test (a square-residue sieve, as in Cohen, A Course in
-Computational Algebraic Number Theory, 1.7.2).  A `Fraction` is built only
-for a solution, and a search makes at most TAIL_LIMIT visits: one per tail
-entry from four variables on, and one per row and per numerator in it for
-three.  `discriminant_sign_boundary` isolates the real roots of
-a quartic with Sturm sequences and finds the largest grid point where it is
-nonnegative by Stern-Brocot descents, in O(log bound) sign tests.  The
-public `solve_pair` and `reduce_to_pair` are `Fraction` wrappers over the
-integer helpers the search loop calls.
+perfect square.  `_pair_roots` is the only code that accepts a pair.  Three
+variables have a one-entry tail q3 = a/b, walked by denominator rows: the
+pair of a/b needs a homogeneous quartic F(a, b) to be a perfect square, so
+each row is first sieved by the quadratic residues of F modulo a few odd
+primes, a bit mask per row, and only the survivors reach the exact test (a
+square-residue sieve, as in Cohen, A Course in Computational Algebraic
+Number Theory, 1.7.2).  A `Fraction` is built only for a solution, and a
+search makes at most TAIL_LIMIT visits: one per tail entry from four
+variables on, and one per row and per numerator in it for three.
+`discriminant_sign_boundary` isolates the real roots of the same quartic
+with Sturm sequences and finds the largest grid point where it is
+nonnegative by Stern-Brocot descents, in O(log bound) sign tests.  The sieve
+and the boundary read one coefficient list, `_pair_quartic`.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from fractions import Fraction
 from itertools import combinations, islice
 
 from .amodel import amodel
-from .errors import InvalidArgument, ResourceLimitExceeded, TailProductTooLarge
+from .errors import InvalidArgument, ResourceLimitExceeded
 from .milnor import GradedDims, bmodel
 from .polycore import Polynomial, WeightSystem, classify, transpose_polynomial
 from .symmetry import gmax
@@ -98,20 +99,11 @@ def mirror_check(poly: Polynomial) -> bool:
 # Exact pair solving
 # ---------------------------------------------------------------------------
 
-def _rational_sqrt(value: Fraction) -> Fraction | None:
-    if value < 0:
-        return None
-    num = math.isqrt(value.numerator)
-    den = math.isqrt(value.denominator)
-    if num * num != value.numerator or den * den != value.denominator:
-        return None
-    return Fraction(num, den)
-
-
 def _pair_roots(dn: int, dd: int, sn: int, sd: int) -> list[tuple[int, int, int]]:
-    """Integer core of `solve_pair` for d_pair = dn/dd >= 1 and
-    s_pair = sn/sd > 0 (dd, sd > 0): each exact pair as (num1, num2, den)
-    with q1 = num1/den <= q2 = num2/den, both in (0, 1/2]."""
+    """Every rational pair q1 <= q2, both in (0, 1/2], with
+    (1/q1 - 1)(1/q2 - 1) = dn/dd >= 1 and q1 + q2 = sn/sd (dd, sd > 0, the
+    fractions not necessarily reduced), as (num1, num2, den) with
+    q1 = num1/den and q2 = num2/den."""
     e = dn - dd
     if e == 0:
         # both factors are >= 1 on (0, 1/2], so each must equal 1
@@ -129,19 +121,6 @@ def _pair_roots(dn: int, dd: int, sn: int, sd: int) -> list[tuple[int, int, int]
     if low > 0 and 2 * high <= den:
         return [(low, high, den)]
     return []
-
-
-def solve_pair(d_pair, s_pair) -> list[tuple[Fraction, Fraction]]:
-    """All exact rational (q1, q2), q1 <= q2, both in (0, 1/2], with
-    (1/q1 - 1)(1/q2 - 1) = d_pair and q1 + q2 = s_pair."""
-    d = Fraction(d_pair)
-    s = Fraction(s_pair)
-    if d < 1:
-        raise ValueError("dimension product target must be at least 1")
-    if s <= 0:
-        raise ValueError("weight sum target must be positive")
-    return [(Fraction(low, den), Fraction(high, den)) for low, high, den in
-            _pair_roots(d.numerator, d.denominator, s.numerator, s.denominator)]
 
 
 def discriminant_2var(n: int) -> int:
@@ -165,70 +144,18 @@ def nfamily_quadratic_roots(n: int) -> list[tuple[Fraction, Fraction]]:
     """Candidate pairs (q1, q2) from the family quadratic, before the
     (0, 1/2] filter; q1 = 2/n - q2."""
     a, b, c = nfamily_quadratic(n)
-    disc = Fraction(b * b - 4 * a * c)
-    root = _rational_sqrt(disc)
-    if root is None:
+    disc = b * b - 4 * a * c
+    root = math.isqrt(max(disc, 0))
+    if root * root != disc:
         return []
-    roots = {(-b - root) / (2 * a), (-b + root) / (2 * a)}
-    pairs = set()
-    for q2 in roots:
-        q1 = Fraction(2, n) - q2
-        pairs.add(tuple(sorted((q1, q2))))
-    return sorted(pairs)
+    return sorted({tuple(sorted((Fraction(2, n) - q2, q2)))
+                   for q2 in (Fraction(-b - root, 2 * a), Fraction(-b + root, 2 * a))})
 
 
 def nfamily_pair_solutions(n: int) -> list[tuple[Fraction, Fraction]]:
     """Family-quadratic pairs surviving the (0, 1/2] filter."""
     return [(q1, q2) for q1, q2 in nfamily_quadratic_roots(n)
             if 0 < q1 <= HALF and 0 < q2 <= HALF]
-
-
-# ---------------------------------------------------------------------------
-# Reduction of an m-variable search to a pair problem
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PairReduction:
-    """Residual two-variable problem after fixing the tail (q_3..q_m)."""
-
-    d_pair: Fraction
-    s_pair: Fraction
-    tail: tuple[Fraction, ...]
-
-
-def _reduce_tail(en: int, ed: int, m: int, tail) -> tuple[int, int, int, int]:
-    """Integer core of `reduce_to_pair` for delta = en/ed (ed > 0) and a tail
-    of (num, den) pairs: (pn, pd, sn, sd), where pn/pd = prod(1/q_i - 1)
-    over the tail and sn/sd = s_pair, with pd, sd > 0 and nothing reduced."""
-    pn = pd = 1
-    tn, td = 0, 1
-    for num, den in tail:
-        pn *= den - num
-        pd *= num
-        tn, td = tn * den + num * td, td * den
-    return pn, pd, (2 * m * ed - en) * td - 4 * ed * tn, 4 * ed * td
-
-
-def reduce_to_pair(d, delta, m: int, tail) -> PairReduction:
-    """Divide the dimension product and subtract the weight sum of the tail.
-
-    Raises TailProductTooLarge when prod(1/q_i - 1) over the tail already
-    exceeds d: the remaining pair product would have to be below 1, which is
-    impossible for weights in (0, 1/2]."""
-    d = Fraction(d)
-    delta = Fraction(delta)
-    tail = tuple(Fraction(t) for t in tail)
-    if len(tail) != m - 2:
-        raise ValueError(f"tail must have {m - 2} entries for m = {m}")
-    if any(not 0 < t <= HALF for t in tail):
-        raise ValueError("tail weights must lie in (0, 1/2]")
-    pn, pd, sn, sd = _reduce_tail(delta.numerator, delta.denominator, m,
-                                  [(t.numerator, t.denominator) for t in tail])
-    if pn * d.denominator > d.numerator * pd:
-        raise TailProductTooLarge(
-            f"tail product {Fraction(pn, pd)} exceeds the target {d}")
-    return PairReduction(Fraction(d.numerator * pd, d.denominator * pn),
-                         Fraction(sn, sd), tail)
 
 
 # ---------------------------------------------------------------------------
@@ -335,19 +262,29 @@ def _walk_tails(grid: tuple[tuple[int, int], ...], m: int, sn: int, sd: int,
     return found
 
 
-def _pair_quartic(a: int, b: int, sn: int, sd: int, dn: int, dd: int) -> int:
-    """F(a, b) = n e, the integer `_pair_roots` tests for a perfect square
-    when q3 = a/b: a homogeneous quartic in (a, b)."""
-    e = (dn + dd) * a - dd * b
-    tn, td = sn * b - sd * a, sd * b
-    return (tn * tn * e - 4 * (td - tn) * dd * (b - a) * td) * e
+def _pair_quartic(sn: int, sd: int, dn: int, dd: int) -> list[int]:
+    """The coefficients c_0..c_4, constant term first, of the homogeneous
+    quartic F(a, b) = sum c_k a^k b^(4 - k) for a three-variable target with
+    weight sum sn/sd and d = dn/dd (sd, dd > 0): F(a, b) is the integer n e
+    that `_pair_roots(dn a, dd (b - a), sn b - sd a, sd b)` tests for a
+    perfect square, the pair of q3 = a/b."""
+    # at b = 1: e = e1 u - dd with e1 = dn + dd, the pair's sum numerator
+    # t = sn - sd u, and the cubic n = t^2 e - x (sd - t)(1 - u) with
+    # x = 4 dd sd, expanded by hand; then F = n e
+    e1, x = dn + dd, 4 * dd * sd
+    n0 = -dd * sn * sn - x * (sd - sn)
+    n1 = e1 * sn * sn + 2 * dd * sn * sd - x * sn
+    n2 = x * sd - 2 * e1 * sn * sd - dd * sd * sd
+    n3 = e1 * sd * sd
+    return [-dd * n0, e1 * n0 - dd * n1, e1 * n1 - dd * n2, e1 * n2 - dd * n3, e1 * n3]
 
 
 def _row_sieves(bound: int, sn: int, sd: int, dn: int,
                 dd: int) -> list[tuple[int, list[int]]]:
     """The primes that sieve a three-variable walk to `bound`, ascending, as
     (p, good): good lists the u mod p where F(u, 1) is a square mod p, zero
-    included.
+    included, F being `_pair_quartic` with its coefficients reduced mod p
+    once and evaluated by Horner's rule.
 
     A prime dividing dn, dd or sd never sieves, since F is then a square
     mod p, nor does one whose every F(u, 1) is a square.  Each prime leaves
@@ -358,13 +295,15 @@ def _row_sieves(bound: int, sn: int, sd: int, dn: int,
     (none below bound 16, one up to 31, seven from 128 to 255)."""
     sieves = []
     tried = 0
+    quartic = _pair_quartic(sn, sd, dn, dd)
     for p, squares in _SIEVE_SQUARES.items():
         if tried >= 2 * bound.bit_length() - 9:
             break
         if dn % p and dd % p and sd % p:
             tried += 1
-            residues = sn % p, sd % p, dn % p, dd % p
-            good = [u for u in range(p) if _pair_quartic(u, 1, *residues) % p in squares]
+            c0, c1, c2, c3, c4 = (c % p for c in quartic)
+            good = [u for u in range(p)
+                    if ((((c4 * u + c3) * u + c2) * u + c1) * u + c0) % p in squares]
             if len(good) < p:
                 sieves.append((p, good))
     return sieves
@@ -377,11 +316,13 @@ def _walk_rows(bound: int, sn: int, sd: int, dn: int, dd: int) -> set[tuple[Frac
     Row b holds the numerators a with 1/(d+1) <= a/b <= 1/2 and a/b below
     the sum, the tails whose pair can have a positive sum.  The pair of a/b
     is `_pair_roots(dn a, dd (b - a), sn b - sd a, sd b)`, which succeeds
-    only if F(a, b) (`_pair_quartic`) is a perfect square.  For an odd prime
+    only if the quartic F(a, b) = sum c_k a^k b^(4 - k) of
+    `_pair_quartic(sn, sd, dn, dd)` is a perfect square.  For an odd prime
     p not dividing b, F(a, b) = b^4 F(a/b, 1) mod p, so the p values
-    F(u, 1) mod p tell every point where F is a nonresidue mod p, hence no
-    square; when p divides b, F = (sd (dn + dd) a^2)^2 mod p and p sieves
-    nothing.  A row's candidates are a bit mask, one bit per numerator,
+    F(u, 1) mod p that `_row_sieves` computes tell every point where F is a
+    nonresidue mod p, hence no square; when p divides b,
+    F = (sd (dn + dd) a^2)^2 mod p and p sieves nothing.  A row's
+    candidates are a bit mask, one bit per numerator,
     ANDed with each prime's periodic pattern for b mod p shifted to the
     row's first numerator.  Of the bits left, those of reduced a/b reach
     `_pair_roots`: a non-reduced point repeats one of a smaller row, with
@@ -447,16 +388,19 @@ def search_weight_systems(d, delta, m: int, denominator_bound: int = 60) -> Sear
         raise InvalidArgument("denominator bound must be at least 2")
     if d <= 0:
         raise InvalidArgument(f"target dimension must be positive, got {d}")
+    # the weight sum S = (2m - delta)/4 as sn/sd, and d as dn/dd
+    sn, sd = 2 * m * delta.denominator - delta.numerator, 4 * delta.denominator
+    dn, dd = d.numerator, d.denominator
     solutions: set[tuple[Fraction, ...]] = set()
     if m == 1:
-        q = 1 / (d + 1)
-        if 0 < q <= HALF and 2 * (1 - 2 * q) == delta:
-            solutions.add((q,))
+        # the one weight is 1/(d + 1), in (0, 1/2] iff d >= 1
+        if dd <= dn and dd * sd == sn * (dn + dd):
+            solutions.add((Fraction(dd, dn + dd),))
     elif m == 2:
-        s = (4 - delta) / 4
-        if s > 0 and d >= 1:
-            for q1, q2 in solve_pair(d, s):
-                solutions.add((q1, q2))
+        # a pair has both factors 1/q - 1 >= 1, so d < 1 has none
+        if dn >= dd:
+            solutions = {(Fraction(low, den), Fraction(high, den))
+                         for low, high, den in _pair_roots(dn, dd, sn, sd)}
     else:
         if m > 3:
             grid = tuple(islice(_farey_grid(1 / (d + 1), HALF, denominator_bound),
@@ -464,9 +408,6 @@ def search_weight_systems(d, delta, m: int, denominator_bound: int = 60) -> Sear
             if len(grid) > GRID_LIMIT:
                 raise ResourceLimitExceeded(f"the tail grid at denominator bound "
                                             f"{denominator_bound} exceeds {GRID_LIMIT} points")
-        # the weight sum S = (2m - delta)/4 as sn/sd
-        sn, sd = 2 * m * delta.denominator - delta.numerator, 4 * delta.denominator
-        dn, dd = d.numerator, d.denominator
         if not _certified(m, sn, sd, dn, dd):
             if m == 3:
                 solutions = _walk_rows(denominator_bound, sn, sd, dn, dd)
@@ -487,14 +428,6 @@ def search_weight_systems(d, delta, m: int, denominator_bound: int = 60) -> Sear
 # ---------------------------------------------------------------------------
 # Polynomials in q are integer coefficient lists, constant term first, and a
 # point q = n/k (k > 0) is the pair (n, k), not necessarily reduced.
-
-def _poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
 
 def _primitive(poly: list[int]) -> list[int]:
     """poly divided by the positive gcd of its coefficients (poly nonzero)."""
@@ -604,7 +537,9 @@ def discriminant_sign_boundary(d, delta, denominator_bound: int = 60) -> Fractio
     becomes A q1^2 - A B q1 + (B - 1) = 0, whose discriminant is
     (A B)^2 - 4 A (B - 1); the degenerate linear case A = 0 counts as 0.
     Since A = L/(1 - q3) with L = 1 - (d + 1) q3, the discriminant has the
-    sign of the quartic P = L^2 B^2 - 4 L (1 - q3)(B - 1) on (0, 1).  The
+    sign of the quartic P = L^2 B^2 - 4 L (1 - q3)(B - 1) on (0, 1), and
+    P (4 dd ed)^2 for d = dn/dd and delta = en/ed is F(q3, 1), the quartic
+    `_pair_quartic` of the walk's weight sum (6 ed - en)/(4 ed).  The
     grid is every q3 in [1/bound, 1/2] with denominator at most the bound.
     Its largest point where P >= 0 is 1/2, or else the largest grid point at
     or below some root of P in (0, 1/2): the roots are isolated with Sturm
@@ -616,13 +551,8 @@ def discriminant_sign_boundary(d, delta, denominator_bound: int = 60) -> Fractio
         raise InvalidArgument("denominator bound must be at least 2")
     d = Fraction(d)
     delta = Fraction(delta)
-    dn, dd = d.numerator, d.denominator
-    en, ed = delta.numerator, delta.denominator
-    # P * (4 dd ed)^2, from L = lin/dd and B = b/(4 ed)
-    lin, b = [dd, -(dn + dd)], [6 * ed - en, -4 * ed]
-    square = _poly_mul(_poly_mul(lin, b), _poly_mul(lin, b))
-    cross = _poly_mul(_poly_mul(lin, [1, -1]), [2 * ed - en, -4 * ed])
-    quartic = [c - 16 * dd * ed * x for c, x in zip(square, cross + [0])]
+    ed = delta.denominator
+    quartic = _pair_quartic(6 * ed - delta.numerator, 4 * ed, d.numerator, d.denominator)
     while quartic and quartic[-1] == 0:
         quartic.pop()
     if not quartic or _sign_at(quartic, 1, 2) >= 0:

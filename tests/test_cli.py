@@ -191,6 +191,13 @@ class TestExitCodes:
         assert "10000000" in err
 
 
+    def test_milnor_series_limit(self, capsys):
+        # a box of 4,976,640 tuples, but a series of 108,423,999 integers
+        code, out, err = run(capsys, "bmodel", "a^3+b^4+c^5+d^7+e^11+f^13+g^17+h^19")
+        assert (code, out) == (6, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "108423999" in err
+
 # Gmax of x^N is Z/N, here of order 10^20 - 1: the group itself answers at
 # once, and listing its elements is refused before any is built
 HUGE = "x^99999999999999999999"

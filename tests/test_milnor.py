@@ -251,6 +251,9 @@ class TestSeriesAgainstBasis:
             model.basis
 
 
+LONG_SERIES = "a^3 + b^4 + c^5 + d^7 + e^11 + f^13 + g^17 + h^19"
+
+
 class TestSeriesBound:
     def test_huge_box_is_refused_before_the_basis_is_read(self, monkeypatch):
         def forbidden(*args):
@@ -260,6 +263,33 @@ class TestSeriesBound:
         monkeypatch.setattr(milnor, "standard_monomials", forbidden)
         with pytest.raises(ResourceLimitExceeded, match="10000000"):
             milnor.bmodel(parse_polynomial("x^99999999999999999999"))
+
+    def test_long_series_under_the_box_limit_is_refused_before_it_is_built(
+            self, monkeypatch):
+        # the box holds 4,976,640 tuples, under the limit, but
+        # L = 19,399,380 and the series would hold 108,423,999 integers
+        poly = parse_polynomial(LONG_SERIES)
+        bounds = groebner._box_bounds(jacobian_staircase(poly, classify(poly).weights))
+        assert prod(bounds) == 4_976_640 < groebner.STANDARD_MONOMIAL_BOX_LIMIT
+
+        def forbidden(*args):
+            raise AssertionError("_milnor_series was called")
+
+        monkeypatch.setattr(milnor, "_milnor_series", forbidden)
+        with pytest.raises(ResourceLimitExceeded, match="108423999 coefficients"):
+            bmodel(poly)
+
+    @pytest.mark.parametrize("limit", [2, 3])
+    def test_series_length_is_read_against_the_limit_at_call_time(
+            self, monkeypatch, limit):
+        # x^2 + y^3: the box holds 1 * 2 tuples, the series u^0 .. u^2 three
+        monkeypatch.setattr(groebner, "STANDARD_MONOMIAL_BOX_LIMIT", limit)
+        poly = parse_polynomial("x^2 + y^3")
+        if limit < 3:
+            with pytest.raises(ResourceLimitExceeded, match="3 coefficients"):
+                bmodel(poly)
+        else:
+            assert bmodel(poly).graded.total_dim == 2
 
     @pytest.mark.parametrize("limit", [7, 8, 9])
     def test_refuses_exactly_what_the_listing_refuses(self, monkeypatch, limit):

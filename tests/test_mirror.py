@@ -9,7 +9,6 @@ from lgmk import (
     InvalidArgument,
     NotInvertible,
     ResourceLimitExceeded,
-    TailProductTooLarge,
     WeightSystem,
     discriminant_2var,
     discriminant_sign_boundary,
@@ -19,9 +18,7 @@ from lgmk import (
     nfamily_quadratic,
     nfamily_quadratic_roots,
     parse_polynomial,
-    reduce_to_pair,
     search_weight_systems,
-    solve_pair,
     transpose_polynomial,
 )
 from lgmk import mirror
@@ -65,28 +62,35 @@ class TestMirrorCheck:
             mirror_check(parse_polynomial("x^4 + y^4 + x^3*y"))
 
 
-class TestSolvePair:
+def pair_solutions(d, s) -> list[tuple[F, ...]]:
+    """The two-variable search's pairs for product d and weight sum s,
+    delta = 4 - 4 s; the status is NoneExact exactly when none is found."""
+    report = search_weight_systems(d, 4 - 4 * F(s), 2)
+    assert (report.status == STATUS_NONE_EXACT) == (not report.solutions)
+    return [tuple(ws) for ws in report.solutions]
+
+
+class TestPairSearch:
     def test_cubic_case(self):
-        assert solve_pair(4, F(2, 3)) == [(F(1, 3), F(1, 3))]
+        assert pair_solutions(4, F(2, 3)) == [(F(1, 3), F(1, 3))]
 
     def test_negative_discriminant(self):
-        assert solve_pair(8, F(2, 5)) == []
+        assert pair_solutions(8, F(2, 5)) == []
 
     def test_unit_product_forces_halves(self):
-        assert solve_pair(1, 1) == [(F(1, 2), F(1, 2))]
-        assert solve_pair(1, F(71, 90)) == []
+        assert pair_solutions(1, 1) == [(F(1, 2), F(1, 2))]
+        assert pair_solutions(1, F(71, 90)) == []
 
     def test_irrational_discriminant(self):
         # d = 3, s = 1: q1 q2 = 0 is out; try d = 5, s = 1: p = 0 -> roots 0, 1
-        assert solve_pair(5, 1) == []
+        assert pair_solutions(5, 1) == []
         # d = 2, s = 3/4: p = 1/4, disc = 9/16 - 1 < 0
-        assert solve_pair(2, F(3, 4)) == []
+        assert pair_solutions(2, F(3, 4)) == []
 
-    def test_rejects_bad_targets(self):
-        with pytest.raises(ValueError):
-            solve_pair(F(1, 2), 1)
-        with pytest.raises(ValueError):
-            solve_pair(2, 0)
+    def test_bad_targets_have_no_pair(self):
+        # a product below 1 or a sum that is not positive
+        assert pair_solutions(F(1, 2), 1) == []
+        assert pair_solutions(2, 0) == []
 
 
 class TestDiscriminant:
@@ -115,37 +119,8 @@ class TestDiscriminant:
     def test_quadratic_route_agrees_with_pair_solver(self):
         for n in range(3, 30):
             via_quadratic = nfamily_pair_solutions(n)
-            via_pair = solve_pair(2 * n - 2, F(2, n))
+            via_pair = pair_solutions(2 * n - 2, F(2, n))
             assert via_quadratic == via_pair
-
-
-class TestReduceToPair:
-    def test_boundary_tail(self):
-        reduced = reduce_to_pair(8, F(12, 5), 3, [F(1, 9)])
-        assert reduced.d_pair == 1
-        assert reduced.s_pair == F(71, 90)
-        assert solve_pair(reduced.d_pair, reduced.s_pair) == []
-
-    def test_half_tail_is_transparent_padding(self):
-        reduced = reduce_to_pair(8, F(12, 5), 3, [F(1, 2)])
-        assert reduced.d_pair == 8
-        assert reduced.s_pair == F(2, 5)
-        assert solve_pair(reduced.d_pair, reduced.s_pair) == []
-
-    def test_empty_tail(self):
-        reduced = reduce_to_pair(6, 2, 2, [])
-        assert reduced.d_pair == 6
-        assert reduced.s_pair == F(1, 2)
-
-    def test_oversized_tail_rejected(self):
-        with pytest.raises(TailProductTooLarge):
-            reduce_to_pair(8, F(12, 5), 3, [F(1, 10)])
-
-    def test_tail_range_validated(self):
-        with pytest.raises(ValueError):
-            reduce_to_pair(8, F(12, 5), 3, [F(2, 3)])
-        with pytest.raises(ValueError):
-            reduce_to_pair(8, F(12, 5), 3, [F(1, 9), F(1, 9)])
 
 
 class TestSearch:

@@ -1,13 +1,16 @@
 """The integer search kernel against the earlier `Fraction` route.
 
-The oracle below keeps the earlier implementation verbatim: the grid built
-as a set of `Fraction`s and sorted, each tail reduced by `reduce_to_pair` and
-finished by `solve_pair` in `Fraction` arithmetic, and the discriminant
-boundary found by scanning the whole grid.  On paper-family and planted
+The oracle below keeps the earlier implementation verbatim: the one- and
+two-variable answers in `Fraction` arithmetic, the grid built as a set of
+`Fraction`s and sorted, each tail reduced by `reduce_to_pair` and finished
+by `solve_pair` in `Fraction` arithmetic, and the discriminant boundary
+found by scanning the whole grid.  On paper-family, planted and arbitrary
 targets the integer kernel must give the same solutions, status and
-boundary; the public per-tail functions must give the same values and
-errors; and the Farey walk must give the same grid, whose length over (0, 1]
-is also checked against an independent count.  The three-variable search
+boundary; the integer pair solver `_pair_roots` must give the oracle's
+pairs on unreduced inputs; the pair quartic that the sieve and the boundary
+read must be the integer the pair solver tests; and the Farey walk must give
+the same grid, whose length over (0, 1] is also checked against an
+independent count.  The three-variable search
 sieves its rows by quadratic residues before the exact pair test, so it is
 also compared at bounds 150-220, on targets whose pair is (1/2, 1/2), on
 weight sums over the sieve primes, and on tails in rows a sieving prime
@@ -26,15 +29,14 @@ from hypothesis import strategies as st
 from lgmk import TailProductTooLarge, mirror
 from lgmk.mirror import (
     STATUS_FOUND,
+    STATUS_NONE_EXACT,
     STATUS_NONE_WITHIN_BOUND,
     _farey_grid,
     _pair_quartic,
     _pair_roots,
     _row_sieves,
     discriminant_sign_boundary,
-    reduce_to_pair,
     search_weight_systems,
-    solve_pair,
 )
 
 HALF = Fraction(1, 2)
@@ -126,9 +128,21 @@ def oracle_tail_solutions(d: Fraction, delta: Fraction, m: int,
 
 
 def oracle_search(d, delta, m: int, denominator_bound: int):
-    """Solutions and status of the earlier search, for m >= 3."""
+    """Solutions and status of the earlier search."""
     d = Fraction(d)
     delta = Fraction(delta)
+    if m <= 2:
+        solutions = set()
+        if m == 1:
+            q = 1 / (d + 1)
+            if 0 < q <= HALF and 2 * (1 - 2 * q) == delta:
+                solutions.add((q,))
+        else:
+            s = (4 - delta) / 4
+            if s > 0 and d >= 1:
+                solutions.update(oracle_solve_pair(d, s))
+        ordered = tuple(sorted(solutions))
+        return ordered, STATUS_FOUND if ordered else STATUS_NONE_EXACT
     lo = 1 / (d + 1)
     grid = oracle_rational_grid(lo, HALF, denominator_bound)
     solutions = oracle_tail_solutions(d, delta, m,
@@ -160,6 +174,11 @@ def target_of(weights) -> tuple[Fraction, Fraction]:
     for q in weights:
         d *= 1 / q - 1
     return d, 2 * sum(1 - 2 * q for q in weights)
+
+
+def quartic_at(coefficients: list[int], a: int, b: int) -> int:
+    """sum c_k a^k b^(4 - k), the homogeneous quartic at (a, b)."""
+    return sum(c * a**k * b ** (4 - k) for k, c in enumerate(coefficients))
 
 
 @st.composite
@@ -262,9 +281,10 @@ def test_sieve_drops_only_points_without_a_pair(case):
     dn, dd = d.numerator, d.denominator
     sieves = [(p, good, {u * u % p for u in range(p)})
               for p, good in _row_sieves(10**6, sn, sd, dn, dd)]
+    coefficients = _pair_quartic(sn, sd, dn, dd)
     for b in range(2, bound + 1):
         for a in range(1, b // 2 + 1):
-            quartic = _pair_quartic(a, b, sn, sd, dn, dd)
+            quartic = quartic_at(coefficients, a, b)
             walked = 1 / (d + 1) <= Fraction(a, b) < (6 - delta) / 4
             pair = walked and _pair_roots(dn * a, dd * (b - a), sn * b - sd * a, sd * b)
             if pair:
@@ -323,47 +343,78 @@ def test_boundary_matches_oracle_on_arbitrary_targets(d, delta, bound):
 
 
 # ---------------------------------------------------------------------------
-# The public per-tail functions
+# One and two variables, the pair solver and the pair quartic
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("m", [1, 2])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_one_and_two_variable_search_matches_oracle(m, data):
+    # planted targets, which have a solution, or arbitrary ones, with d
+    # below 1 and delta negative or past the pair's range among them
+    if data.draw(st.booleans()):
+        d, delta = target_of(data.draw(weights_in_range(m, 120)))
+    else:
+        d = data.draw(st.fractions(min_value=Fraction(1, 40), max_value=60,
+                                   max_denominator=40))
+        delta = data.draw(st.fractions(min_value=-4, max_value=6, max_denominator=40))
+    assert_search_matches((d, delta, m, data.draw(st.integers(2, 60))))
+
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
-def test_solve_pair_matches_oracle(data):
+def test_pair_roots_matches_oracle(data):
     if data.draw(st.booleans()):
         d_pair, s_pair = target_of(data.draw(weights_in_range(2, 60)))
         s_pair = (4 - s_pair) / 4
     else:
-        d_pair = data.draw(st.fractions(min_value=1, max_value=60, max_denominator=30))
+        d_pair = data.draw(st.one_of(
+            st.just(Fraction(1)),
+            st.fractions(min_value=1, max_value=60, max_denominator=30)))
         s_pair = data.draw(st.fractions(min_value=Fraction(1, 30), max_value=2,
                                         max_denominator=30))
-    assert solve_pair(d_pair, s_pair) == oracle_solve_pair(d_pair, s_pair)
+    # the walks pass products and sums unreduced
+    k, j = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 12))
+    roots = _pair_roots(k * d_pair.numerator, k * d_pair.denominator,
+                        j * s_pair.numerator, j * s_pair.denominator)
+    assert [(Fraction(low, den), Fraction(high, den)) for low, high, den in roots] == \
+        oracle_solve_pair(d_pair, s_pair)
 
 
 @pytest.mark.parametrize("d_pair, s_pair", [(Fraction(1, 2), 1), (2, 0), (2, -1)])
-def test_solve_pair_errors_match_oracle(d_pair, s_pair):
-    with pytest.raises(ValueError) as new:
-        solve_pair(d_pair, s_pair)
-    with pytest.raises(ValueError) as old:
+def test_pair_targets_the_oracle_rejects_have_no_pair(d_pair, s_pair):
+    # the earlier solver refused a product below 1 or a sum that is not
+    # positive; the two-variable search reports such a target as NoneExact
+    with pytest.raises(ValueError):
         oracle_solve_pair(d_pair, s_pair)
-    assert str(new.value) == str(old.value)
+    report = search_weight_systems(d_pair, 4 - 4 * Fraction(s_pair), 2)
+    assert report.solutions == ()
+    assert report.status == STATUS_NONE_EXACT
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.integers(2, 6), st.data())
-def test_reduce_to_pair_matches_oracle(m, data):
-    tail = data.draw(weights_in_range(m - 2, 40))
-    d = data.draw(st.fractions(min_value=Fraction(1, 10), max_value=2000, max_denominator=20))
-    delta = data.draw(st.fractions(min_value=-4, max_value=12, max_denominator=20))
-    try:
-        expected = oracle_reduce_to_pair(d, delta, m, tail)
-    except TailProductTooLarge as error:
-        with pytest.raises(TailProductTooLarge) as new:
-            reduce_to_pair(d, delta, m, tail)
-        assert str(new.value) == str(error)
-        return
-    reduced = reduce_to_pair(d, delta, m, tail)
-    assert (reduced.d_pair, reduced.s_pair, reduced.tail) == (
-        expected.d_pair, expected.s_pair, expected.tail)
+@settings(max_examples=300, deadline=None)
+@given(st.fractions(min_value=Fraction(1, 40), max_value=60, max_denominator=40),
+       st.fractions(min_value=-6, max_value=8, max_denominator=40),
+       st.integers(1, 6), st.integers(1, 200), st.data())
+def test_pair_quartic_is_what_the_pair_solver_tests(d, delta, k, b, data):
+    """For q3 = a/b the quartic is n e, the integer `_pair_roots` tests for
+    a perfect square: with the pair's product D = pn/pd, e = pn - pd, and
+    sum s = tn/td, the pair's discriminant s^2 - 4 (1 - s)/(D - 1) is
+    n / (td^2 e)."""
+    a = data.draw(st.integers(-b, b - 1))
+    # the walk's weight sum (6 - delta)/4, unreduced, and scaled by k
+    sn, sd = k * (6 * delta.denominator - delta.numerator), k * 4 * delta.denominator
+    dn, dd = d.numerator, d.denominator
+    coefficients = _pair_quartic(sn, sd, dn, dd)
+    assert len(coefficients) == 5
+    pn, pd, tn, td = dn * a, dd * (b - a), sn * b - sd * a, sd * b
+    e = pn - pd
+    if e == 0:
+        expected = 0
+    else:
+        s, product = Fraction(tn, td), Fraction(pn, pd)
+        expected = td * td * e * e * (s * s - 4 * (1 - s) / (product - 1))
+    assert quartic_at(coefficients, a, b) == expected
 
 
 # ---------------------------------------------------------------------------
