@@ -3,7 +3,6 @@ quasihomogeneous polynomials and mirror-candidate weight searches."""
 
 from .amodel import AModel, SectorElement, adegree, amodel, group_weights_compare, restrict
 from .errors import (
-    DegenerateRestriction,
     EmptyPolynomialError,
     GroupNotAdmissible,
     GroupNotSymmetry,

@@ -19,9 +19,9 @@ with n_P the number of elements whose moved set is P,
     c_F = (1/|G|) * sum_P n_P * prod_{i in F-P}(1/q_i - 1) * (-1)^|F & P|,
 
 an integer division over the common denominator |G| * prod_{i in F} num(q_i)
-that must be exact.  Each nonempty locus runs milnor's memoized
-`jacobian_staircase`, whose verdict (a finite Milnor ring) is the formula's
-hypothesis; the full locus reuses the one `classify` computed.
+that must be exact.  The formula's hypothesis, W|F nondegenerate, follows
+from W's own staircase, which `require_admissible` runs (the lemma in
+`amodel`), so counting runs no Groebner kernel on any locus.
 The graded table is counted in integers: with N the group exponent, an
 element g = v/N has degree numerator N*adegree(g) = |fix(g)|*N + 2*sum(v) -
 2*N*sum(q), so `amodel` walks the integer vectors, never lists the phase
@@ -29,7 +29,8 @@ elements, and hands the counts to `GradedDims._from_counts` over the scale
 N, which builds no `Fraction`.
 
 The basis elements [m; g] are listed only when `AModel.basis` is first
-read, as the CLI does to print them: each locus's standard monomials are
+read, as the CLI does to print them: each locus's restriction runs
+milnor's memoized `jacobian_staircase`, its standard monomials are
 filtered by integer congruences on the generators' lattice vectors, and
 their number must equal the locus's character count.  The mirror checks
 read only the graded table, so they never list a Milnor basis.
@@ -43,13 +44,8 @@ from fractions import Fraction
 from functools import cached_property
 from math import prod
 
-from .errors import (
-    DegenerateRestriction,
-    GroupNotAdmissible,
-    LgmkError,
-    NotAdmissibleError,
-)
-from .groebner import Staircase, standard_monomials
+from .errors import GroupNotAdmissible, LgmkError, NotAdmissibleError
+from .groebner import standard_monomials
 from .milnor import GradedDims, jacobian_staircase
 from .polycore import Monomial, Polynomial, WeightSystem, classify, require_admissible
 from .symmetry import GroupElement, SymmetryGroup, check_symmetry, fixed_locus, is_admissible_group
@@ -126,27 +122,13 @@ def adegree(element: GroupElement, weights: WeightSystem) -> Fraction:
     return Fraction(len(fixed_locus(element))) + shift
 
 
-def _restricted_staircase(poly: Polynomial, weights: WeightSystem,
-                          fix: frozenset[int]) -> Staircase:
-    """Staircase of the Milnor ring of poly restricted to the nonempty fix:
-    the verdict that the restriction is nondegenerate, or
-    DegenerateRestriction."""
-    restricted = restrict(poly, fix)
-    if restricted is None:
-        raise DegenerateRestriction(
-            f"restriction to variables {sorted(fix)} is the zero polynomial")
-    sub_weights = WeightSystem(tuple(weights[i] for i in sorted(fix)))
-    found = jacobian_staircase(restricted, sub_weights)
-    if found is None:
-        raise DegenerateRestriction(
-            f"restriction to variables {sorted(fix)} has a non-finite Milnor ring")
-    return found
-
-
 def _restricted_milnor_basis(poly: Polynomial, weights: WeightSystem,
                              fix: frozenset[int]) -> list[Monomial]:
-    """Standard monomial basis of the Milnor ring of poly restricted to fix."""
-    return standard_monomials(_restricted_staircase(poly, weights, fix))
+    """Standard monomial basis of the Milnor ring of poly restricted to fix,
+    a nonempty fixed locus of a symmetry group of poly, where the
+    restriction is nonzero and nondegenerate (the lemma in `amodel`)."""
+    sub_weights = WeightSystem(tuple(weights[i] for i in sorted(fix)))
+    return standard_monomials(jacobian_staircase(restrict(poly, fix), sub_weights))
 
 
 def _invariant_monomials(fix, generators, exponent, poly, weights):
@@ -164,9 +146,9 @@ def _invariant_monomials(fix, generators, exponent, poly, weights):
 def _invariant_count(fix, moved_counts, order, weights) -> int:
     """Number of invariant monomials on the locus fix, from the characters:
     moved_counts maps each moved pattern (a tuple of bools) to its number of
-    group elements.  Exact only when the restriction to fix is
-    nondegenerate; raises LgmkError if the average is not a nonnegative
-    integer."""
+    group elements.  Exact because the restriction to fix is nondegenerate
+    (the lemma in `amodel`); raises LgmkError if the average is not a
+    nonnegative integer."""
     # over the denominator order * prod num(q_i): a fixed i contributes
     # den(q_i) - num(q_i), a moved one -num(q_i)
     total = 0
@@ -195,10 +177,21 @@ def amodel(poly: Polynomial, group: SymmetryGroup) -> AModel:
     Requires poly admissible, the group a symmetry group of poly, and the
     weights vector J an element of the group.  The sector invariants depend
     only on the fixed locus, so they are counted once per distinct locus,
-    from the group's characters, after the locus's staircase proves its
-    restriction nondegenerate.  With N the group exponent and v = N*g, an
+    from the group's characters.  With N the group exponent and v = N*g, an
     element g adds its locus's count at the integer degree numerator
     N*adegree(g) = |fix(g)|*N + 2*sum(v) - 2*N*sum(q).
+
+    The count needs W restricted to each fixed locus F nondegenerate, and
+    that follows from W's staircase alone (Krawitz 2010, FJRW rings and
+    Landau-Ginzburg mirror symmetry).  Lemma: for g in the group with
+    nonempty F = fix(g), crit(W|F) lies in crit(W) = {0}.  W(g x) = W(x)
+    gives lambda_j * dW/dx_j(g x) = dW/dx_j(x) for each phase lambda_j of g;
+    a point x of C^F has g x = x, so (lambda_j - 1) * dW/dx_j(x) = 0, and
+    the partials along the moved variables vanish there.  The partials of
+    W|F are those of W along F, so a critical point of W|F is one of W.
+    Hence W|F is nonzero (else all of C^F would be critical) and its one
+    critical point is 0: its Milnor ring is finite, and no locus needs a
+    Groebner run to be counted.
     """
     weights = require_admissible(poly).weights
     check_symmetry(group, poly)
@@ -216,8 +209,6 @@ def amodel(poly: Polynomial, group: SymmetryGroup) -> AModel:
     for (moved, total), n in patterns.items():
         fix = frozenset(i for i, a in enumerate(moved) if not a)
         if fix not in locus_counts:
-            if fix:
-                _restricted_staircase(poly, weights, fix)
             locus_counts[fix] = _invariant_count(fix, moved_counts, group.order, weights)
         counts[len(fix) * exponent + 2 * total] += n * locus_counts[fix]
     graded = GradedDims._from_counts(counts, exponent, _degree_shift(weights, exponent))

@@ -20,7 +20,6 @@ from functools import cache
 
 from .amodel import amodel
 from .errors import (
-    DegenerateRestriction,
     GroupNotAdmissible,
     GroupNotSymmetry,
     InfiniteGroup,
@@ -398,7 +397,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 _EXIT_CODES = (
     ((ParseError, InvalidArgument), 2),
-    ((NotAdmissibleError, WeightError, InfiniteGroup, DegenerateRestriction), 3),
+    ((NotAdmissibleError, WeightError, InfiniteGroup), 3),
     ((GroupNotAdmissible, GroupNotSymmetry), 4),
     (NotInvertible, 5),
     (ResourceLimitExceeded, 6),

@@ -70,21 +70,17 @@ class NotFiniteDimensional(LgmkError):
     """Quotient by the ideal is not a finite-dimensional vector space."""
 
 
-class DegenerateRestriction(LgmkError):
-    """A sector's restricted polynomial has a non-finite Milnor ring."""
-
-
 class ResourceLimitExceeded(LgmkError):
     """The Groebner engine exhausted its S-pair budget, a standard-monomial
-    box exceeds its limit, a group is too large to list its elements, or a
-    search grid is too large to hold.
+    box or a Milnor-Orlik series exceeds its limit, a group is too large to
+    list its elements, or a search grid or walk is too large.
 
     The box is the product of the least pure-power leading exponents of a
     staircase.  Past STANDARD_MONOMIAL_BOX_LIMIT tuples, `standard_monomials`
-    lists nothing, and `bmodel` refuses the polynomial before it builds its
-    series, whether or not the basis is ever read.  `bmodel` also refuses a
-    Milnor-Orlik series of more than STANDARD_MONOMIAL_BOX_LIMIT
-    coefficients, which a box under the limit does not rule out."""
+    lists nothing, so `BModel.basis` and `AModel.basis` refuse to be read.
+    The box rule guards only listings: `bmodel` counts its table without
+    one, and refuses only a series of more than STANDARD_MONOMIAL_BOX_LIMIT
+    coefficients, before it allocates one."""
 
 
 class WeightConditionViolated(LgmkError):

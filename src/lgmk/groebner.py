@@ -34,7 +34,9 @@ loop and returns the minimal leading terms, which decide whether the
 quotient is finite dimensional and which monomials span it.  No basis is
 interreduced and no coefficient leaves the loop.  `standard_monomials`
 refuses a box larger than STANDARD_MONOMIAL_BOX_LIMIT and walks the
-staircase under the leading terms, one variable at a time.
+staircase under the leading terms, one variable at a time.  That box rule
+guards listings only: the graded tables of `bmodel` and `amodel` are
+counted without a standard monomial.
 """
 
 from __future__ import annotations
@@ -57,7 +59,8 @@ from .polycore import (
 )
 
 # most exponent tuples standard_monomials may enumerate: the product of the
-# least pure-power exponents, one per variable
+# least pure-power exponents, one per variable; milnor.bmodel also reads it,
+# at call time, as the most Milnor-Orlik coefficients it allocates
 STANDARD_MONOMIAL_BOX_LIMIT = 10**7
 # bits per packed exponent when a run starts; the run widens them to fit
 _FIELD_BITS = 8
@@ -366,25 +369,6 @@ def _pure_power_bounds(leads, n: int) -> list[int] | None:
     return bounds
 
 
-def _box_bounds(basis: Staircase) -> list[int]:
-    """The least pure-power exponent of each variable among the leading
-    terms: the sides of the box that holds every standard monomial.
-
-    Raises NotFiniteDimensional when some variable has no pure-power leading
-    term, and ResourceLimitExceeded when the box holds more than
-    STANDARD_MONOMIAL_BOX_LIMIT exponent tuples.
-    """
-    bounds = _pure_power_bounds(basis.leads, len(basis.variables))
-    if bounds is None:
-        raise NotFiniteDimensional("ideal is not zero dimensional")
-    box = prod(bounds)
-    if box > STANDARD_MONOMIAL_BOX_LIMIT:
-        raise ResourceLimitExceeded(
-            f"the standard monomials lie in a box of {box} exponent tuples, "
-            f"more than the limit of {STANDARD_MONOMIAL_BOX_LIMIT}")
-    return bounds
-
-
 def standard_monomials(basis: Staircase) -> list[Monomial]:
     """Monomials divisible by no leading term: a basis of the quotient.
 
@@ -392,13 +376,20 @@ def standard_monomials(basis: Staircase) -> list[Monomial]:
     some variable has no pure-power leading term, that is when the quotient
     is not a finite-dimensional vector space, and ResourceLimitExceeded when
     the box bounded by the pure powers holds more than
-    STANDARD_MONOMIAL_BOX_LIMIT exponent tuples (`_box_bounds`).
+    STANDARD_MONOMIAL_BOX_LIMIT exponent tuples.
     """
     leads = basis.leads
     if _unit(leads):
         return []
     n = len(basis.variables)
-    bounds = _box_bounds(basis)
+    bounds = _pure_power_bounds(leads, n)
+    if bounds is None:
+        raise NotFiniteDimensional("ideal is not zero dimensional")
+    box = prod(bounds)
+    if box > STANDARD_MONOMIAL_BOX_LIMIT:
+        raise ResourceLimitExceeded(
+            f"the standard monomials lie in a box of {box} exponent tuples, "
+            f"more than the limit of {STANDARD_MONOMIAL_BOX_LIMIT}")
     found: list[Exps] = []
 
     def walk(prefix: Exps, active: list[Exps]) -> None:

@@ -6,12 +6,12 @@ runs it on a Jacobian ideal.  The kernel's only product is the minimal
 leading terms, which decide both whether the Milnor ring is finite
 dimensional and which monomials form its basis; no consumer needs more.
 The staircase is memoized per (polynomial, weights, S-pair budget), so
-`classify`, `bmodel`, the A-model's fixed loci and the mirror checks share
-one kernel run per polynomial and locus without passing it around.  The
-weights come from `classify`, whose verdict polycore memoizes too, so
+`classify`, `bmodel`, the mirror checks and the A-model's basis listings
+share one kernel run per polynomial and locus without passing it around.
+The weights come from `classify`, whose verdict polycore memoizes too, so
 `bmodel` and `is_nondegenerate` solve no weights of their own.
 `classify` reads only the verdict; the monomials are enumerated, under the
-box limit of `standard_monomials`, only by the consumers that print them.
+box limit of `standard_monomials`, only by the listings that print them.
 
 `bmodel` counts the B side without listing it.  Once the staircase has
 proved W nondegenerate, the partials form a regular sequence, so the Milnor
@@ -24,12 +24,13 @@ running sum per residue class of each factor of the denominator.
 `BModel.basis` lists the standard monomials only when first read, as the
 CLI does to print them, and their count in every degree must equal the
 series', so the Groebner route and the closed form check each other
-wherever a basis is printed.  Before it counts, `bmodel` applies the box
-rule of `standard_monomials` to the staircase, so it refuses every
-polynomial whose listing would be refused.  The box does not bound the
-series, whose length top + 1 grows with L (for pairwise coprime exponents,
-like their product), so `bmodel` also refuses a series of more than
-STANDARD_MONOMIAL_BOX_LIMIT coefficients before it allocates one.
+wherever a basis is printed.  Each side has its own limit: the box rule of
+`standard_monomials` guards only the listing, and `bmodel` refuses a series
+of more than STANDARD_MONOMIAL_BOX_LIMIT coefficients before it allocates
+one.  The two lengths differ both ways: the series' top + 1 grows with L
+(for pairwise coprime exponents, like their product), while the box of the
+Fermat sum x^60 + y^60 + z^60 + w^60 holds 59^4 tuples against a series of
+233 coefficients, so its table is counted and its basis is refused.
 
 `GradedDims` holds both graded sides as integer degree numerators over one
 positive scale: `bmodel` counts over L, `amodel` over the group exponent.
@@ -53,7 +54,6 @@ from .errors import LgmkError, ResourceLimitExceeded
 from .groebner import (
     MonomialOrder,
     Staircase,
-    _box_bounds,
     staircase,
     standard_monomials,
 )
@@ -228,7 +228,8 @@ def jacobian_staircase(poly: Polynomial,
     return _memoized_staircase(poly, weights, _pair_budget(None))
 
 
-# one polynomial needs at most 2^n restricted loci plus its transpose
+# counting needs one entry per polynomial and its transpose; only basis
+# listings add restricted loci, at most 2^n per polynomial
 @lru_cache(maxsize=64)
 def _memoized_staircase(poly: Polynomial, weights: WeightSystem | None,
                         pair_budget: int) -> Staircase | None:
@@ -299,14 +300,13 @@ def _milnor_series(integer_weights: list[int], scale: int) -> list[int]:
 def bmodel(poly: Polynomial) -> BModel:
     """Milnor ring of an admissible polynomial as a graded vector space.
 
-    The staircase that proves W nondegenerate also bounds it: W is refused
-    with ResourceLimitExceeded, before anything is counted, when its
-    standard monomials lie in a box of more than STANDARD_MONOMIAL_BOX_LIMIT
-    exponent tuples, the rule `standard_monomials` applies to the listing,
-    or when its series has more than that many coefficients.  The table is
-    the Milnor-Orlik series; degree 2k/L counts u^k."""
+    Once the staircase that `require_admissible` runs has proved W
+    nondegenerate, the table is the Milnor-Orlik series; degree 2k/L counts
+    u^k.  W is refused with ResourceLimitExceeded, before the series is
+    allocated, when it has more than STANDARD_MONOMIAL_BOX_LIMIT
+    coefficients.  The box rule of `standard_monomials` applies only when
+    `BModel.basis` is read."""
     weights = require_admissible(poly).weights
-    _box_bounds(jacobian_staircase(poly, weights))
     scale, integer_weights = _integer_weights(weights)
     size = 1 + sum(scale - 2 * w for w in integer_weights)
     limit = groebner.STANDARD_MONOMIAL_BOX_LIMIT

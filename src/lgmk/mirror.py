@@ -17,10 +17,11 @@ variables on, a target is first tested against a certificate: f(q) =
 log(1/q - 1) is convex on (0, 1/2], so by Jensen m weights with sum
 S = (2m - delta)/4 have prod(1/q_i - 1) >= (m/S - 1)^m, and a target d below
 that bound has no weight system at all.  The search then skips enumeration,
-though its status stays NoneWithinBound.  Otherwise the tail (q_3..q_m) is
-enumerated over a bounded-denominator rational grid and each tail is
-finished exactly, so empty results certify nonexistence only within the
-stated bound.
+though its status stays NoneWithinBound.  The one uncertified d = 1 target,
+sum m/2, is answered exactly too: each factor 1/q - 1 is at least 1, so
+every q_i is 1/2.  Otherwise the tail (q_3..q_m) is enumerated over a
+bounded-denominator rational grid and each tail is finished exactly, so
+empty results certify nonexistence only within the stated bound.
 
 The search runs in integer numerators and denominators.  From four
 variables on, the tail (q_3..q_m) runs over a grid that is a stretch of the
@@ -370,9 +371,10 @@ def _walk_rows(bound: int, sn: int, sd: int, dn: int, dd: int) -> set[tuple[Frac
 def search_weight_systems(d, delta, m: int, denominator_bound: int = 60) -> SearchReport:
     """Search for weight systems in m variables matching (d, delta).
 
-    m = 1 and m = 2 are decided exactly; for m >= 3 a target the Jensen
-    certificate excludes is answered without enumeration, and otherwise the
-    tails run over the rationals with denominators up to the bound.  Either
+    m = 1 and m = 2 are decided exactly; for m >= 3 a target with d = 1
+    (whose only solution is all weights 1/2) or one the Jensen certificate
+    excludes is answered without enumeration, and otherwise the tails run
+    over the rationals with denominators up to the bound.  Either
     way the result is reported relative to that bound.  Solutions are canonicalized ascending,
     so permutations collapse.  Raises InvalidArgument for m < 1, a bound
     below 2 or a dimension d <= 0, and ResourceLimitExceeded for m >= 4 when
@@ -408,7 +410,12 @@ def search_weight_systems(d, delta, m: int, denominator_bound: int = 60) -> Sear
             if len(grid) > GRID_LIMIT:
                 raise ResourceLimitExceeded(f"the tail grid at denominator bound "
                                             f"{denominator_bound} exceeds {GRID_LIMIT} points")
-        if not _certified(m, sn, sd, dn, dd):
+        if dn == dd:
+            # every factor 1/q - 1 is at least 1 on (0, 1/2], so d = 1 forces
+            # every q_i = 1/2, and then the sum m/2
+            if 2 * sn == m * sd:
+                solutions.add((HALF,) * m)
+        elif not _certified(m, sn, sd, dn, dd):
             if m == 3:
                 solutions = _walk_rows(denominator_bound, sn, sd, dn, dd)
             else:

@@ -2,9 +2,10 @@ import importlib
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lgmk import (
-    DegenerateRestriction,
     GradedDims,
     GroupElement,
     GroupNotAdmissible,
@@ -17,15 +18,17 @@ from lgmk import (
     classify,
     gmax,
     fixed_locus,
+    enumerate_admissible_supports,
     group_weights_compare,
     is_admissible_group,
+    jacobian_staircase,
     parse_polynomial,
     restrict,
     sl_subgroup,
     subgroup_generated,
     subgroups_containing,
 )
-from lgmk.amodel import _invariant_monomials, _restricted_milnor_basis
+from lgmk.amodel import _invariant_monomials
 from lgmk.mirror import mirror_sides
 
 from conftest import INVERTIBLE_CORPUS_TEXTS, family_polynomial, j_group
@@ -78,13 +81,6 @@ class TestInvariantMonomials:
     def test_cubic_identity_sector_is_empty(self):
         model = amodel(parse_polynomial("x^3"), subgroup_generated([ge("1/3")], 1))
         assert sector_monomials(model, ge(0)) == []
-
-    def test_degenerate_restriction_is_loud(self):
-        # no term of the chain x^2*y + y^3 lives purely in x, so a sector
-        # fixing only x restricts to zero
-        poly = parse_polynomial("x^2*y + y^3")
-        with pytest.raises(DegenerateRestriction):
-            _restricted_milnor_basis(poly, classify(poly).weights, frozenset({0}))
 
 
 class TestADegree:
@@ -287,3 +283,51 @@ class TestCharacterCount:
         group.__dict__["vectors"] = group.vectors[:-1]
         with pytest.raises(LgmkError, match="not a nonnegative integer"):
             amodel(parse_polynomial("x^3 + y^3"), group)
+
+
+# four-variable Fermat, chain and loop members, and a chain beside a Fermat
+# summand
+LEMMA_TEXTS = ORACLE_TEXTS + ["x^3 + y^3 + z^3 + w^3", "x^2*y + y^3*z + z^2*w + w^3",
+                              "x^2*y + y^2*z + z^2*w + w^3*x", "x^4 + y^3 + x*z^2 + w^2*z"]
+SUPPORT_WEIGHTS = [(F(1, 4), F(1, 4)), (F(1, 5), F(1, 5)), (F(1, 6), F(1, 3)),
+                   (F(1, 6), F(1, 6)), (F(1, 6), F(1, 4), F(1, 4))]
+
+
+def assert_loci_restrict_nondegenerate(poly):
+    """Every nonempty fixed locus of Gmax(poly) and of each subgroup over J
+    restricts poly to a nonzero polynomial with a finite Milnor ring."""
+    weights = classify(poly).weights
+    groups = [gmax(poly), *groups_containing_j(poly)]
+    loci = {fixed_locus(g) for group in groups for g in group.elements} - {frozenset()}
+    assert loci
+    for fix in loci:
+        restricted = restrict(poly, fix)
+        assert restricted is not None, (str(poly), sorted(fix))
+        sub_weights = WeightSystem(tuple(weights[i] for i in sorted(fix)))
+        assert jacobian_staircase(restricted, sub_weights) is not None, (str(poly), sorted(fix))
+
+
+class TestRestrictionLemma:
+    """W fixed by g has no critical point on fix(g) but 0, so `amodel`
+    counts every locus without a Groebner run; the kernel here is the
+    oracle for that lemma."""
+
+    @pytest.mark.parametrize("text", LEMMA_TEXTS)
+    def test_invertible_loci(self, text):
+        assert_loci_restrict_nondegenerate(parse_polynomial(text))
+
+    @pytest.mark.parametrize("weights", SUPPORT_WEIGHTS)
+    def test_every_admissible_support(self, weights):
+        supports = enumerate_admissible_supports(WeightSystem(weights))
+        assert supports
+        for poly in supports:
+            assert_loci_restrict_nondegenerate(poly)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(3, 9), st.integers(3, 9), st.data())
+    def test_supports_at_drawn_weights(self, a, b, data):
+        # q = (1/a, k/b) with k/b in (0, 1/2]
+        k = data.draw(st.integers(1, b // 2))
+        supports = enumerate_admissible_supports(WeightSystem((F(1, a), F(k, b))))
+        for poly in supports[:12]:
+            assert_loci_restrict_nondegenerate(poly)

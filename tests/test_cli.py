@@ -1,5 +1,9 @@
+import importlib
+import inspect
 import json
 import os
+import pkgutil
+import re
 import subprocess
 import sys
 import time
@@ -8,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 import lgmk
-from lgmk import mirror
+from lgmk import mirror, polycore
 from lgmk.cli import EXIT_PIPE_CLOSED, main
 
 
@@ -183,8 +187,8 @@ class TestExitCodes:
         code, _, _ = run(capsys, "bmodel", "x^4+y^4+x^3*y")
         assert code == 6
 
-    def test_standard_monomial_box_limit(self, capsys):
-        # 10^20 - 1 standard monomials: refused before any is enumerated
+    def test_milnor_series_limit_on_a_huge_exponent(self, capsys):
+        # a series of 10^20 - 2 coefficients: refused before any is allocated
         code, out, err = run(capsys, "bmodel", "x^99999999999999999999")
         assert (code, out) == (6, "")
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -197,6 +201,17 @@ class TestExitCodes:
         assert (code, out) == (6, "")
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "108423999" in err
+
+    def test_box_limit_refuses_only_the_listing(self, capsys):
+        # the x^60 Fermat sum: a series of 233 coefficients, a box of 59^4
+        # tuples; bmodel prints its basis, and the A side of mirror-check
+        # lists Gmax, of order 60^4
+        code, out, err = run(capsys, "bmodel", "x^60+y^60+z^60+w^60")
+        assert (code, out) == (6, "")
+        assert "box of 12117361" in err and err.count("\n") == 1
+        code, out, err = run(capsys, "mirror-check", "x^60+y^60+z^60+w^60")
+        assert (code, out) == (6, "")
+        assert "order 12960000" in err and err.count("\n") == 1
 
 # Gmax of x^N is Z/N, here of order 10^20 - 1: the group itself answers at
 # once, and listing its elements is refused before any is built
@@ -221,6 +236,48 @@ class TestGroupOrderLimit:
         assert (code, out) == (6, "")
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "order 99999999999999999999" in err
+
+
+def _limit_rows() -> list[list[str]]:
+    """The cells of each row of README's limits table."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as handle:
+        text = handle.read()
+    table = text.split("### Limits", 1)[1].split("\n\n")[2]
+    return [[cell.strip() for cell in row.strip("|").split("|")]
+            for row in table.splitlines()[2:]]
+
+
+def _shown(value: int) -> str:
+    """A limit as the table writes it: 10^k for a power of ten."""
+    k = len(str(value)) - 1
+    return f"10^{k}" if value == 10**k else str(value)
+
+
+class TestLimitsTable:
+    def test_every_limit_constant_is_in_the_table(self):
+        # every module-level *_LIMIT assignment in the package
+        found = {}
+        for info in pkgutil.iter_modules(lgmk.__path__):
+            if info.name.startswith("_"):
+                continue
+            module = importlib.import_module(f"lgmk.{info.name}")
+            source = inspect.getsource(module)
+            for name, value in vars(module).items():
+                if name.endswith("_LIMIT") and re.search(rf"^{name} = ", source, re.M):
+                    found[f"{info.name}.{name}"] = value
+        assert len(found) >= 4
+        rows = _limit_rows()
+        # one row per constant, and one for the S-pair budget
+        assert len(rows) == len(found) + 1
+        for name, value in found.items():
+            row, = [r for r in rows if r[0] == f"`{name}`"]
+            assert (row[1], row[3]) == (_shown(value), "6")
+
+    def test_pair_budget_is_in_the_table(self):
+        row, = [r for r in _limit_rows() if r[0].startswith("`LGMK_PAIR_BUDGET`")]
+        assert polycore.PAIR_BUDGET_ENV == "LGMK_PAIR_BUDGET"
+        assert (row[1], row[3]) == (_shown(polycore.DEFAULT_PAIR_BUDGET), "6")
 
 
 class TestGridLimit:
@@ -291,7 +348,7 @@ class TestTailBudget:
         assert err == "error: the search visits more than 10000000 tails\n"
 
     @pytest.mark.parametrize("argv", [("24", "43/15", "3", "--bound", "20"),
-                                      ("1", "0", "3", "--bound", "9"),
+                                      ("2", "2/3", "3", "--bound", "20"),
                                       ("45", "479/143", "3", "--bound", "60")])
     def test_budget_is_exact(self, capsys, monkeypatch, argv):
         answer = run_json(capsys, "search", *argv)
@@ -303,6 +360,14 @@ class TestTailBudget:
         code, out, err = run(capsys, "search", *argv)
         assert (code, out) == (6, "")
         assert err == f"error: the search visits more than {visits - 1} tails\n"
+
+    @pytest.mark.parametrize("m", ["3", "4", "5", "6"])
+    def test_unit_dimension_is_answered_without_a_walk(self, capsys, monkeypatch, m):
+        # each factor 1/q - 1 is at least 1, so d = 1 forces every weight to 1/2
+        monkeypatch.setattr(mirror, "TAIL_LIMIT", 0)
+        answer = run_json(capsys, "search", "1", "0", m, "--bound", str(10**8))
+        assert answer["payload"]["status"] == "SolutionsFound"
+        assert answer["payload"]["solutions"] == [[[1, 2]] * int(m)]
 
 
 class TestBadInput:

@@ -8,8 +8,10 @@ from empty memos the weights of each distinct polynomial are solved once.
 The Groebner kernel `staircase` is the engine's only product, and
 `milnor.jacobian_staircase` memoizes it per (polynomial, weights, S-pair
 budget), so starting from empty memos a call runs the kernel once per
-distinct polynomial it classifies and once per distinct proper, nonempty
-fixed locus of its groups.  Within one run, the
+distinct polynomial it classifies.  Counting runs it on no fixed locus:
+each nonempty locus of a symmetry group restricts W to a nondegenerate
+polynomial, by the lemma in `amodel`, so only reading `AModel.basis` runs
+it, once per distinct proper, nonempty locus.  Within one run, the
 kernel packs each input exponent tuple into an integer once and never calls
 `MonomialOrder.key`, and divides in primitive integer coefficients only.  A
 group lists its elements only when `elements` or `vectors` is first read, so
@@ -138,36 +140,43 @@ class TestOneJacobianBasis:
         milnor.bmodel(parse_polynomial(text))
         assert len(buchberger_runs) == 1
 
+    @pytest.mark.parametrize("text", [CHAIN, LOOP, "x^3 + y^3 + z^3"])
+    def test_amodel_runs_once(self, buchberger_runs, text):
+        poly = parse_polynomial(text)
+        lgmk.amodel(poly, gmax(poly))
+        assert len(buchberger_runs) == 1
+
     @pytest.mark.parametrize("text,loci", CASES)
-    def test_amodel_runs_once_plus_once_per_proper_locus(self, buchberger_runs, text, loci):
+    def test_basis_adds_one_run_per_proper_locus(self, buchberger_runs, text, loci):
         poly = parse_polynomial(text)
         group = gmax(poly)
         assert _proper_loci(group) == loci
-        lgmk.amodel(poly, group)
+        model = lgmk.amodel(poly, group)
+        assert len(buchberger_runs) == 1
+        model.basis
         assert len(buchberger_runs) == 1 + loci
 
-    @pytest.mark.parametrize("text,loci", CASES)
-    def test_mirror_check_runs_two_plus_once_per_proper_locus(self, buchberger_runs,
-                                                               text, loci):
+    @pytest.mark.parametrize("text", [CHAIN, LOOP, "x^3 + y^3 + z^3"])
+    def test_mirror_check_runs_once_per_side(self, buchberger_runs, text):
         poly = parse_polynomial(text)
         assert mirror_check(poly)
         # W and W^T once each, or once in all when W^T == W
         sides = 1 if polycore.transpose_polynomial(poly) == poly else 2
-        assert len(buchberger_runs) == sides + loci
+        assert len(buchberger_runs) == sides
 
     def test_weights_command_runs_buchberger_once(self, buchberger_runs, capsys):
         assert cli.main(["weights", CHAIN]) == 0
         assert len(buchberger_runs) == 1
 
-    def test_orbifold_loop_runs_once_per_polynomial_and_locus(self, buchberger_runs):
+    def test_orbifold_loop_runs_once(self, buchberger_runs):
         poly = parse_polynomial("x^3 + y^3 + z^3")
         ambient = gmax(poly)
         j = GroupElement(tuple(polycore.classify(poly).weights))
         for group in subgroups_containing(ambient, [j]):
             transpose_group(group, poly)
             lgmk.amodel(poly, group)
-        # one run for W, which is its own transpose, and one per proper locus
-        assert len(buchberger_runs) == 1 + _proper_loci(ambient) == 7
+        # one run for W, which is its own transpose
+        assert len(buchberger_runs) == 1
 
 
 FERMAT = "x^3 + y^3 + z^3"

@@ -252,6 +252,7 @@ class TestSeriesAgainstBasis:
 
 
 LONG_SERIES = "a^3 + b^4 + c^5 + d^7 + e^11 + f^13 + g^17 + h^19"
+FERMAT_60 = "x^60 + y^60 + z^60 + w^60"
 
 
 class TestSeriesBound:
@@ -269,7 +270,8 @@ class TestSeriesBound:
         # the box holds 4,976,640 tuples, under the limit, but
         # L = 19,399,380 and the series would hold 108,423,999 integers
         poly = parse_polynomial(LONG_SERIES)
-        bounds = groebner._box_bounds(jacobian_staircase(poly, classify(poly).weights))
+        found = jacobian_staircase(poly, classify(poly).weights)
+        bounds = groebner._pure_power_bounds(found.leads, len(found.variables))
         assert prod(bounds) == 4_976_640 < groebner.STANDARD_MONOMIAL_BOX_LIMIT
 
         def forbidden(*args):
@@ -292,8 +294,10 @@ class TestSeriesBound:
             assert bmodel(poly).graded.total_dim == 2
 
     @pytest.mark.parametrize("limit", [7, 8, 9])
-    def test_refuses_exactly_what_the_listing_refuses(self, monkeypatch, limit):
-        # x^9 has the box x^0 .. x^7: 8 tuples
+    def test_one_variable_series_and_box_share_their_limit(self, monkeypatch, limit):
+        # x^9 has the box x^0 .. x^7, 8 tuples, and the series u^0 .. u^7: in
+        # one variable the count's series limit and the listing's box limit
+        # refuse the same polynomials
         monkeypatch.setattr(groebner, "STANDARD_MONOMIAL_BOX_LIMIT", limit)
         poly = parse_polynomial("x^9")
         found = jacobian_staircase(poly, classify(poly).weights)
@@ -303,6 +307,15 @@ class TestSeriesBound:
                     route()
         else:
             assert len(standard_monomials(found)) == bmodel(poly).graded.total_dim == 8
+
+    def test_box_limit_guards_only_the_listing(self):
+        # the box holds 59^4 = 12,117,361 tuples, over the limit, but the
+        # series u^0 .. u^232 (L = 60) only 233 coefficients
+        model = bmodel(parse_polynomial(FERMAT_60))
+        assert len(model.graded.dims) == 233
+        assert model.graded.total_dim == 59**4 == 12_117_361
+        with pytest.raises(ResourceLimitExceeded, match="box of 12117361"):
+            model.basis
 
 
 class TestJacobian:
