@@ -18,8 +18,8 @@ with n_P the number of elements whose moved set is P,
 
     c_F = (1/|G|) * sum_P n_P * prod_{i in F-P}(1/q_i - 1) * (-1)^|F & P|,
 
-an integer division over the common denominator |G| * prod_{i in F} num(q_i)
-that must be exact.  The formula's hypothesis, W|F nondegenerate, follows
+an exact integer division over |G| * prod_{i in F} w_i for the integer
+weights w_i = L*q_i.  The formula's hypothesis, W|F nondegenerate, follows
 from W's own staircase, which `require_admissible` runs (the lemma in
 `amodel`), so counting runs no Groebner kernel on any locus.
 The graded table is counted in integers: with N the group exponent, an
@@ -29,11 +29,11 @@ elements, and hands the counts to `GradedDims._from_counts` over the scale
 N, which builds no `Fraction`.
 
 The basis elements [m; g] are listed only when `AModel.basis` is first
-read, as the CLI does to print them: each locus's restriction runs
-milnor's memoized `jacobian_staircase`, its standard monomials are
-filtered by integer congruences on the generators' lattice vectors, and
-their number must equal the locus's character count.  The mirror checks
-read only the graded table, so they never list a Milnor basis.
+read, as the CLI does to print them: the full locus reads W's staircase
+from `classify`, each proper locus runs `jacobian_staircase` on its
+restriction, the standard monomials are filtered by integer congruences on
+the generators' lattice vectors, and their number must equal the locus's
+character count.  The mirror checks read only the graded table.
 """
 
 from __future__ import annotations
@@ -122,23 +122,21 @@ def adegree(element: GroupElement, weights: WeightSystem) -> Fraction:
     return Fraction(len(fixed_locus(element))) + shift
 
 
-def _restricted_milnor_basis(poly: Polynomial, weights: WeightSystem,
-                             fix: frozenset[int]) -> list[Monomial]:
-    """Standard monomial basis of the Milnor ring of poly restricted to fix,
-    a nonempty fixed locus of a symmetry group of poly, where the
-    restriction is nonzero and nondegenerate (the lemma in `amodel`)."""
-    sub_weights = WeightSystem(tuple(weights[i] for i in sorted(fix)))
-    return standard_monomials(jacobian_staircase(restrict(poly, fix), sub_weights))
-
-
 def _invariant_monomials(fix, generators, exponent, poly, weights):
-    # invariance of x^a in a sector fixing fix: sum over fixed i of
+    # the standard monomials of W|fix, nondegenerate by the lemma in
+    # `amodel`; the full locus is W itself, whose staircase `classify` keeps.
+    # Invariance of x^a in a sector fixing fix: sum over fixed i of
     # (1 + a_i) h_i integral for every h in G; with h = w/exponent and the
     # sum additive in h, that is a congruence per generator vector w
     if not fix:
         return [Monomial(())]
     indices = sorted(fix)
-    return [m for m in _restricted_milnor_basis(poly, weights, fix)
+    if len(fix) == len(weights):
+        found = classify(poly).staircase
+    else:
+        sub_weights = WeightSystem(tuple(weights[i] for i in indices))
+        found = jacobian_staircase(restrict(poly, fix), sub_weights)
+    return [m for m in standard_monomials(found)
             if all(sum((1 + a) * w[i] for a, i in zip(m.exponents, indices)) % exponent == 0
                    for w in generators)]
 
@@ -149,16 +147,17 @@ def _invariant_count(fix, moved_counts, order, weights) -> int:
     group elements.  Exact because the restriction to fix is nondegenerate
     (the lemma in `amodel`); raises LgmkError if the average is not a
     nonnegative integer."""
-    # over the denominator order * prod num(q_i): a fixed i contributes
-    # den(q_i) - num(q_i), a moved one -num(q_i)
+    # 1/q_i - 1 = (L - w_i)/w_i, so over the denominator order * prod w_i a
+    # fixed i contributes L - w_i, a moved one -w_i
+    scale, integer_weights = weights.integer_form
     total = 0
     for moved, n in moved_counts.items():
         term = n
         for i in fix:
-            q = weights[i]
-            term *= -q.numerator if moved[i] else q.denominator - q.numerator
+            w = integer_weights[i]
+            term *= -w if moved[i] else scale - w
         total += term
-    count, remainder = divmod(total, order * prod(weights[i].numerator for i in fix))
+    count, remainder = divmod(total, order * prod(integer_weights[i] for i in fix))
     if remainder or count < 0:
         raise LgmkError(
             f"character count on locus {sorted(fix)} is not a nonnegative integer")
@@ -167,8 +166,9 @@ def _invariant_count(fix, moved_counts, order, weights) -> int:
 
 def _degree_shift(weights: WeightSystem, exponent: int) -> int:
     """2*N*sum(q_i) for the group exponent N; an integer because J lies in
-    the group, so N*q_i is one."""
-    return 2 * sum(q.numerator * (exponent // q.denominator) for q in weights)
+    the group, so L divides N."""
+    scale, integer_weights = weights.integer_form
+    return 2 * (exponent // scale) * sum(integer_weights)
 
 
 def amodel(poly: Polynomial, group: SymmetryGroup) -> AModel:

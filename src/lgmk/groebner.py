@@ -87,11 +87,8 @@ class MonomialOrder:
                                                      compare=False)
 
     def __post_init__(self):
-        integer_weights = None
-        if self.weights is not None:
-            scale = lcm(*(w.denominator for w in self.weights))
-            integer_weights = tuple(int(w * scale) for w in self.weights)
-        object.__setattr__(self, "_integer_weights", integer_weights)
+        object.__setattr__(self, "_integer_weights", None if self.weights is None
+                           else WeightSystem(self.weights).integer_form[1])
 
     @staticmethod
     def degrevlex() -> "MonomialOrder":

@@ -5,13 +5,12 @@ the Groebner kernel `staircase`; `jacobian_staircase` is the one place that
 runs it on a Jacobian ideal.  The kernel's only product is the minimal
 leading terms, which decide both whether the Milnor ring is finite
 dimensional and which monomials form its basis; no consumer needs more.
-The staircase is memoized per (polynomial, weights, S-pair budget), so
-`classify`, `bmodel`, the mirror checks and the A-model's basis listings
-share one kernel run per polynomial and locus without passing it around.
-The weights come from `classify`, whose verdict polycore memoizes too, so
-`bmodel` and `is_nondegenerate` solve no weights of their own.
-`classify` reads only the verdict; the monomials are enumerated, under the
-box limit of `standard_monomials`, only by the listings that print them.
+W's staircase under its weights is kept in `classify`'s memoized record,
+beside the weights and their integer form (L, L*q_i); `bmodel`, its basis
+and `is_nondegenerate` read it there.  A plain call runs the kernel only
+for the restricted loci of `AModel.basis` and for a polynomial without
+weights.  Monomials are enumerated, under the box limit of
+`standard_monomials`, only by the listings that print them.
 
 `bmodel` counts the B side without listing it.  Once the staircase has
 proved W nondegenerate, the partials form a regular sequence, so the Milnor
@@ -43,7 +42,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import accumulate
 from math import gcd, lcm
 from operator import mul, sub
@@ -61,7 +60,6 @@ from .polycore import (
     Monomial,
     Polynomial,
     WeightSystem,
-    _pair_budget,
     classify,
     require_admissible,
 )
@@ -184,10 +182,10 @@ class BModel:
 
         Raises LgmkError if the listing has a different number of monomials
         than the series in some degree."""
-        monomials = tuple(standard_monomials(jacobian_staircase(self.source, self.weights)))
+        monomials = tuple(standard_monomials(classify(self.source).staircase))
         # degree 2*sum(e_i q_i) = 2k/L, counted by its numerator 2k over the
         # scale L that `bmodel` counts the series over
-        scale, integer_weights = _integer_weights(self.weights)
+        scale, integer_weights = self.weights.integer_form
         listed = Counter(2 * sum(map(mul, m.exponents, integer_weights)) for m in monomials)
         series = dict(zip(self.graded.numerators, self.graded.dims))
         if listed != series:
@@ -221,24 +219,14 @@ def jacobian_staircase(poly: Polynomial,
     """Staircase of the Jacobian ideal under weighted degrevlex (plain
     degrevlex when weights is None); None when the Milnor ring is not finite
     dimensional.  `standard_monomials` of the result is the Milnor ring's
-    monomial basis, sorted in the order.
-
-    Results are memoized; the S-pair budget is part of the key, so a cached
-    staircase never hides a budget that is invalid or too small."""
-    return _memoized_staircase(poly, weights, _pair_budget(None))
-
-
-# counting needs one entry per polynomial and its transpose; only basis
-# listings add restricted loci, at most 2^n per polynomial
-@lru_cache(maxsize=64)
-def _memoized_staircase(poly: Polynomial, weights: WeightSystem | None,
-                        pair_budget: int) -> Staircase | None:
+    monomial basis, sorted in the order.  Runs the kernel on every call: the
+    staircase of an admissible W under its weights is `classify(W).staircase`."""
     gens = [p for p in jacobian_ideal(poly) if not p.is_zero()]
     if not gens:
         return None
     order = (MonomialOrder.degrevlex() if weights is None
              else MonomialOrder.weighted_degrevlex(weights))
-    found = staircase(gens, order, pair_budget)
+    found = staircase(gens, order)
     return found if found.finite else None
 
 
@@ -246,7 +234,10 @@ def is_nondegenerate(poly: Polynomial) -> bool:
     """True iff the Jacobian ideal is zero dimensional (finite Milnor ring)."""
     if poly.is_zero() or poly.n_variables == 0:
         return False
-    return jacobian_staircase(poly, classify(poly).weights) is not None
+    verdict = classify(poly)
+    if verdict.weights is None:
+        return jacobian_staircase(poly, None) is not None
+    return verdict.staircase is not None
 
 
 def _dim_product(weights: WeightSystem) -> Fraction:
@@ -271,13 +262,7 @@ def _require_halved(weights: WeightSystem) -> None:
         raise ValueError(f"weights {weights} must lie in (0, 1/2]")
 
 
-def _integer_weights(weights: WeightSystem) -> tuple[int, list[int]]:
-    """The lcm L of the weight denominators and the integer weights L*q_i."""
-    scale = lcm(*(q.denominator for q in weights))
-    return scale, [q.numerator * (scale // q.denominator) for q in weights]
-
-
-def _milnor_series(integer_weights: list[int], scale: int) -> list[int]:
+def _milnor_series(integer_weights: tuple[int, ...], scale: int) -> list[int]:
     """Coefficients of u^0 .. u^top of prod (1 - u^(L - w_i)) / (1 - u^(w_i))
     for integer weights w_i over L, top = sum(L - 2 w_i): the Hilbert series
     of the Milnor ring of a nondegenerate W, u^k in weighted degree k/L
@@ -307,7 +292,7 @@ def bmodel(poly: Polynomial) -> BModel:
     coefficients.  The box rule of `standard_monomials` applies only when
     `BModel.basis` is read."""
     weights = require_admissible(poly).weights
-    scale, integer_weights = _integer_weights(weights)
+    scale, integer_weights = weights.integer_form
     size = 1 + sum(scale - 2 * w for w in integer_weights)
     limit = groebner.STANDARD_MONOMIAL_BOX_LIMIT
     if size > limit:

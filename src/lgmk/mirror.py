@@ -19,9 +19,13 @@ S = (2m - delta)/4 have prod(1/q_i - 1) >= (m/S - 1)^m, and a target d below
 that bound has no weight system at all.  The search then skips enumeration,
 though its status stays NoneWithinBound.  The one uncertified d = 1 target,
 sum m/2, is answered exactly too: each factor 1/q - 1 is at least 1, so
-every q_i is 1/2.  Otherwise the tail (q_3..q_m) is enumerated over a
-bounded-denominator rational grid and each tail is finished exactly, so
-empty results certify nonexistence only within the stated bound.
+every q_i is 1/2.  Above SEARCH_VARS_LIMIT variables a target is answered
+only where the every-m certificate decides (delta^k/k! summed to k = K is
+below e^delta, which every product exceeds), and otherwise refused, so
+neither the walk's recursion nor Jensen's power grows without bound.
+Otherwise the tail (q_3..q_m) is enumerated over a bounded-denominator
+rational grid and each tail is finished exactly, so empty results certify
+nonexistence only within the stated bound.
 
 The search runs in integer numerators and denominators.  From four
 variables on, the tail (q_3..q_m) runs over a grid that is a stretch of the
@@ -70,6 +74,11 @@ GRID_LIMIT = 10**5  # the most grid points held for tails of m >= 4 variables
 # The most visits one search makes: a tail entry, whole or partial, for
 # m >= 4; a denominator row and each numerator in it for m = 3.
 TAIL_LIMIT = 10**7
+# The most variables a search walks or tests by Jensen's power, which grows
+# with m; above it a target is answered only by the every-m certificate,
+# summed to the term delta^K/K! of its exponential series.
+SEARCH_VARS_LIMIT = 500
+_EVERY_M_TERMS = 40
 
 # The odd primes below 128 with their quadratic residues: the pool from
 # which a three-variable walk takes the primes that sieve its rows.
@@ -219,6 +228,26 @@ def _certified(k: int, sn: int, sd: int, dn: int, dd: int) -> bool:
     (0, 1/2], Jensen gives prod(1/q_i - 1) >= (k/S - 1)^k for sum S; cleared
     of denominators, (k/S - 1)^k > d reads (k sd - sn)^k dd > dn sn^k."""
     return sn <= 0 or 2 * sn > k * sd or (k * sd - sn) ** k * dd > dn * sn ** k
+
+
+def _every_m_certified(dn: int, dd: int, en: int, ed: int) -> bool:
+    """True when no weight system in any number of variables has
+    prod(1/q_i - 1) = dn/dd and 2*sum(1 - 2 q_i) = delta = en/ed (dd, ed > 0).
+
+    With t_i = 1 - 2 q_i in [0, 1), log(1/q_i - 1) = 2 artanh(t_i) >= 2 t_i,
+    so delta = 2 sum t_i is never negative, and the product exceeds e^delta
+    unless every t_i is 0.  So delta < 0 is impossible, delta = 0 forces
+    d = 1, and for delta > 0 every d at most T_K(delta) =
+    sum_{k <= K} delta^k/k! < e^delta is excluded; the sum is taken in
+    integers over K! ed^K."""
+    if en <= 0:
+        return en < 0 or dn != dd
+    scale = math.factorial(_EVERY_M_TERMS) * ed ** _EVERY_M_TERMS
+    term = total = scale
+    for k in range(1, _EVERY_M_TERMS + 1):
+        term = term * en // (k * ed)  # delta^k/k! over the scale, exactly
+        total += term
+    return dn * scale <= dd * total
 
 
 def _walk_tails(grid: tuple[tuple[int, int], ...], m: int, sn: int, sd: int,
@@ -379,8 +408,9 @@ def search_weight_systems(d, delta, m: int, denominator_bound: int = 60) -> Sear
     so permutations collapse.  Raises InvalidArgument for m < 1, a bound
     below 2 or a dimension d <= 0, and ResourceLimitExceeded for m >= 4 when
     the grid has more than GRID_LIMIT points (checked before the
-    certificate) or for m >= 3 when the walk makes more than TAIL_LIMIT
-    visits.
+    certificate), for m >= 3 when the walk makes more than TAIL_LIMIT
+    visits, and for m > SEARCH_VARS_LIMIT unless the target is the d = 1
+    target with no solution or one the every-m certificate excludes.
     """
     d = Fraction(d)
     delta = Fraction(delta)
@@ -414,7 +444,15 @@ def search_weight_systems(d, delta, m: int, denominator_bound: int = 60) -> Sear
             # every factor 1/q - 1 is at least 1 on (0, 1/2], so d = 1 forces
             # every q_i = 1/2, and then the sum m/2
             if 2 * sn == m * sd:
+                if m > SEARCH_VARS_LIMIT:
+                    raise ResourceLimitExceeded(
+                        f"the solution lists {m} weights, more than {SEARCH_VARS_LIMIT}")
                 solutions.add((HALF,) * m)
+        elif m > SEARCH_VARS_LIMIT:
+            if not _every_m_certified(dn, dd, delta.numerator, delta.denominator):
+                raise ResourceLimitExceeded(
+                    f"a search in {m} variables, more than {SEARCH_VARS_LIMIT}, is answered "
+                    f"only where the every-m certificate decides, and it does not here")
         elif not _certified(m, sn, sd, dn, dd):
             if m == 3:
                 solutions = _walk_rows(denominator_bound, sn, sd, dn, dd)
@@ -600,21 +638,21 @@ def _default_variables(n: int) -> tuple[str, ...]:
 
 
 def _monomials_of_weight_one(weights: WeightSystem) -> list[tuple[int, ...]]:
+    scale, integer_weights = weights.integer_form
     n = len(weights)
     pool = []
 
-    def extend(prefix: list[int], remaining: Fraction) -> None:
+    def extend(prefix: list[int], remaining: int) -> None:
         i = len(prefix)
         if i == n:
             if remaining == 0:
                 pool.append(tuple(prefix))
             return
-        q = weights[i]
-        cap = int(remaining / q)
-        for a in range(cap + 1):
-            extend(prefix + [a], remaining - a * q)
+        w = integer_weights[i]
+        for a in range(remaining // w + 1):
+            extend(prefix + [a], remaining - a * w)
 
-    extend([], Fraction(1))
+    extend([], scale)
     return sorted((p for p in pool if any(p)), reverse=True)
 
 

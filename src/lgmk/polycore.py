@@ -10,13 +10,13 @@ Weights are solved in integers: Gauss-Jordan elimination on primitive
 integer rows, with one `Fraction` per weight at the end.
 
 This is the bottom layer.  Only `classify` reaches upward, into milnor, for
-the Jacobian staircase that proves nondegeneracy.  It reads only the
-verdict; milnor memoizes the staircase, so callers that need its monomials
-get them without a second Buchberger run.  `classify` is the one analysis
-of a polynomial: its verdict, weights included, is memoized per
-(polynomial, S-pair budget), so `require_admissible`, the transpose,
-`bmodel`, `amodel` and `is_nondegenerate` all read one weight solve.  The
-S-pair budget is read here, below the Groebner kernel, because it keys
+the Jacobian staircase that proves nondegeneracy.  `classify` is the one
+analysis of a polynomial and the one memo keyed by it, per (polynomial,
+S-pair budget): its record holds the kind, the weights with their integer
+form (L, L*q_i), and that staircase.  So `require_admissible`, the
+transpose, `bmodel` and its basis, `amodel`, the identity sector of its
+basis and `is_nondegenerate` all read one weight solve and one kernel run.
+The S-pair budget is read here, below the Groebner kernel, because it keys
 that memo.
 """
 
@@ -24,12 +24,12 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
-from math import gcd
-from typing import Iterable, Iterator, Mapping
+from functools import cached_property, lru_cache
+from math import gcd, lcm
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from .errors import (
     EmptyPolynomialError,
@@ -43,6 +43,9 @@ from .errors import (
     WeightBoundViolated,
     WeightError,
 )
+
+if TYPE_CHECKING:
+    from .groebner import Staircase
 
 Exps = tuple[int, ...]
 
@@ -129,6 +132,12 @@ class WeightSystem:
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(v) for v in self.q) + ")"
+
+    @cached_property
+    def integer_form(self) -> tuple[int, tuple[int, ...]]:
+        """The lcm L of the weight denominators and the integer weights L*q_i."""
+        scale = lcm(*(v.denominator for v in self.q))
+        return scale, tuple(v.numerator * (scale // v.denominator) for v in self.q)
 
 
 @dataclass(frozen=True)
@@ -429,12 +438,14 @@ class PolynomialClass(Enum):
 
 @dataclass(frozen=True)
 class Classification:
-    """Verdict of `classify`: the class, the weights when they exist, and
-    the reason a polynomial is not admissible."""
+    """Verdict of `classify`: the class, the weights when they exist, the
+    reason a polynomial is not admissible, and for an admissible one the
+    Jacobian staircase under its weights that proved it nondegenerate."""
 
     kind: PolynomialClass
     weights: WeightSystem | None
     reason: str | None = None
+    staircase: Staircase | None = field(default=None, compare=False, repr=False)
 
     @property
     def is_admissible(self) -> bool:
@@ -463,12 +474,13 @@ def _memoized_classify(poly: Polynomial, pair_budget: int) -> Classification:
                               f"{type(exc).__name__}: {exc}")
     from .milnor import jacobian_staircase  # deferred: milnor builds on this module
 
-    if jacobian_staircase(poly, weights) is None:
+    found = jacobian_staircase(poly, weights)
+    if found is None:
         return Classification(PolynomialClass.NOT_ADMISSIBLE, weights,
                               "degenerate: Milnor ring is not finite dimensional")
-    if poly.n_monomials == poly.n_variables:
-        return Classification(PolynomialClass.INVERTIBLE, weights)
-    return Classification(PolynomialClass.NONINVERTIBLE, weights)
+    kind = (PolynomialClass.INVERTIBLE if poly.n_monomials == poly.n_variables
+            else PolynomialClass.NONINVERTIBLE)
+    return Classification(kind, weights, None, found)
 
 
 def require_admissible(poly: Polynomial) -> Classification:

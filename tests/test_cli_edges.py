@@ -1,0 +1,126 @@
+"""Edge harness: every command line ends in a documented exit code.
+
+Each case runs `python -m lgmk` in its own subprocess, one at a time, with
+its address space capped at 1 GB and a wall budget of a few seconds.  The
+exit code must be 0, 141 (standard output closed) or one of the codes of
+`cli._EXIT_CODES` (argparse's usage error is 2, the code of a bad
+argument), and standard error must hold no traceback: a bad input or an
+exhausted budget is reported in one `error:` line, never by a crash or an
+unbounded allocation.  The known cases come first; a small derandomized
+grammar then draws argv over every subcommand, with huge exponents,
+variable counts and bounds, malformed polynomials and group specs.
+"""
+
+import os
+import resource
+import subprocess
+import sys
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import lgmk
+from lgmk import cli
+
+ADDRESS_SPACE = 1 << 30
+WALL_SECONDS = 5
+DOCUMENTED = {0, cli.EXIT_PIPE_CLOSED} | {code for _, code in cli._EXIT_CODES}
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
+
+
+def _run(argv, seconds=WALL_SECONDS):
+    # the directory lgmk was imported from, src/ in a checkout
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(lgmk.__file__)))
+    try:
+        done = subprocess.run([sys.executable, "-m", "lgmk", *argv],
+                              env=dict(os.environ, PYTHONPATH=src_dir),
+                              capture_output=True, text=True, timeout=seconds,
+                              preexec_fn=_cap_address_space)
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"lgmk {' '.join(argv)} ran past {seconds} s")
+    assert done.returncode in DOCUMENTED, (argv, done.returncode, done.stderr[-600:])
+    assert "Traceback" not in done.stderr, (argv, done.stderr[-600:])
+    return done
+
+
+KNOWN = [
+    # more variables than the tail walk's recursion holds, and a target no
+    # every-m certificate decides
+    (["search", "100", "1", "1000", "--bound", "3"], 6),
+    # Jensen's power (k sd - sn)^k at k = 10^9; e^(12/5) > 8 decides it
+    (["search", "8", "12/5", "1000000000"], 0),
+    # the all-halves solution, which would list 10^9 weights
+    (["search", "1", "0", "1000000000"], 6),
+    # Gmax has order 12,960,000, above GROUP_ORDER_LIMIT
+    (["mirror-check", "x^60+y^60+z^60+w^60"], 6),
+    # a Milnor-Orlik series of 108,423,999 coefficients
+    (["bmodel", "a^3+b^4+c^5+d^7+e^11+f^13+g^17+h^19"], 6),
+]
+
+
+@pytest.mark.parametrize("argv,code", KNOWN, ids=[" ".join(a) for a, _ in KNOWN])
+def test_known_edge(argv, code):
+    assert _run(argv).returncode == code
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the degrevlex nondegeneracy test of a polynomial without weights reduces "
+    "one S-polynomial by one step per degree: for d + d*x + x^N the chain "
+    "x^(N-2), x^(N-3), ... has N - 2 steps, and no limit bounds them"))
+def test_weightless_huge_exponent_ends():
+    # 0.3 s at N = 10^5, so hours at N = 10^10
+    _run(["weights", "d + d*x + x^10000000000"], seconds=2)
+
+
+_EXPONENTS = st.sampled_from(["1", "2", "3", "4", "7", "60", "1001", "10^12"])
+_NAMES = st.sampled_from(["x", "y", "z", "w", "a1"])
+_MALFORMED = st.sampled_from(
+    ["", "x^", "x^0", "x^-1", "x^1.5", "2/0*x^3", "3", "x + 1", "x +", "*x", "x^2 y"])
+
+
+@st.composite
+def _polynomials(draw):
+    if draw(st.integers(0, 5)) == 0:
+        return draw(_MALFORMED)
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        factors = []
+        for name in draw(st.lists(_NAMES, min_size=1, max_size=2, unique=True)):
+            exponent = draw(_EXPONENTS).replace("10^12", str(10**12))
+            factors.append(name if exponent == "1" else f"{name}^{exponent}")
+        coefficient = draw(st.sampled_from(["", "", "2*", "-1/3*"]))
+        terms.append(coefficient + "*".join(factors))
+    return " + ".join(terms)
+
+
+_GROUPS = st.sampled_from(["max", "J", "sl", "0", "1/2,0", "1/3,1/3", "1/0,1",
+                           "5/4,1/2", "-1/3,1/3,1/3", "1/2;1/3,1/3"])
+_RATIONALS = st.sampled_from(["-1", "0", "1", "8", "100", "1/2", "12/5", "2/3", "7", "x"])
+_VARS = st.sampled_from(["0", "1", "2", "3", "4", "5", "500", "501", "1000", "1000000000"])
+_BOUNDS = st.sampled_from(["1", "2", "3", "6", "1000000000000"])
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(["weights", "gmax", "amodel", "bmodel",
+                                    "mirror-check", "search", "paper-tables"]))
+    if command == "search":
+        argv = [command, draw(_RATIONALS), draw(_RATIONALS), draw(_VARS),
+                "--bound", draw(_BOUNDS)]
+    elif command == "paper-tables":
+        argv = [command, "--bound", draw(_BOUNDS)]
+    elif command == "amodel":
+        argv = [command, draw(_polynomials()), draw(_GROUPS)]
+    else:
+        argv = [command, draw(_polynomials())]
+    return argv + draw(st.sampled_from([[], ["--json"]]))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(_argv())
+def test_drawn_command_line_ends_in_a_documented_code(argv):
+    _run(argv)

@@ -1,17 +1,19 @@
-"""Module layering and reuse of the Jacobian staircase.
+"""Module layering and one analysis per polynomial.
 
 The modules import one another at module level, in layer order; the single
 exception is `polycore._memoized_classify`, the memoized body of `classify`,
 which reaches up into milnor for the staircase that proves nondegeneracy.
-`classify` memoizes its verdict per (polynomial, S-pair budget), so starting
-from empty memos the weights of each distinct polynomial are solved once.
-The Groebner kernel `staircase` is the engine's only product, and
-`milnor.jacobian_staircase` memoizes it per (polynomial, weights, S-pair
-budget), so starting from empty memos a call runs the kernel once per
-distinct polynomial it classifies.  Counting runs it on no fixed locus:
-each nonempty locus of a symmetry group restricts W to a nondegenerate
-polynomial, by the lemma in `amodel`, so only reading `AModel.basis` runs
-it, once per distinct proper, nonempty locus.  Within one run, the
+That memo is the only one keyed by a polynomial: `classify`'s record, per
+(polynomial, S-pair budget), holds the weights, their integer form
+(L, L*q_i) and W's Jacobian staircase, so starting from empty memos the
+weights of each distinct polynomial are solved once and the Groebner kernel
+`staircase` runs once per distinct polynomial classified.
+`is_nondegenerate`, `bmodel`, `BModel.basis` and the full locus of
+`AModel.basis` read the record and run no kernel of their own.  Counting
+runs it on no fixed locus: each nonempty locus of a symmetry group
+restricts W to a nondegenerate polynomial, by the lemma in `amodel`, so
+only reading `AModel.basis` runs it, once per distinct proper, nonempty
+locus.  Within one run, the
 kernel packs each input exponent tuple into an integer once and never calls
 `MonomialOrder.key`, and divides in primitive integer coefficients only.  A
 group lists its elements only when `elements` or `vectors` is first read, so
@@ -35,6 +37,8 @@ from fractions import Fraction
 from math import gcd, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lgmk
 from lgmk import (
@@ -42,6 +46,7 @@ from lgmk import (
     InvalidArgument,
     MonomialOrder,
     ResourceLimitExceeded,
+    WeightSystem,
     fixed_locus,
     gmax,
     mirror_check,
@@ -95,7 +100,6 @@ def _count_calls(monkeypatch, module, name):
     """Wrap module.name wherever in the package it is bound, starting from
     empty memos; returns the list of first arguments it is called with."""
     polycore._memoized_classify.cache_clear()
-    milnor._memoized_staircase.cache_clear()
     runs = []
     original = getattr(module, name)
 
@@ -179,6 +183,53 @@ class TestOneJacobianBasis:
         assert len(buchberger_runs) == 1
 
 
+class TestOneRecord:
+    @pytest.mark.parametrize("text,loci", CASES)
+    def test_readers_of_w_run_no_kernel_after_classify(self, buchberger_runs, text, loci):
+        poly = parse_polynomial(text)
+        assert polycore.classify(poly).staircase is not None
+        assert len(buchberger_runs) == 1
+        assert milnor.is_nondegenerate(poly)
+        assert len(milnor.bmodel(poly).basis) > 0
+        assert len(buchberger_runs) == 1
+        model = lgmk.amodel(poly, gmax(poly))
+        assert len(buchberger_runs) == 1
+        model.basis
+        # the full locus reads the record; each proper locus runs once
+        restricted = [gens[0].variables for gens in buchberger_runs[1:]]
+        assert len(restricted) == len(set(restricted)) == loci
+        assert all(len(names) < poly.n_variables for names in restricted)
+
+    def test_the_record_holds_one_integer_form(self):
+        # weights (1/5, 2/5, 1/5)
+        verdict = polycore.classify(parse_polynomial(LOOP))
+        assert verdict.weights.integer_form == (5, (1, 2, 1))
+        assert polycore.classify(parse_polynomial(LOOP)).weights.integer_form \
+            is verdict.weights.integer_form
+
+    def test_the_staircase_is_no_part_of_the_verdict(self):
+        verdict = polycore.classify(parse_polynomial(CHAIN))
+        bare = polycore.Classification(verdict.kind, verdict.weights)
+        assert bare == verdict and hash(bare) == hash(verdict)
+        assert "staircase" not in repr(verdict)
+
+    def test_a_degenerate_record_has_no_staircase(self):
+        verdict = polycore.classify(parse_polynomial("x^3 + x^2*y"))
+        assert not verdict.is_admissible and verdict.weights is not None
+        assert verdict.staircase is None
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.fractions(min_value=Fraction(1, 10**4), max_value=1,
+                                 max_denominator=10**4),
+                    min_size=1, max_size=6))
+    def test_integer_form_is_the_weights_over_their_lcm(self, qs):
+        weights = WeightSystem(tuple(qs))
+        scale, integer_weights = weights.integer_form
+        assert scale > 0 and len(integer_weights) == len(weights)
+        assert all(Fraction(w, scale) == q for w, q in zip(integer_weights, weights))
+        assert gcd(scale, *integer_weights) == 1
+
+
 FERMAT = "x^3 + y^3 + z^3"
 
 
@@ -206,7 +257,6 @@ class TestOneWeightSolve:
 
 class TestMemo:
     def test_memo_is_bounded(self):
-        assert milnor._memoized_staircase.cache_info().maxsize is not None
         assert polycore._memoized_classify.cache_info().maxsize is not None
 
     def test_warm_verdict_does_not_bypass_the_budget(self, monkeypatch):

@@ -218,7 +218,7 @@ class TestSeriesAgainstBasis:
         term_map = {e: F(1) for e in exponents}
         poly = Polynomial.from_term_map(names, term_map)
         weights = classify(poly).weights
-        scale, integer_weights = milnor._integer_weights(weights)
+        scale, integer_weights = weights.integer_form
         extra = [e for e in _weight_one_exponents(integer_weights, scale)
                  if e not in term_map]
         chosen = data.draw(st.lists(st.sampled_from(extra), max_size=3, unique=True)

@@ -246,6 +246,56 @@ class TestCertificate:
         assert [tuple(ws) for ws in report.solutions] == [(F(1, 3),) * 6]
 
 
+def every_m_certified(d: F, delta: F) -> bool:
+    return mirror._every_m_certified(d.numerator, d.denominator,
+                                     delta.numerator, delta.denominator)
+
+
+class TestManyVariables:
+    """Above SEARCH_VARS_LIMIT variables only the every-m certificate
+    answers; at or below it the search is unchanged."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(2, 41).flatmap(
+        lambda den: st.integers(1, den // 2).map(lambda num: F(num, den))),
+        min_size=1, max_size=8))
+    def test_realizable_targets_are_never_certified(self, weights):
+        d = math.prod(1 / q - 1 for q in weights)
+        delta = 2 * sum(1 - 2 * q for q in weights)
+        assert every_m_certified(d, delta) is False
+
+    def test_the_edges_of_the_certificate(self):
+        # delta < 0 and delta = 0 with d != 1 are impossible; (1, 0) is all halves
+        assert every_m_certified(F(1), F(-1)) and every_m_certified(F(2), F(0))
+        assert not every_m_certified(F(1), F(0))
+        # T_40(12/5) = 11.02..., below e^(12/5) = 11.023...
+        assert every_m_certified(F(11), F(12, 5))
+        assert not every_m_certified(F(12), F(12, 5))
+        # every paper-family row
+        assert all(every_m_certified(*family(n)) for n in range(4, 19))
+
+    @pytest.mark.parametrize("m", [mirror.SEARCH_VARS_LIMIT + 1, 10**9])
+    def test_above_the_limit_only_the_certificate_answers(self, m):
+        report = search_weight_systems(8, F(12, 5), m)
+        assert (report.status, report.solutions) == (STATUS_NONE_WITHIN_BOUND, ())
+        with pytest.raises(ResourceLimitExceeded):
+            search_weight_systems(100, 1, m, denominator_bound=3)
+        # d = 1: the target with no solution answers, the all-halves one is refused
+        assert search_weight_systems(1, 1, m).status == STATUS_NONE_WITHIN_BOUND
+        with pytest.raises(ResourceLimitExceeded):
+            search_weight_systems(1, 0, m)
+
+    def test_the_limit_itself_still_walks(self):
+        m = mirror.SEARCH_VARS_LIMIT
+        report = search_weight_systems(1, 0, m)
+        assert [tuple(ws) for ws in report.solutions] == [(F(1, 2),) * m]
+        # (1/3, 1/2, ..., 1/2): uncertified by every-m, found by the walk
+        delta = F(2, 3)
+        assert not every_m_certified(F(2), delta)
+        report = search_weight_systems(2, delta, m, denominator_bound=3)
+        assert [tuple(ws) for ws in report.solutions] == [(F(1, 3),) + (F(1, 2),) * (m - 1)]
+
+
 class TestDiscriminantBoundary:
     def test_boundary_sits_at_one_ninth(self):
         assert discriminant_sign_boundary(8, F(12, 5), 60) == F(1, 9)
