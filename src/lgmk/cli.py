@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 2 parse error or argument out of range, 3 polynomial
 not admissible, 4 group not admissible or not a symmetry group, 5 polynomial
-not invertible, 6 resource limit (S-pair budget, group order, grid, tail
+not invertible, 6 resource limit (Groebner steps, group order, grid, tail
 visits, series length, variables of a search) exceeded,
 141 standard output closed before the report was written (as in
 `lgmk ... | head -1`; 128 + SIGPIPE, the status a shell gives a process

@@ -32,11 +32,13 @@ instead of dividing by a leading coefficient.
 `staircase` is the only entry point and the only product: it runs the pair
 loop and returns the minimal leading terms, which decide whether the
 quotient is finite dimensional and which monomials span it.  No basis is
-interreduced and no coefficient leaves the loop.  `standard_monomials`
-refuses a box larger than STANDARD_MONOMIAL_BOX_LIMIT and walks the
-staircase under the leading terms, one variable at a time.  That box rule
-guards listings only: the graded tables of `bmodel` and `amodel` are
-counted without a standard monomial.
+interreduced and no coefficient leaves the loop.  One counter bounds both
+loops: every S-pair processed and every term a reduction cancels is one
+step, and a run of more than STEP_LIMIT steps raises ResourceLimitExceeded.
+`standard_monomials` refuses a box larger than STANDARD_MONOMIAL_BOX_LIMIT
+and walks the staircase under the leading terms, one variable at a time.
+That box rule guards listings only: the graded tables of `bmodel` and
+`amodel` are counted without a standard monomial.
 """
 
 from __future__ import annotations
@@ -48,16 +50,11 @@ from math import gcd, lcm, prod
 from operator import mul
 
 from .errors import NotFiniteDimensional, ResourceLimitExceeded
-from .polycore import (
-    PAIR_BUDGET_ENV,
-    Exps,
-    Monomial,
-    Polynomial,
-    WeightSystem,
-    _monomial,
-    _pair_budget,
-)
+from .polycore import Exps, Monomial, Polynomial, WeightSystem, _monomial
 
+# most steps one staircase run takes: S-pairs processed plus terms its
+# reductions cancel
+STEP_LIMIT = 10**6
 # most exponent tuples standard_monomials may enumerate: the product of the
 # least pure-power exponents, one per variable; milnor.bmodel also reads it,
 # at call time, as the most Milnor-Orlik coefficients it allocates
@@ -190,8 +187,14 @@ def _primitive(poly: TermDict, lead: int) -> TermDict:
     return {e: c // content for e, c in poly.items()}
 
 
+def _step_limit_exceeded() -> ResourceLimitExceeded:
+    return ResourceLimitExceeded(
+        f"the Groebner kernel takes more than {STEP_LIMIT} steps "
+        "(S-pairs and cancelled terms)")
+
+
 def _normal_form_dict(poly: TermDict, basis: list[tuple[TermDict, int]],
-                      packing: _Packing) -> TermDict:
+                      packing: _Packing, spent: int) -> tuple[TermDict, int]:
     """Pseudo-remainder r of poly on division by basis, a list of
     (generator, leading term) pairs: f * poly - r lies in the ideal of basis
     for some positive integer f, and no term of r is reducible.
@@ -199,7 +202,9 @@ def _normal_form_dict(poly: TermDict, basis: list[tuple[TermDict, int]],
     Every coefficient is an integer and every basis generator has a positive
     leading coefficient lc.  A term c*t is cancelled by scaling work and
     remainder by lc/g and subtracting c/g times the shifted generator, where
-    g = gcd(c, lc).
+    g = gcd(c, lc).  Each cancelled term is one step: returns r and `spent`
+    plus the steps taken, and raises ResourceLimitExceeded once that total
+    passes STEP_LIMIT.
     """
     guard, mask = packing.guard, packing.mask
     divisors = [(gen, lead, -lead & mask, gen[lead]) for gen, lead in basis]
@@ -211,6 +216,9 @@ def _normal_form_dict(poly: TermDict, basis: list[tuple[TermDict, int]],
         exps = -term & mask | guard
         for gen, lead, lead_exps, lc in divisors:
             if (exps - lead_exps) & guard == guard:  # lead divides term
+                spent += 1
+                if spent > STEP_LIMIT:
+                    raise _step_limit_exceeded()
                 common = gcd(coeff, lc)
                 scale = lc // common
                 coeff //= common
@@ -231,7 +239,7 @@ def _normal_form_dict(poly: TermDict, basis: list[tuple[TermDict, int]],
         else:
             remainder[term] = coeff
             del work[term]
-    return remainder
+    return remainder, spent
 
 
 def _s_polynomial(f: TermDict, lt_f: int, g: TermDict, lt_g: int, top: int) -> TermDict:
@@ -261,24 +269,22 @@ def _minimal_leads(leads: list[int], packing: _Packing) -> list[int]:
     return kept
 
 
-def staircase(gens: list[Polynomial], order: MonomialOrder,
-              pair_budget: int | None = None) -> Staircase:
+def staircase(gens: list[Polynomial], order: MonomialOrder) -> Staircase:
     """The minimal leading terms of a Groebner basis of the ideal of gens.
 
     Pair selection is the normal strategy (smallest lcm in the order); the
-    coprime and chain criteria prune useless pairs.  Processing more than
-    `pair_budget` S-pairs (default 10^6, overridable through the
-    LGMK_PAIR_BUDGET environment variable) raises ResourceLimitExceeded; a
-    negative budget raises InvalidArgument.  The leading terms decide
-    zero-dimensionality (`Staircase.finite`) and the standard monomials, and
-    no coefficient of a reduced basis is needed for either.
+    coprime and chain criteria prune useless pairs.  Each S-pair processed
+    and each term a reduction cancels is one step, and a run raises
+    ResourceLimitExceeded once it has taken more than STEP_LIMIT steps.  The
+    leading terms decide zero-dimensionality (`Staircase.finite`) and the
+    standard monomials, and no coefficient of a reduced basis is needed for
+    either.
     """
     if not gens:
         raise ValueError("no generators given")
     variables = gens[0].variables
     if any(g.variables != variables for g in gens):
         raise ValueError("generators must share one ambient variable list")
-    budget = _pair_budget(pair_budget)
     weights = _grade_weights(order, len(variables))
     packing, basis = _packed([_cleared(g.term_map()) for g in gens if not g.is_zero()],
                              weights)
@@ -315,14 +321,13 @@ def staircase(gens: list[Polynomial], order: MonomialOrder,
     for j in range(len(basis)):
         push_pairs(j)
 
-    processed = 0
+    spent = 0
     while heap:
         top, _, i, j = heapq.heappop(heap)
         pending.remove((i, j))  # each pair is pushed once and popped once
-        processed += 1
-        if processed > budget:
-            raise ResourceLimitExceeded(
-                f"S-pair budget of {budget} exceeded; set {PAIR_BUDGET_ENV} to raise it")
+        spent += 1
+        if spent > STEP_LIMIT:
+            raise _step_limit_exceeded()
         if top == leads[i] + leads[j]:
             continue  # coprime leading terms reduce to zero
         guard, mask = packing.guard, packing.mask
@@ -338,7 +343,8 @@ def staircase(gens: list[Polynomial], order: MonomialOrder,
         if skip:
             continue
         s_poly = _s_polynomial(basis[i], leads[i], basis[j], leads[j], top)
-        remainder = _normal_form_dict(s_poly, list(zip(basis, leads)), packing)
+        remainder, spent = _normal_form_dict(s_poly, list(zip(basis, leads)),
+                                             packing, spent)
         if remainder:
             lead = max(remainder)
             basis.append(_primitive(remainder, lead))

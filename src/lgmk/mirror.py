@@ -72,8 +72,9 @@ STATUS_NONE_WITHIN_BOUND = "NoneWithinBound"
 
 GRID_LIMIT = 10**5  # the most grid points held for tails of m >= 4 variables
 # The most visits one search makes: a tail entry, whole or partial, for
-# m >= 4; a denominator row and each numerator in it for m = 3.
-TAIL_LIMIT = 10**7
+# m >= 4; a denominator row and each numerator in it for m = 3.  Sized so
+# that a walk ends within seconds.
+TAIL_LIMIT = 10**6
 # The most variables a search walks or tests by Jensen's power, which grows
 # with m; above it a target is answered only by the every-m certificate,
 # summed to the term delta^K/K! of its exponential series.

@@ -11,18 +11,15 @@ integer rows, with one `Fraction` per weight at the end.
 
 This is the bottom layer.  Only `classify` reaches upward, into milnor, for
 the Jacobian staircase that proves nondegeneracy.  `classify` is the one
-analysis of a polynomial and the one memo keyed by it, per (polynomial,
-S-pair budget): its record holds the kind, the weights with their integer
-form (L, L*q_i), and that staircase.  So `require_admissible`, the
-transpose, `bmodel` and its basis, `amodel`, the identity sector of its
-basis and `is_nondegenerate` all read one weight solve and one kernel run.
-The S-pair budget is read here, below the Groebner kernel, because it keys
-that memo.
+analysis of a polynomial and the one memo keyed by it: its record holds the
+kind, the weights with their integer form (L, L*q_i), and that staircase.
+So `require_admissible`, the transpose, `bmodel` and its basis, `amodel`,
+the identity sector of its basis and `is_nondegenerate` all read one weight
+solve and one kernel run.
 """
 
 from __future__ import annotations
 
-import os
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -33,7 +30,6 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from .errors import (
     EmptyPolynomialError,
-    InvalidArgument,
     NonPositiveWeight,
     NonUniqueWeights,
     NotAdmissibleError,
@@ -48,25 +44,6 @@ if TYPE_CHECKING:
     from .groebner import Staircase
 
 Exps = tuple[int, ...]
-
-DEFAULT_PAIR_BUDGET = 10**6
-PAIR_BUDGET_ENV = "LGMK_PAIR_BUDGET"
-
-
-def _pair_budget(explicit: int | None) -> int:
-    """The S-pair budget of the Groebner kernel: explicit, else the
-    LGMK_PAIR_BUDGET environment variable, else DEFAULT_PAIR_BUDGET.  Read
-    here, in the bottom layer, because `classify` keys its memo by it."""
-    raw = explicit if explicit is not None else os.environ.get(PAIR_BUDGET_ENV)
-    if raw is None:
-        return DEFAULT_PAIR_BUDGET
-    try:
-        budget = int(raw)
-    except ValueError:
-        raise InvalidArgument(f"{PAIR_BUDGET_ENV} must be an integer, got {raw!r}") from None
-    if budget < 0:
-        raise InvalidArgument(f"S-pair budget must not be negative, got {budget}")
-    return budget
 
 
 @dataclass(frozen=True)
@@ -457,16 +434,16 @@ def classify(poly: Polynomial) -> Classification:
 
     The verdict depends only on the exponent matrix: coefficients never enter
     the weight solve, and nondegeneracy is checked on the polynomial as given.
-    Verdicts are memoized; the S-pair budget is part of the key, so a cached
-    verdict never hides a budget that is invalid or too small.
+    Verdicts are memoized in `_memoized_classify`; this wrapper stays a
+    plain function, so a profiler can hook each call.
     """
-    return _memoized_classify(poly, _pair_budget(None))
+    return _memoized_classify(poly)
 
 
 # a mirror check classifies W and W^T; the support enumeration one candidate
 # at a time, so a few dozen entries serve every caller
 @lru_cache(maxsize=64)
-def _memoized_classify(poly: Polynomial, pair_budget: int) -> Classification:
+def _memoized_classify(poly: Polynomial) -> Classification:
     try:
         weights = solve_weights(exponent_matrix(poly))
     except WeightError as exc:

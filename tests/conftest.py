@@ -55,7 +55,7 @@ def kernel_remainder(poly: Polynomial, generators, order,
         elif d[lead] < 0:
             d = {key: -c for key, c in d.items()}
         pairs.append((d, lead))
-    remainder = groebner._normal_form_dict(work, pairs, packing)
+    remainder, _ = groebner._normal_form_dict(work, pairs, packing, 0)
     return Polynomial.from_term_map(
         poly.variables, {packing.unpack(key): c for key, c in remainder.items()})
 

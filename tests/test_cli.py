@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 import lgmk
-from lgmk import mirror, polycore
+from lgmk import groebner, mirror, polycore
 from lgmk.cli import EXIT_PIPE_CLOSED, main
 
 
@@ -183,7 +183,9 @@ class TestExitCodes:
         assert code == 5
 
     def test_resource_limit(self, capsys, monkeypatch):
-        monkeypatch.setenv("LGMK_PAIR_BUDGET", "0")
+        # a cached verdict would hide the patched limit
+        polycore._memoized_classify.cache_clear()
+        monkeypatch.setattr(groebner, "STEP_LIMIT", 0)
         code, _, _ = run(capsys, "bmodel", "x^4+y^4+x^3*y")
         assert code == 6
 
@@ -268,16 +270,11 @@ class TestLimitsTable:
                     found[f"{info.name}.{name}"] = value
         assert len(found) >= 4
         rows = _limit_rows()
-        # one row per constant, and one for the S-pair budget
-        assert len(rows) == len(found) + 1
+        # one row per constant
+        assert len(rows) == len(found)
         for name, value in found.items():
             row, = [r for r in rows if r[0] == f"`{name}`"]
             assert (row[1], row[3]) == (_shown(value), "6")
-
-    def test_pair_budget_is_in_the_table(self):
-        row, = [r for r in _limit_rows() if r[0].startswith("`LGMK_PAIR_BUDGET`")]
-        assert polycore.PAIR_BUDGET_ENV == "LGMK_PAIR_BUDGET"
-        assert (row[1], row[3]) == (_shown(polycore.DEFAULT_PAIR_BUDGET), "6")
 
 
 class TestGridLimit:
@@ -345,7 +342,7 @@ class TestTailBudget:
         code, out, err = run(capsys, "search", "24", "43/15", "3", "--bound", str(10**9))
         assert time.perf_counter() - begin < 10
         assert (code, out) == (6, "")
-        assert err == "error: the search visits more than 10000000 tails\n"
+        assert err == "error: the search visits more than 1000000 tails\n"
 
     @pytest.mark.parametrize("argv", [("24", "43/15", "3", "--bound", "20"),
                                       ("2", "2/3", "3", "--bound", "20"),
@@ -396,14 +393,6 @@ class TestBadInput:
     @pytest.mark.parametrize("threads", ["0", "-1"])
     def test_amodel_threads_below_one(self, capsys, threads):
         self.assert_bad_input(capsys, "amodel", "x^3", "max", "--threads", threads)
-
-    def test_pair_budget_not_an_integer(self, capsys, monkeypatch):
-        monkeypatch.setenv("LGMK_PAIR_BUDGET", "abc")
-        self.assert_bad_input(capsys, "bmodel", "x^4+y^4+x^3*y")
-
-    def test_pair_budget_negative(self, capsys, monkeypatch):
-        monkeypatch.setenv("LGMK_PAIR_BUDGET", "-1")
-        self.assert_bad_input(capsys, "bmodel", "x^3+y^3")
 
     @pytest.mark.parametrize("text,position", [("2/0*x^3", 0), ("x^3+1/0*y^3", 4)])
     def test_zero_denominator(self, capsys, text, position):

@@ -55,16 +55,23 @@ class TestBuchberger:
                 reference = leads
             assert leads == reference
 
-    def test_budget_exhaustion_is_loud(self):
-        gens = [parse_polynomial(t) for t in ["4*x^3 + 3*x^2*y", "x^3 + 4*y^3"]]
-        with pytest.raises(ResourceLimitExceeded):
-            staircase(gens, W14, pair_budget=0)
-
-    def test_budget_env_override(self, monkeypatch):
-        monkeypatch.setenv("LGMK_PAIR_BUDGET", "0")
+    def test_budget_exhaustion_is_loud(self, monkeypatch):
+        monkeypatch.setattr(groebner, "STEP_LIMIT", 0)
         gens = [parse_polynomial(t) for t in ["4*x^3 + 3*x^2*y", "x^3 + 4*y^3"]]
         with pytest.raises(ResourceLimitExceeded):
             staircase(gens, W14)
+
+    def test_reduction_steps_count_against_the_limit(self, monkeypatch):
+        # the degrevlex Jacobian of d + d*x + x^100 is (1 + x, d + 100*x^99).
+        # Its run processes 3 S-pairs, and reducing the one that is not
+        # coprime, 100*x^98 - d, by 1 + x cancels 98 terms: 101 steps
+        gens = jacobian_ideal(parse_polynomial("d + d*x + x^100"))
+        order = MonomialOrder.degrevlex()
+        monkeypatch.setattr(groebner, "STEP_LIMIT", 101)
+        assert staircase(gens, order).leads == ((0, 1), (1, 0))
+        monkeypatch.setattr(groebner, "STEP_LIMIT", 100)
+        with pytest.raises(ResourceLimitExceeded, match="more than 100 steps"):
+            staircase(gens, order)
 
     def test_leads_are_minimal_and_ascending(self, invertible_corpus):
         for poly in invertible_corpus[:12]:

@@ -16,7 +16,8 @@ returned reduced bases; the kernel divides in primitive integer coefficients
 on packed monomials and stops at the leading terms, and `standard_monomials`
 walks the staircase where it once filtered the whole exponent box.  That
 earlier engine is kept below verbatim, under `oracle_` names, with the
-reduced-basis container it returned as a test-local `GroebnerBasis`.  On
+reduced-basis container it returned as a test-local `GroebnerBasis`; only
+its S-pair budget now reads the kernel's `STEP_LIMIT`.  On
 random quasihomogeneous Jacobians, with small, rational and large
 coefficients, in either order, the kernel must give that engine's verdict,
 minimal leading terms and standard monomials, also when every run starts
@@ -56,7 +57,7 @@ from lgmk import (
     standard_monomials,
 )
 from lgmk import groebner as engine
-from lgmk.groebner import PAIR_BUDGET_ENV, _pair_budget, staircase
+from lgmk.groebner import staircase
 from lgmk.milnor import jacobian_ideal
 from lgmk.polycore import Exps, Monomial
 
@@ -272,22 +273,18 @@ def oracle_autoreduce(basis: list[TermDict], key) -> list[TermDict]:
     return [d for d, _ in kept]
 
 
-def oracle_buchberger(gens: list[Polynomial], order: MonomialOrder,
-               pair_budget: int | None = None) -> GroebnerBasis:
+def oracle_buchberger(gens: list[Polynomial], order: MonomialOrder) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by gens.
 
     Pair selection is the normal strategy (smallest lcm in the order); the
     coprime and chain criteria prune useless pairs.  Processing more than
-    `pair_budget` S-pairs (default 10^6, overridable through the
-    LGMK_PAIR_BUDGET environment variable) raises ResourceLimitExceeded; a
-    negative budget raises InvalidArgument.
+    the kernel's STEP_LIMIT S-pairs raises ResourceLimitExceeded.
     """
     if not gens:
         raise ValueError("no generators given")
     variables = gens[0].variables
     if any(g.variables != variables for g in gens):
         raise ValueError("generators must share one ambient variable list")
-    budget = _pair_budget(pair_budget)
     # every exponent tuple is keyed once per run; the memo dies with the call
     keys: dict[Exps, tuple] = {}
 
@@ -325,9 +322,9 @@ def oracle_buchberger(gens: list[Polynomial], order: MonomialOrder,
         _, _, i, j = heapq.heappop(heap)
         pending.remove((i, j))  # each pair is pushed once and popped once
         processed += 1
-        if processed > budget:
+        if processed > engine.STEP_LIMIT:
             raise ResourceLimitExceeded(
-                f"S-pair budget of {budget} exceeded; set {PAIR_BUDGET_ENV} to raise it")
+                f"S-pair budget of {engine.STEP_LIMIT} exceeded")
         lcm = oracle_lcm(leads[i], leads[j])
         if lcm == tuple(a + b for a, b in zip(leads[i], leads[j])):
             continue  # coprime leading terms reduce to zero

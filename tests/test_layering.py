@@ -3,11 +3,11 @@
 The modules import one another at module level, in layer order; the single
 exception is `polycore._memoized_classify`, the memoized body of `classify`,
 which reaches up into milnor for the staircase that proves nondegeneracy.
-That memo is the only one keyed by a polynomial: `classify`'s record, per
-(polynomial, S-pair budget), holds the weights, their integer form
-(L, L*q_i) and W's Jacobian staircase, so starting from empty memos the
-weights of each distinct polynomial are solved once and the Groebner kernel
-`staircase` runs once per distinct polynomial classified.
+That memo is the only one keyed by a polynomial: `classify`'s record
+holds the weights, their integer form (L, L*q_i) and W's Jacobian
+staircase, so starting from empty memos the weights of each distinct
+polynomial are solved once and the Groebner kernel `staircase` runs once
+per distinct polynomial classified.
 `is_nondegenerate`, `bmodel`, `BModel.basis` and the full locus of
 `AModel.basis` read the record and run no kernel of their own.  Counting
 runs it on no fixed locus: each nonempty locus of a symmetry group
@@ -25,7 +25,8 @@ lists only its relation group's vectors, once, to pick the dual's
 generators.  `amodel` counts its graded table on the integer vectors: it
 builds no `SectorElement` until its basis is read.  `bmodel` counts its
 table from the Milnor-Orlik series, so `mirror_sides` lists no standard
-monomial, and `BModel.basis` is listed only when first read.
+monomial, and `BModel.basis` is listed only when first read.  No module
+reads the environment: every limit is a module constant.
 """
 
 import ast
@@ -43,9 +44,7 @@ from hypothesis import strategies as st
 import lgmk
 from lgmk import (
     GroupElement,
-    InvalidArgument,
     MonomialOrder,
-    ResourceLimitExceeded,
     WeightSystem,
     fixed_locus,
     gmax,
@@ -66,23 +65,44 @@ SRC = os.path.dirname(lgmk.__file__)
 AMODEL = importlib.import_module("lgmk.amodel")
 
 
+def _module_trees():
+    """(module name, syntax tree) of every module of the package."""
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py"):
+            with open(os.path.join(SRC, name)) as handle:
+                yield name[:-3], ast.parse(handle.read())
+
+
 def _intra_package_imports_in_functions():
     found = set()
-    for name in sorted(os.listdir(SRC)):
-        if not name.endswith(".py"):
-            continue
-        with open(os.path.join(SRC, name)) as handle:
-            tree = ast.parse(handle.read())
+    for name, tree in _module_trees():
         for func in ast.walk(tree):
             if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             for node in ast.walk(func):
                 if isinstance(node, ast.ImportFrom) and (
                         node.level > 0 or (node.module or "").split(".")[0] == "lgmk"):
-                    found.add((name[:-3], func.name, node.module))
+                    found.add((name, func.name, node.module))
                 elif isinstance(node, ast.Import) and any(
                         alias.name.split(".")[0] == "lgmk" for alias in node.names):
-                    found.add((name[:-3], func.name, None))
+                    found.add((name, func.name, None))
+    return found
+
+
+_ENVIRONMENT_READERS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def _environment_reads():
+    """(module, name) for each `os.environ`, `os.getenv` or the like, read
+    as an attribute or imported from os."""
+    found = set()
+    for name, tree in _module_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in _ENVIRONMENT_READERS:
+                found.add((name, node.attr))
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                found.update((name, alias.name) for alias in node.names
+                             if alias.name in _ENVIRONMENT_READERS)
     return found
 
 
@@ -90,6 +110,9 @@ class TestLayering:
     def test_only_classify_defers_an_import(self):
         assert _intra_package_imports_in_functions() == {
             ("polycore", "_memoized_classify", "milnor")}
+
+    def test_no_module_reads_the_environment(self):
+        assert _environment_reads() == set()
 
     def test_transpose_lives_in_polycore(self):
         assert mirror.transpose_polynomial is polycore.transpose_polynomial
@@ -259,26 +282,6 @@ class TestMemo:
     def test_memo_is_bounded(self):
         assert polycore._memoized_classify.cache_info().maxsize is not None
 
-    def test_warm_verdict_does_not_bypass_the_budget(self, monkeypatch):
-        poly = parse_polynomial("x^4 + y^4 + x^3*y")
-        assert polycore.classify(poly).is_admissible
-        monkeypatch.setenv("LGMK_PAIR_BUDGET", "0")
-        with pytest.raises(ResourceLimitExceeded):
-            polycore.classify(poly)
-        monkeypatch.setenv("LGMK_PAIR_BUDGET", "abc")
-        with pytest.raises(InvalidArgument):
-            polycore.classify(poly)
-
-    def test_warm_memo_does_not_bypass_the_budget(self, monkeypatch):
-        poly = parse_polynomial("x^4 + y^4 + x^3*y")
-        milnor.bmodel(poly)
-        monkeypatch.setenv("LGMK_PAIR_BUDGET", "0")
-        with pytest.raises(ResourceLimitExceeded):
-            milnor.bmodel(poly)
-        monkeypatch.setenv("LGMK_PAIR_BUDGET", "abc")
-        with pytest.raises(InvalidArgument):
-            milnor.bmodel(poly)
-
 
 # dense, with weights (1/4, 1/4, 1/2); its Jacobian has 10 distinct exponent
 # tuples, and the earlier tuple-keyed engine, without a memo, keyed the 49
@@ -317,11 +320,11 @@ class TestFractionFreeDivision:
         divisors = []
         normal_form_dict = groebner._normal_form_dict
 
-        def recorded(poly, basis, packing):
+        def recorded(poly, basis, packing, spent):
             coefficients.extend(poly.values())
             coefficients.extend(c for gen, _ in basis for c in gen.values())
             divisors.extend((tuple(gen.values()), gen[lead]) for gen, lead in basis)
-            return normal_form_dict(poly, basis, packing)
+            return normal_form_dict(poly, basis, packing, spent)
 
         monkeypatch.setattr(groebner, "_normal_form_dict", recorded)
         groebner.staircase(gens, order)
