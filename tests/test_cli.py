@@ -189,6 +189,16 @@ class TestExitCodes:
         code, _, _ = run(capsys, "bmodel", "x^4+y^4+x^3*y")
         assert code == 6
 
+    # once a limit (0), an invalid budget (abc) and a negative one (-1)
+    @pytest.mark.parametrize("value", ["0", "abc", "-1"])
+    def test_pair_budget_variable_is_ignored(self, capsys, monkeypatch, value):
+        polycore._memoized_classify.cache_clear()
+        expected = run(capsys, "bmodel", "x^4+y^4+x^3*y")
+        assert expected[0] == 0
+        polycore._memoized_classify.cache_clear()
+        monkeypatch.setenv("LGMK_PAIR_BUDGET", value)
+        assert run(capsys, "bmodel", "x^4+y^4+x^3*y") == expected
+
     def test_milnor_series_limit_on_a_huge_exponent(self, capsys):
         # a series of 10^20 - 2 coefficients: refused before any is allocated
         code, out, err = run(capsys, "bmodel", "x^99999999999999999999")

@@ -73,6 +73,20 @@ class TestBuchberger:
         with pytest.raises(ResourceLimitExceeded, match="more than 100 steps"):
             staircase(gens, order)
 
+    def test_normal_form_adds_one_step_per_cancelled_term(self, monkeypatch):
+        # x^5 on division by x - 1 cancels x^5, x^4, ..., x: five steps,
+        # added to the steps the run has already spent
+        weights = groebner._grade_weights(MonomialOrder.degrevlex(), 1)
+        packing, (work, gen) = groebner._packed(
+            [{(5,): 1}, {(1,): 1, (0,): -1}], weights)
+        basis = [(gen, max(gen))]
+        remainder, spent = groebner._normal_form_dict(work, basis, packing, 7)
+        assert spent == 12
+        assert {packing.unpack(key): c for key, c in remainder.items()} == {(0,): 1}
+        monkeypatch.setattr(groebner, "STEP_LIMIT", 11)
+        with pytest.raises(ResourceLimitExceeded, match="more than 11 steps"):
+            groebner._normal_form_dict(work, basis, packing, 7)
+
     def test_leads_are_minimal_and_ascending(self, invertible_corpus):
         for poly in invertible_corpus[:12]:
             order = MonomialOrder.weighted_degrevlex(
