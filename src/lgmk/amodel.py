@@ -79,10 +79,9 @@ class AModel:
         monomials than its character count."""
         weights = classify(self.source).weights
         exponent = self.group.exponent
-        generators = [self.group.vector(h) for h in self.group.generators]
         loci = {}
         for fix, count in self.locus_counts.items():
-            loci[fix] = _invariant_monomials(fix, generators, exponent, self.source, weights)
+            loci[fix] = _invariant_monomials(fix, self.group.gens, exponent, self.source, weights)
             if len(loci[fix]) != count:
                 raise LgmkError(
                     f"locus {sorted(fix)} lists {len(loci[fix])} invariant monomials, "

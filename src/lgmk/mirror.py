@@ -408,8 +408,8 @@ def search_weight_systems(d, delta, m: int, denominator_bound: int = 60) -> Sear
     way the result is reported relative to that bound.  Solutions are canonicalized ascending,
     so permutations collapse.  Raises InvalidArgument for m < 1, a bound
     below 2 or a dimension d <= 0, and ResourceLimitExceeded for m >= 4 when
-    the grid has more than GRID_LIMIT points (checked before the
-    certificate), for m >= 3 when the walk makes more than TAIL_LIMIT
+    the grid of a walk has more than GRID_LIMIT points (built only once no
+    certificate answers), for m >= 3 when the walk makes more than TAIL_LIMIT
     visits, and for m > SEARCH_VARS_LIMIT unless the target is the d = 1
     target with no solution or one the every-m certificate excludes.
     """
@@ -434,31 +434,29 @@ def search_weight_systems(d, delta, m: int, denominator_bound: int = 60) -> Sear
         if dn >= dd:
             solutions = {(Fraction(low, den), Fraction(high, den))
                          for low, high, den in _pair_roots(dn, dd, sn, sd)}
-    else:
-        if m > 3:
+    elif dn == dd:
+        # every factor 1/q - 1 is at least 1 on (0, 1/2], so d = 1 forces
+        # every q_i = 1/2, and then the sum m/2
+        if 2 * sn == m * sd:
+            if m > SEARCH_VARS_LIMIT:
+                raise ResourceLimitExceeded(
+                    f"the solution lists {m} weights, more than {SEARCH_VARS_LIMIT}")
+            solutions.add((HALF,) * m)
+    elif m > SEARCH_VARS_LIMIT:
+        if not _every_m_certified(dn, dd, delta.numerator, delta.denominator):
+            raise ResourceLimitExceeded(
+                f"a search in {m} variables, more than {SEARCH_VARS_LIMIT}, is answered "
+                f"only where the every-m certificate decides, and it does not here")
+    elif not _certified(m, sn, sd, dn, dd):
+        if m == 3:
+            solutions = _walk_rows(denominator_bound, sn, sd, dn, dd)
+        else:
             grid = tuple(islice(_farey_grid(1 / (d + 1), HALF, denominator_bound),
                                 GRID_LIMIT + 1))
             if len(grid) > GRID_LIMIT:
                 raise ResourceLimitExceeded(f"the tail grid at denominator bound "
                                             f"{denominator_bound} exceeds {GRID_LIMIT} points")
-        if dn == dd:
-            # every factor 1/q - 1 is at least 1 on (0, 1/2], so d = 1 forces
-            # every q_i = 1/2, and then the sum m/2
-            if 2 * sn == m * sd:
-                if m > SEARCH_VARS_LIMIT:
-                    raise ResourceLimitExceeded(
-                        f"the solution lists {m} weights, more than {SEARCH_VARS_LIMIT}")
-                solutions.add((HALF,) * m)
-        elif m > SEARCH_VARS_LIMIT:
-            if not _every_m_certified(dn, dd, delta.numerator, delta.denominator):
-                raise ResourceLimitExceeded(
-                    f"a search in {m} variables, more than {SEARCH_VARS_LIMIT}, is answered "
-                    f"only where the every-m certificate decides, and it does not here")
-        elif not _certified(m, sn, sd, dn, dd):
-            if m == 3:
-                solutions = _walk_rows(denominator_bound, sn, sd, dn, dd)
-            else:
-                solutions = _walk_tails(grid, m, sn, sd, dn, dd)
+            solutions = _walk_tails(grid, m, sn, sd, dn, dd)
     ordered = tuple(WeightSystem(sol) for sol in sorted(solutions))
     if ordered:
         status = STATUS_FOUND

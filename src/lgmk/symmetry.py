@@ -5,9 +5,9 @@ into [0, 1).  A group G of exponent N is kept as the integer lattice
 L = {v in Z^n : v/N in G}, which satisfies N*Z^n <= L <= Z^n, through the
 Hermite normal form of a basis of L.  Order, membership, containment,
 invariant factors and quotients are integer linear algebra on that basis.
-Every other computation reads the sorted vectors v, listed on first use for
-groups of order up to GROUP_ORDER_LIMIT; phase elements are built only for
-generators and for output.
+Every other computation reads the generator vectors or the sorted vectors v,
+listed on first use for groups of order up to GROUP_ORDER_LIMIT; phase
+elements are built only for output.
 
 Gmax and the transpose group are both read off one Smith form, of a matrix
 R of relations: the group {g : R.g integral}.  R is the exponent matrix A
@@ -197,16 +197,22 @@ def _element(phases: tuple[Fraction, ...]) -> GroupElement:
 class SymmetryGroup:
     """Finite subgroup of (Q/Z)^n.
 
-    `exponent` N is the lcm of the element orders and `basis` the Hermite
-    basis of the lattice {v in Z^n : v/N in the group}; the group is these
-    two.  `elements`, its members in sorted order, and `vectors`, their
-    integer vectors v, are listed on first use, up to GROUP_ORDER_LIMIT.
+    `exponent` N is the lcm of the element orders, `gens` the generators
+    v/N as vectors v in [0, N)^n, and `basis` the Hermite basis of the
+    lattice {v in Z^n : v/N in the group}.  The phase views `generators`
+    and `elements` (sorted), and `vectors`, the elements' v, are built on
+    first use, the last two up to GROUP_ORDER_LIMIT.
     """
 
     ambient: int
-    generators: tuple[GroupElement, ...]
-    exponent: int = field(compare=False)
+    exponent: int
+    gens: tuple[tuple[int, ...], ...]
     basis: tuple[tuple[int, ...], ...] = field(compare=False)
+
+    @cached_property
+    def generators(self) -> tuple[GroupElement, ...]:
+        # no phase table: the exponent of a group never listed may be huge
+        return tuple(_element(tuple(Fraction(a, self.exponent) for a in v)) for v in self.gens)
 
     @cached_property
     def vectors(self) -> tuple[tuple[int, ...], ...]:
@@ -226,14 +232,10 @@ class SymmetryGroup:
     def order(self) -> int:
         return self.exponent ** self.ambient // prod(row[i] for i, row in enumerate(self.basis))
 
-    def vector(self, element: GroupElement) -> tuple[int, ...] | None:
-        """Integer v with element = v/exponent, or None if no such v exists."""
-        return _numerators(element, self.exponent)
-
     def __contains__(self, element: GroupElement) -> bool:
         if len(element) != self.ambient:
             return False
-        v = self.vector(element)
+        v = _numerators(element, self.exponent)
         return v is not None and _coordinates(v, self.basis) is not None
 
     def _scaled_basis(self, exponent: int):
@@ -274,8 +276,18 @@ def subgroup_generated(gens: list[GroupElement], ambient: int) -> SymmetryGroup:
         if len(g) != ambient:
             raise ValueError("generator length does not match ambient dimension")
     exponent = lcm(*(g.order() for g in gens))
-    basis = _hermite_basis([_numerators(g, exponent) for g in gens], exponent, ambient)
-    return SymmetryGroup(ambient, tuple(gens), exponent, basis)
+    return _lattice_group([_numerators(g, exponent) for g in gens], exponent, ambient)
+
+
+def _lattice_group(vectors, exponent: int, ambient: int, basis=None) -> SymmetryGroup:
+    """Group generated by the vectors v (elements v/exponent) at its least
+    exponent N/gcd(N, basis entries); `basis` is their Hermite basis, if known."""
+    basis = basis or _hermite_basis(vectors, exponent, ambient)
+    common = gcd(exponent, *(a for row in basis for a in row))
+    least = exponent // common
+    return SymmetryGroup(ambient, least,
+                         tuple(tuple(a // common % least for a in v) for v in vectors),
+                         tuple(tuple(a // common for a in row) for row in basis))
 
 
 def _greedy_group(vectors, exponent: int, ambient: int) -> SymmetryGroup:
@@ -286,9 +298,9 @@ def _greedy_group(vectors, exponent: int, ambient: int) -> SymmetryGroup:
     gens = []
     for v in sorted(vectors, key=lambda v: gcd(exponent, *v)):
         if _coordinates(v, basis) is None:
-            gens.append(GroupElement(tuple(Fraction(a, exponent) for a in v)))
+            gens.append(v)
             basis = _hermite_basis(basis + (v,), exponent, ambient)
-    return subgroup_generated(gens, ambient)
+    return _lattice_group(gens, exponent, ambient, basis)
 
 
 def group_from_elements(elements, ambient: int) -> SymmetryGroup:
@@ -411,14 +423,10 @@ def _relation_group(relations) -> SymmetryGroup:
     diag = [d[i][i] for i in range(min(len(relations), n))]
     if len(diag) < n or any(x == 0 for x in diag):
         raise InfiniteGroup(f"rank of the exponent matrix is below {n}")
-    generators = []
-    for i in range(n):
-        if diag[i] > 1:
-            generators.append(GroupElement(
-                tuple(Fraction(v[row][i], diag[i]) for row in range(n))))
     exponent = lcm(*diag)
-    columns = [[v[row][i] * (exponent // diag[i]) for row in range(n)] for i in range(n)]
-    group = SymmetryGroup(n, tuple(generators), exponent, _hermite_basis(columns, exponent, n))
+    columns = [[v[row][i] * (exponent // diag[i]) for row in range(n)]
+               for i in range(n) if diag[i] > 1]
+    group = _lattice_group(columns, exponent, n)
     if group.order != prod(diag):
         raise AssertionError("Smith normal form produced a defective group")
     return group
@@ -445,10 +453,13 @@ def gmax_bruteforce(poly: Polynomial, denominator_bound: int) -> SymmetryGroup:
 
 
 def is_admissible_group(group: SymmetryGroup, weights: WeightSystem) -> bool:
-    """True iff the phase vector of the weights (J) lies in the group."""
+    """True iff the phase vector of the weights (J), of order L, lies in the
+    group: L divides the exponent N and J = (N/L)*(L*q)/N."""
     if len(weights) != group.ambient:
         raise ValueError("weights and group have different ambient dimensions")
-    return GroupElement(tuple(weights)) in group
+    scale, integer_weights = weights.integer_form
+    share, rest = divmod(group.exponent, scale)
+    return not rest and _coordinates([share * w for w in integer_weights], group.basis) is not None
 
 
 def sl_subgroup(group: SymmetryGroup) -> SymmetryGroup:
@@ -473,8 +484,8 @@ def transpose_group(group: SymmetryGroup, poly: Polynomial) -> SymmetryGroup:
     """
     matrix = _invertible_matrix(poly)
     check_symmetry(group, poly)
-    images = [[sum(a * b for a, b in zip(row, group.vector(h))) // group.exponent
-               for row in matrix.rows] for h in group.generators]
+    images = [[sum(a * b for a, b in zip(row, h)) // group.exponent
+               for row in matrix.rows] for h in group.gens]
     dual = _relation_group(matrix.transpose().rows + tuple(images))
     # groups compare by their generators, so pick them greedily from the vectors
     return _greedy_group(dual.vectors, dual.exponent, group.ambient)
@@ -488,12 +499,11 @@ def gmax_fermat_plus_monomial(p: int, q: int, r: int, s: int) -> SymmetryGroup:
     """
     if min(p, q, r, s) < 1:
         raise ValueError("exponents must be positive")
-    if Fraction(r, p) + Fraction(s, q) != 1:
+    if r * q + s * p != p * q:
         raise WeightConditionViolated(
             f"monomial x^{r}*y^{s} violates r/p + s/q = 1 for (p, q) = ({p}, {q})")
-    gens = [GroupElement((Fraction(1, p), Fraction(1, q))),
-            GroupElement((Fraction(1, gcd(p, r)), Fraction(0)))]
-    return subgroup_generated(gens, 2)
+    n = lcm(p, q)
+    return _lattice_group([(n // p, n // q), (n // gcd(p, r), 0)], n, 2)
 
 
 def check_symmetry(group: SymmetryGroup, poly: Polynomial) -> None:
@@ -505,11 +515,11 @@ def check_symmetry(group: SymmetryGroup, poly: Polynomial) -> None:
     if group.ambient != matrix.n:
         raise GroupNotSymmetry(
             f"group lives in (Q/Z)^{group.ambient}, polynomial has {matrix.n} variables")
-    for g in group.generators:
-        v = group.vector(g)
+    for i, v in enumerate(group.gens):
         for row in matrix.rows:
             if sum(a * b for a, b in zip(row, v)) % group.exponent:
-                raise GroupNotSymmetry(f"element {g} does not fix the polynomial")
+                raise GroupNotSymmetry(
+                    f"element {group.generators[i]} does not fix the polynomial")
 
 
 def quotient_invariant_factors(group: SymmetryGroup,
@@ -543,15 +553,15 @@ def subgroups_containing(group: SymmetryGroup,
     while queue:
         current = queue.pop()
         members = current._scaled_vectors(exponent)
+        scale = exponent // current.exponent
+        gens = [tuple(scale * a for a in g) for g in current.gens]
         covered = set(members)
         for v in group.vectors:
             if v in covered:
                 continue
             # every element of the coset v + current adjoins the same subgroup
             covered.update(tuple([(a + b) % exponent for a, b in zip(v, c)]) for c in members)
-            x = GroupElement(tuple(Fraction(a, exponent) for a in v))
-            extended = subgroup_generated(list(current.generators) + [x],
-                                          group.ambient)
+            extended = _lattice_group(gens + [v], exponent, group.ambient)
             key = (extended.exponent, extended.basis)
             if key not in seen:
                 seen.add(key)

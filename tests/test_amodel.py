@@ -242,9 +242,8 @@ class TestCharacterCount:
         for group in groups_containing_j(poly):
             model = amodel(poly, group)
             assert set(model.locus_counts) == {fixed_locus(g) for g in group.elements}
-            generators = [group.vector(h) for h in group.generators]
             for fix, count in model.locus_counts.items():
-                listed = _invariant_monomials(fix, generators, group.exponent, poly, weights)
+                listed = _invariant_monomials(fix, group.gens, group.exponent, poly, weights)
                 assert count == len(listed), (text, str(group), sorted(fix))
             assert model.graded == GradedDims.from_degrees(s.adegree for s in model.basis)
 

@@ -288,18 +288,22 @@ class TestLimitsTable:
 
 
 class TestGridLimit:
+    # (1/5, 1/4, 1/3, 1/3) is a solution, so no certificate answers this
+    # target and its search walks the grid
+    PLANTED = ("48", "53/15")
+
     def test_four_variables_exit_6_and_three_still_answer(self, capsys, monkeypatch):
-        # at bound 20 the grid on [1/9, 1/2] has more than 20 points
-        three = run_json(capsys, "search", "8", "12/5", "3", "--bound", "20")
+        # at bound 20 the grid on [1/49, 1/2] has more than 20 points
+        three = run_json(capsys, "search", *self.PLANTED, "3", "--bound", "20")
         monkeypatch.setattr(mirror, "GRID_LIMIT", 20)
-        code, out, err = run(capsys, "search", "8", "12/5", "4", "--bound", "20")
+        code, out, err = run(capsys, "search", *self.PLANTED, "4", "--bound", "20")
         assert (code, out) == (6, "")
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert run_json(capsys, "search", "8", "12/5", "3", "--bound", "20") == three
+        assert run_json(capsys, "search", *self.PLANTED, "3", "--bound", "20") == three
 
     def test_huge_bound_exits_6_without_walking_the_denominators(self, capsys):
         begin = time.perf_counter()
-        code, out, err = run(capsys, "search", "8", "12/5", "4", "--bound", str(10**12))
+        code, out, err = run(capsys, "search", *self.PLANTED, "4", "--bound", str(10**12))
         assert time.perf_counter() - begin < 10
         assert (code, out) == (6, "")
         assert "exceeds 100000 points" in err

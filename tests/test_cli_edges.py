@@ -64,6 +64,21 @@ KNOWN = [
     (["weights", "d + d*x + x^10000000000"], 6),
     # an uncertified walk of twenty variables, ended by TAIL_LIMIT
     (["search", "24", "12/5", "20", "--bound", "60"], 6),
+    # Gmax is cyclic of exponent and order 1000036000099: its generator is
+    # printed without a table of that many phases, its elements are refused
+    (["gmax", "x^1000003+y^1000033"], 0),
+    (["gmax", "x^1000003+y^1000033", "--elements"], 6),
+    # a Jensen-certified target builds no grid, however large the bound
+    (["search", "8", "12/5", "4", "--bound", "1000000000000"], 0),
+    # (1/5, 1/4, 1/3, 1/3) solves this one, so it walks, and its grid is refused
+    (["search", "48", "53/15", "4", "--bound", "1000000000000"], 6),
+    # group specs of the wrong length, with phases outside [0, 1) (read
+    # mod 1) or unreduced, and one that does not fix the polynomial
+    (["amodel", "x^3+y^3", "1/2"], 2),
+    (["amodel", "x^3+y^3", "5/3,2/3"], 0),
+    (["amodel", "x^3+y^3", "1/3,-1/3"], 4),
+    (["amodel", "x^3+y^3", "2/6,0"], 4),
+    (["amodel", "x^3+y^3", "1/3,1/3;1/2,0"], 4),
 ]
 
 
@@ -93,8 +108,11 @@ def _polynomials(draw):
     return " + ".join(terms)
 
 
+# group specs: named ones, then generators of the wrong length, phases outside
+# [0, 1), unreduced phases and zero denominators
 _GROUPS = st.sampled_from(["max", "J", "sl", "0", "1/2,0", "1/3,1/3", "1/0,1",
-                           "5/4,1/2", "-1/3,1/3,1/3", "1/2;1/3,1/3"])
+                           "5/4,1/2", "-1/3,1/3,1/3", "1/2;1/3,1/3", "1/2",
+                           "5/3,2/3", "1/3,-1/3", "2/6,0"])
 _RATIONALS = st.sampled_from(["-1", "0", "1", "8", "100", "1/2", "12/5", "2/3", "7", "x"])
 _VARS = st.sampled_from(["0", "1", "2", "3", "4", "5", "500", "501", "1000", "1000000000"])
 _BOUNDS = st.sampled_from(["1", "2", "3", "6", "1000000000000"])

@@ -216,6 +216,7 @@ def check_subgroups(group, seed, ambient):
     expected = subgroups_search(group.elements, list(seed), ambient)
     assert [pair(s) for s in found] == expected
     for sub in found:
+        assert_minimal_exponent(sub)
         assert sub.is_subgroup_of(group)
         assert (quotient_invariant_factors(group, sub) ==
                 quotient_factors(group.elements, sub.elements, ambient))
@@ -284,6 +285,7 @@ def test_corpus_lattices_match_the_oracle(text):
     ambient = poly.n_variables
     full = gmax(poly)
     assert full.elements == maximal_elements(poly)
+    assert_minimal_exponent(full)
     check_group(full, ambient, poly)
     j = GroupElement(tuple(classify(poly).weights))
     for sub in check_subgroups(full, [j], ambient):
@@ -297,3 +299,20 @@ def test_determinant_one_subgroup_drops_the_exponent():
     assert full.exponent == 4
     assert (sl.exponent, sl.order) == (2, 2)
     assert sl.generators == (GroupElement((F(1, 2), F(1, 2))),)
+
+
+@pytest.mark.parametrize("gens, exponent", [
+    ([(F(1, 6), 0), (0, 0)], 6),
+    ([(F(2, 4), F(1, 2))], 2),
+    ([(F(7, 6), F(-1, 3)), (F(1, 3), F(2, 3))], 6),
+    ([(F(1, 4), F(1, 2)), (F(1, 4), F(1, 2)), (F(1, 2), 0)], 4),
+    ([(0, 0), (1, 2)], 1),
+])
+def test_redundant_and_unreduced_generators_keep_the_least_exponent(gens, exponent):
+    elements = [GroupElement(g) for g in gens]
+    group = subgroup_generated(elements, 2)
+    assert group.exponent == exponent
+    assert_minimal_exponent(group)
+    # the generators are kept as given, reduced into [0, 1)
+    assert group.generators == tuple(elements)
+    assert pair(group) == (tuple(elements), closure(elements, 2))

@@ -18,8 +18,11 @@ kernel packs each input exponent tuple into an integer once and never calls
 `MonomialOrder.key`, and divides in primitive integer coefficients only.  A
 group lists its elements only when `elements` or `vectors` is first read, so
 lattice operations and the subgroups that `subgroups_containing` discards
-never list theirs.  Group computations read the integer `vectors` only: no
-library computation reads the phase list `elements`.  `transpose_group`
+never list theirs.  Group computations read integers only: a group keeps
+its generators as integer vectors, no library computation reads the phase
+list `elements`, and none builds a `GroupElement` once its inputs are
+built; `_greedy_group` takes one Hermite form per generator it keeps, plus
+the first, and never rebuilds the group from phases.  `transpose_group`
 solves its relations through one Smith form: it never calls `gmax` and
 lists only its relation group's vectors, once, to pick the dual's
 generators.  `amodel` counts its graded table on the integer vectors: it
@@ -472,3 +475,33 @@ class TestIntegerGroups:
             assert prod(quotient_invariant_factors(full, group)) * group.order == full.order
             assert lgmk.amodel(poly, group).graded.total_dim > 0
         assert sl_subgroup(full).is_subgroup_of(full)
+
+    @pytest.mark.parametrize("text", [FERMAT, CHAIN, LOOP, "x^4*y + y^3 + z^5"])
+    def test_group_computations_build_no_phase_element(self, monkeypatch, text):
+        poly = parse_polynomial(text)
+        j = GroupElement(tuple(polycore.classify(poly).weights))
+
+        def forbidden(*args):
+            raise AssertionError("a GroupElement was built")
+
+        monkeypatch.setattr(symmetry.GroupElement, "__post_init__", forbidden)
+        monkeypatch.setattr(symmetry, "_element", forbidden)
+        _, a_side, b_side = mirror.mirror_sides(poly)
+        assert a_side == b_side
+        full = gmax(poly)
+        found = subgroups_containing(full, [j])
+        assert found
+        for group in found:
+            symmetry.check_symmetry(group, poly)
+            assert lgmk.amodel(poly, group).graded.total_dim > 0
+            assert transpose_group(group, poly).order * group.order == full.order
+            assert prod(quotient_invariant_factors(full, group)) * group.order == full.order
+        assert sl_subgroup(full).is_subgroup_of(full)
+
+    @pytest.mark.parametrize("text", [FERMAT, CHAIN, LOOP, "x^4 + y^6"])
+    def test_greedy_group_takes_one_hermite_form_per_kept_generator(self, monkeypatch, text):
+        group = gmax(parse_polynomial(text))
+        calls = _count_calls(monkeypatch, symmetry, "_hermite_basis")
+        greedy = symmetry._greedy_group(group.vectors, group.exponent, group.ambient)
+        assert greedy.basis == group.basis
+        assert len(calls) == len(greedy.generators) + 1

@@ -230,9 +230,13 @@ class TestCertificate:
             assert report.status == STATUS_NONE_WITHIN_BOUND
             assert report.solutions == ()
 
-    def test_grid_refusal_comes_before_the_certificate(self, pair_solver_raises):
-        with pytest.raises(ResourceLimitExceeded):
-            search_weight_systems(*family(12), 4, denominator_bound=1000)
+    @pytest.mark.parametrize("m", [4, 10**9])
+    def test_certificate_comes_before_the_grid(self, pair_solver_raises, m):
+        # the grid at bound 1000 holds more than GRID_LIMIT points, but a
+        # certified target needs no walk, so it is never built
+        report = search_weight_systems(*family(12), m, denominator_bound=1000)
+        assert report.status == STATUS_NONE_WITHIN_BOUND
+        assert report.solutions == ()
 
     def test_uncertified_target_still_reaches_the_pair_solver(self, pair_solver_raises):
         # (1/5, 1/4, 1/3): a realizable target is walked
