@@ -24,9 +24,12 @@ from W's own staircase, which `require_admissible` runs (the lemma in
 `amodel`), so counting runs no Groebner kernel on any locus.
 The graded table is counted in integers: with N the group exponent, an
 element g = v/N has degree numerator N*adegree(g) = |fix(g)|*N + 2*sum(v) -
-2*N*sum(q), so `amodel` walks the integer vectors, never lists the phase
-elements, and hands the counts to `GradedDims._from_counts` over the scale
-N, which builds no `Fraction`.
+2*N*sum(q).  That numerator and the set of moved variables both add over
+coordinates, so `amodel` reads the group's integer coordinate columns
+(`symmetry._columns`) one at a time, building one integer key per element
+by one table lookup and one addition per coordinate; it never lists the
+vectors as tuples or the phase elements, and hands the counts to
+`GradedDims._from_counts` over the scale N, which builds no `Fraction`.
 
 The basis elements [m; g] are listed only when `AModel.basis` is first
 read, as the CLI does to print them: the full locus reads W's staircase
@@ -42,13 +45,22 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
 from math import prod
+from operator import add
 
 from .errors import GroupNotAdmissible, LgmkError, NotAdmissibleError
 from .groebner import standard_monomials
 from .milnor import GradedDims, jacobian_staircase
 from .polycore import Monomial, Polynomial, WeightSystem, classify, require_admissible
-from .symmetry import GroupElement, SymmetryGroup, check_symmetry, fixed_locus, is_admissible_group
+from .symmetry import (
+    GroupElement,
+    SymmetryGroup,
+    _columns,
+    check_symmetry,
+    fixed_locus,
+    is_admissible_group,
+)
 
 
 @dataclass(frozen=True)
@@ -178,7 +190,8 @@ def amodel(poly: Polynomial, group: SymmetryGroup) -> AModel:
     only on the fixed locus, so they are counted once per distinct locus,
     from the group's characters.  With N the group exponent and v = N*g, an
     element g adds its locus's count at the integer degree numerator
-    N*adegree(g) = |fix(g)|*N + 2*sum(v) - 2*N*sum(q).
+    N*adegree(g) = |fix(g)|*N + 2*sum(v) - 2*N*sum(q), read off the
+    coordinate columns of the group's lattice, one column at a time.
 
     The count needs W restricted to each fixed locus F nondegenerate, and
     that follows from W's staircase alone (Krawitz 2010, FJRW rings and
@@ -197,19 +210,24 @@ def amodel(poly: Polynomial, group: SymmetryGroup) -> AModel:
     if not is_admissible_group(group, weights):
         raise GroupNotAdmissible(
             f"J = {weights} is not an element of the group {group}")
-    exponent = group.exponent
-    # elements with one zero pattern and one phase sum share their degree
-    patterns = Counter((tuple(map(bool, v)), sum(v)) for v in group.vectors)
-    moved_counts: Counter[tuple[bool, ...]] = Counter()
-    for (moved, _), n in patterns.items():
-        moved_counts[moved] += n
-    locus_counts: dict[frozenset[int], int] = {}
+    exponent, n = group.exponent, group.ambient
+    # an element's key is (N*adegree numerator) << n | its moved bits; both
+    # parts add over coordinates: a 0 adds N, a nonzero a adds 2a and bit k
+    keys = repeat(0)
+    for k, column in enumerate(_columns(exponent, group.basis)):
+        table = [exponent << n, *range((2 << n) + (1 << k), exponent * (2 << n), 2 << n)]
+        keys = list(map(add, keys, map(table.__getitem__, column)))
+    mask = (1 << n) - 1
+    moved_bits = Counter(map(mask.__and__, keys))
+    moved_counts = {tuple(bool(bits >> i & 1) for i in range(n)): count
+                    for bits, count in moved_bits.items()}
+    loci = {bits: frozenset(i for i in range(n) if not bits >> i & 1) for bits in moved_bits}
+    locus_counts = {fix: _invariant_count(fix, moved_counts, group.order, weights)
+                    for fix in loci.values()}
+    # elements with one key share their locus and their degree
     counts: Counter[int] = Counter()
-    for (moved, total), n in patterns.items():
-        fix = frozenset(i for i, a in enumerate(moved) if not a)
-        if fix not in locus_counts:
-            locus_counts[fix] = _invariant_count(fix, moved_counts, group.order, weights)
-        counts[len(fix) * exponent + 2 * total] += n * locus_counts[fix]
+    for key, count in Counter(keys).items():
+        counts[key >> n] += count * locus_counts[loci[key & mask]]
     graded = GradedDims._from_counts(counts, exponent, _degree_shift(weights, exponent))
     return AModel(poly, group, graded, locus_counts)
 

@@ -5,9 +5,12 @@ into [0, 1).  A group G of exponent N is kept as the integer lattice
 L = {v in Z^n : v/N in G}, which satisfies N*Z^n <= L <= Z^n, through the
 Hermite normal form of a basis of L.  Order, membership, containment,
 invariant factors and quotients are integer linear algebra on that basis.
-Every other computation reads the generator vectors or the sorted vectors v,
-listed on first use for groups of order up to GROUP_ORDER_LIMIT; phase
-elements are built only for output.
+Every other computation reads the generator vectors or enumerates the
+vectors v of L mod N, for groups of order up to GROUP_ORDER_LIMIT, through
+one walk of the Hermite coefficients, `_columns`, which yields coordinate k
+of every vector as an integer column: `amodel` counts from the columns one
+at a time, and `vectors`, the sorted tuples, is listed from them on first
+use.  Phase elements are built only for output.
 
 Gmax and the transpose group are both read off one Smith form, of a matrix
 R of relations: the group {g : R.g integral}.  R is the exponent matrix A
@@ -20,8 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import product
+from itertools import chain, cycle, product, repeat
 from math import gcd, lcm, prod
+from operator import add, mod
 
 from .errors import (
     GroupNotSymmetry,
@@ -160,30 +164,43 @@ def _phase_table(exponent: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(k, exponent) for k in range(exponent))
 
 
+def _columns(exponent: int, basis):
+    """Coordinate k of every vector of L mod exponent, one list per k in
+    turn.
+
+    With d_j the pivot of basis row b_j, the vectors are sum_j c_j*b_j mod
+    exponent for the grid of Hermite coefficients 0 <= c_j < exponent/d_j,
+    c_0 slowest: each vector once, since the triangular basis recovers c_0,
+    c_1, ... in turn.  Coordinate k depends on c_0 .. c_k only, so it is
+    summed on that sub-grid, reduced, and each entry repeated once per
+    point of the faster coefficients."""
+    sizes = [exponent // row[j] for j, row in enumerate(basis)]
+    order = prod(sizes)
+    if order > GROUP_ORDER_LIMIT:
+        raise ResourceLimitExceeded(
+            f"group of order {order} is too large to list its elements "
+            f"(limit {GROUP_ORDER_LIMIT})")
+    for k in range(len(basis)):
+        column = [0]
+        for j in range(k + 1):
+            if sizes[j] > 1:
+                step = basis[j][k]
+                # each partial sum s becomes s, s + step, s + 2*step, ...
+                column = list(map(add, _repeat_each(column, sizes[j]),
+                                  cycle([c * step for c in range(sizes[j])])))
+        column = list(map(mod, column, repeat(exponent)))
+        later = order // len(column)
+        yield column if later == 1 else list(_repeat_each(column, later))
+
+
+def _repeat_each(values, times: int):
+    return chain.from_iterable(map(repeat, values, repeat(times)))
+
+
 def _sorted_vectors(exponent: int, basis) -> list[tuple[int, ...]]:
     """Every vector of L mod exponent (coordinates in [0, exponent)) in
-    increasing order.
-
-    Level j fixes coordinate j: adding multiples of basis row j runs it
-    through r, r + d, r + 2d, ... below the exponent, with d the pivot and
-    r its residue mod d, and leaves the coordinates before j alone.  A
-    partial vector is its fixed prefix and its coordinates from j on."""
-    last = len(basis) - 1
-    partial = [((), (0,) * len(basis))]
-    for j, row in enumerate(basis[:last]):
-        d = row[j]
-        tail = row[j + 1:]
-        grown = []
-        for head, rest in partial:
-            start = -(rest[0] // d)
-            for c in range(start, start + exponent // d):
-                grown.append((head + (rest[0] + c * d,),
-                              tuple([(a + c * b) % exponent
-                                     for a, b in zip(rest[1:], tail)])))
-        partial = grown
-    d = basis[last][last]
-    return [head + (k,) for head, rest in partial
-            for k in range(rest[0] % d, exponent, d)]
+    increasing order."""
+    return sorted(zip(*_columns(exponent, basis)))
 
 
 def _element(phases: tuple[Fraction, ...]) -> GroupElement:
@@ -200,8 +217,9 @@ class SymmetryGroup:
     `exponent` N is the lcm of the element orders, `gens` the generators
     v/N as vectors v in [0, N)^n, and `basis` the Hermite basis of the
     lattice {v in Z^n : v/N in the group}.  The phase views `generators`
-    and `elements` (sorted), and `vectors`, the elements' v, are built on
-    first use, the last two up to GROUP_ORDER_LIMIT.
+    and `elements` (sorted), and `vectors`, the elements' v sorted, are
+    built on first use, the last two up to GROUP_ORDER_LIMIT; counting
+    (`amodel`) reads the coordinate columns of `_columns` instead.
     """
 
     ambient: int
@@ -216,10 +234,6 @@ class SymmetryGroup:
 
     @cached_property
     def vectors(self) -> tuple[tuple[int, ...], ...]:
-        if self.order > GROUP_ORDER_LIMIT:
-            raise ResourceLimitExceeded(
-                f"group of order {self.order} is too large to list its elements "
-                f"(limit {GROUP_ORDER_LIMIT})")
         return tuple(_sorted_vectors(self.exponent, self.basis))
 
     @cached_property

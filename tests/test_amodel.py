@@ -275,13 +275,20 @@ class TestCharacterCount:
         with pytest.raises(LgmkError, match="character count is 4"):
             model.basis
 
-    def test_non_integral_character_sum_is_loud(self):
+    def test_non_integral_character_sum_is_loud(self, monkeypatch):
         group = gmax(parse_polynomial("x^3 + y^3"))
         assert group.order == len(group.vectors) == 9
+        columns, read = AMODEL._columns, []
+
+        def short_columns(exponent, basis):
+            read.append(basis)
+            return (column[:-1] for column in columns(exponent, basis))
+
         # one element fewer than the order: the full locus averages to -1/9
-        group.__dict__["vectors"] = group.vectors[:-1]
+        monkeypatch.setattr(AMODEL, "_columns", short_columns)
         with pytest.raises(LgmkError, match="not a nonnegative integer"):
             amodel(parse_polynomial("x^3 + y^3"), group)
+        assert read == [group.basis]
 
 
 # four-variable Fermat, chain and loop members, and a chain beside a Fermat

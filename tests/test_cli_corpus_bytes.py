@@ -9,7 +9,12 @@ lattice implementation must reproduce it exactly.  The only edit since is
 the `warnings` list of eight `amodel` records, which is now empty: those
 warnings came from an ambient-determinant diagnostic that was removed because
 it fired only where the fixed-locus reading is the one that passes the
-mirror check.
+mirror check.  The records of `amodel` (the same four specs) and
+`mirror-check` on the eight polynomials of `HERMITE_TEXTS` were appended
+later, recorded while `amodel` still counted over the sorted element
+vectors, before it moved to counting from the coordinate columns of the
+Hermite enumeration; their Gmax have pivots other than 1 and N, or entries
+above the diagonal, which the columns must carry.
 
 `data/cli_search_corpus.json` holds the same for `search` and
 `paper-tables`, recorded with the `Fraction` search before the integer
@@ -61,10 +66,27 @@ SEARCH_RECORDS = _load("cli_search_corpus.json")
 BMODEL_RECORDS = _load("cli_bmodel_corpus.json")
 
 
+# four-variable chains, loops and chains beside a Fermat summand whose Gmax,
+# of order 448 to 1152, has a Hermite basis with entries off the diagonal
+HERMITE_TEXTS = [
+    "x^4*y + y^6*z + z^5*w + w^7",
+    "x^7*y + y^2*z + z^8*w + w^4",
+    "x^6*y + y^4*z + z^6*w + w^4*x",
+    "x^7*y + y^7*z + z^3*w + w^7*x",
+    "x^5*y + y^5*z + z^5*w + w^8*x",
+    "x^4*y + y^6*z + z^5 + w^7",
+    "x^8*y + y^5*z + z^4 + w^6",
+    "x^6*y + y^8*z + z^6 + w^4",
+]
+
+
 def test_every_corpus_command_is_recorded():
     expected = []
     for text in INVERTIBLE_CORPUS_TEXTS:
         expected.append(["gmax", text, "--elements", "--json"])
+        expected += [["amodel", text, spec, "--json"] for spec in ("max", "J", "sl", "0")]
+        expected.append(["mirror-check", text, "--json"])
+    for text in HERMITE_TEXTS:
         expected += [["amodel", text, spec, "--json"] for spec in ("max", "J", "sl", "0")]
         expected.append(["mirror-check", text, "--json"])
     assert [record["argv"] for record in RECORDS] == expected

@@ -8,7 +8,10 @@ argument), and standard error must hold no traceback: a bad input or an
 exhausted budget is reported in one `error:` line, never by a crash or an
 unbounded allocation.  The known cases come first; a small derandomized
 grammar then draws argv over every subcommand, with huge exponents,
-variable counts and bounds, malformed polynomials and group specs.
+variable counts and bounds, malformed polynomials and group specs.  The
+`amodel` group specs are drawn for the polynomial's variable count, with
+generators of the wrong length, phases outside [0, 1), unreduced phases
+and zero denominators, and a second derandomized test draws `amodel` alone.
 """
 
 import os
@@ -108,11 +111,40 @@ def _polynomials(draw):
     return " + ".join(terms)
 
 
-# group specs: named ones, then generators of the wrong length, phases outside
-# [0, 1), unreduced phases and zero denominators
-_GROUPS = st.sampled_from(["max", "J", "sl", "0", "1/2,0", "1/3,1/3", "1/0,1",
-                           "5/4,1/2", "-1/3,1/3,1/3", "1/2;1/3,1/3", "1/2",
-                           "5/3,2/3", "1/3,-1/3", "2/6,0"])
+@st.composite
+def _phase(draw, exponent):
+    """A phase for a variable of x^exponent: mostly k/exponent, else the same
+    read mod 1 (above 1 or negative) or unreduced, a phase that fixes no such
+    term, a zero denominator or no number at all."""
+    k = draw(st.integers(0, exponent - 1))
+    kind = draw(st.integers(0, 11))
+    odd = [f"{k + exponent}/{exponent}", f"-{k}/{exponent}", f"{2 * k}/{2 * exponent}",
+           "1/2", "1/0", "x"]
+    return odd[kind] if kind < len(odd) else f"{k}/{exponent}"
+
+
+@st.composite
+def _amodel_argv(draw):
+    """`amodel` on a Fermat sum in n variables (or a drawn polynomial) with a
+    group spec drawn for n: a named group, J written out, or one or two
+    generators of length n, n - 1 or n + 1, whose phases are drawn per
+    variable."""
+    n = draw(st.integers(1, 4))
+    exponents = draw(st.lists(st.sampled_from([2, 3, 4, 6, 1001]), min_size=n, max_size=n))
+    poly = " + ".join(f"{name}^{e}" for name, e in zip("xyzw", exponents))
+    if draw(st.integers(0, 4)) == 0:
+        poly = draw(_polynomials())
+    if draw(st.booleans()):
+        # the named groups, and J written out for the Fermat sum
+        spelled = ",".join(f"1/{e}" for e in exponents)
+        return ["amodel", poly, draw(st.sampled_from(["max", "J", "sl", "0", spelled]))]
+    gens = []
+    for _ in range(draw(st.integers(1, 2))):
+        length = draw(st.sampled_from([n, n, n - 1, n + 1]))
+        gens.append(",".join(draw(_phase(exponents[i % n])) for i in range(length)))
+    return ["amodel", poly, ";".join(gens)]
+
+
 _RATIONALS = st.sampled_from(["-1", "0", "1", "8", "100", "1/2", "12/5", "2/3", "7", "x"])
 _VARS = st.sampled_from(["0", "1", "2", "3", "4", "5", "500", "501", "1000", "1000000000"])
 _BOUNDS = st.sampled_from(["1", "2", "3", "6", "1000000000000"])
@@ -128,7 +160,7 @@ def _argv(draw):
     elif command == "paper-tables":
         argv = [command, "--bound", draw(_BOUNDS)]
     elif command == "amodel":
-        argv = [command, draw(_polynomials()), draw(_GROUPS)]
+        argv = draw(_amodel_argv())
     else:
         argv = [command, draw(_polynomials())]
     return argv + draw(st.sampled_from([[], ["--json"]]))
@@ -137,4 +169,10 @@ def _argv(draw):
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(_argv())
 def test_drawn_command_line_ends_in_a_documented_code(argv):
+    _run(argv)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(_amodel_argv())
+def test_drawn_group_spec_ends_in_a_documented_code(argv):
     _run(argv)

@@ -8,10 +8,14 @@ small groups and on the two- and three-variable corpora, every operation
 must give exactly what the oracle gives: elements, generators, invariant
 factors, quotient factors, the subgroup list and its order, the
 determinant-one subgroup and the transpose group.  Two groups are equal,
-with equal hashes, exactly when their generators and elements are.
+with equal hashes, exactly when their generators and elements are.  The
+enumeration that lists a lattice's vectors, as integer coordinate columns,
+is checked against trying every vector of [0, N)^n.
 """
 
+from collections import Counter
 from fractions import Fraction as F
+from itertools import product
 from math import lcm
 
 import pytest
@@ -29,9 +33,12 @@ from lgmk import (
     sl_subgroup,
     subgroup_generated,
     subgroups_containing,
+    symmetry,
     transpose_group,
     transpose_polynomial,
 )
+from lgmk.errors import ResourceLimitExceeded
+from lgmk.symmetry import _columns, _coordinates, _hermite_basis, _sorted_vectors
 
 from conftest import INVERTIBLE_CORPUS_TEXTS
 
@@ -316,3 +323,44 @@ def test_redundant_and_unreduced_generators_keep_the_least_exponent(gens, expone
     # the generators are kept as given, reduced into [0, 1)
     assert group.generators == tuple(elements)
     assert pair(group) == (tuple(elements), closure(elements, 2))
+
+
+# ---------------------------------------------------------------------------
+# The enumeration against brute force
+# ---------------------------------------------------------------------------
+
+@st.composite
+def hermite_lattices(draw):
+    """(N, basis): the Hermite basis of the lattice that a few random rows
+    span with N*Z^n, n = 1..4 and N <= 36, with N^n kept small enough to try
+    every vector; a row whose multiples stay on a coordinate subspace leaves
+    pivots equal to N."""
+    n = draw(st.integers(1, 4))
+    exponent = draw(st.integers(1, min(36, round(20736 ** (1 / n)))))
+    scale = draw(st.sampled_from([d for d in range(1, exponent + 1) if exponent % d == 0]))
+    rows = draw(st.lists(st.lists(st.integers(0, exponent - 1), min_size=n, max_size=n),
+                         min_size=1, max_size=3))
+    rows = [[scale * a for a in row] for row in rows]
+    return exponent, _hermite_basis(rows, exponent, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hermite_lattices())
+def test_columns_list_every_lattice_vector_once(lattice):
+    exponent, basis = lattice
+    n = len(basis)
+    listed = Counter(zip(*_columns(exponent, basis)))
+    members = {v for v in product(range(exponent), repeat=n)
+               if _coordinates(v, basis) is not None}
+    assert set(listed) == members
+    assert set(listed.values()) == {1}
+    vectors = _sorted_vectors(exponent, basis)
+    assert vectors == sorted(members)
+
+
+def test_columns_are_refused_above_the_order_limit(monkeypatch):
+    basis = _hermite_basis([(1, 0), (0, 1)], 4, 2)
+    assert len(list(zip(*_columns(4, basis)))) == 16
+    monkeypatch.setattr(symmetry, "GROUP_ORDER_LIMIT", 15)
+    with pytest.raises(ResourceLimitExceeded, match="group of order 16 is too large"):
+        next(_columns(4, basis))

@@ -25,11 +25,12 @@ built; `_greedy_group` takes one Hermite form per generator it keeps, plus
 the first, and never rebuilds the group from phases.  `transpose_group`
 solves its relations through one Smith form: it never calls `gmax` and
 lists only its relation group's vectors, once, to pick the dual's
-generators.  `amodel` counts its graded table on the integer vectors: it
-builds no `SectorElement` until its basis is read.  `bmodel` counts its
-table from the Milnor-Orlik series, so `mirror_sides` lists no standard
-monomial, and `BModel.basis` is listed only when first read.  No module
-reads the environment: every limit is a module constant.
+generators.  `amodel` counts its graded table from the group's integer
+coordinate columns: it lists no vector and builds no `SectorElement` until
+its basis is read.  `bmodel` counts its table from the Milnor-Orlik
+series, so `mirror_sides` lists no standard monomial, and `BModel.basis`
+is listed only when first read.  No module reads the environment: every
+limit is a module constant.
 """
 
 import ast
@@ -397,6 +398,7 @@ class TestLazyBasis:
         assert a_side == b_side
         assert len(groups) == len(models) == 1
         assert "elements" not in groups[0].__dict__
+        assert "vectors" not in groups[0].__dict__
         assert "basis" not in models[0].__dict__
 
     def test_basis_is_built_on_first_read(self):
@@ -404,8 +406,10 @@ class TestLazyBasis:
         model = lgmk.amodel(family_polynomial(7), group)
         assert model.graded.total_dim == 12
         assert "elements" not in group.__dict__
+        assert "vectors" not in group.__dict__
         assert "basis" not in model.__dict__
         keys = [(s.adegree, s.sector.phases, s.monomial.exponents) for s in model.basis]
+        assert "vectors" in group.__dict__
         assert keys == sorted(keys)
         assert len(keys) == model.graded.total_dim
         assert model.basis is model.basis
