@@ -60,7 +60,7 @@ from itertools import combinations, islice
 
 from .amodel import amodel
 from .errors import InvalidArgument, ResourceLimitExceeded
-from .milnor import GradedDims, bmodel
+from .milnor import GradedDims, _require_halved, bmodel
 from .polycore import Polynomial, WeightSystem, classify, transpose_polynomial
 from .symmetry import gmax
 
@@ -665,8 +665,7 @@ def enumerate_admissible_supports(weights: WeightSystem) -> list[Polynomial]:
     only tested at coefficients one, which matches how example polynomials
     are usually written; genericity in the coefficients is not analyzed.
     """
-    if any(q > HALF for q in weights):
-        raise ValueError(f"weights {weights} must lie in (0, 1/2]")
+    _require_halved(weights)
     n = len(weights)
     names = _default_variables(n)
     pool = _monomials_of_weight_one(weights)

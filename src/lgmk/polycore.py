@@ -6,8 +6,9 @@ coefficients dropped, and terms sorted descending under the canonical
 monomial order (lexicographic on exponent vectors).  All coefficients are
 `fractions.Fraction`, so equality tests throughout the toolkit are exact.
 
-Weights are solved in integers: Gauss-Jordan elimination on primitive
-integer rows, with one `Fraction` per weight at the end.
+Weights are solved by `_echelon`, the toolkit's one integer row echelon
+(symmetry's Hermite forms are the same echelon); only the back-substitution
+builds `Fraction`s.
 
 This is the bottom layer.  Only `classify` reaches upward, into milnor, for
 the Jacobian staircase that proves nondegeneracy.  `classify` is the one
@@ -25,7 +26,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd, lcm
+from math import lcm
+from operator import mul
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from .errors import (
@@ -357,6 +359,50 @@ def _has_cross_term(matrix: ExponentMatrix) -> bool:
     return False
 
 
+def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with x*a + y*b = g = gcd(a, b) > 0."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    if a < 0:
+        return -a, -x0, -y0
+    return a, x0, y0
+
+
+def _echelon(rows, width: int) -> list[list[int]]:
+    """Row echelon form over Z of integer rows of the given width, spanning
+    the same lattice: one row per pivot column, in column order, with a
+    positive leading entry.  Columns without a pivot are skipped.
+
+    Each column folds its nonzero rows into the pivot row by unimodular 2x2
+    steps, (pivot, row) -> (gcd row, row with a 0 in that column)."""
+    work = [list(r) for r in rows if any(r)]
+    echelon = []
+    for j in range(width):
+        pivot = None
+        rest = []
+        for row in work:
+            if row[j] == 0:
+                rest.append(row)
+            elif pivot is None:
+                pivot = row
+            else:
+                a, b = pivot[j], row[j]
+                g, x, y = _extended_gcd(a, b)
+                pa, pb = a // g, b // g
+                cleared = [pb * p - pa * r for p, r in zip(pivot, row)]
+                pivot = [x * p + y * r for p, r in zip(pivot, row)]
+                if any(cleared):
+                    rest.append(cleared)
+        if pivot is not None:
+            echelon.append(pivot if pivot[j] > 0 else [-a for a in pivot])
+        work = rest
+    return echelon
+
+
 def solve_weights(matrix: ExponentMatrix) -> WeightSystem:
     """Solve A.q = (1,...,1) exactly over Q.
 
@@ -365,36 +411,24 @@ def solve_weights(matrix: ExponentMatrix) -> WeightSystem:
     q_i <= 0, and WeightBoundViolated when some q_i > 1/2 although no
     cross-term x_i*x_j is present.
 
-    Gauss-Jordan elimination runs on primitive integer rows of (A | 1): a
-    row is cleared at a pivot column by cross-multiplying with the pivot
-    row, then divided by its content.  When every column has a pivot, row i
-    pivots on column i and reads a_i*q_i = b_i, and q_i = b_i/a_i is the
-    only `Fraction` built.
+    The integer echelon of (A | 1) decides: a row leading in the constant
+    column means no solution, fewer than n pivots mean rank(A) < n.  Otherwise
+    row i pivots on column i, and q_i .. q_n-1 are back-substituted from the
+    last row up, in integers over one common denominator.
     """
-    m, n = matrix.m, matrix.n
-    rows = [list(row) + [1] for row in matrix.rows]
-    top = 0
-    for col in range(n):
-        pivot = next((r for r in range(top, m) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        rows[top], rows[pivot] = rows[pivot], rows[top]
-        lead_row = rows[top]
-        lead = lead_row[col]
-        for r in range(m):
-            c = rows[r][col]
-            if c and r != top:
-                cleared = [lead * a - c * b for a, b in zip(rows[r], lead_row)]
-                content = gcd(*cleared)
-                rows[r] = [a // content for a in cleared] if content > 1 else cleared
-        top += 1
-        if top == m:
-            break
-    if any(rows[r][n] for r in range(top, m)):
+    n = matrix.n
+    rows = _echelon([row + (1,) for row in matrix.rows], n + 1)
+    if not any(rows[-1][:n]):
         raise NotQuasihomogeneous("A.q = 1 has no solution")
-    if top < n:
+    if len(rows) < n:
         raise NonUniqueWeights("weights are not unique (rank(A) < n)")
-    q = [Fraction(row[n], row[i]) for i, row in enumerate(rows[:n])]
+    numerators, common = [], 1
+    for i in reversed(range(n)):
+        row = rows[i]
+        top = row[n] * common - sum(map(mul, row[i + 1:n], numerators))
+        numerators = [top] + [row[i] * t for t in numerators]
+        common *= row[i]
+    q = [Fraction(t, common) for t in numerators]
     if any(v <= 0 for v in q):
         raise NonPositiveWeight(f"solved weights {tuple(map(str, q))} are not all positive")
     if not _has_cross_term(matrix) and any(v > Fraction(1, 2) for v in q):

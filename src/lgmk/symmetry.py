@@ -3,8 +3,10 @@
 Group elements are phase vectors in (Q/Z)^n, stored with every phase reduced
 into [0, 1).  A group G of exponent N is kept as the integer lattice
 L = {v in Z^n : v/N in G}, which satisfies N*Z^n <= L <= Z^n, through the
-Hermite normal form of a basis of L.  Order, membership, containment,
-invariant factors and quotients are integer linear algebra on that basis.
+Hermite normal form of a basis of L: polycore's integer echelon, reduced
+above its pivots.  With N least, N and that form are the group's identity.
+Order, membership, containment, invariant factors and quotients are
+integer linear algebra on that basis.
 Every other computation reads the generator vectors or enumerates the
 vectors v of L mod N, for groups of order up to GROUP_ORDER_LIMIT, through
 one walk of the Hermite coefficients, `_columns`, which yields coordinate k
@@ -13,9 +15,11 @@ at a time, and `vectors`, the sorted tuples, is listed from them on first
 use.  Phase elements are built only for output.
 
 Gmax and the transpose group are both read off one Smith form, of a matrix
-R of relations: the group {g : R.g integral}.  R is the exponent matrix A
-for Gmax(W); for the dual of G it is A^T, which cuts out Gmax(W^T), stacked
-with one row A h per generator h of G, because g A h^T = (A h).g.
+R of relations: the group {g : R.g integral}, generated by the columns of
+the Smith transform.  R is the exponent matrix A for Gmax(W); for the dual
+of G it is A^T, which cuts out Gmax(W^T), stacked with one row A h per
+generator h of G, because g A h^T = (A h).g.  So transpose_group(<0>, W) ==
+gmax(W^T), and transposing twice gives G back, as groups.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from .errors import (
     ResourceLimitExceeded,
     WeightConditionViolated,
 )
-from .polycore import Polynomial, WeightSystem, _invertible_matrix, exponent_matrix
+from .polycore import Polynomial, WeightSystem, _echelon, _invertible_matrix, exponent_matrix
 
 GROUP_ORDER_LIMIT = 10**6  # the largest group whose elements are listed
 
@@ -87,33 +91,10 @@ def _numerators(element: GroupElement, exponent: int) -> tuple[int, ...] | None:
 def _hermite_basis(rows, exponent: int, n: int) -> tuple[tuple[int, ...], ...]:
     """Hermite normal form of the lattice spanned by rows and exponent*Z^n.
 
-    The basis is upper triangular with positive diagonal, and every entry
-    above a pivot lies in [0, pivot); so it is unique to the lattice.
+    Their echelon has a pivot in every column; with every entry above a
+    pivot reduced into [0, pivot), it is unique to the lattice.
     """
-    work = [list(r) for r in rows if any(r)]
-    work += [[exponent * (i == j) for j in range(n)] for i in range(n)]
-    basis = []
-    for j in range(n):
-        pivot = None
-        rest = []
-        for row in work:
-            if row[j] == 0:
-                rest.append(row)
-            elif pivot is None:
-                pivot = row
-            else:
-                # unimodular 2x2 step: (pivot, row) -> (gcd row, row with a 0 at j)
-                a, b = pivot[j], row[j]
-                g, x, y = _extended_gcd(a, b)
-                pa, pb = a // g, b // g
-                cleared = [pb * p - pa * r for p, r in zip(pivot, row)]
-                pivot = [x * p + y * r for p, r in zip(pivot, row)]
-                if any(cleared):
-                    rest.append(cleared)
-        if pivot[j] < 0:
-            pivot = [-x for x in pivot]
-        basis.append(pivot)
-        work = rest
+    basis = _echelon(list(rows) + [[exponent * (i == j) for j in range(n)] for i in range(n)], n)
     for j in range(n):
         d = basis[j][j]
         for k in range(j):
@@ -121,19 +102,6 @@ def _hermite_basis(rows, exponent: int, n: int) -> tuple[tuple[int, ...], ...]:
             if q:
                 basis[k] = [a - q * b for a, b in zip(basis[k], basis[j])]
     return tuple(tuple(row) for row in basis)
-
-
-def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, x, y) with x*a + y*b = g = gcd(a, b) > 0."""
-    x0, y0, x1, y1 = 1, 0, 0, 1
-    while b:
-        q, r = divmod(a, b)
-        a, b = b, r
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if a < 0:
-        return -a, -x0, -y0
-    return a, x0, y0
 
 
 def _coordinates(vector, basis) -> list[int] | None:
@@ -214,18 +182,19 @@ def _element(phases: tuple[Fraction, ...]) -> GroupElement:
 class SymmetryGroup:
     """Finite subgroup of (Q/Z)^n.
 
-    `exponent` N is the lcm of the element orders, `gens` the generators
-    v/N as vectors v in [0, N)^n, and `basis` the Hermite basis of the
-    lattice {v in Z^n : v/N in the group}.  The phase views `generators`
-    and `elements` (sorted), and `vectors`, the elements' v sorted, are
-    built on first use, the last two up to GROUP_ORDER_LIMIT; counting
-    (`amodel`) reads the coordinate columns of `_columns` instead.
+    `exponent` N is the lcm of the element orders, and `basis` the Hermite
+    basis of the lattice {v in Z^n : v/N in the group}; equality and hash
+    read only these, which are unique to the group.  `gens`, generators v/N
+    as vectors v in [0, N)^n, is one presentation.  The phase views
+    `generators` and `elements` (sorted), and `vectors`, the elements' v
+    sorted, are built on first use, the last two up to GROUP_ORDER_LIMIT;
+    counting (`amodel`) reads the coordinate columns of `_columns` instead.
     """
 
     ambient: int
     exponent: int
-    gens: tuple[tuple[int, ...], ...]
-    basis: tuple[tuple[int, ...], ...] = field(compare=False)
+    gens: tuple[tuple[int, ...], ...] = field(compare=False)
+    basis: tuple[tuple[int, ...], ...]
 
     @cached_property
     def generators(self) -> tuple[GroupElement, ...]:
@@ -494,15 +463,14 @@ def transpose_group(group: SymmetryGroup, poly: Polynomial) -> SymmetryGroup:
     exponent matrix of poly itself.  Since Gmax(W^T) = {g : A^T.g integral}
     and g A h^T = (A h).g, the dual is {g : R.g integral} for R = A^T stacked
     with one row A h per generator h of the group; A h is integral because
-    h fixes poly.
+    h fixes poly.  The dual is that relation group, generated, as `gmax`
+    is, by the columns of its Smith form.
     """
     matrix = _invertible_matrix(poly)
     check_symmetry(group, poly)
     images = [[sum(a * b for a, b in zip(row, h)) // group.exponent
                for row in matrix.rows] for h in group.gens]
-    dual = _relation_group(matrix.transpose().rows + tuple(images))
-    # groups compare by their generators, so pick them greedily from the vectors
-    return _greedy_group(dual.vectors, dual.exponent, group.ambient)
+    return _relation_group(matrix.transpose().rows + tuple(images))
 
 
 def gmax_fermat_plus_monomial(p: int, q: int, r: int, s: int) -> SymmetryGroup:
@@ -555,18 +523,18 @@ def subgroups_containing(group: SymmetryGroup,
     Subgroups are found by adjoining one element at a time to those already
     found, one element per coset, since the elements of a coset of a found
     subgroup all adjoin the same one; membership is tested on the integer
-    vectors at the group's exponent.  A lattice is known by its exponent and
-    Hermite basis."""
+    vectors at the group's exponent, listed once per subgroup for its
+    cosets and the final sort.  A subgroup keeps the generators it was
+    first found with."""
     base = subgroup_generated(list(seed), group.ambient)
     if not base.is_subgroup_of(group):
         raise ValueError("seed elements do not lie in the group")
-    seen = {(base.exponent, base.basis)}
-    queue = [base]
-    out = [base]
     exponent = group.exponent
+    members_of = {base: base._scaled_vectors(exponent)}
+    queue = [base]
     while queue:
         current = queue.pop()
-        members = current._scaled_vectors(exponent)
+        members = members_of[current]
         scale = exponent // current.exponent
         gens = [tuple(scale * a for a in g) for g in current.gens]
         covered = set(members)
@@ -576,10 +544,7 @@ def subgroups_containing(group: SymmetryGroup,
             # every element of the coset v + current adjoins the same subgroup
             covered.update(tuple([(a + b) % exponent for a, b in zip(v, c)]) for c in members)
             extended = _lattice_group(gens + [v], exponent, group.ambient)
-            key = (extended.exponent, extended.basis)
-            if key not in seen:
-                seen.add(key)
+            if extended not in members_of:
+                members_of[extended] = extended._scaled_vectors(exponent)
                 queue.append(extended)
-                out.append(extended)
-    out.sort(key=lambda s: (s.order, s._scaled_vectors(exponent)))
-    return out
+    return sorted(members_of, key=lambda s: (s.order, members_of[s]))

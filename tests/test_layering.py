@@ -23,11 +23,12 @@ its generators as integer vectors, no library computation reads the phase
 list `elements`, and none builds a `GroupElement` once its inputs are
 built; `_greedy_group` takes one Hermite form per generator it keeps, plus
 the first, and never rebuilds the group from phases.  `transpose_group`
-solves its relations through one Smith form: it never calls `gmax` and
-lists only its relation group's vectors, once, to pick the dual's
-generators.  `amodel` counts its graded table from the group's integer
-coordinate columns: it lists no vector and builds no `SectorElement` until
-its basis is read.  `bmodel` counts its table from the Milnor-Orlik
+solves its relations through one Smith form and returns that relation
+group: it never calls `gmax` and lists no vectors.  The weights and every
+Hermite form come from one integer echelon, `polycore._echelon`, called
+once per weight solve and once per Hermite form.  `amodel` counts its
+graded table from the group's integer coordinate columns: it lists no
+vector and builds no `SectorElement` until its basis is read.  `bmodel` counts its table from the Milnor-Orlik
 series, so `mirror_sides` lists no standard monomial, and `BModel.basis`
 is listed only when first read.  No module reads the environment: every
 limit is a module constant.
@@ -110,6 +111,31 @@ def _environment_reads():
     return found
 
 
+def _unused_imports():
+    """(module, name) for each name an import binds that its module never
+    reads; the package's re-exports and `from __future__` are exempt."""
+    found = set()
+    for name, tree in _module_trees():
+        if name == "__init__":
+            continue
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            found.update((name, b) for b in bound if b not in read)
+    return found
+
+
+def _definitions(function):
+    """The modules that define a function of that name."""
+    return {name for name, tree in _module_trees() for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == function}
+
+
 class TestLayering:
     def test_only_classify_defers_an_import(self):
         assert _intra_package_imports_in_functions() == {
@@ -117,6 +143,13 @@ class TestLayering:
 
     def test_no_module_reads_the_environment(self):
         assert _environment_reads() == set()
+
+    def test_no_module_has_an_unused_import(self):
+        assert _unused_imports() == set()
+
+    def test_one_integer_echelon(self):
+        assert _definitions("_extended_gcd") == {"polycore"}
+        assert _definitions("_echelon") == {"polycore"}
 
     def test_transpose_lives_in_polycore(self):
         assert mirror.transpose_polynomial is polycore.transpose_polynomial
@@ -280,6 +313,19 @@ class TestOneWeightSolve:
         assert mirror_check(parse_polynomial(CHAIN))
         # W and W^T; the restricted loci take their weights from W's
         assert len(weight_solves) == 2
+
+
+class TestOneEchelon:
+    def test_one_echelon_per_weight_solve_and_per_hermite_form(self, monkeypatch):
+        echelons = _count_calls(monkeypatch, polycore, "_echelon")
+        solves = _count_calls(monkeypatch, polycore, "solve_weights")
+        hermite_forms = _count_calls(monkeypatch, symmetry, "_hermite_basis")
+        assert mirror_check(parse_polynomial(CHAIN))
+        assert len(solves) == 2 and hermite_forms
+        assert len(echelons) == len(solves) + len(hermite_forms)
+        # the weights read the rows of (A | 1), a Hermite form lattice rows
+        widths = Counter(len(rows[0]) for rows in echelons)
+        assert widths == {4: len(solves), 3: len(hermite_forms)}
 
 
 class TestMemo:
@@ -447,7 +493,7 @@ class TestLazyBasis:
 
 class TestTransposeByRelations:
     @pytest.mark.parametrize("text", ["x^1001 + y^1001", "x^900 + y^1000"])
-    def test_dual_of_a_large_gmax_lists_only_itself(self, listings, monkeypatch, text):
+    def test_dual_of_a_large_gmax_lists_nothing(self, listings, monkeypatch, text):
         poly = parse_polynomial(text)
         full = gmax(poly)
 
@@ -457,8 +503,7 @@ class TestTransposeByRelations:
         monkeypatch.setattr(symmetry, "gmax", forbidden)
         dual = transpose_group(full, poly)
         assert dual.order == 1
-        # one listing, of the relation group's vectors (order 1, exponent 1)
-        assert [exponent for exponent, _ in listings] == [1]
+        assert listings == []
 
 
 class TestIntegerGroups:

@@ -16,6 +16,7 @@ from lgmk import (
     WeightSystem,
     bmodel,
     btop_formula,
+    enumerate_admissible_supports,
     is_nondegenerate,
     jacobian_ideal,
     jacobian_staircase,
@@ -396,9 +397,10 @@ class TestFormulas:
         assert btop_formula(WeightSystem((F(1, 2), F(1, 2)))) == 0
         assert btop_formula(WeightSystem((F(1, 3), F(1, 3)))) == F(4, 3)
 
-    def test_out_of_range_weights_rejected(self):
-        with pytest.raises(ValueError):
-            btop_formula(WeightSystem((F(2, 3),)))
+    @pytest.mark.parametrize("reader", [btop_formula, enumerate_admissible_supports])
+    def test_out_of_range_weights_rejected(self, reader):
+        with pytest.raises(ValueError, match=r"\(1/3, 2/3\) must lie in \(0, 1/2\]"):
+            reader(WeightSystem((F(1, 3), F(2, 3))))
 
 
 class TestDualRouteAgreement:

@@ -1,8 +1,9 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from sympy import Matrix
 
 from lgmk import (
     Classification,
@@ -23,6 +24,8 @@ from lgmk import (
     parse_polynomial,
     solve_weights,
 )
+from lgmk.mirror import _monomials_of_weight_one
+from lgmk.polycore import _echelon
 
 
 class TestParse:
@@ -257,6 +260,45 @@ def exponent_matrices(draw):
     return ExponentMatrix(tuple(map(tuple, rows)))
 
 
+@st.composite
+def weight_one_matrices(draw):
+    """Tall matrices, as dense polynomials give (the benchmark's dense
+    3-variable ones have up to 25 monomials): distinct monomials of weight
+    one under drawn weights in (0, 1/2], kept as drawn, with one random row
+    added (inconsistent unless its weight happens to be one), or cut to the
+    monomials free of one variable (rank below n)."""
+    n = draw(st.integers(2, 4))
+    scale = draw(st.integers(4, 9))
+    weights = WeightSystem(tuple(F(draw(st.integers(1, 3)), scale) for _ in range(n)))
+    pool = _monomials_of_weight_one(weights)
+    assume(pool)
+    rows = draw(st.permutations(pool))[:draw(st.sampled_from(range(1, 26)))]
+    change = draw(st.sampled_from(["none", "row", "cut"]))
+    if change == "row":
+        rows.append(tuple(draw(st.lists(st.integers(0, 6), min_size=n, max_size=n).filter(any))))
+    elif change == "cut":
+        k = draw(st.integers(0, n - 1))
+        rows = [row for row in rows if not row[k]] or rows
+    return ExponentMatrix(tuple(rows))
+
+
+@st.composite
+def chain_and_loop_matrices(draw):
+    """Chains x_i^a_i * x_(i+1), ending in a pure power, and loops
+    x_i^a_i * x_(i+1 mod n), in 5-8 variables; a_i = 1 gives a cross-term,
+    and a loop of even length with every a_i = 1 has rank below n."""
+    n = draw(st.integers(5, 8))
+    loop = draw(st.booleans())
+    rows = []
+    for r in range(n):
+        row = [0] * n
+        row[r] = draw(st.integers(1, 6))
+        if loop or r < n - 1:
+            row[(r + 1) % n] += 1
+        rows.append(tuple(row))
+    return ExponentMatrix(tuple(rows))
+
+
 # one matrix per outcome: weights, and each error class
 ORACLE_CASES = [
     ((4, 0), (0, 4), (3, 1)),        # weights (1/4, 1/4)
@@ -290,6 +332,33 @@ class TestSolveWeightsOracle:
     @example(ExponentMatrix(((5, 0, 0, 0), (1, 4, 0, 0), (0, 1, 4, 0), (0, 0, 1, 4))))
     def test_integer_solve_matches_the_fraction_solve(self, matrix):
         assert _outcome(solve_weights, matrix) == _outcome(oracle_solve_weights, matrix)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(weight_one_matrices(), chain_and_loop_matrices()))
+    @example(ExponentMatrix(tuple(_monomials_of_weight_one(
+        WeightSystem((F(1, 6), F(1, 6), F(1, 6))))[:25])))
+    def test_integer_solve_matches_on_tall_and_wide_matrices(self, matrix):
+        assert _outcome(solve_weights, matrix) == _outcome(oracle_solve_weights, matrix)
+
+
+class TestEchelon:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda width: st.lists(
+        st.lists(st.integers(-6, 6), min_size=width, max_size=width), min_size=1, max_size=6)))
+    def test_one_positive_pivot_per_rank_spanning_the_rows(self, rows):
+        echelon = _echelon(rows, len(rows[0]))
+        leads = [next(j for j, a in enumerate(row) if a) for row in echelon]
+        assert leads == sorted(set(leads))
+        assert all(row[j] > 0 for row, j in zip(echelon, leads))
+        assert len(echelon) == Matrix(rows).rank()
+        # each row is an integer combination of the echelon's rows
+        for row in rows:
+            rest = list(row)
+            for pivot, j in zip(echelon, leads):
+                c, r = divmod(rest[j], pivot[j])
+                assert r == 0
+                rest = [a - c * b for a, b in zip(rest, pivot)]
+            assert not any(rest)
 
 
 class TestClassify:

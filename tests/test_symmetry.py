@@ -29,7 +29,7 @@ from lgmk import (
     transpose_polynomial,
 )
 
-from conftest import family_polynomial, j_group
+from conftest import INVERTIBLE_CORPUS_TEXTS, family_polynomial, j_group
 
 
 def ge(*phases):
@@ -240,6 +240,21 @@ class TestTransposeGroup:
                 dual = transpose_group(group, poly)
                 double = transpose_group(dual, partner)
                 assert double.elements == group.elements, str(poly)
+
+    @pytest.mark.parametrize("text", INVERTIBLE_CORPUS_TEXTS)
+    def test_dual_of_the_trivial_group_is_gmax_of_the_transpose(self, text):
+        poly = parse_polynomial(text)
+        dual = transpose_group(subgroup_generated([], poly.n_variables), poly)
+        assert dual == gmax(transpose_polynomial(poly))
+        assert hash(dual) == hash(gmax(transpose_polynomial(poly)))
+
+    @pytest.mark.parametrize("text", INVERTIBLE_CORPUS_TEXTS)
+    def test_transposing_twice_gives_the_group_back(self, text):
+        poly = parse_polynomial(text)
+        partner = transpose_polynomial(poly)
+        j = GroupElement(tuple(classify(poly).weights))
+        for group in subgroups_containing(gmax(poly), [j]):
+            assert transpose_group(transpose_group(group, poly), partner) == group
 
     def test_order_and_quotient_relations(self, invertible_corpus_2var):
         for poly in invertible_corpus_2var[:8]:
