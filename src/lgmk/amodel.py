@@ -20,8 +20,9 @@ with n_P the number of elements whose moved set is P,
 
 an exact integer division over |G| * prod_{i in F} w_i for the integer
 weights w_i = L*q_i.  The formula's hypothesis, W|F nondegenerate, follows
-from W's own staircase, which `require_admissible` runs (the lemma in
-`amodel`), so counting runs no Groebner kernel on any locus.
+from W's own nondegeneracy, which `require_admissible` checks (the lemma in
+`amodel`), so counting runs no Groebner kernel on any locus, and on an
+invertible W none at all.
 The graded table is counted in integers: with N the group exponent, an
 element g = v/N has degree numerator N*adegree(g) = |fix(g)|*N + 2*sum(v) -
 2*N*sum(q).  That numerator and the set of moved variables both add over
@@ -33,10 +34,13 @@ vectors as tuples or the phase elements, and hands the counts to
 
 The basis elements [m; g] are listed only when `AModel.basis` is first
 read, as the CLI does to print them: the full locus reads W's staircase
-from `classify`, each proper locus runs `jacobian_staircase` on its
-restriction, the standard monomials are filtered by integer congruences on
-the generators' lattice vectors, and their number must equal the locus's
-character count.  The mirror checks read only the graded table.
+from `classify`'s record, which builds it on that first read, and each
+proper locus runs `jacobian_staircase` on its restriction.  Invariance is
+an integer congruence per generator's lattice vector, and given the other
+exponents the last exponent's solutions form one arithmetic progression,
+so the staircase walk lists only invariant monomials.  Their number must
+equal the locus's character count.  The mirror checks read only the graded
+table.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
-from math import prod
+from math import gcd, prod
 from operator import add
 
 from .errors import GroupNotAdmissible, LgmkError, NotAdmissibleError
@@ -138,18 +142,33 @@ def _invariant_monomials(fix, generators, exponent, poly, weights):
     # `amodel`; the full locus is W itself, whose staircase `classify` keeps.
     # Invariance of x^a in a sector fixing fix: sum over fixed i of
     # (1 + a_i) h_i integral for every h in G; with h = w/exponent and the
-    # sum additive in h, that is a congruence per generator vector w
+    # sum additive in h, that is a congruence per generator vector w.  Given
+    # the other exponents, the last one's solutions form one progression
     if not fix:
         return [Monomial(())]
-    indices = sorted(fix)
+    *head, tail = indices = sorted(fix)
     if len(fix) == len(weights):
         found = classify(poly).staircase
     else:
         sub_weights = WeightSystem(tuple(weights[i] for i in indices))
         found = jacobian_staircase(restrict(poly, fix), sub_weights)
-    return [m for m in standard_monomials(found)
-            if all(sum((1 + a) * w[i] for a, i in zip(m.exponents, indices)) % exponent == 0
-                   for w in generators)]
+
+    def invariant_lasts(prefix, stop):
+        # y = 1 + a solves y * w[tail] = -sum over head of (1 + a_i) * w[i]
+        # mod exponent for each w iff y = start mod step, met one w at a time
+        start, step = 0, 1
+        for w in generators:
+            c = w[tail] * step
+            g = gcd(c, exponent)
+            rest = -sum((1 + a) * w[i] for a, i in zip(prefix, head)) - w[tail] * start
+            if rest % g:
+                return ()
+            m = exponent // g
+            start += rest // g * pow(c // g, -1, m) % m * step
+            step *= m
+        return range((start - 1) % step, stop, step)
+
+    return standard_monomials(found, invariant_lasts)
 
 
 def _invariant_count(fix, moved_counts, order, weights) -> int:
@@ -194,7 +213,7 @@ def amodel(poly: Polynomial, group: SymmetryGroup) -> AModel:
     coordinate columns of the group's lattice, one column at a time.
 
     The count needs W restricted to each fixed locus F nondegenerate, and
-    that follows from W's staircase alone (Krawitz 2010, FJRW rings and
+    that follows from W's nondegeneracy alone (Krawitz 2010, FJRW rings and
     Landau-Ginzburg mirror symmetry).  Lemma: for g in the group with
     nonempty F = fix(g), crit(W|F) lies in crit(W) = {0}.  W(g x) = W(x)
     gives lambda_j * dW/dx_j(g x) = dW/dx_j(x) for each phase lambda_j of g;

@@ -48,6 +48,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import mul
+from typing import Callable, Iterable
 
 from .errors import NotFiniteDimensional, ResourceLimitExceeded
 from .polycore import Exps, Monomial, Polynomial, WeightSystem, _monomial
@@ -372,10 +373,14 @@ def _pure_power_bounds(leads, n: int) -> list[int] | None:
     return bounds
 
 
-def standard_monomials(basis: Staircase) -> list[Monomial]:
+def standard_monomials(basis: Staircase,
+                       last: Callable[[Exps, int], Iterable[int]] | None = None,
+                       ) -> list[Monomial]:
     """Monomials divisible by no leading term: a basis of the quotient.
 
-    Sorted ascending in the basis order.  Raises NotFiniteDimensional when
+    Sorted ascending in the basis order.  With `last`, only those whose
+    last exponent lies in `last(prefix, stop)`, a subrange of range(stop)
+    for the others' exponents `prefix`.  Raises NotFiniteDimensional when
     some variable has no pure-power leading term, that is when the quotient
     is not a finite-dimensional vector space, and ResourceLimitExceeded when
     the box bounded by the pure powers holds more than
@@ -402,7 +407,8 @@ def standard_monomials(basis: Staircase) -> list[Monomial]:
         i = len(prefix)
         stop = min(lt[i] for lt in active if not any(lt[i + 1:]))
         if i == n - 1:
-            found.extend(prefix + (e,) for e in range(stop))
+            found.extend(prefix + (e,) for e in (range(stop) if last is None
+                                                  else last(prefix, stop)))
             return
         for e in range(stop):
             walk(prefix + (e,), [lt for lt in active if lt[i] <= e])

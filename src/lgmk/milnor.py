@@ -6,13 +6,17 @@ runs it on a Jacobian ideal.  The kernel's only product is the minimal
 leading terms, which decide both whether the Milnor ring is finite
 dimensional and which monomials form its basis; no consumer needs more.
 W's staircase under its weights is kept in `classify`'s memoized record,
-beside the weights and their integer form (L, L*q_i); `bmodel`, its basis
-and `is_nondegenerate` read it there.  A plain call runs the kernel only
-for the restricted loci of `AModel.basis` and for a polynomial without
-weights.  Monomials are enumerated, under the box limit of
-`standard_monomials`, only by the listings that print them.
+beside the weights and their integer form (L, L*q_i).  `classify` runs the
+kernel on W only when no exponent-matrix predicate decides the verdict; a
+sum of Fermat, chain and loop atoms is certified nondegenerate without it,
+and its staircase is built when a basis listing first reads the record.
+`bmodel` and `is_nondegenerate` read only the verdict, and `BModel.basis`
+the record's staircase.  A plain call runs the kernel only for the
+restricted loci of `AModel.basis` and for a polynomial without weights.
+Monomials are enumerated, under the box limit of `standard_monomials`, only
+by the listings that print them.
 
-`bmodel` counts the B side without listing it.  Once the staircase has
+`bmodel` counts the B side without listing it.  Once `classify` has
 proved W nondegenerate, the partials form a regular sequence, so the Milnor
 ring's Hilbert series is the Milnor-Orlik product
 prod (1 - t^(1 - q_i)) / (1 - t^(q_i)).  Over the lcm L of the weight
@@ -220,7 +224,8 @@ def jacobian_staircase(poly: Polynomial,
     degrevlex when weights is None); None when the Milnor ring is not finite
     dimensional.  `standard_monomials` of the result is the Milnor ring's
     monomial basis, sorted in the order.  Runs the kernel on every call: the
-    staircase of an admissible W under its weights is `classify(W).staircase`."""
+    staircase of an admissible W under its weights is `classify(W).staircase`,
+    built once."""
     gens = [p for p in jacobian_ideal(poly) if not p.is_zero()]
     if not gens:
         return None
@@ -237,7 +242,8 @@ def is_nondegenerate(poly: Polynomial) -> bool:
     verdict = classify(poly)
     if verdict.weights is None:
         return jacobian_staircase(poly, None) is not None
-    return verdict.staircase is not None
+    # with weights, only a degenerate W is not admissible
+    return verdict.is_admissible
 
 
 def _dim_product(weights: WeightSystem) -> Fraction:
@@ -285,8 +291,8 @@ def _milnor_series(integer_weights: tuple[int, ...], scale: int) -> list[int]:
 def bmodel(poly: Polynomial) -> BModel:
     """Milnor ring of an admissible polynomial as a graded vector space.
 
-    Once the staircase that `require_admissible` runs has proved W
-    nondegenerate, the table is the Milnor-Orlik series; degree 2k/L counts
+    Once `require_admissible` has proved W nondegenerate, the table is the
+    Milnor-Orlik series; degree 2k/L counts
     u^k.  W is refused with ResourceLimitExceeded, before the series is
     allocated, when it has more than STANDARD_MONOMIAL_BOX_LIMIT
     coefficients.  The box rule of `standard_monomials` applies only when

@@ -11,12 +11,17 @@ Weights are solved by `_echelon`, the toolkit's one integer row echelon
 builds `Fraction`s.
 
 This is the bottom layer.  Only `classify` reaches upward, into milnor, for
-the Jacobian staircase that proves nondegeneracy.  `classify` is the one
-analysis of a polynomial and the one memo keyed by it: its record holds the
-kind, the weights with their integer form (L, L*q_i), and that staircase.
-So `require_admissible`, the transpose, `bmodel` and its basis, `amodel`,
-the identity sector of its basis and `is_nondegenerate` all read one weight
-solve and one kernel run.
+the Jacobian staircase.  `classify` is the one analysis of a polynomial and
+the one memo keyed by it: its record holds the kind, the weights with their
+integer form (L, L*q_i), and W's staircase.  After the weight solve, two
+exponent-matrix predicates decide most verdicts without a Groebner run: a
+sum of Fermat, chain and loop atoms is nondegenerate
+(`_pointer_certified`), and a polynomial with a critical coordinate axis is
+degenerate (`_critical_axis`).  Every other polynomial runs the kernel once
+in `classify`.  A certified W's staircase is built only when a basis
+listing first reads it, and then held in the record.  So
+`require_admissible`, the transpose, `bmodel`, `amodel` and
+`is_nondegenerate` read one weight solve, and W's kernel runs at most once.
 """
 
 from __future__ import annotations
@@ -25,10 +30,10 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from math import lcm
 from operator import mul
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping
 
 from .errors import (
     EmptyPolynomialError,
@@ -441,6 +446,52 @@ def solve_weights(matrix: ExponentMatrix) -> WeightSystem:
 # Classification
 # ---------------------------------------------------------------------------
 
+def _pointer_certified(matrix: ExponentMatrix) -> bool:
+    """True when W is a sum of Fermat, chain and loop atoms, and so
+    nondegenerate for every choice of nonzero coefficients: the matrix is
+    square, each row is x_i^a_i or x_i^a_i * x_j with a_i >= 2 and j != i,
+    the heads i are distinct, and so are the targets j.
+
+    Then every variable heads one row, and points at most at one other
+    variable and is pointed at by at most one, so the pointer graph is a
+    disjoint union of points (Fermat), paths (chains) and cycles (loops)
+    (Kreuzer and Skarke 1992).  Proof that 0 is the only critical point:
+    let M_i be the value of row i's term, coefficient included.  x_i
+    appears only in row i and in the one row k pointing at i, if any, so
+    x_i * dW/dx_i = a_i*M_i + M_k.  At a critical point every M_i is then
+    -M_k/a_i, so M vanishes along a path from its start, and around a
+    cycle M_i = M_i * prod(-1/a_j) with prod(a_j) >= 4, so M_i = 0.  A
+    Fermat row x_i^a_i gives x_i = 0.  If x_i != 0 for a row with target
+    j, then M_i = 0 gives x_j = 0, and dW/dx_j is a multiple of
+    x_j^(a_j - 1), which vanishes, plus c_i*x_i^a_i, which does not: the
+    point is not critical."""
+    if matrix.m != matrix.n:
+        return False
+    heads, targets = set(), set()
+    for row in matrix.rows:
+        support = sorted((e, i) for i, e in enumerate(row) if e)
+        a, head = support.pop()
+        if a < 2 or head in heads or len(support) > 1:
+            return False
+        heads.add(head)
+        if support:
+            e, target = support[0]
+            if e != 1 or target in targets:
+                return False
+            targets.add(target)
+    return True
+
+
+def _critical_axis(matrix: ExponentMatrix) -> bool:
+    """True when some coordinate axis lies in the critical locus, so W is
+    degenerate: on the x_i-axis the partials of W are the terms of x_i^a
+    (a >= 1) and of x_i^a * x_k (k != i), distinct terms of distinct
+    partials, so if every row has degree 2 or more off x_i, all partials
+    vanish on that axis."""
+    return any(all(sum(row) - row[i] >= 2 for row in matrix.rows)
+               for i in range(matrix.n))
+
+
 class PolynomialClass(Enum):
     INVERTIBLE = "invertible"
     NONINVERTIBLE = "noninvertible"
@@ -449,49 +500,65 @@ class PolynomialClass(Enum):
 
 @dataclass(frozen=True)
 class Classification:
-    """Verdict of `classify`: the class, the weights when they exist, the
-    reason a polynomial is not admissible, and for an admissible one the
-    Jacobian staircase under its weights that proved it nondegenerate."""
+    """Verdict of `classify`: the class, the weights when they exist, and the
+    reason a polynomial is not admissible.  For an admissible one,
+    `staircase` is its Jacobian staircase under its weights, which `build`
+    returns when first read."""
 
     kind: PolynomialClass
     weights: WeightSystem | None
     reason: str | None = None
-    staircase: Staircase | None = field(default=None, compare=False, repr=False)
+    build: Callable[[], Staircase | None] | None = field(
+        default=None, compare=False, repr=False)
 
     @property
     def is_admissible(self) -> bool:
         return self.kind is not PolynomialClass.NOT_ADMISSIBLE
+
+    @cached_property
+    def staircase(self) -> Staircase | None:
+        return None if self.build is None else self.build()
 
 
 def classify(poly: Polynomial) -> Classification:
     """Invertible / noninvertible / not admissible, with weights when they exist.
 
     The verdict depends only on the exponent matrix: coefficients never enter
-    the weight solve, and nondegeneracy is checked on the polynomial as given.
-    Verdicts are memoized in `_memoized_classify`; this wrapper stays a
-    plain function, so a profiler can hook each call.
+    the weight solve, the two predicates hold for all nonzero
+    coefficients, and the kernel checks nondegeneracy on the polynomial as
+    given.  Verdicts are memoized in `_memoized_classify`; this wrapper stays
+    a plain function, so a profiler can hook each call.
     """
     return _memoized_classify(poly)
+
+
+_DEGENERATE = "degenerate: Milnor ring is not finite dimensional"
 
 
 # a mirror check classifies W and W^T; the support enumeration one candidate
 # at a time, so a few dozen entries serve every caller
 @lru_cache(maxsize=64)
 def _memoized_classify(poly: Polynomial) -> Classification:
+    matrix = exponent_matrix(poly)
     try:
-        weights = solve_weights(exponent_matrix(poly))
+        weights = solve_weights(matrix)
     except WeightError as exc:
         return Classification(PolynomialClass.NOT_ADMISSIBLE, None,
                               f"{type(exc).__name__}: {exc}")
+    if _critical_axis(matrix):
+        return Classification(PolynomialClass.NOT_ADMISSIBLE, weights, _DEGENERATE)
     from .milnor import jacobian_staircase  # deferred: milnor builds on this module
 
-    found = jacobian_staircase(poly, weights)
+    build = partial(jacobian_staircase, poly, weights)
+    if _pointer_certified(matrix):
+        # the staircase waits for a basis listing
+        return Classification(PolynomialClass.INVERTIBLE, weights, None, build)
+    found = build()
     if found is None:
-        return Classification(PolynomialClass.NOT_ADMISSIBLE, weights,
-                              "degenerate: Milnor ring is not finite dimensional")
+        return Classification(PolynomialClass.NOT_ADMISSIBLE, weights, _DEGENERATE)
     kind = (PolynomialClass.INVERTIBLE if poly.n_monomials == poly.n_variables
             else PolynomialClass.NONINVERTIBLE)
-    return Classification(kind, weights, None, found)
+    return Classification(kind, weights, None, lambda: found)
 
 
 def require_admissible(poly: Polynomial) -> Classification:

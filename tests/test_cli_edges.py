@@ -181,12 +181,7 @@ def test_drawn_command_line_ends_in_a_documented_code(argv):
     _run(argv)
 
 
-# Only a run past the wall budget is expected; any other failure still
-# fails.  Shrinking is off, since each retry of that run costs the budget.
-@pytest.mark.xfail(raises=pytest.fail.Exception, reason=(
-    "amodel x^1001+y^1001 with J (1/1001,1/1001) answers in about 6 s: "
-    "AModel.basis lists all 10^6 standard monomials of the identity sector "
-    "to keep the 1,000 invariant ones"))
+# Shrinking is off, since each retry of a slow run costs the wall budget.
 @settings(max_examples=12, deadline=None, derandomize=True,
           phases=[Phase.explicit, Phase.generate])
 @given(_amodel_argv())

@@ -2,19 +2,19 @@
 
 The modules import one another at module level, in layer order; the single
 exception is `polycore._memoized_classify`, the memoized body of `classify`,
-which reaches up into milnor for the staircase that proves nondegeneracy.
+which reaches up into milnor for the Jacobian staircase.
 That memo is the only one keyed by a polynomial: `classify`'s record
 holds the weights, their integer form (L, L*q_i) and W's Jacobian
 staircase, so starting from empty memos the weights of each distinct
-polynomial are solved once and the Groebner kernel `staircase` runs once
-per distinct polynomial classified.
-`is_nondegenerate`, `bmodel`, `BModel.basis` and the full locus of
-`AModel.basis` read the record and run no kernel of their own.  Counting
-runs it on no fixed locus: each nonempty locus of a symmetry group
-restricts W to a nondegenerate polynomial, by the lemma in `amodel`, so
-only reading `AModel.basis` runs it, once per distinct proper, nonempty
-locus.  Within one run, the
-kernel packs each input exponent tuple into an integer once and never calls
+polynomial are solved once and the Groebner kernel `staircase` runs at most
+once per distinct polynomial classified.  A sum of Fermat, chain and loop
+atoms is certified without the kernel, and its staircase is built only when
+a basis listing first reads the record: `is_nondegenerate`, `bmodel`,
+`amodel` and `mirror_check` run no kernel on it, and `BModel.basis` runs
+it once.  Counting runs it on no fixed locus: each nonempty locus of a
+symmetry group restricts W to a nondegenerate polynomial, by the lemma in
+`amodel`, so only reading `AModel.basis` runs it, once for W and once per
+distinct proper, nonempty locus.  Within one run, the kernel packs each input exponent tuple into an integer once and never calls
 `MonomialOrder.key`, and divides in primitive integer coefficients only.  A
 group lists its elements only when `elements` or `vectors` is first read, so
 lattice operations and the subgroups that `subgroups_containing` discards
@@ -198,67 +198,89 @@ LOOP = "x^3*y + y^2*z + z^4*x"
 CASES = [(CHAIN, 2), (LOOP, 0), ("x^3 + y^3 + z^3", 6)]
 
 
+NONINVERTIBLE = "x^4 + y^4 + x^3*y"
+
+
 class TestOneJacobianBasis:
-    @pytest.mark.parametrize("text", [CHAIN, LOOP, "x^4 + y^4 + x^3*y"])
-    def test_bmodel_runs_buchberger_once(self, buchberger_runs, text):
+    @pytest.mark.parametrize("text,runs", [(CHAIN, 0), (LOOP, 0), (NONINVERTIBLE, 1)])
+    def test_bmodel_runs_the_kernel_only_when_uncertified(self, buchberger_runs, text, runs):
         milnor.bmodel(parse_polynomial(text))
+        assert len(buchberger_runs) == runs
+
+    @pytest.mark.parametrize("text", [CHAIN, LOOP, NONINVERTIBLE])
+    def test_bmodel_basis_runs_the_kernel_once(self, buchberger_runs, text):
+        model = milnor.bmodel(parse_polynomial(text))
+        assert len(model.basis) == model.graded.total_dim
         assert len(buchberger_runs) == 1
 
     @pytest.mark.parametrize("text", [CHAIN, LOOP, "x^3 + y^3 + z^3"])
-    def test_amodel_runs_once(self, buchberger_runs, text):
+    def test_amodel_runs_no_kernel(self, buchberger_runs, text):
         poly = parse_polynomial(text)
         lgmk.amodel(poly, gmax(poly))
-        assert len(buchberger_runs) == 1
+        assert buchberger_runs == []
 
     @pytest.mark.parametrize("text,loci", CASES)
-    def test_basis_adds_one_run_per_proper_locus(self, buchberger_runs, text, loci):
+    def test_basis_runs_once_for_w_and_once_per_proper_locus(self, buchberger_runs,
+                                                             text, loci):
         poly = parse_polynomial(text)
         group = gmax(poly)
         assert _proper_loci(group) == loci
         model = lgmk.amodel(poly, group)
-        assert len(buchberger_runs) == 1
+        assert buchberger_runs == []
         model.basis
         assert len(buchberger_runs) == 1 + loci
 
     @pytest.mark.parametrize("text", [CHAIN, LOOP, "x^3 + y^3 + z^3"])
-    def test_mirror_check_runs_once_per_side(self, buchberger_runs, text):
+    def test_mirror_check_runs_no_kernel(self, buchberger_runs, text):
         poly = parse_polynomial(text)
         assert mirror_check(poly)
-        # W and W^T once each, or once in all when W^T == W
-        sides = 1 if polycore.transpose_polynomial(poly) == poly else 2
-        assert len(buchberger_runs) == sides
+        assert buchberger_runs == []
 
-    def test_weights_command_runs_buchberger_once(self, buchberger_runs, capsys):
+    def test_weights_command_runs_no_kernel(self, buchberger_runs, capsys):
         assert cli.main(["weights", CHAIN]) == 0
+        assert buchberger_runs == []
+
+    def test_weights_command_runs_the_kernel_once_when_uncertified(self, buchberger_runs,
+                                                                    capsys):
+        assert cli.main(["weights", NONINVERTIBLE]) == 0
         assert len(buchberger_runs) == 1
 
-    def test_orbifold_loop_runs_once(self, buchberger_runs):
+    def test_orbifold_loop_runs_no_kernel(self, buchberger_runs):
         poly = parse_polynomial("x^3 + y^3 + z^3")
         ambient = gmax(poly)
         j = GroupElement(tuple(polycore.classify(poly).weights))
         for group in subgroups_containing(ambient, [j]):
             transpose_group(group, poly)
             lgmk.amodel(poly, group)
-        # one run for W, which is its own transpose
-        assert len(buchberger_runs) == 1
+        assert buchberger_runs == []
 
 
 class TestOneRecord:
     @pytest.mark.parametrize("text,loci", CASES)
-    def test_readers_of_w_run_no_kernel_after_classify(self, buchberger_runs, text, loci):
+    def test_the_record_builds_w_staircase_once(self, buchberger_runs, text, loci):
         poly = parse_polynomial(text)
-        assert polycore.classify(poly).staircase is not None
-        assert len(buchberger_runs) == 1
+        verdict = polycore.classify(poly)
         assert milnor.is_nondegenerate(poly)
+        assert milnor.bmodel(poly).graded.total_dim > 0
+        model = lgmk.amodel(poly, gmax(poly))
+        assert buchberger_runs == []
+        assert "staircase" not in verdict.__dict__
         assert len(milnor.bmodel(poly).basis) > 0
         assert len(buchberger_runs) == 1
-        model = lgmk.amodel(poly, gmax(poly))
-        assert len(buchberger_runs) == 1
+        assert verdict.__dict__["staircase"] is polycore.classify(poly).staircase
         model.basis
         # the full locus reads the record; each proper locus runs once
         restricted = [gens[0].variables for gens in buchberger_runs[1:]]
         assert len(restricted) == len(set(restricted)) == loci
         assert all(len(names) < poly.n_variables for names in restricted)
+
+    def test_an_uncertified_record_keeps_the_staircase_that_decided_it(self, buchberger_runs):
+        poly = parse_polynomial(NONINVERTIBLE)
+        assert polycore.classify(poly).kind is polycore.PolynomialClass.NONINVERTIBLE
+        assert len(buchberger_runs) == 1
+        assert polycore.classify(poly).staircase.finite
+        assert len(milnor.bmodel(poly).basis) > 0
+        assert len(buchberger_runs) == 1
 
     def test_the_record_holds_one_integer_form(self):
         # weights (1/5, 2/5, 1/5)
