@@ -23,6 +23,7 @@ from .errors import (
     WeightError,
 )
 from .groebner import (
+    Monomial,
     MonomialOrder,
     Staircase,
     staircase,
@@ -34,8 +35,6 @@ from .milnor import (
     bmodel,
     btop_formula,
     is_nondegenerate,
-    jacobian_ideal,
-    jacobian_staircase,
 )
 from .mirror import (
     SearchReport,
@@ -51,12 +50,13 @@ from .mirror import (
 from .polycore import (
     Classification,
     ExponentMatrix,
-    Monomial,
     Polynomial,
     PolynomialClass,
     WeightSystem,
     classify,
     exponent_matrix,
+    jacobian_ideal,
+    jacobian_staircase,
     parse_polynomial,
     solve_weights,
     transpose_polynomial,

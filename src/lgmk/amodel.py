@@ -54,9 +54,9 @@ from math import gcd, prod
 from operator import add
 
 from .errors import GroupNotAdmissible, LgmkError, NotAdmissibleError
-from .groebner import standard_monomials
-from .milnor import GradedDims, jacobian_staircase
-from .polycore import Monomial, Polynomial, WeightSystem, classify, require_admissible
+from .groebner import Monomial, standard_monomials
+from .milnor import GradedDims
+from .polycore import Polynomial, WeightSystem, classify, jacobian_staircase, require_admissible
 from .symmetry import (
     GroupElement,
     SymmetryGroup,

@@ -1,7 +1,11 @@
 """The Groebner kernel over Q: the staircase of a polynomial ideal.
 
-Polynomials enter as `polycore.Polynomial`, with `Fraction` coefficients.
-Inside, a polynomial is a dict mapping packed monomials to integers.
+This is the bottom layer: it defines the `Monomial` type and
+`_integer_form`, the integer form (L, L*q_i) of a weight vector, and
+imports nothing from the rest of the package but its errors.  Polynomials
+enter as `polycore.Polynomial`, with `Fraction` coefficients, a type named
+here only in annotations.  Inside, a polynomial is a dict mapping packed
+monomials to integers.
 
 The orders are graded: weighted-degree reverse-lexicographic (under which
 Jacobian ideals of quasihomogeneous polynomials are homogeneous and standard
@@ -48,10 +52,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import mul
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from .errors import NotFiniteDimensional, ResourceLimitExceeded
-from .polycore import Exps, Monomial, Polynomial, WeightSystem, _monomial
+
+if TYPE_CHECKING:
+    from .polycore import Polynomial, WeightSystem
 
 # most steps one staircase run takes: S-pairs processed plus terms its
 # reductions cancel
@@ -66,6 +72,55 @@ _FIELD_BITS = 8
 # packed monomial -> integer coefficient; a generator inside the engine is
 # primitive
 TermDict = dict[int, int]
+
+Exps = tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class Monomial:
+    """Exponent vector of one monomial; position i belongs to variable i."""
+
+    exponents: Exps
+
+    def __post_init__(self):
+        exps = tuple(int(e) for e in self.exponents)
+        if any(e < 0 for e in exps):
+            raise ValueError(f"negative exponent in {exps}")
+        object.__setattr__(self, "exponents", exps)
+
+    def __len__(self) -> int:
+        return len(self.exponents)
+
+    def is_constant(self) -> bool:
+        return not any(self.exponents)
+
+    def support(self) -> frozenset[int]:
+        return frozenset(i for i, e in enumerate(self.exponents) if e)
+
+    def render(self, variables: tuple[str, ...]) -> str:
+        if self.is_constant():
+            return "1"
+        parts = []
+        for name, e in zip(variables, self.exponents):
+            if e == 1:
+                parts.append(name)
+            elif e > 1:
+                parts.append(f"{name}^{e}")
+        return "*".join(parts)
+
+
+def _monomial(exps: Exps) -> Monomial:
+    # a tuple of non-negative ints skips re-validation
+    mono = object.__new__(Monomial)
+    object.__setattr__(mono, "exponents", exps)
+    return mono
+
+
+def _integer_form(qs) -> tuple[int, tuple[int, ...]]:
+    """The lcm L of the denominators of rational weights qs and the integer
+    weights L*q_i."""
+    scale = lcm(*(v.denominator for v in qs))
+    return scale, tuple(v.numerator * (scale // v.denominator) for v in qs)
 
 
 @dataclass(frozen=True)
@@ -86,7 +141,7 @@ class MonomialOrder:
 
     def __post_init__(self):
         object.__setattr__(self, "_integer_weights", None if self.weights is None
-                           else WeightSystem(self.weights).integer_form[1])
+                           else _integer_form(self.weights)[1])
 
     @staticmethod
     def degrevlex() -> "MonomialOrder":

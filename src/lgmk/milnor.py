@@ -1,20 +1,20 @@
 """Milnor rings and the unorbifolded B-side as graded vector spaces.
 
 The quotient C[x_1..x_n]/(dW/dx_1, ..., dW/dx_n) is computed exactly with
-the Groebner kernel `staircase`; `jacobian_staircase` is the one place that
-runs it on a Jacobian ideal.  The kernel's only product is the minimal
-leading terms, which decide both whether the Milnor ring is finite
-dimensional and which monomials form its basis; no consumer needs more.
-W's staircase under its weights is kept in `classify`'s memoized record,
-beside the weights and their integer form (L, L*q_i).  `classify` runs the
-kernel on W only when no exponent-matrix predicate decides the verdict; a
-sum of Fermat, chain and loop atoms is certified nondegenerate without it,
-and its staircase is built when a basis listing first reads the record.
-`bmodel` and `is_nondegenerate` read only the verdict, and `BModel.basis`
-the record's staircase.  A plain call runs the kernel only for the
-restricted loci of `AModel.basis` and for a polynomial without weights.
-Monomials are enumerated, under the box limit of `standard_monomials`, only
-by the listings that print them.
+the Groebner kernel `staircase`; polycore's `jacobian_staircase`, beside
+`classify`, is the one place that runs it on a Jacobian ideal.  The kernel's
+only product is the minimal leading terms, which decide both whether the
+Milnor ring is finite dimensional and which monomials form its basis; no
+consumer needs more.  W's staircase under its weights is kept in
+`classify`'s memoized record, beside the weights and their integer form
+(L, L*q_i).  `classify` runs the kernel on W only when no exponent-matrix
+predicate decides the verdict; a sum of Fermat, chain and loop atoms is
+certified nondegenerate without it, and its staircase is built when a basis
+listing first reads the record.  `bmodel` and `is_nondegenerate` read only
+the verdict, and `BModel.basis` the record's staircase.  A plain call runs
+the kernel only for the restricted loci of `AModel.basis` and for a
+polynomial without weights.  Monomials are enumerated, under the box limit
+of `standard_monomials`, only by the listings that print them.
 
 `bmodel` counts the B side without listing it.  Once `classify` has
 proved W nondegenerate, the partials form a regular sequence, so the Milnor
@@ -35,10 +35,12 @@ one.  The two lengths differ both ways: the series' top + 1 grows with L
 Fermat sum x^60 + y^60 + z^60 + w^60 holds 59^4 tuples against a series of
 233 coefficients, so its table is counted and its basis is refused.
 
-`GradedDims` holds both graded sides as integer degree numerators over one
-positive scale: `bmodel` counts over L, `amodel` over the group exponent.
-Tables compare by cross-multiplying, and render `n/s` reduced by `gcd` as
-`str(Fraction)` would; a `Fraction` is built only when `entries` is read.
+`GradedDims` holds both graded sides as integer degree numerators over
+their least positive scale: `bmodel` counts over L, `amodel` over the group
+exponent, and the table divides that scale and its numerators by their gcd
+once.  So tables compare and hash by their fields, and render `n/s` reduced
+by `gcd` as `str(Fraction)` would; a `Fraction` is built only when
+`entries` is read.
 """
 
 from __future__ import annotations
@@ -48,33 +50,23 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from math import gcd, lcm
+from math import gcd
 from operator import mul, sub
 from typing import Iterable, Mapping
 
 from . import groebner
 from .errors import LgmkError, ResourceLimitExceeded
-from .groebner import (
-    MonomialOrder,
-    Staircase,
-    staircase,
-    standard_monomials,
-)
-from .polycore import (
-    Monomial,
-    Polynomial,
-    WeightSystem,
-    classify,
-    require_admissible,
-)
+from .groebner import Monomial, _integer_form, standard_monomials
+from .polycore import Polynomial, WeightSystem, classify, jacobian_staircase, require_admissible
 
 
 class GradedDims:
     """Finitely supported map degree -> dimension, held as sorted integer
-    degree numerators over one positive scale with their dimensions;
-    equality is the graded-vector-space isomorphism test."""
+    degree numerators over their least positive scale with their dimensions;
+    equality is the graded-vector-space isomorphism test, a comparison of
+    the fields."""
 
-    __slots__ = ("scale", "numerators", "dims", "_entries")
+    __slots__ = ("scale", "numerators", "dims")
 
     def __init__(self, entries: Iterable[tuple[Fraction, int]]):
         cleaned = tuple(sorted((Fraction(d), int(k)) for d, k in entries))
@@ -82,11 +74,8 @@ class GradedDims:
             raise ValueError("graded dimensions must be positive")
         if len({d for d, _ in cleaned}) != len(cleaned):
             raise ValueError("repeated degree in graded dimensions")
-        self.scale = lcm(*(d.denominator for d, _ in cleaned))
-        self.numerators = tuple(d.numerator * (self.scale // d.denominator)
-                                for d, _ in cleaned)
+        self.scale, self.numerators = _integer_form([d for d, _ in cleaned])
         self.dims = tuple(k for _, k in cleaned)
-        self._entries = cleaned
 
     @staticmethod
     def from_degrees(degrees: Iterable[Fraction]) -> "GradedDims":
@@ -97,7 +86,8 @@ class GradedDims:
     def _from_counts(counts: Mapping[int, int], scale: int,
                      shift: int = 0) -> "GradedDims":
         """Dimension counts keyed by integer degree numerators n, each of
-        degree (n - shift)/scale with scale > 0; zero counts are dropped."""
+        degree (n - shift)/scale with scale > 0; zero counts are dropped.
+        The table is kept over the least scale."""
         # distinct integer keys over one positive scale give sorted, distinct
         # degrees, so the entries skip re-validation
         keys = sorted(counts)
@@ -105,20 +95,19 @@ class GradedDims:
         if 0 in dims:
             keys = [n for n in keys if counts[n]]
             dims = tuple(filter(None, dims))
+        numerators = [n - shift for n in keys]
+        g = gcd(scale, *numerators)
         graded = object.__new__(GradedDims)
-        graded.scale = scale
-        graded.numerators = tuple(map((-shift).__add__, keys))
+        graded.scale = scale // g
+        graded.numerators = tuple(n // g for n in numerators)
         graded.dims = dims
-        graded._entries = None
         return graded
 
     @property
     def entries(self) -> tuple[tuple[Fraction, int], ...]:
         """The (degree, dimension) pairs, sorted by degree."""
-        if self._entries is None:
-            self._entries = tuple((Fraction(n, self.scale), k)
-                                  for n, k in zip(self.numerators, self.dims))
-        return self._entries
+        return tuple((Fraction(n, self.scale), k)
+                     for n, k in zip(self.numerators, self.dims))
 
     @property
     def total_dim(self) -> int:
@@ -139,15 +128,12 @@ class GradedDims:
     def __eq__(self, other):
         if not isinstance(other, GradedDims):
             return NotImplemented
-        # n/s == m/t iff n*t == m*s, as both scales are positive
-        s, t = self.scale, other.scale
-        return (self.dims == other.dims
-                and [n * t for n in self.numerators] == [m * s for m in other.numerators])
+        # both tables are over their least scale
+        return ((self.scale, self.numerators, self.dims)
+                == (other.scale, other.numerators, other.dims))
 
     def __hash__(self):
-        # the least common scale: s/gcd(s, every numerator)
-        g = gcd(self.scale, *self.numerators)
-        return hash((self.dims, self.scale // g, tuple(n // g for n in self.numerators)))
+        return hash((self.dims, self.scale, self.numerators))
 
     def _degree_texts(self) -> list[str]:
         """Each degree as `str(Fraction)` renders it."""
@@ -187,11 +173,12 @@ class BModel:
         Raises LgmkError if the listing has a different number of monomials
         than the series in some degree."""
         monomials = tuple(standard_monomials(classify(self.source).staircase))
-        # degree 2*sum(e_i q_i) = 2k/L, counted by its numerator 2k over the
-        # scale L that `bmodel` counts the series over
+        # degree 2*sum(e_i q_i) = 2k/L, counted by its numerator 2k over L;
+        # the table keeps the series over its least scale, a divisor of L
         scale, integer_weights = self.weights.integer_form
         listed = Counter(2 * sum(map(mul, m.exponents, integer_weights)) for m in monomials)
-        series = dict(zip(self.graded.numerators, self.graded.dims))
+        factor = scale // self.graded.scale
+        series = {n * factor: k for n, k in zip(self.graded.numerators, self.graded.dims)}
         if listed != series:
             n = min(n for n in listed.keys() | series.keys()
                     if listed[n] != series.get(n, 0))
@@ -200,39 +187,6 @@ class BModel:
                 f"of degree {Fraction(n, scale)}, but the series counts "
                 f"{series.get(n, 0)}")
         return monomials
-
-
-def jacobian_ideal(poly: Polynomial) -> list[Polynomial]:
-    """The n formal partial derivatives of poly, with exact coefficients."""
-    partials = []
-    for i in range(poly.n_variables):
-        term_map = {}
-        for coeff, mono in poly.terms:
-            e = mono.exponents[i]
-            if e:
-                shifted = list(mono.exponents)
-                shifted[i] = e - 1
-                key = tuple(shifted)
-                term_map[key] = term_map.get(key, Fraction(0)) + coeff * e
-        partials.append(Polynomial.from_term_map(poly.variables, term_map))
-    return partials
-
-
-def jacobian_staircase(poly: Polynomial,
-                       weights: WeightSystem | None) -> Staircase | None:
-    """Staircase of the Jacobian ideal under weighted degrevlex (plain
-    degrevlex when weights is None); None when the Milnor ring is not finite
-    dimensional.  `standard_monomials` of the result is the Milnor ring's
-    monomial basis, sorted in the order.  Runs the kernel on every call: the
-    staircase of an admissible W under its weights is `classify(W).staircase`,
-    built once."""
-    gens = [p for p in jacobian_ideal(poly) if not p.is_zero()]
-    if not gens:
-        return None
-    order = (MonomialOrder.degrevlex() if weights is None
-             else MonomialOrder.weighted_degrevlex(weights))
-    found = staircase(gens, order)
-    return found if found.finite else None
 
 
 def is_nondegenerate(poly: Polynomial) -> bool:

@@ -10,18 +10,19 @@ Weights are solved by `_echelon`, the toolkit's one integer row echelon
 (symmetry's Hermite forms are the same echelon); only the back-substitution
 builds `Fraction`s.
 
-This is the bottom layer.  Only `classify` reaches upward, into milnor, for
-the Jacobian staircase.  `classify` is the one analysis of a polynomial and
-the one memo keyed by it: its record holds the kind, the weights with their
-integer form (L, L*q_i), and W's staircase.  After the weight solve, two
-exponent-matrix predicates decide most verdicts without a Groebner run: a
-sum of Fermat, chain and loop atoms is nondegenerate
+This layer sits on the Groebner kernel, whose `Monomial` type, integer
+weight form and `staircase` it imports.  `classify` decides nondegeneracy
+here, through `jacobian_staircase` beside it.  It is the one analysis of a
+polynomial and the one memo keyed by it: its record holds the kind, the
+weights with their integer form (L, L*q_i), and W's staircase.  After the
+weight solve, two exponent-matrix predicates decide most verdicts without a
+Groebner run: a sum of Fermat, chain and loop atoms is nondegenerate
 (`_pointer_certified`), and a polynomial with a critical coordinate axis is
 degenerate (`_critical_axis`).  Every other polynomial runs the kernel once
-in `classify`.  A certified W's staircase is built only when a basis
-listing first reads it, and then held in the record.  So
-`require_admissible`, the transpose, `bmodel`, `amodel` and
-`is_nondegenerate` read one weight solve, and W's kernel runs at most once.
+in `classify`.  A certified W's staircase is built only when a basis listing
+first reads it, and then held in the record.  So `require_admissible`, the
+transpose, `bmodel`, `amodel` and `is_nondegenerate` read one weight solve,
+and W's kernel runs at most once.
 """
 
 from __future__ import annotations
@@ -31,9 +32,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
-from math import lcm
 from operator import mul
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import (
     EmptyPolynomialError,
@@ -46,51 +46,7 @@ from .errors import (
     WeightBoundViolated,
     WeightError,
 )
-
-if TYPE_CHECKING:
-    from .groebner import Staircase
-
-Exps = tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class Monomial:
-    """Exponent vector of one monomial; position i belongs to variable i."""
-
-    exponents: Exps
-
-    def __post_init__(self):
-        exps = tuple(int(e) for e in self.exponents)
-        if any(e < 0 for e in exps):
-            raise ValueError(f"negative exponent in {exps}")
-        object.__setattr__(self, "exponents", exps)
-
-    def __len__(self) -> int:
-        return len(self.exponents)
-
-    def is_constant(self) -> bool:
-        return not any(self.exponents)
-
-    def support(self) -> frozenset[int]:
-        return frozenset(i for i, e in enumerate(self.exponents) if e)
-
-    def render(self, variables: tuple[str, ...]) -> str:
-        if self.is_constant():
-            return "1"
-        parts = []
-        for name, e in zip(variables, self.exponents):
-            if e == 1:
-                parts.append(name)
-            elif e > 1:
-                parts.append(f"{name}^{e}")
-        return "*".join(parts)
-
-
-def _monomial(exps: Exps) -> Monomial:
-    # a tuple of non-negative ints skips re-validation
-    mono = object.__new__(Monomial)
-    object.__setattr__(mono, "exponents", exps)
-    return mono
+from .groebner import Exps, Monomial, MonomialOrder, Staircase, _integer_form, staircase
 
 
 @dataclass(frozen=True)
@@ -120,8 +76,7 @@ class WeightSystem:
     @cached_property
     def integer_form(self) -> tuple[int, tuple[int, ...]]:
         """The lcm L of the weight denominators and the integer weights L*q_i."""
-        scale = lcm(*(v.denominator for v in self.q))
-        return scale, tuple(v.numerator * (scale // v.denominator) for v in self.q)
+        return _integer_form(self.q)
 
 
 @dataclass(frozen=True)
@@ -492,6 +447,39 @@ def _critical_axis(matrix: ExponentMatrix) -> bool:
                for i in range(matrix.n))
 
 
+def jacobian_ideal(poly: Polynomial) -> list[Polynomial]:
+    """The n formal partial derivatives of poly, with exact coefficients."""
+    partials = []
+    for i in range(poly.n_variables):
+        term_map = {}
+        for coeff, mono in poly.terms:
+            e = mono.exponents[i]
+            if e:
+                shifted = list(mono.exponents)
+                shifted[i] = e - 1
+                key = tuple(shifted)
+                term_map[key] = term_map.get(key, Fraction(0)) + coeff * e
+        partials.append(Polynomial.from_term_map(poly.variables, term_map))
+    return partials
+
+
+def jacobian_staircase(poly: Polynomial,
+                       weights: WeightSystem | None) -> Staircase | None:
+    """Staircase of the Jacobian ideal under weighted degrevlex (plain
+    degrevlex when weights is None); None when the Milnor ring is not finite
+    dimensional.  `standard_monomials` of the result is the Milnor ring's
+    monomial basis, sorted in the order.  Runs the kernel on every call: the
+    staircase of an admissible W under its weights is `classify(W).staircase`,
+    built once."""
+    gens = [p for p in jacobian_ideal(poly) if not p.is_zero()]
+    if not gens:
+        return None
+    order = (MonomialOrder.degrevlex() if weights is None
+             else MonomialOrder.weighted_degrevlex(weights))
+    found = staircase(gens, order)
+    return found if found.finite else None
+
+
 class PolynomialClass(Enum):
     INVERTIBLE = "invertible"
     NONINVERTIBLE = "noninvertible"
@@ -547,8 +535,6 @@ def _memoized_classify(poly: Polynomial) -> Classification:
                               f"{type(exc).__name__}: {exc}")
     if _critical_axis(matrix):
         return Classification(PolynomialClass.NOT_ADMISSIBLE, weights, _DEGENERATE)
-    from .milnor import jacobian_staircase  # deferred: milnor builds on this module
-
     build = partial(jacobian_staircase, poly, weights)
     if _pointer_certified(matrix):
         # the staircase waits for a basis listing

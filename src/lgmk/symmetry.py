@@ -121,7 +121,7 @@ def _coordinates(vector, basis) -> list[int] | None:
 
 def _nontrivial_factors(relations) -> tuple[int, ...]:
     """Smith form diagonal of a square relation matrix, without its 1s."""
-    _, d, _ = smith_normal_form(relations)
+    d, _ = smith_normal_form(relations)
     return tuple(d[i][i] for i in range(len(d)) if d[i][i] != 1)
 
 
@@ -302,21 +302,19 @@ def group_from_elements(elements, ambient: int) -> SymmetryGroup:
 # Smith normal form over Z
 # ---------------------------------------------------------------------------
 
-def smith_normal_form(matrix) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """U, D, V with U*matrix*V = D, U and V unimodular, and the diagonal of D
-    nonnegative with d_i | d_{i+1}.
+def smith_normal_form(matrix) -> tuple[list[list[int]], list[list[int]]]:
+    """D, V with U*matrix*V = D for some unimodular U, which is not built;
+    V is unimodular, and the diagonal of D nonnegative with d_i | d_{i+1}.
 
     Runs entirely over Python integers, so entries may grow without overflow.
     """
     a = [[int(x) for x in row] for row in matrix]
     m = len(a)
     n = len(a[0]) if m else 0
-    u = [[int(i == j) for j in range(m)] for i in range(m)]
     v = [[int(i == j) for j in range(n)] for i in range(n)]
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
         for row in a:
@@ -326,17 +324,12 @@ def smith_normal_form(matrix) -> tuple[list[list[int]], list[list[int]], list[li
 
     def add_row(src, dst, factor):
         a[dst] = [x + factor * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + factor * y for x, y in zip(u[dst], u[src])]
 
     def add_col(src, dst, factor):
         for row in a:
             row[dst] += factor * row[src]
         for row in v:
             row[dst] += factor * row[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
 
     def find_pivot(t):
         best = None
@@ -389,9 +382,9 @@ def smith_normal_form(matrix) -> tuple[list[list[int]], list[list[int]], list[li
                 break
             add_row(offender, t, 1)
         if a[t][t] < 0:
-            negate_row(t)
+            a[t] = [-x for x in a[t]]
         t += 1
-    return u, a, v
+    return a, v
 
 
 def _relation_group(relations) -> SymmetryGroup:
@@ -402,7 +395,7 @@ def _relation_group(relations) -> SymmetryGroup:
     columns of V scaled by 1/d_i.  Raises InfiniteGroup when rank(R) < n.
     """
     n = len(relations[0])
-    _, d, v = smith_normal_form(relations)
+    d, v = smith_normal_form(relations)
     diag = [d[i][i] for i in range(min(len(relations), n))]
     if len(diag) < n or any(x == 0 for x in diag):
         raise InfiniteGroup(f"rank of the exponent matrix is below {n}")

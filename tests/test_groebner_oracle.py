@@ -58,8 +58,7 @@ from lgmk import (
 )
 from lgmk import groebner as engine
 from lgmk.groebner import staircase
-from lgmk.milnor import jacobian_ideal
-from lgmk.polycore import Exps, Monomial
+from lgmk.polycore import Exps, Monomial, jacobian_ideal
 
 from conftest import kernel_remainder, positive_multiple
 

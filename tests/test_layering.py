@@ -1,9 +1,10 @@
 """Module layering and one analysis per polynomial.
 
-The modules import one another at module level, in layer order; the single
-exception is `polycore._memoized_classify`, the memoized body of `classify`,
-which reaches up into milnor for the Jacobian staircase.
-That memo is the only one keyed by a polynomial: `classify`'s record
+The modules import one another at module level only, each from modules
+below it in LAYER_ORDER; `groebner` names polycore's types in annotations
+only, under `if TYPE_CHECKING:`.  `classify`, in polycore, runs the
+Jacobian staircase beside it.  Its memo is the only one keyed by a
+polynomial: `classify`'s record
 holds the weights, their integer form (L, L*q_i) and W's Jacobian
 staircase, so starting from empty memos the weights of each distinct
 polynomial are solved once and the Groebner kernel `staircase` runs at most
@@ -78,6 +79,12 @@ def _module_trees():
                 yield name[:-3], ast.parse(handle.read())
 
 
+# every module of the package, each importing only from modules before it;
+# the package and its `python -m` entry point sit above every layer
+LAYER_ORDER = ("errors", "groebner", "polycore", "milnor", "symmetry", "amodel",
+               "mirror", "cli", "__main__", "__init__")
+
+
 def _intra_package_imports_in_functions():
     found = set()
     for name, tree in _module_trees():
@@ -91,6 +98,35 @@ def _intra_package_imports_in_functions():
                 elif isinstance(node, ast.Import) and any(
                         alias.name.split(".")[0] == "lgmk" for alias in node.names):
                     found.add((name, func.name, None))
+    return found
+
+
+def _imported_modules(node) -> list[str]:
+    """The package modules an import statement reads from."""
+    if isinstance(node, ast.ImportFrom) and node.level > 0:
+        # `from . import groebner` names its modules
+        return [node.module] if node.module else [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom):
+        names = [node.module or ""]
+    else:
+        names = [alias.name for alias in node.names]
+    return [n.partition(".")[2] or "__init__" for n in names if n.split(".")[0] == "lgmk"]
+
+
+def _module_level_imports():
+    """(module, imported module) for each intra-package import outside
+    function bodies and outside `if TYPE_CHECKING:` blocks."""
+    found = set()
+    for name, tree in _module_trees():
+        nodes = list(tree.body)
+        while nodes:
+            node = nodes.pop()
+            if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+                nodes.extend(node.orelse)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                found.update((name, module) for module in _imported_modules(node))
+            elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                nodes.extend(ast.iter_child_nodes(node))
     return found
 
 
@@ -137,9 +173,15 @@ def _definitions(function):
 
 
 class TestLayering:
-    def test_only_classify_defers_an_import(self):
-        assert _intra_package_imports_in_functions() == {
-            ("polycore", "_memoized_classify", "milnor")}
+    def test_no_function_imports_from_the_package(self):
+        assert _intra_package_imports_in_functions() == set()
+
+    def test_every_import_points_down_the_layer_order(self):
+        assert sorted(name for name, _ in _module_trees()) == sorted(LAYER_ORDER)
+        rank = {name: i for i, name in enumerate(LAYER_ORDER)}
+        imports = _module_level_imports()
+        assert ("milnor", "polycore") in imports
+        assert {(a, b) for a, b in imports if rank[b] >= rank[a]} == set()
 
     def test_no_module_reads_the_environment(self):
         assert _environment_reads() == set()
@@ -365,7 +407,7 @@ class TestKeyMemo:
     def test_staircase_keys_each_exponent_tuple_once(self, monkeypatch):
         poly = parse_polynomial(DENSE)
         order = MonomialOrder.weighted_degrevlex(polycore.classify(poly).weights)
-        gens = [g for g in milnor.jacobian_ideal(poly) if not g.is_zero()]
+        gens = [g for g in polycore.jacobian_ideal(poly) if not g.is_zero()]
         packed = Counter()
         keyed = []
         pack = groebner._Packing.pack
@@ -387,7 +429,7 @@ class TestFractionFreeDivision:
     def test_division_receives_no_fraction(self, monkeypatch):
         poly = parse_polynomial(DENSE)
         order = MonomialOrder.weighted_degrevlex(polycore.classify(poly).weights)
-        gens = [g for g in milnor.jacobian_ideal(poly) if not g.is_zero()]
+        gens = [g for g in polycore.jacobian_ideal(poly) if not g.is_zero()]
         coefficients = []
         divisors = []
         normal_form_dict = groebner._normal_form_dict

@@ -23,14 +23,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lgmk import WeightSystem, milnor, mirror, parse_polynomial, polycore
-from lgmk.milnor import jacobian_staircase
+from lgmk import WeightSystem, mirror, parse_polynomial, polycore
 from lgmk.polycore import (
     ExponentMatrix,
     Polynomial,
     _critical_axis,
     _pointer_certified,
     exponent_matrix,
+    jacobian_staircase,
     solve_weights,
 )
 
@@ -149,7 +149,7 @@ class TestCriticalAxis:
             runs.append(poly)
             return original(poly, weights)
 
-        monkeypatch.setattr(milnor, "jacobian_staircase", counted)
+        monkeypatch.setattr(polycore, "jacobian_staircase", counted)
         weights = WeightSystem((Fraction(1, 8), Fraction(1, 8)))
         candidates = _supports(weights)
         found = mirror.enumerate_admissible_supports(weights)

@@ -1,5 +1,6 @@
 from fractions import Fraction as F
-from math import gcd
+from itertools import combinations
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -84,11 +85,16 @@ class TestSmithNormalForm:
     @pytest.mark.parametrize("rows", CASES)
     def test_decomposition(self, rows):
         matrix = [list(r) for r in rows]
-        u, d, v = smith_normal_form(matrix)
-        assert matmul(matmul(u, matrix), v) == d
-        assert abs(det(u)) == 1
+        d, v = smith_normal_form(matrix)
+        av, n = matmul(matrix, v), len(v)
+        diag = [d[i][i] for i in range(min(len(d), n))]
+        # some unimodular U has U*A*V = D iff A*V and D span one row lattice:
+        # the rows of A*V lie in D's, and both have index prod(d_i) in Z^n,
+        # which for A*V is the gcd of its n x n minors
+        assert all(x % k == 0 for row in av for x, k in zip(row, diag))
+        minors = [det([av[i] for i in chosen]) for chosen in combinations(range(len(av)), n)]
+        assert gcd(*map(int, minors)) == prod(diag)
         assert abs(det(v)) == 1
-        diag = [d[i][i] for i in range(min(len(d), len(d[0])))]
         for i in range(len(diag) - 1):
             if diag[i + 1]:
                 assert diag[i + 1] % max(diag[i], 1) == 0 or diag[i] == 0
@@ -98,7 +104,7 @@ class TestSmithNormalForm:
                     assert d[i][j] == 0
 
     def test_known_invariant_factors(self):
-        _, d, _ = smith_normal_form([[4, 0], [3, 1], [0, 4]])
+        d, _ = smith_normal_form([[4, 0], [3, 1], [0, 4]])
         assert [d[0][0], d[1][1]] == [1, 4]
 
 
