@@ -38,7 +38,12 @@ seeded dense ones in three variables: x^a + y^b + z^c plus each further
 monomial of weight one with probability 0.8, with nonzero integer
 coefficients in -9..9, for (a, b, c) a permutation of (3, 3, 3), (4, 4, 4),
 (2, 4, 4), (3, 6, 6), (2, 3, 6), (2, 6, 6), (3, 4, 12), (4, 4, 6), (3, 3, 6)
-and (5, 5, 5), twice each; only nondegenerate ones were kept.
+and (5, 5, 5), twice each; only nondegenerate ones were kept.  Appended
+later are `bmodel` records (with `--json` and as text) of eight more dense
+ones, drawn the same way from random.Random("dense (6,6,6) and (7,7,7)"),
+four with (a, b, c) = (6, 6, 6) and then four with (7, 7, 7).  They were
+recorded before the kernel's pair loop became Hilbert driven, since dense
+equal-weight Jacobians are where it sets the most pairs aside.
 """
 
 import io
