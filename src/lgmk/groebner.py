@@ -43,6 +43,37 @@ step, and a run of more than STEP_LIMIT steps raises ResourceLimitExceeded.
 and walks the staircase under the leading terms, one variable at a time.
 That box rule guards listings only: the graded tables of `bmodel` and
 `amodel` are counted without a standard monomial.
+
+The loop is Hilbert driven (Traverso 1997, Hilbert functions and the
+Buchberger algorithm, JSC 22) on a complete intersection candidate: n
+nonzero generators f_i in n variables, each homogeneous, of grade e_i, under
+the order's grading, with x_i of grade w_i.  A Jacobian of a quasihomogeneous
+W under its weights is one.  If the f_i form a regular sequence, the
+quotient's Hilbert series is the complete intersection series
+prod (1 - u^(e_i)) / (1 - u^(w_i)) (Milnor and Orlik 1970 for a Jacobian),
+a polynomial of degree socle = sum(e_i - w_i) with mu = prod e_i / prod w_i
+monomials in all.  Every remainder is homogeneous of its pair's grade, so
+pairs pop in ascending grade.  Once a grade's standard monomials under the
+current leads number its series coefficient, the rest of that grade's pairs
+are set aside, as is every pair above socle + max(w_i): for a regular
+sequence they would all reduce to zero.  The series only decides which
+pairs wait; the run's answer rests on this certificate.
+
+    Every lead the loop finds is the lead of an element of J = (f_i), so the
+    standard monomials of in(J) lie among those of the leads.  If the leads
+    bound a finite staircase of exactly mu monomials, then dim Q[x]/J <= mu
+    is finite; n homogeneous generators in n variables with a finite
+    quotient form a regular sequence, so dim Q[x]/J = mu, and the two
+    monomial ideals are equal.  Their minimal generators, the staircase, are
+    then what the full loop would return.
+
+A run whose pairs were set aside and whose leads fail the certificate, as
+a degenerate W's always do, puts those pairs back into the same loop, with
+the driving off.  So the leads, `finite` and every listing stay exactly
+those of the undriven loop.  The chain criterion may rest on a set-aside
+pair, taken as reduced to zero; a pair it skips that way waits with the
+set-aside ones, so the fallback checks it too.  A set-aside pair takes a
+step only when that fallback processes it.
 """
 
 from __future__ import annotations
@@ -50,8 +81,9 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm, prod
-from operator import mul
+from operator import mul, sub
 from typing import TYPE_CHECKING, Callable, Iterable
 
 from .errors import NotFiniteDimensional, ResourceLimitExceeded
@@ -325,6 +357,63 @@ def _minimal_leads(leads: list[int], packing: _Packing) -> list[int]:
     return kept
 
 
+def _complete_intersection_series(grades: list[int],
+                                 weights: tuple[int, ...]) -> list[int]:
+    """Coefficients of u^0 .. u^top of prod (1 - u^(e_i)) / (1 - u^(w_i)),
+    for generator grades e_i and variable grades w_i, top = sum(e_i - w_i)
+    >= 0: the Hilbert series of the quotient by a regular sequence of
+    homogeneous f_i of grades e_i.  One slice operation per factor of the
+    numerator and one running sum per residue class of each factor of the
+    denominator."""
+    top = sum(grades) - sum(weights)
+    series = [1] + [0] * top
+    size = top + 1
+    for e, w in zip(grades, weights):
+        # times 1 - u^e: subtract the series shifted up by e
+        if e < size:
+            series[e:] = map(sub, series[e:], series[:size - e])
+        # over 1 - u^w: a running sum along each residue class mod w
+        if w < size:
+            for r in range(w):
+                series[r::w] = accumulate(series[r::w])
+    return series
+
+
+def _standard_count(grade: int, weights: tuple[int, ...], leads: list[Exps]) -> int:
+    """The number of monomials of grade `grade` that no lead divides."""
+    n = len(weights)
+
+    def walk(i: int, left: int, active: list[Exps]) -> int:
+        # active: the leads whose first i exponents divide the prefix
+        w = weights[i]
+        if i == n - 1:
+            return 0 if left % w or any(lt[i] <= left // w for lt in active) else 1
+        total = 0
+        for e in range(left // w + 1):
+            now = [lt for lt in active if lt[i] <= e]
+            if any(not any(lt[i + 1:]) for lt in now):
+                break  # a lead zero past i divides every completion
+            total += walk(i + 1, left - e * w, now)
+        return total
+
+    return walk(0, grade, leads)
+
+
+def _candidate_grades(basis: list[TermDict], leads: list[int], n: int,
+                      packing: _Packing) -> list[int] | None:
+    """The grades e_i of a complete intersection candidate: n generators in
+    n variables, each homogeneous, with sum(e_i - w_i) >= 0 and an integer
+    mu = prod e_i / prod w_i, as for every regular sequence.  None for any
+    other input."""
+    shift, mask, weights = packing.shift, packing.mask, packing.weights
+    grades = [(lead + mask) >> shift for lead in leads]
+    # a generator is homogeneous iff its least term has its lead's grade
+    if len(basis) != n or sum(grades) < sum(weights) or prod(grades) % prod(weights) \
+            or any((min(d) + mask) >> shift != grade for d, grade in zip(basis, grades)):
+        return None
+    return grades
+
+
 def staircase(gens: list[Polynomial], order: MonomialOrder) -> Staircase:
     """The minimal leading terms of a Groebner basis of the ideal of gens.
 
@@ -334,19 +423,44 @@ def staircase(gens: list[Polynomial], order: MonomialOrder) -> Staircase:
     ResourceLimitExceeded once it has taken more than STEP_LIMIT steps.  The
     leading terms decide zero-dimensionality (`Staircase.finite`) and the
     standard monomials, and no coefficient of a reduced basis is needed for
-    either.
+    either.  A complete intersection candidate is Hilbert driven (see the
+    module docstring): a pair whose grade is already complete is set aside,
+    and set-aside pairs are processed only if the certificate fails.
     """
     if not gens:
         raise ValueError("no generators given")
     variables = gens[0].variables
     if any(g.variables != variables for g in gens):
         raise ValueError("generators must share one ambient variable list")
-    weights = _grade_weights(order, len(variables))
+    n = len(variables)
+    weights = _grade_weights(order, n)
     packing, basis = _packed([_cleared(g.term_map()) for g in gens if not g.is_zero()],
                              weights)
     leads = [max(d) for d in basis]
     basis = [_primitive(d, lead) for d, lead in zip(basis, leads)]
     lead_exps = [packing.unpack(lead) for lead in leads]
+
+    # Hilbert driving (see the module docstring).  The series is built, and
+    # the driving starts, once the run's zero remainders have cost more
+    # steps than the series has coefficients (`start`, the series' last
+    # grade sum(e_i - w_i), taken at the first zero remainder).  So the
+    # bookkeeping costs no more than the waste it is there to remove, a run
+    # without zero remainders pays nothing, and no series is longer than
+    # STEP_LIMIT, however large the lcm of the weights.  After that each
+    # grade is counted once, by a walk over its monomials: about the work
+    # of one dense reduction at that grade.
+    inputs = len(basis)
+    degrees: list[int] | None = None
+    series: list[int] | None = None
+    # the queue entries of the pairs set aside, and those pairs: each is
+    # taken as reduced to zero, which the certificate proves or the
+    # fallback checks; a chain skip that rests on one waits with them
+    aside: list[tuple[int, int, int, int]] = []
+    tainted: set[tuple[int, int]] = set()
+    # the grade of the pairs being popped and its standard monomials under
+    # the leads; None above the series' last grade plus the largest weight,
+    # where no pair is reduced
+    grade_now, count_now = -1, None
 
     pending: set[tuple[int, int]] = set()
     heap: list = []
@@ -366,6 +480,7 @@ def staircase(gens: list[Polynomial], order: MonomialOrder) -> Staircase:
             leads[:] = [repack(unpack(lead)) for lead in leads]
             # the order is kept, so the heap stays a heap
             heap[:] = [(repack(unpack(top)), *rest) for top, *rest in heap]
+            aside[:] = [(repack(unpack(top)), *rest) for top, *rest in aside]
             packing = wider
         shift, places = packing.shift, packing.places
         for k, (top, grade) in enumerate(zip(tops, grades)):
@@ -377,38 +492,81 @@ def staircase(gens: list[Polynomial], order: MonomialOrder) -> Staircase:
     for j in range(len(basis)):
         push_pairs(j)
 
-    spent = 0
-    while heap:
-        top, _, i, j = heapq.heappop(heap)
-        pending.remove((i, j))  # each pair is pushed once and popped once
-        spent += 1
-        if spent > STEP_LIMIT:
-            raise _step_limit_exceeded()
-        if top == leads[i] + leads[j]:
-            continue  # coprime leading terms reduce to zero
-        guard, mask = packing.guard, packing.mask
-        top_exps = -top & mask | guard
-        skip = False
-        for k, lead in enumerate(leads):
-            if k == i or k == j or (top_exps - (-lead & mask)) & guard != guard:
-                continue  # only a third leading term dividing top can chain
-            if (min(i, k), max(i, k)) not in pending and \
-               (min(j, k), max(j, k)) not in pending:
-                skip = True
-                break
-        if skip:
-            continue
-        s_poly = _s_polynomial(basis[i], leads[i], basis[j], leads[j], top)
-        remainder, spent = _normal_form_dict(s_poly, list(zip(basis, leads)),
-                                             packing, spent)
-        if remainder:
+    spent = wasted = 0
+    while True:
+        while heap:
+            top, _, i, j = entry = heapq.heappop(heap)
+            pending.remove((i, j))  # pushed once, and again only by a fallback
+            if series is not None:
+                # pairs pop in ascending grade, since every remainder is
+                # homogeneous of its pair's grade
+                grade = (top + packing.mask) >> packing.shift
+                if grade != grade_now:
+                    grade_now = grade
+                    count_now = (None if grade >= len(series) + max(weights) else
+                                 _standard_count(grade, weights, lead_exps))
+                if count_now is None or count_now == (
+                        series[grade] if grade < len(series) else 0):
+                    aside.append(entry)
+                    tainted.add((i, j))
+                    continue
+            spent += 1
+            if spent > STEP_LIMIT:
+                raise _step_limit_exceeded()
+            if top == leads[i] + leads[j]:
+                continue  # coprime leading terms reduce to zero
+            guard, mask = packing.guard, packing.mask
+            top_exps = -top & mask | guard
+            skip = False
+            for k, lead in enumerate(leads):
+                if k == i or k == j or (top_exps - (-lead & mask)) & guard != guard:
+                    continue  # only a third leading term dividing top can chain
+                if (min(i, k), max(i, k)) not in pending and \
+                   (min(j, k), max(j, k)) not in pending:
+                    skip = True
+                    break
+            if skip:
+                if tainted and ((min(i, k), max(i, k)) in tainted
+                                or (min(j, k), max(j, k)) in tainted):
+                    # the skip rests on a pair set aside, so it waits with it
+                    aside.append(entry)
+                    tainted.add((i, j))
+                continue
+            s_poly = _s_polynomial(basis[i], leads[i], basis[j], leads[j], top)
+            before = spent
+            remainder, spent = _normal_form_dict(s_poly, list(zip(basis, leads)),
+                                                 packing, spent)
+            if not remainder:
+                if not wasted:
+                    start = sum((lead + packing.mask) >> packing.shift
+                                for lead in leads[:inputs]) - sum(weights)
+                wasted += spent - before + 1  # the pair and its cancelled terms
+                if wasted > start:
+                    degrees = _candidate_grades(basis[:inputs], leads[:inputs], n, packing)
+                    if degrees is not None:
+                        series = _complete_intersection_series(degrees, weights)
+                    start = STEP_LIMIT  # checked once: wasted never passes it
+                continue
             lead = max(remainder)
             basis.append(_primitive(remainder, lead))
             leads.append(lead)
             lead_exps.append(packing.unpack(lead))
+            if count_now is not None:
+                count_now -= 1  # the new lead was standard, of this grade
             push_pairs(len(basis) - 1)
-    return Staircase(tuple(packing.unpack(lead) for lead in _minimal_leads(leads, packing)),
-                     order, variables)
+        minimal = [packing.unpack(lead) for lead in _minimal_leads(leads, packing)]
+        if not aside or _unit(minimal) or (
+                _pure_power_bounds(minimal, n) is not None
+                and _staircase_size(minimal, n) * prod(weights) == prod(degrees)):
+            break
+        # not certified: the set-aside pairs go back into the loop
+        series = None
+        pending.update((i, j) for _, _, i, j in aside)
+        heap[:] = aside
+        heapq.heapify(heap)
+        aside.clear()
+        tainted.clear()
+    return Staircase(tuple(minimal), order, variables)
 
 
 def _unit(leads) -> bool:
@@ -426,6 +584,19 @@ def _pure_power_bounds(leads, n: int) -> list[int] | None:
             return None
         bounds.append(min(pures))
     return bounds
+
+
+def _staircase_size(leads, n: int) -> int:
+    """The number of standard monomials under a finite staircase in n >= 1
+    variables: the walk of `standard_monomials`, counted without a listing."""
+
+    def count(i: int, active: list[Exps]) -> int:
+        stop = min(lt[i] for lt in active if not any(lt[i + 1:]))
+        if i == n - 1:
+            return stop
+        return sum(count(i + 1, [lt for lt in active if lt[i] <= e]) for e in range(stop))
+
+    return count(0, list(leads))
 
 
 def standard_monomials(basis: Staircase,

@@ -22,8 +22,10 @@ ring's Hilbert series is the Milnor-Orlik product
 prod (1 - t^(1 - q_i)) / (1 - t^(q_i)).  Over the lcm L of the weight
 denominators, with integer weights w_i = L*q_i, that is a polynomial in
 u = t^(1/L) of degree top = sum(L - 2 w_i), computed as a dense list of
-top + 1 integers: one slice operation per factor of the numerator and one
-running sum per residue class of each factor of the denominator.
+top + 1 integers by groebner's complete intersection series over the
+generator grades L - w_i.  The series lives in groebner because the kernel
+reads the same one: its pair loop is Hilbert driven on a Jacobian, and
+certifies its staircase by the Milnor number.
 `BModel.basis` lists the standard monomials only when first read, as the
 CLI does to print them, and their count in every degree must equal the
 series', so the Groebner route and the closed form check each other
@@ -49,9 +51,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
 from math import gcd
-from operator import mul, sub
+from operator import mul
 from typing import Iterable, Mapping
 
 from . import groebner
@@ -222,26 +223,6 @@ def _require_halved(weights: WeightSystem) -> None:
         raise ValueError(f"weights {weights} must lie in (0, 1/2]")
 
 
-def _milnor_series(integer_weights: tuple[int, ...], scale: int) -> list[int]:
-    """Coefficients of u^0 .. u^top of prod (1 - u^(L - w_i)) / (1 - u^(w_i))
-    for integer weights w_i over L, top = sum(L - 2 w_i): the Hilbert series
-    of the Milnor ring of a nondegenerate W, u^k in weighted degree k/L
-    (Milnor and Orlik 1970)."""
-    top = sum(scale - 2 * w for w in integer_weights)
-    series = [1] + [0] * top
-    size = top + 1
-    for w in integer_weights:
-        # times 1 - u^(L - w): subtract the series shifted up by L - w
-        a = scale - w
-        if a < size:
-            series[a:] = map(sub, series[a:], series[:size - a])
-        # over 1 - u^w: a running sum along each residue class mod w
-        if w < size:
-            for r in range(w):
-                series[r::w] = accumulate(series[r::w])
-    return series
-
-
 def bmodel(poly: Polynomial) -> BModel:
     """Milnor ring of an admissible polynomial as a graded vector space.
 
@@ -259,6 +240,7 @@ def bmodel(poly: Polynomial) -> BModel:
         raise ResourceLimitExceeded(
             f"the Milnor-Orlik series has {size} coefficients, "
             f"more than the limit of {limit}")
-    series = _milnor_series(integer_weights, scale)
+    series = groebner._complete_intersection_series(
+        [scale - w for w in integer_weights], integer_weights)
     counts = {2 * k: c for k, c in enumerate(series) if c}
     return BModel(poly, weights, GradedDims._from_counts(counts, scale))

@@ -322,3 +322,78 @@ class TestKernelParts:
         result = groebner._s_polynomial(f, max(f), g, max(g), top)
         assert {packing.unpack(k): c for k, c in result.items()} == \
             {(0, 1, 1): 3, (1, 0, 0): -2}
+
+    def test_complete_intersection_series(self):
+        # x, y of grades 1, 2 over (f, g) of grades 3, 4: the quotient is
+        # spanned by 1, x, x^2, y, x*y, x^2*y, in grades 0 1 2 2 3 4
+        assert groebner._complete_intersection_series((3, 4), (1, 2)) == [1, 1, 2, 1, 1]
+        # the Milnor ring of x^3 + y^3: grades L - w_i = 2 over weights 1
+        assert groebner._complete_intersection_series((2, 2), (1, 1)) == [1, 2, 1]
+
+    def test_standard_count_and_staircase_size_count_the_walk(self):
+        weights = groebner._grade_weights(self.ORDER, 3)
+        leads = [(2, 0, 0), (1, 2, 0), (0, 3, 0), (0, 1, 2), (0, 0, 5)]
+        corners = Staircase(tuple(leads), self.ORDER, ("x", "y", "z"))
+        listed = standard_monomials(corners)
+        assert groebner._staircase_size(leads, 3) == len(listed)
+        for grade in range(30):
+            expected = sum(1 for e in product(range(grade + 1), repeat=3)
+                           if sum(a * w for a, w in zip(e, weights)) == grade
+                           and not any(all(a <= b for a, b in zip(lt, e)) for lt in leads))
+            assert groebner._standard_count(grade, weights, leads) == expected
+
+
+# a dense W with weights (1/5, 1/5, 1/5): mu = 64, and its Jacobian's
+# socle grade is 9
+DENSE_555 = ("-7*x^5 - 6*x^4*y - x^4*z - x^3*y^2 + 2*x^3*y*z - x^3*z^2 - 4*x^2*y^2*z"
+             " - 2*x^2*y*z^2 + 5*x^2*z^3 - 8*x*y^4 - 4*x*y*z^3 - 5*x*z^4 - 7*y^5"
+             " + 5*y^3*z^2 - 6*y^2*z^3 + 8*y*z^4 - 2*z^5")
+# the Milnor-Orlik series of this W has 26,297,693 coefficients
+LONG_SERIES_CUBIC = "x^3 + y^3 + x*y^2 + c^5 + d^7 + e^11 + f^13 + g^17 + h^19"
+
+
+class TestHilbertDriving:
+    def jacobian(self, text):
+        poly = parse_polynomial(text)
+        return (jacobian_ideal(poly),
+                MonomialOrder.weighted_degrevlex(solve_weights(exponent_matrix(poly))))
+
+    def test_zero_remainders_on_a_dense_jacobian(self, monkeypatch):
+        # the pair loop without the series reduced 30 S-pairs, 14 of them to
+        # zero; once the series is built, a grade whose standard monomials
+        # number its coefficient reduces no further pair
+        counts = {"reductions": 0, "zero": 0}
+        normal_form_dict = groebner._normal_form_dict
+
+        def counted(*args):
+            remainder, spent = normal_form_dict(*args)
+            counts["reductions"] += 1
+            counts["zero"] += not remainder
+            return remainder, spent
+
+        monkeypatch.setattr(groebner, "_normal_form_dict", counted)
+        found = staircase(*self.jacobian(DENSE_555))
+        assert counts == {"reductions": 17, "zero": 1}
+        assert len(standard_monomials(found)) == 64
+
+    def test_a_set_aside_pair_takes_no_step(self, monkeypatch):
+        # 119 steps: S-pairs processed and terms cancelled, and none for the
+        # pairs the certificate leaves unprocessed (the loop without the
+        # series took 347)
+        gens, order = self.jacobian(DENSE_555)
+        monkeypatch.setattr(groebner, "STEP_LIMIT", 119)
+        expected = staircase(gens, order).leads
+        monkeypatch.setattr(groebner, "STEP_LIMIT", 118)
+        with pytest.raises(ResourceLimitExceeded, match="more than 118 steps"):
+            staircase(gens, order)
+        assert len(expected) == 17
+
+    def test_a_long_series_is_never_built(self, monkeypatch):
+        # L = 4,849,845: the kernel builds the series only once its zero
+        # remainders have cost more steps than the series has coefficients
+        def forbidden(*args):
+            raise AssertionError("the series was built")
+
+        monkeypatch.setattr(groebner, "_complete_intersection_series", forbidden)
+        gens, order = self.jacobian(LONG_SERIES_CUBIC)
+        assert staircase(gens, order).finite

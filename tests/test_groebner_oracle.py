@@ -23,6 +23,11 @@ coefficients, in either order, the kernel must give that engine's verdict,
 minimal leading terms and standard monomials, also when every run starts
 from one-bit fields and must re-pack; on random monomial ideals,
 `standard_monomials` must give the box filter's monomials or the same error.
+On dense equal-weight Jacobians of degrees 5 to 7 the kernel is Hilbert
+driven: it sets pairs aside and is certified by the Milnor number on its
+first pass, and must still give that engine's leading terms, also when every
+run re-packs; on a degenerate Jacobian of the same shape the certificate
+fails, and the set-aside pairs must go back into the loop.
 
 On random quasihomogeneous Jacobian ideals in two and three variables, the
 `Fraction` engine's reduced basis must equal the one `sympy.groebner`
@@ -35,6 +40,7 @@ total degree (x and y^2 under weights (1/2, 1/4)), which changes the basis.
 """
 
 import heapq
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -551,3 +557,121 @@ def test_staircase_matches_the_fraction_engine_when_every_run_repacks(case):
         _check_staircase_against_the_fraction_engine(
             gens, MonomialOrder.weighted_degrevlex(weights))
     assert widths[0] == 1 and len(widths) > 1
+
+
+# ---------------------------------------------------------------------------
+# The Hilbert-driven kernel against the Fraction engine
+# ---------------------------------------------------------------------------
+
+def dense_jacobian(degree: int, seed: int, keep=lambda exps: True):
+    """The Jacobian of a W with every monomial x^a*y^b*z^c of one degree that
+    `keep` accepts, with coefficients in -9..9 drawn from random.Random(seed),
+    and its order under equal weights."""
+    rng = random.Random(seed)
+    terms = {e: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9))
+             for e in product(range(degree + 1), repeat=3) if sum(e) == degree and keep(e)}
+    poly = Polynomial.from_term_map(VARIABLES[:3], terms)
+    return jacobian_ideal(poly), MonomialOrder.weighted_degrevlex(
+        WeightSystem((Fraction(1, degree),) * 3))
+
+
+@pytest.fixture
+def driving(monkeypatch):
+    """Counts the kernel's series builds, its passes of the pair loop (each
+    ends by taking the minimal leads, and only a failed certificate starts
+    another) and its staircase counts (a pass ends with one only when it set
+    a pair aside and its leads bound a finite staircase)."""
+    calls = {"series": 0, "passes": 0, "sizes": 0}
+
+    def counted(name, function):
+        def wrapper(*args):
+            calls[name] += 1
+            return function(*args)
+        return wrapper
+
+    monkeypatch.setattr(engine, "_complete_intersection_series",
+                        counted("series", engine._complete_intersection_series))
+    monkeypatch.setattr(engine, "_minimal_leads", counted("passes", engine._minimal_leads))
+    monkeypatch.setattr(engine, "_staircase_size", counted("sizes", engine._staircase_size))
+    return calls
+
+
+@pytest.fixture(params=[False, True], ids=["default packing", "every run repacks"])
+def widths(request, monkeypatch):
+    """The field widths of the run's packings; with one-bit fields, every
+    run widens them at its inputs and most again while pairs are queued or
+    set aside."""
+    recorded = []
+    if request.param:
+        init = engine._Packing.__init__
+
+        def recording(self, weights, width):
+            recorded.append(width)
+            init(self, weights, width)
+
+        monkeypatch.setattr(engine, "_FIELD_BITS", 1)
+        monkeypatch.setattr(engine._Packing, "__init__", recording)
+    return recorded
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("degree", [5, 6, 7])
+def test_hilbert_driven_staircase_matches_the_fraction_engine_on_dense_jacobians(
+        driving, widths, degree, seed):
+    # dense equal-weight W waste steps on zero remainders early, so the run
+    # builds the series, sets pairs aside and is certified on its first pass
+    gens, order = dense_jacobian(degree, seed)
+    _check_staircase_against_the_fraction_engine(gens, order)
+    assert driving == {"series": 1, "passes": 1, "sizes": 1}
+    assert staircase(gens, order).finite
+    assert widths == [] or (widths[0] == 1 and len(widths) > 1)
+
+
+def test_degenerate_complete_intersection_falls_back(driving, widths):
+    # three homogeneous partials in three variables, but every monomial of W
+    # has degree 2 or more in x and y, so the z-axis is critical: pairs
+    # above the socle grade are set aside, the staircase is not finite, the
+    # certificate fails and the set-aside pairs go back into the loop
+    gens, order = dense_jacobian(5, 0, keep=lambda e: e[0] + e[1] >= 2)
+    assert len(gens) == 3
+    _check_staircase_against_the_fraction_engine(gens, order)
+    assert driving == {"series": 1, "passes": 2, "sizes": 0}
+    assert not staircase(gens, order).finite
+    assert widths == [] or (widths[0] == 1 and len(widths) > 1)
+
+
+def test_set_aside_pairs_are_repacked_when_the_fields_widen(monkeypatch):
+    # from 6-bit fields, this degenerate run widens them while pairs are
+    # set aside, and its fallback then processes those pairs: the run must
+    # take exactly the steps it takes at the default width
+    gens, order = dense_jacobian(9, 0, keep=lambda e: e[0] + e[1] >= 2)
+    events = []
+    series, init = engine._complete_intersection_series, engine._Packing.__init__
+    normal_form_dict = engine._normal_form_dict
+
+    def recorded_series(*args):
+        events.append("series")
+        return series(*args)
+
+    def recorded_init(self, weights, width):
+        events.append(width)
+        init(self, weights, width)
+
+    def recorded_division(poly, basis, packing, spent):
+        remainder, after = normal_form_dict(poly, basis, packing, spent)
+        steps.append((spent, after, bool(remainder)))
+        return remainder, after
+
+    monkeypatch.setattr(engine, "_complete_intersection_series", recorded_series)
+    monkeypatch.setattr(engine._Packing, "__init__", recorded_init)
+    monkeypatch.setattr(engine, "_normal_form_dict", recorded_division)
+    steps = []
+    expected = staircase(gens, order)
+    default_steps = steps
+    steps = []
+    events.clear()
+    monkeypatch.setattr(engine, "_FIELD_BITS", 6)
+    found = staircase(gens, order)
+    assert events.index("series") < len(events) - 1  # a widening after it
+    assert found == expected and not found.finite
+    assert steps == default_steps

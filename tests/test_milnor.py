@@ -237,16 +237,18 @@ class TestSeriesAgainstBasis:
                                       "x^3*y + y^2*z + z^4*x", "x^4 + y^4 + x^3*y"])
     @pytest.mark.parametrize("mutant", ["drop a factor", "truncate early"])
     def test_wrong_series_is_caught_when_the_basis_is_read(self, monkeypatch, text, mutant):
-        original = milnor._milnor_series
+        # the series lives in groebner, where both bmodel and the kernel
+        # read it; the kernel's certificate does not trust it
+        original = groebner._complete_intersection_series
 
-        def wrong(integer_weights, scale):
-            series = original(integer_weights, scale)
+        def wrong(grades, weights):
+            series = original(grades, weights)
             if mutant == "drop a factor":
-                short = original(integer_weights[:-1], scale)
+                short = original(grades[:-1], weights[:-1])
                 return short + [0] * (len(series) - len(short))
             return series[:-1]
 
-        monkeypatch.setattr(milnor, "_milnor_series", wrong)
+        monkeypatch.setattr(groebner, "_complete_intersection_series", wrong)
         model = bmodel(parse_polynomial(text))
         with pytest.raises(LgmkError, match="but the series counts"):
             model.basis
@@ -276,9 +278,9 @@ class TestSeriesBound:
         assert prod(bounds) == 4_976_640 < groebner.STANDARD_MONOMIAL_BOX_LIMIT
 
         def forbidden(*args):
-            raise AssertionError("_milnor_series was called")
+            raise AssertionError("_complete_intersection_series was called")
 
-        monkeypatch.setattr(milnor, "_milnor_series", forbidden)
+        monkeypatch.setattr(groebner, "_complete_intersection_series", forbidden)
         with pytest.raises(ResourceLimitExceeded, match="108423999 coefficients"):
             bmodel(poly)
 
