@@ -171,21 +171,21 @@ def _invariant_monomials(fix, generators, exponent, poly, weights):
     return standard_monomials(found, invariant_lasts)
 
 
-def _invariant_count(fix, moved_counts, order, weights) -> int:
+def _invariant_count(fix, moved_bits, order, weights) -> int:
     """Number of invariant monomials on the locus fix, from the characters:
-    moved_counts maps each moved pattern (a tuple of bools) to its number of
-    group elements.  Exact because the restriction to fix is nondegenerate
-    (the lemma in `amodel`); raises LgmkError if the average is not a
-    nonnegative integer."""
+    moved_bits maps each moved pattern (a mask whose bit i is set when the
+    element moves x_i) to its number of group elements.  Exact because the
+    restriction to fix is nondegenerate (the lemma in `amodel`); raises
+    LgmkError if the average is not a nonnegative integer."""
     # 1/q_i - 1 = (L - w_i)/w_i, so over the denominator order * prod w_i a
     # fixed i contributes L - w_i, a moved one -w_i
     scale, integer_weights = weights.integer_form
     total = 0
-    for moved, n in moved_counts.items():
+    for bits, n in moved_bits.items():
         term = n
         for i in fix:
             w = integer_weights[i]
-            term *= -w if moved[i] else scale - w
+            term *= -w if bits >> i & 1 else scale - w
         total += term
     count, remainder = divmod(total, order * prod(integer_weights[i] for i in fix))
     if remainder or count < 0:
@@ -238,10 +238,8 @@ def amodel(poly: Polynomial, group: SymmetryGroup) -> AModel:
         keys = list(map(add, keys, map(table.__getitem__, column)))
     mask = (1 << n) - 1
     moved_bits = Counter(map(mask.__and__, keys))
-    moved_counts = {tuple(bool(bits >> i & 1) for i in range(n)): count
-                    for bits, count in moved_bits.items()}
     loci = {bits: frozenset(i for i in range(n) if not bits >> i & 1) for bits in moved_bits}
-    locus_counts = {fix: _invariant_count(fix, moved_counts, group.order, weights)
+    locus_counts = {fix: _invariant_count(fix, moved_bits, group.order, weights)
                     for fix in loci.values()}
     # elements with one key share their locus and their degree
     counts: Counter[int] = Counter()

@@ -67,13 +67,14 @@ pairs wait; the run's answer rests on this certificate.
     monomial ideals are equal.  Their minimal generators, the staircase, are
     then what the full loop would return.
 
-A run whose pairs were set aside and whose leads fail the certificate, as
-a degenerate W's always do, puts those pairs back into the same loop, with
-the driving off.  So the leads, `finite` and every listing stay exactly
-those of the undriven loop.  The chain criterion may rest on a set-aside
-pair, taken as reduced to zero; a pair it skips that way waits with the
-set-aside ones, so the fallback checks it too.  A set-aside pair takes a
-step only when that fallback processes it.
+Once the series is built, a pair the chain criterion skips waits with the
+set-aside ones too, since that criterion may rest on a set-aside pair,
+taken as reduced to zero.  A certified run drops them all.  A run whose
+leads fail the certificate, as a degenerate W's always do, puts them all
+back into the same loop, with the driving off, and that loop's chain
+criterion decides them again.  So the leads, `finite` and every listing
+stay exactly those of the undriven loop.  A set-aside pair takes a step
+only when that fallback processes it.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm, prod
 from operator import mul, sub
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from .errors import NotFiniteDimensional, ResourceLimitExceeded
 
@@ -424,8 +425,9 @@ def staircase(gens: list[Polynomial], order: MonomialOrder) -> Staircase:
     leading terms decide zero-dimensionality (`Staircase.finite`) and the
     standard monomials, and no coefficient of a reduced basis is needed for
     either.  A complete intersection candidate is Hilbert driven (see the
-    module docstring): a pair whose grade is already complete is set aside,
-    and set-aside pairs are processed only if the certificate fails.
+    module docstring): once its series is built, a pair whose grade is
+    already complete is set aside, and so is every chain skip; the
+    set-aside pairs are processed only if the certificate fails.
     """
     if not gens:
         raise ValueError("no generators given")
@@ -442,21 +444,20 @@ def staircase(gens: list[Polynomial], order: MonomialOrder) -> Staircase:
 
     # Hilbert driving (see the module docstring).  The series is built, and
     # the driving starts, once the run's zero remainders have cost more
-    # steps than the series has coefficients (`start`, the series' last
-    # grade sum(e_i - w_i), taken at the first zero remainder).  So the
-    # bookkeeping costs no more than the waste it is there to remove, a run
-    # without zero remainders pays nothing, and no series is longer than
-    # STEP_LIMIT, however large the lcm of the weights.  After that each
-    # grade is counted once, by a walk over its monomials: about the work
-    # of one dense reduction at that grade.
-    inputs = len(basis)
-    degrees: list[int] | None = None
+    # steps than the series has coefficients, `start` = sum(e_i - w_i) on a
+    # candidate; the other inputs never build it.  So the bookkeeping costs
+    # no more than the waste it is there to remove, a run without zero
+    # remainders pays nothing, and no series is longer than STEP_LIMIT,
+    # however large the lcm of the weights.  After that each grade is
+    # counted once, by a walk over its monomials: about the work of one
+    # dense reduction at that grade.
+    degrees = _candidate_grades(basis, leads, n, packing)
+    start = STEP_LIMIT if degrees is None else sum(degrees) - sum(weights)
     series: list[int] | None = None
-    # the queue entries of the pairs set aside, and those pairs: each is
-    # taken as reduced to zero, which the certificate proves or the
-    # fallback checks; a chain skip that rests on one waits with them
+    # the queue entries of the pairs set aside and of the chain skips once
+    # the series is built: each is taken as reduced to zero, which the
+    # certificate proves or the fallback checks
     aside: list[tuple[int, int, int, int]] = []
-    tainted: set[tuple[int, int]] = set()
     # the grade of the pairs being popped and its standard monomials under
     # the leads; None above the series' last grade plus the largest weight,
     # where no pair is reduced
@@ -508,7 +509,6 @@ def staircase(gens: list[Polynomial], order: MonomialOrder) -> Staircase:
                 if count_now is None or count_now == (
                         series[grade] if grade < len(series) else 0):
                     aside.append(entry)
-                    tainted.add((i, j))
                     continue
             spent += 1
             if spent > STEP_LIMIT:
@@ -526,26 +526,18 @@ def staircase(gens: list[Polynomial], order: MonomialOrder) -> Staircase:
                     skip = True
                     break
             if skip:
-                if tainted and ((min(i, k), max(i, k)) in tainted
-                                or (min(j, k), max(j, k)) in tainted):
-                    # the skip rests on a pair set aside, so it waits with it
-                    aside.append(entry)
-                    tainted.add((i, j))
+                if series is not None:
+                    aside.append(entry)  # it may rest on a pair set aside
                 continue
             s_poly = _s_polynomial(basis[i], leads[i], basis[j], leads[j], top)
             before = spent
             remainder, spent = _normal_form_dict(s_poly, list(zip(basis, leads)),
                                                  packing, spent)
             if not remainder:
-                if not wasted:
-                    start = sum((lead + packing.mask) >> packing.shift
-                                for lead in leads[:inputs]) - sum(weights)
                 wasted += spent - before + 1  # the pair and its cancelled terms
                 if wasted > start:
-                    degrees = _candidate_grades(basis[:inputs], leads[:inputs], n, packing)
-                    if degrees is not None:
-                        series = _complete_intersection_series(degrees, weights)
-                    start = STEP_LIMIT  # checked once: wasted never passes it
+                    series = _complete_intersection_series(degrees, weights)
+                    start = STEP_LIMIT  # built once: wasted never passes it
                 continue
             lead = max(remainder)
             basis.append(_primitive(remainder, lead))
@@ -565,7 +557,6 @@ def staircase(gens: list[Polynomial], order: MonomialOrder) -> Staircase:
         heap[:] = aside
         heapq.heapify(heap)
         aside.clear()
-        tainted.clear()
     return Staircase(tuple(minimal), order, variables)
 
 
@@ -586,17 +577,30 @@ def _pure_power_bounds(leads, n: int) -> list[int] | None:
     return bounds
 
 
-def _staircase_size(leads, n: int) -> int:
-    """The number of standard monomials under a finite staircase in n >= 1
-    variables: the walk of `standard_monomials`, counted without a listing."""
+def _rows(leads, n: int) -> Iterator[tuple[Exps, int]]:
+    """The walk of a finite staircase in n >= 1 variables, one variable at a
+    time: each prefix of the first n - 1 exponents under it, ascending, with
+    the stop below which its last exponent stays standard."""
 
-    def count(i: int, active: list[Exps]) -> int:
+    def walk(prefix: Exps, active: list[Exps]) -> Iterator[tuple[Exps, int]]:
+        # active: the leading terms whose first len(prefix) exponents divide
+        # prefix.  One that is zero past position i divides every extension
+        # whose exponent i reaches its own, so exponent i stops below the least.
+        i = len(prefix)
         stop = min(lt[i] for lt in active if not any(lt[i + 1:]))
         if i == n - 1:
-            return stop
-        return sum(count(i + 1, [lt for lt in active if lt[i] <= e]) for e in range(stop))
+            yield prefix, stop
+            return
+        for e in range(stop):
+            yield from walk(prefix + (e,), [lt for lt in active if lt[i] <= e])
 
-    return count(0, list(leads))
+    return walk((), leads)
+
+
+def _staircase_size(leads, n: int) -> int:
+    """The number of standard monomials under a finite staircase in n >= 1
+    variables, counted without a listing."""
+    return sum(stop for _, stop in _rows(leads, n))
 
 
 def standard_monomials(basis: Staircase,
@@ -624,25 +628,10 @@ def standard_monomials(basis: Staircase,
         raise ResourceLimitExceeded(
             f"the standard monomials lie in a box of {box} exponent tuples, "
             f"more than the limit of {STANDARD_MONOMIAL_BOX_LIMIT}")
-    found: list[Exps] = []
-
-    def walk(prefix: Exps, active: list[Exps]) -> None:
-        # active: the leading terms whose first len(prefix) exponents divide
-        # prefix.  One that is zero past position i divides every extension
-        # whose exponent i reaches its own, so exponent i stops below the least.
-        i = len(prefix)
-        stop = min(lt[i] for lt in active if not any(lt[i + 1:]))
-        if i == n - 1:
-            found.extend(prefix + (e,) for e in (range(stop) if last is None
-                                                  else last(prefix, stop)))
-            return
-        for e in range(stop):
-            walk(prefix + (e,), [lt for lt in active if lt[i] <= e])
-
-    if n:
-        walk((), leads)
-    else:
-        found.append(())
+    if not n:
+        return [_monomial(())]
+    found = [prefix + (e,) for prefix, stop in _rows(leads, n)
+             for e in (range(stop) if last is None else last(prefix, stop))]
     # every grade in the box is below its corner's
     weights = _grade_weights(basis.order, n)
     found.sort(key=_Packing(weights, _FIELD_BITS).fit(sum(map(mul, bounds, weights))).pack)

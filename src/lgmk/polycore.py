@@ -443,7 +443,8 @@ def _critical_axis(matrix: ExponentMatrix) -> bool:
     (a >= 1) and of x_i^a * x_k (k != i), distinct terms of distinct
     partials, so if every row has degree 2 or more off x_i, all partials
     vanish on that axis."""
-    return any(all(sum(row) - row[i] >= 2 for row in matrix.rows)
+    rows = [(row, sum(row)) for row in matrix.rows]
+    return any(all(degree - row[i] >= 2 for row, degree in rows)
                for i in range(matrix.n))
 
 

@@ -85,6 +85,9 @@ KNOWN = [
     (["amodel", "x^3+y^3", "1/3,-1/3"], 4),
     (["amodel", "x^3+y^3", "2/6,0"], 4),
     (["amodel", "x^3+y^3", "1/3,1/3;1/2,0"], 4),
+    # a Fermat sum of 1,500 squares: the degeneracy test reads each row's
+    # degree once, not once per variable
+    (["weights", "+".join(f"x{i}^2" for i in range(1, 1501))], 0),
 ]
 
 

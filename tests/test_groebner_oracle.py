@@ -26,8 +26,10 @@ from one-bit fields and must re-pack; on random monomial ideals,
 On dense equal-weight Jacobians of degrees 5 to 7 the kernel is Hilbert
 driven: it sets pairs aside and is certified by the Milnor number on its
 first pass, and must still give that engine's leading terms, also when every
-run re-packs; on a degenerate Jacobian of the same shape the certificate
-fails, and the set-aside pairs must go back into the loop.
+run re-packs; on degenerate Jacobians of the same shape the certificate
+fails, and the set-aside pairs and chain skips must go back into the loop,
+which then reduces exactly the S-pairs of the loop without the series.  An
+input that is no complete intersection candidate builds no series.
 
 On random quasihomogeneous Jacobian ideals in two and three variables, the
 `Fraction` engine's reduced basis must equal the one `sympy.groebner`
@@ -638,6 +640,61 @@ def test_degenerate_complete_intersection_falls_back(driving, widths):
     assert driving == {"series": 1, "passes": 2, "sizes": 0}
     assert not staircase(gens, order).finite
     assert widths == [] or (widths[0] == 1 and len(widths) > 1)
+
+
+@pytest.fixture
+def reductions(monkeypatch):
+    """Counts the kernel's reductions and those that end in zero."""
+    counts = {"reductions": 0, "zero": 0}
+    normal_form_dict = engine._normal_form_dict
+
+    def counted(*args):
+        remainder, spent = normal_form_dict(*args)
+        counts["reductions"] += 1
+        counts["zero"] += not remainder
+        return remainder, spent
+
+    monkeypatch.setattr(engine, "_normal_form_dict", counted)
+    return counts
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize("degree,reduced", [(4, 17), (5, 28), (6, 43)])
+def test_degenerate_complete_intersections_fall_back_with_the_plain_loop_reductions(
+        reductions, driving, widths, degree, seed, reduced):
+    # the z-axis is critical, so every pass that built the series fails its
+    # certificate; the pairs set aside and the chain skips that waited with
+    # them go back into the loop, which reduces exactly the S-pairs the loop
+    # without the series reduces
+    gens, order = dense_jacobian(degree, seed, keep=lambda e: e[0] + e[1] >= 2)
+    found = staircase(gens, order)
+    assert reductions["reductions"] == reduced and not found.finite
+    assert driving == {"series": 1, "passes": 2, "sizes": 0}
+    _check_staircase_against_the_fraction_engine(gens, order)
+    assert widths == [] or (widths[0] == 1 and len(widths) > 1)
+
+
+def _with_terms(poly: Polynomial, terms: dict[Exps, Fraction]) -> Polynomial:
+    merged = dict(poly.term_map())
+    for e, c in terms.items():
+        merged[e] = merged.get(e, 0) + c
+    return Polynomial.from_term_map(poly.variables, merged)
+
+
+@pytest.mark.parametrize("shape", ["n + 1 generators", "a generator not homogeneous"])
+def test_a_non_candidate_builds_no_series(reductions, driving, shape):
+    # the dense Jacobian alone builds its series; with a fourth generator
+    # f_1 + f_2, or with x added to f_3, it is no complete intersection
+    # candidate, and however much its zero remainders cost, it builds none
+    gens, order = dense_jacobian(6, 0)
+    if shape == "n + 1 generators":
+        gens = gens + [_with_terms(gens[0], gens[1].term_map())]
+    else:
+        gens = gens[:2] + [_with_terms(gens[2], {(1, 0, 0): Fraction(1)})]
+    staircase(gens, order)
+    assert reductions["zero"] > 20
+    assert driving == {"series": 0, "passes": 1, "sizes": 0}
+    _check_staircase_against_the_fraction_engine(gens, order)
 
 
 def test_set_aside_pairs_are_repacked_when_the_fields_widen(monkeypatch):
