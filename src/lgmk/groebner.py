@@ -33,8 +33,9 @@ S-polynomials scale by the lcm of the two leading coefficients, and
 `_normal_form_dict` pseudo-divides, scaling the polynomial it reduces
 instead of dividing by a leading coefficient.
 
-`staircase` is the only entry point and the only product: it runs the pair
-loop and returns the minimal leading terms, which decide whether the
+`staircase` is the only entry point and the only product: it takes
+polynomials, or integer term maps as polycore's Jacobians are made, runs the
+pair loop and returns the minimal leading terms, which decide whether the
 quotient is finite dimensional and which monomials span it.  No basis is
 interreduced and no coefficient leaves the loop.  One counter bounds both
 loops: every S-pair processed and every term a reduction cancels is one
@@ -43,6 +44,15 @@ step, and a run of more than STEP_LIMIT steps raises ResourceLimitExceeded.
 and walks the staircase under the leading terms, one variable at a time.
 That box rule guards listings only: the graded tables of `bmodel` and
 `amodel` are counted without a standard monomial.
+
+Pairs are pruned where they are made, by Gebauer and Moeller's update (On
+an installation of Buchberger's algorithm, JSC 6, 1988).  A new lead h makes
+no pair with a lead whose support, a bitmask, misses its own: coprime leads
+reduce to zero.  Of its other pairs, criteria M and F keep one only if no
+kept one's lcm divides its own, and B_k drops each waiting pair (f, g) whose
+lcm h divides unless it is lcm(f, h) or lcm(g, h).  Each is the chain
+criterion, resting on the lcms of pairs coprime, processed or waiting, and
+never on the result of a pair.
 
 The loop is Hilbert driven (Traverso 1997, Hilbert functions and the
 Buchberger algorithm, JSC 22) on a complete intersection candidate: n
@@ -67,14 +77,14 @@ pairs wait; the run's answer rests on this certificate.
     monomial ideals are equal.  Their minimal generators, the staircase, are
     then what the full loop would return.
 
-Once the series is built, a pair the chain criterion skips waits with the
-set-aside ones too, since that criterion may rest on a set-aside pair,
-taken as reduced to zero.  A certified run drops them all.  A run whose
-leads fail the certificate, as a degenerate W's always do, puts them all
-back into the same loop, with the driving off, and that loop's chain
-criterion decides them again.  So the leads, `finite` and every listing
-stay exactly those of the undriven loop.  A set-aside pair takes a step
-only when that fallback processes it.
+A set-aside pair is only postponed: it waits in `aside`, where B_k can
+still drop it, so the queue and `aside` hold every pair GM has neither
+processed nor deleted.  A certified run drops `aside`.  A run whose leads
+fail the certificate, as a degenerate W's always do, re-queues `aside` and
+goes on undriven: from there it is GM Buchberger under another selection
+order, which is correct for every order, so its minimal leads (those of
+in(J)), `finite` and every listing are the undriven loop's.  A set-aside
+pair takes a step only when that fallback processes it.
 """
 
 from __future__ import annotations
@@ -415,89 +425,96 @@ def _candidate_grades(basis: list[TermDict], leads: list[int], n: int,
     return grades
 
 
-def staircase(gens: list[Polynomial], order: MonomialOrder) -> Staircase:
-    """The minimal leading terms of a Groebner basis of the ideal of gens.
-
-    Pair selection is the normal strategy (smallest lcm in the order); the
-    coprime and chain criteria prune useless pairs.  Each S-pair processed
-    and each term a reduction cancels is one step, and a run raises
-    ResourceLimitExceeded once it has taken more than STEP_LIMIT steps.  The
-    leading terms decide zero-dimensionality (`Staircase.finite`) and the
-    standard monomials, and no coefficient of a reduced basis is needed for
-    either.  A complete intersection candidate is Hilbert driven (see the
-    module docstring): once its series is built, a pair whose grade is
-    already complete is set aside, and so is every chain skip; the
-    set-aside pairs are processed only if the certificate fails.
-    """
+def staircase(gens: list[Polynomial] | list[dict[Exps, int]], order: MonomialOrder,
+              variables: tuple[str, ...] | None = None) -> Staircase:
+    """The minimal leading terms of a Groebner basis of the ideal of gens,
+    polynomials or integer term maps (exponent tuple -> int) over
+    `variables`: the normal strategy, Gebauer and Moeller's update and, on a
+    complete intersection candidate, Hilbert driving (see the module
+    docstring).  Raises ResourceLimitExceeded past STEP_LIMIT steps."""
     if not gens:
         raise ValueError("no generators given")
-    variables = gens[0].variables
-    if any(g.variables != variables for g in gens):
-        raise ValueError("generators must share one ambient variable list")
+    if variables is None:
+        variables = gens[0].variables
+        if any(g.variables != variables for g in gens):
+            raise ValueError("generators must share one ambient variable list")
+        gens = [_cleared(g.term_map()) for g in gens]
     n = len(variables)
     weights = _grade_weights(order, n)
-    packing, basis = _packed([_cleared(g.term_map()) for g in gens if not g.is_zero()],
-                             weights)
+    packing, basis = _packed([d for d in gens if d], weights)
     leads = [max(d) for d in basis]
     basis = [_primitive(d, lead) for d, lead in zip(basis, leads)]
     lead_exps = [packing.unpack(lead) for lead in leads]
+    masks: list[int] = []  # the support of each lead: bit i for x_i
 
-    # Hilbert driving (see the module docstring).  The series is built, and
-    # the driving starts, once the run's zero remainders have cost more
-    # steps than the series has coefficients, `start` = sum(e_i - w_i) on a
-    # candidate; the other inputs never build it.  So the bookkeeping costs
-    # no more than the waste it is there to remove, a run without zero
-    # remainders pays nothing, and no series is longer than STEP_LIMIT,
-    # however large the lcm of the weights.  After that each grade is
-    # counted once, by a walk over its monomials: about the work of one
-    # dense reduction at that grade.
+    # Hilbert driving (see the module docstring) starts once the run's zero
+    # remainders have cost more steps than the series has coefficients,
+    # `start` = sum(e_i - w_i) on a candidate.  So the bookkeeping costs no
+    # more than the waste it removes, a run without zero remainders pays
+    # nothing, and no series is longer than STEP_LIMIT, however large the
+    # lcm of the weights.  Then each grade is counted once, by a walk over
+    # its monomials: about the work of one dense reduction at that grade.
     degrees = _candidate_grades(basis, leads, n, packing)
     start = STEP_LIMIT if degrees is None else sum(degrees) - sum(weights)
     series: list[int] | None = None
-    # the queue entries of the pairs set aside and of the chain skips once
-    # the series is built: each is taken as reduced to zero, which the
-    # certificate proves or the fallback checks
-    aside: list[tuple[int, int, int, int]] = []
-    # the grade of the pairs being popped and its standard monomials under
-    # the leads; None above the series' last grade plus the largest weight,
-    # where no pair is reduced
+    # the pairs set aside once the series is built, each taken as reduced to
+    # zero, which the certificate proves or the fallback checks
+    aside: list[tuple[int, int, int]] = []
+    # the grade being popped and its standard monomials under the leads;
+    # None above the series' last grade plus the largest weight
     grade_now, count_now = -1, None
 
-    pending: set[tuple[int, int]] = set()
-    heap: list = []
-    counter = 0
+    # queue entries (lcm, j, i) of the pairs (i, j), i < j: of equal lcms, F
+    # keeps one per new lead, so the pair made first pops first
+    heap: list[tuple[int, int, int]] = []
 
-    def push_pairs(new: int) -> None:
-        # the pairs (k, new), keyed by their lcms, after widening the fields
-        # to hold the largest of them
-        nonlocal counter, packing
-        tops = [tuple(map(max, lead_exps[k], lead_exps[new])) for k in range(new)]
+    def update(new: int) -> None:
+        # Gebauer-Moeller: the pairs (k, new) of leads that are not coprime,
+        # keyed by their lcms after widening the fields to hold the largest;
+        # then B_k, and M and F in ascending lcm order
+        nonlocal packing
+        masks.append(sum(1 << i for i, e in enumerate(lead_exps[new]) if e))
+        near = [k for k in range(new) if masks[k] & masks[new]]
+        tops = [tuple(map(max, lead_exps[k], lead_exps[new])) for k in near]
         grades = [sum(map(mul, top, weights)) for top in tops]
         wider = packing.fit(max(grades, default=0))
         if wider is not packing:
-            repack = wider.pack
-            unpack = packing.unpack
+            repack, unpack = wider.pack, packing.unpack
             basis[:] = [{repack(unpack(e)): c for e, c in d.items()} for d in basis]
             leads[:] = [repack(unpack(lead)) for lead in leads]
-            # the order is kept, so the heap stays a heap
-            heap[:] = [(repack(unpack(top)), *rest) for top, *rest in heap]
-            aside[:] = [(repack(unpack(top)), *rest) for top, *rest in aside]
+            for queue in (heap, aside):  # the order is kept: a heap stays one
+                queue[:] = [(repack(unpack(top)), *rest) for top, *rest in queue]
             packing = wider
-        shift, places = packing.shift, packing.places
-        for k, (top, grade) in enumerate(zip(tops, grades)):
-            pending.add((k, new))
-            heapq.heappush(heap, ((grade << shift) - sum(map(mul, top, places)),
-                                  counter, k, new))
-            counter += 1
+        shift, places, guard, mask = packing.shift, packing.places, packing.guard, packing.mask
+        lcms = {k: (grade << shift) - sum(map(mul, top, places))
+                for k, top, grade in zip(near, tops, grades)}
+        lead = leads[new]
+        field = -lead & mask
+
+        def covered(entry) -> bool:
+            # a coprime pair's lcm is the sum of its packed leads; it is
+            # read only when the new lead divides top, which then holds it
+            top, j, i = entry
+            return ((-top & mask | guard) - field) & guard == guard and \
+                top != lcms.get(i, leads[i] + lead) and top != lcms.get(j, leads[j] + lead)
+
+        heap[:] = [entry for entry in heap if not covered(entry)]
+        heapq.heapify(heap)
+        aside[:] = [entry for entry in aside if not covered(entry)]
+        chosen: list[int] = []
+        for top, k in sorted((top, k) for k, top in lcms.items()):
+            fields = -top & mask | guard
+            if all((fields - (-other & mask)) & guard != guard for other in chosen):
+                chosen.append(top)
+                heapq.heappush(heap, (top, new, k))
 
     for j in range(len(basis)):
-        push_pairs(j)
+        update(j)
 
     spent = wasted = 0
     while True:
         while heap:
-            top, _, i, j = entry = heapq.heappop(heap)
-            pending.remove((i, j))  # pushed once, and again only by a fallback
+            top, j, i = entry = heapq.heappop(heap)
             if series is not None:
                 # pairs pop in ascending grade, since every remainder is
                 # homogeneous of its pair's grade
@@ -513,22 +530,6 @@ def staircase(gens: list[Polynomial], order: MonomialOrder) -> Staircase:
             spent += 1
             if spent > STEP_LIMIT:
                 raise _step_limit_exceeded()
-            if top == leads[i] + leads[j]:
-                continue  # coprime leading terms reduce to zero
-            guard, mask = packing.guard, packing.mask
-            top_exps = -top & mask | guard
-            skip = False
-            for k, lead in enumerate(leads):
-                if k == i or k == j or (top_exps - (-lead & mask)) & guard != guard:
-                    continue  # only a third leading term dividing top can chain
-                if (min(i, k), max(i, k)) not in pending and \
-                   (min(j, k), max(j, k)) not in pending:
-                    skip = True
-                    break
-            if skip:
-                if series is not None:
-                    aside.append(entry)  # it may rest on a pair set aside
-                continue
             s_poly = _s_polynomial(basis[i], leads[i], basis[j], leads[j], top)
             before = spent
             remainder, spent = _normal_form_dict(s_poly, list(zip(basis, leads)),
@@ -545,7 +546,7 @@ def staircase(gens: list[Polynomial], order: MonomialOrder) -> Staircase:
             lead_exps.append(packing.unpack(lead))
             if count_now is not None:
                 count_now -= 1  # the new lead was standard, of this grade
-            push_pairs(len(basis) - 1)
+            update(len(basis) - 1)
         minimal = [packing.unpack(lead) for lead in _minimal_leads(leads, packing)]
         if not aside or _unit(minimal) or (
                 _pure_power_bounds(minimal, n) is not None
@@ -553,7 +554,6 @@ def staircase(gens: list[Polynomial], order: MonomialOrder) -> Staircase:
             break
         # not certified: the set-aside pairs go back into the loop
         series = None
-        pending.update((i, j) for _, _, i, j in aside)
         heap[:] = aside
         heapq.heapify(heap)
         aside.clear()

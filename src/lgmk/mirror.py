@@ -79,6 +79,10 @@ TAIL_LIMIT = 10**6
 # with m; above it a target is answered only by the every-m certificate,
 # summed to the term delta^K/K! of its exponential series.
 SEARCH_VARS_LIMIT = 500
+# The most subsets of weight-one monomials `enumerate_admissible_supports`
+# tries, each classified in turn: 8,178 (a pool of 13 in two variables) took
+# about 5 s on a 2-core host.
+SUPPORT_SUBSET_LIMIT = 10**4
 _EVERY_M_TERMS = 40
 
 # The odd primes below 128 with their quadratic residues: the pool from
@@ -664,11 +668,18 @@ def enumerate_admissible_supports(weights: WeightSystem) -> list[Polynomial]:
     all-ones representative becomes one output polynomial.  Nondegeneracy is
     only tested at coefficients one, which matches how example polynomials
     are usually written; genericity in the coefficients is not analyzed.
+    Raises ResourceLimitExceeded, before any is tried, when there are more
+    than SUPPORT_SUBSET_LIMIT such subsets.
     """
     _require_halved(weights)
     n = len(weights)
     names = _default_variables(n)
     pool = _monomials_of_weight_one(weights)
+    subsets = 2 ** len(pool) - sum(math.comb(len(pool), k) for k in range(n))
+    if subsets > SUPPORT_SUBSET_LIMIT:
+        raise ResourceLimitExceeded(
+            f"the supports lie among {subsets} subsets of {len(pool)} weight-one "
+            f"monomials, more than the limit of {SUPPORT_SUBSET_LIMIT}")
     found = []
     for size in range(n, len(pool) + 1):
         for combo in combinations(pool, size):

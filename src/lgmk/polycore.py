@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
+from math import lcm
 from operator import mul
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -448,20 +449,27 @@ def _critical_axis(matrix: ExponentMatrix) -> bool:
                for i in range(matrix.n))
 
 
+def _integer_partials(poly: Polynomial) -> tuple[int, list[dict[Exps, int]]]:
+    """The lcm D of poly's coefficient denominators and the n partial
+    derivatives of D * poly, as integer term maps.  Lowering exponent i by
+    one sends distinct terms with x_i to distinct terms, so no two collect."""
+    den = lcm(*(c.denominator for c, _ in poly.terms))
+    partials: list[dict[Exps, int]] = [{} for _ in poly.variables]
+    for c, mono in poly.terms:
+        value = c.numerator * (den // c.denominator)
+        exps = mono.exponents
+        for i, e in enumerate(exps):
+            if e:
+                partials[i][exps[:i] + (e - 1,) + exps[i + 1:]] = value * e
+    return den, partials
+
+
 def jacobian_ideal(poly: Polynomial) -> list[Polynomial]:
     """The n formal partial derivatives of poly, with exact coefficients."""
-    partials = []
-    for i in range(poly.n_variables):
-        term_map = {}
-        for coeff, mono in poly.terms:
-            e = mono.exponents[i]
-            if e:
-                shifted = list(mono.exponents)
-                shifted[i] = e - 1
-                key = tuple(shifted)
-                term_map[key] = term_map.get(key, Fraction(0)) + coeff * e
-        partials.append(Polynomial.from_term_map(poly.variables, term_map))
-    return partials
+    den, partials = _integer_partials(poly)
+    return [Polynomial.from_term_map(poly.variables,
+                                     {e: Fraction(c, den) for e, c in d.items()})
+            for d in partials]
 
 
 def jacobian_staircase(poly: Polynomial,
@@ -469,15 +477,16 @@ def jacobian_staircase(poly: Polynomial,
     """Staircase of the Jacobian ideal under weighted degrevlex (plain
     degrevlex when weights is None); None when the Milnor ring is not finite
     dimensional.  `standard_monomials` of the result is the Milnor ring's
-    monomial basis, sorted in the order.  Runs the kernel on every call: the
-    staircase of an admissible W under its weights is `classify(W).staircase`,
-    built once."""
-    gens = [p for p in jacobian_ideal(poly) if not p.is_zero()]
+    monomial basis, sorted in the order.  The kernel gets the integer
+    partials, so no `Polynomial` or `Fraction` is built.  Runs the kernel on
+    every call: the staircase of an admissible W under its weights is
+    `classify(W).staircase`, built once."""
+    gens = [d for d in _integer_partials(poly)[1] if d]
     if not gens:
         return None
     order = (MonomialOrder.degrevlex() if weights is None
              else MonomialOrder.weighted_degrevlex(weights))
-    found = staircase(gens, order)
+    found = staircase(gens, order, poly.variables)
     return found if found.finite else None
 
 

@@ -1,6 +1,8 @@
 """Shared fixtures: the invertible test corpus and the example-table entries."""
 
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -69,6 +71,15 @@ def positive_multiple(a: Polynomial, b: Polynomial) -> bool:
         return True
     ratios = {ta[e] / tb[e] for e in ta}
     return len(ratios) == 1 and ratios.pop() > 0
+
+
+def dense_polynomial(degree: int) -> Polynomial:
+    """Every monomial of one degree in x, y, z, with coefficients 1..9 drawn
+    from random.Random(0): nondegenerate, of weights 1/degree."""
+    rng = random.Random(0)
+    terms = {e: rng.randint(1, 9) for e in product(range(degree + 1), repeat=3)
+             if sum(e) == degree}
+    return Polynomial.from_term_map(("x", "y", "z"), terms)
 
 
 def family_polynomial(n: int) -> Polynomial:

@@ -20,7 +20,7 @@ from lgmk import (
 from lgmk import groebner
 from lgmk.polycore import Monomial, Polynomial
 
-from conftest import kernel_remainder, positive_multiple
+from conftest import dense_polynomial, kernel_remainder, positive_multiple
 
 W13 = MonomialOrder.weighted_degrevlex(WeightSystem((F(1, 3), F(1, 3))))
 W14 = MonomialOrder.weighted_degrevlex(WeightSystem((F(1, 4), F(1, 4))))
@@ -63,14 +63,16 @@ class TestBuchberger:
 
     def test_reduction_steps_count_against_the_limit(self, monkeypatch):
         # the degrevlex Jacobian of d + d*x + x^100 is (1 + x, d + 100*x^99).
-        # Its run processes 3 S-pairs, and reducing the one that is not
-        # coprime, 100*x^98 - d, by 1 + x cancels 98 terms: 101 steps
+        # Its leads x and x^99 make the one pair the run processes; reducing
+        # its S-polynomial, 100*x^98 - d, by 1 + x cancels 98 terms and
+        # leaves the lead d, coprime to both, so no pair is made with it:
+        # 1 + 98 = 99 steps
         gens = jacobian_ideal(parse_polynomial("d + d*x + x^100"))
         order = MonomialOrder.degrevlex()
-        monkeypatch.setattr(groebner, "STEP_LIMIT", 101)
+        monkeypatch.setattr(groebner, "STEP_LIMIT", 99)
         assert staircase(gens, order).leads == ((0, 1), (1, 0))
-        monkeypatch.setattr(groebner, "STEP_LIMIT", 100)
-        with pytest.raises(ResourceLimitExceeded, match="more than 100 steps"):
+        monkeypatch.setattr(groebner, "STEP_LIMIT", 98)
+        with pytest.raises(ResourceLimitExceeded, match="more than 98 steps"):
             staircase(gens, order)
 
     def test_normal_form_adds_one_step_per_cancelled_term(self, monkeypatch):
@@ -377,14 +379,14 @@ class TestHilbertDriving:
         assert len(standard_monomials(found)) == 64
 
     def test_a_set_aside_pair_takes_no_step(self, monkeypatch):
-        # 119 steps: S-pairs processed and terms cancelled, and none for the
-        # pairs the certificate leaves unprocessed (the loop without the
-        # series took 347)
+        # 109 steps: the 17 S-pairs reduced (see above) and the 92 terms
+        # their reductions cancel, and none for the pairs the certificate
+        # leaves unprocessed (the loop without the series took 206)
         gens, order = self.jacobian(DENSE_555)
-        monkeypatch.setattr(groebner, "STEP_LIMIT", 119)
+        monkeypatch.setattr(groebner, "STEP_LIMIT", 109)
         expected = staircase(gens, order).leads
-        monkeypatch.setattr(groebner, "STEP_LIMIT", 118)
-        with pytest.raises(ResourceLimitExceeded, match="more than 118 steps"):
+        monkeypatch.setattr(groebner, "STEP_LIMIT", 108)
+        with pytest.raises(ResourceLimitExceeded, match="more than 108 steps"):
             staircase(gens, order)
         assert len(expected) == 17
 
@@ -397,3 +399,57 @@ class TestHilbertDriving:
         monkeypatch.setattr(groebner, "_complete_intersection_series", forbidden)
         gens, order = self.jacobian(LONG_SERIES_CUBIC)
         assert staircase(gens, order).finite
+
+
+class TestGebauerMoeller:
+    """Pairs are pruned where they are made: a coprime pair is never made,
+    and criteria B_k, M and F drop the rest that a chain covers."""
+
+    def test_a_fermat_sum_of_squares_queues_no_pair(self, monkeypatch):
+        # the partials 2*x_i have pairwise coprime leads, so the run queues
+        # no pair and takes no step
+        poly = parse_polynomial(" + ".join(f"x{i}^2" for i in range(50)))
+        gens = [p for p in jacobian_ideal(poly) if not p.is_zero()]
+        pushed = []
+        monkeypatch.setattr(groebner.heapq, "heappush", lambda heap, entry: pushed.append(entry))
+        monkeypatch.setattr(groebner, "STEP_LIMIT", 0)
+        found = staircase(gens, MonomialOrder.weighted_degrevlex(
+            solve_weights(exponent_matrix(poly))))
+        assert pushed == []
+        assert sorted(found.leads) == sorted(
+            tuple(int(j == i) for j in range(50)) for i in range(50))
+
+    def test_b_k_drops_a_queued_pair_whose_lcm_the_new_lead_divides(self, monkeypatch):
+        # x^2*y and y^2*z queue their pair, of lcm x^2*y^2*z.  The lead x*y*z
+        # divides that lcm and makes pairs of lcms x^2*y*z and x*y^2*z, so
+        # B_k drops the queued pair: only the two new ones are processed
+        processed = []
+        s_polynomial = groebner._s_polynomial
+
+        def recorded(*args):
+            processed.append(args)
+            return s_polynomial(*args)
+
+        monkeypatch.setattr(groebner, "_s_polynomial", recorded)
+        found = staircase([{(2, 1, 0): 1}, {(0, 2, 1): 3}, {(1, 1, 1): -2}],
+                          MonomialOrder.degrevlex(), ("x", "y", "z"))
+        assert found.leads == ((0, 2, 1), (1, 1, 1), (2, 1, 0))
+        assert len(processed) == 2
+
+    @pytest.mark.parametrize("degree,reduced", [(6, 25), (7, 34), (8, 46), (9, 58), (10, 72)])
+    def test_dense_reduction_counts(self, monkeypatch, degree, reduced):
+        # the number of S-pairs the kernel reduces on a dense W of this degree
+        poly = dense_polynomial(degree)
+        reductions = []
+        normal_form_dict = groebner._normal_form_dict
+
+        def counted(*args):
+            reductions.append(args)
+            return normal_form_dict(*args)
+
+        monkeypatch.setattr(groebner, "_normal_form_dict", counted)
+        weights = WeightSystem((F(1, degree),) * 3)
+        found = staircase([p for p in jacobian_ideal(poly) if not p.is_zero()],
+                          MonomialOrder.weighted_degrevlex(weights))
+        assert len(reductions) == reduced
+        assert len(standard_monomials(found)) == (degree - 1) ** 3

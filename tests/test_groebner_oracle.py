@@ -27,8 +27,8 @@ On dense equal-weight Jacobians of degrees 5 to 7 the kernel is Hilbert
 driven: it sets pairs aside and is certified by the Milnor number on its
 first pass, and must still give that engine's leading terms, also when every
 run re-packs; on degenerate Jacobians of the same shape the certificate
-fails, and the set-aside pairs and chain skips must go back into the loop,
-which then reduces exactly the S-pairs of the loop without the series.  An
+fails, and the set-aside pairs must go back into the loop, which then
+reduces exactly the S-pairs of the loop without the series.  An
 input that is no complete intersection candidate builds no series.
 
 On random quasihomogeneous Jacobian ideals in two and three variables, the
@@ -663,9 +663,8 @@ def reductions(monkeypatch):
 def test_degenerate_complete_intersections_fall_back_with_the_plain_loop_reductions(
         reductions, driving, widths, degree, seed, reduced):
     # the z-axis is critical, so every pass that built the series fails its
-    # certificate; the pairs set aside and the chain skips that waited with
-    # them go back into the loop, which reduces exactly the S-pairs the loop
-    # without the series reduces
+    # certificate; the pairs set aside go back into the loop, which reduces
+    # exactly the S-pairs the loop without the series reduces
     gens, order = dense_jacobian(degree, seed, keep=lambda e: e[0] + e[1] >= 2)
     found = staircase(gens, order)
     assert reductions["reductions"] == reduced and not found.finite
@@ -699,9 +698,12 @@ def test_a_non_candidate_builds_no_series(reductions, driving, shape):
 
 def test_set_aside_pairs_are_repacked_when_the_fields_widen(monkeypatch):
     # from 6-bit fields, this degenerate run widens them while pairs are
-    # set aside, and its fallback then processes those pairs: the run must
-    # take exactly the steps it takes at the default width
-    gens, order = dense_jacobian(9, 0, keep=lambda e: e[0] + e[1] >= 2)
+    # set aside (26 of them), and its fallback then processes those pairs:
+    # the run must take exactly the steps it takes at the default width.
+    # Coprime pairs are never made, so only a pair whose leads share a
+    # variable widens the fields; degree 10 is the least of this family
+    # whose run does so after the series is built
+    gens, order = dense_jacobian(10, 0, keep=lambda e: e[0] + e[1] >= 2)
     events = []
     series, init = engine._complete_intersection_series, engine._Packing.__init__
     normal_form_dict = engine._normal_form_dict

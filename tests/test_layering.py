@@ -200,13 +200,14 @@ class TestLayering:
 
 def _count_calls(monkeypatch, module, name):
     """Wrap module.name wherever in the package it is bound, starting from
-    empty memos; returns the list of first arguments it is called with."""
+    empty memos; returns the list of positional argument tuples it is
+    called with."""
     polycore._memoized_classify.cache_clear()
     runs = []
     original = getattr(module, name)
 
     def counted(*args, **kwargs):
-        runs.append(args[0])
+        runs.append(args)
         return original(*args, **kwargs)
 
     for mod_name, mod in list(sys.modules.items()):
@@ -312,7 +313,7 @@ class TestOneRecord:
         assert verdict.__dict__["staircase"] is polycore.classify(poly).staircase
         model.basis
         # the full locus reads the record; each proper locus runs once
-        restricted = [gens[0].variables for gens in buchberger_runs[1:]]
+        restricted = [variables for _, _, variables in buchberger_runs[1:]]
         assert len(restricted) == len(set(restricted)) == loci
         assert all(len(names) < poly.n_variables for names in restricted)
 
@@ -388,7 +389,7 @@ class TestOneEchelon:
         assert len(solves) == 2 and hermite_forms
         assert len(echelons) == len(solves) + len(hermite_forms)
         # the weights read the rows of (A | 1), a Hermite form lattice rows
-        widths = Counter(len(rows[0]) for rows in echelons)
+        widths = Counter(len(rows[0]) for rows, _ in echelons)
         assert widths == {4: len(solves), 3: len(hermite_forms)}
 
 

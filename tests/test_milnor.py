@@ -1,6 +1,7 @@
 import json
 from collections import Counter
 from fractions import Fraction as F
+from itertools import product
 from math import prod
 from pathlib import Path
 
@@ -10,23 +11,29 @@ from hypothesis import strategies as st
 
 from lgmk import (
     GradedDims,
+    GroupElement,
     LgmkError,
+    MonomialOrder,
     NotAdmissibleError,
     ResourceLimitExceeded,
     WeightSystem,
+    amodel,
     bmodel,
     btop_formula,
     enumerate_admissible_supports,
+    gmax,
     is_nondegenerate,
     jacobian_ideal,
     jacobian_staircase,
     parse_polynomial,
+    staircase,
     standard_monomials,
+    subgroups_containing,
 )
 from lgmk import groebner, milnor
 from lgmk.polycore import Polynomial, classify
 
-from conftest import INVERTIBLE_CORPUS_TEXTS, family_polynomial
+from conftest import INVERTIBLE_CORPUS_TEXTS, dense_polynomial, family_polynomial
 
 DATA = Path(__file__).parent / "data"
 
@@ -339,6 +346,93 @@ class TestJacobian:
         assert str(partials[1]) == "4*y^3"
 
 
+def _fraction_partials(poly):
+    """The earlier `jacobian_ideal`, kept verbatim: each partial collected
+    from `Fraction` products."""
+    partials = []
+    for i in range(poly.n_variables):
+        term_map = {}
+        for coeff, mono in poly.terms:
+            e = mono.exponents[i]
+            if e:
+                shifted = list(mono.exponents)
+                shifted[i] = e - 1
+                key = tuple(shifted)
+                term_map[key] = term_map.get(key, F(0)) + coeff * e
+        partials.append(Polynomial.from_term_map(poly.variables, term_map))
+    return partials
+
+
+def _polynomial_route(poly, weights):
+    """The staircase `jacobian_staircase` must give, from the kernel run on
+    the partials as `Polynomial`s."""
+    order = (MonomialOrder.degrevlex() if weights is None
+             else MonomialOrder.weighted_degrevlex(weights))
+    gens = [p for p in jacobian_ideal(poly) if not p.is_zero()]
+    found = staircase(gens, order)
+    return found if found.finite else None
+
+
+@st.composite
+def rational_dense(draw):
+    """Every monomial of one degree in 2 or 3 variables, with nonzero
+    coefficients whose denominators lie in 2..9, and its equal weights."""
+    n, degree = draw(st.integers(2, 3)), draw(st.integers(2, 6))
+    exponents = [e for e in product(range(degree + 1), repeat=n) if sum(e) == degree]
+    coefficient = st.builds(F, st.integers(-9, 9).filter(bool), st.integers(2, 9))
+    terms = {e: draw(coefficient) for e in exponents}
+    return (Polynomial.from_term_map(("x", "y", "z")[:n], terms),
+            WeightSystem((F(1, degree),) * n))
+
+
+class TestIntegerPartials:
+    """`jacobian_staircase` hands the kernel W's partials as integer term
+    maps, cleared over one denominator; `jacobian_ideal` builds its
+    `Polynomial`s from the same partials."""
+
+    def test_jacobian_ideal_keeps_the_derivative_rule_on_the_corpora(self):
+        for poly in _corpus_polynomials():
+            assert jacobian_ideal(poly) == _fraction_partials(poly), str(poly)
+
+    def test_leads_equal_the_polynomial_route_on_the_corpora(self):
+        polys = _corpus_polynomials()
+        assert len(polys) >= 50
+        for poly in polys:
+            for weights in (classify(poly).weights, None):
+                assert jacobian_staircase(poly, weights) == \
+                    _polynomial_route(poly, weights), str(poly)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(rational_dense())
+    def test_leads_equal_the_polynomial_route_on_rational_dense_w(self, case):
+        poly, weights = case
+        assert jacobian_ideal(poly) == _fraction_partials(poly)
+        assert jacobian_staircase(poly, weights) == _polynomial_route(poly, weights)
+
+    def test_a_kernel_run_builds_no_polynomial_and_no_fraction(self, monkeypatch):
+        poly = dense_polynomial(6)
+        weights = WeightSystem((F(1, 6),) * 3)
+        built = []
+        from_term_map = Polynomial.from_term_map
+
+        def counted(*args):
+            built.append(args)
+            return from_term_map(*args)
+
+        new = F.__new__
+
+        def counted_fraction(cls, *args, **kwargs):
+            built.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Polynomial, "from_term_map", staticmethod(counted))
+        monkeypatch.setattr(F, "__new__", counted_fraction)
+        found = jacobian_staircase(poly, weights)
+        monkeypatch.undo()
+        assert built == []
+        assert found == _polynomial_route(poly, weights) and found.finite
+
+
 class TestJacobianStaircase:
     def test_staircase_corners(self):
         poly = parse_polynomial("x^4 + y^4 + x^3*y")
@@ -405,6 +499,13 @@ class TestFormulas:
             reader(WeightSystem((F(1, 3), F(2, 3))))
 
 
+def _symmetric(graded):
+    """True iff the table is symmetric about half its top degree, as the
+    Milnor ring's and the FJRW pairings make every table."""
+    top = graded.top_degree()
+    return all(graded.dim_at(top - degree) == dim for degree, dim in graded.entries)
+
+
 class TestDualRouteAgreement:
     def test_corpus_dimensions_and_tops(self, invertible_corpus, example_table):
         polys = invertible_corpus + [p for rows in example_table.values() for p in rows]
@@ -415,11 +516,22 @@ class TestDualRouteAgreement:
 
     def test_poincare_symmetry(self, invertible_corpus, example_table):
         polys = invertible_corpus + [p for rows in example_table.values() for p in rows]
-        for poly in polys:
-            model = bmodel(poly)
-            top = model.graded.top_degree()
-            for degree, dim in model.graded.entries:
-                assert model.graded.dim_at(top - degree) == dim, str(poly)
+        for poly in polys + _corpus_polynomials():
+            assert _symmetric(bmodel(poly).graded), str(poly)
+
+    def test_poincare_symmetry_of_every_a_side_over_j(self):
+        # the FJRW pairing makes A(W, G) symmetric too, for Gmax and for
+        # every subgroup that contains J
+        tables = 0
+        for poly in _corpus_polynomials():
+            group = gmax(poly)
+            j = GroupElement(tuple(classify(poly).weights))
+            groups = subgroups_containing(group, [j])
+            assert group in groups
+            for subgroup in groups:
+                assert _symmetric(amodel(poly, subgroup).graded), (str(poly), subgroup)
+                tables += 1
+        assert tables > 100
 
     def test_invertible_rescaling_keeps_grading(self):
         plain = bmodel(parse_polynomial("x^3 + x*y^2"))

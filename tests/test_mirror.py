@@ -347,6 +347,29 @@ class TestEnumerateSupports:
         polys = enumerate_admissible_supports(WeightSystem((F(1, 5), F(1, 5))))
         assert "x^4*y + x^3*y^2 + x^2*y^3 + x*y^4" in {str(p) for p in polys}
 
+    def test_too_many_subsets_are_refused_before_any_is_tried(self, monkeypatch):
+        # the pool at (1/6, 1/6, 1/6) holds the 28 monomials of degree 6 in
+        # three variables: 2^28 - 1 - 28 - 378 = 268,435,049 subsets of at
+        # least 3
+        def tried(poly):
+            raise AssertionError(f"{poly} was tried")
+
+        monkeypatch.setattr(mirror, "classify", tried)
+        assert mirror.SUPPORT_SUBSET_LIMIT == 10**4
+        with pytest.raises(ResourceLimitExceeded, match="among 268435049 subsets of 28 "):
+            enumerate_admissible_supports(WeightSystem((F(1, 6),) * 3))
+
+    def test_the_limit_counts_subsets_of_at_least_n(self, monkeypatch):
+        # the pool at (1/4, 1/4) holds 5 monomials: 2^5 - 1 - 5 = 26
+        # subsets of at least 2
+        weights = WeightSystem((F(1, 4), F(1, 4)))
+        expected = [str(p) for p in enumerate_admissible_supports(weights)]
+        monkeypatch.setattr(mirror, "SUPPORT_SUBSET_LIMIT", 26)
+        assert [str(p) for p in enumerate_admissible_supports(weights)] == expected
+        monkeypatch.setattr(mirror, "SUPPORT_SUBSET_LIMIT", 25)
+        with pytest.raises(ResourceLimitExceeded, match="among 26 subsets of 5 "):
+            enumerate_admissible_supports(weights)
+
     def test_outputs_share_the_weights(self):
         from lgmk import classify
 
