@@ -5,14 +5,15 @@ into [0, 1).  A group G of exponent N is kept as the integer lattice
 L = {v in Z^n : v/N in G}, which satisfies N*Z^n <= L <= Z^n, through the
 Hermite normal form of a basis of L: polycore's integer echelon, reduced
 above its pivots.  With N least, N and that form are the group's identity.
-Order, membership, containment, invariant factors and quotients are
-integer linear algebra on that basis.
-Every other computation reads the generator vectors or enumerates the
-vectors v of L mod N, for groups of order up to GROUP_ORDER_LIMIT, through
-one walk of the Hermite coefficients, `_columns`, which yields coordinate k
-of every vector as an integer column: `amodel` counts from the columns one
-at a time, and `vectors`, the sorted tuples, is listed from them on first
-use.  Phase elements are built only for output.
+Order, membership, containment, invariant factors, quotients and the
+subgroups containing given elements (the lattices between theirs and L, as
+Hermite forms) are integer linear algebra on that basis.  Every other
+computation reads the generator vectors or enumerates the vectors v of L
+mod N, for groups of order up to GROUP_ORDER_LIMIT, through one walk of the
+Hermite coefficients, `_columns`, which yields coordinate k of every vector
+as an integer column: `amodel` counts from the columns one at a time, and
+`vectors`, the sorted tuples, is listed from them on first use.  Phase
+elements are built only for output.
 
 Gmax and the transpose group are both read off one Smith form, of a matrix
 R of relations: the group {g : R.g integral}, generated by the columns of
@@ -29,7 +30,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain, cycle, product, repeat
 from math import gcd, lcm, prod
-from operator import add, mod
+from operator import add, mod, mul
 
 from .errors import (
     GroupNotSymmetry,
@@ -39,7 +40,7 @@ from .errors import (
 )
 from .polycore import Polynomial, WeightSystem, _echelon, _invertible_matrix, exponent_matrix
 
-GROUP_ORDER_LIMIT = 10**6  # the largest group whose elements are listed
+GROUP_ORDER_LIMIT = 10**6  # the largest group listed or split into subgroups
 
 
 @dataclass(frozen=True, order=True)
@@ -225,12 +226,6 @@ class SymmetryGroup:
         """This group's basis at a multiple of its exponent."""
         scale = exponent // self.exponent
         return [[scale * a for a in row] for row in self.basis]
-
-    def _scaled_vectors(self, exponent: int) -> list[tuple[int, ...]]:
-        """This group's sorted vectors at a multiple of its exponent; they
-        compare like the phases they stand for."""
-        scale = exponent // self.exponent
-        return [tuple(scale * a for a in v) for v in self.vectors]
 
     def is_subgroup_of(self, other: "SymmetryGroup") -> bool:
         if self.ambient != other.ambient or other.exponent % self.exponent:
@@ -511,33 +506,38 @@ def quotient_invariant_factors(group: SymmetryGroup,
 
 def subgroups_containing(group: SymmetryGroup,
                          seed: list[GroupElement]) -> list[SymmetryGroup]:
-    """Every subgroup of the group that contains all the seed elements.
+    """Every subgroup of the group that contains all the seed elements,
+    ascending by order, then by Hermite basis at the group's exponent N.
 
-    Subgroups are found by adjoining one element at a time to those already
-    found, one element per coset, since the elements of a coset of a found
-    subgroup all adjoin the same one; membership is tested on the integer
-    vectors at the group's exponent, listed once per subgroup for its
-    cosets and the final sort.  A subgroup keeps the generators it was
-    first found with."""
+    In coordinates x -> x*B on the group's basis B, the seed group's
+    lattice is a lattice C >= N*Z^n, and the subgroups are the lattices M
+    with C <= M <= Z^n.  Their Hermite forms are built from the last row up: row
+    j is (0.., h, t), h dividing C's pivot c_jj and t reduced modulo the
+    rows below, kept iff (c_jj/h)*row - C_j lies on the rows below, that is
+    iff C_j lies on M.  So each form is made once, and no partial form is a
+    dead end: h = c_jj with C_j's tail reduced always passes.  A subgroup's
+    generators are its Hermite basis rows nonzero mod its exponent."""
     base = subgroup_generated(list(seed), group.ambient)
     if not base.is_subgroup_of(group):
         raise ValueError("seed elements do not lie in the group")
-    exponent = group.exponent
-    members_of = {base: base._scaled_vectors(exponent)}
-    queue = [base]
-    while queue:
-        current = queue.pop()
-        members = members_of[current]
-        scale = exponent // current.exponent
-        gens = [tuple(scale * a for a in g) for g in current.gens]
-        covered = set(members)
-        for v in group.vectors:
-            if v in covered:
-                continue
-            # every element of the coset v + current adjoins the same subgroup
-            covered.update(tuple([(a + b) % exponent for a, b in zip(v, c)]) for c in members)
-            extended = _lattice_group(gens + [v], exponent, group.ambient)
-            if extended not in members_of:
-                members_of[extended] = extended._scaled_vectors(exponent)
-                queue.append(extended)
-    return sorted(members_of, key=lambda s: (s.order, members_of[s]))
+    if group.order > GROUP_ORDER_LIMIT:
+        raise ResourceLimitExceeded(
+            f"group of order {group.order} is too large to enumerate its subgroups "
+            f"(limit {GROUP_ORDER_LIMIT})")
+    n, exponent = group.ambient, group.exponent
+    cover = _hermite_basis([_coordinates(row, group.basis)
+                            for row in base._scaled_basis(exponent)], exponent, n)
+    forms = [()]  # rows j.. of each partial form, on columns j..
+    for j in reversed(range(n)):
+        pivot, tail = cover[j][j], cover[j][j + 1:]
+        divisors = [h for h in range(1, pivot + 1) if pivot % h == 0]
+        forms = [((h,) + t,) + tuple((0,) + row for row in below)
+                 for below in forms for h in divisors
+                 for t in product(*(range(row[i]) for i, row in enumerate(below)))
+                 if _coordinates([pivot // h * a - c for a, c in zip(t, tail)],
+                                 below) is not None]
+    bases = (_hermite_basis([[sum(map(mul, x, column)) for column in zip(*group.basis)]
+                             for x in form], exponent, n) for form in forms)
+    found = [_lattice_group([row for row in basis if any(a % exponent for a in row)],
+                            exponent, n, basis) for basis in bases]
+    return sorted(found, key=lambda sub: (sub.order, sub._scaled_basis(exponent)))

@@ -6,8 +6,12 @@ rebuilding the closure, invariant factors by splitting off an element of
 maximal order, and quotients by canonical coset representatives.  On random
 small groups and on the two- and three-variable corpora, every operation
 must give exactly what the oracle gives: elements, generators, invariant
-factors, quotient factors, the subgroup list and its order, the
-determinant-one subgroup, and the transpose group's elements.  Two groups
+factors, quotient factors, the subgroups as element lists, each once, the
+determinant-one subgroup, and the transpose group's elements.  The
+subgroups come ascending by order, then by Hermite basis at the group's
+exponent, each generated by its Hermite basis rows that are nonzero mod
+its exponent; their counts on (Z/d)^n, beyond the oracle's reach, match
+the closed form of Gaussian binomials.  Two groups
 are equal, with equal hashes, exactly when their elements are, whatever
 generators built them: the transpose group, which keeps the generators of
 its Smith form, equals the oracle's dual built from its element list.  The
@@ -125,12 +129,11 @@ def quotient_factors(elements, sub_elements, ambient):
 
 
 def subgroups_search(elements, gens_of_base, ambient):
-    """(generators, elements) of every subgroup containing the base, in the
-    order (order, elements), each with the generators it was found with."""
+    """The element lists of every subgroup containing the base, found by
+    adjoining one element at a time and closing again."""
     base = (tuple(gens_of_base), closure(gens_of_base, ambient))
     seen = {base[1]}
     queue = [base]
-    out = [base]
     while queue:
         gens, current = queue.pop()
         members = set(current)
@@ -142,9 +145,7 @@ def subgroups_search(elements, gens_of_base, ambient):
             if closed not in seen:
                 seen.add(closed)
                 queue.append((extended, closed))
-                out.append((extended, closed))
-    out.sort(key=lambda pair: (len(pair[1]), pair[1]))
-    return out
+    return seen
 
 
 def from_elements(elements, ambient):
@@ -222,8 +223,12 @@ def check_group(group, ambient, poly=None):
 def check_subgroups(group, seed, ambient):
     found = subgroups_containing(group, seed)
     expected = subgroups_search(group.elements, list(seed), ambient)
-    assert [pair(s) for s in found] == expected
+    assert Counter(sub.elements for sub in found) == Counter(expected)
+    keys = [(sub.order, sub._scaled_basis(group.exponent)) for sub in found]
+    assert keys == sorted(keys)
     for sub in found:
+        assert sub.gens == tuple(row for row in sub.basis if any(a % sub.exponent for a in row))
+        assert closure(sub.generators, ambient) == sub.elements
         assert_minimal_exponent(sub)
         assert sub.is_subgroup_of(group)
         assert (quotient_invariant_factors(group, sub) ==
@@ -243,13 +248,47 @@ def small_groups(draw):
 
 
 @settings(max_examples=50, deadline=None)
-@given(small_groups())
-def test_random_groups_match_the_oracle(case):
+@given(small_groups(), st.data())
+def test_random_groups_match_the_oracle(case, data):
     ambient, gens = case
     group = subgroup_generated(gens, ambient)
     check_group(group, ambient)
-    if gens and group.order <= SEARCH_ORDER_LIMIT:
-        check_subgroups(group, gens[:1], ambient)
+    if group.order <= SEARCH_ORDER_LIMIT:
+        # the empty seed leaves the lattice of the trivial group, N*Z^n
+        for size in range(3):
+            seed = data.draw(st.lists(st.sampled_from(group.elements),
+                                      min_size=size, max_size=size))
+            check_subgroups(group, seed, ambient)
+
+
+def homocyclic(d, n):
+    return subgroup_generated([GroupElement(tuple(F(int(i == k), d) for k in range(n)))
+                               for i in range(n)], n)
+
+
+@pytest.mark.parametrize("d, n, seedless, seeded", [
+    (2, 4, 67, 16), (3, 3, 28, 6), (5, 3, 64, 8), (6, 3, 448, 30), (12, 2, 90, 6)])
+def test_subgroup_counts_of_homocyclic_groups(d, n, seedless, seeded):
+    """(Z/p)^n has sum_k [n choose k]_p subgroups, and a finite abelian group
+    as many as its coprime parts multiplied: (Z/6)^3 has 16 * 28 of them,
+    (Z/12)^2 = (Z/4)^2 x (Z/3)^2 has 15 * 6.  Those over the cyclic
+    <(1/d, 0, ..., 0)> are the subgroups of the quotient (Z/d)^(n-1)."""
+    group = homocyclic(d, n)
+    axis = GroupElement((F(1, d),) + (F(0),) * (n - 1))
+    for seed, count in (([], seedless), ([axis], seeded)):
+        found = subgroups_containing(group, seed)
+        assert len(found) == len(set(found)) == count
+        assert all(sub.is_subgroup_of(group) and all(g in sub for g in seed)
+                   for sub in found)
+
+
+def test_subgroups_are_refused_above_the_order_limit(monkeypatch):
+    group = homocyclic(4, 2)
+    assert len(subgroups_containing(group, [])) == 15
+    monkeypatch.setattr(symmetry, "GROUP_ORDER_LIMIT", 15)
+    with pytest.raises(ResourceLimitExceeded,
+                       match="group of order 16 is too large to enumerate its subgroups"):
+        subgroups_containing(group, [])
 
 
 tiny_phase = st.builds(F, st.integers(0, 3), st.sampled_from([1, 2, 4]))

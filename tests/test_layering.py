@@ -18,9 +18,11 @@ symmetry group restricts W to a nondegenerate polynomial, by the lemma in
 distinct proper, nonempty locus.  Within one run, the kernel packs each input exponent tuple into an integer once and never calls
 `MonomialOrder.key`, and divides in primitive integer coefficients only.  A
 group lists its elements only when `elements` or `vectors` is first read, so
-lattice operations and the subgroups that `subgroups_containing` discards
-never list theirs.  Group computations read integers only: a group keeps
-its generators as integer vectors, no library computation reads the phase
+lattice operations never list theirs, and `subgroups_containing` lists no
+vector at all: it enumerates Hermite forms, with one echelon for the seed
+group, one for its coordinates on the group's basis and one per subgroup.
+Group computations read integers only: a group keeps its generators as
+integer vectors, no library computation reads the phase
 list `elements`, and none builds a `GroupElement` once its inputs are
 built; `_greedy_group` takes one Hermite form per generator it keeps, plus
 the first, and never rebuilds the group from phases.  `transpose_group`
@@ -392,6 +394,17 @@ class TestOneEchelon:
         widths = Counter(len(rows[0]) for rows, _ in echelons)
         assert widths == {4: len(solves), 3: len(hermite_forms)}
 
+    @pytest.mark.parametrize("text", [FERMAT, CHAIN, LOOP])
+    @pytest.mark.parametrize("seeded", [False, True])
+    def test_one_echelon_per_subgroup(self, monkeypatch, text, seeded):
+        poly = parse_polynomial(text)
+        full = gmax(poly)
+        seed = [GroupElement(tuple(polycore.classify(poly).weights))] if seeded else []
+        echelons = _count_calls(monkeypatch, polycore, "_echelon")
+        found = subgroups_containing(full, seed)
+        # the seed group, its coordinates on Gmax's basis, then each subgroup
+        assert len(echelons) == 2 + len(found)
+
 
 class TestMemo:
     def test_memo_is_bounded(self):
@@ -483,12 +496,15 @@ class TestLazyElements:
             assert len(group.elements) == len(group.vectors) == 27
         assert len(listings) == 1
 
-    def test_discarded_candidates_are_never_listed(self, listings):
+    def test_discarded_candidates_are_never_listed(self, listings, monkeypatch):
         poly = parse_polynomial(FERMAT)
         j = GroupElement(tuple(polycore.classify(poly).weights))
-        found = subgroups_containing(gmax(poly), [j])
-        # the ambient group once, then each returned subgroup for the sort
-        assert len(listings) <= 1 + len(found)
+        full = gmax(poly)
+        columns = _count_calls(monkeypatch, symmetry, "_columns")
+        found = subgroups_containing(full, [j])
+        assert len(found) == 6
+        assert listings == []
+        assert columns == []
 
 
 class TestLazyBasis:
