@@ -349,7 +349,8 @@ def three_variable_visits(d: Fraction, delta: Fraction, bound: int) -> int:
 
 
 class TestTailBudget:
-    """The m = 3 row walk spends TAIL_LIMIT on rows and their numerators."""
+    """The m = 3 row walk spends TAIL_LIMIT on rows and their numerators, the
+    walk of m >= 4 on tail entries."""
 
     def test_huge_bound_exits_6_after_the_budget_not_the_bound(self, capsys):
         begin = time.perf_counter()
@@ -365,6 +366,25 @@ class TestTailBudget:
         answer = run_json(capsys, "search", *argv)
         assert answer["payload"]["status"] == "SolutionsFound"
         visits = three_variable_visits(Fraction(argv[0]), Fraction(argv[1]), int(argv[4]))
+        monkeypatch.setattr(mirror, "TAIL_LIMIT", visits)
+        assert run_json(capsys, "search", *argv) == answer
+        monkeypatch.setattr(mirror, "TAIL_LIMIT", visits - 1)
+        code, out, err = run(capsys, "search", *argv)
+        assert (code, out) == (6, "")
+        assert err == f"error: the search visits more than {visits - 1} tails\n"
+
+    # Uncertified planted targets in four and five variables with the visits
+    # of their walks (one per tail entry, whole or partial), found by
+    # bisection on TAIL_LIMIT before the last tail level was sieved: the
+    # sieve must count every entry the unsieved loop counted.
+    @pytest.mark.parametrize("argv, visits", [
+        (("60", "391/105", "4", "--bound", "24"), 1392),
+        (("99", "149744/36465", "4", "--bound", "24"), 1424),
+        (("392/3", "1352/315", "5", "--bound", "12"), 1274),
+    ])
+    def test_budget_is_exact_from_four_variables(self, capsys, monkeypatch, argv, visits):
+        answer = run_json(capsys, "search", *argv)
+        assert answer["payload"]["status"] == "SolutionsFound"
         monkeypatch.setattr(mirror, "TAIL_LIMIT", visits)
         assert run_json(capsys, "search", *argv) == answer
         monkeypatch.setattr(mirror, "TAIL_LIMIT", visits - 1)
