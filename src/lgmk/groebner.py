@@ -92,7 +92,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, compress
 from math import gcd, lcm, prod
 from operator import mul, sub
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
@@ -390,24 +390,43 @@ def _complete_intersection_series(grades: list[int],
     return series
 
 
+def _by_last(leads, n: int) -> list[list[Exps]]:
+    """The leads grouped by their last nonzero position, 0..n - 1 (a zero
+    lead in group 0).  A lead whose first i exponents divide a prefix and
+    whose last nonzero position is i divides every extension whose exponent
+    i reaches its own; the walks below read each group only at its depth,
+    where the leads of earlier groups are gone."""
+    groups: list[list[Exps]] = [[] for _ in range(n)]
+    for lt in leads:
+        groups[max(compress(range(n), lt), default=0)].append(lt)
+    return groups
+
+
 def _standard_count(grade: int, weights: tuple[int, ...], leads: list[Exps]) -> int:
     """The number of monomials of grade `grade` that no lead divides."""
     n = len(weights)
+    if n == 1:
+        return 0 if grade % weights[0] or any(lt[0] <= grade // weights[0] for lt in leads) else 1
 
-    def walk(i: int, left: int, active: list[Exps]) -> int:
-        # active: the leads whose first i exponents divide the prefix
+    def walk(i: int, left: int, groups: list[list[Exps]]) -> int:
+        # groups: by last position i..n - 1, the leads whose first i
+        # exponents divide the prefix; exponent i stops below group i's least
         w = weights[i]
-        if i == n - 1:
-            return 0 if left % w or any(lt[i] <= left // w for lt in active) else 1
-        total = 0
-        for e in range(left // w + 1):
-            now = [lt for lt in active if lt[i] <= e]
-            if any(not any(lt[i + 1:]) for lt in now):
-                break  # a lead zero past i divides every completion
-            total += walk(i + 1, left - e * w, now)
-        return total
+        stop = min([left // w + 1, *(lt[i] for lt in groups[0])])
+        if i == n - 2:
+            # the last exponent is forced; a lead of the last group divides
+            # the monomial iff its last exponent is at most that one
+            final, v = groups[1], weights[i + 1]
+            total = 0
+            for e in range(stop):
+                rem = left - e * w
+                total += not rem % v and all(lt[i + 1] > rem // v for lt in final if lt[i] <= e)
+            return total
+        rest = groups[1:]
+        return sum(walk(i + 1, left - e * w, [[lt for lt in g if lt[i] <= e] for g in rest])
+                   for e in range(stop))
 
-    return walk(0, grade, leads)
+    return walk(0, grade, _by_last(leads, n))
 
 
 def _candidate_grades(basis: list[TermDict], leads: list[int], n: int,
@@ -567,14 +586,13 @@ def _unit(leads) -> bool:
 def _pure_power_bounds(leads, n: int) -> list[int] | None:
     """The least pure-power exponent of each variable among leads, or None
     when some variable has no pure-power leading term."""
-    bounds = []
-    for i in range(n):
-        pures = [lt[i] for lt in leads
-                 if lt[i] > 0 and all(e == 0 for j, e in enumerate(lt) if j != i)]
-        if not pures:
-            return None
-        bounds.append(min(pures))
-    return bounds
+    bounds = [0] * n
+    for lt in leads:
+        support = list(compress(range(n), lt))
+        if len(support) == 1:
+            i = support[0]
+            bounds[i] = min(bounds[i] or lt[i], lt[i])
+    return bounds if all(bounds) else None
 
 
 def _rows(leads, n: int) -> Iterator[tuple[Exps, int]]:
@@ -582,19 +600,23 @@ def _rows(leads, n: int) -> Iterator[tuple[Exps, int]]:
     time: each prefix of the first n - 1 exponents under it, ascending, with
     the stop below which its last exponent stays standard."""
 
-    def walk(prefix: Exps, active: list[Exps]) -> Iterator[tuple[Exps, int]]:
-        # active: the leading terms whose first len(prefix) exponents divide
-        # prefix.  One that is zero past position i divides every extension
-        # whose exponent i reaches its own, so exponent i stops below the least.
+    def walk(prefix: Exps, groups: list[list[Exps]]) -> Iterator[tuple[Exps, int]]:
+        # groups: by last position i..n - 1, the leads whose first i
+        # exponents divide prefix; exponent i stops below group i's least
         i = len(prefix)
-        stop = min(lt[i] for lt in active if not any(lt[i + 1:]))
+        stop = min(lt[i] for lt in groups[0])
         if i == n - 1:
             yield prefix, stop
-            return
-        for e in range(stop):
-            yield from walk(prefix + (e,), [lt for lt in active if lt[i] <= e])
+        elif i == n - 2:
+            final = groups[1]
+            for e in range(stop):
+                yield prefix + (e,), min(lt[i + 1] for lt in final if lt[i] <= e)
+        else:
+            rest = groups[1:]
+            for e in range(stop):
+                yield from walk(prefix + (e,), [[lt for lt in g if lt[i] <= e] for g in rest])
 
-    return walk((), leads)
+    return walk((), _by_last(leads, n))
 
 
 def _staircase_size(leads, n: int) -> int:

@@ -34,26 +34,32 @@ no set and no sort, and held as a tuple.  Tails are walked one ascending
 entry at a time; each entry divides the product target left and subtracts
 from the sum left, as unreduced integer fractions, so a tail costs O(1)
 work.  A prefix is dropped when the same certificate excludes the variables
-left, and a tail's pair is decided by its integer discriminant and one
-`math.isqrt`, since N/M with M > 0 is a rational square iff N*M is a
-perfect square.  `_pair_roots` is the only code that accepts a pair.  Three
-variables have a one-entry tail q3 = a/b, walked by denominator rows: the
-pair of a/b needs a homogeneous quartic F(a, b) to be a perfect square, so
-each row is first sieved by the quadratic residues of F modulo a few odd
-primes, a bit mask per row, and only the survivors reach the exact test (a
-square-residue sieve, as in Cohen, A Course in Computational Algebraic
-Number Theory, 1.7.2).  A `Fraction` is built only for a solution, and a
-search makes at most TAIL_LIMIT visits: one per tail entry from four
-variables on, and one per row and per numerator in it for three.
-`discriminant_sign_boundary` isolates the real roots of the same quartic
-with Sturm sequences and finds the largest grid point where it is
-nonnegative by Stern-Brocot descents, in O(log bound) sign tests.  The sieve
+left.  The pair of a last tail entry a/b is exact: it exists only if a
+homogeneous quartic F(a, b), the pair's integer discriminant, is a perfect
+square (N/M with M > 0 is a rational square iff N*M is one), and
+`_pair_roots` is the only code that accepts a pair, with one `math.isqrt`.
+Before that test, every last entry is sieved by the quadratic residues of F
+modulo a few odd primes, so most entries never reach it (a square-residue
+sieve, as in Cohen, A Course in Computational Algebraic Number Theory,
+1.7.2).  Three variables have a one-entry tail q3 = a/b, walked by
+denominator rows, and each row is sieved as a bit mask over its numerators.
+From four variables on, the last level's entries are a bit mask over grid
+indices, ANDed with one mask per prime: the grid entries whose class in
+P^1(F_p) has F a square mod p, memoized by the classes of the level's sum
+and product, so at most (p + 2)^2 masks per prime and walk.  A `Fraction`
+is built only for a solution, and a search makes at most TAIL_LIMIT visits:
+one per tail entry, sieved or not, from four variables on, and one per row
+and per numerator in it for three.
+`discriminant_sign_boundary` isolates the real roots of the three-variable
+quartic with Sturm sequences and finds the largest grid point where it is
+nonnegative by Stern-Brocot descents, in O(log bound) sign tests.  The sieves
 and the boundary read one coefficient list, `_pair_quartic`.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice
@@ -84,6 +90,10 @@ SEARCH_VARS_LIMIT = 500
 # about 5 s on a 2-core host.
 SUPPORT_SUBSET_LIMIT = 10**4
 _EVERY_M_TERMS = 40
+# The most primes that sieve the last tail entry of a walk in m >= 4
+# variables.  Each costs two classes and an AND per last-level call: on the
+# planted m = 4 searches at bound 22..26, 4 primes ran faster than 3 or 5.
+_TAIL_SIEVE_PRIMES = 4
 
 # The odd primes below 128 with their quadratic residues: the pool from
 # which a three-variable walk takes the primes that sieve its rows.
@@ -265,13 +275,72 @@ def _walk_tails(grid: tuple[tuple[int, int], ...], m: int, sn: int, sd: int,
     subtracts t from the sum left, as unreduced integer fractions.  An entry
     is skipped when the product left falls below 1, or when `_certified`
     excludes the variables left; a level stops once the entries still to
-    come (each at least t) would leave the pair no positive sum.  Raises
-    ResourceLimitExceeded past TAIL_LIMIT visited entries."""
+    come (each at least t) would leave the pair no positive sum.
+
+    The last level (one entry a/b, then the pair) is sieved like the rows of
+    `_walk_rows`: the pair of a/b is `_pair_roots(dn a, dd (b - a),
+    sn b - sd a, sd b)` for the level's sn/sd and dn/dd, and needs F(a, b)
+    of the level's `_pair_quartic` to be a perfect square.  Both of the
+    loop's tests are monotone in the entry, so the entries from the first
+    with product left at least 1 up to the break entry are found by
+    bisection, as a bit mask of grid indices, and ANDed with one mask per
+    prime of `_sieve_primes`: the grid entries whose class in P^1(F_p) has
+    F(u, 1) a square mod p.  For p | b, F(a, b) = ((dn + dd) sd a^2)^2 mod p,
+    so the class infinity always passes.  Scaling sn, sd by l and dn, dd by
+    k scales F by (l k)^2, so a prime's mask depends only on the classes of
+    sn/sd and dn/dd in P^1(F_p) or 0/0, and is memoized by them: at most
+    (p + 2)^2 per prime and walk.  Only the survivors reach `_pair_roots`.
+    Raises ResourceLimitExceeded past TAIL_LIMIT visited entries, counted
+    as the unsieved loop counts them: one per entry from a level's start
+    through its break entry, or to the grid's end."""
     found = set()
     visited = 0
+    sieves = []
+    for p in _sieve_primes(_TAIL_SIEVE_PRIMES, sd, dn, dd):
+        # once per walk: the grid indices in each class of num/den in
+        # P^1(F_p), one bit mask per class, class p standing for p | den
+        inverse = [0] + [pow(u, -1, p) for u in range(1, p)]
+        rows = [bytearray(len(grid) // 8 + 1) for _ in range(p + 1)]
+        for i, (num, den) in enumerate(grid):
+            r = den % p
+            rows[num * inverse[r] % p if r else p][i >> 3] |= 1 << (i & 7)
+        sieves.append((p, inverse, [int.from_bytes(row, "little") for row in rows], {}))
+
+    def last(start, sn, sd, dn, dd, prefix):
+        nonlocal visited
+        # the first entry with pn >= pd, then the first from there to break
+        first = bisect_left(grid, True, start, key=lambda t: t[0] * (dn + dd) >= dd * t[1])
+        stop = bisect_left(grid, True, first, key=lambda t: t[0] * sd >= sn * t[1])
+        visited += stop - start + (stop < len(grid))
+        if visited > TAIL_LIMIT:
+            raise ResourceLimitExceeded(f"the search visits more than {TAIL_LIMIT} tails")
+        mask = (1 << stop) - (1 << first)
+        for p, inverse, classes, memo in sieves:
+            if not mask:
+                return
+            # sn/sd and dn/dd in P^1(F_p): u for a unit denominator, p for
+            # infinity, p + 1 for 0/0
+            r, t = sd % p, dd % p
+            key = (sn * inverse[r] % p if r else p if sn % p else p + 1,
+                   dn * inverse[t] % p if t else p if dn % p else p + 1)
+            good = memo.get(key)
+            if good is None:
+                good = classes[p]
+                for u in _square_residues(_pair_quartic(sn % p, sd % p, dn % p, dd % p), p):
+                    good |= classes[u]
+                memo[key] = good
+            mask &= good
+        while mask:
+            bit = mask & -mask
+            mask ^= bit
+            num, den = grid[bit.bit_length() - 1]
+            for low, high, pden in _pair_roots(dn * num, dd * (den - num),
+                                               sn * den - num * sd, sd * den):
+                tail = tuple(Fraction(*t) for t in prefix + ((num, den),))
+                found.add(tuple(sorted((Fraction(low, pden), Fraction(high, pden)) + tail)))
 
     def walk(start, k, sn, sd, dn, dd, prefix):
-        # k variables are left: k - 2 tail entries from grid[start:], then the pair
+        # k > 3 variables are left: k - 2 tail entries from grid[start:], then the pair
         nonlocal visited
         entries = k - 2
         for i in range(start, len(grid)):
@@ -285,13 +354,11 @@ def _walk_tails(grid: tuple[tuple[int, int], ...], m: int, sn: int, sd: int,
             if entries * num * sd >= sn * den:
                 break
             tn, td = sn * den - num * sd, sd * den
-            if k > 3:
-                if not _certified(k - 1, tn, td, pn, pd):
+            if not _certified(k - 1, tn, td, pn, pd):
+                if k > 4:
                     walk(i, k - 1, tn, td, pn, pd, prefix + ((num, den),))
-            else:
-                for low, high, pden in _pair_roots(pn, pd, tn, td):
-                    tail = tuple(Fraction(*t) for t in prefix + ((num, den),))
-                    found.add(tuple(sorted((Fraction(low, pden), Fraction(high, pden)) + tail)))
+                else:
+                    last(i, tn, td, pn, pd, prefix + ((num, den),))
 
     walk(0, m, sn, sd, dn, dd, ())
     return found
@@ -299,10 +366,11 @@ def _walk_tails(grid: tuple[tuple[int, int], ...], m: int, sn: int, sd: int,
 
 def _pair_quartic(sn: int, sd: int, dn: int, dd: int) -> list[int]:
     """The coefficients c_0..c_4, constant term first, of the homogeneous
-    quartic F(a, b) = sum c_k a^k b^(4 - k) for a three-variable target with
-    weight sum sn/sd and d = dn/dd (sd, dd > 0): F(a, b) is the integer n e
-    that `_pair_roots(dn a, dd (b - a), sn b - sd a, sd b)` tests for a
-    perfect square, the pair of q3 = a/b."""
+    quartic F(a, b) = sum c_k a^k b^(4 - k) for a three-variable target, or
+    a last tail level, with weight sum sn/sd and d = dn/dd (sd, dd > 0):
+    F(a, b) is the integer n e that `_pair_roots(dn a, dd (b - a),
+    sn b - sd a, sd b)` tests for a perfect square, the pair of the entry
+    a/b."""
     # at b = 1: e = e1 u - dd with e1 = dn + dd, the pair's sum numerator
     # t = sn - sd u, and the cubic n = t^2 e - x (sd - t)(1 - u) with
     # x = 4 dd sd, expanded by hand; then F = n e
@@ -314,33 +382,43 @@ def _pair_quartic(sn: int, sd: int, dn: int, dd: int) -> list[int]:
     return [-dd * n0, e1 * n0 - dd * n1, e1 * n1 - dd * n2, e1 * n2 - dd * n3, e1 * n3]
 
 
+def _sieve_primes(count: int, sd: int, dn: int, dd: int) -> list[int]:
+    """The first `count` primes of _SIEVE_SQUARES that divide none of the
+    target's sd, dn and dd, ascending: at a prime dividing one of them the
+    pair quartic of the target is a square mod p everywhere (with p | dd, for
+    one, F(a, b) = (dn a (sn b - sd a))^2 mod p), so it would sieve nothing."""
+    return list(islice((p for p in _SIEVE_SQUARES if dn % p and dd % p and sd % p),
+                       max(count, 0)))
+
+
+def _square_residues(quartic: list[int], p: int) -> list[int]:
+    """The u mod p where F(u, 1) is a square mod p, zero included, for the
+    quartic F with coefficients `quartic` (`_pair_quartic`'s order),
+    reduced mod p once and evaluated by Horner's rule."""
+    squares = _SIEVE_SQUARES[p]
+    c0, c1, c2, c3, c4 = (c % p for c in quartic)
+    return [u for u in range(p)
+            if ((((c4 * u + c3) * u + c2) * u + c1) * u + c0) % p in squares]
+
+
 def _row_sieves(bound: int, sn: int, sd: int, dn: int,
                 dd: int) -> list[tuple[int, list[int]]]:
     """The primes that sieve a three-variable walk to `bound`, ascending, as
-    (p, good): good lists the u mod p where F(u, 1) is a square mod p, zero
-    included, F being `_pair_quartic` with its coefficients reduced mod p
-    once and evaluated by Horner's rule.
+    (p, good): good is `_square_residues` of `_pair_quartic`, the u mod p
+    where F(u, 1) is a square mod p.
 
-    A prime dividing dn, dd or sd never sieves, since F is then a square
-    mod p, nor does one whose every F(u, 1) is a square.  Each prime leaves
+    A prime whose every F(u, 1) is a square never sieves.  Each prime leaves
     about half the candidates and costs p evaluations and up to p - 1
     patterns, so the number tried grows with the at most bound^2/4
-    numerators: the walk tries the first 2k - 9 primes of _SIEVE_SQUARES
-    that divide none of dn, dd and sd, for k the bit length of the bound
-    (none below bound 16, one up to 31, seven from 128 to 255)."""
-    sieves = []
-    tried = 0
+    numerators: the walk tries the first 2k - 9 `_sieve_primes`, for k the
+    bit length of the bound (none below bound 16, one up to 31, seven from
+    128 to 255)."""
     quartic = _pair_quartic(sn, sd, dn, dd)
-    for p, squares in _SIEVE_SQUARES.items():
-        if tried >= 2 * bound.bit_length() - 9:
-            break
-        if dn % p and dd % p and sd % p:
-            tried += 1
-            c0, c1, c2, c3, c4 = (c % p for c in quartic)
-            good = [u for u in range(p)
-                    if ((((c4 * u + c3) * u + c2) * u + c1) * u + c0) % p in squares]
-            if len(good) < p:
-                sieves.append((p, good))
+    sieves = []
+    for p in _sieve_primes(2 * bound.bit_length() - 9, sd, dn, dd):
+        good = _square_residues(quartic, p)
+        if len(good) < p:
+            sieves.append((p, good))
     return sieves
 
 

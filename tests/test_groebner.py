@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction as F
 from itertools import permutations, product
+from operator import mul
 
 import pytest
 
@@ -343,6 +344,30 @@ class TestKernelParts:
                            if sum(a * w for a, w in zip(e, weights)) == grade
                            and not any(all(a <= b for a, b in zip(lt, e)) for lt in leads))
             assert groebner._standard_count(grade, weights, leads) == expected
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_standard_count_and_rows_match_brute_force(self, seed):
+        # one to four variables, weight 1 among the weights, leads missing
+        # from some last positions, the zero lead, and a staircase that is
+        # not finite for the count
+        rng = random.Random(seed)
+        n = rng.randint(1, 4)
+        weights = tuple(rng.randint(1, 3) for _ in range(n))
+        leads = [tuple(rng.randint(0, 3) * (rng.random() < 0.6) for _ in range(n))
+                 for _ in range(rng.randint(0, 5))]
+
+        def under(e, leads):
+            return not any(all(a <= b for a, b in zip(lt, e)) for lt in leads)
+
+        for grade in range(13):
+            expected = sum(1 for e in product(range(grade + 1), repeat=n)
+                           if sum(map(mul, e, weights)) == grade
+                           and under(e, leads))
+            assert groebner._standard_count(grade, weights, leads) == expected
+        finite = leads + [tuple(rng.randint(1, 4) * (j == i) for j in range(n)) for i in range(n)]
+        walked = [prefix + (e,) for prefix, stop in groebner._rows(finite, n)
+                  for e in range(stop)]
+        assert walked == [e for e in product(range(5), repeat=n) if under(e, finite)]
 
 
 # a dense W with weights (1/5, 1/5, 1/5): mu = 64, and its Jacobian's

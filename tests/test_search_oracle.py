@@ -14,7 +14,12 @@ independent count.  The three-variable search
 sieves its rows by quadratic residues before the exact pair test, so it is
 also compared at bounds 150-220, on targets whose pair is (1/2, 1/2), on
 weight sums over the sieve primes, and on tails in rows a sieving prime
-divides; and the sieve itself must drop only points with no pair.
+divides; and the sieve itself must drop only points with no pair.  From
+four variables on, the last tail entry is sieved the same way, so the
+search is also compared on tails whose entries lie in the classes 0, 1 and
+infinity of a sieving prime, and whose level sums and products reach 0,
+infinity and 0/0 mod p; and its memo must stay within (p + 2)^2 quartics per
+prime.
 """
 
 import math
@@ -35,6 +40,8 @@ from lgmk.mirror import (
     _pair_quartic,
     _pair_roots,
     _row_sieves,
+    _sieve_primes,
+    _square_residues,
     discriminant_sign_boundary,
     search_weight_systems,
 )
@@ -311,6 +318,100 @@ def test_sieve_leaves_few_numerators_to_the_pair_solver(monkeypatch):
     numerators = sum(1 / (d + 1) <= Fraction(a, b) < weight_sum
                      for b in range(2, 201) for a in range(1, b // 2 + 1))
     assert 0 < len(calls) < numerators / 20
+
+
+# Planted weight systems in four and five variables and bounds that hold
+# them.  For a prime p that sieves their walks (3 in the first, fourth and
+# fifth, 5 in the second and sixth), the entries fall in the classes 0, 1 and
+# infinity of P^1(F_p); the third and the last two end in the pair
+# (1/2, 1/2), whose quartic is 0.
+TAIL_SIEVE_CASES = [
+    ((Fraction(1, 6), Fraction(1, 4), Fraction(1, 3), Fraction(3, 7)), 13),
+    ((Fraction(1, 5), Fraction(2, 7), Fraction(5, 14), Fraction(7, 15)), 22),
+    ((Fraction(1, 7), Fraction(2, 5), HALF, HALF), 20),
+    ((Fraction(1, 6), Fraction(1, 4), Fraction(1, 3), Fraction(3, 7), HALF), 12),
+    ((Fraction(1, 6), Fraction(1, 4), Fraction(1, 3), Fraction(3, 8), HALF), 10),
+    ((Fraction(1, 7), Fraction(1, 5), Fraction(1, 3), Fraction(2, 5), Fraction(2, 5)), 10),
+]
+
+
+def tail_sieve_primes(weights) -> list[int]:
+    """The primes that sieve the last tail entry of the walk for `weights`."""
+    d, delta = target_of(weights)
+    return _sieve_primes(mirror._TAIL_SIEVE_PRIMES, 4 * delta.denominator,
+                         d.numerator, d.denominator)
+
+
+@pytest.mark.parametrize("weights, bound", TAIL_SIEVE_CASES)
+def test_tails_in_every_sieve_class_match_oracle(weights, bound):
+    d, delta = target_of(weights)
+    report = search_weight_systems(d, delta, len(weights), denominator_bound=bound)
+    assert weights in [tuple(ws) for ws in report.solutions]
+    assert_search_matches((d, delta, len(weights), bound))
+
+
+def test_tail_sieve_cases_reach_every_class(monkeypatch):
+    """The cases put an entry in each class 0, 1 and infinity of a prime
+    their walks sieve by, and their walks reach level sums and products
+    whose ratio mod p is 0, infinity and 0/0, read off the reduced
+    arguments of the quartic the memo computes."""
+    entry_classes = set()
+    for weights, _ in TAIL_SIEVE_CASES:
+        for p in tail_sieve_primes(weights):
+            entry_classes |= {q.numerator * pow(q.denominator, -1, p) % p
+                              if q.denominator % p else "infinity" for q in weights}
+    assert {0, 1, "infinity"} <= entry_classes
+    ratios = {"sum": set(), "product": set()}
+
+    def recorded(sn, sd, dn, dd):
+        for name, x, y in (("sum", sn, sd), ("product", dn, dd)):
+            ratios[name].add("0/0" if x == y == 0 else "infinity" if y == 0 else
+                             0 if x == 0 else "unit")
+        return _pair_quartic(sn, sd, dn, dd)
+
+    monkeypatch.setattr(mirror, "_pair_quartic", recorded)
+    for weights, bound in TAIL_SIEVE_CASES:
+        d, delta = target_of(weights)
+        search_weight_systems(d, delta, len(weights), denominator_bound=bound)
+    assert ratios["sum"] >= {0, "infinity", "0/0"}
+    assert ratios["product"] >= {0, "infinity", "0/0"}
+
+
+def test_tail_sieve_memo_holds_at_most_p_plus_2_squared_masks(monkeypatch):
+    # a walk reduces the quartic mod p once per pair of classes of the level's
+    # sum and product in P^1(F_p) or 0/0: at most (p + 2)^2 times
+    for weights, bound in TAIL_SIEVE_CASES:
+        calls = {}
+
+        def counted(quartic, p):
+            calls[p] = calls.get(p, 0) + 1
+            return _square_residues(quartic, p)
+
+        monkeypatch.setattr(mirror, "_square_residues", counted)
+        d, delta = target_of(weights)
+        search_weight_systems(d, delta, len(weights), denominator_bound=bound)
+        assert set(calls) == set(tail_sieve_primes(weights))
+        assert all(count <= (p + 2) ** 2 for p, count in calls.items())
+
+
+def test_tail_sieve_leaves_few_entries_to_the_pair_solver(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _pair_roots(*args)
+
+    monkeypatch.setattr(mirror, "_pair_roots", counted)
+    weights = (Fraction(1, 5), Fraction(1, 4), Fraction(2, 7), Fraction(1, 3))
+    d, delta = target_of(weights)
+    assert_search_matches((d, delta, 4, 24))
+    # the tails (s, t) the unsieved loop could hand the pair: product left
+    # at least 1 and a positive sum left
+    weight_sum = (8 - delta) / 4
+    grid = [Fraction(*t) for t in _farey_grid(1 / (d + 1), HALF, 24)]
+    tails = sum((1 / s - 1) * (1 / t - 1) <= d and s + t < weight_sum
+                for i, s in enumerate(grid) for t in grid[i:])
+    assert 0 < len(calls) < tails / 8
 
 
 @settings(max_examples=30, deadline=None)
