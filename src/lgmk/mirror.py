@@ -91,12 +91,14 @@ SEARCH_VARS_LIMIT = 500
 SUPPORT_SUBSET_LIMIT = 10**4
 _EVERY_M_TERMS = 40
 # The most primes that sieve the last tail entry of a walk in m >= 4
-# variables.  Each costs two classes and an AND per last-level call: on the
-# planted m = 4 searches at bound 22..26, 4 primes ran faster than 3 or 5.
+# variables.  Each halves the entries left for the pair solver, and costs
+# two classes and an AND per last-level call and up to p + 1 masks per
+# walk: on the planted m = 4 searches at bound 22..26 of three seeds of the
+# weight-search workload, 4 primes ran faster than 3, 5 or 6.
 _TAIL_SIEVE_PRIMES = 4
 
 # The odd primes below 128 with their quadratic residues: the pool from
-# which a three-variable walk takes the primes that sieve its rows.
+# which `_sieve_primes` takes the primes that sieve a walk.
 _SIEVE_SQUARES = {p: frozenset([u * u % p for u in range(p // 2 + 1)])
                   for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
                             61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127)}
