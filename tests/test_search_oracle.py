@@ -321,10 +321,10 @@ def test_sieve_leaves_few_numerators_to_the_pair_solver(monkeypatch):
 
 
 # Planted weight systems in four and five variables and bounds that hold
-# them.  For a prime p that sieves their walks (3 in the first, fourth and
-# fifth, 5 in the second and sixth), the entries fall in the classes 0, 1 and
-# infinity of P^1(F_p); the third and the last two end in the pair
-# (1/2, 1/2), whose quartic is 0.
+# them.  Between them, their weights fall in the classes 0, 1 and infinity
+# of P^1(F_p) for a prime p that sieves their walks (3 in the first, fourth
+# and fifth, 5 in the second and sixth), which a test below checks; the
+# third holds the pair (1/2, 1/2), whose quartic is 0.
 TAIL_SIEVE_CASES = [
     ((Fraction(1, 6), Fraction(1, 4), Fraction(1, 3), Fraction(3, 7)), 13),
     ((Fraction(1, 5), Fraction(2, 7), Fraction(5, 14), Fraction(7, 15)), 22),
