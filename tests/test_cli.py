@@ -376,11 +376,15 @@ class TestTailBudget:
     # Uncertified planted targets in four and five variables with the visits
     # of their walks (one per tail entry, whole or partial), found by
     # bisection on TAIL_LIMIT before the last tail level was sieved: the
-    # sieve must count every entry the unsieved loop counted.
+    # sieve must count every entry the unsieved loop counted.  The last two
+    # walks also reach last levels that start below a product left of 1
+    # and levels that run to the grid's end.
     @pytest.mark.parametrize("argv, visits", [
         (("60", "391/105", "4", "--bound", "24"), 1392),
         (("99", "149744/36465", "4", "--bound", "24"), 1424),
         (("392/3", "1352/315", "5", "--bound", "12"), 1274),
+        (("30", "25/9", "4", "--bound", "21"), 1781),
+        (("112", "121/30", "5", "--bound", "9"), 559),
     ])
     def test_budget_is_exact_from_four_variables(self, capsys, monkeypatch, argv, visits):
         answer = run_json(capsys, "search", *argv)
