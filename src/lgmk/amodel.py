@@ -46,7 +46,6 @@ table.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
@@ -65,27 +64,37 @@ from .symmetry import (
     fixed_locus,
     is_admissible_group,
 )
+from .value import _Value
 
 
-@dataclass(frozen=True)
-class SectorElement:
+class SectorElement(_Value):
     """One basis element [m; g]: a monomial over fix(g) inside sector g."""
 
+    _fields = ("monomial", "sector", "adegree")
     monomial: Monomial
     sector: GroupElement
     adegree: Fraction
 
+    def __init__(self, monomial: Monomial, sector: GroupElement, adegree: Fraction):
+        self.__dict__.update(monomial=monomial, sector=sector, adegree=adegree)
 
-@dataclass(frozen=True)
-class AModel:
+
+class AModel(_Value):
     """State space of (source, group): `graded` is counted when the model is
     built, `basis` is listed on first read.  `locus_counts` maps each fixed
-    locus of the group to its number of invariant monomials."""
+    locus of the group to its number of invariant monomials; it is no part
+    of equality or `repr`."""
 
+    _fields = ("source", "group", "graded")
     source: Polynomial
     group: SymmetryGroup
     graded: GradedDims
-    locus_counts: dict[frozenset[int], int] = field(compare=False, repr=False)
+    locus_counts: dict[frozenset[int], int]
+
+    def __init__(self, source: Polynomial, group: SymmetryGroup, graded: GradedDims,
+                 locus_counts: dict[frozenset[int], int]):
+        self.__dict__.update(source=source, group=group, graded=graded,
+                             locus_counts=locus_counts)
 
     @cached_property
     def basis(self) -> tuple[SectorElement, ...]:

@@ -1,8 +1,9 @@
 """The Groebner kernel over Q: the staircase of a polynomial ideal.
 
-This is the bottom layer: it defines the `Monomial` type and
+This is the bottom computing layer: it defines the `Monomial` type and
 `_integer_form`, the integer form (L, L*q_i) of a weight vector, and
-imports nothing from the rest of the package but its errors.  Polynomials
+imports nothing from the rest of the package but its errors and `value`,
+the base of its value classes.  Polynomials
 enter as `polycore.Polynomial`, with `Fraction` coefficients, a type named
 here only in annotations.  Inside, a polynomial is a dict mapping packed
 monomials to integers.
@@ -90,7 +91,6 @@ pair takes a step only when that fallback processes it.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, compress
 from math import gcd, lcm, prod
@@ -98,6 +98,7 @@ from operator import mul, sub
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from .errors import NotFiniteDimensional, ResourceLimitExceeded
+from .value import _Value
 
 if TYPE_CHECKING:
     from .polycore import Polynomial, WeightSystem
@@ -119,17 +120,17 @@ TermDict = dict[int, int]
 Exps = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(_Value):
     """Exponent vector of one monomial; position i belongs to variable i."""
 
+    _fields = ("exponents",)
     exponents: Exps
 
-    def __post_init__(self):
-        exps = tuple(int(e) for e in self.exponents)
+    def __init__(self, exponents: Exps):
+        exps = tuple(int(e) for e in exponents)
         if any(e < 0 for e in exps):
             raise ValueError(f"negative exponent in {exps}")
-        object.__setattr__(self, "exponents", exps)
+        self.__dict__["exponents"] = exps
 
     def __len__(self) -> int:
         return len(self.exponents)
@@ -155,7 +156,7 @@ class Monomial:
 def _monomial(exps: Exps) -> Monomial:
     # a tuple of non-negative ints skips re-validation
     mono = object.__new__(Monomial)
-    object.__setattr__(mono, "exponents", exps)
+    mono.__dict__["exponents"] = exps
     return mono
 
 
@@ -166,8 +167,7 @@ def _integer_form(qs) -> tuple[int, tuple[int, ...]]:
     return scale, tuple(v.numerator * (scale // v.denominator) for v in qs)
 
 
-@dataclass(frozen=True)
-class MonomialOrder:
+class MonomialOrder(_Value):
     """Graded reverse-lexicographic order, graded by weights or total degree.
 
     key() returns a tuple that sorts ascending in the order; 1 is minimal
@@ -177,14 +177,14 @@ class MonomialOrder:
     this is the same order as the one graded by the rational weighted degree.
     """
 
-    weights: tuple[Fraction, ...] | None = None
+    _fields = ("weights",)
+    weights: tuple[Fraction, ...] | None
     # L * q_i, fixed when the order is built
-    _integer_weights: tuple[int, ...] | None = field(init=False, repr=False,
-                                                     compare=False)
+    _integer_weights: tuple[int, ...] | None
 
-    def __post_init__(self):
-        object.__setattr__(self, "_integer_weights", None if self.weights is None
-                           else _integer_form(self.weights)[1])
+    def __init__(self, weights: tuple[Fraction, ...] | None = None):
+        self.__dict__.update(weights=weights, _integer_weights=None if weights is None
+                             else _integer_form(weights)[1])
 
     @staticmethod
     def degrevlex() -> "MonomialOrder":
@@ -202,14 +202,18 @@ class MonomialOrder:
         return (grade, tuple(-e for e in reversed(exps)))
 
 
-@dataclass(frozen=True)
-class Staircase:
+class Staircase(_Value):
     """The minimal leading terms of a Groebner basis, ascending in its order:
     the corners of the staircase of standard monomials under them."""
 
+    _fields = ("leads", "order", "variables")
     leads: tuple[Exps, ...]
     order: MonomialOrder
     variables: tuple[str, ...]
+
+    def __init__(self, leads: tuple[Exps, ...], order: MonomialOrder,
+                 variables: tuple[str, ...]):
+        self.__dict__.update(leads=leads, order=order, variables=variables)
 
     @property
     def finite(self) -> bool:
@@ -408,25 +412,28 @@ def _standard_count(grade: int, weights: tuple[int, ...], leads: list[Exps]) -> 
     if n == 1:
         return 0 if grade % weights[0] or any(lt[0] <= grade // weights[0] for lt in leads) else 1
 
-    def walk(i: int, left: int, groups: list[list[Exps]]) -> int:
+    total = 0
+    # depth first over prefixes, on an explicit stack: one level per
+    # variable would overflow Python's recursion limit in many variables
+    stack = [(0, grade, _by_last(leads, n))]
+    while stack:
         # groups: by last position i..n - 1, the leads whose first i
         # exponents divide the prefix; exponent i stops below group i's least
+        i, left, groups = stack.pop()
         w = weights[i]
         stop = min([left // w + 1, *(lt[i] for lt in groups[0])])
         if i == n - 2:
             # the last exponent is forced; a lead of the last group divides
             # the monomial iff its last exponent is at most that one
             final, v = groups[1], weights[i + 1]
-            total = 0
             for e in range(stop):
                 rem = left - e * w
                 total += not rem % v and all(lt[i + 1] > rem // v for lt in final if lt[i] <= e)
-            return total
-        rest = groups[1:]
-        return sum(walk(i + 1, left - e * w, [[lt for lt in g if lt[i] <= e] for g in rest])
-                   for e in range(stop))
-
-    return walk(0, grade, _by_last(leads, n))
+        else:
+            rest = groups[1:]
+            stack.extend((i + 1, left - e * w, [[lt for lt in g if lt[i] <= e] for g in rest])
+                         for e in range(stop))
+    return total
 
 
 def _candidate_grades(basis: list[TermDict], leads: list[int], n: int,
@@ -600,9 +607,13 @@ def _rows(leads, n: int) -> Iterator[tuple[Exps, int]]:
     time: each prefix of the first n - 1 exponents under it, ascending, with
     the stop below which its last exponent stays standard."""
 
-    def walk(prefix: Exps, groups: list[list[Exps]]) -> Iterator[tuple[Exps, int]]:
+    # depth first on an explicit stack, as in _standard_count; a node's
+    # children go on in descending order, so they come off ascending
+    stack = [((), _by_last(leads, n))]
+    while stack:
         # groups: by last position i..n - 1, the leads whose first i
         # exponents divide prefix; exponent i stops below group i's least
+        prefix, groups = stack.pop()
         i = len(prefix)
         stop = min(lt[i] for lt in groups[0])
         if i == n - 1:
@@ -613,10 +624,8 @@ def _rows(leads, n: int) -> Iterator[tuple[Exps, int]]:
                 yield prefix + (e,), min(lt[i + 1] for lt in final if lt[i] <= e)
         else:
             rest = groups[1:]
-            for e in range(stop):
-                yield from walk(prefix + (e,), [[lt for lt in g if lt[i] <= e] for g in rest])
-
-    return walk((), _by_last(leads, n))
+            stack.extend((prefix + (e,), [[lt for lt in g if lt[i] <= e] for g in rest])
+                         for e in reversed(range(stop)))
 
 
 def _staircase_size(leads, n: int) -> int:

@@ -48,7 +48,6 @@ by `gcd` as `str(Fraction)` would; a `Fraction` is built only when
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
@@ -59,6 +58,7 @@ from . import groebner
 from .errors import LgmkError, ResourceLimitExceeded
 from .groebner import Monomial, _integer_form, standard_monomials
 from .polycore import Polynomial, WeightSystem, classify, jacobian_staircase, require_admissible
+from .value import _Value
 
 
 class GradedDims:
@@ -156,15 +156,18 @@ class GradedDims:
         return f"GradedDims(entries={self.entries!r})"
 
 
-@dataclass(frozen=True)
-class BModel:
+class BModel(_Value):
     """Unorbifolded B-side: the Milnor ring with its rational grading.
     `graded` is counted from the Milnor-Orlik series when the model is
     built; `basis` is listed on first read."""
 
+    _fields = ("source", "weights", "graded")
     source: Polynomial
     weights: WeightSystem
     graded: GradedDims
+
+    def __init__(self, source: Polynomial, weights: WeightSystem, graded: GradedDims):
+        self.__dict__.update(source=source, weights=weights, graded=graded)
 
     @cached_property
     def basis(self) -> tuple[Monomial, ...]:

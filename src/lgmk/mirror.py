@@ -60,7 +60,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice
 
@@ -69,6 +68,7 @@ from .errors import InvalidArgument, ResourceLimitExceeded
 from .milnor import GradedDims, _require_halved, bmodel
 from .polycore import Polynomial, WeightSystem, classify, transpose_polynomial
 from .symmetry import gmax
+from .value import _Value
 
 HALF = Fraction(1, 2)
 
@@ -189,16 +189,22 @@ def nfamily_pair_solutions(n: int) -> list[tuple[Fraction, Fraction]]:
 # The bounded search
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SearchReport:
+class SearchReport(_Value):
     """Outcome of a mirror-candidate weight-system search."""
 
+    _fields = ("target_dim", "target_top", "vars", "denominator_bound", "solutions", "status")
     target_dim: Fraction
     target_top: Fraction
     vars: int
     denominator_bound: int
     solutions: tuple[WeightSystem, ...]
     status: str
+
+    def __init__(self, target_dim: Fraction, target_top: Fraction, vars: int,
+                 denominator_bound: int, solutions: tuple[WeightSystem, ...], status: str):
+        self.__dict__.update(target_dim=target_dim, target_top=target_top, vars=vars,
+                             denominator_bound=denominator_bound, solutions=solutions,
+                             status=status)
 
     def to_json_dict(self) -> dict:
         return {

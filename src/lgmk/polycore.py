@@ -28,7 +28,6 @@ and W's kernel runs at most once.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
@@ -48,19 +47,20 @@ from .errors import (
     WeightError,
 )
 from .groebner import Exps, Monomial, MonomialOrder, Staircase, _integer_form, staircase
+from .value import _Value
 
 
-@dataclass(frozen=True)
-class WeightSystem:
+class WeightSystem(_Value):
     """Vector of positive rational quasihomogeneous weights (q_1, ..., q_n)."""
 
+    _fields = ("q",)
     q: tuple[Fraction, ...]
 
-    def __post_init__(self):
-        qs = tuple(Fraction(v) for v in self.q)
+    def __init__(self, q: tuple[Fraction, ...]):
+        qs = tuple(Fraction(v) for v in q)
         if any(v <= 0 for v in qs):
             raise NonPositiveWeight(f"weights must be positive, got {qs}")
-        object.__setattr__(self, "q", qs)
+        self.__dict__["q"] = qs
 
     def __len__(self) -> int:
         return len(self.q)
@@ -80,14 +80,14 @@ class WeightSystem:
         return _integer_form(self.q)
 
 
-@dataclass(frozen=True)
-class ExponentMatrix:
+class ExponentMatrix(_Value):
     """m x n integer matrix A; row i holds the exponents of monomial i."""
 
+    _fields = ("rows",)
     rows: tuple[Exps, ...]
 
-    def __post_init__(self):
-        rows = tuple(tuple(int(e) for e in row) for row in self.rows)
+    def __init__(self, rows: tuple[Exps, ...]):
+        rows = tuple(tuple(int(e) for e in row) for row in rows)
         if not rows:
             raise ValueError("exponent matrix needs at least one row")
         width = len(rows[0])
@@ -95,7 +95,7 @@ class ExponentMatrix:
             raise ValueError("ragged exponent matrix")
         if any(not any(r) for r in rows):
             raise ValueError("zero row in exponent matrix")
-        object.__setattr__(self, "rows", rows)
+        self.__dict__["rows"] = rows
 
     @property
     def m(self) -> int:
@@ -109,12 +109,33 @@ class ExponentMatrix:
         return ExponentMatrix(tuple(zip(*self.rows)))
 
 
-@dataclass(frozen=True)
-class Polynomial:
-    """Canonical collected polynomial: nonzero coefficients, sorted terms."""
+class Polynomial(_Value):
+    """Canonical collected polynomial: nonzero coefficients, sorted terms.
 
+    Its hash and its exponent matrix are computed on first use and kept:
+    `classify`'s memo hashes a polynomial at each lookup."""
+
+    _fields = ("variables", "terms")
     variables: tuple[str, ...]
     terms: tuple[tuple[Fraction, Monomial], ...]
+
+    def __init__(self, variables: tuple[str, ...],
+                 terms: tuple[tuple[Fraction, Monomial], ...]):
+        self.__dict__.update(variables=variables, terms=terms)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash(self._key())
+
+    @cached_property
+    def _matrix(self) -> ExponentMatrix:
+        """The matrix whose row i is the exponent vector of term i."""
+        if not self.terms:
+            raise ValueError("zero polynomial has no exponent matrix")
+        return ExponentMatrix(tuple(m.exponents for _, m in self.terms))
 
     @staticmethod
     def from_term_map(variables: Iterable[str],
@@ -307,9 +328,7 @@ def parse_polynomial(text: str) -> Polynomial:
 
 def exponent_matrix(poly: Polynomial) -> ExponentMatrix:
     """Matrix whose row i is the exponent vector of term i in canonical order."""
-    if poly.is_zero():
-        raise ValueError("zero polynomial has no exponent matrix")
-    return ExponentMatrix(tuple(m.exponents for _, m in poly.terms))
+    return poly._matrix
 
 
 def _has_cross_term(matrix: ExponentMatrix) -> bool:
@@ -496,18 +515,22 @@ class PolynomialClass(Enum):
     NOT_ADMISSIBLE = "not_admissible"
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(_Value):
     """Verdict of `classify`: the class, the weights when they exist, and the
     reason a polynomial is not admissible.  For an admissible one,
     `staircase` is its Jacobian staircase under its weights, which `build`
-    returns when first read."""
+    returns when first read; `build` is no part of equality or `repr`."""
 
+    _fields = ("kind", "weights", "reason")
     kind: PolynomialClass
     weights: WeightSystem | None
-    reason: str | None = None
-    build: Callable[[], Staircase | None] | None = field(
-        default=None, compare=False, repr=False)
+    reason: str | None
+    build: Callable[[], Staircase | None] | None
+
+    def __init__(self, kind: PolynomialClass, weights: WeightSystem | None,
+                 reason: str | None = None,
+                 build: Callable[[], Staircase | None] | None = None):
+        self.__dict__.update(kind=kind, weights=weights, reason=reason, build=build)
 
     @property
     def is_admissible(self) -> bool:
@@ -580,6 +603,6 @@ def _invertible_matrix(poly: Polynomial) -> ExponentMatrix:
 
 def transpose_polynomial(poly: Polynomial) -> Polynomial:
     """Polynomial whose exponent matrix is the transpose of poly's."""
-    transposed = _invertible_matrix(poly).transpose()
-    return Polynomial.from_term_map(poly.variables,
-                                    {row: Fraction(1) for row in transposed.rows})
+    # W^T validates its own matrix when that is first read
+    columns = zip(*_invertible_matrix(poly).rows)
+    return Polynomial.from_term_map(poly.variables, {row: Fraction(1) for row in columns})

@@ -25,9 +25,8 @@ gmax(W^T), and transposing twice gives G back, as groups.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, total_ordering
 from itertools import chain, cycle, product, repeat
 from math import gcd, lcm, prod
 from operator import add, mod, mul
@@ -39,19 +38,26 @@ from .errors import (
     WeightConditionViolated,
 )
 from .polycore import Polynomial, WeightSystem, _echelon, _invertible_matrix, exponent_matrix
+from .value import _Value
 
 GROUP_ORDER_LIMIT = 10**6  # the largest group listed or split into subgroups
 
 
-@dataclass(frozen=True, order=True)
-class GroupElement:
-    """Element of (Q/Z)^n given by its phases, each reduced into [0, 1)."""
+@total_ordering
+class GroupElement(_Value):
+    """Element of (Q/Z)^n given by its phases, each reduced into [0, 1);
+    elements sort by their phases."""
 
+    _fields = ("phases",)
     phases: tuple[Fraction, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "phases",
-                           tuple(Fraction(p) % 1 for p in self.phases))
+    def __init__(self, phases: tuple[Fraction, ...]):
+        self.__dict__["phases"] = tuple(Fraction(p) % 1 for p in phases)
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self.phases < other.phases
+        return NotImplemented
 
     @staticmethod
     def identity(n: int) -> "GroupElement":
@@ -175,12 +181,11 @@ def _sorted_vectors(exponent: int, basis) -> list[tuple[int, ...]]:
 def _element(phases: tuple[Fraction, ...]) -> GroupElement:
     # phases already reduced into [0, 1) skip re-normalization
     element = object.__new__(GroupElement)
-    object.__setattr__(element, "phases", phases)
+    element.__dict__["phases"] = phases
     return element
 
 
-@dataclass(frozen=True)
-class SymmetryGroup:
+class SymmetryGroup(_Value):
     """Finite subgroup of (Q/Z)^n.
 
     `exponent` N is the lcm of the element orders, and `basis` the Hermite
@@ -192,10 +197,16 @@ class SymmetryGroup:
     counting (`amodel`) reads the coordinate columns of `_columns` instead.
     """
 
+    _fields = ("ambient", "exponent", "gens", "basis")
+    _compared = ("ambient", "exponent", "basis")
     ambient: int
     exponent: int
-    gens: tuple[tuple[int, ...], ...] = field(compare=False)
+    gens: tuple[tuple[int, ...], ...]
     basis: tuple[tuple[int, ...], ...]
+
+    def __init__(self, ambient: int, exponent: int, gens: tuple[tuple[int, ...], ...],
+                 basis: tuple[tuple[int, ...], ...]):
+        self.__dict__.update(ambient=ambient, exponent=exponent, gens=gens, basis=basis)
 
     @cached_property
     def generators(self) -> tuple[GroupElement, ...]:

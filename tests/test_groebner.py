@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction as F
 from itertools import permutations, product
 from operator import mul
@@ -238,6 +239,22 @@ class TestStandardMonomials:
         assert len(standard_monomials(self.pure_powers(3, 4))) == 12
         with pytest.raises(ResourceLimitExceeded):
             standard_monomials(self.pure_powers(13, 1))
+
+    def test_a_walk_in_more_variables_than_the_recursion_limit(self):
+        # units x_i for all but the last three variables, squares for those:
+        # the walks go one variable deeper per variable
+        n = 1100
+        assert n > sys.getrecursionlimit()
+        leads = tuple(tuple(int(j == i) + (j == i >= n - 3) for j in range(n))
+                      for i in range(n))
+        corners = Staircase(leads, MonomialOrder.degrevlex(),
+                            tuple(f"x{i}" for i in range(n)))
+        tails = [m.exponents[-3:] for m in standard_monomials(corners)]
+        assert sorted(tails) == list(product((0, 1), repeat=3))
+        assert all(not any(m.exponents[:-3]) for m in standard_monomials(corners))
+        assert groebner._staircase_size(leads, n) == 8
+        counts = [groebner._standard_count(g, (1,) * n, list(leads)) for g in range(5)]
+        assert counts == [1, 3, 3, 1, 0]
 
     def test_equal_to_validated_monomials(self):
         # built without re-validation, they compare and hash like Monomial(...)

@@ -34,12 +34,16 @@ graded table from the group's integer coordinate columns: it lists no
 vector and builds no `SectorElement` until its basis is read.  `bmodel` counts its table from the Milnor-Orlik
 series, so `mirror_sides` lists no standard monomial, and `BModel.basis`
 is listed only when first read.  No module reads the environment: every
-limit is a module constant.
+limit is a module constant.  No module imports `dataclasses`: the value
+classes share the small base in `value`, so `import lgmk` loads neither
+`dataclasses` nor `inspect`.  A polynomial keeps its hash and its exponent
+matrix, so `mirror_sides` validates each polynomial's matrix once.
 """
 
 import ast
 import importlib
 import os
+import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -83,8 +87,8 @@ def _module_trees():
 
 # every module of the package, each importing only from modules before it;
 # the package and its `python -m` entry point sit above every layer
-LAYER_ORDER = ("errors", "groebner", "polycore", "milnor", "symmetry", "amodel",
-               "mirror", "cli", "__main__", "__init__")
+LAYER_ORDER = ("errors", "value", "groebner", "polycore", "milnor", "symmetry",
+               "amodel", "mirror", "cli", "__main__", "__init__")
 
 
 def _intra_package_imports_in_functions():
@@ -129,6 +133,19 @@ def _module_level_imports():
                 found.update((name, module) for module in _imported_modules(node))
             elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 nodes.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def _imported_top_levels():
+    """(module, top-level name) for each absolute import anywhere in a
+    module, functions and `if TYPE_CHECKING:` blocks included."""
+    found = set()
+    for name, tree in _module_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                found.update((name, alias.name.split(".")[0]) for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.add((name, node.module.split(".")[0]))
     return found
 
 
@@ -184,6 +201,19 @@ class TestLayering:
         imports = _module_level_imports()
         assert ("milnor", "polycore") in imports
         assert {(a, b) for a, b in imports if rank[b] >= rank[a]} == set()
+
+    def test_no_module_imports_dataclasses(self):
+        imports = _imported_top_levels()
+        assert ("polycore", "re") in imports
+        assert {name for name, top in imports if top == "dataclasses"} == set()
+
+    def test_import_loads_neither_dataclasses_nor_inspect(self):
+        # a fresh interpreter without site hooks: this one has loaded both
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); import lgmk, lgmk.cli; "
+                "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+        done = subprocess.run([sys.executable, "-I", "-S", "-c", code, os.path.dirname(SRC)],
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.split() == ["[]"]
 
     def test_no_module_reads_the_environment(self):
         assert _environment_reads() == set()
@@ -380,6 +410,26 @@ class TestOneWeightSolve:
         assert mirror_check(parse_polynomial(CHAIN))
         # W and W^T; the restricted loci take their weights from W's
         assert len(weight_solves) == 2
+
+
+class TestOneExponentMatrix:
+    @pytest.mark.parametrize("text", [FERMAT, CHAIN, LOOP])
+    def test_mirror_sides_validates_each_matrix_once(self, monkeypatch, text):
+        reads = _count_calls(monkeypatch, polycore, "exponent_matrix")
+        validated = []
+        validate = polycore.ExponentMatrix.__init__
+
+        def counted(matrix, rows):
+            validated.append(rows)
+            validate(matrix, rows)
+
+        monkeypatch.setattr(polycore.ExponentMatrix, "__init__", counted)
+        poly = parse_polynomial(text)
+        mirror.mirror_sides(poly)
+        polys = list({id(p): p for (p,) in reads}.values())
+        # W's matrix is read by the verdict, the transpose and Gmax
+        assert len(reads) > len(polys) and polys[0] is poly
+        assert validated == [tuple(m.exponents for _, m in p.terms) for p in polys]
 
 
 class TestOneEchelon:
@@ -614,7 +664,7 @@ class TestIntegerGroups:
         def forbidden(*args):
             raise AssertionError("a GroupElement was built")
 
-        monkeypatch.setattr(symmetry.GroupElement, "__post_init__", forbidden)
+        monkeypatch.setattr(symmetry.GroupElement, "__init__", forbidden)
         monkeypatch.setattr(symmetry, "_element", forbidden)
         _, a_side, b_side = mirror.mirror_sides(poly)
         assert a_side == b_side
