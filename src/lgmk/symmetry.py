@@ -5,15 +5,17 @@ into [0, 1).  A group G of exponent N is kept as the integer lattice
 L = {v in Z^n : v/N in G}, which satisfies N*Z^n <= L <= Z^n, through the
 Hermite normal form of a basis of L: polycore's integer echelon, reduced
 above its pivots.  With N least, N and that form are the group's identity.
-Order, membership, containment, invariant factors, quotients and the
+Order, membership, containment, invariant factors, quotients, the
 subgroups containing given elements (the lattices between theirs and L, as
-Hermite forms) are integer linear algebra on that basis.  Every other
-computation reads the generator vectors or enumerates the vectors v of L
-mod N, for groups of order up to GROUP_ORDER_LIMIT, through one walk of the
-Hermite coefficients, `_columns`, which yields coordinate k of every vector
-as an integer column: `amodel` counts from the columns one at a time, and
-`vectors`, the sorted tuples, is listed from them on first use.  Phase
-elements are built only for output.
+Hermite forms) and the determinant-one subgroup (a kernel on the basis, so
+nothing is listed) are integer linear algebra on that basis; a group built
+from vectors is generated by its Hermite rows nonzero mod N, by descending
+element order, ties ascending.  Every other computation reads the generator
+vectors or enumerates the vectors v of L mod N, for groups of order up to
+GROUP_ORDER_LIMIT, through one walk of the Hermite coefficients, `_columns`,
+which yields coordinate k of every vector as an integer column: `amodel`
+counts from the columns one at a time, and `vectors`, the sorted tuples, is
+listed from them on first use.  Phase elements are built only for output.
 
 Gmax and the transpose group are both read off one Smith form, of a matrix
 R of relations: the group {g : R.g integral}, generated by the columns of
@@ -34,6 +36,7 @@ from operator import add, mod, mul
 from .errors import (
     GroupNotSymmetry,
     InfiniteGroup,
+    InvalidArgument,
     ResourceLimitExceeded,
     WeightConditionViolated,
 )
@@ -279,26 +282,22 @@ def _lattice_group(vectors, exponent: int, ambient: int, basis=None) -> Symmetry
                          tuple(tuple(a // common for a in row) for row in basis))
 
 
-def _greedy_group(vectors, exponent: int, ambient: int) -> SymmetryGroup:
-    """Group of the ascending vectors v (elements v/exponent), generated greedily:
-    by descending element order exponent/gcd(exponent, *v), ties ascending,
-    each v kept when the ones before it do not generate it."""
-    basis = _hermite_basis((), exponent, ambient)
-    gens = []
-    for v in sorted(vectors, key=lambda v: gcd(exponent, *v)):
-        if _coordinates(v, basis) is None:
-            gens.append(v)
-            basis = _hermite_basis(basis + (v,), exponent, ambient)
+def _hermite_group(vectors, exponent: int, ambient: int) -> SymmetryGroup:
+    """Group of the vectors v (elements v/exponent), generated by its Hermite
+    rows nonzero mod exponent, by descending element order, ties ascending."""
+    basis = _hermite_basis(vectors, exponent, ambient)
+    gens = sorted((row for row in basis if any(a % exponent for a in row)),
+                  key=lambda row: (gcd(exponent, *row), row))
     return _lattice_group(gens, exponent, ambient, basis)
 
 
 def group_from_elements(elements, ambient: int) -> SymmetryGroup:
-    """Group from a complete element list, with the generators of _greedy_group."""
-    elems = sorted(set(elements)) or [GroupElement.identity(ambient)]
+    """Group from a complete element list, with its Hermite generators."""
+    elems = set(elements) or {GroupElement.identity(ambient)}
     if any(len(e) != ambient for e in elems):
         raise ValueError("element length does not match ambient dimension")
     exponent = lcm(*(e.order() for e in elems))
-    group = _greedy_group([_numerators(e, exponent) for e in elems], exponent, ambient)
+    group = _hermite_group([_numerators(e, exponent) for e in elems], exponent, ambient)
     if group.order != len(elems):
         raise ValueError("element list is not closed under addition")
     return group
@@ -422,16 +421,14 @@ def gmax(poly: Polynomial) -> SymmetryGroup:
 def gmax_bruteforce(poly: Polynomial, denominator_bound: int) -> SymmetryGroup:
     """Oracle for gmax: try every phase vector with denominators dividing the
     bound.  Complete only when the bound is a multiple of every invariant
-    factor; that is the caller's responsibility."""
-    matrix = exponent_matrix(poly)
-    n = matrix.n
+    factor; that is the caller's responsibility.  It must be at least 1."""
     b = int(denominator_bound)
-    found = []
-    for ks in product(range(b), repeat=n):
-        if all(sum(row[j] * ks[j] for j in range(n)) % b == 0
-               for row in matrix.rows):
-            found.append(ks)
-    return _greedy_group(found, b, n)
+    if b < 1:
+        raise InvalidArgument(f"denominator bound must be at least 1, got {b}")
+    matrix = exponent_matrix(poly)
+    found = [ks for ks in product(range(b), repeat=matrix.n)
+             if all(sum(map(mul, row, ks)) % b == 0 for row in matrix.rows)]
+    return _hermite_group(found, b, matrix.n)
 
 
 def is_admissible_group(group: SymmetryGroup, weights: WeightSystem) -> bool:
@@ -445,9 +442,13 @@ def is_admissible_group(group: SymmetryGroup, weights: WeightSystem) -> bool:
 
 
 def sl_subgroup(group: SymmetryGroup) -> SymmetryGroup:
-    """Subgroup of elements whose phases sum to an integer (determinant one)."""
-    kept = [v for v in group.vectors if sum(v) % group.exponent == 0]
-    return _greedy_group(kept, group.exponent, group.ambient)
+    """Subgroup of elements whose phases sum to an integer (determinant one):
+    the kernel of v -> sum(v) mod N on L.  Past the first, the echelon rows
+    of (sum(b) | b), b a basis row, have 0 in column 0; their tails span
+    {v in L : sum(v) = 0}, the kernel with N*Z^n, as N*e_1 lies on L."""
+    n, exponent = group.ambient, group.exponent
+    kernel = _echelon([[sum(row), *row] for row in group.basis], n + 1)
+    return _hermite_group([row[1:] for row in kernel[1:]], exponent, n)
 
 
 def fixed_locus(element: GroupElement) -> frozenset[int]:
@@ -527,7 +528,8 @@ def subgroups_containing(group: SymmetryGroup,
     rows below, kept iff (c_jj/h)*row - C_j lies on the rows below, that is
     iff C_j lies on M.  So each form is made once, and no partial form is a
     dead end: h = c_jj with C_j's tail reduced always passes.  A subgroup's
-    generators are its Hermite basis rows nonzero mod its exponent."""
+    generators are its Hermite basis rows nonzero mod its exponent, by
+    descending element order, ties ascending, as `_hermite_group` gives."""
     base = subgroup_generated(list(seed), group.ambient)
     if not base.is_subgroup_of(group):
         raise ValueError("seed elements do not lie in the group")
@@ -547,8 +549,6 @@ def subgroups_containing(group: SymmetryGroup,
                  for t in product(*(range(row[i]) for i, row in enumerate(below)))
                  if _coordinates([pivot // h * a - c for a, c in zip(t, tail)],
                                  below) is not None]
-    bases = (_hermite_basis([[sum(map(mul, x, column)) for column in zip(*group.basis)]
-                             for x in form], exponent, n) for form in forms)
-    found = [_lattice_group([row for row in basis if any(a % exponent for a in row)],
-                            exponent, n, basis) for basis in bases]
+    found = [_hermite_group([[sum(map(mul, x, column)) for column in zip(*group.basis)]
+                             for x in form], exponent, n) for form in forms]
     return sorted(found, key=lambda sub: (sub.order, sub._scaled_basis(exponent)))

@@ -14,6 +14,7 @@ generators of the wrong length, phases outside [0, 1), unreduced phases
 and zero denominators, and a second derandomized test draws `amodel` alone.
 """
 
+import json
 import os
 import resource
 import subprocess
@@ -94,6 +95,18 @@ KNOWN = [
 @pytest.mark.parametrize("argv,code", KNOWN, ids=[" ".join(a) for a, _ in KNOWN])
 def test_known_edge(argv, code):
     assert _run(argv).returncode == code
+
+
+def test_determinant_one_subgroup_of_a_gmax_above_the_limit():
+    """Gmax has order 3,261,636, above GROUP_ORDER_LIMIT, and is never
+    listed: SL is read off its basis, and only SL's 1,806 sectors are, for
+    the basis and its character-count cross-check."""
+    done = _run(["amodel", "x^2+y^3+z^7+w^43+v^1806", "sl", "--json"])
+    assert done.returncode == 0
+    payload = json.loads(done.stdout)["payload"]
+    assert (payload["group_order"], payload["dimension"], payload["top_degree"]) == (
+        1806, 1008, "6")
+    assert len(payload["basis"]) == 1008
 
 
 _EXPONENTS = st.sampled_from(["1", "2", "3", "4", "7", "60", "1001", "10^12"])

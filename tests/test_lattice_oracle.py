@@ -1,17 +1,19 @@
 """The lattice implementation of the symmetry groups against element lists.
 
 The oracle below keeps the earlier algorithms, which work on complete
-element lists: closure by repeated addition, greedy generators tested by
-rebuilding the closure, invariant factors by splitting off an element of
-maximal order, and quotients by canonical coset representatives.  On random
-small groups and on the two- and three-variable corpora, every operation
-must give exactly what the oracle gives: elements, generators, invariant
-factors, quotient factors, the subgroups as element lists, each once, the
-determinant-one subgroup, and the transpose group's elements.  The
-subgroups come ascending by order, then by Hermite basis at the group's
-exponent, each generated by its Hermite basis rows that are nonzero mod
-its exponent; their counts on (Z/d)^n, beyond the oracle's reach, match
-the closed form of Gaussian binomials.  Two groups
+element lists: closure by repeated addition, invariant factors by splitting
+off an element of maximal order, and quotients by canonical coset
+representatives.  On random small groups and on the two- and three-variable
+corpora, every operation must give exactly what the oracle gives: elements,
+invariant factors, quotient factors, the subgroups as element lists, each
+once, the determinant-one subgroup, and the transpose group's elements.
+The groups built from an element list, the determinant-one subgroups and
+the subgroups are each generated by their Hermite basis rows that are
+nonzero mod the exponent, by descending element order, ties ascending, and
+those generators close to the group's elements.  The subgroups come
+ascending by order, then by Hermite basis at the group's exponent; their
+counts on (Z/d)^n, beyond the oracle's reach, match the closed form of
+Gaussian binomials.  Two groups
 are equal, with equal hashes, exactly when their elements are, whatever
 generators built them: the transpose group, which keeps the generators of
 its Smith form, equals the oracle's dual built from its element list.  The
@@ -22,7 +24,7 @@ is checked against trying every vector of [0, N)^n.
 from collections import Counter
 from fractions import Fraction as F
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -71,16 +73,6 @@ def closure(gens, ambient):
                     fresh.append(b)
         frontier = fresh
     return tuple(sorted(seen))
-
-
-def greedy_generators(elements, ambient):
-    gens = []
-    have = {GroupElement.identity(ambient)}
-    for e in sorted(elements, key=lambda g: (-g.order(), g)):
-        if e not in have:
-            gens.append(e)
-            have = set(closure(gens, ambient))
-    return tuple(gens)
 
 
 def element_order(e, add, zero):
@@ -148,14 +140,8 @@ def subgroups_search(elements, gens_of_base, ambient):
     return seen
 
 
-def from_elements(elements, ambient):
-    elems = tuple(sorted(set(elements))) or (GroupElement.identity(ambient),)
-    return greedy_generators(elems, ambient), elems
-
-
-def sl_part(elements, ambient):
-    return from_elements([g for g in elements if sum(g.phases, F(0)).denominator == 1],
-                         ambient)
+def sl_part(elements):
+    return tuple(g for g in elements if sum(g.phases, F(0)).denominator == 1)
 
 
 def inverse_columns(rows):
@@ -204,6 +190,14 @@ def assert_minimal_exponent(group):
     assert group.exponent == lcm(*(e.order() for e in group.elements))
 
 
+def assert_hermite_generators(group, ambient):
+    """The generators are the Hermite rows nonzero mod the exponent, by
+    descending element order, ties ascending, and they generate the group."""
+    rows = [row for row in group.basis if any(a % group.exponent for a in row)]
+    assert group.gens == tuple(sorted(rows, key=lambda v: (gcd(group.exponent, *v), v)))
+    assert closure(group.generators, ambient) == group.elements
+
+
 def check_group(group, ambient, poly=None):
     """Everything the lattice group derives from itself matches the oracle;
     the groups it derives have the least exponent."""
@@ -211,11 +205,15 @@ def check_group(group, ambient, poly=None):
     assert group.elements == elements
     assert group.order == len(elements)
     assert group.invariant_factors() == invariant_factors(elements, ambient)
-    assert pair(group_from_elements(elements, ambient)) == from_elements(elements, ambient)
-    assert pair(sl_subgroup(group)) == sl_part(elements, ambient)
+    built = group_from_elements(elements, ambient)
+    assert built.elements == elements
+    assert_hermite_generators(built, ambient)
+    sl = sl_subgroup(group)
+    assert sl.elements == sl_part(elements)
+    assert_hermite_generators(sl, ambient)
     assert all(e in group for e in elements)
-    assert_minimal_exponent(group_from_elements(elements, ambient))
-    assert_minimal_exponent(sl_subgroup(group))
+    assert_minimal_exponent(built)
+    assert_minimal_exponent(sl)
     if poly is not None:
         assert_minimal_exponent(transpose_group(group, poly))
 
@@ -227,8 +225,7 @@ def check_subgroups(group, seed, ambient):
     keys = [(sub.order, sub._scaled_basis(group.exponent)) for sub in found]
     assert keys == sorted(keys)
     for sub in found:
-        assert sub.gens == tuple(row for row in sub.basis if any(a % sub.exponent for a in row))
-        assert closure(sub.generators, ambient) == sub.elements
+        assert_hermite_generators(sub, ambient)
         assert_minimal_exponent(sub)
         assert sub.is_subgroup_of(group)
         assert (quotient_invariant_factors(group, sub) ==

@@ -22,14 +22,14 @@ lattice operations never list theirs, and `subgroups_containing` lists no
 vector at all: it enumerates Hermite forms, with one echelon for the seed
 group, one for its coordinates on the group's basis and one per subgroup.
 Group computations read integers only: a group keeps its generators as
-integer vectors, no library computation reads the phase
-list `elements`, and none builds a `GroupElement` once its inputs are
-built; `_greedy_group` takes one Hermite form per generator it keeps, plus
-the first, and never rebuilds the group from phases.  `transpose_group`
-solves its relations through one Smith form and returns that relation
-group: it never calls `gmax` and lists no vectors.  The weights and every
-Hermite form come from one integer echelon, `polycore._echelon`, called
-once per weight solve and once per Hermite form.  `amodel` counts its
+integer vectors, no library computation reads the phase list `elements` or
+the vector list `vectors`, and none builds a `GroupElement` once its inputs
+are built; `sl_subgroup` and `group_from_elements` each take one Hermite
+form.  `transpose_group` solves its relations through one Smith form and
+returns that relation group: it never calls `gmax` and lists no vectors.
+The weights, every Hermite form and the determinant-one kernel come from
+one integer echelon, `polycore._echelon`, called once per weight solve,
+once per Hermite form and once per kernel.  `amodel` counts its
 graded table from the group's integer coordinate columns: it lists no
 vector and builds no `SectorElement` until its basis is read.  `bmodel` counts its table from the Milnor-Orlik
 series, so `mirror_sides` lists no standard monomial, and `BModel.basis`
@@ -640,10 +640,11 @@ class TestTransposeByRelations:
 class TestIntegerGroups:
     @pytest.mark.parametrize("text", [FERMAT, CHAIN, LOOP])
     def test_group_computations_read_no_phase_list(self, monkeypatch, text):
-        def forbidden(self):
-            raise AssertionError("SymmetryGroup.elements was read")
+        for name in ("elements", "vectors"):
+            def forbidden(self, name=name):
+                raise AssertionError(f"SymmetryGroup.{name} was read")
 
-        monkeypatch.setattr(symmetry.SymmetryGroup, "elements", property(forbidden))
+            monkeypatch.setattr(symmetry.SymmetryGroup, name, property(forbidden))
         poly = parse_polynomial(text)
         full = gmax(poly)
         j = GroupElement(tuple(polycore.classify(poly).weights))
@@ -679,9 +680,18 @@ class TestIntegerGroups:
         assert sl_subgroup(full).is_subgroup_of(full)
 
     @pytest.mark.parametrize("text", [FERMAT, CHAIN, LOOP, "x^4 + y^6"])
-    def test_greedy_group_takes_one_hermite_form_per_kept_generator(self, monkeypatch, text):
+    def test_determinant_one_and_listed_groups_take_one_hermite_form(self, monkeypatch, text):
         group = gmax(parse_polynomial(text))
+        elements = group.elements
+
+        def forbidden(*args):
+            raise AssertionError("a group was enumerated")
+
+        monkeypatch.setattr(symmetry, "_columns", forbidden)
         calls = _count_calls(monkeypatch, symmetry, "_hermite_basis")
-        greedy = symmetry._greedy_group(group.vectors, group.exponent, group.ambient)
-        assert greedy.basis == group.basis
-        assert len(calls) == len(greedy.generators) + 1
+        echelons = _count_calls(monkeypatch, polycore, "_echelon")
+        assert sl_subgroup(group).is_subgroup_of(group)
+        # one echelon for the kernel, one for its Hermite form
+        assert (len(calls), len(echelons)) == (1, 2)
+        assert symmetry.group_from_elements(elements, group.ambient) == group
+        assert len(calls) == 2

@@ -10,7 +10,9 @@ from lgmk import (
     GroupElement,
     GroupNotSymmetry,
     InfiniteGroup,
+    InvalidArgument,
     NotInvertible,
+    ResourceLimitExceeded,
     WeightConditionViolated,
     WeightSystem,
     classify,
@@ -29,6 +31,7 @@ from lgmk import (
     transpose_group,
     transpose_polynomial,
 )
+from lgmk.symmetry import GROUP_ORDER_LIMIT
 
 from conftest import INVERTIBLE_CORPUS_TEXTS, family_polynomial, j_group
 
@@ -156,6 +159,15 @@ class TestBruteforce:
         group = gmax_bruteforce(parse_polynomial("x^3 + y^3"), 2)
         assert group.order == 1
 
+    def test_bound_of_one_gives_the_trivial_group(self):
+        group = gmax_bruteforce(parse_polynomial("x^3 + y^3"), 1)
+        assert (group.order, group.exponent) == (1, 1)
+
+    @pytest.mark.parametrize("bound", [0, -2])
+    def test_bound_below_one_is_rejected(self, bound):
+        with pytest.raises(InvalidArgument, match="denominator bound must be at least 1"):
+            gmax_bruteforce(parse_polynomial("x^3 + y^3"), bound)
+
 
 class TestSubgroups:
     def test_cyclic_diagonal(self):
@@ -203,6 +215,19 @@ class TestSlAndFixedLocus:
     def test_sl_keeps_integer_sums(self):
         group = subgroup_generated([ge("1/2", "1/2")], 2)
         assert sl_subgroup(group).elements == group.elements
+
+    def test_sl_of_a_group_too_large_to_list(self):
+        """Gmax has order 60^4 = 12,960,000; its determinant-one subgroup is
+        a kernel on its basis, and equals the dual of <J> (W^T = W)."""
+        poly = parse_polynomial("x^60 + y^60 + z^60 + w^60")
+        full = gmax(poly)
+        assert full.order > GROUP_ORDER_LIMIT
+        with pytest.raises(ResourceLimitExceeded):
+            full.vectors
+        sl = sl_subgroup(full)
+        assert (sl.order, sl.exponent, sl.invariant_factors()) == (216000, 60, (60, 60, 60))
+        j = subgroup_generated([GroupElement((F(1, 60),) * 4)], 4)
+        assert sl == transpose_group(j, poly)
 
     def test_fixed_locus(self):
         assert fixed_locus(ge(0, 0)) == {0, 1}
