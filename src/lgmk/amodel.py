@@ -19,10 +19,14 @@ with n_P the number of elements whose moved set is P,
     c_F = (1/|G|) * sum_P n_P * prod_{i in F-P}(1/q_i - 1) * (-1)^|F & P|,
 
 an exact integer division over |G| * prod_{i in F} w_i for the integer
-weights w_i = L*q_i.  The formula's hypothesis, W|F nondegenerate, follows
-from W's own nondegeneracy, which `require_admissible` checks (the lemma in
-`amodel`), so counting runs no Groebner kernel on any locus, and on an
-invertible W none at all.
+weights w_i = L*q_i.  Every locus is summed at once, in one pass per
+coordinate i over integer keys whose bits below i are the locus chosen so
+far and whose bits from i on are the pattern still to read: i stays out
+(factor 1) or goes in (L - w_i if the pattern fixes i, -w_i if it moves
+it), and only prefixes of real loci are kept.  The formula's hypothesis,
+W|F nondegenerate, follows from W's own nondegeneracy, which
+`require_admissible` checks (the lemma in `amodel`), so counting runs no
+Groebner kernel on any locus, and on an invertible W none at all.
 The graded table is counted in integers: with N the group exponent, an
 element g = v/N has degree numerator N*adegree(g) = |fix(g)|*N + 2*sum(v) -
 2*N*sum(q).  That numerator and the set of moved variables both add over
@@ -180,27 +184,35 @@ def _invariant_monomials(fix, generators, exponent, poly, weights):
     return standard_monomials(found, invariant_lasts)
 
 
-def _invariant_count(fix, moved_bits, order, weights) -> int:
-    """Number of invariant monomials on the locus fix, from the characters:
-    moved_bits maps each moved pattern (a mask whose bit i is set when the
-    element moves x_i) to its number of group elements.  Exact because the
-    restriction to fix is nondegenerate (the lemma in `amodel`); raises
-    LgmkError if the average is not a nonnegative integer."""
+def _invariant_counts(moved_bits, order, weights) -> dict[int, int]:
+    """Number of invariant monomials on the fixed locus of each moved
+    pattern (a mask whose bit i is set when the element moves x_i), from
+    the characters by the pass per coordinate of the module docstring:
+    moved_bits maps each pattern to its number of group elements.  Raises
+    LgmkError if an average is not a nonnegative integer."""
     # 1/q_i - 1 = (L - w_i)/w_i, so over the denominator order * prod w_i a
     # fixed i contributes L - w_i, a moved one -w_i
     scale, integer_weights = weights.integer_form
-    total = 0
-    for bits, n in moved_bits.items():
-        term = n
-        for i in fix:
-            w = integer_weights[i]
-            term *= -w if bits >> i & 1 else scale - w
-        total += term
-    count, remainder = divmod(total, order * prod(integer_weights[i] for i in fix))
-    if remainder or count < 0:
-        raise LgmkError(
-            f"character count on locus {sorted(fix)} is not a nonnegative integer")
-    return count
+    n = len(integer_weights)
+    totals = dict(moved_bits)
+    for i, w in enumerate(integer_weights):
+        bit, low = 1 << i, (2 << i) - 1
+        prefixes = {~bits & low for bits in moved_bits}
+        step: dict[int, int] = {}
+        for key, total in totals.items():
+            for locus, factor in ((key & ~bit, 1), (key | bit, -w if key & bit else scale - w)):
+                if locus & low in prefixes:
+                    step[locus] = step.get(locus, 0) + factor * total
+        totals = step
+    counts = {}
+    for bits in moved_bits:
+        fix = [i for i in range(n) if not bits >> i & 1]
+        count, remainder = divmod(totals[~bits & (1 << n) - 1],
+                                  order * prod(integer_weights[i] for i in fix))
+        if remainder or count < 0:
+            raise LgmkError(f"character count on locus {fix} is not a nonnegative integer")
+        counts[bits] = count
+    return counts
 
 
 def _degree_shift(weights: WeightSystem, exponent: int) -> int:
@@ -247,13 +259,13 @@ def amodel(poly: Polynomial, group: SymmetryGroup) -> AModel:
         keys = list(map(add, keys, map(table.__getitem__, column)))
     mask = (1 << n) - 1
     moved_bits = Counter(map(mask.__and__, keys))
-    loci = {bits: frozenset(i for i in range(n) if not bits >> i & 1) for bits in moved_bits}
-    locus_counts = {fix: _invariant_count(fix, moved_bits, group.order, weights)
-                    for fix in loci.values()}
+    by_pattern = _invariant_counts(moved_bits, group.order, weights)
+    locus_counts = {frozenset(i for i in range(n) if not bits >> i & 1): count
+                    for bits, count in by_pattern.items()}
     # elements with one key share their locus and their degree
     counts: Counter[int] = Counter()
     for key, count in Counter(keys).items():
-        counts[key >> n] += count * locus_counts[loci[key & mask]]
+        counts[key >> n] += count * by_pattern[key & mask]
     graded = GradedDims._from_counts(counts, exponent, _degree_shift(weights, exponent))
     return AModel(poly, group, graded, locus_counts)
 

@@ -44,7 +44,9 @@ step, and a run of more than STEP_LIMIT steps raises ResourceLimitExceeded.
 `standard_monomials` refuses a box larger than STANDARD_MONOMIAL_BOX_LIMIT
 and walks the staircase under the leading terms, one variable at a time.
 That box rule guards listings only: the graded tables of `bmodel` and
-`amodel` are counted without a standard monomial.
+`amodel` are counted without a standard monomial.  One walk, `_walk`,
+serves listings, the counts of the Hilbert driving and its certificate, and
+`mirror`'s weight-one pool; a lead joins it at its first nonzero position.
 
 Pairs are pruned where they are made, by Gebauer and Moeller's update (On
 an installation of Buchberger's algorithm, JSC 6, 1988).  A new lead h makes
@@ -394,46 +396,50 @@ def _complete_intersection_series(grades: list[int],
     return series
 
 
-def _by_last(leads, n: int) -> list[list[Exps]]:
-    """The leads grouped by their last nonzero position, 0..n - 1 (a zero
-    lead in group 0).  A lead whose first i exponents divide a prefix and
-    whose last nonzero position is i divides every extension whose exponent
-    i reaches its own; the walks below read each group only at its depth,
-    where the leads of earlier groups are gone."""
-    groups: list[list[Exps]] = [[] for _ in range(n)]
+def _walk(leads, weights: tuple[int, ...],
+          grade: int | None = None) -> Iterator[tuple[Exps, range]]:
+    """The monomials in n = len(weights) >= 1 variables that no lead
+    divides, one variable at a time: each prefix of their first n - 1
+    exponents, ascending, with the range of their last exponent.  Without a
+    grade the staircase must be finite; with one, only the monomials of that
+    grade under the integer weights are walked.  A lead joins the walk at its
+    first nonzero position, stays while its exponents divide the prefix and
+    at its last nonzero position i caps exponent i, so a node reads only the
+    leads it has reached."""
+    n = len(weights)
+    entering: list[list[tuple[Exps, int]]] = [[] for _ in range(n)]
     for lt in leads:
-        groups[max(compress(range(n), lt), default=0)].append(lt)
-    return groups
+        support = list(compress(range(n), lt))
+        if not support:
+            return  # the unit divides every monomial
+        entering[support[0]].append((lt, support[-1]))
+    # depth first on an explicit stack: one level per variable would
+    # overflow Python's recursion limit.  Children go on descending, so they
+    # come off ascending; `left` is the grade left (unread without a grade)
+    stack: list[tuple[Exps, int, list[tuple[Exps, int]]]] = [((), grade or 0, [])]
+    while stack:
+        prefix, left, reached = stack.pop()
+        i = len(prefix)
+        reached = reached + entering[i]
+        w = weights[i]
+        stops = [lt[i] for lt, end in reached if end == i]
+        if grade is not None:
+            stops.append(left // w + 1)
+        stop = min(stops)
+        if i < n - 1:
+            # a lead ending at i has lt[i] >= stop > e, so no child keeps it
+            stack.extend((prefix + (e,), left - e * w,
+                          [lead for lead in reached if lead[0][i] <= e])
+                         for e in reversed(range(stop)))
+        elif grade is None:
+            yield prefix, range(stop)
+        elif not left % w and left // w < stop:
+            yield prefix, range(left // w, left // w + 1)
 
 
 def _standard_count(grade: int, weights: tuple[int, ...], leads: list[Exps]) -> int:
     """The number of monomials of grade `grade` that no lead divides."""
-    n = len(weights)
-    if n == 1:
-        return 0 if grade % weights[0] or any(lt[0] <= grade // weights[0] for lt in leads) else 1
-
-    total = 0
-    # depth first over prefixes, on an explicit stack: one level per
-    # variable would overflow Python's recursion limit in many variables
-    stack = [(0, grade, _by_last(leads, n))]
-    while stack:
-        # groups: by last position i..n - 1, the leads whose first i
-        # exponents divide the prefix; exponent i stops below group i's least
-        i, left, groups = stack.pop()
-        w = weights[i]
-        stop = min([left // w + 1, *(lt[i] for lt in groups[0])])
-        if i == n - 2:
-            # the last exponent is forced; a lead of the last group divides
-            # the monomial iff its last exponent is at most that one
-            final, v = groups[1], weights[i + 1]
-            for e in range(stop):
-                rem = left - e * w
-                total += not rem % v and all(lt[i + 1] > rem // v for lt in final if lt[i] <= e)
-        else:
-            rest = groups[1:]
-            stack.extend((i + 1, left - e * w, [[lt for lt in g if lt[i] <= e] for g in rest])
-                         for e in range(stop))
-    return total
+    return sum(len(lasts) for _, lasts in _walk(leads, weights, grade))
 
 
 def _candidate_grades(basis: list[TermDict], leads: list[int], n: int,
@@ -602,36 +608,10 @@ def _pure_power_bounds(leads, n: int) -> list[int] | None:
     return bounds if all(bounds) else None
 
 
-def _rows(leads, n: int) -> Iterator[tuple[Exps, int]]:
-    """The walk of a finite staircase in n >= 1 variables, one variable at a
-    time: each prefix of the first n - 1 exponents under it, ascending, with
-    the stop below which its last exponent stays standard."""
-
-    # depth first on an explicit stack, as in _standard_count; a node's
-    # children go on in descending order, so they come off ascending
-    stack = [((), _by_last(leads, n))]
-    while stack:
-        # groups: by last position i..n - 1, the leads whose first i
-        # exponents divide prefix; exponent i stops below group i's least
-        prefix, groups = stack.pop()
-        i = len(prefix)
-        stop = min(lt[i] for lt in groups[0])
-        if i == n - 1:
-            yield prefix, stop
-        elif i == n - 2:
-            final = groups[1]
-            for e in range(stop):
-                yield prefix + (e,), min(lt[i + 1] for lt in final if lt[i] <= e)
-        else:
-            rest = groups[1:]
-            stack.extend((prefix + (e,), [[lt for lt in g if lt[i] <= e] for g in rest])
-                         for e in reversed(range(stop)))
-
-
 def _staircase_size(leads, n: int) -> int:
     """The number of standard monomials under a finite staircase in n >= 1
     variables, counted without a listing."""
-    return sum(stop for _, stop in _rows(leads, n))
+    return sum(len(lasts) for _, lasts in _walk(leads, (1,) * n))
 
 
 def standard_monomials(basis: Staircase,
@@ -661,9 +641,9 @@ def standard_monomials(basis: Staircase,
             f"more than the limit of {STANDARD_MONOMIAL_BOX_LIMIT}")
     if not n:
         return [_monomial(())]
-    found = [prefix + (e,) for prefix, stop in _rows(leads, n)
-             for e in (range(stop) if last is None else last(prefix, stop))]
-    # every grade in the box is below its corner's
     weights = _grade_weights(basis.order, n)
+    found = [prefix + (e,) for prefix, lasts in _walk(leads, weights)
+             for e in (lasts if last is None else last(prefix, lasts.stop))]
+    # every grade in the box is below its corner's
     found.sort(key=_Packing(weights, _FIELD_BITS).fit(sum(map(mul, bounds, weights))).pack)
     return [_monomial(exps) for exps in found]

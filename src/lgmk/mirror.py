@@ -62,9 +62,11 @@ import math
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations, islice
+from typing import Iterator
 
 from .amodel import amodel
 from .errors import InvalidArgument, ResourceLimitExceeded
+from .groebner import _walk
 from .milnor import GradedDims, _require_halved, bmodel
 from .polycore import Polynomial, WeightSystem, classify, transpose_polynomial
 from .symmetry import gmax
@@ -726,23 +728,16 @@ def _default_variables(n: int) -> tuple[str, ...]:
     return tuple(f"x{i + 1}" for i in range(n))
 
 
-def _monomials_of_weight_one(weights: WeightSystem) -> list[tuple[int, ...]]:
+def _weight_one(weights: WeightSystem) -> Iterator[tuple[int, ...]]:
+    """The exponent vectors of weighted degree one, ascending: the walk at
+    grade L, the lcm of the weights' denominators, under no lead."""
     scale, integer_weights = weights.integer_form
-    n = len(weights)
-    pool = []
+    return (prefix + (e,) for prefix, lasts in _walk((), integer_weights, scale)
+            for e in lasts)
 
-    def extend(prefix: list[int], remaining: int) -> None:
-        i = len(prefix)
-        if i == n:
-            if remaining == 0:
-                pool.append(tuple(prefix))
-            return
-        w = integer_weights[i]
-        for a in range(remaining // w + 1):
-            extend(prefix + [a], remaining - a * w)
 
-    extend([], scale)
-    return sorted((p for p in pool if any(p)), reverse=True)
+def _monomials_of_weight_one(weights: WeightSystem) -> list[tuple[int, ...]]:
+    return sorted(_weight_one(weights), reverse=True)
 
 
 def enumerate_admissible_supports(weights: WeightSystem) -> list[Polynomial]:
@@ -755,12 +750,18 @@ def enumerate_admissible_supports(weights: WeightSystem) -> list[Polynomial]:
     only tested at coefficients one, which matches how example polynomials
     are usually written; genericity in the coefficients is not analyzed.
     Raises ResourceLimitExceeded, before any is tried, when there are more
-    than SUPPORT_SUBSET_LIMIT such subsets.
+    than SUPPORT_SUBSET_LIMIT such subsets; a pool of p = n +
+    SUPPORT_SUBSET_LIMIT has C(p, n) >= p of them, so it is read no further.
     """
     _require_halved(weights)
     n = len(weights)
     names = _default_variables(n)
-    pool = _monomials_of_weight_one(weights)
+    most = n + SUPPORT_SUBSET_LIMIT
+    pool = sorted(islice(_weight_one(weights), most), reverse=True)
+    if len(pool) == most:
+        raise ResourceLimitExceeded(
+            f"the weight-one pool holds at least {most} monomials, so its subsets "
+            f"of at least {n} number more than the limit of {SUPPORT_SUBSET_LIMIT}")
     subsets = 2 ** len(pool) - sum(math.comb(len(pool), k) for k in range(n))
     if subsets > SUPPORT_SUBSET_LIMIT:
         raise ResourceLimitExceeded(

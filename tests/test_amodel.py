@@ -1,5 +1,8 @@
 import importlib
+import time
+from collections import Counter
 from fractions import Fraction as F
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +25,7 @@ from lgmk import (
     group_weights_compare,
     is_admissible_group,
     jacobian_staircase,
+    mirror_check,
     parse_polynomial,
     restrict,
     sl_subgroup,
@@ -31,7 +35,7 @@ from lgmk import (
 from lgmk.amodel import _invariant_monomials
 from lgmk.mirror import mirror_sides
 
-from conftest import INVERTIBLE_CORPUS_TEXTS, family_polynomial, j_group
+from conftest import EXAMPLE_TABLE, INVERTIBLE_CORPUS_TEXTS, family_polynomial, j_group
 
 # the function lgmk.amodel shadows its module
 AMODEL = importlib.import_module("lgmk.amodel")
@@ -289,6 +293,72 @@ class TestCharacterCount:
         with pytest.raises(LgmkError, match="not a nonnegative integer"):
             amodel(parse_polynomial("x^3 + y^3"), group)
         assert read == [group.basis]
+
+
+def per_locus_counts(poly, group):
+    """The character count of every fixed locus, one locus at a time, each
+    a sum over every moved pattern of the group's listed vectors."""
+    scale, integer_weights = classify(poly).weights.integer_form
+    n = len(integer_weights)
+    moved = Counter(sum(1 << i for i, a in enumerate(v) if a) for v in group.vectors)
+    counts = {}
+    for bits in moved:
+        fix = [i for i in range(n) if not bits >> i & 1]
+        total = 0
+        for pattern, elements in moved.items():
+            term = elements
+            for i in fix:
+                w = integer_weights[i]
+                term *= -w if pattern >> i & 1 else scale - w
+            total += term
+        count, remainder = divmod(total, group.order * prod(integer_weights[i] for i in fix))
+        assert not remainder and count >= 0
+        counts[frozenset(fix)] = count
+    return counts
+
+
+def sum_of_squares(k):
+    # its Gmax, (Z/2)^k, moves every pattern of variables
+    return parse_polynomial(" + ".join(f"x{i}^2" for i in range(k)))
+
+
+# the invertible corpus, the example table and a sum of squares
+COUNT_TEXTS = (ORACLE_TEXTS + [text for texts in EXAMPLE_TABLE.values() for text in texts]
+               + [str(sum_of_squares(4))])
+
+
+class TestCountPerCoordinate:
+    """`amodel` sums the characters of every locus in one pass per
+    coordinate; the loop per locus over every pattern is the oracle."""
+
+    @pytest.mark.parametrize("text", COUNT_TEXTS)
+    def test_every_group_containing_j(self, text):
+        poly = parse_polynomial(text)
+        for group in [gmax(poly), *groups_containing_j(poly)]:
+            assert amodel(poly, group).locus_counts == per_locus_counts(poly, group), str(group)
+
+    @pytest.mark.parametrize("k", [6, 8])
+    def test_gmax_of_a_sum_of_squares(self, k):
+        poly = sum_of_squares(k)
+        assert amodel(poly, gmax(poly)).locus_counts == per_locus_counts(poly, gmax(poly))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.sampled_from(COUNT_TEXTS), st.data())
+    def test_random_groups_containing_j(self, text, data):
+        poly = parse_polynomial(text)
+        elements = gmax(poly).elements
+        gens = data.draw(st.lists(st.sampled_from(elements), max_size=3))
+        j = GroupElement(tuple(classify(poly).weights))
+        group = subgroup_generated([j, *gens], len(j))
+        assert amodel(poly, group).locus_counts == per_locus_counts(poly, group)
+
+    def test_sum_of_fourteen_squares_within_budget(self):
+        # Gmax = (Z/2)^14 moves 16,384 patterns: a loop per locus over every
+        # pattern makes 2^28 products
+        poly = sum_of_squares(14)
+        begin = time.perf_counter()
+        assert mirror_check(poly)
+        assert time.perf_counter() - begin < 10
 
 
 # four-variable Fermat, chain and loop members, and a chain beside a Fermat

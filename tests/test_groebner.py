@@ -382,8 +382,8 @@ class TestKernelParts:
                            and under(e, leads))
             assert groebner._standard_count(grade, weights, leads) == expected
         finite = leads + [tuple(rng.randint(1, 4) * (j == i) for j in range(n)) for i in range(n)]
-        walked = [prefix + (e,) for prefix, stop in groebner._rows(finite, n)
-                  for e in range(stop)]
+        walked = [prefix + (e,) for prefix, lasts in groebner._walk(finite, (1,) * n)
+                  for e in lasts]
         assert walked == [e for e in product(range(5), repeat=n) if under(e, finite)]
 
 

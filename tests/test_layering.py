@@ -37,7 +37,10 @@ is listed only when first read.  No module reads the environment: every
 limit is a module constant.  No module imports `dataclasses`: the value
 classes share the small base in `value`, so `import lgmk` loads neither
 `dataclasses` nor `inspect`.  A polynomial keeps its hash and its exponent
-matrix, so `mirror_sides` validates each polynomial's matrix once.
+matrix, so `mirror_sides` validates each polynomial's matrix once.  The
+only function that calls itself is the search's tail walk, whose depth
+`SEARCH_VARS_LIMIT` keeps below the recursion limit; every other walk runs
+on an explicit stack.
 """
 
 import ast
@@ -191,6 +194,33 @@ def _definitions(function):
             if isinstance(node, ast.FunctionDef) and node.name == function}
 
 
+def _self_recursive():
+    """The qualified name (module.outer.inner) of each function whose body
+    calls it by its own name, or as a method of `self` or `cls`."""
+    found = set()
+
+    def visit(node, path):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = path + (child.name,)
+                if not isinstance(child, ast.ClassDef) and any(
+                        isinstance(call, ast.Call) and (
+                            isinstance(call.func, ast.Name) and call.func.id == child.name
+                            or isinstance(call.func, ast.Attribute)
+                            and call.func.attr == child.name
+                            and isinstance(call.func.value, ast.Name)
+                            and call.func.value.id in ("self", "cls"))
+                        for call in ast.walk(child)):
+                    found.add(".".join(inner))
+                visit(child, inner)
+            else:
+                visit(child, path)
+
+    for name, tree in _module_trees():
+        visit(tree, (name,))
+    return found
+
+
 class TestLayering:
     def test_no_function_imports_from_the_package(self):
         assert _intra_package_imports_in_functions() == set()
@@ -220,6 +250,12 @@ class TestLayering:
 
     def test_no_module_has_an_unused_import(self):
         assert _unused_imports() == set()
+
+    def test_one_self_recursive_function(self):
+        # SEARCH_VARS_LIMIT keeps the tail walk's depth below the recursion
+        # limit; every other walk runs on an explicit stack
+        assert mirror.SEARCH_VARS_LIMIT < sys.getrecursionlimit()
+        assert _self_recursive() == {"mirror._walk_tails.walk"}
 
     def test_one_integer_echelon(self):
         assert _definitions("_extended_gcd") == {"polycore"}

@@ -1,5 +1,7 @@
 import math
+import random
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -358,6 +360,32 @@ class TestEnumerateSupports:
         assert mirror.SUPPORT_SUBSET_LIMIT == 10**4
         with pytest.raises(ResourceLimitExceeded, match="among 268435049 subsets of 28 "):
             enumerate_admissible_supports(WeightSystem((F(1, 6),) * 3))
+
+    def test_a_pool_past_the_limit_is_refused_unlisted(self, monkeypatch):
+        # the pool at (1/30,)*6 holds 324,632 monomials, and 2^324632 has
+        # about 97,700 digits; the walk stops at n + SUPPORT_SUBSET_LIMIT
+        def tried(poly):
+            raise AssertionError(f"{poly} was tried")
+
+        monkeypatch.setattr(mirror, "classify", tried)
+        with pytest.raises(ResourceLimitExceeded) as refused:
+            enumerate_admissible_supports(WeightSystem((F(1, 30),) * 6))
+        assert str(refused.value) == (
+            "the weight-one pool holds at least 10006 monomials, so its subsets "
+            "of at least 6 number more than the limit of 10000")
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_pool_is_every_exponent_vector_of_weight_one(self, seed):
+        # one to four variables, each weight k/d in (0, 1/2]
+        rng = random.Random(seed)
+        weights = []
+        for _ in range(rng.randint(1, 4)):
+            d = rng.randint(2, 9)
+            weights.append(F(rng.randint(1, d // 2), d))
+        expected = [e for e in product(*(range(int(1 / q) + 1) for q in weights))
+                    if sum(a * q for a, q in zip(e, weights)) == 1]
+        pool = mirror._monomials_of_weight_one(WeightSystem(tuple(weights)))
+        assert pool == sorted(expected, reverse=True)
 
     def test_the_limit_counts_subsets_of_at_least_n(self, monkeypatch):
         # the pool at (1/4, 1/4) holds 5 monomials: 2^5 - 1 - 5 = 26
