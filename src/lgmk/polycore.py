@@ -37,6 +37,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import (
     EmptyPolynomialError,
+    InvalidArgument,
     NonPositiveWeight,
     NonUniqueWeights,
     NotAdmissibleError,
@@ -58,6 +59,8 @@ class WeightSystem(_Value):
 
     def __init__(self, q: tuple[Fraction, ...]):
         qs = tuple(Fraction(v) for v in q)
+        if not qs:
+            raise InvalidArgument("a weight system needs at least one weight")
         if any(v <= 0 for v in qs):
             raise NonPositiveWeight(f"weights must be positive, got {qs}")
         self.__dict__["q"] = qs
@@ -192,130 +195,89 @@ class Polynomial(_Value):
 # ---------------------------------------------------------------------------
 # Parsing
 #
-# Grammar (whitespace insignificant):
+# Grammar:
 #   poly   := ['-'] term (('+' | '-') term)*
 #   term   := [coef '*'] factor ('*' factor)*
 #   factor := var ['^' posint]
 #   coef   := integer ['/' posint]
 #   var    := letter digits*
+#
+# The symbols are names, numbers (an integer, or two joined by '/') and the
+# operators.  Whitespace of any kind (Python's `\s`) may stand between any two
+# symbols.  A parse error's position is the character offset of the first
+# symbol that cannot continue the text, or the text's length at its end; a
+# zero exponent or denominator, or a coefficient with no variable after it,
+# is reported where its number starts.  Variables are ordered by first
+# appearance, including those of terms that cancel or have coefficient 0.
+#
+# `_TERM` reads one signed term at a cursor.  Each of its parts may be
+# missing, so it always matches, and the parts it did not find say where the
+# text stops being a polynomial.  `_FACTOR` then reads the run of factors.
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)"
-    r"|(?P<number>\d+(?:\s*/\s*\d+)?)"
-    r"|(?P<name>[A-Za-z][0-9]*)"
-    r"|(?P<op>[-+*^])"
-)
+# a name, then maybe '^' and an exponent; a missing exponent, or one written
+# p/q, is matched so that it can be refused where it stands
+_FACTOR = re.compile(r"([A-Za-z][0-9]*)(?:\s*(\^)\s*(?:(\d+)(\s*/\s*\d+)?)?)?")
+_TERM = re.compile(rf"""
+    \s*(?P<sign>[-+]?)\s*
+    (?:(?P<num>\d+)(?:\s*/\s*(?P<den>\d+))?\s*(?P<star>\*?)\s*)?   # coefficient
+    (?P<factors>(?:{_FACTOR.pattern}(?:\s*\*\s*{_FACTOR.pattern})*)?)
+    (?P<open>\s*\*)?\s*                                       # a '*' with no factor
+    """, re.X)
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        if match.lastgroup != "ws":
-            tokens.append((match.lastgroup, match.group().replace(" ", ""), pos))
-        pos = match.end()
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens: list[tuple[str, str, int]], length: int):
-        self.tokens = tokens
-        self.i = 0
-        self.length = length
-
-    def peek(self) -> tuple[str, str, int] | None:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def take(self, kind: str | None = None) -> tuple[str, str, int]:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", self.length)
-        if kind is not None and tok[0] != kind:
-            raise ParseError(f"expected {kind}, got {tok[1]!r}", tok[2])
-        self.i += 1
-        return tok
-
-    def parse(self) -> list[tuple[Fraction, dict[str, int]]]:
-        terms = []
-        sign = Fraction(1)
-        tok = self.peek()
-        if tok is not None and tok[0] == "op" and tok[1] == "-":
-            self.take()
-            sign = Fraction(-1)
-        terms.append(self.parse_term(sign))
-        while self.peek() is not None:
-            kind, value, pos = self.take("op")
-            if value == "+":
-                terms.append(self.parse_term(Fraction(1)))
-            elif value == "-":
-                terms.append(self.parse_term(Fraction(-1)))
-            else:
-                raise ParseError(f"expected '+' or '-', got {value!r}", pos)
-        return terms
-
-    def parse_term(self, sign: Fraction) -> tuple[Fraction, dict[str, int]]:
-        coeff = sign
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", self.length)
-        if tok[0] == "number":
-            _, value, pos = self.take()
-            try:
-                coeff *= Fraction(value)
-            except ZeroDivisionError:
-                raise ParseError("coefficient has a zero denominator", pos) from None
-            after = self.peek()
-            if after is None or after[0] == "op" and after[1] in "+-":
-                raise ParseError("a term needs at least one variable (constant term)", pos)
-            star = self.take("op")
-            if star[1] != "*":
-                raise ParseError("coefficient must be followed by '*'", star[2])
-        exps: dict[str, int] = {}
-        self.parse_factor(exps)
-        while True:
-            tok = self.peek()
-            if tok is None or tok[0] != "op" or tok[1] != "*":
-                break
-            self.take()
-            self.parse_factor(exps)
-        return coeff, exps
-
-    def parse_factor(self, exps: dict[str, int]) -> None:
-        kind, name, pos = self.take(None)
-        if kind != "name":
-            raise ParseError(f"expected a variable, got {name!r}", pos)
-        power = 1
-        tok = self.peek()
-        if tok is not None and tok[0] == "op" and tok[1] == "^":
-            self.take()
-            k, value, p = self.take("number")
-            if "/" in value:
-                raise ParseError("exponent must be a positive integer", p)
-            power = int(value)
-            if power < 1:
-                raise ParseError("exponent must be a positive integer", p)
-        exps[name] = exps.get(name, 0) + power
+def _unexpected(text: str, pos: int, wanted: str) -> ParseError:
+    if pos == len(text):
+        return ParseError("unexpected end of input", pos)
+    return ParseError(f"expected {wanted}, got {text[pos]!r}", pos)
 
 
 def parse_polynomial(text: str) -> Polynomial:
     """Parse text into canonical collected form; like terms merge exactly."""
-    tokens = _tokenize(text)
-    if not tokens:
+    if not text.strip():
         raise ParseError("empty input", 0)
-    raw_terms = _Parser(tokens, len(text)).parse()
-    names: list[str] = []
-    for _, exps in raw_terms:
-        for name in exps:
-            if name not in names:
-                names.append(name)
+    names: dict[str, int] = {}
+    terms: list[tuple[Fraction, dict[int, int]]] = []
+    pos = 0
+    while pos < len(text):
+        m = _TERM.match(text, pos)
+        sign, num, den = m["sign"], int(m["num"] or 1), int(m["den"] or 1)
+        if not pos and sign == "+":
+            raise _unexpected(text, m.start("sign"), "a variable")
+        if pos and not sign:
+            raise _unexpected(text, pos, "'+' or '-'")
+        if not den:
+            raise ParseError("coefficient has a zero denominator", m.start("num"))
+        coeff = Fraction(-num if sign == "-" else num, den)
+        if m["num"] and not m["star"]:
+            at = m.start("star")
+            if at == len(text) or text[at] in "+-":
+                raise ParseError("a term needs at least one variable (constant term)",
+                                 m.start("num"))
+            raise _unexpected(text, at, "'*' after a coefficient")
+        if not m["factors"]:
+            raise _unexpected(text, m.start("factors"), "a variable")
+        exps: dict[int, int] = {}
+        for factor in _FACTOR.finditer(text, m.start("factors"), m.end("factors")):
+            name, caret, power, fraction = factor.groups()
+            if caret and power is None:
+                raise _unexpected(text, factor.end(), "an exponent")
+            power = int(power or 1)
+            if fraction or not power:
+                raise ParseError("exponent must be a positive integer", factor.start(3))
+            index = names.setdefault(name, len(names))
+            exps[index] = exps.get(index, 0) + power
+        if m["open"]:
+            raise _unexpected(text, m.end(), "a variable")
+        terms.append((coeff, exps))
+        pos = m.end()
     term_map: dict[Exps, Fraction] = {}
-    for coeff, exps in raw_terms:
-        key = tuple(exps.get(name, 0) for name in names)
-        term_map[key] = term_map.get(key, Fraction(0)) + coeff
+    for coeff, exps in terms:
+        row = [0] * len(names)
+        for index, power in exps.items():
+            row[index] = power
+        key = tuple(row)
+        term_map[key] = term_map[key] + coeff if key in term_map else coeff
     poly = Polynomial.from_term_map(names, term_map)
     if poly.is_zero():
         raise EmptyPolynomialError()

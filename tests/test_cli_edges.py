@@ -89,12 +89,21 @@ KNOWN = [
     # a Fermat sum of 1,500 squares: the degeneracy test reads each row's
     # degree once, not once per variable
     (["weights", "+".join(f"x{i}^2" for i in range(1, 1501))], 0),
+    # a tab or a newline beside a coefficient's '/' is whitespace like any other
+    (["weights", "x^2+3/\t2*y^2", "--json"], 0),
+    (["weights", "x^2+3\n/2*y^2", "--json"], 0),
 ]
 
 
 @pytest.mark.parametrize("argv,code", KNOWN, ids=[" ".join(a) for a, _ in KNOWN])
 def test_known_edge(argv, code):
     assert _run(argv).returncode == code
+
+
+def test_whitespace_beside_a_slash_leaves_the_payload():
+    payload = json.loads(_run(["weights", "x^2+3/2*y^2", "--json"]).stdout)["payload"]
+    tabbed = json.loads(_run(["weights", "x^2+3/\t2*y^2", "--json"]).stdout)["payload"]
+    assert tabbed == payload
 
 
 def test_determinant_one_subgroup_of_a_gmax_above_the_limit():

@@ -349,6 +349,10 @@ class TestEnumerateSupports:
         polys = enumerate_admissible_supports(WeightSystem((F(1, 5), F(1, 5))))
         assert "x^4*y + x^3*y^2 + x^2*y^3 + x*y^4" in {str(p) for p in polys}
 
+    def test_an_empty_weight_system_is_refused(self):
+        with pytest.raises(InvalidArgument):
+            enumerate_admissible_supports(WeightSystem(()))
+
     def test_too_many_subsets_are_refused_before_any_is_tried(self, monkeypatch):
         # the pool at (1/6, 1/6, 1/6) holds the 28 monomials of degree 6 in
         # three variables: 2^28 - 1 - 28 - 378 = 268,435,049 subsets of at

@@ -9,6 +9,7 @@ from lgmk import (
     Classification,
     EmptyPolynomialError,
     ExponentMatrix,
+    InvalidArgument,
     Monomial,
     NonPositiveWeight,
     NonUniqueWeights,
@@ -27,8 +28,107 @@ from lgmk import (
 from lgmk.mirror import _monomials_of_weight_one
 from lgmk.polycore import _echelon
 
+# Python's `\s`: every character here is whitespace to the parser
+_SPACES = st.text(st.sampled_from(" \t\n\r\x0b\x0c\xa0\u2003"), max_size=2)
+_NAMES = st.sampled_from(["x", "y", "z", "w", "x1", "x2", "x10", "B", "c7"])
+
+
+@st.composite
+def written_polynomials(draw):
+    """Random text of the grammar, with the variable order and the term map
+    it denotes: drawn whitespace between any two symbols, a leading minus,
+    integer and p/q coefficients, repeated factors, indexed names, and
+    monomials written again so that they merge, or every term written again
+    negated so that all of them cancel."""
+    terms = []  # (sign, written coefficient, its value, factors)
+    for i in range(draw(st.integers(1, 5))):
+        if terms and draw(st.booleans()):
+            factors = draw(st.permutations(draw(st.sampled_from(terms))[3]))
+        else:
+            factors = draw(st.lists(st.tuples(_NAMES, st.none() | st.integers(1, 9)),
+                                    min_size=1, max_size=4))
+        num, den = draw(st.integers(0, 12)), draw(st.integers(1, 12))
+        written, value = draw(st.sampled_from(
+            [([], 1), ([str(num)], num), ([str(num), "/", str(den)], F(num, den))]))
+        terms.append((draw(st.sampled_from(["+", "-"] if i else ["", "-"])),
+                      written, value, factors))
+    if draw(st.integers(0, 4)) == 0:
+        terms += [("+" if sign == "-" else "-", *rest) for sign, *rest in terms]
+    symbols, names, denoted = [], [], []
+    for sign, written, value, factors in terms:
+        symbols += [sign] if sign else []
+        symbols += written + ["*"] if written else []
+        exponents = {}
+        for k, (name, power) in enumerate(factors):
+            symbols += (["*"] if k else []) + [name] + (["^", str(power)] if power else [])
+            names += [name] if name not in names else []
+            exponents[name] = exponents.get(name, 0) + (power or 1)
+        denoted.append((-value if sign == "-" else value, exponents))
+    text = draw(_SPACES) + "".join(symbol + draw(_SPACES) for symbol in symbols)
+    term_map = {}
+    for value, exponents in denoted:
+        key = tuple(exponents.get(name, 0) for name in names)
+        term_map[key] = term_map.get(key, 0) + value
+    return text, tuple(names), {key: c for key, c in term_map.items() if c}
+
+
+# each input with the exception class and position of the earlier
+# two-stage parser (tokens, then recursive descent)
+ERROR_TABLE = [
+    ("x^4 + @", ParseError, 6),
+    ("x^4 +", ParseError, 5),
+    ("3x", ParseError, 1),
+    ("x y", ParseError, 2),
+    ("x^0 + y", ParseError, 2),
+    ("x^3/2", ParseError, 2),
+    ("3*4", ParseError, 2),
+    ("2/0*x^3", ParseError, 0),
+    ("x^2+1", ParseError, 4),
+    ("-3/2", ParseError, 1),
+    ("+x^2", ParseError, 0),
+    ("x^2++y", ParseError, 4),
+    ("x^2*", ParseError, 4),
+    ("", ParseError, 0),
+    ("   ", ParseError, 0),
+    ("x^", ParseError, 2),
+    ("x^y", ParseError, 2),
+    ("3^x", ParseError, 1),
+    ("3/2/5*x", ParseError, 3),
+    ("x1^2 + 1x", ParseError, 8),
+    ("x^2 - x^2", EmptyPolynomialError, None),
+]
+
 
 class TestParse:
+    @pytest.mark.parametrize("text,error,position", ERROR_TABLE)
+    def test_error_table(self, text, error, position):
+        with pytest.raises(ParseError) as err:
+            parse_polynomial(text)
+        assert type(err.value) is error
+        assert err.value.position == position
+
+    @pytest.mark.parametrize("space", ["\t", "\n", " \t", "\xa0"])
+    def test_whitespace_beside_a_coefficients_slash(self, space):
+        assert (parse_polynomial(f"3/{space}2*x^2 + y^2")
+                == parse_polynomial(f"3{space}/2*x^2 + y^2")
+                == parse_polynomial("3/2*x^2 + y^2"))
+
+    @settings(max_examples=300, deadline=None)
+    @given(written_polynomials())
+    @example(("x^2\t-\tx * x", ("x",), {}))
+    @example(("x^2+0*y", ("x", "y"), {(2, 0): 1}))
+    @example(("z*y - y*z + x^3", ("z", "y", "x"), {(0, 0, 3): 1}))
+    @example(("-3 /\t4*x1*x1^2 + x1^3", ("x1",), {(3,): F(1, 4)}))
+    def test_parse_agrees_with_the_written_terms(self, drawn):
+        text, names, term_map = drawn
+        if not term_map:
+            with pytest.raises(EmptyPolynomialError):
+                parse_polynomial(text)
+            return
+        poly = parse_polynomial(text)
+        assert poly.variables == names
+        assert poly.term_map() == term_map
+
     def test_three_term_example(self):
         poly = parse_polynomial("x^4 + y^4 + x^3*y")
         assert poly.n_monomials == 3
@@ -140,6 +240,12 @@ class TestExponentMatrix:
     def test_zero_row_rejected(self):
         with pytest.raises(ValueError):
             ExponentMatrix(((1, 0), (0, 0)))
+
+
+class TestWeightSystem:
+    def test_empty_is_refused(self):
+        with pytest.raises(InvalidArgument, match="at least one weight"):
+            WeightSystem(())
 
 
 class TestSolveWeights:
