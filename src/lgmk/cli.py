@@ -3,7 +3,8 @@
 Exit codes: 0 success, 2 parse error or argument out of range, 3 polynomial
 not admissible, 4 group not admissible or not a symmetry group, 5 polynomial
 not invertible, 6 resource limit (Groebner steps, group order, grid, tail
-visits, series length, variables of a search) exceeded,
+visits, series length, variables of a search, digits of a printed integer)
+exceeded,
 141 standard output closed before the report was written (as in
 `lgmk ... | head -1`; 128 + SIGPIPE, the status a shell gives a process
 that signal ends).
@@ -406,6 +407,12 @@ _EXIT_CODES = (
 EXIT_PIPE_CLOSED = 141
 
 
+def _past_digit_limit(exc: Exception) -> bool:
+    """True for the error Python's int <-> str conversion raises past
+    sys.get_int_max_str_digits() digits: a ValueError of no type of its own."""
+    return isinstance(exc, ValueError) and str(exc).startswith("Exceeds the limit (")
+
+
 @cache
 def _parser() -> argparse.ArgumentParser:
     # built on the first call of main, not at import: parsing leaves the
@@ -424,6 +431,10 @@ def main(argv=None) -> int:
         else:
             output = "\n".join(render())
     except Exception as exc:  # noqa: BLE001 - mapped to documented exit codes
+        if _past_digit_limit(exc):
+            exc = ResourceLimitExceeded(
+                f"the report holds an integer of more than {sys.get_int_max_str_digits()} "
+                "digits, which Python does not convert to text")
         for types, code in _EXIT_CODES:
             if isinstance(exc, types):
                 print(f"error: {exc}", file=sys.stderr)

@@ -74,7 +74,8 @@ class ResourceLimitExceeded(LgmkError):
     """A Groebner staircase run took more than STEP_LIMIT steps (S-pairs
     processed plus terms its reductions cancel), a standard-monomial box or
     a Milnor-Orlik series exceeds its limit, a group is too large to list
-    its elements, or a search grid or walk is too large.
+    its elements, a search grid or walk is too large, or a report holds an
+    integer of more digits than Python converts to text.
 
     The box is the product of the least pure-power leading exponents of a
     staircase.  Past STANDARD_MONOMIAL_BOX_LIMIT tuples, `standard_monomials`

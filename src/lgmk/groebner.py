@@ -30,9 +30,14 @@ the run re-packs everything at a wider field.
 
 Division is fraction-free: every generator the kernel keeps is primitive
 (denominators cleared, content divided out, leading coefficient positive),
-S-polynomials scale by the lcm of the two leading coefficients, and
-`_normal_form_dict` pseudo-divides, scaling the polynomial it reduces
-instead of dividing by a leading coefficient.
+and `_cancel` removes one term by scaling the polynomial it reduces instead
+of dividing by a leading coefficient.  An S-polynomial is f_i shifted to the
+pair's lcm with that term cancelled by f_j, so it scales by the lcm of the
+two leading coefficients.  `_top_reduce` then cancels leading terms only,
+until the polynomial is zero or no lead divides its lead.  That is all
+Buchberger's criterion asks of an S-pair (Becker and Weispfenning, Groebner
+Bases, 1993), and the kernel returns leads only, so the tails of new
+generators stay unreduced.
 
 `staircase` is the only entry point and the only product: it takes
 polynomials, or integer term maps as polycore's Jacobians are made, runs the
@@ -298,70 +303,49 @@ def _step_limit_exceeded() -> ResourceLimitExceeded:
         "(S-pairs and cancelled terms)")
 
 
-def _normal_form_dict(poly: TermDict, basis: list[tuple[TermDict, int]],
-                      packing: _Packing, spent: int) -> tuple[TermDict, int]:
-    """Pseudo-remainder r of poly on division by basis, a list of
-    (generator, leading term) pairs: f * poly - r lies in the ideal of basis
-    for some positive integer f, and no term of r is reducible.
+def _cancel(work: TermDict, term: int, gen: TermDict, lead: int) -> None:
+    """Cancel the term c*t of work at `term` by gen, whose leading term
+    `lead` divides t and whose leading coefficient lc is positive: work is
+    scaled by lc/g and loses c/g times gen shifted to t, g = gcd(c, lc)."""
+    lc = gen[lead]
+    common = gcd(work[term], lc)
+    scale, coeff = lc // common, work[term] // common
+    if scale != 1:
+        for e in work:
+            work[e] *= scale
+    shift = term - lead
+    for key, c in gen.items():
+        target = key + shift
+        value = work.get(target, 0) - coeff * c
+        if value:
+            work[target] = value
+        else:
+            del work[target]
 
-    Every coefficient is an integer and every basis generator has a positive
-    leading coefficient lc.  A term c*t is cancelled by scaling work and
-    remainder by lc/g and subtracting c/g times the shifted generator, where
-    g = gcd(c, lc).  Each cancelled term is one step: returns r and `spent`
-    plus the steps taken, and raises ResourceLimitExceeded once that total
-    passes STEP_LIMIT.
-    """
+
+def _top_reduce(work: TermDict, basis: list[tuple[TermDict, int]],
+                packing: _Packing, spent: int) -> int:
+    """Cancel the leading term of work by basis, a list of (generator,
+    leading term) pairs, in place, until work is zero or no lead divides its
+    leading term.  The work w left then satisfies f * w0 - w in the ideal of
+    basis, for the work w0 passed in and some positive integer f.  Each
+    cancelled term is one step: returns `spent` plus the steps taken, and
+    raises ResourceLimitExceeded once that total passes STEP_LIMIT."""
     guard, mask = packing.guard, packing.mask
-    divisors = [(gen, lead, -lead & mask, gen[lead]) for gen, lead in basis]
-    work = dict(poly)
-    remainder: TermDict = {}
+    divisors = [(gen, lead, -lead & mask) for gen, lead in basis]
     while work:
         term = max(work)
-        coeff = work[term]
         exps = -term & mask | guard
-        for gen, lead, lead_exps, lc in divisors:
+        for gen, lead, lead_exps in divisors:
             if (exps - lead_exps) & guard == guard:  # lead divides term
                 spent += 1
                 if spent > STEP_LIMIT:
                     raise _step_limit_exceeded()
-                common = gcd(coeff, lc)
-                scale = lc // common
-                coeff //= common
-                if scale != 1:
-                    for e in work:
-                        work[e] *= scale
-                    for e in remainder:
-                        remainder[e] *= scale
-                shift = term - lead
-                for key, c in gen.items():
-                    target = key + shift
-                    value = work.get(target, 0) - coeff * c
-                    if value:
-                        work[target] = value
-                    else:
-                        del work[target]
+                _cancel(work, term, gen, lead)
                 break
         else:
-            remainder[term] = coeff
-            del work[term]
-    return remainder, spent
-
-
-def _s_polynomial(f: TermDict, lt_f: int, g: TermDict, lt_g: int, top: int) -> TermDict:
-    """(m/lc_f) * (t/lt_f) * f - (m/lc_g) * (t/lt_g) * g, with t = top, the
-    lcm of lt_f and lt_g, and m = lcm(lc_f, lc_g)."""
-    common = lcm(f[lt_f], g[lt_g])
-    scale_f, scale_g = common // f[lt_f], common // g[lt_g]
-    shift_f, shift_g = top - lt_f, top - lt_g
-    result = {key + shift_f: scale_f * c for key, c in f.items()}
-    for key, c in g.items():
-        target = key + shift_g
-        value = result.get(target, 0) - scale_g * c
-        if value:
-            result[target] = value
-        else:
-            del result[target]
-    return result
+            break
+    return spent
 
 
 def _minimal_leads(leads: list[int], packing: _Packing) -> list[int]:
@@ -562,18 +546,19 @@ def staircase(gens: list[Polynomial] | list[dict[Exps, int]], order: MonomialOrd
             spent += 1
             if spent > STEP_LIMIT:
                 raise _step_limit_exceeded()
-            s_poly = _s_polynomial(basis[i], leads[i], basis[j], leads[j], top)
+            # the S-polynomial: f_i shifted to the lcm, its lead cancelled by f_j
+            work = {key + top - leads[i]: c for key, c in basis[i].items()}
+            _cancel(work, top, basis[j], leads[j])
             before = spent
-            remainder, spent = _normal_form_dict(s_poly, list(zip(basis, leads)),
-                                                 packing, spent)
-            if not remainder:
+            spent = _top_reduce(work, list(zip(basis, leads)), packing, spent)
+            if not work:
                 wasted += spent - before + 1  # the pair and its cancelled terms
                 if wasted > start:
                     series = _complete_intersection_series(degrees, weights)
                     start = STEP_LIMIT  # built once: wasted never passes it
                 continue
-            lead = max(remainder)
-            basis.append(_primitive(remainder, lead))
+            lead = max(work)
+            basis.append(_primitive(work, lead))
             leads.append(lead)
             lead_exps.append(packing.unpack(lead))
             if count_now is not None:

@@ -28,6 +28,7 @@ and W's kernel runs at most once.
 from __future__ import annotations
 
 import re
+import sys
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
@@ -47,7 +48,8 @@ from .errors import (
     WeightBoundViolated,
     WeightError,
 )
-from .groebner import Exps, Monomial, MonomialOrder, Staircase, _integer_form, staircase
+from .groebner import (Exps, Monomial, MonomialOrder, Staircase, _integer_form, _monomial,
+                       staircase)
 from .value import _Value
 
 
@@ -152,9 +154,12 @@ class Polynomial(_Value):
                 continue
             if len(exps) != len(names):
                 raise ValueError("exponent length does not match variable count")
-            collected.append((tuple(int(e) for e in exps), c))
+            exps = tuple(map(int, exps))
+            if min(exps, default=0) < 0:
+                raise ValueError(f"negative exponent in {exps}")
+            collected.append((exps, c))
         collected.sort(key=lambda item: item[0], reverse=True)
-        return Polynomial(names, tuple((c, Monomial(e)) for e, c in collected))
+        return Polynomial(names, tuple((c, _monomial(e)) for e, c in collected))
 
     def term_map(self) -> dict[Exps, Fraction]:
         return {m.exponents: c for c, m in self.terms}
@@ -206,8 +211,9 @@ class Polynomial(_Value):
 # operators.  Whitespace of any kind (Python's `\s`) may stand between any two
 # symbols.  A parse error's position is the character offset of the first
 # symbol that cannot continue the text, or the text's length at its end; a
-# zero exponent or denominator, or a coefficient with no variable after it,
-# is reported where its number starts.  Variables are ordered by first
+# zero exponent or denominator, a number of more digits than `int` reads
+# (`sys.get_int_max_str_digits()`), or a coefficient with no variable after
+# it, is reported where its number starts.  Variables are ordered by first
 # appearance, including those of terms that cancel or have coefficient 0.
 #
 # `_TERM` reads one signed term at a cursor.  Each of its parts may be
@@ -232,6 +238,19 @@ def _unexpected(text: str, pos: int, wanted: str) -> ParseError:
     return ParseError(f"expected {wanted}, got {text[pos]!r}", pos)
 
 
+def _number(match: re.Match, group: int | str) -> int:
+    """The integer the digits of a match group spell, or 1 when the group
+    did not match."""
+    digits = match[group]
+    if digits is None:
+        return 1
+    try:
+        return int(digits)
+    except ValueError:  # digits only, so the digit limit is the one refusal
+        raise ParseError(f"number has {len(digits)} digits, more than "
+                         f"{sys.get_int_max_str_digits()}", match.start(group)) from None
+
+
 def parse_polynomial(text: str) -> Polynomial:
     """Parse text into canonical collected form; like terms merge exactly."""
     if not text.strip():
@@ -241,7 +260,7 @@ def parse_polynomial(text: str) -> Polynomial:
     pos = 0
     while pos < len(text):
         m = _TERM.match(text, pos)
-        sign, num, den = m["sign"], int(m["num"] or 1), int(m["den"] or 1)
+        sign, num, den = m["sign"], _number(m, "num"), _number(m, "den")
         if not pos and sign == "+":
             raise _unexpected(text, m.start("sign"), "a variable")
         if pos and not sign:
@@ -259,10 +278,10 @@ def parse_polynomial(text: str) -> Polynomial:
             raise _unexpected(text, m.start("factors"), "a variable")
         exps: dict[int, int] = {}
         for factor in _FACTOR.finditer(text, m.start("factors"), m.end("factors")):
-            name, caret, power, fraction = factor.groups()
-            if caret and power is None:
+            name, caret, digits, fraction = factor.groups()
+            if caret and digits is None:
                 raise _unexpected(text, factor.end(), "an exponent")
-            power = int(power or 1)
+            power = _number(factor, 3)
             if fraction or not power:
                 raise ParseError("exponent must be a positive integer", factor.start(3))
             index = names.setdefault(name, len(names))

@@ -41,10 +41,12 @@ EXAMPLE_TABLE = {
 
 def kernel_remainder(poly: Polynomial, generators, order,
                      primitive: bool = True) -> Polynomial:
-    """The Groebner kernel's pseudo-remainder of poly on division by
-    generators.  They are made primitive first, as the kernel makes its own
-    basis, or with primitive=False only cleared of denominators and signed so
-    that their leading coefficients are positive."""
+    """The Groebner kernel's top-reduced remainder of poly on division by
+    generators: zero, or a positive multiple of poly modulo their ideal whose
+    leading term no generator's lead divides.  They are made primitive
+    first, as the kernel makes its own basis, or with primitive=False only
+    cleared of denominators and signed so that their leading coefficients
+    are positive."""
     assert all(g.variables == poly.variables for g in generators)
     weights = groebner._grade_weights(order, len(poly.variables))
     packing, (work, *basis) = groebner._packed(
@@ -57,9 +59,9 @@ def kernel_remainder(poly: Polynomial, generators, order,
         elif d[lead] < 0:
             d = {key: -c for key, c in d.items()}
         pairs.append((d, lead))
-    remainder, _ = groebner._normal_form_dict(work, pairs, packing, 0)
+    groebner._top_reduce(work, pairs, packing, 0)
     return Polynomial.from_term_map(
-        poly.variables, {packing.unpack(key): c for key, c in remainder.items()})
+        poly.variables, {packing.unpack(key): c for key, c in work.items()})
 
 
 def positive_multiple(a: Polynomial, b: Polynomial) -> bool:
@@ -71,6 +73,16 @@ def positive_multiple(a: Polynomial, b: Polynomial) -> bool:
         return True
     ratios = {ta[e] / tb[e] for e in ta}
     return len(ratios) == 1 and ratios.pop() > 0
+
+
+def same_lead(a: Polynomial, b: Polynomial, order) -> bool:
+    """True iff a and b are both zero, or share their leading term under
+    order with a positive ratio of leading coefficients."""
+    ta, tb = a.term_map(), b.term_map()
+    if not ta or not tb:
+        return not ta and not tb
+    lead = max(ta, key=order.key)
+    return lead == max(tb, key=order.key) and ta[lead] / tb[lead] > 0
 
 
 def dense_polynomial(degree: int) -> Polynomial:

@@ -100,6 +100,25 @@ def test_known_edge(argv, code):
     assert _run(argv).returncode == code
 
 
+# numbers of more digits than int() and str() convert
+# (sys.get_int_max_str_digits(), 4300 unless the environment sets it): in an
+# exponent or a coefficient the parser refuses them, and a report that would
+# print one, a Gmax of order 10^5000, is refused at the resource limit
+LONG = "1" * 5000
+HUGE_ORDER = f"x^1{'0' * 2500}+y^1{'0' * 2500}"
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["weights", f"x^{LONG}"], 2), (["weights", f"{LONG}*x^2+y^2"], 2),
+    (["gmax", HUGE_ORDER], 6), (["gmax", HUGE_ORDER, "--json"], 6)],
+    ids=["exponent", "coefficient", "gmax order", "gmax order --json"])
+def test_a_number_past_the_digit_limit(argv, code):
+    done = _run(argv)
+    assert done.returncode == code
+    assert done.stdout == ""
+    assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith("error: ")
+
+
 def test_whitespace_beside_a_slash_leaves_the_payload():
     payload = json.loads(_run(["weights", "x^2+3/2*y^2", "--json"]).stdout)["payload"]
     tabbed = json.loads(_run(["weights", "x^2+3/\t2*y^2", "--json"]).stdout)["payload"]

@@ -22,7 +22,7 @@ from lgmk import (
 from lgmk import groebner
 from lgmk.polycore import Monomial, Polynomial
 
-from conftest import dense_polynomial, kernel_remainder, positive_multiple
+from conftest import dense_polynomial, kernel_remainder, positive_multiple, same_lead
 
 W13 = MonomialOrder.weighted_degrevlex(WeightSystem((F(1, 3), F(1, 3))))
 W14 = MonomialOrder.weighted_degrevlex(WeightSystem((F(1, 4), F(1, 4))))
@@ -66,30 +66,32 @@ class TestBuchberger:
     def test_reduction_steps_count_against_the_limit(self, monkeypatch):
         # the degrevlex Jacobian of d + d*x + x^100 is (1 + x, d + 100*x^99).
         # Its leads x and x^99 make the one pair the run processes; reducing
-        # its S-polynomial, 100*x^98 - d, by 1 + x cancels 98 terms and
-        # leaves the lead d, coprime to both, so no pair is made with it:
-        # 1 + 98 = 99 steps
+        # its S-polynomial, 100*x^98 - d, by 1 + x cancels x^98, ..., x^2,
+        # 97 terms, and stops at the lead d, which no lead divides (d comes
+        # before x in the variables, so d > x); d is coprime to both leads,
+        # so no pair is made with it: 1 + 97 = 98 steps
         gens = jacobian_ideal(parse_polynomial("d + d*x + x^100"))
         order = MonomialOrder.degrevlex()
-        monkeypatch.setattr(groebner, "STEP_LIMIT", 99)
-        assert staircase(gens, order).leads == ((0, 1), (1, 0))
         monkeypatch.setattr(groebner, "STEP_LIMIT", 98)
-        with pytest.raises(ResourceLimitExceeded, match="more than 98 steps"):
+        assert staircase(gens, order).leads == ((0, 1), (1, 0))
+        monkeypatch.setattr(groebner, "STEP_LIMIT", 97)
+        with pytest.raises(ResourceLimitExceeded, match="more than 97 steps"):
             staircase(gens, order)
 
     def test_normal_form_adds_one_step_per_cancelled_term(self, monkeypatch):
-        # x^5 on division by x - 1 cancels x^5, x^4, ..., x: five steps,
-        # added to the steps the run has already spent
+        # x^5 on division by x - 1 cancels its lead x^5, x^4, ..., x, five
+        # times, and stops at the lead 1, which x does not divide: five
+        # steps, added to the steps the run has already spent
         weights = groebner._grade_weights(MonomialOrder.degrevlex(), 1)
-        packing, (work, gen) = groebner._packed(
+        packing, (poly, gen) = groebner._packed(
             [{(5,): 1}, {(1,): 1, (0,): -1}], weights)
         basis = [(gen, max(gen))]
-        remainder, spent = groebner._normal_form_dict(work, basis, packing, 7)
-        assert spent == 12
-        assert {packing.unpack(key): c for key, c in remainder.items()} == {(0,): 1}
+        work = dict(poly)
+        assert groebner._top_reduce(work, basis, packing, 7) == 12
+        assert {packing.unpack(key): c for key, c in work.items()} == {(0,): 1}
         monkeypatch.setattr(groebner, "STEP_LIMIT", 11)
         with pytest.raises(ResourceLimitExceeded, match="more than 11 steps"):
-            groebner._normal_form_dict(work, basis, packing, 7)
+            groebner._top_reduce(dict(poly), basis, packing, 7)
 
     def test_leads_are_minimal_and_ascending(self, invertible_corpus):
         for poly in invertible_corpus[:12]:
@@ -119,8 +121,10 @@ QUINTIC_BASIS = basis_in_x_y({(3, 1): 1, (0, 4): F(-25, 4)}, {(4, 0): 1, (0, 4):
 
 
 class TestNormalForm:
-    """The kernel's fraction-free division: its remainder is a positive
-    multiple of the normal form, with integer coefficients."""
+    """The kernel's fraction-free top reduction: with integer coefficients,
+    its remainder is zero exactly when the normal form is, and otherwise
+    has the normal form's leading term, which no lead divides, with a
+    positive ratio of leading coefficients."""
 
     def test_ideal_member_reduces_to_zero(self):
         gens = jacobian_ideal(parse_polynomial("x^3 + y^3"))
@@ -139,10 +143,11 @@ class TestNormalForm:
                                   [parse_polynomial("2*x^2 + 3*y^2")], W13)
         assert str(result) == "2*x*y - 3*y^2"
         assert positive_multiple(result, parse_polynomial("x*y - 3/2*y^2"))
-        # x*y is kept before y^2 is cancelled; the scaling reaches it too
+        # the lead x*y is standard, so top reduction stops there and leaves
+        # y^2, which the full normal form x*y - 3/2*x cancels
         result = kernel_remainder(parse_polynomial("x*y + y^2"),
                                   [parse_polynomial("3*x + 2*y^2")], W13)
-        assert str(result) == "2*x*y - 3*x"
+        assert same_lead(result, parse_polynomial("x*y - 3/2*x"), W13)
 
     def test_result_supported_on_standard_monomials(self):
         found = jacobian_corners("x^4 + y^4 + x^3*y", W14)
@@ -150,8 +155,9 @@ class TestNormalForm:
         standards = {m.exponents for m in standard_monomials(found)}
         cube = Polynomial.from_term_map(("x", "y"), {(3, 0): 1})
         result = kernel_remainder(cube, QUARTIC_BASIS, W14)
-        assert result.term_map()
-        assert set(result.term_map()) <= standards
+        # the normal form of x^3 is -4*y^3
+        assert max(result.term_map(), key=W14.key) in standards
+        assert same_lead(result, Polynomial.from_term_map(("x", "y"), {(0, 3): -4}), W14)
 
     def test_invariant_under_adding_ideal_members(self):
         rng = random.Random(20240817)
@@ -160,8 +166,10 @@ class TestNormalForm:
         assert [max(g.term_map(), key=W15.key) for g in QUINTIC_BASIS] == \
             list(staircase(gens, W15).leads)
         target = parse_polynomial("x^3*y^2 + 2*x*y + 7*x^4")
-        reference = kernel_remainder(target, QUINTIC_BASIS, W15)
-        assert not reference.is_zero()
+        # the normal form of the target; its lead y^5 is standard
+        reference = Polynomial.from_term_map(
+            ("x", "y"), {(0, 5): F(25, 4), (0, 4): F(-35), (1, 1): F(2)})
+        assert same_lead(kernel_remainder(target, QUINTIC_BASIS, W15), reference, W15)
         for _ in range(20):
             shifted = dict(target.term_map())
             for gen in gens:
@@ -173,8 +181,8 @@ class TestNormalForm:
                         key = (exps[0] + a, exps[1] + b)
                         shifted[key] = shifted.get(key, F(0)) + c * coeff
             candidate = Polynomial.from_term_map(("x", "y"), shifted)
-            assert positive_multiple(kernel_remainder(candidate, QUINTIC_BASIS, W15),
-                                     reference)
+            assert same_lead(kernel_remainder(candidate, QUINTIC_BASIS, W15),
+                             reference, W15)
 
 
 class TestZeroDimensional:
@@ -333,15 +341,23 @@ class TestKernelParts:
 
     def test_s_polynomial_cancels_the_lcm_of_the_leads(self):
         # f = 2x^2 + z, g = 3xy + 1 in integer coefficients: lcm x^2*y and
-        # m = 6, so S = 3y * f - 2x * g = 3yz - 2x
+        # m = 6.  f shifted to the lcm is 2x^2*y + yz; cancelling its lead
+        # by g scales it by 3 and subtracts 2x * g, so S = 3y * f - 2x * g
+        # = 3yz - 2x
         packing = self.packing()
         pack = packing.pack
         f = {pack((2, 0, 0)): 2, pack((0, 0, 1)): 1}
         g = {pack((1, 1, 0)): 3, pack((0, 0, 0)): 1}
         top = pack((2, 1, 0))
-        result = groebner._s_polynomial(f, max(f), g, max(g), top)
-        assert {packing.unpack(k): c for k, c in result.items()} == \
+        work = {key + top - max(f): c for key, c in f.items()}
+        groebner._cancel(work, top, g, max(g))
+        assert {packing.unpack(k): c for k, c in work.items()} == \
             {(0, 1, 1): 3, (1, 0, 0): -2}
+        # a common factor of the two coefficients is divided out first:
+        # 4*x*y cancelled by 6*x gives 3 * 4xy - 2y * 6x = 0
+        work = {pack((1, 1, 0)): 4}
+        groebner._cancel(work, pack((1, 1, 0)), {pack((1, 0, 0)): 6}, pack((1, 0, 0)))
+        assert work == {}
 
     def test_complete_intersection_series(self):
         # x, y of grades 1, 2 over (f, g) of grades 3, 4: the quotient is
@@ -407,28 +423,29 @@ class TestHilbertDriving:
         # zero; once the series is built, a grade whose standard monomials
         # number its coefficient reduces no further pair
         counts = {"reductions": 0, "zero": 0}
-        normal_form_dict = groebner._normal_form_dict
+        top_reduce = groebner._top_reduce
 
-        def counted(*args):
-            remainder, spent = normal_form_dict(*args)
+        def counted(work, *args):
+            spent = top_reduce(work, *args)
             counts["reductions"] += 1
-            counts["zero"] += not remainder
-            return remainder, spent
+            counts["zero"] += not work
+            return spent
 
-        monkeypatch.setattr(groebner, "_normal_form_dict", counted)
+        monkeypatch.setattr(groebner, "_top_reduce", counted)
         found = staircase(*self.jacobian(DENSE_555))
         assert counts == {"reductions": 17, "zero": 1}
         assert len(standard_monomials(found)) == 64
 
     def test_a_set_aside_pair_takes_no_step(self, monkeypatch):
-        # 109 steps: the 17 S-pairs reduced (see above) and the 92 terms
-        # their reductions cancel, and none for the pairs the certificate
-        # leaves unprocessed (the loop without the series took 206)
+        # 110 steps: the 17 S-pairs reduced (see above) and the 93 terms
+        # their top reductions cancel, pair by pair 0 + 1 + 1 + 3 + 10 + 12
+        # + 5 + 7 + 8 + 10 + 4 + 6 + 7 + 9 + 3 + 5 + 2, and none for the
+        # pairs the certificate leaves unprocessed
         gens, order = self.jacobian(DENSE_555)
-        monkeypatch.setattr(groebner, "STEP_LIMIT", 109)
+        monkeypatch.setattr(groebner, "STEP_LIMIT", 110)
         expected = staircase(gens, order).leads
-        monkeypatch.setattr(groebner, "STEP_LIMIT", 108)
-        with pytest.raises(ResourceLimitExceeded, match="more than 108 steps"):
+        monkeypatch.setattr(groebner, "STEP_LIMIT", 109)
+        with pytest.raises(ResourceLimitExceeded, match="more than 109 steps"):
             staircase(gens, order)
         assert len(expected) == 17
 
@@ -464,34 +481,45 @@ class TestGebauerMoeller:
     def test_b_k_drops_a_queued_pair_whose_lcm_the_new_lead_divides(self, monkeypatch):
         # x^2*y and y^2*z queue their pair, of lcm x^2*y^2*z.  The lead x*y*z
         # divides that lcm and makes pairs of lcms x^2*y*z and x*y^2*z, so
-        # B_k drops the queued pair: only the two new ones are processed
+        # B_k drops the queued pair: only the two new ones are processed.
+        # Each processed pair cancels its lcm once; the generators are
+        # monomials, so that leaves zero and top reduction cancels nothing
         processed = []
-        s_polynomial = groebner._s_polynomial
+        cancel = groebner._cancel
 
         def recorded(*args):
             processed.append(args)
-            return s_polynomial(*args)
+            return cancel(*args)
 
-        monkeypatch.setattr(groebner, "_s_polynomial", recorded)
+        monkeypatch.setattr(groebner, "_cancel", recorded)
         found = staircase([{(2, 1, 0): 1}, {(0, 2, 1): 3}, {(1, 1, 1): -2}],
                           MonomialOrder.degrevlex(), ("x", "y", "z"))
         assert found.leads == ((0, 2, 1), (1, 1, 1), (2, 1, 0))
         assert len(processed) == 2
 
-    @pytest.mark.parametrize("degree,reduced", [(6, 25), (7, 34), (8, 46), (9, 58), (10, 72)])
-    def test_dense_reduction_counts(self, monkeypatch, degree, reduced):
-        # the number of S-pairs the kernel reduces on a dense W of this degree
+    # the S-pairs the kernel reduces on a dense W of this degree, and its
+    # steps: those pairs plus the terms their top reductions cancel, 25 +
+    # 174, 34 + 282, 45 + 439, 57 + 635 and 71 + 896.  The series is built
+    # once the zero remainders cost more steps than the socle grade
+    # 3 * (degree - 2); the first one costs 1 + 13, 1 + 16, 1 + 19, 1 + 22
+    # and 1 + 25, more than 12, 15, 18, 21 and 24, so it is the only one
+    @pytest.mark.parametrize("degree,reduced,steps", [
+        (6, 25, 199), (7, 34, 316), (8, 45, 484), (9, 57, 692), (10, 71, 967)])
+    def test_dense_reduction_counts(self, monkeypatch, degree, reduced, steps):
         poly = dense_polynomial(degree)
         reductions = []
-        normal_form_dict = groebner._normal_form_dict
+        top_reduce = groebner._top_reduce
 
-        def counted(*args):
-            reductions.append(args)
-            return normal_form_dict(*args)
+        def counted(work, basis, packing, spent):
+            after = top_reduce(work, basis, packing, spent)
+            reductions.append((spent, after, bool(work)))
+            return after
 
-        monkeypatch.setattr(groebner, "_normal_form_dict", counted)
+        monkeypatch.setattr(groebner, "_top_reduce", counted)
         weights = WeightSystem((F(1, degree),) * 3)
         found = staircase([p for p in jacobian_ideal(poly) if not p.is_zero()],
                           MonomialOrder.weighted_degrevlex(weights))
         assert len(reductions) == reduced
+        assert reductions[-1][1] == steps
+        assert sum(not left for _, _, left in reductions) == 1
         assert len(standard_monomials(found)) == (degree - 1) ** 3

@@ -3,8 +3,9 @@
 The kernel's only product is a `Staircase`: the minimal leading terms of a
 Groebner basis, ascending in the order, with the verdict whether they bound
 a finite staircase.  The kernel checks below compare that product, and
-the kernel's fraction-free remainder, which must be a positive multiple of
-the normal form.
+the kernel's fraction-free top-reduced remainder, which must be zero or
+have a lead no lead divides, and reduce to a positive multiple of the
+normal form.
 
 The monomial order once graded by a `Fraction` weighted sum; it now grades
 by that sum times the lcm of the weights' denominators, an integer.  The
@@ -49,7 +50,7 @@ from itertools import product
 from unittest.mock import patch
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from sympy import QQ, Poly, Rational, groebner, symbols
 from sympy.polys.orderings import ProductOrder
@@ -66,7 +67,8 @@ from lgmk import (
 )
 from lgmk import groebner as engine
 from lgmk.groebner import staircase
-from lgmk.polycore import Exps, Monomial, jacobian_ideal
+from lgmk.errors import WeightError
+from lgmk.polycore import Exps, Monomial, exponent_matrix, jacobian_ideal, solve_weights
 
 from conftest import kernel_remainder, positive_multiple
 
@@ -505,13 +507,42 @@ def test_staircase_matches_the_fraction_engine_on_mixed_coefficients_in_either_o
     _check_staircase_against_the_fraction_engine(*case)
 
 
+def _has_no_weights(poly: Polynomial) -> bool:
+    try:
+        solve_weights(exponent_matrix(poly))
+    except WeightError:
+        return True
+    return False
+
+
+@st.composite
+def unweighted_jacobians(draw):
+    """The Jacobian of a random W with no weights, in 2 or 3 variables, of at
+    most four monomials with exponents up to 3 and small coefficients: the
+    ideals `is_nondegenerate` hands the kernel under plain degrevlex, whose
+    S-pair remainders are not homogeneous."""
+    n = draw(st.integers(2, 3))
+    terms = draw(st.dictionaries(st.tuples(*[st.integers(0, 3)] * n).filter(any), SMALL,
+                                 min_size=1, max_size=4))
+    poly = Polynomial.from_term_map(VARIABLES[:n], terms)
+    assume(_has_no_weights(poly))
+    return [g for g in jacobian_ideal(poly) if not g.is_zero()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(unweighted_jacobians())
+def test_staircase_matches_the_fraction_engine_on_jacobians_without_weights(gens):
+    _check_staircase_against_the_fraction_engine(gens, MonomialOrder.degrevlex())
+
+
 @settings(max_examples=40, deadline=None)
 @given(jacobians(), st.data())
 def test_normal_form_matches_the_fraction_engine(case, data):
-    # the kernel's pseudo-remainder on the Fraction engine's reduced basis is
-    # a positive multiple of that engine's normal form, also when the basis
-    # generators are scaled away from monic, by any sign, and divided with
-    # those leading coefficients
+    # the kernel's top-reduced remainder on the Fraction engine's reduced
+    # basis is zero or has a lead no lead divides, and that engine reduces
+    # it to a positive multiple of its normal form of the input, also when
+    # the basis generators are scaled away from monic, by any sign, and
+    # divided with those leading coefficients
     gens, order = case
     basis = oracle_buchberger(gens, order)
     n = len(basis.variables)
@@ -520,17 +551,28 @@ def test_normal_form_matches_the_fraction_engine(case, data):
     terms = data.draw(st.dictionaries(st.tuples(*[st.integers(0, 3)] * n), MIXED,
                                       max_size=10))
     poly = Polynomial.from_term_map(basis.variables, terms)
-    pairs = list(zip((g.term_map() for g in basis.generators), basis.leading_terms()))
-    expected = Polynomial.from_term_map(
-        basis.variables, oracle_normal_form_dict(poly.term_map(), pairs, order.key))
-    assert positive_multiple(kernel_remainder(poly, basis.generators, order), expected)
+    leads = basis.leading_terms()
+    pairs = list(zip((g.term_map() for g in basis.generators), leads))
+
+    def normal_form(p: Polynomial) -> Polynomial:
+        return Polynomial.from_term_map(
+            basis.variables, oracle_normal_form_dict(p.term_map(), pairs, order.key))
+
+    expected = normal_form(poly)
+
+    def check(remainder: Polynomial) -> None:
+        terms = remainder.term_map()
+        assert not terms or not any(
+            oracle_divides(lt, max(terms, key=order.key)) for lt in leads)
+        assert positive_multiple(normal_form(remainder), expected)
+
+    check(kernel_remainder(poly, basis.generators, order))
     scales = data.draw(st.lists(MIXED, min_size=len(basis.generators),
                                 max_size=len(basis.generators)))
     scaled = [Polynomial.from_term_map(g.variables, {e: s * c for e, c in g.term_map().items()})
               for g, s in zip(basis.generators, scales)]
-    assert positive_multiple(kernel_remainder(poly, scaled, order), expected)
-    assert positive_multiple(kernel_remainder(poly, scaled, order, primitive=False),
-                             expected)
+    check(kernel_remainder(poly, scaled, order))
+    check(kernel_remainder(poly, scaled, order, primitive=False))
 
 
 # from one bit, the fields widen at the inputs and again when S-pairs are
@@ -646,15 +688,15 @@ def test_degenerate_complete_intersection_falls_back(driving, widths):
 def reductions(monkeypatch):
     """Counts the kernel's reductions and those that end in zero."""
     counts = {"reductions": 0, "zero": 0}
-    normal_form_dict = engine._normal_form_dict
+    top_reduce = engine._top_reduce
 
-    def counted(*args):
-        remainder, spent = normal_form_dict(*args)
+    def counted(work, *args):
+        spent = top_reduce(work, *args)
         counts["reductions"] += 1
-        counts["zero"] += not remainder
-        return remainder, spent
+        counts["zero"] += not work
+        return spent
 
-    monkeypatch.setattr(engine, "_normal_form_dict", counted)
+    monkeypatch.setattr(engine, "_top_reduce", counted)
     return counts
 
 
@@ -706,7 +748,7 @@ def test_set_aside_pairs_are_repacked_when_the_fields_widen(monkeypatch):
     gens, order = dense_jacobian(10, 0, keep=lambda e: e[0] + e[1] >= 2)
     events = []
     series, init = engine._complete_intersection_series, engine._Packing.__init__
-    normal_form_dict = engine._normal_form_dict
+    top_reduce = engine._top_reduce
 
     def recorded_series(*args):
         events.append("series")
@@ -716,14 +758,14 @@ def test_set_aside_pairs_are_repacked_when_the_fields_widen(monkeypatch):
         events.append(width)
         init(self, weights, width)
 
-    def recorded_division(poly, basis, packing, spent):
-        remainder, after = normal_form_dict(poly, basis, packing, spent)
-        steps.append((spent, after, bool(remainder)))
-        return remainder, after
+    def recorded_division(work, basis, packing, spent):
+        after = top_reduce(work, basis, packing, spent)
+        steps.append((spent, after, bool(work)))
+        return after
 
     monkeypatch.setattr(engine, "_complete_intersection_series", recorded_series)
     monkeypatch.setattr(engine._Packing, "__init__", recorded_init)
-    monkeypatch.setattr(engine, "_normal_form_dict", recorded_division)
+    monkeypatch.setattr(engine, "_top_reduce", recorded_division)
     steps = []
     expected = staircase(gens, order)
     default_steps = steps

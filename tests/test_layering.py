@@ -532,15 +532,15 @@ class TestFractionFreeDivision:
         gens = [g for g in polycore.jacobian_ideal(poly) if not g.is_zero()]
         coefficients = []
         divisors = []
-        normal_form_dict = groebner._normal_form_dict
+        top_reduce = groebner._top_reduce
 
-        def recorded(poly, basis, packing, spent):
-            coefficients.extend(poly.values())
+        def recorded(work, basis, packing, spent):
+            coefficients.extend(work.values())
             coefficients.extend(c for gen, _ in basis for c in gen.values())
             divisors.extend((tuple(gen.values()), gen[lead]) for gen, lead in basis)
-            return normal_form_dict(poly, basis, packing, spent)
+            return top_reduce(work, basis, packing, spent)
 
-        monkeypatch.setattr(groebner, "_normal_form_dict", recorded)
+        monkeypatch.setattr(groebner, "_top_reduce", recorded)
         groebner.staircase(gens, order)
         assert coefficients
         assert not any(isinstance(c, Fraction) for c in coefficients)

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -105,6 +106,18 @@ class TestParse:
         with pytest.raises(ParseError) as err:
             parse_polynomial(text)
         assert type(err.value) is error
+        assert err.value.position == position
+
+    @pytest.mark.parametrize("template,position", [
+        ("x^{}", 2), ("y^2 + {}*x^2", 6), ("3/{}*x^2", 2)],
+        ids=["exponent", "coefficient", "denominator"])
+    def test_a_number_past_the_digit_limit_is_refused_where_it_starts(
+            self, template, position):
+        # int() refuses more than sys.get_int_max_str_digits() digits
+        digits = "1" * (sys.get_int_max_str_digits() + 1)
+        with pytest.raises(ParseError, match="more than") as err:
+            parse_polynomial(template.format(digits))
+        assert type(err.value) is ParseError
         assert err.value.position == position
 
     @pytest.mark.parametrize("space", ["\t", "\n", " \t", "\xa0"])
