@@ -79,9 +79,6 @@ class SectorElement(_Value):
     sector: GroupElement
     adegree: Fraction
 
-    def __init__(self, monomial: Monomial, sector: GroupElement, adegree: Fraction):
-        self.__dict__.update(monomial=monomial, sector=sector, adegree=adegree)
-
 
 class AModel(_Value):
     """State space of (source, group): `graded` is counted when the model is

@@ -218,10 +218,6 @@ class Staircase(_Value):
     order: MonomialOrder
     variables: tuple[str, ...]
 
-    def __init__(self, leads: tuple[Exps, ...], order: MonomialOrder,
-                 variables: tuple[str, ...]):
-        self.__dict__.update(leads=leads, order=order, variables=variables)
-
     @property
     def finite(self) -> bool:
         """True iff the quotient is finite dimensional: some leading term is

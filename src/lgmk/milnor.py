@@ -40,9 +40,10 @@ Fermat sum x^60 + y^60 + z^60 + w^60 holds 59^4 tuples against a series of
 `GradedDims` holds both graded sides as integer degree numerators over
 their least positive scale: `bmodel` counts over L, `amodel` over the group
 exponent, and the table divides that scale and its numerators by their gcd
-once.  So tables compare and hash by their fields, and render `n/s` reduced
-by `gcd` as `str(Fraction)` would; a `Fraction` is built only when
-`entries` is read.
+once.  It is a value like the models that hold it: tables compare and hash
+by these fields, and refuse assignment, so a table hashed into a model
+stays as it was.  They render `n/s` reduced by `gcd` as `str(Fraction)`
+would; a `Fraction` is built only when `entries` is read.
 """
 
 from __future__ import annotations
@@ -61,13 +62,17 @@ from .polycore import Polynomial, WeightSystem, classify, jacobian_staircase, re
 from .value import _Value
 
 
-class GradedDims:
+class GradedDims(_Value):
     """Finitely supported map degree -> dimension, held as sorted integer
     degree numerators over their least positive scale with their dimensions;
     equality is the graded-vector-space isomorphism test, a comparison of
-    the fields."""
+    the fields.  It is built from its (degree, dimension) `entries`, and
+    shows them as its repr."""
 
-    __slots__ = ("scale", "numerators", "dims")
+    _fields = ("scale", "numerators", "dims")
+    scale: int
+    numerators: tuple[int, ...]
+    dims: tuple[int, ...]
 
     def __init__(self, entries: Iterable[tuple[Fraction, int]]):
         cleaned = tuple(sorted((Fraction(d), int(k)) for d, k in entries))
@@ -75,8 +80,9 @@ class GradedDims:
             raise ValueError("graded dimensions must be positive")
         if len({d for d, _ in cleaned}) != len(cleaned):
             raise ValueError("repeated degree in graded dimensions")
-        self.scale, self.numerators = _integer_form([d for d, _ in cleaned])
-        self.dims = tuple(k for _, k in cleaned)
+        scale, numerators = _integer_form([d for d, _ in cleaned])
+        self.__dict__.update(scale=scale, numerators=numerators,
+                             dims=tuple(k for _, k in cleaned))
 
     @staticmethod
     def from_degrees(degrees: Iterable[Fraction]) -> "GradedDims":
@@ -99,9 +105,8 @@ class GradedDims:
         numerators = [n - shift for n in keys]
         g = gcd(scale, *numerators)
         graded = object.__new__(GradedDims)
-        graded.scale = scale // g
-        graded.numerators = tuple(n // g for n in numerators)
-        graded.dims = dims
+        graded.__dict__.update(scale=scale // g, numerators=tuple(n // g for n in numerators),
+                               dims=dims)
         return graded
 
     @property
@@ -125,16 +130,6 @@ class GradedDims:
             if n * d.denominator == d.numerator * self.scale:
                 return k
         return 0
-
-    def __eq__(self, other):
-        if not isinstance(other, GradedDims):
-            return NotImplemented
-        # both tables are over their least scale
-        return ((self.scale, self.numerators, self.dims)
-                == (other.scale, other.numerators, other.dims))
-
-    def __hash__(self):
-        return hash((self.dims, self.scale, self.numerators))
 
     def _degree_texts(self) -> list[str]:
         """Each degree as `str(Fraction)` renders it."""
@@ -165,9 +160,6 @@ class BModel(_Value):
     source: Polynomial
     weights: WeightSystem
     graded: GradedDims
-
-    def __init__(self, source: Polynomial, weights: WeightSystem, graded: GradedDims):
-        self.__dict__.update(source=source, weights=weights, graded=graded)
 
     @cached_property
     def basis(self) -> tuple[Monomial, ...]:

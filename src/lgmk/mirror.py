@@ -31,7 +31,8 @@ The search runs in integer numerators and denominators.  From four
 variables on, the tail (q_3..q_m) runs over a grid that is a stretch of the
 Farey sequence, walked in ascending order by its next-term recurrence, with
 no set and no sort, and held as a tuple.  Tails are walked one ascending
-entry at a time; each entry divides the product target left and subtracts
+entry at a time, over each level's span of the grid, found by two
+bisections; each entry divides the product target left and subtracts
 from the sum left, as unreduced integer fractions, so a tail costs O(1)
 work.  A prefix is dropped when the same certificate excludes the variables
 left.  The pair of a last tail entry a/b is exact: it exists only if a
@@ -202,12 +203,6 @@ class SearchReport(_Value):
     solutions: tuple[WeightSystem, ...]
     status: str
 
-    def __init__(self, target_dim: Fraction, target_top: Fraction, vars: int,
-                 denominator_bound: int, solutions: tuple[WeightSystem, ...], status: str):
-        self.__dict__.update(target_dim=target_dim, target_top=target_top, vars=vars,
-                             denominator_bound=denominator_bound, solutions=solutions,
-                             status=status)
-
     def to_json_dict(self) -> dict:
         return {
             "target_dim": [self.target_dim.numerator, self.target_dim.denominator],
@@ -282,27 +277,29 @@ def _walk_tails(grid: tuple[tuple[int, int], ...], m: int, sn: int, sd: int,
     tuple of ascending (num, den) pairs, walked by index.
 
     Taking an entry t divides the product target left by 1/t - 1 and
-    subtracts t from the sum left, as unreduced integer fractions.  An entry
-    is skipped when the product left falls below 1, or when `_certified`
-    excludes the variables left; a level stops once the entries still to
-    come (each at least t) would leave the pair no positive sum.
+    subtracts t from the sum left, as unreduced integer fractions.  A level
+    with k - 2 tail entries left takes the entries from the first whose
+    product left is at least 1 up to, not including, the first whose k - 2
+    copies reach the sum left (the entries still to come, each at least t,
+    would leave the pair no positive sum).  Both tests are monotone in the
+    entry, so every level finds its span by two bisections, `span`.  An
+    entry whose `_certified` excludes the variables left goes no deeper.
 
     The last level (one entry a/b, then the pair) is sieved like the rows of
     `_walk_rows`: the pair of a/b is `_pair_roots(dn a, dd (b - a),
     sn b - sd a, sd b)` for the level's sn/sd and dn/dd, and needs F(a, b)
-    of the level's `_pair_quartic` to be a perfect square.  Both of the
-    loop's tests are monotone in the entry, so the entries from the first
-    with product left at least 1 up to the break entry are found by
-    bisection, as a bit mask of grid indices, and ANDed with one mask per
-    prime of `_sieve_primes`: the grid entries whose class in P^1(F_p) has
-    F(u, 1) a square mod p.  For p | b, F(a, b) = ((dn + dd) sd a^2)^2 mod p,
+    of the level's `_pair_quartic` to be a perfect square.  Its span is a
+    bit mask of grid indices, ANDed with one mask per prime of
+    `_sieve_primes`: the grid entries whose class in P^1(F_p) has F(u, 1) a
+    square mod p.  For p | b, F(a, b) = ((dn + dd) sd a^2)^2 mod p,
     so the class infinity always passes.  Scaling sn, sd by l and dn, dd by
     k scales F by (l k)^2, so a prime's mask depends only on the classes of
     sn/sd and dn/dd in P^1(F_p) or 0/0, and is memoized by them: at most
     (p + 2)^2 per prime and walk.  Only the survivors reach `_pair_roots`.
-    Raises ResourceLimitExceeded past TAIL_LIMIT visited entries, counted
-    as the unsieved loop counts them: one per entry from a level's start
-    through its break entry, or to the grid's end."""
+    Raises ResourceLimitExceeded past TAIL_LIMIT visited entries, charged
+    per level as an entry-by-entry loop would count them: one per entry
+    from the level's start through the end of its span, plus the entry that
+    ends it when the grid has one."""
     found = set()
     visited = 0
     sieves = []
@@ -316,14 +313,19 @@ def _walk_tails(grid: tuple[tuple[int, int], ...], m: int, sn: int, sd: int,
             rows[num * inverse[r] % p if r else p][i >> 3] |= 1 << (i & 7)
         sieves.append((p, inverse, [int.from_bytes(row, "little") for row in rows], {}))
 
-    def last(start, sn, sd, dn, dd, prefix):
+    def span(start, entries, sn, sd, dn, dd):
+        # from grid[start:], the first entry whose product left is at least
+        # 1, and from there the first whose `entries` copies reach the sum left
         nonlocal visited
-        # the first entry with pn >= pd, then the first from there to break
         first = bisect_left(grid, True, start, key=lambda t: t[0] * (dn + dd) >= dd * t[1])
-        stop = bisect_left(grid, True, first, key=lambda t: t[0] * sd >= sn * t[1])
+        stop = bisect_left(grid, True, first, key=lambda t: entries * t[0] * sd >= sn * t[1])
         visited += stop - start + (stop < len(grid))
         if visited > TAIL_LIMIT:
             raise ResourceLimitExceeded(f"the search visits more than {TAIL_LIMIT} tails")
+        return first, stop
+
+    def last(start, sn, sd, dn, dd, prefix):
+        first, stop = span(start, 1, sn, sd, dn, dd)
         mask = (1 << stop) - (1 << first)
         for p, inverse, classes, memo in sieves:
             if not mask:
@@ -351,18 +353,10 @@ def _walk_tails(grid: tuple[tuple[int, int], ...], m: int, sn: int, sd: int,
 
     def walk(start, k, sn, sd, dn, dd, prefix):
         # k > 3 variables are left: k - 2 tail entries from grid[start:], then the pair
-        nonlocal visited
-        entries = k - 2
-        for i in range(start, len(grid)):
-            visited += 1
-            if visited > TAIL_LIMIT:
-                raise ResourceLimitExceeded(f"the search visits more than {TAIL_LIMIT} tails")
+        first, stop = span(start, k - 2, sn, sd, dn, dd)
+        for i in range(first, stop):
             num, den = grid[i]
             pn, pd = dn * num, dd * (den - num)
-            if pn < pd:
-                continue
-            if entries * num * sd >= sn * den:
-                break
             tn, td = sn * den - num * sd, sd * den
             if not _certified(k - 1, tn, td, pn, pd):
                 if k > 4:
@@ -490,6 +484,11 @@ def _walk_rows(bound: int, sn: int, sd: int, dn: int, dd: int) -> set[tuple[Frac
     return found
 
 
+def _require_int(name: str, value) -> None:
+    if not isinstance(value, int):
+        raise InvalidArgument(f"{name} must be an integer, got {value!r}")
+
+
 def search_weight_systems(d, delta, m: int, denominator_bound: int = 60) -> SearchReport:
     """Search for weight systems in m variables matching (d, delta).
 
@@ -498,13 +497,16 @@ def search_weight_systems(d, delta, m: int, denominator_bound: int = 60) -> Sear
     excludes is answered without enumeration, and otherwise the tails run
     over the rationals with denominators up to the bound.  Either
     way the result is reported relative to that bound.  Solutions are canonicalized ascending,
-    so permutations collapse.  Raises InvalidArgument for m < 1, a bound
-    below 2 or a dimension d <= 0, and ResourceLimitExceeded for m >= 4 when
-    the grid of a walk has more than GRID_LIMIT points (built only once no
-    certificate answers), for m >= 3 when the walk makes more than TAIL_LIMIT
-    visits, and for m > SEARCH_VARS_LIMIT unless the target is the d = 1
-    target with no solution or one the every-m certificate excludes.
+    so permutations collapse.  Raises InvalidArgument for an m or a bound
+    that is not an int, m < 1, a bound below 2 or a dimension d <= 0, and
+    ResourceLimitExceeded for m >= 4 when the grid of a walk has more than
+    GRID_LIMIT points (built only once no certificate answers), for m >= 3
+    when the walk makes more than TAIL_LIMIT visits, and for
+    m > SEARCH_VARS_LIMIT unless the target is the d = 1 target with no
+    solution or one the every-m certificate excludes.
     """
+    _require_int("number of variables", m)
+    _require_int("denominator bound", denominator_bound)
     d = Fraction(d)
     delta = Fraction(delta)
     if m < 1:
@@ -681,8 +683,9 @@ def discriminant_sign_boundary(d, delta, denominator_bound: int = 60) -> Fractio
     or below some root of P in (0, 1/2): the roots are isolated with Sturm
     sequences, and each root's grid point is one Stern-Brocot descent, from
     the top root down, so the grid is never walked.  Raises InvalidArgument
-    for a bound below 2.
+    for a bound that is not an int or is below 2.
     """
+    _require_int("denominator bound", denominator_bound)
     if denominator_bound < 2:
         raise InvalidArgument("denominator bound must be at least 2")
     d = Fraction(d)

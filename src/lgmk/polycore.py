@@ -124,10 +124,6 @@ class Polynomial(_Value):
     variables: tuple[str, ...]
     terms: tuple[tuple[Fraction, Monomial], ...]
 
-    def __init__(self, variables: tuple[str, ...],
-                 terms: tuple[tuple[Fraction, Monomial], ...]):
-        self.__dict__.update(variables=variables, terms=terms)
-
     def __hash__(self) -> int:
         return self._hash
 
@@ -570,12 +566,13 @@ def require_admissible(poly: Polynomial) -> Classification:
 
 
 def _invertible_matrix(poly: Polynomial) -> ExponentMatrix:
-    """The exponent matrix of poly, which must be invertible to transpose.
+    """The exponent matrix of poly, which must be admissible and invertible
+    to transpose: raises NotAdmissibleError, then NotInvertible.
 
     Only invertible polynomials transpose: a nonsquare exponent matrix would
     produce fewer monomials than variables, which cannot be admissible.
     """
-    if classify(poly).kind is not PolynomialClass.INVERTIBLE:
+    if require_admissible(poly).kind is not PolynomialClass.INVERTIBLE:
         raise NotInvertible(
             "transpose requires an invertible polynomial: a nonsquare exponent "
             "matrix transposes to fewer monomials than variables")

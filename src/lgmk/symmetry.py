@@ -28,7 +28,7 @@ gmax(W^T), and transposing twice gives G back, as groups.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, lru_cache, total_ordering
+from functools import cached_property, total_ordering
 from itertools import chain, cycle, product, repeat
 from math import gcd, lcm, prod
 from operator import add, mod, mul
@@ -135,13 +135,6 @@ def _nontrivial_factors(relations) -> tuple[int, ...]:
     return tuple(d[i][i] for i in range(len(d)) if d[i][i] != 1)
 
 
-@lru_cache(maxsize=8)
-def _phase_table(exponent: int) -> tuple[Fraction, ...]:
-    """Fraction(k, exponent) for k = 0 .. exponent - 1, shared by the groups
-    of one exponent."""
-    return tuple(Fraction(k, exponent) for k in range(exponent))
-
-
 def _columns(exponent: int, basis):
     """Coordinate k of every vector of L mod exponent, one list per k in
     turn.
@@ -207,10 +200,6 @@ class SymmetryGroup(_Value):
     gens: tuple[tuple[int, ...], ...]
     basis: tuple[tuple[int, ...], ...]
 
-    def __init__(self, ambient: int, exponent: int, gens: tuple[tuple[int, ...], ...],
-                 basis: tuple[tuple[int, ...], ...]):
-        self.__dict__.update(ambient=ambient, exponent=exponent, gens=gens, basis=basis)
-
     @cached_property
     def generators(self) -> tuple[GroupElement, ...]:
         # no phase table: the exponent of a group never listed may be huge
@@ -223,7 +212,7 @@ class SymmetryGroup(_Value):
     @cached_property
     def elements(self) -> tuple[GroupElement, ...]:
         vectors = self.vectors  # the order guard comes before the phase table
-        phase = _phase_table(self.exponent).__getitem__
+        phase = [Fraction(k, self.exponent) for k in range(self.exponent)].__getitem__
         return tuple(_element(tuple(map(phase, v))) for v in vectors)
 
     @property

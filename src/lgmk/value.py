@@ -1,13 +1,20 @@
 """The base of the package's immutable value classes.
 
 A value class names in `_fields` the fields its `repr` shows, in the order
-its `__init__` takes them; the `__init__` validates them and stores them in
-the instance `__dict__`.  Equality and the hash read the fields named in
-`_compared`: all of `_fields` unless the class names fewer.  Anything else
-an `__init__` stores, such as a callback or a table derived from the
-fields, takes part in neither.  Any assignment or deletion raises
-AttributeError.  A `functools.cached_property` still works on a value: it
-writes the instance `__dict__` directly, not through `__setattr__`.
+its constructor takes them.  The base constructor stores one argument per
+field in the instance `__dict__`, and raises TypeError for any other
+number.  The records `Polynomial`, `Staircase`, `SymmetryGroup`,
+`SectorElement`, `BModel` and `SearchReport` use it.  A class defines its
+own `__init__` only to validate or normalise its fields, give one a
+default, or store something no field names: `WeightSystem`,
+`ExponentMatrix`, `Monomial`, `GroupElement`, `MonomialOrder`,
+`Classification`, `AModel` and `GradedDims`.  Equality and the hash read
+the fields named in `_compared`: all of `_fields` unless the class names
+fewer.  Anything else an `__init__` stores, such as a callback or a table
+derived from the fields, takes part in neither.  Any assignment or deletion
+raises AttributeError.  A `functools.cached_property` still works on a
+value: it writes the instance `__dict__` directly, not through
+`__setattr__`.
 
 The package does not use `dataclasses` for these: importing it loads
 `inspect`, `ast` and `dis`, and each decorated class compiles its generated
@@ -28,6 +35,12 @@ class _Value:
         super().__init_subclass__(**kwargs)
         if "_compared" not in cls.__dict__:
             cls._compared = cls._fields
+
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__qualname__} takes {len(self._fields)} fields, "
+                            f"got {len(values)}")
+        self.__dict__.update(zip(self._fields, values))
 
     def _key(self) -> tuple:
         return tuple(map(self.__dict__.__getitem__, self._compared))

@@ -92,6 +92,12 @@ KNOWN = [
     # a tab or a newline beside a coefficient's '/' is whitespace like any other
     (["weights", "x^2+3/\t2*y^2", "--json"], 0),
     (["weights", "x^2+3\n/2*y^2", "--json"], 0),
+    # transposition checks admissibility before invertibility: a square
+    # degenerate matrix and a polynomial without unique weights are not
+    # admissible, an admissible noninvertible one is not invertible
+    (["mirror-check", "x^3*y + x^2*y^2"], 3),
+    (["mirror-check", "x*y"], 3),
+    (["mirror-check", "x^4+y^4+x^3*y"], 5),
 ]
 
 

@@ -36,8 +36,10 @@ series, so `mirror_sides` lists no standard monomial, and `BModel.basis`
 is listed only when first read.  No module reads the environment: every
 limit is a module constant.  No module imports `dataclasses`: the value
 classes share the small base in `value`, so `import lgmk` loads neither
-`dataclasses` nor `inspect`.  A polynomial keeps its hash and its exponent
-matrix, so `mirror_sides` validates each polynomial's matrix once.  The
+`dataclasses` nor `inspect`.  That base alone defines equality, and no
+value class repeats its constructor by storing just its fields.  A
+polynomial keeps its hash and its exponent matrix, so `mirror_sides`
+validates each polynomial's matrix once.  The
 only function that calls itself is the search's tail walk, whose depth
 `SEARCH_VARS_LIMIT` keeps below the recursion limit; every other walk runs
 on an explicit stack.
@@ -194,6 +196,43 @@ def _definitions(function):
             if isinstance(node, ast.FunctionDef) and node.name == function}
 
 
+def _classes(trees):
+    """(module name, class node) of every class in the given trees."""
+    return [(name, node) for name, tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)]
+
+
+def _stores_only_its_fields(cls: ast.ClassDef) -> bool:
+    """True when the class's own `__init__` takes exactly its `_fields`, in
+    order and without defaults, and stores each one unchanged in the
+    instance `__dict__`: all that the base constructor does."""
+    fields, init = None, None
+    for node in cls.body:
+        if isinstance(node, ast.FunctionDef) and node.name == "__init__":
+            init = node
+        elif isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "_fields":
+            fields = tuple(ast.literal_eval(node.value))
+    if init is None:
+        return False
+    args = init.args
+    if (tuple(a.arg for a in args.args[1:]) != fields or args.defaults or args.vararg
+            or args.kwarg or args.kwonlyargs):
+        return False
+    stored = {}
+    for stmt in init.body:
+        call = stmt.value if isinstance(stmt, ast.Expr) else None
+        if (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                and call.func.attr == "update" and not call.args):
+            stored.update((kw.arg, kw.value) for kw in call.keywords)
+        elif (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
+              and isinstance(stmt.targets[0], ast.Subscript)):
+            stored[getattr(stmt.targets[0].slice, "value", None)] = stmt.value
+        else:
+            return False
+    return set(stored) == set(fields) and all(
+        isinstance(value, ast.Name) and value.id == key for key, value in stored.items())
+
+
 def _self_recursive():
     """The qualified name (module.outer.inner) of each function whose body
     calls it by its own name, or as a method of `self` or `cls`."""
@@ -256,6 +295,16 @@ class TestLayering:
         # limit; every other walk runs on an explicit stack
         assert mirror.SEARCH_VARS_LIMIT < sys.getrecursionlimit()
         assert _self_recursive() == {"mirror._walk_tails.walk"}
+
+    def test_value_classes_share_one_constructor_and_one_equality(self):
+        classes = _classes(_module_trees())
+        values = [cls for _, cls in classes
+                  if any(getattr(base, "id", None) == "_Value" for base in cls.bases)]
+        assert {"GradedDims", "Staircase", "AModel"} <= {cls.name for cls in values}
+        assert [cls.name for cls in values if _stores_only_its_fields(cls)] == []
+        assert {(name, cls.name) for name, cls in classes if any(
+            isinstance(node, ast.FunctionDef) and node.name == "__eq__"
+            for node in cls.body)} == {("value", "_Value")}
 
     def test_one_integer_echelon(self):
         assert _definitions("_extended_gcd") == {"polycore"}

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from lgmk import (
     InvalidArgument,
+    NotAdmissibleError,
     NotInvertible,
     ResourceLimitExceeded,
     WeightSystem,
@@ -42,6 +43,12 @@ class TestTranspose:
     def test_noninvertible_rejected(self):
         with pytest.raises(NotInvertible):
             transpose_polynomial(parse_polynomial("x^4 + y^4 + x^3*y"))
+
+    # a square degenerate matrix, and one with no unique weights
+    @pytest.mark.parametrize("text", ["x^3*y + x^2*y^2", "x*y"])
+    def test_not_admissible_is_rejected_before_invertibility(self, text):
+        with pytest.raises(NotAdmissibleError):
+            transpose_polynomial(parse_polynomial(text))
 
     def test_involution_on_corpus(self, invertible_corpus):
         for poly in invertible_corpus:
@@ -133,6 +140,11 @@ class TestSearch:
         accept = search_weight_systems(8, F(14, 9), 1)
         assert accept.status == STATUS_FOUND
         assert tuple(accept.solutions[0]) == (F(1, 9),)
+
+    @pytest.mark.parametrize("m,bound", [(3.0, 60), (3, 20.0), (F(3), 60)])
+    def test_a_non_integer_m_or_bound_is_refused(self, m, bound):
+        with pytest.raises(InvalidArgument, match="must be an integer"):
+            search_weight_systems(8, F(12, 5), m, bound)
 
     def test_two_variable_family_nonexistence(self):
         for n in range(4, 21):
@@ -331,6 +343,11 @@ class TestDiscriminantBoundary:
     def test_bound_below_two_is_rejected(self, bound):
         with pytest.raises(InvalidArgument):
             discriminant_sign_boundary(8, 2, bound)
+
+    @pytest.mark.parametrize("bound", [60.5, 60.0])
+    def test_a_non_integer_bound_is_refused(self, bound):
+        with pytest.raises(InvalidArgument, match="must be an integer"):
+            discriminant_sign_boundary(8, F(12, 5), bound)
 
 
 class TestEnumerateSupports:

@@ -11,6 +11,7 @@ from lgmk import (
     GroupNotSymmetry,
     InfiniteGroup,
     InvalidArgument,
+    NotAdmissibleError,
     NotInvertible,
     ResourceLimitExceeded,
     WeightConditionViolated,
@@ -255,6 +256,13 @@ class TestTransposeGroup:
     def test_requires_invertible(self):
         with pytest.raises(NotInvertible):
             transpose_group(j_group(4), parse_polynomial("x^4 + y^4 + x^3*y"))
+
+    # a square degenerate matrix, and one with no unique weights
+    @pytest.mark.parametrize("text,group", [("x^3*y + x^2*y^2", j_group(5)),
+                                            ("x*y", j_group(2))])
+    def test_requires_admissible_before_invertible(self, text, group):
+        with pytest.raises(NotAdmissibleError):
+            transpose_group(group, parse_polynomial(text))
 
     def test_requires_a_symmetry_of_the_polynomial(self):
         with pytest.raises(GroupNotSymmetry):

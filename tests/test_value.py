@@ -16,6 +16,7 @@ from lgmk import (
     BModel,
     Classification,
     ExponentMatrix,
+    GradedDims,
     GroupElement,
     Monomial,
     MonomialOrder,
@@ -73,6 +74,8 @@ CASES = [
      lambda: SearchReport(F(4), F(2, 3), 2, 12, (WeightSystem((F(1, 3), F(1, 3))),), "complete"),
      "SearchReport(target_dim=Fraction(4, 1), target_top=Fraction(2, 3), vars=2, "
      f"denominator_bound=12, solutions=({THIRDS},), status='complete')", None),
+    # built from its entries, and shown by them
+    (GradedDims, lambda: GradedDims(((F(4, 3), 1), (F(0), 1), (F(2, 3), 2))), CUBES_GRADED, None),
 ]
 
 
@@ -93,6 +96,17 @@ def test_value_semantics(cls, build, text, outside):
         # written past the frozen guard, as a cached_property writes
         first.__dict__[outside] = object()
         assert first == second and hash(first) == hash(second)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Staircase(((2, 0), (0, 2)), MonomialOrder()),
+    lambda: Staircase(((2, 0), (0, 2)), MonomialOrder(), ("x", "y"), None),
+    lambda: Polynomial(),
+    lambda: SearchReport(F(4), F(2, 3), 2, 12, ()),
+])
+def test_a_record_takes_one_argument_per_field(build):
+    with pytest.raises(TypeError, match="fields, got"):
+        build()
 
 
 def test_a_compared_field_changes_equality():
