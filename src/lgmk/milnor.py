@@ -58,7 +58,8 @@ from typing import Iterable, Mapping
 from . import groebner
 from .errors import LgmkError, ResourceLimitExceeded
 from .groebner import Monomial, _integer_form, standard_monomials
-from .polycore import Polynomial, WeightSystem, classify, jacobian_staircase, require_admissible
+from .polycore import (Polynomial, WeightSystem, _rational, classify, jacobian_staircase,
+                       require_admissible)
 from .value import _Value
 
 
@@ -75,7 +76,7 @@ class GradedDims(_Value):
     dims: tuple[int, ...]
 
     def __init__(self, entries: Iterable[tuple[Fraction, int]]):
-        cleaned = tuple(sorted((Fraction(d), int(k)) for d, k in entries))
+        cleaned = tuple(sorted((_rational(d), int(k)) for d, k in entries))
         if any(k <= 0 for _, k in cleaned):
             raise ValueError("graded dimensions must be positive")
         if len({d for d, _ in cleaned}) != len(cleaned):
@@ -125,7 +126,7 @@ class GradedDims(_Value):
         return Fraction(self.numerators[-1], self.scale)
 
     def dim_at(self, degree) -> int:
-        d = Fraction(degree)
+        d = _rational(degree)
         for n, k in zip(self.numerators, self.dims):
             if n * d.denominator == d.numerator * self.scale:
                 return k

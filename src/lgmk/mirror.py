@@ -69,7 +69,7 @@ from .amodel import amodel
 from .errors import InvalidArgument, ResourceLimitExceeded
 from .groebner import _walk
 from .milnor import GradedDims, _require_halved, bmodel
-from .polycore import Polynomial, WeightSystem, classify, transpose_polynomial
+from .polycore import Polynomial, WeightSystem, _rational, classify, transpose_polynomial
 from .symmetry import gmax
 from .value import _Value
 
@@ -485,7 +485,7 @@ def _walk_rows(bound: int, sn: int, sd: int, dn: int, dd: int) -> set[tuple[Frac
 
 
 def _require_int(name: str, value) -> None:
-    if not isinstance(value, int):
+    if not isinstance(value, int) or isinstance(value, bool):
         raise InvalidArgument(f"{name} must be an integer, got {value!r}")
 
 
@@ -497,8 +497,9 @@ def search_weight_systems(d, delta, m: int, denominator_bound: int = 60) -> Sear
     excludes is answered without enumeration, and otherwise the tails run
     over the rationals with denominators up to the bound.  Either
     way the result is reported relative to that bound.  Solutions are canonicalized ascending,
-    so permutations collapse.  Raises InvalidArgument for an m or a bound
-    that is not an int, m < 1, a bound below 2 or a dimension d <= 0, and
+    so permutations collapse.  Raises InvalidArgument for a float d or
+    delta, an m or a bound that is not an int (or is a bool), m < 1, a
+    bound below 2 or a dimension d <= 0, and
     ResourceLimitExceeded for m >= 4 when the grid of a walk has more than
     GRID_LIMIT points (built only once no certificate answers), for m >= 3
     when the walk makes more than TAIL_LIMIT visits, and for
@@ -507,8 +508,8 @@ def search_weight_systems(d, delta, m: int, denominator_bound: int = 60) -> Sear
     """
     _require_int("number of variables", m)
     _require_int("denominator bound", denominator_bound)
-    d = Fraction(d)
-    delta = Fraction(delta)
+    d = _rational(d)
+    delta = _rational(delta)
     if m < 1:
         raise InvalidArgument("number of variables must be at least 1")
     if denominator_bound < 2:
@@ -683,13 +684,16 @@ def discriminant_sign_boundary(d, delta, denominator_bound: int = 60) -> Fractio
     or below some root of P in (0, 1/2): the roots are isolated with Sturm
     sequences, and each root's grid point is one Stern-Brocot descent, from
     the top root down, so the grid is never walked.  Raises InvalidArgument
-    for a bound that is not an int or is below 2.
+    for a float d or delta, a bound that is not an int (or is a bool) or is
+    below 2, and a dimension d <= 0.
     """
     _require_int("denominator bound", denominator_bound)
     if denominator_bound < 2:
         raise InvalidArgument("denominator bound must be at least 2")
-    d = Fraction(d)
-    delta = Fraction(delta)
+    d = _rational(d)
+    delta = _rational(delta)
+    if d <= 0:
+        raise InvalidArgument(f"target dimension must be positive, got {d}")
     ed = delta.denominator
     quartic = _pair_quartic(6 * ed - delta.numerator, 4 * ed, d.numerator, d.denominator)
     while quartic and quartic[-1] == 0:

@@ -53,6 +53,14 @@ from .groebner import (Exps, Monomial, MonomialOrder, Staircase, _integer_form, 
 from .value import _Value
 
 
+def _rational(value) -> Fraction:
+    """An int, Fraction or numeric string as an exact Fraction.  A float is
+    refused, even an exact one: its binary value is rarely the rational meant."""
+    if isinstance(value, float):
+        raise InvalidArgument(f"{value!r} is a float; give an int, Fraction or string")
+    return Fraction(value)
+
+
 class WeightSystem(_Value):
     """Vector of positive rational quasihomogeneous weights (q_1, ..., q_n)."""
 
@@ -60,7 +68,7 @@ class WeightSystem(_Value):
     q: tuple[Fraction, ...]
 
     def __init__(self, q: tuple[Fraction, ...]):
-        qs = tuple(Fraction(v) for v in q)
+        qs = tuple(map(_rational, q))
         if not qs:
             raise InvalidArgument("a weight system needs at least one weight")
         if any(v <= 0 for v in qs):
@@ -145,7 +153,7 @@ class Polynomial(_Value):
         names = tuple(variables)
         collected = []
         for exps, coeff in term_map.items():
-            c = Fraction(coeff)
+            c = _rational(coeff)
             if c == 0:
                 continue
             if len(exps) != len(names):

@@ -40,7 +40,8 @@ from .errors import (
     ResourceLimitExceeded,
     WeightConditionViolated,
 )
-from .polycore import Polynomial, WeightSystem, _echelon, _invertible_matrix, exponent_matrix
+from .polycore import (Polynomial, WeightSystem, _echelon, _invertible_matrix, _rational,
+                       exponent_matrix)
 from .value import _Value
 
 GROUP_ORDER_LIMIT = 10**6  # the largest group listed or split into subgroups
@@ -55,7 +56,7 @@ class GroupElement(_Value):
     phases: tuple[Fraction, ...]
 
     def __init__(self, phases: tuple[Fraction, ...]):
-        self.__dict__["phases"] = tuple(Fraction(p) % 1 for p in phases)
+        self.__dict__["phases"] = tuple(_rational(p) % 1 for p in phases)
 
     def __lt__(self, other):
         if other.__class__ is self.__class__:
@@ -300,85 +301,61 @@ def smith_normal_form(matrix) -> tuple[list[list[int]], list[list[int]]]:
     """D, V with U*matrix*V = D for some unimodular U, which is not built;
     V is unimodular, and the diagonal of D nonnegative with d_i | d_{i+1}.
 
-    Runs entirely over Python integers, so entries may grow without overflow.
+    V starts as the n x n identity stacked under the matrix's m rows, so a
+    column step or swap is one pass over all m + n rows, and a row step
+    touches the top m rows only; the bottom n rows are returned as V.  Runs
+    entirely over Python integers, so entries may grow without overflow.
     """
     a = [[int(x) for x in row] for row in matrix]
     m = len(a)
     n = len(a[0]) if m else 0
-    v = [[int(i == j) for j in range(n)] for i in range(n)]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, factor):
-        a[dst] = [x + factor * y for x, y in zip(a[dst], a[src])]
-
-    def add_col(src, dst, factor):
-        for row in a:
-            row[dst] += factor * row[src]
-        for row in v:
-            row[dst] += factor * row[src]
-
-    def find_pivot(t):
-        best = None
+    a += [[int(i == j) for j in range(n)] for i in range(n)]
+    for t in range(min(m, n)):
+        least = 0  # the pivot: the first nonzero entry of least size
         for i in range(t, m):
             for j in range(t, n):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        return best
-
-    t = 0
-    while t < min(m, n):
-        pivot = find_pivot(t)
-        if pivot is None:
+                x = abs(a[i][j])
+                if x and (not least or x < least):
+                    least, pi, pj = x, i, j
+        if not least:
             break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
+        a[t], a[pi] = a[pi], a[t]
+        for row in a:
+            row[t], row[pj] = row[pj], row[t]
         while True:
-            # clear column t, restarting whenever a smaller remainder appears
-            restart = False
+            # clear column and row t, restarting on each smaller pivot swapped in
             for i in range(m):
-                if i != t and a[i][t] != 0:
+                if i != t and a[i][t]:
                     q = a[i][t] // a[t][t]
-                    add_row(t, i, -q)
-                    if a[i][t] != 0:
-                        swap_rows(t, i)
-                        restart = True
+                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+                    if a[i][t]:
+                        a[t], a[i] = a[i], a[t]
                         break
-            if restart:
-                continue
-            for j in range(n):
-                if j != t and a[t][j] != 0:
-                    q = a[t][j] // a[t][t]
-                    add_col(t, j, -q)
-                    if a[t][j] != 0:
-                        swap_cols(t, j)
-                        restart = True
+            else:
+                for j in range(n):
+                    if j != t and a[t][j]:
+                        q = a[t][j] // a[t][t]
+                        for row in a:
+                            row[j] -= q * row[t]
+                        if a[t][j]:
+                            for row in a:
+                                row[t], row[j] = row[j], row[t]
+                            break
+                else:
+                    # the pivot must divide the rest: add in the first row it fails to divide
+                    for i in range(t + 1, m):
+                        for x in a[i][t + 1:]:
+                            if x % a[t][t]:
+                                break
+                        else:
+                            continue
+                        a[t] = [x + y for x, y in zip(a[t], a[i])]
                         break
-            if restart:
-                continue
-            # divisibility: the pivot must divide the remaining submatrix
-            offender = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if a[i][j] % a[t][t] != 0:
-                        offender = i
+                    else:
                         break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            add_row(offender, t, 1)
         if a[t][t] < 0:
             a[t] = [-x for x in a[t]]
-        t += 1
-    return a, v
+    return a[:m], a[m:]
 
 
 def _relation_group(relations) -> SymmetryGroup:
@@ -396,10 +373,7 @@ def _relation_group(relations) -> SymmetryGroup:
     exponent = lcm(*diag)
     columns = [[v[row][i] * (exponent // diag[i]) for row in range(n)]
                for i in range(n) if diag[i] > 1]
-    group = _lattice_group(columns, exponent, n)
-    if group.order != prod(diag):
-        raise AssertionError("Smith normal form produced a defective group")
-    return group
+    return _lattice_group(columns, exponent, n)
 
 
 def gmax(poly: Polynomial) -> SymmetryGroup:

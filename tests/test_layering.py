@@ -42,7 +42,9 @@ polynomial keeps its hash and its exponent matrix, so `mirror_sides`
 validates each polynomial's matrix once.  The
 only function that calls itself is the search's tail walk, whose depth
 `SEARCH_VARS_LIMIT` keeps below the recursion limit; every other walk runs
-on an explicit stack.
+on an explicit stack.  No module holds an `assert` or raises
+`AssertionError`: a check that can fail only on a bug in the toolkit
+diagnoses nothing a caller can act on.
 """
 
 import ast
@@ -190,6 +192,14 @@ def _unused_imports():
     return found
 
 
+def _assertions():
+    """(module, line) of each `assert` statement and each raised
+    AssertionError."""
+    return {(name, node.lineno) for name, tree in _module_trees() for node in ast.walk(tree)
+            if isinstance(node, ast.Assert) or isinstance(node, ast.Raise) and any(
+                isinstance(n, ast.Name) and n.id == "AssertionError" for n in ast.walk(node))}
+
+
 def _definitions(function):
     """The modules that define a function of that name."""
     return {name for name, tree in _module_trees() for node in ast.walk(tree)
@@ -289,6 +299,9 @@ class TestLayering:
 
     def test_no_module_has_an_unused_import(self):
         assert _unused_imports() == set()
+
+    def test_no_module_asserts(self):
+        assert _assertions() == set()
 
     def test_one_self_recursive_function(self):
         # SEARCH_VARS_LIMIT keeps the tail walk's depth below the recursion

@@ -141,7 +141,8 @@ class TestSearch:
         assert accept.status == STATUS_FOUND
         assert tuple(accept.solutions[0]) == (F(1, 9),)
 
-    @pytest.mark.parametrize("m,bound", [(3.0, 60), (3, 20.0), (F(3), 60)])
+    @pytest.mark.parametrize("m,bound", [(3.0, 60), (3, 20.0), (F(3), 60), (True, 60),
+                                         (3, True)])
     def test_a_non_integer_m_or_bound_is_refused(self, m, bound):
         with pytest.raises(InvalidArgument, match="must be an integer"):
             search_weight_systems(8, F(12, 5), m, bound)
@@ -344,10 +345,15 @@ class TestDiscriminantBoundary:
         with pytest.raises(InvalidArgument):
             discriminant_sign_boundary(8, 2, bound)
 
-    @pytest.mark.parametrize("bound", [60.5, 60.0])
+    @pytest.mark.parametrize("bound", [60.5, 60.0, True])
     def test_a_non_integer_bound_is_refused(self, bound):
         with pytest.raises(InvalidArgument, match="must be an integer"):
             discriminant_sign_boundary(8, F(12, 5), bound)
+
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_a_nonpositive_dimension_is_refused(self, d):
+        with pytest.raises(InvalidArgument, match=f"target dimension must be positive, got {d}$"):
+            discriminant_sign_boundary(d, 1, 10)
 
 
 class TestEnumerateSupports:

@@ -10,6 +10,8 @@ from lgmk import (
     Classification,
     EmptyPolynomialError,
     ExponentMatrix,
+    GradedDims,
+    GroupElement,
     InvalidArgument,
     Monomial,
     NonPositiveWeight,
@@ -22,8 +24,10 @@ from lgmk import (
     WeightError,
     WeightSystem,
     classify,
+    discriminant_sign_boundary,
     exponent_matrix,
     parse_polynomial,
+    search_weight_systems,
     solve_weights,
 )
 from lgmk.mirror import _monomials_of_weight_one
@@ -259,6 +263,49 @@ class TestWeightSystem:
     def test_empty_is_refused(self):
         with pytest.raises(InvalidArgument, match="at least one weight"):
             WeightSystem(())
+
+
+# a float is refused even where its binary value is exact, as 0.5's is
+FLOATS = pytest.mark.parametrize("x", [0.5, 0.1, 4 / 3], ids=["0.5", "0.1", "4/3"])
+
+
+class TestExactInputs:
+    @FLOATS
+    def test_weight_system(self, x):
+        with pytest.raises(InvalidArgument, match="is a float"):
+            WeightSystem((F(1, 3), x))
+
+    @FLOATS
+    def test_polynomial_coefficient(self, x):
+        with pytest.raises(InvalidArgument, match="is a float"):
+            Polynomial.from_term_map(("x", "y"), {(3, 0): 1, (0, 3): x})
+
+    @FLOATS
+    def test_group_element(self, x):
+        with pytest.raises(InvalidArgument, match="is a float"):
+            GroupElement((x, 0))
+
+    @FLOATS
+    def test_graded_dims(self, x):
+        with pytest.raises(InvalidArgument, match="is a float"):
+            GradedDims([(F(1, 3), 1), (x, 2)])
+
+    @FLOATS
+    def test_graded_dims_degree(self, x):
+        with pytest.raises(InvalidArgument, match="is a float"):
+            GradedDims([(F(1, 3), 1)]).dim_at(x)
+
+    @FLOATS
+    def test_search_target(self, x):
+        for d, delta in ((4, x), (x, F(4, 3))):
+            with pytest.raises(InvalidArgument, match="is a float"):
+                search_weight_systems(d, delta, 2)
+
+    @FLOATS
+    def test_discriminant_boundary_target(self, x):
+        for d, delta in ((8, x), (x, F(12, 5))):
+            with pytest.raises(InvalidArgument, match="is a float"):
+                discriminant_sign_boundary(d, delta, 10)
 
 
 class TestSolveWeights:
