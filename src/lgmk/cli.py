@@ -1,5 +1,11 @@
 """Command-line front end: every pipeline as a text or JSON report.
 
+Each command has a handler `cmd_<name>(args)`, which computes and returns
+its inputs and its JSON payload, and a `text_<name>(payload)`, which builds
+the text report from that payload alone; `main` runs the second only when
+`--json` is absent.  So a report is stated once, and both forms carry the
+same values.
+
 Exit codes: 0 success, 2 parse error or argument out of range, 3 polynomial
 not admissible, 4 group not admissible or not a symmetry group, 5 polynomial
 not invertible, 6 resource limit (Groebner steps, group order, grid, tail
@@ -15,8 +21,8 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
-from collections.abc import Callable
 from fractions import Fraction
 from functools import cache
 
@@ -32,7 +38,7 @@ from .errors import (
     ResourceLimitExceeded,
     WeightError,
 )
-from .milnor import _dim_product, _top_sum, bmodel, is_nondegenerate
+from .milnor import _dim_product, _table_text, _top_sum, bmodel, is_nondegenerate
 from .mirror import (
     STATUS_NONE_EXACT,
     STATUS_NONE_WITHIN_BOUND,
@@ -56,10 +62,23 @@ def _rat(value) -> str:
     return str(Fraction(value))
 
 
+def _tuple_text(texts) -> str:
+    return "(" + ", ".join(texts) + ")"
+
+
+def _graded_lines(graded: dict[str, int]) -> list[str]:
+    return ["graded dimensions:", *(f"  {degree}: {dim}" for degree, dim in graded.items())]
+
+
 def _parse_fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
+        if _past_digit_limit(exc):
+            # Fraction converts each run of digits on its own
+            digits = max(map(len, re.findall(r"\d+", text)))
+            raise ParseError(f"number has {digits} digits, more than "
+                             f"{sys.get_int_max_str_digits()}") from None
         raise ParseError(f"not a rational number: {text!r}") from exc
 
 
@@ -92,14 +111,12 @@ def _parse_group_spec(spec: str, poly: Polynomial, weights) -> SymmetryGroup:
 
 
 # ---------------------------------------------------------------------------
-# Command handlers: each returns (inputs, payload, render), where render()
-# builds the text lines; it runs only for text output
+# Command handlers: each returns (inputs, payload); the --json report
+# prints the payload, and the text report is built from it by the
+# command's text_<name>, which runs only for text output
 # ---------------------------------------------------------------------------
 
-_Report = tuple[dict, dict, Callable[[], list[str]]]
-
-
-def cmd_weights(args) -> _Report:
+def cmd_weights(args) -> tuple[dict, dict]:
     poly = parse_polynomial(args.polynomial)
     verdict = classify(poly)
     payload: dict = {
@@ -107,30 +124,26 @@ def cmd_weights(args) -> _Report:
         "variables": list(poly.variables),
         "classification": verdict.kind.value,
         "nondegenerate": is_nondegenerate(poly),
+        "weights": None if verdict.weights is None else [_rat(q) for q in verdict.weights],
     }
-    if verdict.weights is not None:
-        payload["weights"] = [_rat(q) for q in verdict.weights]
-    else:
-        payload["weights"] = None
     if verdict.reason:
         payload["reason"] = verdict.reason
-
-    def render():
-        lines = [f"polynomial: {payload['polynomial']}",
-                 f"variables: {', '.join(poly.variables)}"]
-        if verdict.weights is not None:
-            lines.append("weights: (" + ", ".join(payload["weights"]) + ")")
-        else:
-            lines.append("weights: none")
-        lines.append(f"classification: {verdict.kind.value}")
-        lines.append(f"nondegenerate: {str(payload['nondegenerate']).lower()}")
-        if verdict.reason:
-            lines.append(f"reason: {verdict.reason}")
-        return lines
-    return {"polynomial": args.polynomial}, payload, render
+    return {"polynomial": args.polynomial}, payload
 
 
-def cmd_gmax(args) -> _Report:
+def text_weights(payload: dict) -> list[str]:
+    weights = payload["weights"]
+    lines = [f"polynomial: {payload['polynomial']}",
+             f"variables: {', '.join(payload['variables'])}",
+             "weights: " + ("none" if weights is None else _tuple_text(weights)),
+             f"classification: {payload['classification']}",
+             f"nondegenerate: {str(payload['nondegenerate']).lower()}"]
+    if "reason" in payload:
+        lines.append(f"reason: {payload['reason']}")
+    return lines
+
+
+def cmd_gmax(args) -> tuple[dict, dict]:
     poly = parse_polynomial(args.polynomial)
     require_admissible(poly)
     group = gmax(poly)
@@ -143,21 +156,18 @@ def cmd_gmax(args) -> _Report:
     }
     if args.elements:
         payload["elements"] = [[_rat(p) for p in g.phases] for g in group.elements]
-
-    def render():
-        lines = [f"polynomial: {payload['polynomial']}",
-                 f"order: {group.order}",
-                 "invariant factors: (" + ", ".join(map(str, payload["invariant_factors"])) + ")"]
-        for g in group.generators:
-            lines.append(f"generator: {g}")
-        if args.elements:
-            for g in group.elements:
-                lines.append(f"element: {g}")
-        return lines
-    return {"polynomial": args.polynomial}, payload, render
+    return {"polynomial": args.polynomial}, payload
 
 
-def cmd_amodel(args) -> _Report:
+def text_gmax(payload: dict) -> list[str]:
+    return [f"polynomial: {payload['polynomial']}",
+            f"order: {payload['order']}",
+            "invariant factors: " + _tuple_text(map(str, payload["invariant_factors"])),
+            *(f"generator: {_tuple_text(g)}" for g in payload["generators"]),
+            *(f"element: {_tuple_text(g)}" for g in payload.get("elements", ()))]
+
+
+def cmd_amodel(args) -> tuple[dict, dict]:
     poly = parse_polynomial(args.polynomial)
     verdict = require_admissible(poly)
     group = _parse_group_spec(args.group, poly, verdict.weights)
@@ -171,35 +181,28 @@ def cmd_amodel(args) -> _Report:
         "top_degree": _rat(model.graded.top_degree()),
         "graded": model.graded.as_json_dict(),
         "basis": [
-            {"monomial": _sector_monomial_text(s, poly),
+            {"monomial": s.monomial.render(
+                tuple(poly.variables[i] for i in sorted(fixed_locus(s.sector)))),
              "sector": [_rat(p) for p in s.sector.phases],
              "degree": _rat(s.adegree)}
             for s in model.basis
         ],
     }
-
-    def render():
-        lines = [f"polynomial: {payload['polynomial']}",
-                 f"group: order {group.order}",
-                 f"dimension: {model.graded.total_dim}",
-                 f"top degree: {payload['top_degree']}",
-                 "graded dimensions:"]
-        for degree, dim in payload["graded"].items():
-            lines.append(f"  {degree}: {dim}")
-        lines.append("basis:")
-        for s in model.basis:
-            lines.append(f"  [{_sector_monomial_text(s, poly)}; {s.sector}]  degree {s.adegree}")
-        return lines
-    return {"polynomial": args.polynomial, "group": args.group}, payload, render
+    return {"polynomial": args.polynomial, "group": args.group}, payload
 
 
-def _sector_monomial_text(sector_element, poly: Polynomial) -> str:
-    fix = sorted(fixed_locus(sector_element.sector))
-    names = tuple(poly.variables[i] for i in fix)
-    return sector_element.monomial.render(names)
+def text_amodel(payload: dict) -> list[str]:
+    return [f"polynomial: {payload['polynomial']}",
+            f"group: order {payload['group_order']}",
+            f"dimension: {payload['dimension']}",
+            f"top degree: {payload['top_degree']}",
+            *_graded_lines(payload["graded"]),
+            "basis:",
+            *(f"  [{s['monomial']}; {_tuple_text(s['sector'])}]  degree {s['degree']}"
+              for s in payload["basis"])]
 
 
-def cmd_bmodel(args) -> _Report:
+def cmd_bmodel(args) -> tuple[dict, dict]:
     poly = parse_polynomial(args.polynomial)
     model = bmodel(poly)
     weights = model.weights
@@ -213,39 +216,37 @@ def cmd_bmodel(args) -> _Report:
         "graded": model.graded.as_json_dict(),
         "basis": [m.render(poly.variables) for m in model.basis],
     }
-
-    def render():
-        lines = [f"polynomial: {payload['polynomial']}",
-                 "weights: (" + ", ".join(payload["weights"]) + ")",
-                 f"dimension: {model.graded.total_dim} (formula: {payload['dimension_formula']})",
-                 f"top degree: {payload['top_degree']} (formula: {payload['top_degree_formula']})",
-                 "graded dimensions:"]
-        for degree, dim in payload["graded"].items():
-            lines.append(f"  {degree}: {dim}")
-        lines.append("basis: " + ", ".join(payload["basis"]))
-        return lines
-    return {"polynomial": args.polynomial}, payload, render
+    return {"polynomial": args.polynomial}, payload
 
 
-def cmd_mirror_check(args) -> _Report:
+def text_bmodel(payload: dict) -> list[str]:
+    return [f"polynomial: {payload['polynomial']}",
+            "weights: " + _tuple_text(payload["weights"]),
+            f"dimension: {payload['dimension']} (formula: {payload['dimension_formula']})",
+            f"top degree: {payload['top_degree']} (formula: {payload['top_degree_formula']})",
+            *_graded_lines(payload["graded"]),
+            "basis: " + ", ".join(payload["basis"])]
+
+
+def cmd_mirror_check(args) -> tuple[dict, dict]:
     poly = parse_polynomial(args.polynomial)
     partner, a_side, b_side = mirror_sides(poly)
-    verdict = a_side == b_side
     payload = {
         "polynomial": str(poly),
         "transpose": str(partner),
         "a_graded": a_side.as_json_dict(),
         "b_graded": b_side.as_json_dict(),
-        "isomorphic": verdict,
+        "isomorphic": a_side == b_side,
     }
+    return {"polynomial": args.polynomial}, payload
 
-    def render():
-        return [f"polynomial: {payload['polynomial']}",
-                f"transpose: {payload['transpose']}",
-                "A-side graded: " + str(a_side),
-                "B-side graded: " + str(b_side),
-                f"graded vector spaces equal: {str(verdict).lower()}"]
-    return {"polynomial": args.polynomial}, payload, render
+
+def text_mirror_check(payload: dict) -> list[str]:
+    return [f"polynomial: {payload['polynomial']}",
+            f"transpose: {payload['transpose']}",
+            "A-side graded: " + _table_text(payload["a_graded"]),
+            "B-side graded: " + _table_text(payload["b_graded"]),
+            f"graded vector spaces equal: {str(payload['isomorphic']).lower()}"]
 
 
 def _family_parameter(dim: Fraction, top: Fraction) -> int | None:
@@ -259,12 +260,12 @@ def _family_parameter(dim: Fraction, top: Fraction) -> int | None:
     return None
 
 
-def cmd_search(args) -> _Report:
+def cmd_search(args) -> tuple[dict, dict]:
     dim = _parse_fraction(args.dim)
     top = _parse_fraction(args.top)
     _thread_count(args.threads)
-    report_obj = search_weight_systems(dim, top, args.vars, denominator_bound=args.bound)
-    payload = report_obj.to_json_dict()
+    payload = search_weight_systems(dim, top, args.vars,
+                                    denominator_bound=args.bound).to_json_dict()
     n = _family_parameter(dim, top) if args.vars == 2 else None
     if n is not None:
         payload["discriminant"] = discriminant_2var(n)
@@ -272,32 +273,30 @@ def cmd_search(args) -> _Report:
         boundary = discriminant_sign_boundary(dim, top, args.bound)
         payload["discriminant_nonnegative_up_to"] = (
             _rat(boundary) if boundary is not None else None)
-
-    def render():
-        lines = [f"target dimension: {_rat(dim)}",
-                 f"target top degree: {_rat(top)}",
-                 f"variables: {args.vars}",
-                 f"denominator bound: {args.bound}",
-                 f"status: {report_obj.status}"]
-        if n is not None:
-            lines.append(f"discriminant: {payload['discriminant']}")
-        if args.vars == 3:
-            lines.append("discriminant nonnegative for grid q3 up to: "
-                         + (payload["discriminant_nonnegative_up_to"] or "none"))
-        for ws in report_obj.solutions:
-            lines.append("solution: (" + ", ".join(_rat(q) for q in ws) + ")")
-        if not report_obj.solutions:
-            lines.append("solutions: none")
-        return lines
     inputs = {"dim": args.dim, "top": args.top, "vars": args.vars, "bound": args.bound}
-    return inputs, payload, render
+    return inputs, payload
 
 
-def cmd_paper_tables(args) -> _Report:
-    dims_rows = []
-    for n in range(3, 13):
-        dims_rows.append({"n": n, "dim": 2 * n - 2,
-                          "top_degree": _rat(Fraction(2 * (2 * n - 4), n))})
+def text_search(payload: dict) -> list[str]:
+    lines = [f"target dimension: {_rat(Fraction(*payload['target_dim']))}",
+             f"target top degree: {_rat(Fraction(*payload['target_top']))}",
+             f"variables: {payload['vars']}",
+             f"denominator bound: {payload['bound']}",
+             f"status: {payload['status']}"]
+    if "discriminant" in payload:
+        lines.append(f"discriminant: {payload['discriminant']}")
+    if "discriminant_nonnegative_up_to" in payload:
+        lines.append("discriminant nonnegative for grid q3 up to: "
+                     + (payload["discriminant_nonnegative_up_to"] or "none"))
+    return lines + ([f"solution: {_tuple_text(_rat(Fraction(*q)) for q in ws)}"
+                     for ws in payload["solutions"]] or ["solutions: none"])
+
+
+def cmd_paper_tables(args) -> tuple[dict, dict]:
+    dims_rows = [{"n": n, "dim": 2 * n - 2, "top_degree": _rat(Fraction(2 * (2 * n - 4), n))}
+                 for n in range(3, 13)]
+    # the mark of each nonexistence status; a search that finds a solution gets none
+    marks = {STATUS_NONE_EXACT: "X", STATUS_NONE_WITHIN_BOUND: "X*"}
     matrix_rows = []
     for n in range(4, 13):
         d = Fraction(2 * n - 2)
@@ -305,33 +304,28 @@ def cmd_paper_tables(args) -> _Report:
         row = {"n": n}
         for m in (1, 2, 3):
             result = search_weight_systems(d, top, m, denominator_bound=args.bound)
-            if result.status == STATUS_NONE_EXACT:
-                row[f"m{m}"] = "X"
-            elif result.status == STATUS_NONE_WITHIN_BOUND:
-                row[f"m{m}"] = "X*"
-            else:
-                row[f"m{m}"] = ""
+            row[f"m{m}"] = marks.get(result.status, "")
         matrix_rows.append(row)
     payload = {"bound": args.bound,
                "nonexistence": matrix_rows,
                "state_space_dimensions": dims_rows,
                "legend": {"X": "no weight system exists (exact)",
                           "X*": f"no weight system with denominators up to {args.bound}"}}
+    return {"bound": args.bound}, payload
 
-    def render():
-        lines = ["nonexistence of candidate weight systems (rows n, columns m):",
-                 "  n | m=1  m=2  m=3"]
-        for row in matrix_rows:
-            lines.append(f"  {row['n']:>2} | {row['m1']:<4} {row['m2']:<4} {row['m3']:<4}")
-        lines.append("X = impossible (exact); X* = impossible within denominator bound "
-                     f"{args.bound}")
-        lines.append("")
-        lines.append("state-space dimension and top degree for x^n + y^n + x^(n-1)*y with <J>:")
-        lines.append("  n | dim   top degree")
-        for row in dims_rows:
-            lines.append(f"  {row['n']:>2} | {row['dim']:<5} {row['top_degree']}")
-        return lines
-    return {"bound": args.bound}, payload, render
+
+def text_paper_tables(payload: dict) -> list[str]:
+    return ["nonexistence of candidate weight systems (rows n, columns m):",
+            "  n | m=1  m=2  m=3",
+            *(f"  {row['n']:>2} | {row['m1']:<4} {row['m2']:<4} {row['m3']:<4}"
+              for row in payload["nonexistence"]),
+            "X = impossible (exact); X* = impossible within denominator bound "
+            f"{payload['bound']}",
+            "",
+            "state-space dimension and top degree for x^n + y^n + x^(n-1)*y with <J>:",
+            "  n | dim   top degree",
+            *(f"  {row['n']:>2} | {row['dim']:<5} {row['top_degree']}"
+              for row in payload["state_space_dimensions"])]
 
 
 # ---------------------------------------------------------------------------
@@ -345,37 +339,34 @@ def _build_parser() -> argparse.ArgumentParser:
                     "for quasihomogeneous polynomials.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_json(p):
+    def finish(p, handler, text):
+        # --json comes last, so it follows the command's own options in usage
         p.add_argument("--json", action="store_true", help="emit JSON instead of text")
+        p.set_defaults(handler=handler, text=text)
 
     p = sub.add_parser("weights", help="weights, classification, nondegeneracy")
     p.add_argument("polynomial")
-    add_json(p)
-    p.set_defaults(handler=cmd_weights)
+    finish(p, cmd_weights, text_weights)
 
     p = sub.add_parser("gmax", help="maximal diagonal symmetry group")
     p.add_argument("polynomial")
     p.add_argument("--elements", action="store_true", help="list every element")
-    add_json(p)
-    p.set_defaults(handler=cmd_gmax)
+    finish(p, cmd_gmax, text_gmax)
 
     p = sub.add_parser("amodel", help="A-side state space for (polynomial, group)")
     p.add_argument("polynomial")
     p.add_argument("group", help="'max', 'J', 'sl', '0', or generators 'p/q,p/q;...'")
     p.add_argument("--threads", type=int, default=1,
                    help="accepted for compatibility; sectors are computed in one thread")
-    add_json(p)
-    p.set_defaults(handler=cmd_amodel)
+    finish(p, cmd_amodel, text_amodel)
 
     p = sub.add_parser("bmodel", help="Milnor ring as a graded vector space")
     p.add_argument("polynomial")
-    add_json(p)
-    p.set_defaults(handler=cmd_bmodel)
+    finish(p, cmd_bmodel, text_bmodel)
 
     p = sub.add_parser("mirror-check", help="graded comparison against the transpose")
     p.add_argument("polynomial")
-    add_json(p)
-    p.set_defaults(handler=cmd_mirror_check)
+    finish(p, cmd_mirror_check, text_mirror_check)
 
     p = sub.add_parser("search", help="weight systems matching a dimension/top target")
     p.add_argument("dim", help="target dimension (rational, e.g. 8)")
@@ -384,15 +375,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", type=int, default=60, help="denominator bound for tails")
     p.add_argument("--threads", type=int, default=1,
                    help="accepted for compatibility; tails are searched in one thread")
-    add_json(p)
-    p.set_defaults(handler=cmd_search)
+    finish(p, cmd_search, text_search)
 
     p = sub.add_parser("paper-tables",
                        help="nonexistence matrix and dimension table for the "
                             "x^n + y^n + x^(n-1)*y family")
     p.add_argument("--bound", type=int, default=60)
-    add_json(p)
-    p.set_defaults(handler=cmd_paper_tables)
+    finish(p, cmd_paper_tables, text_paper_tables)
 
     return parser
 
@@ -423,13 +412,13 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        inputs, payload, render = args.handler(args)
+        inputs, payload = args.handler(args)
         if args.json:
             report = {"command": args.command, "inputs": inputs, "payload": payload,
                       "warnings": []}
             output = json.dumps(report, sort_keys=True)
         else:
-            output = "\n".join(render())
+            output = "\n".join(args.text(payload))
     except Exception as exc:  # noqa: BLE001 - mapped to documented exit codes
         if _past_digit_limit(exc):
             exc = ResourceLimitExceeded(

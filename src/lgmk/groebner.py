@@ -1,8 +1,9 @@
 """The Groebner kernel over Q: the staircase of a polynomial ideal.
 
-This is the bottom computing layer: it defines the `Monomial` type and
+This is the bottom computing layer: it defines the `Monomial` type,
 `_integer_form`, the integer form (L, L*q_i) of a weight vector, and
-imports nothing from the rest of the package but its errors and `value`,
+`_require_int`, which every layer uses to refuse a count that is not an
+int, and imports nothing from the rest of the package but its errors and `value`,
 the base of its value classes.  Polynomials
 enter as `polycore.Polynomial`, with `Fraction` coefficients, a type named
 here only in annotations.  Inside, a polynomial is a dict mapping packed
@@ -104,7 +105,7 @@ from math import gcd, lcm, prod
 from operator import mul, sub
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
-from .errors import NotFiniteDimensional, ResourceLimitExceeded
+from .errors import InvalidArgument, NotFiniteDimensional, ResourceLimitExceeded
 from .value import _Value
 
 if TYPE_CHECKING:
@@ -134,7 +135,7 @@ class Monomial(_Value):
     exponents: Exps
 
     def __init__(self, exponents: Exps):
-        exps = tuple(int(e) for e in exponents)
+        exps = tuple(_require_int("exponent", e) for e in exponents)
         if any(e < 0 for e in exps):
             raise ValueError(f"negative exponent in {exps}")
         self.__dict__["exponents"] = exps
@@ -165,6 +166,14 @@ def _monomial(exps: Exps) -> Monomial:
     mono = object.__new__(Monomial)
     mono.__dict__["exponents"] = exps
     return mono
+
+
+def _require_int(name: str, value) -> int:
+    """value, when it is an int and not a bool; anything else, where int()
+    would truncate 2.7 to 2 unseen, raises InvalidArgument."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise InvalidArgument(f"{name} must be an integer, got {value!r}")
 
 
 def _integer_form(qs) -> tuple[int, tuple[int, ...]]:

@@ -57,7 +57,7 @@ from typing import Iterable, Mapping
 
 from . import groebner
 from .errors import LgmkError, ResourceLimitExceeded
-from .groebner import Monomial, _integer_form, standard_monomials
+from .groebner import Monomial, _integer_form, _require_int, standard_monomials
 from .polycore import (Polynomial, WeightSystem, _rational, classify, jacobian_staircase,
                        require_admissible)
 from .value import _Value
@@ -76,7 +76,8 @@ class GradedDims(_Value):
     dims: tuple[int, ...]
 
     def __init__(self, entries: Iterable[tuple[Fraction, int]]):
-        cleaned = tuple(sorted((_rational(d), int(k)) for d, k in entries))
+        cleaned = tuple(sorted((_rational(d), _require_int("dimension", k))
+                               for d, k in entries))
         if any(k <= 0 for _, k in cleaned):
             raise ValueError("graded dimensions must be positive")
         if len({d for d, _ in cleaned}) != len(cleaned):
@@ -145,11 +146,15 @@ class GradedDims(_Value):
         return dict(zip(self._degree_texts(), self.dims))
 
     def __str__(self) -> str:
-        return "{" + ", ".join(
-            f"{d}: {k}" for d, k in zip(self._degree_texts(), self.dims)) + "}"
+        return _table_text(self.as_json_dict())
 
     def __repr__(self) -> str:
         return f"GradedDims(entries={self.entries!r})"
+
+
+def _table_text(table: Mapping[str, int]) -> str:
+    """A table of degree texts and dimensions as `{d: k, ...}`."""
+    return "{" + ", ".join(f"{d}: {k}" for d, k in table.items()) + "}"
 
 
 class BModel(_Value):

@@ -67,7 +67,7 @@ from typing import Iterator
 
 from .amodel import amodel
 from .errors import InvalidArgument, ResourceLimitExceeded
-from .groebner import _walk
+from .groebner import _require_int, _walk
 from .milnor import GradedDims, _require_halved, bmodel
 from .polycore import Polynomial, WeightSystem, _rational, classify, transpose_polynomial
 from .symmetry import gmax
@@ -484,11 +484,6 @@ def _walk_rows(bound: int, sn: int, sd: int, dn: int, dd: int) -> set[tuple[Frac
     return found
 
 
-def _require_int(name: str, value) -> None:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise InvalidArgument(f"{name} must be an integer, got {value!r}")
-
-
 def search_weight_systems(d, delta, m: int, denominator_bound: int = 60) -> SearchReport:
     """Search for weight systems in m variables matching (d, delta).
 
@@ -611,10 +606,9 @@ def _sturm_roots(poly: list[int], lo: tuple[int, int],
     """Isolating intervals (a, b], descending, one per distinct real root of
     the square-free `poly` (degree >= 1) in (lo, hi], found by bisection."""
     chain = [poly, _primitive(_derivative(poly))]
+    # poly is square-free, so no remainder vanishes before a constant one
     while len(chain[-1]) > 1:
         rem = _pseudo_divmod(chain[-2], chain[-1])[1]
-        if not rem:
-            break
         chain.append(_primitive([-c for c in rem]))
 
     def variations(point) -> int:
@@ -695,10 +689,10 @@ def discriminant_sign_boundary(d, delta, denominator_bound: int = 60) -> Fractio
     if d <= 0:
         raise InvalidArgument(f"target dimension must be positive, got {d}")
     ed = delta.denominator
+    # of degree 4: its leading coefficient (dn + dd)^2 sd^2 is positive, as
+    # d > 0 and sd = 4 ed > 0; so the square-free part has degree >= 1
     quartic = _pair_quartic(6 * ed - delta.numerator, 4 * ed, d.numerator, d.denominator)
-    while quartic and quartic[-1] == 0:
-        quartic.pop()
-    if not quartic or _sign_at(quartic, 1, 2) >= 0:
+    if _sign_at(quartic, 1, 2) >= 0:
         return HALF
     # the square-free part: the same roots, each simple
     common, rest = quartic, _derivative(quartic)
@@ -706,8 +700,6 @@ def discriminant_sign_boundary(d, delta, denominator_bound: int = 60) -> Fractio
         rem = _pseudo_divmod(common, rest)[1]
         common, rest = rest, rem and _primitive(rem)
     squarefree = _primitive(_pseudo_divmod(quartic, common)[0])
-    if len(squarefree) < 2:
-        return None
     for (an, ak), (bn, bk) in _sturm_roots(squarefree, (0, 1), (1, 2)):
         # the root r in (a, b] is b itself, or the sign flips across it
         sign_b = _sign_at(squarefree, bn, bk)

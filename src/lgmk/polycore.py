@@ -49,7 +49,7 @@ from .errors import (
     WeightError,
 )
 from .groebner import (Exps, Monomial, MonomialOrder, Staircase, _integer_form, _monomial,
-                       staircase)
+                       _require_int, staircase)
 from .value import _Value
 
 
@@ -100,7 +100,7 @@ class ExponentMatrix(_Value):
     rows: tuple[Exps, ...]
 
     def __init__(self, rows: tuple[Exps, ...]):
-        rows = tuple(tuple(int(e) for e in row) for row in rows)
+        rows = tuple(tuple(_require_int("exponent", e) for e in row) for row in rows)
         if not rows:
             raise ValueError("exponent matrix needs at least one row")
         width = len(rows[0])
@@ -158,7 +158,7 @@ class Polynomial(_Value):
                 continue
             if len(exps) != len(names):
                 raise ValueError("exponent length does not match variable count")
-            exps = tuple(map(int, exps))
+            exps = tuple(_require_int("exponent", e) for e in exps)
             if min(exps, default=0) < 0:
                 raise ValueError(f"negative exponent in {exps}")
             collected.append((exps, c))

@@ -40,6 +40,7 @@ from .errors import (
     ResourceLimitExceeded,
     WeightConditionViolated,
 )
+from .groebner import _require_int
 from .polycore import (Polynomial, WeightSystem, _echelon, _invertible_matrix, _rational,
                        exponent_matrix)
 from .value import _Value
@@ -306,7 +307,7 @@ def smith_normal_form(matrix) -> tuple[list[list[int]], list[list[int]]]:
     touches the top m rows only; the bottom n rows are returned as V.  Runs
     entirely over Python integers, so entries may grow without overflow.
     """
-    a = [[int(x) for x in row] for row in matrix]
+    a = [[_require_int("matrix entry", x) for x in row] for row in matrix]
     m = len(a)
     n = len(a[0]) if m else 0
     a += [[int(i == j) for j in range(n)] for i in range(n)]
@@ -385,7 +386,7 @@ def gmax_bruteforce(poly: Polynomial, denominator_bound: int) -> SymmetryGroup:
     """Oracle for gmax: try every phase vector with denominators dividing the
     bound.  Complete only when the bound is a multiple of every invariant
     factor; that is the caller's responsibility.  It must be at least 1."""
-    b = int(denominator_bound)
+    b = _require_int("denominator bound", denominator_bound)
     if b < 1:
         raise InvalidArgument(f"denominator bound must be at least 1, got {b}")
     matrix = exponent_matrix(poly)

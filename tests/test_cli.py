@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 import lgmk
-from lgmk import groebner, mirror, polycore
+from lgmk import cli, groebner, mirror, polycore
 from lgmk.cli import EXIT_PIPE_CLOSED, main
 
 
@@ -124,18 +124,40 @@ class TestMirrorCheck:
         report = run_json(capsys, "mirror-check", "x^5")
         assert report["payload"]["isomorphic"] is True
 
-    def test_json_renders_no_graded_text(self, capsys, monkeypatch):
-        def forbidden(self):
-            raise AssertionError("graded table rendered as text")
-
-        monkeypatch.setattr(lgmk.GradedDims, "__str__", forbidden)
-        report = run_json(capsys, "mirror-check", "x^3+x*y^2")
-        assert report["payload"]["isomorphic"] is True
-
     def test_noninvertible_exit_code(self, capsys):
         code, _, err = run(capsys, "mirror-check", "x^4+y^4+x^3*y")
         assert code == 5
         assert "invertible" in err
+
+
+# one command line of each command
+EVERY_COMMAND = [
+    ["weights", "x^3+x*y^2"],
+    ["gmax", "x^3+x*y^2", "--elements"],
+    ["amodel", "x^3+x*y^2", "max"],
+    ["bmodel", "x^3+x*y^2"],
+    ["mirror-check", "x^3+x*y^2"],
+    ["search", "8", "12/5", "3", "--bound", "20"],
+    ["paper-tables", "--bound", "10"],
+]
+
+
+@pytest.mark.parametrize("argv", EVERY_COMMAND, ids=[a[0] for a in EVERY_COMMAND])
+def test_json_builds_no_text(capsys, monkeypatch, argv):
+    """--json prints the payload and never calls a text_<name> builder."""
+    def forbidden(payload):
+        raise AssertionError("text report built in JSON mode")
+
+    builders = [name for name in vars(cli) if name.startswith("text_")]
+    assert len(builders) == len(EVERY_COMMAND)
+    for name in builders:
+        monkeypatch.setattr(cli, name, forbidden)
+    cli._parser.cache_clear()  # the parser holds the builders it was made with
+    try:
+        report = run_json(capsys, *argv)
+    finally:
+        cli._parser.cache_clear()
+    assert report["command"] == argv[0]
 
 
 class TestSearch:

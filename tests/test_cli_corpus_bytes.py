@@ -44,6 +44,14 @@ ones, drawn the same way from random.Random("dense (6,6,6) and (7,7,7)"),
 four with (a, b, c) = (6, 6, 6) and then four with (7, 7, 7).  They were
 recorded before the kernel's pair loop became Hilbert driven, since dense
 equal-weight Jacobians are where it sets the most pairs aside.
+
+`data/cli_text_corpus.json` holds the text reports, without `--json`, of
+`weights`, `gmax --elements`, `amodel` with each of the specs `max`, `J`,
+`sl` and `0`, and `mirror-check` on the invertible corpus and on
+`HERMITE_TEXTS`; then `weights` on three two-variable polynomials, two of
+which print a `reason:` line, and `paper-tables` at bounds 20 and 60.  It was
+recorded while each command handler still formatted its text from the model
+objects, before the text reports were built from the JSON payloads.
 """
 
 import io
@@ -69,6 +77,7 @@ def _load(name: str) -> list[dict]:
 RECORDS = _load("cli_invertible_corpus.json")
 SEARCH_RECORDS = _load("cli_search_corpus.json")
 BMODEL_RECORDS = _load("cli_bmodel_corpus.json")
+TEXT_RECORDS = _load("cli_text_corpus.json")
 
 
 # four-variable chains, loops and chains beside a Fermat summand whose Gmax,
@@ -97,6 +106,17 @@ def test_every_corpus_command_is_recorded():
     assert [record["argv"] for record in RECORDS] == expected
 
 
+def test_every_text_report_is_recorded():
+    expected = []
+    for text in INVERTIBLE_CORPUS_TEXTS + HERMITE_TEXTS:
+        expected += [["weights", text], ["gmax", text, "--elements"]]
+        expected += [["amodel", text, spec] for spec in ("max", "J", "sl", "0")]
+        expected.append(["mirror-check", text])
+    expected += [["weights", text] for text in ("x^4+y^4+x^3*y", "x^2*y", "x^3*y + x^2*y^2")]
+    expected += [["paper-tables", "--bound", bound] for bound in ("20", "60")]
+    assert [record["argv"] for record in TEXT_RECORDS] == expected
+
+
 def _assert_replays(record: dict) -> None:
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
@@ -120,6 +140,12 @@ def test_search_output_is_byte_identical(record):
 @pytest.mark.parametrize("record", BMODEL_RECORDS,
                          ids=[" ".join(r["argv"]) for r in BMODEL_RECORDS])
 def test_bmodel_output_is_byte_identical(record):
+    _assert_replays(record)
+
+
+@pytest.mark.parametrize("record", TEXT_RECORDS,
+                         ids=[" ".join(r["argv"]) for r in TEXT_RECORDS])
+def test_text_output_is_byte_identical(record):
     _assert_replays(record)
 
 

@@ -125,6 +125,19 @@ def test_a_number_past_the_digit_limit(argv, code):
     assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["search", LONG, "1", "2"], ["search", "8", f"1/{LONG}", "2"],
+    ["amodel", "x^3+y^3", f"{LONG}/3,1/3"]],
+    ids=["search dimension", "search top degree", "group phase"])
+def test_a_rational_past_the_digit_limit_is_named_not_echoed(argv):
+    done = _run(argv)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == (f"error: number has 5000 digits, more than "
+                           f"{sys.get_int_max_str_digits()}\n")
+    assert len(done.stderr.encode()) < 200
+
+
 def test_whitespace_beside_a_slash_leaves_the_payload():
     payload = json.loads(_run(["weights", "x^2+3/2*y^2", "--json"]).stdout)["payload"]
     tabbed = json.loads(_run(["weights", "x^2+3/\t2*y^2", "--json"]).stdout)["payload"]

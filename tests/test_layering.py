@@ -39,7 +39,10 @@ classes share the small base in `value`, so `import lgmk` loads neither
 `dataclasses` nor `inspect`.  That base alone defines equality, and no
 value class repeats its constructor by storing just its fields.  A
 polynomial keeps its hash and its exponent matrix, so `mirror_sides`
-validates each polynomial's matrix once.  The
+validates each polynomial's matrix once.  The CLI
+states each report once: a command's handler `cmd_<name>` defines no
+function and returns its inputs and payload, and its text report is built by
+`text_<name>`, which takes the payload as its one parameter.  The
 only function that calls itself is the search's tail walk, whose depth
 `SEARCH_VARS_LIMIT` keeps below the recursion limit; every other walk runs
 on an explicit stack.  No module holds an `assert` or raises
@@ -326,6 +329,31 @@ class TestLayering:
     def test_transpose_lives_in_polycore(self):
         assert mirror.transpose_polynomial is polycore.transpose_polynomial
         assert lgmk.transpose_polynomial is polycore.transpose_polynomial
+
+
+def _cli_functions(prefix: str) -> dict[str, ast.FunctionDef]:
+    """The module-level functions of cli whose names start with prefix."""
+    tree = dict(_module_trees())["cli"]
+    return {node.name: node for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name.startswith(prefix)}
+
+
+class TestOneReport:
+    def test_every_command_has_a_handler_and_a_text_builder(self):
+        handlers, builders = _cli_functions("cmd_"), _cli_functions("text_")
+        assert len(handlers) == 7
+        assert {name[4:] for name in handlers} == {name[5:] for name in builders}
+
+    def test_no_handler_defines_a_function(self):
+        assert {name for name, node in _cli_functions("cmd_").items() if any(
+            isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+            for inner in ast.walk(node) if inner is not node)} == set()
+
+    def test_each_text_builder_reads_one_payload(self):
+        for name, node in _cli_functions("text_").items():
+            args = node.args
+            assert [a.arg for a in args.posonlyargs + args.args] == ["payload"], name
+            assert not (args.vararg or args.kwarg or args.kwonlyargs), name
 
 
 def _count_calls(monkeypatch, module, name):

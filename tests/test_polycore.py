@@ -26,8 +26,10 @@ from lgmk import (
     classify,
     discriminant_sign_boundary,
     exponent_matrix,
+    gmax_bruteforce,
     parse_polynomial,
     search_weight_systems,
+    smith_normal_form,
     solve_weights,
 )
 from lgmk.mirror import _monomials_of_weight_one
@@ -306,6 +308,51 @@ class TestExactInputs:
         for d, delta in ((8, x), (x, F(12, 5))):
             with pytest.raises(InvalidArgument, match="is a float"):
                 discriminant_sign_boundary(d, delta, 10)
+
+
+# a count that int() would truncate or read as 1: each is refused, not rounded
+NON_INTS = pytest.mark.parametrize("k", [2.7, 3.0, F(5, 2), F(2), "2", True],
+                                   ids=["2.7", "3.0", "5/2", "Fraction 2", "'2'", "True"])
+
+
+class TestIntegerCounts:
+    @NON_INTS
+    def test_graded_dims_dimension(self, k):
+        with pytest.raises(InvalidArgument, match="dimension must be an integer"):
+            GradedDims([(F(1, 3), k)])
+
+    @NON_INTS
+    def test_polynomial_exponent(self, k):
+        with pytest.raises(InvalidArgument, match="exponent must be an integer"):
+            Polynomial.from_term_map(("x", "y"), {(3, 0): 1, (k, 1): 1})
+
+    @NON_INTS
+    def test_brute_force_bound(self, k):
+        with pytest.raises(InvalidArgument, match="denominator bound must be an integer"):
+            gmax_bruteforce(parse_polynomial("x^3"), k)
+
+    @NON_INTS
+    def test_monomial(self, k):
+        with pytest.raises(InvalidArgument, match="exponent must be an integer"):
+            Monomial((k, 1))
+
+    @NON_INTS
+    def test_exponent_matrix(self, k):
+        with pytest.raises(InvalidArgument, match="exponent must be an integer"):
+            ExponentMatrix(((3, 0), (k, 1)))
+
+    @NON_INTS
+    def test_smith_normal_form(self, k):
+        with pytest.raises(InvalidArgument, match="matrix entry must be an integer"):
+            smith_normal_form([[k, 1], [0, 3]])
+
+    def test_ints_are_taken_as_they_are(self):
+        assert GradedDims([(F(1, 3), 2)]).dims == (2,)
+        assert str(Polynomial.from_term_map(("x",), {(2,): 1})) == "x^2"
+        assert gmax_bruteforce(parse_polynomial("x^3"), 3).order == 3
+        assert Monomial((2, 1)).exponents == (2, 1)
+        assert ExponentMatrix(((2, 1),)).rows == ((2, 1),)
+        assert smith_normal_form([[2, 1], [0, 3]])[0] == [[1, 0], [0, 6]]
 
 
 class TestSolveWeights:
