@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 from fractions import Fraction
 from functools import cache
@@ -47,7 +46,8 @@ from .mirror import (
     mirror_sides,
     search_weight_systems,
 )
-from .polycore import Polynomial, classify, parse_polynomial, require_admissible
+from .polycore import (Polynomial, _past_digit_limit, _quoted, _rational, classify,
+                       parse_polynomial, require_admissible)
 from .symmetry import (
     GroupElement,
     SymmetryGroup,
@@ -70,18 +70,6 @@ def _graded_lines(graded: dict[str, int]) -> list[str]:
     return ["graded dimensions:", *(f"  {degree}: {dim}" for degree, dim in graded.items())]
 
 
-def _parse_fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        if _past_digit_limit(exc):
-            # Fraction converts each run of digits on its own
-            digits = max(map(len, re.findall(r"\d+", text)))
-            raise ParseError(f"number has {digits} digits, more than "
-                             f"{sys.get_int_max_str_digits()}") from None
-        raise ParseError(f"not a rational number: {text!r}") from exc
-
-
 def _thread_count(value: int) -> int:
     if value < 1:
         raise InvalidArgument(f"--threads must be at least 1, got {value}")
@@ -102,10 +90,10 @@ def _parse_group_spec(spec: str, poly: Polynomial, weights) -> SymmetryGroup:
         return subgroup_generated([], n)
     generators = []
     for chunk in spec.split(";"):
-        phases = tuple(_parse_fraction(part) for part in chunk.split(","))
+        phases = tuple(map(_rational, chunk.split(",")))
         if len(phases) != n:
             raise ParseError(
-                f"group generator {chunk!r} has {len(phases)} phases, expected {n}")
+                f"group generator {_quoted(chunk)} has {len(phases)} phases, expected {n}")
         generators.append(GroupElement(phases))
     return subgroup_generated(generators, n)
 
@@ -261,8 +249,8 @@ def _family_parameter(dim: Fraction, top: Fraction) -> int | None:
 
 
 def cmd_search(args) -> tuple[dict, dict]:
-    dim = _parse_fraction(args.dim)
-    top = _parse_fraction(args.top)
+    dim = _rational(args.dim)
+    top = _rational(args.top)
     _thread_count(args.threads)
     payload = search_weight_systems(dim, top, args.vars,
                                     denominator_bound=args.bound).to_json_dict()
@@ -394,12 +382,6 @@ _EXIT_CODES = (
     (ResourceLimitExceeded, 6),
 )
 EXIT_PIPE_CLOSED = 141
-
-
-def _past_digit_limit(exc: Exception) -> bool:
-    """True for the error Python's int <-> str conversion raises past
-    sys.get_int_max_str_digits() digits: a ValueError of no type of its own."""
-    return isinstance(exc, ValueError) and str(exc).startswith("Exceeds the limit (")
 
 
 @cache

@@ -4,9 +4,8 @@ This is the bottom computing layer: it defines the `Monomial` type,
 `_integer_form`, the integer form (L, L*q_i) of a weight vector, and
 `_require_int`, which every layer uses to refuse a count that is not an
 int, and imports nothing from the rest of the package but its errors and `value`,
-the base of its value classes.  Polynomials
-enter as `polycore.Polynomial`, with `Fraction` coefficients, a type named
-here only in annotations.  Inside, a polynomial is a dict mapping packed
+the base of its value classes.  Polynomials enter as integer term maps,
+exponent tuple -> int, and inside, a polynomial is a dict mapping packed
 monomials to integers.
 
 The orders are graded: weighted-degree reverse-lexicographic (under which
@@ -30,7 +29,7 @@ checked once per input and once per S-pair; when a grade would not fit,
 the run re-packs everything at a wider field.
 
 Division is fraction-free: every generator the kernel keeps is primitive
-(denominators cleared, content divided out, leading coefficient positive),
+(integer coefficients, content divided out, leading coefficient positive),
 and `_cancel` removes one term by scaling the polynomial it reduces instead
 of dividing by a leading coefficient.  An S-polynomial is f_i shifted to the
 pair's lcm with that term cancelled by f_j, so it scales by the lcm of the
@@ -41,7 +40,7 @@ Bases, 1993), and the kernel returns leads only, so the tails of new
 generators stay unreduced.
 
 `staircase` is the only entry point and the only product: it takes
-polynomials, or integer term maps as polycore's Jacobians are made, runs the
+integer term maps, as polycore's Jacobians are made, runs the
 pair loop and returns the minimal leading terms, which decide whether the
 quotient is finite dimensional and which monomials span it.  No basis is
 interreduced and no coefficient leaves the loop.  One counter bounds both
@@ -103,13 +102,10 @@ from fractions import Fraction
 from itertools import accumulate, compress
 from math import gcd, lcm, prod
 from operator import mul, sub
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import InvalidArgument, NotFiniteDimensional, ResourceLimitExceeded
 from .value import _Value
-
-if TYPE_CHECKING:
-    from .polycore import Polynomial, WeightSystem
 
 # most steps one staircase run takes: S-pairs processed plus terms its
 # reductions cancel
@@ -207,7 +203,7 @@ class MonomialOrder(_Value):
         return MonomialOrder(None)
 
     @staticmethod
-    def weighted_degrevlex(weights: WeightSystem) -> "MonomialOrder":
+    def weighted_degrevlex(weights: Iterable[Fraction]) -> "MonomialOrder":
         return MonomialOrder(tuple(weights))
 
     def key(self, exps: Exps):
@@ -273,12 +269,6 @@ class _Packing:
 
 def _grade_weights(order: MonomialOrder, n: int) -> tuple[int, ...]:
     return order._integer_weights if order.weights is not None else (1,) * n
-
-
-def _cleared(term_map: dict[Exps, Fraction]) -> dict[Exps, int]:
-    """Integer numerators of term_map over its common denominator."""
-    den = lcm(*(c.denominator for c in term_map.values()))
-    return {e: c.numerator * (den // c.denominator) for e, c in term_map.items()}
 
 
 def _packed(term_maps: list[dict[Exps, int]],
@@ -446,20 +436,13 @@ def _candidate_grades(basis: list[TermDict], leads: list[int], n: int,
     return grades
 
 
-def staircase(gens: list[Polynomial] | list[dict[Exps, int]], order: MonomialOrder,
-              variables: tuple[str, ...] | None = None) -> Staircase:
+def staircase(gens: list[dict[Exps, int]], order: MonomialOrder,
+              variables: tuple[str, ...]) -> Staircase:
     """The minimal leading terms of a Groebner basis of the ideal of gens,
-    polynomials or integer term maps (exponent tuple -> int) over
+    integer term maps (exponent tuple -> int, empty for zero) over
     `variables`: the normal strategy, Gebauer and Moeller's update and, on a
     complete intersection candidate, Hilbert driving (see the module
     docstring).  Raises ResourceLimitExceeded past STEP_LIMIT steps."""
-    if not gens:
-        raise ValueError("no generators given")
-    if variables is None:
-        variables = gens[0].variables
-        if any(g.variables != variables for g in gens):
-            raise ValueError("generators must share one ambient variable list")
-        gens = [_cleared(g.term_map()) for g in gens]
     n = len(variables)
     weights = _grade_weights(order, n)
     packing, basis = _packed([d for d in gens if d], weights)

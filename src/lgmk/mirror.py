@@ -484,6 +484,18 @@ def _walk_rows(bound: int, sn: int, sd: int, dn: int, dd: int) -> set[tuple[Frac
     return found
 
 
+def _target(d, delta, denominator_bound: int) -> tuple[Fraction, Fraction]:
+    """A search target (d, delta) as exact rationals; raises InvalidArgument
+    unless the bound is an int of at least 2 and d > 0."""
+    _require_int("denominator bound", denominator_bound)
+    if denominator_bound < 2:
+        raise InvalidArgument("denominator bound must be at least 2")
+    d, delta = _rational(d), _rational(delta)
+    if d <= 0:
+        raise InvalidArgument(f"target dimension must be positive, got {d}")
+    return d, delta
+
+
 def search_weight_systems(d, delta, m: int, denominator_bound: int = 60) -> SearchReport:
     """Search for weight systems in m variables matching (d, delta).
 
@@ -492,9 +504,10 @@ def search_weight_systems(d, delta, m: int, denominator_bound: int = 60) -> Sear
     excludes is answered without enumeration, and otherwise the tails run
     over the rationals with denominators up to the bound.  Either
     way the result is reported relative to that bound.  Solutions are canonicalized ascending,
-    so permutations collapse.  Raises InvalidArgument for a float d or
-    delta, an m or a bound that is not an int (or is a bool), m < 1, a
-    bound below 2 or a dimension d <= 0, and
+    so permutations collapse.  Raises InvalidArgument for a d or delta that
+    is a float, or text that is no number or past Python's digit limit, an m
+    or a bound that is not an int (or is a bool), m < 1, a bound below 2 or
+    a dimension d <= 0, and
     ResourceLimitExceeded for m >= 4 when the grid of a walk has more than
     GRID_LIMIT points (built only once no certificate answers), for m >= 3
     when the walk makes more than TAIL_LIMIT visits, and for
@@ -502,15 +515,9 @@ def search_weight_systems(d, delta, m: int, denominator_bound: int = 60) -> Sear
     solution or one the every-m certificate excludes.
     """
     _require_int("number of variables", m)
-    _require_int("denominator bound", denominator_bound)
-    d = _rational(d)
-    delta = _rational(delta)
+    d, delta = _target(d, delta, denominator_bound)
     if m < 1:
         raise InvalidArgument("number of variables must be at least 1")
-    if denominator_bound < 2:
-        raise InvalidArgument("denominator bound must be at least 2")
-    if d <= 0:
-        raise InvalidArgument(f"target dimension must be positive, got {d}")
     # the weight sum S = (2m - delta)/4 as sn/sd, and d as dn/dd
     sn, sd = 2 * m * delta.denominator - delta.numerator, 4 * delta.denominator
     dn, dd = d.numerator, d.denominator
@@ -678,16 +685,9 @@ def discriminant_sign_boundary(d, delta, denominator_bound: int = 60) -> Fractio
     or below some root of P in (0, 1/2): the roots are isolated with Sturm
     sequences, and each root's grid point is one Stern-Brocot descent, from
     the top root down, so the grid is never walked.  Raises InvalidArgument
-    for a float d or delta, a bound that is not an int (or is a bool) or is
-    below 2, and a dimension d <= 0.
+    as `search_weight_systems` does, for a bound or a target.
     """
-    _require_int("denominator bound", denominator_bound)
-    if denominator_bound < 2:
-        raise InvalidArgument("denominator bound must be at least 2")
-    d = _rational(d)
-    delta = _rational(delta)
-    if d <= 0:
-        raise InvalidArgument(f"target dimension must be positive, got {d}")
+    d, delta = _target(d, delta, denominator_bound)
     ed = delta.denominator
     # of degree 4: its leading coefficient (dn + dd)^2 sd^2 is positive, as
     # d > 0 and sd = 4 ed > 0; so the square-free part has degree >= 1

@@ -53,12 +53,46 @@ from .groebner import (Exps, Monomial, MonomialOrder, Staircase, _integer_form, 
 from .value import _Value
 
 
+def _quoted(text: str) -> str:
+    """repr(text), cut after 40 characters: a message quotes no more input."""
+    shown = repr(text)
+    return shown if len(shown) <= 40 else shown[:40] + "..."
+
+
+def _past_digit_limit(exc: Exception) -> bool:
+    """True for the error Python's int <-> str conversion raises past
+    sys.get_int_max_str_digits() digits: a ValueError of no type of its own."""
+    return isinstance(exc, ValueError) and str(exc).startswith("Exceeds the limit (")
+
+
 def _rational(value) -> Fraction:
     """An int, Fraction or numeric string as an exact Fraction.  A float is
-    refused, even an exact one: its binary value is rarely the rational meant."""
+    refused, even an exact one: its binary value is rarely the rational
+    meant.  So is a string that is no number, or whose numerator or
+    denominator would have more digits than `int` converts to text; its
+    exponent e is read first, and 10^|e| is built only for |e| < 3 * limit."""
     if isinstance(value, float):
         raise InvalidArgument(f"{value!r} is a float; give an int, Fraction or string")
-    return Fraction(value)
+    if not isinstance(value, str):
+        return Fraction(value)
+    limit = sys.get_int_max_str_digits()
+    form = "e" in value.lower() and re.fullmatch(
+        r"(?P<mantissa>[^/]*?)[eE](?P<exponent>[-+]?\d+(?:_\d+)*)\s*", value)
+    try:
+        # with at most `limit` digits either side of the point, a nonzero number
+        # with |exponent| >= 3 * limit is past the limit: only its mantissa is built
+        huge = bool(limit and form and abs(int(form["exponent"])) >= 3 * limit)
+        number = Fraction(form["mantissa"] + "e0") if huge else Fraction(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        if _past_digit_limit(exc):
+            # Fraction converts each run of digits on its own
+            digits = max(map(len, re.findall(r"\d+", value)))
+            raise InvalidArgument(f"number has {digits} digits, more than {limit}") from None
+        raise InvalidArgument(f"not a rational number: {_quoted(value)}") from None
+    top = max(abs(number.numerator), number.denominator)
+    if huge and number or limit and top.bit_length() > 3 * limit and top >= 10 ** limit:
+        raise InvalidArgument(f"number has more than {limit} digits")
+    return number
 
 
 class WeightSystem(_Value):

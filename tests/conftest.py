@@ -1,8 +1,10 @@
-"""Shared fixtures: the invertible test corpus and the example-table entries."""
+"""Shared fixtures: the invertible test corpus and the example-table entries,
+and the Groebner kernel run on `Polynomial`s."""
 
 import random
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 import pytest
 
@@ -39,6 +41,22 @@ EXAMPLE_TABLE = {
 }
 
 
+def cleared(poly: Polynomial) -> dict[tuple[int, ...], int]:
+    """poly's term map with integer coefficients: its numerators over their
+    common denominator, the form the Groebner kernel takes."""
+    terms = poly.term_map()
+    den = lcm(*(c.denominator for c in terms.values()))
+    return {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
+
+
+def kernel_staircase(gens: list[Polynomial], order) -> groebner.Staircase:
+    """`groebner.staircase` of polynomials over one variable list, each
+    handed to the kernel cleared."""
+    variables = gens[0].variables
+    assert all(g.variables == variables for g in gens)
+    return groebner.staircase([cleared(g) for g in gens], order, variables)
+
+
 def kernel_remainder(poly: Polynomial, generators, order,
                      primitive: bool = True) -> Polynomial:
     """The Groebner kernel's top-reduced remainder of poly on division by
@@ -50,7 +68,7 @@ def kernel_remainder(poly: Polynomial, generators, order,
     assert all(g.variables == poly.variables for g in generators)
     weights = groebner._grade_weights(order, len(poly.variables))
     packing, (work, *basis) = groebner._packed(
-        [groebner._cleared(p.term_map()) for p in (poly, *generators)], weights)
+        [cleared(p) for p in (poly, *generators)], weights)
     pairs = []
     for d in basis:
         lead = max(d)

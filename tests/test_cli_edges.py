@@ -125,17 +125,42 @@ def test_a_number_past_the_digit_limit(argv, code):
     assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith("error: ")
 
 
-@pytest.mark.parametrize("argv", [
-    ["search", LONG, "1", "2"], ["search", "8", f"1/{LONG}", "2"],
-    ["amodel", "x^3+y^3", f"{LONG}/3,1/3"]],
-    ids=["search dimension", "search top degree", "group phase"])
-def test_a_rational_past_the_digit_limit_is_named_not_echoed(argv):
-    done = _run(argv)
+# an exponent is read before Fraction would build 10^|exponent|, which for
+# these takes seconds; a bound of 2 s holds the interpreter's start
+@pytest.mark.parametrize("argv,message", [
+    (["search", LONG, "1", "2"], "number has 5000 digits, more than {}"),
+    (["search", "8", f"1/{LONG}", "2"], "number has 5000 digits, more than {}"),
+    (["amodel", "x^3+y^3", f"{LONG}/3,1/3"], "number has 5000 digits, more than {}"),
+    (["search", "1e10000000", "1", "2"], "number has more than {} digits"),
+    (["search", "8", "1e-10000000", "2"], "number has more than {} digits"),
+    (["amodel", "x^3+y^3", "1e10000000,1/3"], "number has more than {} digits"),
+    (["amodel", "x^3+y^3", "1/3,1e-10000000"], "number has more than {} digits")],
+    ids=["search dimension", "search top degree", "group phase", "exponent as dimension",
+         "negative exponent as top degree", "exponent as phase", "negative exponent as phase"])
+def test_a_rational_past_the_digit_limit_is_named_not_echoed(argv, message):
+    done = _run(argv, seconds=2)
     assert done.returncode == 2
     assert done.stdout == ""
-    assert done.stderr == (f"error: number has 5000 digits, more than "
-                           f"{sys.get_int_max_str_digits()}\n")
+    assert done.stderr == f"error: {message.format(sys.get_int_max_str_digits())}\n"
     assert len(done.stderr.encode()) < 200
+
+
+@pytest.mark.parametrize("argv,start", [
+    (["search", "x" * 5000, "1", "2"], "error: not a rational number: 'xxx"),
+    (["amodel", "x^3+y^3", ",".join(["1"] * 3000)], "error: group generator '1,1,")],
+    ids=["search dimension", "group generator"])
+def test_a_long_bad_input_is_quoted_by_a_short_prefix(argv, start):
+    done = _run(argv)
+    assert done.returncode == 2
+    assert done.stderr.startswith(start) and done.stderr.count("\n") == 1
+    assert len(done.stderr.encode()) < 200
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["search", "1/0", "1", "2"], "not a rational number: '1/0'"),
+    (["amodel", "x^3+y^3", "1/3,1/3,0"], "group generator '1/3,1/3,0' has 3 phases, expected 2")])
+def test_a_short_bad_input_is_quoted_whole(argv, message):
+    assert _run(argv).stderr == f"error: {message}\n"
 
 
 def test_whitespace_beside_a_slash_leaves_the_payload():

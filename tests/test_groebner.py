@@ -22,7 +22,8 @@ from lgmk import (
 from lgmk import groebner
 from lgmk.polycore import Monomial, Polynomial
 
-from conftest import dense_polynomial, kernel_remainder, positive_multiple, same_lead
+from conftest import (dense_polynomial, kernel_remainder, kernel_staircase, positive_multiple,
+                      same_lead)
 
 W13 = MonomialOrder.weighted_degrevlex(WeightSystem((F(1, 3), F(1, 3))))
 W14 = MonomialOrder.weighted_degrevlex(WeightSystem((F(1, 4), F(1, 4))))
@@ -31,7 +32,7 @@ W15 = MonomialOrder.weighted_degrevlex(WeightSystem((F(1, 5), F(1, 5))))
 
 def jacobian_corners(text, order):
     poly = parse_polynomial(text)
-    return staircase([p for p in jacobian_ideal(poly) if not p.is_zero()], order)
+    return kernel_staircase([p for p in jacobian_ideal(poly) if not p.is_zero()], order)
 
 
 class TestBuchberger:
@@ -44,7 +45,7 @@ class TestBuchberger:
         assert len(standard_monomials(found)) == 9
 
     def test_single_generator(self):
-        found = staircase([parse_polynomial("x")], MonomialOrder.degrevlex())
+        found = kernel_staircase([parse_polynomial("x")], MonomialOrder.degrevlex())
         assert found.leads == ((1,),)
 
     def test_generator_order_irrelevant(self):
@@ -52,7 +53,7 @@ class TestBuchberger:
                 ["4*x^3 + 3*x^2*y", "x^3 + 4*y^3"]]
         reference = None
         for perm in permutations(gens):
-            leads = staircase(list(perm), W14).leads
+            leads = kernel_staircase(list(perm), W14).leads
             if reference is None:
                 reference = leads
             assert leads == reference
@@ -61,7 +62,7 @@ class TestBuchberger:
         monkeypatch.setattr(groebner, "STEP_LIMIT", 0)
         gens = [parse_polynomial(t) for t in ["4*x^3 + 3*x^2*y", "x^3 + 4*y^3"]]
         with pytest.raises(ResourceLimitExceeded):
-            staircase(gens, W14)
+            kernel_staircase(gens, W14)
 
     def test_reduction_steps_count_against_the_limit(self, monkeypatch):
         # the degrevlex Jacobian of d + d*x + x^100 is (1 + x, d + 100*x^99).
@@ -73,10 +74,10 @@ class TestBuchberger:
         gens = jacobian_ideal(parse_polynomial("d + d*x + x^100"))
         order = MonomialOrder.degrevlex()
         monkeypatch.setattr(groebner, "STEP_LIMIT", 98)
-        assert staircase(gens, order).leads == ((0, 1), (1, 0))
+        assert kernel_staircase(gens, order).leads == ((0, 1), (1, 0))
         monkeypatch.setattr(groebner, "STEP_LIMIT", 97)
         with pytest.raises(ResourceLimitExceeded, match="more than 97 steps"):
-            staircase(gens, order)
+            kernel_staircase(gens, order)
 
     def test_normal_form_adds_one_step_per_cancelled_term(self, monkeypatch):
         # x^5 on division by x - 1 cancels its lead x^5, x^4, ..., x, five
@@ -97,7 +98,7 @@ class TestBuchberger:
         for poly in invertible_corpus[:12]:
             order = MonomialOrder.weighted_degrevlex(
                 solve_weights(exponent_matrix(poly)))
-            leads = staircase(
+            leads = kernel_staircase(
                 [p for p in jacobian_ideal(poly) if not p.is_zero()], order).leads
             keys = [order.key(lt) for lt in leads]
             assert keys == sorted(set(keys))
@@ -164,7 +165,7 @@ class TestNormalForm:
         poly = parse_polynomial("x^5 + y^5 + x^4*y")
         gens = [p for p in jacobian_ideal(poly) if not p.is_zero()]
         assert [max(g.term_map(), key=W15.key) for g in QUINTIC_BASIS] == \
-            list(staircase(gens, W15).leads)
+            list(kernel_staircase(gens, W15).leads)
         target = parse_polynomial("x^3*y^2 + 2*x*y + 7*x^4")
         # the normal form of the target; its lead y^5 is standard
         reference = Polynomial.from_term_map(
@@ -191,21 +192,21 @@ class TestZeroDimensional:
 
     def test_box_ideal(self):
         poly = parse_polynomial("x^3 + y^3")
-        assert staircase([p for p in jacobian_ideal(poly) if not p.is_zero()], W13).finite
+        assert kernel_staircase([p for p in jacobian_ideal(poly) if not p.is_zero()], W13).finite
 
     def test_single_mixed_monomial(self):
-        assert not staircase([parse_polynomial("x*y")], MonomialOrder.degrevlex()).finite
+        assert not kernel_staircase([parse_polynomial("x*y")], MonomialOrder.degrevlex()).finite
 
     def test_noninvertible_jacobian(self):
         poly = parse_polynomial("x^4 + y^4 + x^3*y")
-        found = staircase([p for p in jacobian_ideal(poly) if not p.is_zero()], W14)
+        found = kernel_staircase([p for p in jacobian_ideal(poly) if not p.is_zero()], W14)
         assert found.finite
         assert found.leads == ((2, 1), (3, 0), (1, 3), (0, 5))
 
     def test_unit_ideal(self):
         gens = [Polynomial.from_term_map(("x", "y"), terms)
                 for terms in ({(1, 0): 1, (0, 0): 1}, {(1, 0): 1})]
-        found = staircase(gens, MonomialOrder.degrevlex())
+        found = kernel_staircase(gens, MonomialOrder.degrevlex())
         assert found.finite and found.leads == ((0, 0),)
         assert standard_monomials(found) == []
 
@@ -217,7 +218,7 @@ class TestStandardMonomials:
         assert rendered == {(0, 0), (1, 0), (0, 1), (1, 1)}
 
     def test_single_variable(self):
-        found = staircase([parse_polynomial("x")], MonomialOrder.degrevlex())
+        found = kernel_staircase([parse_polynomial("x")], MonomialOrder.degrevlex())
         assert [m.exponents for m in standard_monomials(found)] == [(0,)]
 
     def test_sixteen_for_the_quintic(self):
@@ -225,7 +226,7 @@ class TestStandardMonomials:
         assert len(standard_monomials(found)) == 16
 
     def test_not_finite_dimensional(self):
-        found = staircase([parse_polynomial("x*y")], MonomialOrder.degrevlex())
+        found = kernel_staircase([parse_polynomial("x*y")], MonomialOrder.degrevlex())
         with pytest.raises(NotFiniteDimensional):
             standard_monomials(found)
 
@@ -282,7 +283,7 @@ class TestStandardMonomials:
         for poly in invertible_corpus:
             weights = solve_weights(exponent_matrix(poly))
             order = MonomialOrder.weighted_degrevlex(weights)
-            found = staircase(
+            found = kernel_staircase(
                 [p for p in jacobian_ideal(poly) if not p.is_zero()], order)
             expected = 1
             for q in weights:
@@ -432,7 +433,7 @@ class TestHilbertDriving:
             return spent
 
         monkeypatch.setattr(groebner, "_top_reduce", counted)
-        found = staircase(*self.jacobian(DENSE_555))
+        found = kernel_staircase(*self.jacobian(DENSE_555))
         assert counts == {"reductions": 17, "zero": 1}
         assert len(standard_monomials(found)) == 64
 
@@ -443,10 +444,10 @@ class TestHilbertDriving:
         # pairs the certificate leaves unprocessed
         gens, order = self.jacobian(DENSE_555)
         monkeypatch.setattr(groebner, "STEP_LIMIT", 110)
-        expected = staircase(gens, order).leads
+        expected = kernel_staircase(gens, order).leads
         monkeypatch.setattr(groebner, "STEP_LIMIT", 109)
         with pytest.raises(ResourceLimitExceeded, match="more than 109 steps"):
-            staircase(gens, order)
+            kernel_staircase(gens, order)
         assert len(expected) == 17
 
     def test_a_long_series_is_never_built(self, monkeypatch):
@@ -457,7 +458,7 @@ class TestHilbertDriving:
 
         monkeypatch.setattr(groebner, "_complete_intersection_series", forbidden)
         gens, order = self.jacobian(LONG_SERIES_CUBIC)
-        assert staircase(gens, order).finite
+        assert kernel_staircase(gens, order).finite
 
 
 class TestGebauerMoeller:
@@ -472,7 +473,7 @@ class TestGebauerMoeller:
         pushed = []
         monkeypatch.setattr(groebner.heapq, "heappush", lambda heap, entry: pushed.append(entry))
         monkeypatch.setattr(groebner, "STEP_LIMIT", 0)
-        found = staircase(gens, MonomialOrder.weighted_degrevlex(
+        found = kernel_staircase(gens, MonomialOrder.weighted_degrevlex(
             solve_weights(exponent_matrix(poly))))
         assert pushed == []
         assert sorted(found.leads) == sorted(
@@ -517,7 +518,7 @@ class TestGebauerMoeller:
 
         monkeypatch.setattr(groebner, "_top_reduce", counted)
         weights = WeightSystem((F(1, degree),) * 3)
-        found = staircase([p for p in jacobian_ideal(poly) if not p.is_zero()],
+        found = kernel_staircase([p for p in jacobian_ideal(poly) if not p.is_zero()],
                           MonomialOrder.weighted_degrevlex(weights))
         assert len(reductions) == reduced
         assert reductions[-1][1] == steps

@@ -66,11 +66,10 @@ from lgmk import (
     standard_monomials,
 )
 from lgmk import groebner as engine
-from lgmk.groebner import staircase
 from lgmk.errors import WeightError
 from lgmk.polycore import Exps, Monomial, exponent_matrix, jacobian_ideal, solve_weights
 
-from conftest import kernel_remainder, positive_multiple
+from conftest import kernel_remainder, kernel_staircase, positive_multiple
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +181,7 @@ def test_staircase_and_fraction_engine_match_sympy_on_quasihomogeneous_jacobians
     expected = _sympy_basis(gens, order)
     # the leading terms of sympy's reduced basis, ascending in the order
     leads = sorted((max(g, key=order.key) for g in expected), key=order.key)
-    assert list(staircase(gens, order).leads) == leads
+    assert list(kernel_staircase(gens, order).leads) == leads
     assert {_monic(g.term_map(), weights) for g in oracle_buchberger(gens, order).generators} \
         == {_monic(g, weights) for g in expected}
 
@@ -474,7 +473,7 @@ def weighted_jacobians(draw):
 
 
 def _check_staircase_against_the_fraction_engine(gens, order):
-    found = staircase(gens, order)
+    found = kernel_staircase(gens, order)
     reference = oracle_buchberger(gens, order)
     expected = _standard_or_error(oracle_standard_monomials, reference)
     assert found.finite == (expected is not NotFiniteDimensional)
@@ -667,7 +666,7 @@ def test_hilbert_driven_staircase_matches_the_fraction_engine_on_dense_jacobians
     gens, order = dense_jacobian(degree, seed)
     _check_staircase_against_the_fraction_engine(gens, order)
     assert driving == {"series": 1, "passes": 1, "sizes": 1}
-    assert staircase(gens, order).finite
+    assert kernel_staircase(gens, order).finite
     assert widths == [] or (widths[0] == 1 and len(widths) > 1)
 
 
@@ -680,7 +679,7 @@ def test_degenerate_complete_intersection_falls_back(driving, widths):
     assert len(gens) == 3
     _check_staircase_against_the_fraction_engine(gens, order)
     assert driving == {"series": 1, "passes": 2, "sizes": 0}
-    assert not staircase(gens, order).finite
+    assert not kernel_staircase(gens, order).finite
     assert widths == [] or (widths[0] == 1 and len(widths) > 1)
 
 
@@ -708,7 +707,7 @@ def test_degenerate_complete_intersections_fall_back_with_the_plain_loop_reducti
     # certificate; the pairs set aside go back into the loop, which reduces
     # exactly the S-pairs the loop without the series reduces
     gens, order = dense_jacobian(degree, seed, keep=lambda e: e[0] + e[1] >= 2)
-    found = staircase(gens, order)
+    found = kernel_staircase(gens, order)
     assert reductions["reductions"] == reduced and not found.finite
     assert driving == {"series": 1, "passes": 2, "sizes": 0}
     _check_staircase_against_the_fraction_engine(gens, order)
@@ -732,7 +731,7 @@ def test_a_non_candidate_builds_no_series(reductions, driving, shape):
         gens = gens + [_with_terms(gens[0], gens[1].term_map())]
     else:
         gens = gens[:2] + [_with_terms(gens[2], {(1, 0, 0): Fraction(1)})]
-    staircase(gens, order)
+    kernel_staircase(gens, order)
     assert reductions["zero"] > 20
     assert driving == {"series": 0, "passes": 1, "sizes": 0}
     _check_staircase_against_the_fraction_engine(gens, order)
@@ -767,12 +766,12 @@ def test_set_aside_pairs_are_repacked_when_the_fields_widen(monkeypatch):
     monkeypatch.setattr(engine._Packing, "__init__", recorded_init)
     monkeypatch.setattr(engine, "_top_reduce", recorded_division)
     steps = []
-    expected = staircase(gens, order)
+    expected = kernel_staircase(gens, order)
     default_steps = steps
     steps = []
     events.clear()
     monkeypatch.setattr(engine, "_FIELD_BITS", 6)
-    found = staircase(gens, order)
+    found = kernel_staircase(gens, order)
     assert events.index("series") < len(events) - 1  # a widening after it
     assert found == expected and not found.finite
     assert steps == default_steps

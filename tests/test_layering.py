@@ -1,14 +1,13 @@
 """Module layering and one analysis per polynomial.
 
 The modules import one another at module level only, each from modules
-below it in LAYER_ORDER; `groebner` names polycore's types in annotations
-only, under `if TYPE_CHECKING:`.  `classify`, in polycore, runs the
-Jacobian staircase beside it.  Its memo is the only one keyed by a
-polynomial: `classify`'s record
-holds the weights, their integer form (L, L*q_i) and W's Jacobian
-staircase, so starting from empty memos the weights of each distinct
-polynomial are solved once and the Groebner kernel `staircase` runs at most
-once per distinct polynomial classified.  A sum of Fermat, chain and loop
+below it in LAYER_ORDER, type-only imports included.  `classify`, in
+polycore, runs the Jacobian staircase beside it.  Its memo is the only one
+keyed by a polynomial: `classify`'s record holds the weights, their
+integer form (L, L*q_i) and W's Jacobian staircase, so starting from empty
+memos the weights of each distinct polynomial are solved once and the
+Groebner kernel `staircase` runs at most once per distinct polynomial
+classified.  A sum of Fermat, chain and loop
 atoms is certified without the kernel, and its staircase is built only when
 a basis listing first reads the record: `is_nondegenerate`, `bmodel`,
 `amodel` and `mirror_check` run no kernel on it, and `BModel.basis` runs
@@ -80,7 +79,7 @@ from lgmk import (
 )
 from lgmk import cli, groebner, milnor, mirror, polycore, symmetry
 
-from conftest import family_polynomial, j_group
+from conftest import family_polynomial, j_group, kernel_staircase
 
 SRC = os.path.dirname(lgmk.__file__)
 # the function lgmk.amodel shadows its module
@@ -131,15 +130,13 @@ def _imported_modules(node) -> list[str]:
 
 def _module_level_imports():
     """(module, imported module) for each intra-package import outside
-    function bodies and outside `if TYPE_CHECKING:` blocks."""
+    function bodies, `if TYPE_CHECKING:` blocks included."""
     found = set()
     for name, tree in _module_trees():
         nodes = list(tree.body)
         while nodes:
             node = nodes.pop()
-            if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
-                nodes.extend(node.orelse)
-            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
                 found.update((name, module) for module in _imported_modules(node))
             elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 nodes.extend(ast.iter_child_nodes(node))
@@ -608,7 +605,7 @@ class TestKeyMemo:
 
         monkeypatch.setattr(groebner._Packing, "pack", counted)
         monkeypatch.setattr(MonomialOrder, "key", lambda self, exps: keyed.append(exps))
-        groebner.staircase(gens, order)
+        kernel_staircase(gens, order)
         # each input exponent tuple once, and no other tuple: pair lcms,
         # shifts and every product in the division loop are integer sums
         assert packed == Counter({exps: 1 for g in gens for exps in g.term_map()})
@@ -631,7 +628,7 @@ class TestFractionFreeDivision:
             return top_reduce(work, basis, packing, spent)
 
         monkeypatch.setattr(groebner, "_top_reduce", recorded)
-        groebner.staircase(gens, order)
+        kernel_staircase(gens, order)
         assert coefficients
         assert not any(isinstance(c, Fraction) for c in coefficients)
         assert all(type(c) is int for c in coefficients)

@@ -26,14 +26,14 @@ from lgmk import (
     jacobian_ideal,
     jacobian_staircase,
     parse_polynomial,
-    staircase,
     standard_monomials,
     subgroups_containing,
 )
 from lgmk import groebner, milnor
 from lgmk.polycore import Polynomial, classify
 
-from conftest import INVERTIBLE_CORPUS_TEXTS, dense_polynomial, family_polynomial
+from conftest import (INVERTIBLE_CORPUS_TEXTS, dense_polynomial, family_polynomial,
+                      kernel_staircase)
 
 DATA = Path(__file__).parent / "data"
 
@@ -365,11 +365,11 @@ def _fraction_partials(poly):
 
 def _polynomial_route(poly, weights):
     """The staircase `jacobian_staircase` must give, from the kernel run on
-    the partials as `Polynomial`s."""
+    the `Polynomial` partials, each cleared of denominators."""
     order = (MonomialOrder.degrevlex() if weights is None
              else MonomialOrder.weighted_degrevlex(weights))
     gens = [p for p in jacobian_ideal(poly) if not p.is_zero()]
-    found = staircase(gens, order)
+    found = kernel_staircase(gens, order)
     return found if found.finite else None
 
 

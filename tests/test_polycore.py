@@ -1,4 +1,5 @@
 import sys
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -33,7 +34,7 @@ from lgmk import (
     solve_weights,
 )
 from lgmk.mirror import _monomials_of_weight_one
-from lgmk.polycore import _echelon
+from lgmk.polycore import _echelon, _rational
 
 # Python's `\s`: every character here is whitespace to the parser
 _SPACES = st.text(st.sampled_from(" \t\n\r\x0b\x0c\xa0\u2003"), max_size=2)
@@ -308,6 +309,57 @@ class TestExactInputs:
         for d, delta in ((8, x), (x, F(12, 5))):
             with pytest.raises(InvalidArgument, match="is a float"):
                 discriminant_sign_boundary(d, delta, 10)
+
+
+LIMIT = sys.get_int_max_str_digits()
+
+
+class TestNumericStrings:
+    """A string is read as Fraction reads it, and refused when its numerator
+    or denominator would have more than LIMIT digits, the most `int`
+    converts to text; an exponent is read before 10^|exponent| is built."""
+
+    @pytest.mark.parametrize("text,value", [
+        ("1e2", 100), ("-2.5E-1", F(-1, 4)), (" 3/4 ", F(3, 4)), ("1_000e-3", 1),
+        (f"1e{LIMIT - 1}", 10 ** (LIMIT - 1)), (f"1e-{LIMIT - 1}", F(1, 10 ** (LIMIT - 1))),
+        # 5/10^LIMIT reduces to a denominator of LIMIT digits
+        (f"5e-{LIMIT}", F(1, 2 * 10 ** (LIMIT - 1))),
+        ("9" * LIMIT, int("9" * LIMIT)), (f"0e{10 ** 8}", 0), (f"-0.0e-{10 ** 8}", 0)],
+        ids=lambda v: v if isinstance(v, str) and len(v) < 20 else None)
+    def test_numbers_up_to_the_limit_are_read(self, text, value):
+        assert _rational(text) == value
+
+    @pytest.mark.parametrize("text", [
+        f"1e{LIMIT}", f"1e-{LIMIT}", "0." + "0" * (LIMIT - 1) + "1", f"7e{3 * LIMIT - 1}",
+        f"7e{3 * LIMIT}", f"-1.5e{10 ** 7}", f"1e-{10 ** 7}",
+        f"{'9' * LIMIT}.{'9' * LIMIT}e-{10 ** 8}"],
+        ids=["10^LIMIT", "10^-LIMIT", "decimal 10^-LIMIT", "below 3 LIMIT", "3 LIMIT",
+             "-1.5e10000000", "1e-10000000", "longest mantissa"])
+    def test_a_number_past_the_limit_is_refused(self, text):
+        with pytest.raises(InvalidArgument, match=f"^number has more than {LIMIT} digits$"):
+            _rational(text)
+
+    def test_a_search_target_is_refused_before_the_power_is_built(self):
+        # Fraction("1e10000000") alone takes seconds
+        start = time.perf_counter()
+        for d, delta in (("1e10000000", 1), (8, "1e-10000000")):
+            with pytest.raises(InvalidArgument, match="more than"):
+                search_weight_systems(d, delta, 2)
+            with pytest.raises(InvalidArgument, match="more than"):
+                discriminant_sign_boundary(d, delta, 10)
+        assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("text,quoted", [
+        *((text, repr(text)) for text in ["abc", "1/0", "1/2e3", "1 e3", "e3", "1e3e3"]),
+        ("x" * 5000, "'" + "x" * 39 + "...")], ids=lambda v: v[:10])
+    def test_text_that_is_no_number_is_quoted_by_a_short_prefix(self, text, quoted):
+        with pytest.raises(InvalidArgument) as caught:
+            _rational(text)
+        assert str(caught.value) == f"not a rational number: {quoted}"
+
+    def test_a_run_of_digits_past_the_limit_is_counted(self):
+        with pytest.raises(InvalidArgument, match=f"^number has {LIMIT + 1} digits, more than"):
+            _rational("1/" + "3" * (LIMIT + 1))
 
 
 # a count that int() would truncate or read as 1: each is refused, not rounded
