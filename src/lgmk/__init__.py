@@ -24,7 +24,6 @@ from .errors import (
 )
 from .groebner import (
     Monomial,
-    MonomialOrder,
     Staircase,
     staircase,
     standard_monomials,

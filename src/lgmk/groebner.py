@@ -1,25 +1,27 @@
 """The Groebner kernel over Q: the staircase of a polynomial ideal.
 
-This is the bottom computing layer: it defines the `Monomial` type,
-`_integer_form`, the integer form (L, L*q_i) of a weight vector, and
+This is the bottom computing layer: it defines the `Monomial` type and
 `_require_int`, which every layer uses to refuse a count that is not an
 int, and imports nothing from the rest of the package but its errors and `value`,
 the base of its value classes.  Polynomials enter as integer term maps,
 exponent tuple -> int, and inside, a polynomial is a dict mapping packed
 monomials to integers.
 
-The orders are graded: weighted-degree reverse-lexicographic (under which
-Jacobian ideals of quasihomogeneous polynomials are homogeneous and standard
-monomial bases are graded) or plain degrevlex.  The grade of x^e is the
-integer sum(w_i * e_i): the total degree, or the weighted degree times the
-lcm L of the weights' denominators.  With B bits per exponent, x^e is packed
+The order is graded reverse-lexicographic, graded by positive integer
+weights w_i, one per variable: x^e ranks by its grade, the integer
+sum(w_i * e_i), and of two monomials of one grade, the one with the smaller
+exponent at the last position where they differ is the larger.  polycore
+grades a Jacobian by L*q_i, the weights q_i of a quasihomogeneous W times
+the lcm L of their denominators, under which the Jacobian ideal is
+homogeneous and standard monomial bases are graded, or by all ones (plain
+degrevlex) when W has no weights.  With B bits per exponent, x^e is packed
 as the integer (Monagan and Pearce 2007)
 
     K = grade * 2^(B*n) - sum(e_i * 2^(B*i)).
 
 While every exponent stays below 2^(B-1), the top bit of each field (its
-guard bit) is clear, and then: integer order on K is `MonomialOrder.key`
-order, so the leading term of a dict is `max(d)`; K is additive, so
+guard bit) is clear, and then: integer order on K is the monomial order,
+so the leading term of a dict is `max(d)`; K is additive, so
 multiplying by x^t/x^l adds `t - l` to every key; and with
 E = -K mod 2^(B*n), the exponent fields, x^l divides x^t iff
 ((E_t | GUARD) - E_l) & GUARD == GUARD.  Every exponent is at most the grade
@@ -40,12 +42,13 @@ Bases, 1993), and the kernel returns leads only, so the tails of new
 generators stay unreduced.
 
 `staircase` is the only entry point and the only product: it takes
-integer term maps, as polycore's Jacobians are made, runs the
-pair loop and returns the minimal leading terms, which decide whether the
-quotient is finite dimensional and which monomials span it.  No basis is
-interreduced and no coefficient leaves the loop.  One counter bounds both
-loops: every S-pair processed and every term a reduction cancels is one
-step, and a run of more than STEP_LIMIT steps raises ResourceLimitExceeded.
+integer term maps, as polycore's Jacobians are made, and one integer grade
+weight per variable, runs the pair loop and returns the minimal leading
+terms, which decide whether the quotient is finite dimensional and which
+monomials span it.  No basis is interreduced and no coefficient leaves the
+loop.  One counter bounds both loops: every S-pair processed and every term
+a reduction cancels is one step, and a run of more than STEP_LIMIT steps
+raises ResourceLimitExceeded.
 `standard_monomials` refuses a box larger than STANDARD_MONOMIAL_BOX_LIMIT
 and walks the staircase under the leading terms, one variable at a time.
 That box rule guards listings only: the graded tables of `bmodel` and
@@ -98,9 +101,8 @@ pair takes a step only when that fallback processes it.
 from __future__ import annotations
 
 import heapq
-from fractions import Fraction
 from itertools import accumulate, compress
-from math import gcd, lcm, prod
+from math import gcd, prod
 from operator import mul, sub
 from typing import Callable, Iterable, Iterator
 
@@ -172,63 +174,22 @@ def _require_int(name: str, value) -> int:
     raise InvalidArgument(f"{name} must be an integer, got {value!r}")
 
 
-def _integer_form(qs) -> tuple[int, tuple[int, ...]]:
-    """The lcm L of the denominators of rational weights qs and the integer
-    weights L*q_i."""
-    scale = lcm(*(v.denominator for v in qs))
-    return scale, tuple(v.numerator * (scale // v.denominator) for v in qs)
-
-
-class MonomialOrder(_Value):
-    """Graded reverse-lexicographic order, graded by weights or total degree.
-
-    key() returns a tuple that sorts ascending in the order; 1 is minimal
-    because all weights are positive.  The first component of the key is an
-    integer grade: the total degree, or for weights q_i the weighted degree
-    sum(e_i * q_i) times L, the lcm of the weights' denominators.  L > 0, so
-    this is the same order as the one graded by the rational weighted degree.
-    """
-
-    _fields = ("weights",)
-    weights: tuple[Fraction, ...] | None
-    # L * q_i, fixed when the order is built
-    _integer_weights: tuple[int, ...] | None
-
-    def __init__(self, weights: tuple[Fraction, ...] | None = None):
-        self.__dict__.update(weights=weights, _integer_weights=None if weights is None
-                             else _integer_form(weights)[1])
-
-    @staticmethod
-    def degrevlex() -> "MonomialOrder":
-        return MonomialOrder(None)
-
-    @staticmethod
-    def weighted_degrevlex(weights: Iterable[Fraction]) -> "MonomialOrder":
-        return MonomialOrder(tuple(weights))
-
-    def key(self, exps: Exps):
-        if self.weights is None:
-            grade = sum(exps)
-        else:
-            grade = sum(map(mul, exps, self._integer_weights))
-        return (grade, tuple(-e for e in reversed(exps)))
-
-
 class Staircase(_Value):
     """The minimal leading terms of a Groebner basis, ascending in its order:
-    the corners of the staircase of standard monomials under them."""
+    the corners of the staircase of standard monomials under them.  The
+    order is graded reverse-lexicographic, graded by the positive integer
+    `weights`, one per variable."""
 
-    _fields = ("leads", "order", "variables")
+    _fields = ("leads", "weights")
     leads: tuple[Exps, ...]
-    order: MonomialOrder
-    variables: tuple[str, ...]
+    weights: tuple[int, ...]
 
     @property
     def finite(self) -> bool:
         """True iff the quotient is finite dimensional: some leading term is
         1, or every variable has a pure-power leading term."""
         return (_unit(self.leads)
-                or _pure_power_bounds(self.leads, len(self.variables)) is not None)
+                or _pure_power_bounds(self.leads, len(self.weights)) is not None)
 
 
 class _Packing:
@@ -265,10 +226,6 @@ class _Packing:
 
     def divides(self, a: int, b: int) -> bool:
         return ((-b & self.mask | self.guard) - (-a & self.mask)) & self.guard == self.guard
-
-
-def _grade_weights(order: MonomialOrder, n: int) -> tuple[int, ...]:
-    return order._integer_weights if order.weights is not None else (1,) * n
 
 
 def _packed(term_maps: list[dict[Exps, int]],
@@ -436,15 +393,16 @@ def _candidate_grades(basis: list[TermDict], leads: list[int], n: int,
     return grades
 
 
-def staircase(gens: list[dict[Exps, int]], order: MonomialOrder,
-              variables: tuple[str, ...]) -> Staircase:
+def staircase(gens: list[dict[Exps, int]], weights: tuple[int, ...]) -> Staircase:
     """The minimal leading terms of a Groebner basis of the ideal of gens,
-    integer term maps (exponent tuple -> int, empty for zero) over
-    `variables`: the normal strategy, Gebauer and Moeller's update and, on a
-    complete intersection candidate, Hilbert driving (see the module
+    integer term maps (exponent tuple -> int, empty for zero) in n variables,
+    under the order graded by `weights`, n positive integers (else
+    InvalidArgument): the normal strategy, Gebauer and Moeller's update and,
+    on a complete intersection candidate, Hilbert driving (see the module
     docstring).  Raises ResourceLimitExceeded past STEP_LIMIT steps."""
-    n = len(variables)
-    weights = _grade_weights(order, n)
+    n = len(weights)
+    if min(weights, default=1) < 1 or any(len(e) != n for d in gens for e in d):
+        raise InvalidArgument(f"grade weights must be {n} positive integers, one per variable")
     packing, basis = _packed([d for d in gens if d], weights)
     leads = [max(d) for d in basis]
     basis = [_primitive(d, lead) for d, lead in zip(basis, leads)]
@@ -562,7 +520,7 @@ def staircase(gens: list[dict[Exps, int]], order: MonomialOrder,
         heap[:] = aside
         heapq.heapify(heap)
         aside.clear()
-    return Staircase(tuple(minimal), order, variables)
+    return Staircase(tuple(minimal), weights)
 
 
 def _unit(leads) -> bool:
@@ -600,10 +558,10 @@ def standard_monomials(basis: Staircase,
     the box bounded by the pure powers holds more than
     STANDARD_MONOMIAL_BOX_LIMIT exponent tuples.
     """
-    leads = basis.leads
+    leads, weights = basis.leads, basis.weights
     if _unit(leads):
         return []
-    n = len(basis.variables)
+    n = len(weights)
     bounds = _pure_power_bounds(leads, n)
     if bounds is None:
         raise NotFiniteDimensional("ideal is not zero dimensional")
@@ -614,7 +572,6 @@ def standard_monomials(basis: Staircase,
             f"more than the limit of {STANDARD_MONOMIAL_BOX_LIMIT}")
     if not n:
         return [_monomial(())]
-    weights = _grade_weights(basis.order, n)
     found = [prefix + (e,) for prefix, lasts in _walk(leads, weights)
              for e in (lasts if last is None else last(prefix, lasts.stop))]
     # every grade in the box is below its corner's

@@ -57,9 +57,9 @@ from typing import Iterable, Mapping
 
 from . import groebner
 from .errors import LgmkError, ResourceLimitExceeded
-from .groebner import Monomial, _integer_form, _require_int, standard_monomials
-from .polycore import (Polynomial, WeightSystem, _rational, classify, jacobian_staircase,
-                       require_admissible)
+from .groebner import Monomial, _require_int, standard_monomials
+from .polycore import (Polynomial, WeightSystem, _integer_form, _rational, classify,
+                       jacobian_staircase, require_admissible)
 from .value import _Value
 
 

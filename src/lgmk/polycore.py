@@ -10,8 +10,9 @@ Weights are solved by `_echelon`, the toolkit's one integer row echelon
 (symmetry's Hermite forms are the same echelon); only the back-substitution
 builds `Fraction`s.
 
-This layer sits on the Groebner kernel, whose `Monomial` type, integer
-weight form and `staircase` it imports.  `classify` decides nondegeneracy
+This layer sits on the Groebner kernel, whose `Monomial` type and
+`staircase` it imports; the kernel's order is graded by the integer form of
+the weights, `_integer_form`, defined here.  `classify` decides nondegeneracy
 here, through `jacobian_staircase` beside it.  It is the one analysis of a
 polynomial and the one memo keyed by it: its record holds the kind, the
 weights with their integer form (L, L*q_i), and W's staircase.  After the
@@ -48,8 +49,7 @@ from .errors import (
     WeightBoundViolated,
     WeightError,
 )
-from .groebner import (Exps, Monomial, MonomialOrder, Staircase, _integer_form, _monomial,
-                       _require_int, staircase)
+from .groebner import Exps, Monomial, Staircase, _monomial, _require_int, staircase
 from .value import _Value
 
 
@@ -93,6 +93,12 @@ def _rational(value) -> Fraction:
     if huge and number or limit and top.bit_length() > 3 * limit and top >= 10 ** limit:
         raise InvalidArgument(f"number has more than {limit} digits")
     return number
+
+
+def _integer_form(qs) -> tuple[int, tuple[int, ...]]:
+    """The lcm L of the denominators of rationals qs and the integers L*q_i."""
+    scale = lcm(*(v.denominator for v in qs))
+    return scale, tuple(v.numerator * (scale // v.denominator) for v in qs)
 
 
 class WeightSystem(_Value):
@@ -516,15 +522,15 @@ def jacobian_staircase(poly: Polynomial,
     degrevlex when weights is None); None when the Milnor ring is not finite
     dimensional.  `standard_monomials` of the result is the Milnor ring's
     monomial basis, sorted in the order.  The kernel gets the integer
-    partials, so no `Polynomial` or `Fraction` is built.  Runs the kernel on
-    every call: the staircase of an admissible W under its weights is
+    partials, graded by the cached integer weights L*q_i (all ones without
+    weights), so no `Polynomial` or `Fraction` is built.  Runs the kernel
+    on every call: the staircase of an admissible W under its weights is
     `classify(W).staircase`, built once."""
     gens = [d for d in _integer_partials(poly)[1] if d]
     if not gens:
         return None
-    order = (MonomialOrder.degrevlex() if weights is None
-             else MonomialOrder.weighted_degrevlex(weights))
-    found = staircase(gens, order, poly.variables)
+    grades = (1,) * poly.n_variables if weights is None else weights.integer_form[1]
+    found = staircase(gens, grades)
     return found if found.finite else None
 
 

@@ -441,7 +441,8 @@ def gmax_fermat_plus_monomial(p: int, q: int, r: int, s: int) -> SymmetryGroup:
     """Closed-form maximal symmetry group of x^p + y^q + x^r*y^s.
 
     Requires r/p + s/q = 1, i.e. the added monomial satisfies the weights of
-    x^p + y^q; the group is generated by (1/p, 1/q) and (1/gcd(p, r), 0).
+    x^p + y^q; the group is generated by (1/p, 1/q) and, unless gcd(p, r)
+    = 1 makes it the identity, (1/gcd(p, r), 0).
     """
     if min(p, q, r, s) < 1:
         raise ValueError("exponents must be positive")
@@ -449,7 +450,8 @@ def gmax_fermat_plus_monomial(p: int, q: int, r: int, s: int) -> SymmetryGroup:
         raise WeightConditionViolated(
             f"monomial x^{r}*y^{s} violates r/p + s/q = 1 for (p, q) = ({p}, {q})")
     n = lcm(p, q)
-    return _lattice_group([(n // p, n // q), (n // gcd(p, r), 0)], n, 2)
+    vectors = [(n // p, n // q), (n // gcd(p, r), 0)]
+    return _lattice_group([v for v in vectors if any(a % n for a in v)], n, 2)
 
 
 def check_symmetry(group: SymmetryGroup, poly: Polynomial) -> None:

@@ -7,8 +7,8 @@ number.  The records `Polynomial`, `Staircase`, `SymmetryGroup`,
 `SectorElement`, `BModel` and `SearchReport` use it.  A class defines its
 own `__init__` only to validate or normalise its fields, give one a
 default, or store something no field names: `WeightSystem`,
-`ExponentMatrix`, `Monomial`, `GroupElement`, `MonomialOrder`,
-`Classification`, `AModel` and `GradedDims`.  Equality and the hash read
+`ExponentMatrix`, `Monomial`, `GroupElement`, `Classification`, `AModel`
+and `GradedDims`.  Equality and the hash read
 the fields named in `_compared`: all of `_fields` unless the class names
 fewer.  Anything else an `__init__` stores, such as a callback or a table
 derived from the fields, takes part in neither.  Any assignment or deletion

@@ -1,10 +1,13 @@
 """Shared fixtures: the invertible test corpus and the example-table entries,
-and the Groebner kernel run on `Polynomial`s."""
+the Groebner kernel run on `Polynomial`s, and the kernel's monomial order
+as a sort key."""
 
 import random
 from fractions import Fraction
+from functools import partial
 from itertools import product
 from math import lcm
+from operator import mul
 
 import pytest
 
@@ -49,15 +52,20 @@ def cleared(poly: Polynomial) -> dict[tuple[int, ...], int]:
     return {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
 
 
-def kernel_staircase(gens: list[Polynomial], order) -> groebner.Staircase:
+def order_key(weights: tuple[int, ...], exps: tuple[int, ...]):
+    """A key that sorts exponent tuples ascending in the order graded by the
+    integer weights: the grade, then the reversed exponents negated."""
+    return (sum(map(mul, exps, weights)), tuple(-e for e in reversed(exps)))
+
+
+def kernel_staircase(gens: list[Polynomial], weights: tuple[int, ...]) -> groebner.Staircase:
     """`groebner.staircase` of polynomials over one variable list, each
-    handed to the kernel cleared."""
-    variables = gens[0].variables
-    assert all(g.variables == variables for g in gens)
-    return groebner.staircase([cleared(g) for g in gens], order, variables)
+    handed to the kernel cleared, under the integer grade weights."""
+    assert all(g.variables == gens[0].variables for g in gens)
+    return groebner.staircase([cleared(g) for g in gens], weights)
 
 
-def kernel_remainder(poly: Polynomial, generators, order,
+def kernel_remainder(poly: Polynomial, generators, weights: tuple[int, ...],
                      primitive: bool = True) -> Polynomial:
     """The Groebner kernel's top-reduced remainder of poly on division by
     generators: zero, or a positive multiple of poly modulo their ideal whose
@@ -66,7 +74,6 @@ def kernel_remainder(poly: Polynomial, generators, order,
     cleared of denominators and signed so that their leading coefficients
     are positive."""
     assert all(g.variables == poly.variables for g in generators)
-    weights = groebner._grade_weights(order, len(poly.variables))
     packing, (work, *basis) = groebner._packed(
         [cleared(p) for p in (poly, *generators)], weights)
     pairs = []
@@ -93,14 +100,16 @@ def positive_multiple(a: Polynomial, b: Polynomial) -> bool:
     return len(ratios) == 1 and ratios.pop() > 0
 
 
-def same_lead(a: Polynomial, b: Polynomial, order) -> bool:
+def same_lead(a: Polynomial, b: Polynomial, weights: tuple[int, ...]) -> bool:
     """True iff a and b are both zero, or share their leading term under
-    order with a positive ratio of leading coefficients."""
+    the order graded by weights with a positive ratio of leading
+    coefficients."""
     ta, tb = a.term_map(), b.term_map()
     if not ta or not tb:
         return not ta and not tb
-    lead = max(ta, key=order.key)
-    return lead == max(tb, key=order.key) and ta[lead] / tb[lead] > 0
+    key = partial(order_key, weights)
+    lead = max(ta, key=key)
+    return lead == max(tb, key=key) and ta[lead] / tb[lead] > 0
 
 
 def dense_polynomial(degree: int) -> Polynomial:

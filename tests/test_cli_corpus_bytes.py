@@ -32,8 +32,9 @@ all exceed the bound.
 `data/cli_bmodel_corpus.json` holds the same for `bmodel` (with `--json` and
 as text) and `weights --json`, recorded before the Buchberger engine's
 monomial order moved from `Fraction` grades to integer grades.  `bmodel`
-lists its standard monomials in the order of `MonomialOrder.key`, so these
-records pin that order.  The polynomials are the invertible corpus and 20
+lists its standard monomials in the kernel's order, graded reverse
+lexicographic under the integer weights L*q_i, so these records pin that
+order.  The polynomials are the invertible corpus and 20
 seeded dense ones in three variables: x^a + y^b + z^c plus each further
 monomial of weight one with probability 0.8, with nonzero integer
 coefficients in -9..9, for (a, b, c) a permutation of (3, 3, 3), (4, 4, 4),

@@ -1,13 +1,16 @@
 import random
 import sys
 from fractions import Fraction as F
+from functools import partial
 from itertools import permutations, product
 from operator import mul
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lgmk import (
-    MonomialOrder,
+    InvalidArgument,
     NotFiniteDimensional,
     ResourceLimitExceeded,
     Staircase,
@@ -22,30 +25,35 @@ from lgmk import (
 from lgmk import groebner
 from lgmk.polycore import Monomial, Polynomial
 
-from conftest import (dense_polynomial, kernel_remainder, kernel_staircase, positive_multiple,
+from conftest import (EXAMPLE_TABLE, INVERTIBLE_CORPUS_TEXTS, dense_polynomial,
+                      kernel_remainder, kernel_staircase, order_key, positive_multiple,
                       same_lead)
 
-W13 = MonomialOrder.weighted_degrevlex(WeightSystem((F(1, 3), F(1, 3))))
-W14 = MonomialOrder.weighted_degrevlex(WeightSystem((F(1, 4), F(1, 4))))
-W15 = MonomialOrder.weighted_degrevlex(WeightSystem((F(1, 5), F(1, 5))))
+# the integer grade weights of (1/n, 1/n), and of the total degree
+EQUAL = (1, 1)
 
 
-def jacobian_corners(text, order):
+def grade_weights(poly: Polynomial) -> tuple[int, ...]:
+    """The integer form L*q_i of poly's solved weights."""
+    return solve_weights(exponent_matrix(poly)).integer_form[1]
+
+
+def jacobian_corners(text, weights):
     poly = parse_polynomial(text)
-    return kernel_staircase([p for p in jacobian_ideal(poly) if not p.is_zero()], order)
+    return kernel_staircase([p for p in jacobian_ideal(poly) if not p.is_zero()], weights)
 
 
 class TestBuchberger:
     def test_fermat_jacobian_is_already_a_basis(self):
-        assert jacobian_corners("x^3 + y^3", W13).leads == ((0, 2), (2, 0))
+        assert jacobian_corners("x^3 + y^3", EQUAL).leads == ((0, 2), (2, 0))
 
     def test_nine_standard_monomials(self):
         # Jacobian of x^4 + y^4 + x^3*y; 9 = (4-1)(4-1) by the dimension formula
-        found = jacobian_corners("x^4 + y^4 + x^3*y", W14)
+        found = jacobian_corners("x^4 + y^4 + x^3*y", EQUAL)
         assert len(standard_monomials(found)) == 9
 
     def test_single_generator(self):
-        found = kernel_staircase([parse_polynomial("x")], MonomialOrder.degrevlex())
+        found = kernel_staircase([parse_polynomial("x")], (1,))
         assert found.leads == ((1,),)
 
     def test_generator_order_irrelevant(self):
@@ -53,16 +61,23 @@ class TestBuchberger:
                 ["4*x^3 + 3*x^2*y", "x^3 + 4*y^3"]]
         reference = None
         for perm in permutations(gens):
-            leads = kernel_staircase(list(perm), W14).leads
+            leads = kernel_staircase(list(perm), EQUAL).leads
             if reference is None:
                 reference = leads
             assert leads == reference
+
+    @pytest.mark.parametrize("weights", [(1,), (1, 1, 1), (0, 1), (-1, 1)])
+    def test_grade_weights_are_positive_and_one_per_variable(self, weights):
+        # unchecked, (1,) reads only the first exponent of each term and
+        # finds the unit ideal, and (0, 1) divides by zero in the packing
+        with pytest.raises(InvalidArgument, match="positive integers, one per variable"):
+            staircase([{(1, 0): 1}, {(0, 2): 1}], weights)
 
     def test_budget_exhaustion_is_loud(self, monkeypatch):
         monkeypatch.setattr(groebner, "STEP_LIMIT", 0)
         gens = [parse_polynomial(t) for t in ["4*x^3 + 3*x^2*y", "x^3 + 4*y^3"]]
         with pytest.raises(ResourceLimitExceeded):
-            kernel_staircase(gens, W14)
+            kernel_staircase(gens, EQUAL)
 
     def test_reduction_steps_count_against_the_limit(self, monkeypatch):
         # the degrevlex Jacobian of d + d*x + x^100 is (1 + x, d + 100*x^99).
@@ -72,20 +87,18 @@ class TestBuchberger:
         # before x in the variables, so d > x); d is coprime to both leads,
         # so no pair is made with it: 1 + 97 = 98 steps
         gens = jacobian_ideal(parse_polynomial("d + d*x + x^100"))
-        order = MonomialOrder.degrevlex()
         monkeypatch.setattr(groebner, "STEP_LIMIT", 98)
-        assert kernel_staircase(gens, order).leads == ((0, 1), (1, 0))
+        assert kernel_staircase(gens, EQUAL).leads == ((0, 1), (1, 0))
         monkeypatch.setattr(groebner, "STEP_LIMIT", 97)
         with pytest.raises(ResourceLimitExceeded, match="more than 97 steps"):
-            kernel_staircase(gens, order)
+            kernel_staircase(gens, EQUAL)
 
     def test_normal_form_adds_one_step_per_cancelled_term(self, monkeypatch):
         # x^5 on division by x - 1 cancels its lead x^5, x^4, ..., x, five
         # times, and stops at the lead 1, which x does not divide: five
         # steps, added to the steps the run has already spent
-        weights = groebner._grade_weights(MonomialOrder.degrevlex(), 1)
         packing, (poly, gen) = groebner._packed(
-            [{(5,): 1}, {(1,): 1, (0,): -1}], weights)
+            [{(5,): 1}, {(1,): 1, (0,): -1}], (1,))
         basis = [(gen, max(gen))]
         work = dict(poly)
         assert groebner._top_reduce(work, basis, packing, 7) == 12
@@ -96,11 +109,10 @@ class TestBuchberger:
 
     def test_leads_are_minimal_and_ascending(self, invertible_corpus):
         for poly in invertible_corpus[:12]:
-            order = MonomialOrder.weighted_degrevlex(
-                solve_weights(exponent_matrix(poly)))
+            weights = grade_weights(poly)
             leads = kernel_staircase(
-                [p for p in jacobian_ideal(poly) if not p.is_zero()], order).leads
-            keys = [order.key(lt) for lt in leads]
+                [p for p in jacobian_ideal(poly) if not p.is_zero()], weights).leads
+            keys = [order_key(weights, lt) for lt in leads]
             assert keys == sorted(set(keys))
             for i, lead in enumerate(leads):
                 for j, lt in enumerate(leads):
@@ -130,47 +142,48 @@ class TestNormalForm:
     def test_ideal_member_reduces_to_zero(self):
         gens = jacobian_ideal(parse_polynomial("x^3 + y^3"))
         member = Polynomial.from_term_map(("x", "y"), {(2, 0): 1})
-        assert kernel_remainder(member, gens, W13).is_zero()
+        assert kernel_remainder(member, gens, EQUAL).is_zero()
 
     def test_mixed_term_survives(self):
         gens = jacobian_ideal(parse_polynomial("x^3 + y^3"))
-        result = kernel_remainder(parse_polynomial("x*y + x^2"), gens, W13)
+        result = kernel_remainder(parse_polynomial("x*y + x^2"), gens, EQUAL)
         assert str(result) == "x*y"
 
     def test_hand_built_basis_need_not_be_monic(self):
         # x^2 is cancelled by scaling the work by the leading coefficient 2
         # instead of dividing the generator by it
         result = kernel_remainder(parse_polynomial("x^2 + x*y"),
-                                  [parse_polynomial("2*x^2 + 3*y^2")], W13)
+                                  [parse_polynomial("2*x^2 + 3*y^2")], EQUAL)
         assert str(result) == "2*x*y - 3*y^2"
         assert positive_multiple(result, parse_polynomial("x*y - 3/2*y^2"))
         # the lead x*y is standard, so top reduction stops there and leaves
         # y^2, which the full normal form x*y - 3/2*x cancels
         result = kernel_remainder(parse_polynomial("x*y + y^2"),
-                                  [parse_polynomial("3*x + 2*y^2")], W13)
-        assert same_lead(result, parse_polynomial("x*y - 3/2*x"), W13)
+                                  [parse_polynomial("3*x + 2*y^2")], EQUAL)
+        assert same_lead(result, parse_polynomial("x*y - 3/2*x"), EQUAL)
 
     def test_result_supported_on_standard_monomials(self):
-        found = jacobian_corners("x^4 + y^4 + x^3*y", W14)
-        assert [max(g.term_map(), key=W14.key) for g in QUARTIC_BASIS] == list(found.leads)
+        found = jacobian_corners("x^4 + y^4 + x^3*y", EQUAL)
+        key = partial(order_key, EQUAL)
+        assert [max(g.term_map(), key=key) for g in QUARTIC_BASIS] == list(found.leads)
         standards = {m.exponents for m in standard_monomials(found)}
         cube = Polynomial.from_term_map(("x", "y"), {(3, 0): 1})
-        result = kernel_remainder(cube, QUARTIC_BASIS, W14)
+        result = kernel_remainder(cube, QUARTIC_BASIS, EQUAL)
         # the normal form of x^3 is -4*y^3
-        assert max(result.term_map(), key=W14.key) in standards
-        assert same_lead(result, Polynomial.from_term_map(("x", "y"), {(0, 3): -4}), W14)
+        assert max(result.term_map(), key=key) in standards
+        assert same_lead(result, Polynomial.from_term_map(("x", "y"), {(0, 3): -4}), EQUAL)
 
     def test_invariant_under_adding_ideal_members(self):
         rng = random.Random(20240817)
         poly = parse_polynomial("x^5 + y^5 + x^4*y")
         gens = [p for p in jacobian_ideal(poly) if not p.is_zero()]
-        assert [max(g.term_map(), key=W15.key) for g in QUINTIC_BASIS] == \
-            list(kernel_staircase(gens, W15).leads)
+        assert [max(g.term_map(), key=partial(order_key, EQUAL)) for g in QUINTIC_BASIS] == \
+            list(kernel_staircase(gens, EQUAL).leads)
         target = parse_polynomial("x^3*y^2 + 2*x*y + 7*x^4")
         # the normal form of the target; its lead y^5 is standard
         reference = Polynomial.from_term_map(
             ("x", "y"), {(0, 5): F(25, 4), (0, 4): F(-35), (1, 1): F(2)})
-        assert same_lead(kernel_remainder(target, QUINTIC_BASIS, W15), reference, W15)
+        assert same_lead(kernel_remainder(target, QUINTIC_BASIS, EQUAL), reference, EQUAL)
         for _ in range(20):
             shifted = dict(target.term_map())
             for gen in gens:
@@ -182,8 +195,8 @@ class TestNormalForm:
                         key = (exps[0] + a, exps[1] + b)
                         shifted[key] = shifted.get(key, F(0)) + c * coeff
             candidate = Polynomial.from_term_map(("x", "y"), shifted)
-            assert same_lead(kernel_remainder(candidate, QUINTIC_BASIS, W15),
-                             reference, W15)
+            assert same_lead(kernel_remainder(candidate, QUINTIC_BASIS, EQUAL),
+                             reference, EQUAL)
 
 
 class TestZeroDimensional:
@@ -192,41 +205,41 @@ class TestZeroDimensional:
 
     def test_box_ideal(self):
         poly = parse_polynomial("x^3 + y^3")
-        assert kernel_staircase([p for p in jacobian_ideal(poly) if not p.is_zero()], W13).finite
+        assert kernel_staircase([p for p in jacobian_ideal(poly) if not p.is_zero()], EQUAL).finite
 
     def test_single_mixed_monomial(self):
-        assert not kernel_staircase([parse_polynomial("x*y")], MonomialOrder.degrevlex()).finite
+        assert not kernel_staircase([parse_polynomial("x*y")], EQUAL).finite
 
     def test_noninvertible_jacobian(self):
         poly = parse_polynomial("x^4 + y^4 + x^3*y")
-        found = kernel_staircase([p for p in jacobian_ideal(poly) if not p.is_zero()], W14)
+        found = kernel_staircase([p for p in jacobian_ideal(poly) if not p.is_zero()], EQUAL)
         assert found.finite
         assert found.leads == ((2, 1), (3, 0), (1, 3), (0, 5))
 
     def test_unit_ideal(self):
         gens = [Polynomial.from_term_map(("x", "y"), terms)
                 for terms in ({(1, 0): 1, (0, 0): 1}, {(1, 0): 1})]
-        found = kernel_staircase(gens, MonomialOrder.degrevlex())
+        found = kernel_staircase(gens, EQUAL)
         assert found.finite and found.leads == ((0, 0),)
         assert standard_monomials(found) == []
 
 
 class TestStandardMonomials:
     def test_two_by_two_box(self):
-        found = jacobian_corners("x^3 + y^3", W13)
+        found = jacobian_corners("x^3 + y^3", EQUAL)
         rendered = {m.exponents for m in standard_monomials(found)}
         assert rendered == {(0, 0), (1, 0), (0, 1), (1, 1)}
 
     def test_single_variable(self):
-        found = kernel_staircase([parse_polynomial("x")], MonomialOrder.degrevlex())
+        found = kernel_staircase([parse_polynomial("x")], (1,))
         assert [m.exponents for m in standard_monomials(found)] == [(0,)]
 
     def test_sixteen_for_the_quintic(self):
-        found = jacobian_corners("x^5 + y^5 + x^4*y", W15)
+        found = jacobian_corners("x^5 + y^5 + x^4*y", EQUAL)
         assert len(standard_monomials(found)) == 16
 
     def test_not_finite_dimensional(self):
-        found = kernel_staircase([parse_polynomial("x*y")], MonomialOrder.degrevlex())
+        found = kernel_staircase([parse_polynomial("x*y")], EQUAL)
         with pytest.raises(NotFiniteDimensional):
             standard_monomials(found)
 
@@ -234,8 +247,7 @@ class TestStandardMonomials:
     def pure_powers(*exponents):
         n = len(exponents)
         return Staircase(tuple(tuple(a if j == i else 0 for j in range(n))
-                               for i, a in enumerate(exponents)),
-                         MonomialOrder.degrevlex(), ("x", "y", "z")[:n])
+                               for i, a in enumerate(exponents)), (1,) * n)
 
     @pytest.mark.parametrize("exponents", [(10**20,), (10001, 1000), (10**7 + 1,)])
     def test_box_over_the_limit_is_refused(self, exponents):
@@ -256,8 +268,7 @@ class TestStandardMonomials:
         assert n > sys.getrecursionlimit()
         leads = tuple(tuple(int(j == i) + (j == i >= n - 3) for j in range(n))
                       for i in range(n))
-        corners = Staircase(leads, MonomialOrder.degrevlex(),
-                            tuple(f"x{i}" for i in range(n)))
+        corners = Staircase(leads, (1,) * n)
         tails = [m.exponents[-3:] for m in standard_monomials(corners)]
         assert sorted(tails) == list(product((0, 1), repeat=3))
         assert all(not any(m.exponents[:-3]) for m in standard_monomials(corners))
@@ -267,24 +278,23 @@ class TestStandardMonomials:
 
     def test_equal_to_validated_monomials(self):
         # built without re-validation, they compare and hash like Monomial(...)
-        monomials = standard_monomials(jacobian_corners("x^5 + y^5 + x^4*y", W15))
+        monomials = standard_monomials(jacobian_corners("x^5 + y^5 + x^4*y", EQUAL))
         validated = [Monomial(m.exponents) for m in monomials]
         assert monomials == validated
         assert {hash(m) for m in monomials} == {hash(m) for m in validated}
         assert all(type(e) is int and e >= 0 for m in monomials for e in m.exponents)
 
     def test_sorted_ascending_in_order(self):
-        found = jacobian_corners("x^4 + y^4 + x^3*y", W14)
+        found = jacobian_corners("x^4 + y^4 + x^3*y", EQUAL)
         monomials = standard_monomials(found)
-        keys = [found.order.key(m.exponents) for m in monomials]
+        keys = [order_key(found.weights, m.exponents) for m in monomials]
         assert keys == sorted(keys)
 
     def test_count_matches_weight_formula_on_corpus(self, invertible_corpus):
         for poly in invertible_corpus:
             weights = solve_weights(exponent_matrix(poly))
-            order = MonomialOrder.weighted_degrevlex(weights)
             found = kernel_staircase(
-                [p for p in jacobian_ideal(poly) if not p.is_zero()], order)
+                [p for p in jacobian_ideal(poly) if not p.is_zero()], weights.integer_form[1])
             expected = 1
             for q in weights:
                 expected *= 1 / q - 1
@@ -294,15 +304,19 @@ class TestStandardMonomials:
 class TestKernelParts:
     """Packed monomials and the integer operations of the pair loop."""
 
-    ORDER = MonomialOrder.weighted_degrevlex(WeightSystem((F(1, 2), F(1, 3), F(1, 6))))
+    # the integer form of weights (1/2, 1/3, 1/6)
+    WEIGHTS = WeightSystem((F(1, 2), F(1, 3), F(1, 6))).integer_form[1]
 
     def packing(self, width=groebner._FIELD_BITS):
-        return groebner._Packing(groebner._grade_weights(self.ORDER, 3), width)
+        return groebner._Packing(self.WEIGHTS, width)
+
+    def key(self, exps):
+        return order_key(self.WEIGHTS, exps)
 
     def test_packed_keys_sort_like_the_order_and_unpack(self):
         packing = self.packing()
         box = list(product(range(5), repeat=3))
-        assert sorted(box, key=packing.pack) == sorted(box, key=self.ORDER.key)
+        assert sorted(box, key=packing.pack) == sorted(box, key=self.key)
         assert all(packing.unpack(packing.pack(e)) == e for e in box)
 
     def test_divides_is_componentwise(self):
@@ -338,7 +352,7 @@ class TestKernelParts:
         leads = [(2, 0, 0), (0, 1, 0), (2, 1, 0), (0, 1, 0), (0, 0, 3), (1, 0, 4)]
         kept = groebner._minimal_leads([packing.pack(e) for e in leads], packing)
         assert [packing.unpack(k) for k in kept] == \
-            sorted([(2, 0, 0), (0, 1, 0), (0, 0, 3)], key=self.ORDER.key)
+            sorted([(2, 0, 0), (0, 1, 0), (0, 0, 3)], key=self.key)
 
     def test_s_polynomial_cancels_the_lcm_of_the_leads(self):
         # f = 2x^2 + z, g = 3xy + 1 in integer coefficients: lcm x^2*y and
@@ -368,9 +382,9 @@ class TestKernelParts:
         assert groebner._complete_intersection_series((2, 2), (1, 1)) == [1, 2, 1]
 
     def test_standard_count_and_staircase_size_count_the_walk(self):
-        weights = groebner._grade_weights(self.ORDER, 3)
+        weights = self.WEIGHTS
         leads = [(2, 0, 0), (1, 2, 0), (0, 3, 0), (0, 1, 2), (0, 0, 5)]
-        corners = Staircase(tuple(leads), self.ORDER, ("x", "y", "z"))
+        corners = Staircase(tuple(leads), weights)
         listed = standard_monomials(corners)
         assert groebner._staircase_size(leads, 3) == len(listed)
         for grade in range(30):
@@ -416,8 +430,7 @@ LONG_SERIES_CUBIC = "x^3 + y^3 + x*y^2 + c^5 + d^7 + e^11 + f^13 + g^17 + h^19"
 class TestHilbertDriving:
     def jacobian(self, text):
         poly = parse_polynomial(text)
-        return (jacobian_ideal(poly),
-                MonomialOrder.weighted_degrevlex(solve_weights(exponent_matrix(poly))))
+        return jacobian_ideal(poly), grade_weights(poly)
 
     def test_zero_remainders_on_a_dense_jacobian(self, monkeypatch):
         # the pair loop without the series reduced 30 S-pairs, 14 of them to
@@ -442,12 +455,12 @@ class TestHilbertDriving:
         # their top reductions cancel, pair by pair 0 + 1 + 1 + 3 + 10 + 12
         # + 5 + 7 + 8 + 10 + 4 + 6 + 7 + 9 + 3 + 5 + 2, and none for the
         # pairs the certificate leaves unprocessed
-        gens, order = self.jacobian(DENSE_555)
+        gens, weights = self.jacobian(DENSE_555)
         monkeypatch.setattr(groebner, "STEP_LIMIT", 110)
-        expected = kernel_staircase(gens, order).leads
+        expected = kernel_staircase(gens, weights).leads
         monkeypatch.setattr(groebner, "STEP_LIMIT", 109)
         with pytest.raises(ResourceLimitExceeded, match="more than 109 steps"):
-            kernel_staircase(gens, order)
+            kernel_staircase(gens, weights)
         assert len(expected) == 17
 
     def test_a_long_series_is_never_built(self, monkeypatch):
@@ -457,8 +470,39 @@ class TestHilbertDriving:
             raise AssertionError("the series was built")
 
         monkeypatch.setattr(groebner, "_complete_intersection_series", forbidden)
-        gens, order = self.jacobian(LONG_SERIES_CUBIC)
-        assert kernel_staircase(gens, order).finite
+        gens, weights = self.jacobian(LONG_SERIES_CUBIC)
+        assert kernel_staircase(gens, weights).finite
+
+
+@st.composite
+def dense_w(draw):
+    """Every monomial of one degree 3..7 in x, y, z, with nonzero
+    coefficients in -9..9; some are degenerate."""
+    degree = draw(st.integers(3, 7))
+    terms = {e: draw(st.integers(-9, 9).filter(bool))
+             for e in product(range(degree + 1), repeat=3) if sum(e) == degree}
+    return Polynomial.from_term_map(("x", "y", "z"), terms)
+
+
+SCALING_TEXTS = INVERTIBLE_CORPUS_TEXTS + [text for rows in EXAMPLE_TABLE.values()
+                                           for text in rows]
+
+
+class TestGradeScaling:
+    """Scaling every grade weight by c keeps the order, so it keeps the
+    leads; it makes the series c times longer, so the Hilbert driving
+    starts at another threshold."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(SCALING_TEXTS).map(parse_polynomial) | dense_w(),
+           st.integers(2, 7))
+    def test_scaled_weights_give_the_same_leads(self, poly, c):
+        weights = grade_weights(poly)
+        gens = [p for p in jacobian_ideal(poly) if not p.is_zero()]
+        scaled = tuple(c * w for w in weights)
+        found = kernel_staircase(gens, scaled)
+        assert found.leads == kernel_staircase(gens, weights).leads
+        assert found.weights == scaled
 
 
 class TestGebauerMoeller:
@@ -473,8 +517,7 @@ class TestGebauerMoeller:
         pushed = []
         monkeypatch.setattr(groebner.heapq, "heappush", lambda heap, entry: pushed.append(entry))
         monkeypatch.setattr(groebner, "STEP_LIMIT", 0)
-        found = kernel_staircase(gens, MonomialOrder.weighted_degrevlex(
-            solve_weights(exponent_matrix(poly))))
+        found = kernel_staircase(gens, grade_weights(poly))
         assert pushed == []
         assert sorted(found.leads) == sorted(
             tuple(int(j == i) for j in range(50)) for i in range(50))
@@ -493,8 +536,7 @@ class TestGebauerMoeller:
             return cancel(*args)
 
         monkeypatch.setattr(groebner, "_cancel", recorded)
-        found = staircase([{(2, 1, 0): 1}, {(0, 2, 1): 3}, {(1, 1, 1): -2}],
-                          MonomialOrder.degrevlex(), ("x", "y", "z"))
+        found = staircase([{(2, 1, 0): 1}, {(0, 2, 1): 3}, {(1, 1, 1): -2}], (1, 1, 1))
         assert found.leads == ((0, 2, 1), (1, 1, 1), (2, 1, 0))
         assert len(processed) == 2
 
@@ -519,7 +561,7 @@ class TestGebauerMoeller:
         monkeypatch.setattr(groebner, "_top_reduce", counted)
         weights = WeightSystem((F(1, degree),) * 3)
         found = kernel_staircase([p for p in jacobian_ideal(poly) if not p.is_zero()],
-                          MonomialOrder.weighted_degrevlex(weights))
+                                 weights.integer_form[1])
         assert len(reductions) == reduced
         assert reductions[-1][1] == steps
         assert sum(not left for _, _, left in reductions) == 1

@@ -7,10 +7,12 @@ the kernel's fraction-free top-reduced remainder, which must be zero or
 have a lead no lead divides, and reduce to a positive multiple of the
 normal form.
 
-The monomial order once graded by a `Fraction` weighted sum; it now grades
-by that sum times the lcm of the weights' denominators, an integer.  The
-earlier key is kept below verbatim, and sorting random exponent sets by both
-keys must give one order.
+The monomial order once graded by a `Fraction` weighted sum; the kernel now
+grades by integer weights, that sum times the lcm of the weights'
+denominators.  The earlier key is kept below verbatim, and sorting random
+exponent sets by it and by the kernel's packed monomials must give one
+order.  The references below read the kernel's order through the test-local
+`order_key(weights, exps)`, not through the kernel.
 
 The engine once divided in `Fraction` coefficients with monic generators and
 returned reduced bases; the kernel divides in primitive integer coefficients
@@ -46,7 +48,9 @@ import heapq
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import product
+from operator import mul
 from unittest.mock import patch
 
 import pytest
@@ -56,7 +60,6 @@ from sympy import QQ, Poly, Rational, groebner, symbols
 from sympy.polys.orderings import ProductOrder
 
 from lgmk import (
-    MonomialOrder,
     NotFiniteDimensional,
     Polynomial,
     ResourceLimitExceeded,
@@ -69,7 +72,7 @@ from lgmk import groebner as engine
 from lgmk.errors import WeightError
 from lgmk.polycore import Exps, Monomial, exponent_matrix, jacobian_ideal, solve_weights
 
-from conftest import kernel_remainder, kernel_staircase, positive_multiple
+from conftest import kernel_remainder, kernel_staircase, order_key, positive_multiple
 
 
 # ---------------------------------------------------------------------------
@@ -93,30 +96,29 @@ def weights_and_exponents(draw):
     return weights, exps
 
 
+def grade_weights(weights, n: int) -> tuple[int, ...]:
+    """The kernel's integer grade weights for rational weights, or all ones
+    (plain degrevlex) for None."""
+    return (1,) * n if weights is None else WeightSystem(weights).integer_form[1]
+
+
 @settings(max_examples=300, deadline=None)
 @given(weights_and_exponents())
 def test_integer_grade_sorts_like_the_fraction_grade(case):
     weights, exps = case
-    order = MonomialOrder(weights)
-    assert sorted(exps, key=order.key) == sorted(exps, key=lambda e: fraction_key(weights, e))
-    assert all(isinstance(order.key(e)[0], int) for e in exps)
-    assert len({order.key(e) for e in exps}) == len(set(exps))
+    grades = grade_weights(weights, len(exps[0]))
+    packing = engine._Packing(grades, engine._FIELD_BITS).fit(
+        max(sum(map(mul, e, grades)) for e in exps))
+    expected = sorted(exps, key=lambda e: fraction_key(weights, e))
+    assert sorted(exps, key=packing.pack) == expected
+    assert sorted(exps, key=partial(order_key, grades)) == expected
 
 
 def test_integer_grade_is_the_weighted_degree_times_the_lcm():
-    order = MonomialOrder.weighted_degrevlex(
-        WeightSystem((Fraction(1, 4), Fraction(1, 6), Fraction(2, 3))))
+    grades = WeightSystem((Fraction(1, 4), Fraction(1, 6), Fraction(2, 3))).integer_form[1]
     # L = 12
-    assert order.key((1, 2, 3)) == (3 + 4 + 24, (-3, -2, -1))
-    assert MonomialOrder.degrevlex().key((1, 2, 3)) == (6, (-3, -2, -1))
-
-
-def test_order_equality_and_repr_ignore_the_integer_weights():
-    weights = WeightSystem((Fraction(1, 3), Fraction(1, 6)))
-    order = MonomialOrder.weighted_degrevlex(weights)
-    assert order == MonomialOrder(tuple(weights))
-    assert hash(order) == hash(MonomialOrder(tuple(weights)))
-    assert repr(order) == f"MonomialOrder(weights={tuple(weights)!r})"
+    assert order_key(grades, (1, 2, 3)) == (3 + 4 + 24, (-3, -2, -1))
+    assert order_key(grade_weights(None, 3), (1, 2, 3)) == (6, (-3, -2, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -161,12 +163,12 @@ def _monic(term_map: dict, weights) -> frozenset:
     return frozenset((e, c / lead) for e, c in term_map.items())
 
 
-def _sympy_basis(gens: list[Polynomial], order: MonomialOrder) -> list[dict]:
+def _sympy_basis(gens: list[Polynomial], weights: WeightSystem) -> list[dict]:
     syms = symbols(gens[0].variables)
     polys = [Poly.from_dict({e: Rational(c.numerator, c.denominator)
                              for e, c in g.term_map().items()}, *syms, domain=QQ)
              for g in gens]
-    sympy_order = ProductOrder((lambda m: fraction_key(order.weights, m)[0], lambda m: m),
+    sympy_order = ProductOrder((lambda m: fraction_key(weights, m)[0], lambda m: m),
                                (lambda m: tuple(-e for e in reversed(m)), lambda m: m))
     basis = groebner(polys, *syms, order=sympy_order, domain=QQ)
     return [{e: Fraction(int(c.p), int(c.q)) for e, c in g.terms()} for g in basis.polys]
@@ -177,12 +179,13 @@ def _sympy_basis(gens: list[Polynomial], order: MonomialOrder) -> list[dict]:
 def test_staircase_and_fraction_engine_match_sympy_on_quasihomogeneous_jacobians(case):
     poly, weights = case
     gens = [g for g in jacobian_ideal(poly) if not g.is_zero()]
-    order = MonomialOrder.weighted_degrevlex(weights)
-    expected = _sympy_basis(gens, order)
+    grades = weights.integer_form[1]
+    expected = _sympy_basis(gens, weights)
     # the leading terms of sympy's reduced basis, ascending in the order
-    leads = sorted((max(g, key=order.key) for g in expected), key=order.key)
-    assert list(kernel_staircase(gens, order).leads) == leads
-    assert {_monic(g.term_map(), weights) for g in oracle_buchberger(gens, order).generators} \
+    key = partial(order_key, grades)
+    leads = sorted((max(g, key=key) for g in expected), key=key)
+    assert list(kernel_staircase(gens, grades).leads) == leads
+    assert {_monic(g.term_map(), weights) for g in oracle_buchberger(gens, grades).generators} \
         == {_monic(g, weights) for g in expected}
 
 
@@ -198,11 +201,11 @@ class GroebnerBasis:
     """Reduced basis: monic generators, no leading term divides another."""
 
     generators: tuple[Polynomial, ...]
-    order: MonomialOrder
+    weights: tuple[int, ...]
     variables: tuple[str, ...]
 
     def leading_terms(self) -> list[Exps]:
-        key = self.order.key
+        key = partial(order_key, self.weights)
         return [max(g.term_map(), key=key) for g in self.generators]
 
 
@@ -281,8 +284,9 @@ def oracle_autoreduce(basis: list[TermDict], key) -> list[TermDict]:
     return [d for d, _ in kept]
 
 
-def oracle_buchberger(gens: list[Polynomial], order: MonomialOrder) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal generated by gens.
+def oracle_buchberger(gens: list[Polynomial], weights: tuple[int, ...]) -> GroebnerBasis:
+    """Reduced Groebner basis of the ideal generated by gens, under the
+    order graded by the integer weights.
 
     Pair selection is the normal strategy (smallest lcm in the order); the
     coprime and chain criteria prune useless pairs.  Processing more than
@@ -299,7 +303,7 @@ def oracle_buchberger(gens: list[Polynomial], order: MonomialOrder) -> GroebnerB
     def key(exps: Exps) -> tuple:
         found = keys.get(exps)
         if found is None:
-            found = keys[exps] = order.key(exps)
+            found = keys[exps] = order_key(weights, exps)
         return found
 
     basis: list[TermDict] = []
@@ -358,7 +362,7 @@ def oracle_buchberger(gens: list[Polynomial], order: MonomialOrder) -> GroebnerB
 
     reduced = oracle_autoreduce(basis, key) if basis else []
     generators = tuple(Polynomial.from_term_map(variables, d) for d in reduced)
-    return GroebnerBasis(generators, order, variables)
+    return GroebnerBasis(generators, weights, variables)
 
 
 def oracle_pure_power_of(lt: Exps, i: int) -> bool:
@@ -381,7 +385,7 @@ def oracle_standard_monomials(basis: GroebnerBasis) -> list[Monomial]:
         if not pures:
             raise NotFiniteDimensional("ideal is not zero dimensional")
         bounds.append(min(pures))
-    key = basis.order.key
+    key = partial(order_key, basis.weights)
     found = [exps for exps in product(*(range(b) for b in bounds))
              if not any(oracle_divides(lt, exps) for lt in leads)]
     found.sort(key=key)
@@ -412,10 +416,10 @@ def monomial_ideals(draw):
     weights = draw(st.none() | st.tuples(*[
         st.fractions(min_value=Fraction(1, 12), max_value=1, max_denominator=12)] * n))
     leads = draw(st.permutations(leads))
-    order = MonomialOrder(weights)
+    grades = grade_weights(weights, n)
     generators = tuple(Polynomial.from_term_map(VARIABLES[:n], {lt: 1}) for lt in leads)
-    return kind, Staircase(tuple(leads), order, VARIABLES[:n]), \
-        GroebnerBasis(generators, order, VARIABLES[:n])
+    return kind, Staircase(tuple(leads), grades), \
+        GroebnerBasis(generators, grades, VARIABLES[:n])
 
 
 def _standard_or_error(function, basis):
@@ -443,8 +447,8 @@ def test_staircase_matches_the_box_filter(case):
                                                  (({(): 3},), [])])
 def test_staircase_matches_the_box_filter_without_variables(generators, expected):
     basis = GroebnerBasis(tuple(Polynomial.from_term_map((), g) for g in generators),
-                          MonomialOrder.degrevlex(), ())
-    corners = Staircase(tuple(basis.leading_terms()), basis.order, ())
+                          (), ())
+    corners = Staircase(tuple(basis.leading_terms()), ())
     assert standard_monomials(corners) == oracle_standard_monomials(basis) == expected
 
 
@@ -472,9 +476,9 @@ def weighted_jacobians(draw):
     return [g for g in jacobian_ideal(poly) if not g.is_zero()], WeightSystem(weights)
 
 
-def _check_staircase_against_the_fraction_engine(gens, order):
-    found = kernel_staircase(gens, order)
-    reference = oracle_buchberger(gens, order)
+def _check_staircase_against_the_fraction_engine(gens, weights):
+    found = kernel_staircase(gens, weights)
+    reference = oracle_buchberger(gens, weights)
     expected = _standard_or_error(oracle_standard_monomials, reference)
     assert found.finite == (expected is not NotFiniteDimensional)
     assert list(found.leads) == reference.leading_terms()
@@ -485,19 +489,18 @@ def _check_staircase_against_the_fraction_engine(gens, order):
 @given(weighted_jacobians())
 def test_staircase_matches_the_fraction_engine(case):
     gens, weights = case
-    _check_staircase_against_the_fraction_engine(gens, MonomialOrder.weighted_degrevlex(weights))
+    _check_staircase_against_the_fraction_engine(gens, weights.integer_form[1])
 
 
 @st.composite
 def jacobians(draw):
     """A random quasihomogeneous Jacobian with small, rational and large
-    coefficients, and an order: weighted degrevlex, or plain degrevlex,
-    under which it need not be homogeneous."""
+    coefficients, and integer grade weights: the integer form of its
+    weights, or all ones (plain degrevlex), under which it need not be
+    homogeneous."""
     poly, weights = draw(quasihomogeneous(MIXED))
     gens = [g for g in jacobian_ideal(poly) if not g.is_zero()]
-    order = (MonomialOrder.degrevlex() if draw(st.booleans())
-             else MonomialOrder.weighted_degrevlex(weights))
-    return gens, order
+    return gens, (1,) * len(weights) if draw(st.booleans()) else weights.integer_form[1]
 
 
 @settings(max_examples=60, deadline=None)
@@ -531,7 +534,7 @@ def unweighted_jacobians(draw):
 @settings(max_examples=200, deadline=None)
 @given(unweighted_jacobians())
 def test_staircase_matches_the_fraction_engine_on_jacobians_without_weights(gens):
-    _check_staircase_against_the_fraction_engine(gens, MonomialOrder.degrevlex())
+    _check_staircase_against_the_fraction_engine(gens, (1,) * gens[0].n_variables)
 
 
 @settings(max_examples=40, deadline=None)
@@ -542,8 +545,9 @@ def test_normal_form_matches_the_fraction_engine(case, data):
     # it to a positive multiple of its normal form of the input, also when
     # the basis generators are scaled away from monic, by any sign, and
     # divided with those leading coefficients
-    gens, order = case
-    basis = oracle_buchberger(gens, order)
+    gens, weights = case
+    basis = oracle_buchberger(gens, weights)
+    key = partial(order_key, weights)
     n = len(basis.variables)
     # exponents up to 3: most monomials much above that lie in the ideal,
     # and a polynomial of them reduces to zero
@@ -555,23 +559,23 @@ def test_normal_form_matches_the_fraction_engine(case, data):
 
     def normal_form(p: Polynomial) -> Polynomial:
         return Polynomial.from_term_map(
-            basis.variables, oracle_normal_form_dict(p.term_map(), pairs, order.key))
+            basis.variables, oracle_normal_form_dict(p.term_map(), pairs, key))
 
     expected = normal_form(poly)
 
     def check(remainder: Polynomial) -> None:
         terms = remainder.term_map()
         assert not terms or not any(
-            oracle_divides(lt, max(terms, key=order.key)) for lt in leads)
+            oracle_divides(lt, max(terms, key=key)) for lt in leads)
         assert positive_multiple(normal_form(remainder), expected)
 
-    check(kernel_remainder(poly, basis.generators, order))
+    check(kernel_remainder(poly, basis.generators, weights))
     scales = data.draw(st.lists(MIXED, min_size=len(basis.generators),
                                 max_size=len(basis.generators)))
     scaled = [Polynomial.from_term_map(g.variables, {e: s * c for e, c in g.term_map().items()})
               for g, s in zip(basis.generators, scales)]
-    check(kernel_remainder(poly, scaled, order))
-    check(kernel_remainder(poly, scaled, order, primitive=False))
+    check(kernel_remainder(poly, scaled, weights))
+    check(kernel_remainder(poly, scaled, weights, primitive=False))
 
 
 # from one bit, the fields widen at the inputs and again when S-pairs are
@@ -597,8 +601,7 @@ def test_staircase_matches_the_fraction_engine_when_every_run_repacks(case):
     gens, weights = case
     with patch.object(engine, "_FIELD_BITS", 1), \
             patch.object(engine._Packing, "__init__", recorded):
-        _check_staircase_against_the_fraction_engine(
-            gens, MonomialOrder.weighted_degrevlex(weights))
+        _check_staircase_against_the_fraction_engine(gens, weights.integer_form[1])
     assert widths[0] == 1 and len(widths) > 1
 
 
@@ -609,13 +612,12 @@ def test_staircase_matches_the_fraction_engine_when_every_run_repacks(case):
 def dense_jacobian(degree: int, seed: int, keep=lambda exps: True):
     """The Jacobian of a W with every monomial x^a*y^b*z^c of one degree that
     `keep` accepts, with coefficients in -9..9 drawn from random.Random(seed),
-    and its order under equal weights."""
+    and the integer grade weights of its equal weights."""
     rng = random.Random(seed)
     terms = {e: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9))
              for e in product(range(degree + 1), repeat=3) if sum(e) == degree and keep(e)}
     poly = Polynomial.from_term_map(VARIABLES[:3], terms)
-    return jacobian_ideal(poly), MonomialOrder.weighted_degrevlex(
-        WeightSystem((Fraction(1, degree),) * 3))
+    return jacobian_ideal(poly), WeightSystem((Fraction(1, degree),) * 3).integer_form[1]
 
 
 @pytest.fixture
@@ -663,10 +665,10 @@ def test_hilbert_driven_staircase_matches_the_fraction_engine_on_dense_jacobians
         driving, widths, degree, seed):
     # dense equal-weight W waste steps on zero remainders early, so the run
     # builds the series, sets pairs aside and is certified on its first pass
-    gens, order = dense_jacobian(degree, seed)
-    _check_staircase_against_the_fraction_engine(gens, order)
+    gens, weights = dense_jacobian(degree, seed)
+    _check_staircase_against_the_fraction_engine(gens, weights)
     assert driving == {"series": 1, "passes": 1, "sizes": 1}
-    assert kernel_staircase(gens, order).finite
+    assert kernel_staircase(gens, weights).finite
     assert widths == [] or (widths[0] == 1 and len(widths) > 1)
 
 
@@ -675,11 +677,11 @@ def test_degenerate_complete_intersection_falls_back(driving, widths):
     # has degree 2 or more in x and y, so the z-axis is critical: pairs
     # above the socle grade are set aside, the staircase is not finite, the
     # certificate fails and the set-aside pairs go back into the loop
-    gens, order = dense_jacobian(5, 0, keep=lambda e: e[0] + e[1] >= 2)
+    gens, weights = dense_jacobian(5, 0, keep=lambda e: e[0] + e[1] >= 2)
     assert len(gens) == 3
-    _check_staircase_against_the_fraction_engine(gens, order)
+    _check_staircase_against_the_fraction_engine(gens, weights)
     assert driving == {"series": 1, "passes": 2, "sizes": 0}
-    assert not kernel_staircase(gens, order).finite
+    assert not kernel_staircase(gens, weights).finite
     assert widths == [] or (widths[0] == 1 and len(widths) > 1)
 
 
@@ -706,11 +708,11 @@ def test_degenerate_complete_intersections_fall_back_with_the_plain_loop_reducti
     # the z-axis is critical, so every pass that built the series fails its
     # certificate; the pairs set aside go back into the loop, which reduces
     # exactly the S-pairs the loop without the series reduces
-    gens, order = dense_jacobian(degree, seed, keep=lambda e: e[0] + e[1] >= 2)
-    found = kernel_staircase(gens, order)
+    gens, weights = dense_jacobian(degree, seed, keep=lambda e: e[0] + e[1] >= 2)
+    found = kernel_staircase(gens, weights)
     assert reductions["reductions"] == reduced and not found.finite
     assert driving == {"series": 1, "passes": 2, "sizes": 0}
-    _check_staircase_against_the_fraction_engine(gens, order)
+    _check_staircase_against_the_fraction_engine(gens, weights)
     assert widths == [] or (widths[0] == 1 and len(widths) > 1)
 
 
@@ -726,15 +728,15 @@ def test_a_non_candidate_builds_no_series(reductions, driving, shape):
     # the dense Jacobian alone builds its series; with a fourth generator
     # f_1 + f_2, or with x added to f_3, it is no complete intersection
     # candidate, and however much its zero remainders cost, it builds none
-    gens, order = dense_jacobian(6, 0)
+    gens, weights = dense_jacobian(6, 0)
     if shape == "n + 1 generators":
         gens = gens + [_with_terms(gens[0], gens[1].term_map())]
     else:
         gens = gens[:2] + [_with_terms(gens[2], {(1, 0, 0): Fraction(1)})]
-    kernel_staircase(gens, order)
+    kernel_staircase(gens, weights)
     assert reductions["zero"] > 20
     assert driving == {"series": 0, "passes": 1, "sizes": 0}
-    _check_staircase_against_the_fraction_engine(gens, order)
+    _check_staircase_against_the_fraction_engine(gens, weights)
 
 
 def test_set_aside_pairs_are_repacked_when_the_fields_widen(monkeypatch):
@@ -744,7 +746,7 @@ def test_set_aside_pairs_are_repacked_when_the_fields_widen(monkeypatch):
     # Coprime pairs are never made, so only a pair whose leads share a
     # variable widens the fields; degree 10 is the least of this family
     # whose run does so after the series is built
-    gens, order = dense_jacobian(10, 0, keep=lambda e: e[0] + e[1] >= 2)
+    gens, weights = dense_jacobian(10, 0, keep=lambda e: e[0] + e[1] >= 2)
     events = []
     series, init = engine._complete_intersection_series, engine._Packing.__init__
     top_reduce = engine._top_reduce
@@ -766,12 +768,12 @@ def test_set_aside_pairs_are_repacked_when_the_fields_widen(monkeypatch):
     monkeypatch.setattr(engine._Packing, "__init__", recorded_init)
     monkeypatch.setattr(engine, "_top_reduce", recorded_division)
     steps = []
-    expected = kernel_staircase(gens, order)
+    expected = kernel_staircase(gens, weights)
     default_steps = steps
     steps = []
     events.clear()
     monkeypatch.setattr(engine, "_FIELD_BITS", 6)
-    found = kernel_staircase(gens, order)
+    found = kernel_staircase(gens, weights)
     assert events.index("series") < len(events) - 1  # a widening after it
     assert found == expected and not found.finite
     assert steps == default_steps

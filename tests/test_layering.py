@@ -14,8 +14,11 @@ a basis listing first reads the record: `is_nondegenerate`, `bmodel`,
 it once.  Counting runs it on no fixed locus: each nonempty locus of a
 symmetry group restricts W to a nondegenerate polynomial, by the lemma in
 `amodel`, so only reading `AModel.basis` runs it, once for W and once per
-distinct proper, nonempty locus.  Within one run, the kernel packs each input exponent tuple into an integer once and never calls
-`MonomialOrder.key`, and divides in primitive integer coefficients only.  A
+distinct proper, nonempty locus.  The kernel is graded by integer weights,
+the record's integer form or all ones: `groebner` imports nothing from
+`fractions` and names no rational-weight type.  Within one run, the kernel
+packs each input exponent tuple into an integer once, and divides in
+primitive integer coefficients only.  A
 group lists its elements only when `elements` or `vectors` is first read, so
 lattice operations never list theirs, and `subgroups_containing` lists no
 vector at all: it enumerates Hermite forms, with one echelon for the seed
@@ -65,7 +68,6 @@ from hypothesis import strategies as st
 import lgmk
 from lgmk import (
     GroupElement,
-    MonomialOrder,
     WeightSystem,
     fixed_locus,
     gmax,
@@ -200,6 +202,26 @@ def _assertions():
                 isinstance(n, ast.Name) and n.id == "AssertionError" for n in ast.walk(node))}
 
 
+# the types that hold rational weights, none of which the kernel may name
+RATIONAL_WEIGHT_TYPES = {"Fraction", "MonomialOrder", "WeightSystem"}
+
+
+def _names(tree):
+    """Every identifier a syntax tree reads, defines, imports or reads as an
+    attribute, annotations included."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            found.add(node.name)
+        elif isinstance(node, ast.alias):
+            found.update({node.name, node.asname} - {None})
+    return found
+
+
 def _definitions(function):
     """The modules that define a function of that name."""
     return {name for name, tree in _module_trees() for node in ast.walk(tree)
@@ -319,6 +341,14 @@ class TestLayering:
             isinstance(node, ast.FunctionDef) and node.name == "__eq__"
             for node in cls.body)} == {("value", "_Value")}
 
+    def test_the_kernel_names_no_rational_weight(self):
+        imports = _imported_top_levels()
+        assert ("groebner", "heapq") in imports
+        assert ("groebner", "fractions") not in imports
+        names = _names(dict(_module_trees())["groebner"])
+        assert {"Staircase", "staircase", "gcd"} <= names
+        assert names & RATIONAL_WEIGHT_TYPES == set()
+
     def test_one_integer_echelon(self):
         assert _definitions("_extended_gcd") == {"polycore"}
         assert _definitions("_echelon") == {"polycore"}
@@ -376,6 +406,13 @@ def buchberger_runs(monkeypatch):
     """Every run of the `staircase` kernel, wherever in the package it is
     called from, starting from empty memos."""
     return _count_calls(monkeypatch, groebner, "staircase")
+
+
+@pytest.fixture
+def jacobian_runs(monkeypatch):
+    """Every call of `jacobian_staircase`, with the polynomial it receives,
+    starting from empty memos."""
+    return _count_calls(monkeypatch, polycore, "jacobian_staircase")
 
 
 @pytest.fixture
@@ -455,7 +492,8 @@ class TestOneJacobianBasis:
 
 class TestOneRecord:
     @pytest.mark.parametrize("text,loci", CASES)
-    def test_the_record_builds_w_staircase_once(self, buchberger_runs, text, loci):
+    def test_the_record_builds_w_staircase_once(self, buchberger_runs, jacobian_runs,
+                                                text, loci):
         poly = parse_polynomial(text)
         verdict = polycore.classify(poly)
         assert milnor.is_nondegenerate(poly)
@@ -467,10 +505,12 @@ class TestOneRecord:
         assert len(buchberger_runs) == 1
         assert verdict.__dict__["staircase"] is polycore.classify(poly).staircase
         model.basis
-        # the full locus reads the record; each proper locus runs once
-        restricted = [variables for _, _, variables in buchberger_runs[1:]]
+        # the full locus reads the record; each proper locus runs once, on
+        # its own restriction of W
+        assert len(buchberger_runs) == 1 + loci
+        restricted = [locus for locus, _ in jacobian_runs[1:]]
         assert len(restricted) == len(set(restricted)) == loci
-        assert all(len(names) < poly.n_variables for names in restricted)
+        assert all(locus.n_variables < poly.n_variables for locus in restricted)
 
     def test_an_uncertified_record_keeps_the_staircase_that_decided_it(self, buchberger_runs):
         poly = parse_polynomial(NONINVERTIBLE)
@@ -593,10 +633,9 @@ DENSE = "6*x^4 + 6*x^2*y^2 - 2*x^2*z + 3*x*y^3 - 7*x*y*z - 6*y^4 + 3*y^2*z + 7*z
 class TestKeyMemo:
     def test_staircase_keys_each_exponent_tuple_once(self, monkeypatch):
         poly = parse_polynomial(DENSE)
-        order = MonomialOrder.weighted_degrevlex(polycore.classify(poly).weights)
+        weights = polycore.classify(poly).weights.integer_form[1]
         gens = [g for g in polycore.jacobian_ideal(poly) if not g.is_zero()]
         packed = Counter()
-        keyed = []
         pack = groebner._Packing.pack
 
         def counted(self, exps):
@@ -604,18 +643,16 @@ class TestKeyMemo:
             return pack(self, exps)
 
         monkeypatch.setattr(groebner._Packing, "pack", counted)
-        monkeypatch.setattr(MonomialOrder, "key", lambda self, exps: keyed.append(exps))
-        kernel_staircase(gens, order)
+        kernel_staircase(gens, weights)
         # each input exponent tuple once, and no other tuple: pair lcms,
         # shifts and every product in the division loop are integer sums
         assert packed == Counter({exps: 1 for g in gens for exps in g.term_map()})
-        assert keyed == []
 
 
 class TestFractionFreeDivision:
     def test_division_receives_no_fraction(self, monkeypatch):
         poly = parse_polynomial(DENSE)
-        order = MonomialOrder.weighted_degrevlex(polycore.classify(poly).weights)
+        weights = polycore.classify(poly).weights.integer_form[1]
         gens = [g for g in polycore.jacobian_ideal(poly) if not g.is_zero()]
         coefficients = []
         divisors = []
@@ -628,7 +665,7 @@ class TestFractionFreeDivision:
             return top_reduce(work, basis, packing, spent)
 
         monkeypatch.setattr(groebner, "_top_reduce", recorded)
-        kernel_staircase(gens, order)
+        kernel_staircase(gens, weights)
         assert coefficients
         assert not any(isinstance(c, Fraction) for c in coefficients)
         assert all(type(c) is int for c in coefficients)

@@ -13,7 +13,6 @@ from lgmk import (
     GradedDims,
     GroupElement,
     LgmkError,
-    MonomialOrder,
     NotAdmissibleError,
     ResourceLimitExceeded,
     WeightSystem,
@@ -281,7 +280,7 @@ class TestSeriesBound:
         # L = 19,399,380 and the series would hold 108,423,999 integers
         poly = parse_polynomial(LONG_SERIES)
         found = jacobian_staircase(poly, classify(poly).weights)
-        bounds = groebner._pure_power_bounds(found.leads, len(found.variables))
+        bounds = groebner._pure_power_bounds(found.leads, len(found.weights))
         assert prod(bounds) == 4_976_640 < groebner.STANDARD_MONOMIAL_BOX_LIMIT
 
         def forbidden(*args):
@@ -365,11 +364,11 @@ def _fraction_partials(poly):
 
 def _polynomial_route(poly, weights):
     """The staircase `jacobian_staircase` must give, from the kernel run on
-    the `Polynomial` partials, each cleared of denominators."""
-    order = (MonomialOrder.degrevlex() if weights is None
-             else MonomialOrder.weighted_degrevlex(weights))
+    the `Polynomial` partials, each cleared of denominators, under the
+    integer form of the weights, or all ones without weights."""
+    grades = (1,) * poly.n_variables if weights is None else weights.integer_form[1]
     gens = [p for p in jacobian_ideal(poly) if not p.is_zero()]
-    found = kernel_staircase(gens, order)
+    found = kernel_staircase(gens, grades)
     return found if found.finite else None
 
 

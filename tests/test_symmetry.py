@@ -389,6 +389,16 @@ class TestClosedFormGmax:
         with pytest.raises(WeightConditionViolated):
             gmax_fermat_plus_monomial(4, 4, 1, 1)
 
+    @pytest.mark.parametrize("p,q,r,s", [(n, n, n - 1, 1) for n in range(3, 41)] + [
+        (3, 6, 1, 4), (6, 4, 3, 2), (12, 8, 3, 6), (9, 9, 3, 6), (4, 8, 2, 4), (6, 3, 2, 2)])
+    def test_no_generator_is_the_identity(self, p, q, r, s):
+        # (1/gcd(p, r), 0) is the identity when gcd(p, r) = 1, as on the
+        # paper's family x^n + y^n + x^(n-1)*y
+        group = gmax_fermat_plus_monomial(p, q, r, s)
+        assert all(any(g.phases) for g in group.generators)
+        full = gmax(parse_polynomial(f"x^{p} + y^{q} + x^{r}*y^{s}"))
+        assert group == full and group.elements == full.elements
+
     def test_alternative_generators_agree(self):
         for p, q, r, s in [(6, 6, 4, 2), (9, 9, 3, 6), (4, 8, 2, 4), (5, 5, 4, 1)]:
             assert F(r, p) + F(s, q) == 1

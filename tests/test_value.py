@@ -3,8 +3,7 @@
 Each class compares and hashes by its compared fields, prints them as
 `Name(field=value, ...)`, and refuses assignment; a field outside the
 comparison (a group's generators, a verdict's staircase builder, a model's
-locus counts, an order's integer weights) changes neither equality nor the
-hash.
+locus counts) changes neither equality nor the hash.
 """
 
 from fractions import Fraction as F
@@ -19,7 +18,6 @@ from lgmk import (
     GradedDims,
     GroupElement,
     Monomial,
-    MonomialOrder,
     NonPositiveWeight,
     Polynomial,
     PolynomialClass,
@@ -53,11 +51,8 @@ CASES = [
      f"Classification(kind=<PolynomialClass.INVERTIBLE: 'invertible'>, weights={THIRDS}, "
      "reason=None)", "build"),
     (Monomial, lambda: Monomial((1, 2)), "Monomial(exponents=(1, 2))", None),
-    (MonomialOrder, lambda: MonomialOrder((F(1, 2), F(1, 3))),
-     "MonomialOrder(weights=(Fraction(1, 2), Fraction(1, 3)))", "_integer_weights"),
-    (Staircase, lambda: Staircase(((2, 0), (0, 2)), MonomialOrder(), ("x", "y")),
-     "Staircase(leads=((2, 0), (0, 2)), order=MonomialOrder(weights=None), "
-     "variables=('x', 'y'))", None),
+    (Staircase, lambda: Staircase(((2, 0), (0, 2)), (1, 1)),
+     "Staircase(leads=((2, 0), (0, 2)), weights=(1, 1))", None),
     (GroupElement, lambda: GroupElement((F(1, 2), F(3, 2))),
      "GroupElement(phases=(Fraction(1, 2), Fraction(1, 2)))", None),
     (SymmetryGroup, lambda: gmax(parse_polynomial("x^3 + y^3")), CUBES_GMAX, "gens"),
@@ -99,8 +94,8 @@ def test_value_semantics(cls, build, text, outside):
 
 
 @pytest.mark.parametrize("build", [
-    lambda: Staircase(((2, 0), (0, 2)), MonomialOrder()),
-    lambda: Staircase(((2, 0), (0, 2)), MonomialOrder(), ("x", "y"), None),
+    lambda: Staircase(((2, 0), (0, 2))),
+    lambda: Staircase(((2, 0), (0, 2)), (1, 1), None),
     lambda: Polynomial(),
     lambda: SearchReport(F(4), F(2, 3), 2, 12, ()),
 ])
@@ -111,7 +106,7 @@ def test_a_record_takes_one_argument_per_field(build):
 
 def test_a_compared_field_changes_equality():
     assert Monomial((1, 2)) != Monomial((2, 1))
-    assert MonomialOrder((F(1, 2), F(1, 3))) != MonomialOrder()
+    assert Staircase(((2,),), (1,)) != Staircase(((2,),), (2,))
     assert WeightSystem((F(1, 3),)) != ExponentMatrix(((3,),))
 
 
