@@ -48,7 +48,6 @@ from .mirror import (
 )
 from .polycore import (
     Classification,
-    ExponentMatrix,
     Polynomial,
     PolynomialClass,
     WeightSystem,

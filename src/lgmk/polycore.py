@@ -68,11 +68,13 @@ def _past_digit_limit(exc: Exception) -> bool:
 def _rational(value) -> Fraction:
     """An int, Fraction or numeric string as an exact Fraction.  A float is
     refused, even an exact one: its binary value is rarely the rational
-    meant.  So is a string that is no number, or whose numerator or
-    denominator would have more digits than `int` converts to text; its
-    exponent e is read first, and 10^|e| is built only for |e| < 3 * limit."""
-    if isinstance(value, float):
-        raise InvalidArgument(f"{value!r} is a float; give an int, Fraction or string")
+    meant.  So is a bool, which is no number, and a string that is no
+    number, or whose numerator or denominator would have more digits than
+    `int` converts to text; its exponent e is read first, and 10^|e| is
+    built only for |e| < 3 * limit."""
+    if isinstance(value, (bool, float)):
+        raise InvalidArgument(
+            f"{value!r} is a {type(value).__name__}; give an int, Fraction or string")
     if not isinstance(value, str):
         return Fraction(value)
     limit = sys.get_int_max_str_digits()
@@ -133,40 +135,12 @@ class WeightSystem(_Value):
         return _integer_form(self.q)
 
 
-class ExponentMatrix(_Value):
-    """m x n integer matrix A; row i holds the exponents of monomial i."""
-
-    _fields = ("rows",)
-    rows: tuple[Exps, ...]
-
-    def __init__(self, rows: tuple[Exps, ...]):
-        rows = tuple(tuple(_require_int("exponent", e) for e in row) for row in rows)
-        if not rows:
-            raise ValueError("exponent matrix needs at least one row")
-        width = len(rows[0])
-        if any(len(r) != width for r in rows):
-            raise ValueError("ragged exponent matrix")
-        if any(not any(r) for r in rows):
-            raise ValueError("zero row in exponent matrix")
-        self.__dict__["rows"] = rows
-
-    @property
-    def m(self) -> int:
-        return len(self.rows)
-
-    @property
-    def n(self) -> int:
-        return len(self.rows[0])
-
-    def transpose(self) -> "ExponentMatrix":
-        return ExponentMatrix(tuple(zip(*self.rows)))
-
-
 class Polynomial(_Value):
     """Canonical collected polynomial: nonzero coefficients, sorted terms.
 
-    Its hash and its exponent matrix are computed on first use and kept:
-    `classify`'s memo hashes a polynomial at each lookup."""
+    Its hash is computed on first use and kept: `classify`'s memo hashes a
+    polynomial at each lookup.  Its exponent matrix is no separate object:
+    `exponent_matrix` reads the terms' own exponent tuples."""
 
     _fields = ("variables", "terms")
     variables: tuple[str, ...]
@@ -179,18 +153,13 @@ class Polynomial(_Value):
     def _hash(self) -> int:
         return hash(self._key())
 
-    @cached_property
-    def _matrix(self) -> ExponentMatrix:
-        """The matrix whose row i is the exponent vector of term i."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no exponent matrix")
-        return ExponentMatrix(tuple(m.exponents for _, m in self.terms))
-
     @staticmethod
     def from_term_map(variables: Iterable[str],
                       term_map: Mapping[Exps, Fraction | int]) -> "Polynomial":
         """Build the canonical form from an exponent-tuple -> coefficient map."""
         names = tuple(variables)
+        if len(set(names)) != len(names):
+            raise ValueError(f"repeated variable name in {names}")
         collected = []
         for exps, coeff in term_map.items():
             c = _rational(coeff)
@@ -351,13 +320,16 @@ def parse_polynomial(text: str) -> Polynomial:
 # Exponent matrices and weight solving
 # ---------------------------------------------------------------------------
 
-def exponent_matrix(poly: Polynomial) -> ExponentMatrix:
-    """Matrix whose row i is the exponent vector of term i in canonical order."""
-    return poly._matrix
+def exponent_matrix(poly: Polynomial) -> tuple[Exps, ...]:
+    """The exponent matrix A: row i is the exponent tuple of term i, in
+    canonical order, the term's own tuple.  A constant term is a zero row."""
+    if not poly.terms:
+        raise InvalidArgument("the zero polynomial has no exponent matrix")
+    return tuple(m.exponents for _, m in poly.terms)
 
 
-def _has_cross_term(matrix: ExponentMatrix) -> bool:
-    for row in matrix.rows:
+def _has_cross_term(rows) -> bool:
+    for row in rows:
         nonzero = [e for e in row if e]
         if len(nonzero) == 2 and nonzero == [1, 1]:
             return True
@@ -408,35 +380,39 @@ def _echelon(rows, width: int) -> list[list[int]]:
     return echelon
 
 
-def solve_weights(matrix: ExponentMatrix) -> WeightSystem:
-    """Solve A.q = (1,...,1) exactly over Q.
+def solve_weights(rows) -> WeightSystem:
+    """Solve A.q = (1,...,1) exactly over Q, for A given by its integer rows.
 
-    Raises NotQuasihomogeneous when the system is inconsistent, else
-    NonUniqueWeights when rank(A) < n, NonPositiveWeight when some
-    q_i <= 0, and WeightBoundViolated when some q_i > 1/2 although no
-    cross-term x_i*x_j is present.
+    Raises InvalidArgument for no rows, rows of unequal or zero length, or
+    an entry that is not an int; then NotQuasihomogeneous when the system
+    is inconsistent, else NonUniqueWeights when rank(A) < n,
+    NonPositiveWeight when some q_i <= 0, and WeightBoundViolated when some
+    q_i > 1/2 although no cross-term x_i*x_j is present.
 
     The integer echelon of (A | 1) decides: a row leading in the constant
-    column means no solution, fewer than n pivots mean rank(A) < n.  Otherwise
-    row i pivots on column i, and q_i .. q_n-1 are back-substituted from the
-    last row up, in integers over one common denominator.
+    column means no solution, as a zero row of A (a constant term) gives;
+    fewer than n pivots mean rank(A) < n.  Otherwise row i pivots on column
+    i, and q_i .. q_n-1 are back-substituted from the last row up, in
+    integers over one common denominator.
     """
-    n = matrix.n
-    rows = _echelon([row + (1,) for row in matrix.rows], n + 1)
-    if not any(rows[-1][:n]):
+    n = len(rows[0]) if rows else 0
+    if not n or any(len(row) != n for row in rows):
+        raise InvalidArgument("an exponent matrix needs rows, all of one nonzero length")
+    echelon = _echelon([[_require_int("exponent", e) for e in row] + [1] for row in rows], n + 1)
+    if not any(echelon[-1][:n]):
         raise NotQuasihomogeneous("A.q = 1 has no solution")
-    if len(rows) < n:
+    if len(echelon) < n:
         raise NonUniqueWeights("weights are not unique (rank(A) < n)")
     numerators, common = [], 1
     for i in reversed(range(n)):
-        row = rows[i]
+        row = echelon[i]
         top = row[n] * common - sum(map(mul, row[i + 1:n], numerators))
         numerators = [top] + [row[i] * t for t in numerators]
         common *= row[i]
     q = [Fraction(t, common) for t in numerators]
     if any(v <= 0 for v in q):
         raise NonPositiveWeight(f"solved weights {tuple(map(str, q))} are not all positive")
-    if not _has_cross_term(matrix) and any(v > Fraction(1, 2) for v in q):
+    if not _has_cross_term(rows) and any(v > Fraction(1, 2) for v in q):
         raise WeightBoundViolated(
             f"weights {tuple(map(str, q))} exceed 1/2 with no cross-term present")
     return WeightSystem(tuple(q))
@@ -446,7 +422,7 @@ def solve_weights(matrix: ExponentMatrix) -> WeightSystem:
 # Classification
 # ---------------------------------------------------------------------------
 
-def _pointer_certified(matrix: ExponentMatrix) -> bool:
+def _pointer_certified(rows) -> bool:
     """True when W is a sum of Fermat, chain and loop atoms, and so
     nondegenerate for every choice of nonzero coefficients: the matrix is
     square, each row is x_i^a_i or x_i^a_i * x_j with a_i >= 2 and j != i,
@@ -465,10 +441,10 @@ def _pointer_certified(matrix: ExponentMatrix) -> bool:
     j, then M_i = 0 gives x_j = 0, and dW/dx_j is a multiple of
     x_j^(a_j - 1), which vanishes, plus c_i*x_i^a_i, which does not: the
     point is not critical."""
-    if matrix.m != matrix.n:
+    if len(rows) != len(rows[0]):
         return False
     heads, targets = set(), set()
-    for row in matrix.rows:
+    for row in rows:
         support = sorted((e, i) for i, e in enumerate(row) if e)
         a, head = support.pop()
         if a < 2 or head in heads or len(support) > 1:
@@ -482,15 +458,15 @@ def _pointer_certified(matrix: ExponentMatrix) -> bool:
     return True
 
 
-def _critical_axis(matrix: ExponentMatrix) -> bool:
+def _critical_axis(rows) -> bool:
     """True when some coordinate axis lies in the critical locus, so W is
     degenerate: on the x_i-axis the partials of W are the terms of x_i^a
     (a >= 1) and of x_i^a * x_k (k != i), distinct terms of distinct
     partials, so if every row has degree 2 or more off x_i, all partials
     vanish on that axis."""
-    rows = [(row, sum(row)) for row in matrix.rows]
-    return any(all(degree - row[i] >= 2 for row, degree in rows)
-               for i in range(matrix.n))
+    degrees = [(row, sum(row)) for row in rows]
+    return any(all(degree - row[i] >= 2 for row, degree in degrees)
+               for i in range(len(rows[0])))
 
 
 def _integer_partials(poly: Polynomial) -> tuple[int, list[dict[Exps, int]]]:
@@ -585,16 +561,16 @@ _DEGENERATE = "degenerate: Milnor ring is not finite dimensional"
 # at a time, so a few dozen entries serve every caller
 @lru_cache(maxsize=64)
 def _memoized_classify(poly: Polynomial) -> Classification:
-    matrix = exponent_matrix(poly)
+    rows = exponent_matrix(poly)
     try:
-        weights = solve_weights(matrix)
+        weights = solve_weights(rows)
     except WeightError as exc:
         return Classification(PolynomialClass.NOT_ADMISSIBLE, None,
                               f"{type(exc).__name__}: {exc}")
-    if _critical_axis(matrix):
+    if _critical_axis(rows):
         return Classification(PolynomialClass.NOT_ADMISSIBLE, weights, _DEGENERATE)
     build = partial(jacobian_staircase, poly, weights)
-    if _pointer_certified(matrix):
+    if _pointer_certified(rows):
         # the staircase waits for a basis listing
         return Classification(PolynomialClass.INVERTIBLE, weights, None, build)
     found = build()
@@ -613,7 +589,7 @@ def require_admissible(poly: Polynomial) -> Classification:
     return verdict
 
 
-def _invertible_matrix(poly: Polynomial) -> ExponentMatrix:
+def _invertible_matrix(poly: Polynomial) -> tuple[Exps, ...]:
     """The exponent matrix of poly, which must be admissible and invertible
     to transpose: raises NotAdmissibleError, then NotInvertible.
 
@@ -629,6 +605,5 @@ def _invertible_matrix(poly: Polynomial) -> ExponentMatrix:
 
 def transpose_polynomial(poly: Polynomial) -> Polynomial:
     """Polynomial whose exponent matrix is the transpose of poly's."""
-    # W^T validates its own matrix when that is first read
-    columns = zip(*_invertible_matrix(poly).rows)
+    columns = zip(*_invertible_matrix(poly))
     return Polynomial.from_term_map(poly.variables, {row: Fraction(1) for row in columns})

@@ -379,7 +379,7 @@ def _relation_group(relations) -> SymmetryGroup:
 
 def gmax(poly: Polynomial) -> SymmetryGroup:
     """Maximal diagonal symmetry group {g in (Q/Z)^n : A.g integral}."""
-    return _relation_group(exponent_matrix(poly).rows)
+    return _relation_group(exponent_matrix(poly))
 
 
 def gmax_bruteforce(poly: Polynomial, denominator_bound: int) -> SymmetryGroup:
@@ -389,10 +389,10 @@ def gmax_bruteforce(poly: Polynomial, denominator_bound: int) -> SymmetryGroup:
     b = _require_int("denominator bound", denominator_bound)
     if b < 1:
         raise InvalidArgument(f"denominator bound must be at least 1, got {b}")
-    matrix = exponent_matrix(poly)
-    found = [ks for ks in product(range(b), repeat=matrix.n)
-             if all(sum(map(mul, row, ks)) % b == 0 for row in matrix.rows)]
-    return _hermite_group(found, b, matrix.n)
+    rows, n = exponent_matrix(poly), poly.n_variables
+    found = [ks for ks in product(range(b), repeat=n)
+             if all(sum(map(mul, row, ks)) % b == 0 for row in rows)]
+    return _hermite_group(found, b, n)
 
 
 def is_admissible_group(group: SymmetryGroup, weights: WeightSystem) -> bool:
@@ -430,19 +430,18 @@ def transpose_group(group: SymmetryGroup, poly: Polynomial) -> SymmetryGroup:
     h fixes poly.  The dual is that relation group, generated, as `gmax`
     is, by the columns of its Smith form.
     """
-    matrix = _invertible_matrix(poly)
+    rows = _invertible_matrix(poly)
     check_symmetry(group, poly)
-    images = [[sum(a * b for a, b in zip(row, h)) // group.exponent
-               for row in matrix.rows] for h in group.gens]
-    return _relation_group(matrix.transpose().rows + tuple(images))
+    images = [[sum(map(mul, row, h)) // group.exponent for row in rows] for h in group.gens]
+    return _relation_group(list(zip(*rows)) + images)
 
 
 def gmax_fermat_plus_monomial(p: int, q: int, r: int, s: int) -> SymmetryGroup:
     """Closed-form maximal symmetry group of x^p + y^q + x^r*y^s.
 
     Requires r/p + s/q = 1, i.e. the added monomial satisfies the weights of
-    x^p + y^q; the group is generated by (1/p, 1/q) and, unless gcd(p, r)
-    = 1 makes it the identity, (1/gcd(p, r), 0).
+    x^p + y^q; the group is generated by (1/p, 1/q) and, unless it already
+    lies in the span of that one, (1/gcd(p, r), 0).
     """
     if min(p, q, r, s) < 1:
         raise ValueError("exponents must be positive")
@@ -450,8 +449,11 @@ def gmax_fermat_plus_monomial(p: int, q: int, r: int, s: int) -> SymmetryGroup:
         raise WeightConditionViolated(
             f"monomial x^{r}*y^{s} violates r/p + s/q = 1 for (p, q) = ({p}, {q})")
     n = lcm(p, q)
-    vectors = [(n // p, n // q), (n // gcd(p, r), 0)]
-    return _lattice_group([v for v in vectors if any(a % n for a in v)], n, 2)
+    first, second = (n // p, n // q), (n // gcd(p, r), 0)
+    basis = _hermite_basis([first], n, 2)
+    if _coordinates(second, basis) is None:
+        return _lattice_group([first, second], n, 2)
+    return _lattice_group([first], n, 2, basis)
 
 
 def check_symmetry(group: SymmetryGroup, poly: Polynomial) -> None:
@@ -459,12 +461,12 @@ def check_symmetry(group: SymmetryGroup, poly: Polynomial) -> None:
 
     g fixes every monomial iff A g is integral; that is additive in g, so
     the generators decide it."""
-    matrix = exponent_matrix(poly)
-    if group.ambient != matrix.n:
-        raise GroupNotSymmetry(
-            f"group lives in (Q/Z)^{group.ambient}, polynomial has {matrix.n} variables")
+    rows = exponent_matrix(poly)
+    if group.ambient != poly.n_variables:
+        raise GroupNotSymmetry(f"group lives in (Q/Z)^{group.ambient}, "
+                               f"polynomial has {poly.n_variables} variables")
     for i, v in enumerate(group.gens):
-        for row in matrix.rows:
+        for row in rows:
             if sum(a * b for a, b in zip(row, v)) % group.exponent:
                 raise GroupNotSymmetry(
                     f"element {group.generators[i]} does not fix the polynomial")

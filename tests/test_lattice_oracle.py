@@ -162,11 +162,11 @@ def inverse_columns(rows):
 
 
 def maximal_elements(poly):
-    return closure(inverse_columns(exponent_matrix(poly).rows), poly.n_variables)
+    return closure(inverse_columns(exponent_matrix(poly)), poly.n_variables)
 
 
 def transpose_part(generators, poly):
-    rows = exponent_matrix(poly).rows
+    rows = exponent_matrix(poly)
     partner = transpose_polynomial(poly)
 
     def integral(g, h):

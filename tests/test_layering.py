@@ -40,8 +40,9 @@ limit is a module constant.  No module imports `dataclasses`: the value
 classes share the small base in `value`, so `import lgmk` loads neither
 `dataclasses` nor `inspect`.  That base alone defines equality, and no
 value class repeats its constructor by storing just its fields.  A
-polynomial keeps its hash and its exponent matrix, so `mirror_sides`
-validates each polynomial's matrix once.  The CLI
+polynomial keeps its hash, and its exponent matrix is no object of its own:
+no module names an `ExponentMatrix`, and each row `exponent_matrix` gives
+is the term's own exponent tuple, not a copy.  The CLI
 states each report once: a command's handler `cmd_<name>` defines no
 function and returns its inputs and payload, and its text report is built by
 `text_<name>`, which takes the payload as its one parameter.  The
@@ -576,23 +577,23 @@ class TestOneWeightSolve:
 
 
 class TestOneExponentMatrix:
+    def test_no_module_names_an_exponent_matrix_class(self):
+        assert {name for name, tree in _module_trees()
+                if "ExponentMatrix" in _names(tree)} == set()
+        assert not hasattr(polycore.Polynomial, "_matrix")
+
     @pytest.mark.parametrize("text", [FERMAT, CHAIN, LOOP])
-    def test_mirror_sides_validates_each_matrix_once(self, monkeypatch, text):
+    def test_each_row_is_its_terms_exponent_tuple(self, monkeypatch, text):
         reads = _count_calls(monkeypatch, polycore, "exponent_matrix")
-        validated = []
-        validate = polycore.ExponentMatrix.__init__
-
-        def counted(matrix, rows):
-            validated.append(rows)
-            validate(matrix, rows)
-
-        monkeypatch.setattr(polycore.ExponentMatrix, "__init__", counted)
         poly = parse_polynomial(text)
         mirror.mirror_sides(poly)
         polys = list({id(p): p for (p,) in reads}.values())
         # W's matrix is read by the verdict, the transpose and Gmax
         assert len(reads) > len(polys) and polys[0] is poly
-        assert validated == [tuple(m.exponents for _, m in p.terms) for p in polys]
+        for p in polys:
+            rows = polycore.exponent_matrix(p)
+            assert len(rows) == len(p.terms)
+            assert all(row is mono.exponents for row, (_, mono) in zip(rows, p.terms))
 
 
 class TestOneEchelon:

@@ -10,13 +10,13 @@ from sympy import Matrix
 from lgmk import (
     Classification,
     EmptyPolynomialError,
-    ExponentMatrix,
     GradedDims,
     GroupElement,
     InvalidArgument,
     Monomial,
     NonPositiveWeight,
     NonUniqueWeights,
+    NotAdmissibleError,
     NotQuasihomogeneous,
     ParseError,
     Polynomial,
@@ -24,10 +24,14 @@ from lgmk import (
     WeightBoundViolated,
     WeightError,
     WeightSystem,
+    amodel,
+    bmodel,
     classify,
     discriminant_sign_boundary,
     exponent_matrix,
+    gmax,
     gmax_bruteforce,
+    is_nondegenerate,
     parse_polynomial,
     search_weight_systems,
     smith_normal_form,
@@ -35,6 +39,8 @@ from lgmk import (
 )
 from lgmk.mirror import _monomials_of_weight_one
 from lgmk.polycore import _echelon, _rational
+
+from conftest import INVERTIBLE_CORPUS_TEXTS
 
 # Python's `\s`: every character here is whitespace to the parser
 _SPACES = st.text(st.sampled_from(" \t\n\r\x0b\x0c\xa0\u2003"), max_size=2)
@@ -240,26 +246,32 @@ class TestCanonicalForm:
         poly = Polynomial.from_term_map(("x", "y"), term_map)
         assert parse_polynomial(str(poly)) == poly
 
+    def test_repeated_variable_names_are_refused(self):
+        # it would print as x^3 + x^3, which reads back as 2*x^3 in one variable
+        with pytest.raises(ValueError, match="repeated variable name"):
+            Polynomial.from_term_map(("x", "x"), {(3, 0): 1, (0, 3): 1})
+
 
 class TestExponentMatrix:
     def test_three_term_example(self):
         matrix = exponent_matrix(parse_polynomial("x^4 + y^4 + x^3*y"))
-        assert set(matrix.rows) == {(4, 0), (0, 4), (3, 1)}
-        assert (matrix.m, matrix.n) == (3, 2)
+        assert set(matrix) == {(4, 0), (0, 4), (3, 1)}
+        assert (len(matrix), len(matrix[0])) == (3, 2)
 
     def test_single_power(self):
-        assert exponent_matrix(parse_polynomial("x^7")).rows == ((7,),)
+        assert exponent_matrix(parse_polynomial("x^7")) == ((7,),)
 
     def test_chain_rows(self):
-        assert exponent_matrix(parse_polynomial("x^3 + x*y^2")).rows == ((3, 0), (1, 2))
+        assert exponent_matrix(parse_polynomial("x^3 + x*y^2")) == ((3, 0), (1, 2))
 
     def test_rows_follow_term_order(self):
         poly = parse_polynomial("x^2*y + x*y^3")
-        assert exponent_matrix(poly).rows == tuple(m.exponents for m in poly.monomials())
+        assert exponent_matrix(poly) == tuple(m.exponents for m in poly.monomials())
 
-    def test_zero_row_rejected(self):
-        with pytest.raises(ValueError):
-            ExponentMatrix(((1, 0), (0, 0)))
+    def test_a_zero_row_is_not_quasihomogeneous(self):
+        # a constant term: no weights give it weighted degree one
+        with pytest.raises(NotQuasihomogeneous):
+            solve_weights(((1, 0), (0, 0)))
 
 
 class TestWeightSystem:
@@ -309,6 +321,22 @@ class TestExactInputs:
         for d, delta in ((8, x), (x, F(12, 5))):
             with pytest.raises(InvalidArgument, match="is a float"):
                 discriminant_sign_boundary(d, delta, 10)
+
+    # a bool is an int to Python, but no number: True would be read as 1
+    @pytest.mark.parametrize("b", [True, False])
+    @pytest.mark.parametrize("read", [
+        lambda b: WeightSystem((b, F(1, 2))),
+        lambda b: Polynomial.from_term_map(("x", "y"), {(3, 0): 1, (0, 3): b}),
+        lambda b: GradedDims([(b, 1)]),
+        lambda b: GradedDims([(F(1, 3), 1)]).dim_at(b),
+        lambda b: search_weight_systems(b, 0, 1),
+        lambda b: discriminant_sign_boundary(8, b),
+        lambda b: GroupElement((b, 0)),
+    ], ids=["weight", "coefficient", "graded degree", "dim_at", "search target",
+            "discriminant target", "phase"])
+    def test_a_bool_is_refused(self, read, b):
+        with pytest.raises(InvalidArgument, match="is a bool"):
+            read(b)
 
 
 LIMIT = sys.get_int_max_str_digits()
@@ -391,7 +419,7 @@ class TestIntegerCounts:
     @NON_INTS
     def test_exponent_matrix(self, k):
         with pytest.raises(InvalidArgument, match="exponent must be an integer"):
-            ExponentMatrix(((3, 0), (k, 1)))
+            solve_weights(((3, 0), (k, 1)))
 
     @NON_INTS
     def test_smith_normal_form(self, k):
@@ -403,57 +431,57 @@ class TestIntegerCounts:
         assert str(Polynomial.from_term_map(("x",), {(2,): 1})) == "x^2"
         assert gmax_bruteforce(parse_polynomial("x^3"), 3).order == 3
         assert Monomial((2, 1)).exponents == (2, 1)
-        assert ExponentMatrix(((2, 1),)).rows == ((2, 1),)
+        assert tuple(solve_weights(((2, 1), (0, 2)))) == (F(1, 4), F(1, 2))
         assert smith_normal_form([[2, 1], [0, 3]])[0] == [[1, 0], [0, 6]]
 
 
 class TestSolveWeights:
     def test_three_term_example(self):
-        q = solve_weights(ExponentMatrix(((4, 0), (0, 4), (3, 1))))
+        q = solve_weights(((4, 0), (0, 4), (3, 1)))
         assert tuple(q) == (F(1, 4), F(1, 4))
 
     def test_underdetermined(self):
         with pytest.raises(NonUniqueWeights):
-            solve_weights(ExponentMatrix(((2, 1),)))
+            solve_weights(((2, 1),))
 
     def test_chain_by_hand(self):
-        q = solve_weights(ExponentMatrix(((3, 0), (1, 2))))
+        q = solve_weights(((3, 0), (1, 2)))
         assert tuple(q) == (F(1, 3), F(1, 3))
 
     def test_inconsistent_system(self):
         # x^2 and x^3 cannot both have weighted degree one
         with pytest.raises(NotQuasihomogeneous):
-            solve_weights(ExponentMatrix(((2,), (3,))))
+            solve_weights(((2,), (3,)))
 
     def test_nonpositive_weight(self):
         # x^3*y and y force q1 = 0
         with pytest.raises(NonPositiveWeight):
-            solve_weights(ExponentMatrix(((3, 1), (0, 1))))
+            solve_weights(((3, 1), (0, 1)))
 
     def test_bound_without_cross_term(self):
         # x^2 + y*x^2 ... use rows (2, 0), (1, 3): q = (1/2, 1/6) is fine;
         # rows (1, 1) absent and some weight above 1/2 must fail
         with pytest.raises(WeightBoundViolated):
-            solve_weights(ExponentMatrix(((1,),)))
+            solve_weights(((1,),))
 
     def test_cross_term_lifts_bound(self):
-        q = solve_weights(ExponentMatrix(((3, 0), (1, 1))))
+        q = solve_weights(((3, 0), (1, 1)))
         assert tuple(q) == (F(1, 3), F(2, 3))
 
 
 # The Fraction Gauss-Jordan solve that the integer elimination replaced,
 # kept verbatim as the oracle for it
-def oracle_has_cross_term(matrix: ExponentMatrix) -> bool:
-    for row in matrix.rows:
+def oracle_has_cross_term(matrix) -> bool:
+    for row in matrix:
         nonzero = [e for e in row if e]
         if len(nonzero) == 2 and nonzero == [1, 1]:
             return True
     return False
 
 
-def oracle_solve_weights(matrix: ExponentMatrix) -> WeightSystem:
-    m, n = matrix.m, matrix.n
-    aug = [[F(e) for e in row] + [F(1)] for row in matrix.rows]
+def oracle_solve_weights(matrix) -> WeightSystem:
+    m, n = len(matrix), len(matrix[0])
+    aug = [[F(e) for e in row] + [F(1)] for row in matrix]
     pivot_cols: list[int] = []
     row = 0
     for col in range(n):
@@ -499,8 +527,8 @@ def exponent_matrices(draw):
     """Matrices in 1-4 variables, random with n or n + 1 rows or chain-like
     and square, kept as drawn or changed by a row that makes them
     inconsistent (a multiple or a sum of rows) or rank deficient (a row
-    dropped), or that adds a pure variable (weight 1, above 1/2) or a
-    cross-term."""
+    dropped), or that adds a pure variable (weight 1, above 1/2), a
+    cross-term or a zero row (a constant term)."""
     n = draw(st.integers(1, 4))
     if draw(st.booleans()):
         row = st.lists(st.integers(0, 6), min_size=n, max_size=n).filter(any)
@@ -510,7 +538,7 @@ def exponent_matrices(draw):
         rows = [[draw(st.integers(1, 6)) if k == r else
                  draw(st.integers(0, 1)) if k == r + 1 else 0 for k in range(n)]
                 for r in range(n)]
-    grow = draw(st.sampled_from(["none", "multiple", "sum", "drop", "pure", "cross"]))
+    grow = draw(st.sampled_from(["none", "multiple", "sum", "drop", "pure", "cross", "zero"]))
     i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
     if grow == "multiple":
         rows.append([draw(st.integers(2, 3)) * e for e in rows[0]])
@@ -522,7 +550,9 @@ def exponent_matrices(draw):
         rows.append([int(k == i) for k in range(n)])
     elif grow == "cross" and i != j:
         rows.append([int(k in (i, j)) for k in range(n)])
-    return ExponentMatrix(tuple(map(tuple, rows)))
+    elif grow == "zero":
+        rows.insert(i, [0] * n)
+    return tuple(map(tuple, rows))
 
 
 @st.composite
@@ -544,7 +574,7 @@ def weight_one_matrices(draw):
     elif change == "cut":
         k = draw(st.integers(0, n - 1))
         rows = [row for row in rows if not row[k]] or rows
-    return ExponentMatrix(tuple(rows))
+    return tuple(rows)
 
 
 @st.composite
@@ -561,7 +591,7 @@ def chain_and_loop_matrices(draw):
         if loop or r < n - 1:
             row[(r + 1) % n] += 1
         rows.append(tuple(row))
-    return ExponentMatrix(tuple(rows))
+    return tuple(rows)
 
 
 # one matrix per outcome: weights, and each error class
@@ -575,33 +605,33 @@ ORACLE_CASES = [
     ((3, 1), (0, 1)),                # NonPositiveWeight
     ((1, 0), (0, 3)),                # WeightBoundViolated
     ((3, 0), (1, 1)),                # a cross-term lifts the bound
+    ((3, 0), (0, 3), (0, 0)),        # a constant term: NotQuasihomogeneous
 ]
 
 
 class TestSolveWeightsOracle:
     @pytest.mark.parametrize("rows", ORACLE_CASES)
     def test_each_outcome_matches_the_fraction_solve(self, rows):
-        matrix = ExponentMatrix(rows)
-        assert _outcome(solve_weights, matrix) == _outcome(oracle_solve_weights, matrix)
+        assert _outcome(solve_weights, rows) == _outcome(oracle_solve_weights, rows)
 
     def test_the_cases_reach_every_outcome(self):
         kinds = set()
         for rows in ORACLE_CASES:
-            outcome = _outcome(solve_weights, ExponentMatrix(rows))
+            outcome = _outcome(solve_weights, rows)
             kinds.add(outcome[0] if isinstance(outcome, tuple) else WeightSystem)
         assert kinds == {WeightSystem, NotQuasihomogeneous, NonUniqueWeights,
                          NonPositiveWeight, WeightBoundViolated}
 
     @settings(max_examples=400, deadline=None)
     @given(exponent_matrices())
-    @example(ExponentMatrix(((5, 0, 0, 0), (1, 4, 0, 0), (0, 1, 4, 0), (0, 0, 1, 4))))
+    @example(((5, 0, 0, 0), (1, 4, 0, 0), (0, 1, 4, 0), (0, 0, 1, 4)))
     def test_integer_solve_matches_the_fraction_solve(self, matrix):
         assert _outcome(solve_weights, matrix) == _outcome(oracle_solve_weights, matrix)
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(weight_one_matrices(), chain_and_loop_matrices()))
-    @example(ExponentMatrix(tuple(_monomials_of_weight_one(
-        WeightSystem((F(1, 6), F(1, 6), F(1, 6))))[:25])))
+    @example(tuple(_monomials_of_weight_one(
+        WeightSystem((F(1, 6), F(1, 6), F(1, 6))))[:25]))
     def test_integer_solve_matches_on_tall_and_wide_matrices(self, matrix):
         assert _outcome(solve_weights, matrix) == _outcome(oracle_solve_weights, matrix)
 
@@ -663,7 +693,7 @@ class TestClassify:
         for poly in invertible_corpus:
             matrix = exponent_matrix(poly)
             q = solve_weights(matrix)
-            for row in matrix.rows:
+            for row in matrix:
                 assert sum(a * w for a, w in zip(row, q)) == 1
 
     def test_bound_holds_without_cross_terms(self, invertible_corpus, example_table):
@@ -671,9 +701,38 @@ class TestClassify:
         for poly in polys:
             matrix = exponent_matrix(poly)
             has_cross = any(sorted(row)[-2:] == [1, 1] and sum(row) == 2
-                            for row in matrix.rows)
+                            for row in matrix)
             if not has_cross:
                 assert all(w <= F(1, 2) for w in solve_weights(matrix))
+
+
+class TestConstantTerm:
+    """A constant term is a zero row of the exponent matrix: W + 1 has no
+    weights, but it has W's Jacobian and W's diagonal symmetries."""
+
+    @pytest.mark.parametrize("text", INVERTIBLE_CORPUS_TEXTS)
+    def test_w_plus_one(self, text):
+        poly = parse_polynomial(text)
+        # built from W's term map: the parser reads no constant term
+        constant = (0,) * poly.n_variables
+        shifted = Polynomial.from_term_map(poly.variables, {**poly.term_map(), constant: 1})
+        verdict = classify(shifted)
+        assert verdict.kind is PolynomialClass.NOT_ADMISSIBLE
+        assert verdict.reason.startswith("NotQuasihomogeneous: ")
+        assert is_nondegenerate(shifted)
+        assert gmax(shifted) == gmax(poly)
+        with pytest.raises(NotAdmissibleError):
+            bmodel(shifted)
+        with pytest.raises(NotAdmissibleError):
+            amodel(shifted, gmax(poly))
+
+    def test_the_zero_polynomial(self):
+        zero = Polynomial.from_term_map(("x", "y"), {(3, 0): 0})
+        assert zero.is_zero()
+        for read in (classify, exponent_matrix, gmax):
+            with pytest.raises(InvalidArgument, match="zero polynomial"):
+                read(zero)
+        assert not is_nondegenerate(zero)
 
 
 class TestMonomial:

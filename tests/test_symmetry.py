@@ -389,13 +389,21 @@ class TestClosedFormGmax:
         with pytest.raises(WeightConditionViolated):
             gmax_fermat_plus_monomial(4, 4, 1, 1)
 
-    @pytest.mark.parametrize("p,q,r,s", [(n, n, n - 1, 1) for n in range(3, 41)] + [
-        (3, 6, 1, 4), (6, 4, 3, 2), (12, 8, 3, 6), (9, 9, 3, 6), (4, 8, 2, 4), (6, 3, 2, 2)])
+    @pytest.mark.parametrize("p,q,r,s", sorted(
+        {(n, n, n - 1, 1) for n in range(3, 41)} | {(3, 6, 1, 4), (9, 9, 3, 6), (4, 8, 2, 4)}
+        # every valid exponent with p, q <= 15, (6, 3, 2, 2), (6, 4, 3, 2) and
+        # (12, 8, 3, 6) among them: r/p + s/q = 1 with r, s >= 1
+        | {(p, q, r, q * (p - r) // p) for p in range(2, 16) for q in range(2, 16)
+           for r in range(1, p) if q * (p - r) % p == 0}))
     def test_no_generator_is_the_identity(self, p, q, r, s):
-        # (1/gcd(p, r), 0) is the identity when gcd(p, r) = 1, as on the
-        # paper's family x^n + y^n + x^(n-1)*y
+        # each generator lies outside the group of the ones before it, so none
+        # is the identity: (1/gcd(p, r), 0) is the identity when gcd(p, r) = 1,
+        # as on the paper's family x^n + y^n + x^(n-1)*y, and a multiple of
+        # (1/p, 1/q) for (6, 3, 2, 2)
         group = gmax_fermat_plus_monomial(p, q, r, s)
-        assert all(any(g.phases) for g in group.generators)
+        gens = group.generators
+        for k, g in enumerate(gens):
+            assert g not in subgroup_generated(list(gens[:k]), 2)
         full = gmax(parse_polynomial(f"x^{p} + y^{q} + x^{r}*y^{s}"))
         assert group == full and group.elements == full.elements
 

@@ -14,11 +14,12 @@ from lgmk import (
     AModel,
     BModel,
     Classification,
-    ExponentMatrix,
     GradedDims,
     GroupElement,
+    InvalidArgument,
     Monomial,
     NonPositiveWeight,
+    NotQuasihomogeneous,
     Polynomial,
     PolynomialClass,
     SearchReport,
@@ -30,6 +31,7 @@ from lgmk import (
     bmodel,
     gmax,
     parse_polynomial,
+    solve_weights,
 )
 
 THIRDS = "WeightSystem(q=(Fraction(1, 3), Fraction(1, 3)))"
@@ -42,8 +44,6 @@ CUBES_GRADED = ("GradedDims(entries=((Fraction(0, 1), 1), (Fraction(2, 3), 2), "
 # (class, build, repr text, a field outside the comparison or None)
 CASES = [
     (WeightSystem, lambda: WeightSystem((F(1, 3), F(1, 3))), THIRDS, None),
-    (ExponentMatrix, lambda: ExponentMatrix(((3, 0), (0, 3))),
-     "ExponentMatrix(rows=((3, 0), (0, 3)))", None),
     (Polynomial, lambda: parse_polynomial("x^3 + y^3"), CUBES, None),
     (Classification,
      lambda: Classification(PolynomialClass.INVERTIBLE, WeightSystem((F(1, 3), F(1, 3))),
@@ -107,7 +107,7 @@ def test_a_record_takes_one_argument_per_field(build):
 def test_a_compared_field_changes_equality():
     assert Monomial((1, 2)) != Monomial((2, 1))
     assert Staircase(((2,),), (1,)) != Staircase(((2,),), (2,))
-    assert WeightSystem((F(1, 3),)) != ExponentMatrix(((3,),))
+    assert WeightSystem((F(1, 3),)) != GroupElement((F(1, 3),))
 
 
 def test_group_elements_sort_by_their_phases():
@@ -134,9 +134,10 @@ def test_a_polynomial_keeps_its_hash():
     (lambda: Monomial((1, -1)), ValueError),
     (lambda: WeightSystem((F(1, 2), F(0))), NonPositiveWeight),
     (lambda: WeightSystem((F(-1, 2),)), NonPositiveWeight),
-    (lambda: ExponentMatrix(((1, 0), (2,))), ValueError),
-    (lambda: ExponentMatrix(()), ValueError),
-    (lambda: ExponentMatrix(((1, 0), (0, 0))), ValueError),
+    (lambda: solve_weights(((1, 0), (2,))), InvalidArgument),
+    (lambda: solve_weights(()), InvalidArgument),
+    (lambda: solve_weights(((), ())), InvalidArgument),
+    (lambda: solve_weights(((1, 0), (0, 0))), NotQuasihomogeneous),
 ])
 def test_validation_still_raises(build, error):
     with pytest.raises(error):
