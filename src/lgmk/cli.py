@@ -4,7 +4,9 @@ Each command has a handler `cmd_<name>(args)`, which computes and returns
 its inputs and its JSON payload, and a `text_<name>(payload)`, which builds
 the text report from that payload alone; `main` runs the second only when
 `--json` is absent.  So a report is stated once, and both forms carry the
-same values.
+same values.  A command line is parsed once, by its subcommand's parser;
+the top-level parser reads only a line that names no subcommand or that
+its subcommand leaves words of.
 
 Exit codes: 0 success, 2 parse error or argument out of range, 3 polynomial
 not admissible, 4 group not admissible or not a symmetry group, 5 polynomial
@@ -320,43 +322,49 @@ def text_paper_tables(payload: dict) -> list[str]:
 # Argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, and each subcommand's parser by its name."""
     parser = argparse.ArgumentParser(
         prog="lgmk",
         description="Exact A/B-model state spaces and weight-system searches "
                     "for quasihomogeneous polynomials.")
     sub = parser.add_subparsers(dest="command", required=True)
+    commands: dict[str, argparse.ArgumentParser] = {}
+
+    def command(name, **kwargs):
+        commands[name] = sub.add_parser(name, **kwargs)
+        return commands[name]
 
     def finish(p, handler, text):
         # --json comes last, so it follows the command's own options in usage
         p.add_argument("--json", action="store_true", help="emit JSON instead of text")
         p.set_defaults(handler=handler, text=text)
 
-    p = sub.add_parser("weights", help="weights, classification, nondegeneracy")
+    p = command("weights", help="weights, classification, nondegeneracy")
     p.add_argument("polynomial")
     finish(p, cmd_weights, text_weights)
 
-    p = sub.add_parser("gmax", help="maximal diagonal symmetry group")
+    p = command("gmax", help="maximal diagonal symmetry group")
     p.add_argument("polynomial")
     p.add_argument("--elements", action="store_true", help="list every element")
     finish(p, cmd_gmax, text_gmax)
 
-    p = sub.add_parser("amodel", help="A-side state space for (polynomial, group)")
+    p = command("amodel", help="A-side state space for (polynomial, group)")
     p.add_argument("polynomial")
     p.add_argument("group", help="'max', 'J', 'sl', '0', or generators 'p/q,p/q;...'")
     p.add_argument("--threads", type=int, default=1,
                    help="accepted for compatibility; sectors are computed in one thread")
     finish(p, cmd_amodel, text_amodel)
 
-    p = sub.add_parser("bmodel", help="Milnor ring as a graded vector space")
+    p = command("bmodel", help="Milnor ring as a graded vector space")
     p.add_argument("polynomial")
     finish(p, cmd_bmodel, text_bmodel)
 
-    p = sub.add_parser("mirror-check", help="graded comparison against the transpose")
+    p = command("mirror-check", help="graded comparison against the transpose")
     p.add_argument("polynomial")
     finish(p, cmd_mirror_check, text_mirror_check)
 
-    p = sub.add_parser("search", help="weight systems matching a dimension/top target")
+    p = command("search", help="weight systems matching a dimension/top target")
     p.add_argument("dim", help="target dimension (rational, e.g. 8)")
     p.add_argument("top", help="target top degree (rational, e.g. 12/5)")
     p.add_argument("vars", type=int, help="number of variables of the candidate")
@@ -365,13 +373,13 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="accepted for compatibility; tails are searched in one thread")
     finish(p, cmd_search, text_search)
 
-    p = sub.add_parser("paper-tables",
-                       help="nonexistence matrix and dimension table for the "
-                            "x^n + y^n + x^(n-1)*y family")
+    p = command("paper-tables",
+                help="nonexistence matrix and dimension table for the "
+                     "x^n + y^n + x^(n-1)*y family")
     p.add_argument("--bound", type=int, default=60)
     finish(p, cmd_paper_tables, text_paper_tables)
 
-    return parser
+    return parser, commands
 
 
 _EXIT_CODES = (
@@ -385,14 +393,26 @@ EXIT_PIPE_CLOSED = 141
 
 
 @cache
-def _parser() -> argparse.ArgumentParser:
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     # built on the first call of main, not at import: parsing leaves the
-    # parser unchanged, so every later call reuses it
+    # parsers unchanged, so every later call reuses them
     return _build_parser()
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _parser()
+    # the top-level parser only hands argv[1:] to the command's parser, so
+    # that parser reads it alone; the top-level parser runs only where it
+    # decides more, and then prints its own usage, help and error bytes
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        args = parser.parse_args(argv)
+    else:
+        args, rest = command.parse_known_args(argv[1:])
+        if rest:  # words the command's parser leaves: the top-level error
+            args = parser.parse_args(argv)
+        args.command = argv[0]
     try:
         inputs, payload = args.handler(args)
         if args.json:

@@ -102,7 +102,7 @@ from __future__ import annotations
 
 import heapq
 from itertools import accumulate, compress
-from math import gcd, prod
+from math import gcd, inf, prod
 from operator import mul, sub
 from typing import Callable, Iterable, Iterator
 
@@ -231,8 +231,15 @@ class _Packing:
 def _packed(term_maps: list[dict[Exps, int]],
             weights: tuple[int, ...]) -> tuple[_Packing, list[TermDict]]:
     """term_maps packed at a width that holds their largest grade; each
-    distinct exponent tuple is packed once."""
+    distinct exponent tuple is checked, len(weights) nonnegative ints, and
+    packed once.  Raises InvalidArgument for any other tuple."""
     tuples = set().union(*term_maps)
+    for e in tuples:
+        if len(e) != len(weights):
+            raise InvalidArgument(
+                f"grade weights must be {len(e)} positive integers, one per variable")
+        if min((_require_int("exponent", x) for x in e), default=0) < 0:
+            raise InvalidArgument("exponents must be nonnegative integers")
     top = max((sum(map(mul, e, weights)) for e in tuples), default=0)
     packing = _Packing(weights, _FIELD_BITS).fit(top)
     packed = {e: packing.pack(e) for e in tuples}
@@ -341,7 +348,9 @@ def _walk(leads, weights: tuple[int, ...],
     grade under the integer weights are walked.  A lead joins the walk at its
     first nonzero position, stays while its exponents divide the prefix and
     at its last nonzero position i caps exponent i, so a node reads only the
-    leads it has reached."""
+    leads it has reached.  The walk is lazy: a node takes its children one at
+    a time, so the work done is bounded by what the caller reads, however
+    large the grade."""
     n = len(weights)
     entering: list[list[tuple[Exps, int]]] = [[] for _ in range(n)]
     for lt in leads:
@@ -349,28 +358,62 @@ def _walk(leads, weights: tuple[int, ...],
         if not support:
             return  # the unit divides every monomial
         entering[support[0]].append((lt, support[-1]))
-    # depth first on an explicit stack: one level per variable would
-    # overflow Python's recursion limit.  Children go on descending, so they
-    # come off ascending; `left` is the grade left (unread without a grade)
-    stack: list[tuple[Exps, int, list[tuple[Exps, int]]]] = [((), grade or 0, [])]
-    while stack:
-        prefix, left, reached = stack.pop()
+    last, w = n - 1, weights[-1]
+    # the leads entering at the last position are its pure powers
+    power = min((lt[last] for lt, _ in entering[last]), default=inf)
+
+    def lasts(left: int, cap) -> range | None:
+        # the last exponents below cap, of grade `left` when walking a grade
+        if grade is None:
+            return range(cap)
+        q, r = divmod(left, w)
+        return range(q, q + 1) if not r and q < cap else None
+
+    if n == 1:
+        found = lasts(grade or 0, power)
+        if found is not None:
+            yield (), found
+        return
+
+    def node(prefix: Exps, left: int, reached: list[tuple[Exps, int]]) -> list:
+        # the frame of a node: its children's exponents at position i run
+        # from the next one, 0 here, up to the cap its leads and grade set
         i = len(prefix)
         reached = reached + entering[i]
-        w = weights[i]
         stops = [lt[i] for lt, end in reached if end == i]
         if grade is not None:
-            stops.append(left // w + 1)
-        stop = min(stops)
-        if i < n - 1:
+            stops.append(left // weights[i] + 1)
+        return [prefix, left, reached, 0, min(stops)]
+
+    # depth first on an explicit stack: one level per variable would
+    # overflow Python's recursion limit.  `left` is the grade left (unread
+    # without a grade)
+    stack = [node((), grade or 0, [])]
+    while stack:
+        frame = stack[-1]
+        prefix, left, reached, e, stop = frame
+        i = len(prefix)
+        if i == n - 2:
+            # the last level, looped here: a lead reached here joins the
+            # child's caps once e reaches its exponent at i (one ending at i
+            # has lt[i] >= stop, so it never does), and caps the last exponent
+            stack.pop()
+            joining = sorted((lt[i], lt[last]) for lt, _ in reached)
+            k, cap, wi = 0, power, weights[i]
+            for e in range(stop):
+                while k < len(joining) and joining[k][0] <= e:
+                    cap = min(cap, joining[k][1])
+                    k += 1
+                found = lasts(left - e * wi, cap)
+                if found is not None:
+                    yield prefix + (e,), found
+        elif e == stop:
+            stack.pop()
+        else:
             # a lead ending at i has lt[i] >= stop > e, so no child keeps it
-            stack.extend((prefix + (e,), left - e * w,
-                          [lead for lead in reached if lead[0][i] <= e])
-                         for e in reversed(range(stop)))
-        elif grade is None:
-            yield prefix, range(stop)
-        elif not left % w and left // w < stop:
-            yield prefix, range(left // w, left // w + 1)
+            frame[3] = e + 1
+            stack.append(node(prefix + (e,), left - e * weights[i],
+                              [lead for lead in reached if lead[0][i] <= e]))
 
 
 def _standard_count(grade: int, weights: tuple[int, ...], leads: list[Exps]) -> int:
@@ -396,12 +439,13 @@ def _candidate_grades(basis: list[TermDict], leads: list[int], n: int,
 def staircase(gens: list[dict[Exps, int]], weights: tuple[int, ...]) -> Staircase:
     """The minimal leading terms of a Groebner basis of the ideal of gens,
     integer term maps (exponent tuple -> int, empty for zero) in n variables,
-    under the order graded by `weights`, n positive integers (else
-    InvalidArgument): the normal strategy, Gebauer and Moeller's update and,
-    on a complete intersection candidate, Hilbert driving (see the module
-    docstring).  Raises ResourceLimitExceeded past STEP_LIMIT steps."""
+    under the order graded by `weights`, n positive integers (else, or for
+    a negative or non-int exponent, InvalidArgument): the normal strategy,
+    Gebauer and Moeller's update and, on a complete intersection candidate,
+    Hilbert driving (see the module docstring).  Raises ResourceLimitExceeded past STEP_LIMIT steps."""
+    weights = tuple(_require_int("grade weight", w) for w in weights)
     n = len(weights)
-    if min(weights, default=1) < 1 or any(len(e) != n for d in gens for e in d):
+    if min(weights, default=1) < 1:
         raise InvalidArgument(f"grade weights must be {n} positive integers, one per variable")
     packing, basis = _packed([d for d in gens if d], weights)
     leads = [max(d) for d in basis]

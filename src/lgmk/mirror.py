@@ -156,7 +156,7 @@ def _pair_roots(dn: int, dd: int, sn: int, sd: int) -> list[tuple[int, int, int]
 def discriminant_2var(n: int) -> int:
     """-4(2n^3 - 11n^2 + 18n - 9), the discriminant controlling the
     two-variable candidates for the x^n + y^n + x^(n-1)y family."""
-    if n < 1:
+    if _require_int("n", n) < 1:
         raise ValueError("n must be positive")
     return -4 * (2 * n**3 - 11 * n**2 + 18 * n - 9)
 
@@ -165,7 +165,7 @@ def nfamily_quadratic(n: int) -> tuple[int, int, int]:
     """Coefficients (a, b, c) of a q2^2 + b q2 + c = 0 for the family with
     dimension 2n-2 and top degree 2(2n-4)/n; kept as an independent route
     beside the generic pair solver."""
-    if n < 1:
+    if _require_int("n", n) < 1:
         raise ValueError("n must be positive")
     return (n * (2 * n - 3), 2 * (3 - 2 * n), n - 2)
 

@@ -310,6 +310,8 @@ def smith_normal_form(matrix) -> tuple[list[list[int]], list[list[int]]]:
     a = [[_require_int("matrix entry", x) for x in row] for row in matrix]
     m = len(a)
     n = len(a[0]) if m else 0
+    if any(len(row) != n for row in a):
+        raise InvalidArgument("matrix rows must all have one length")
     a += [[int(i == j) for j in range(n)] for i in range(n)]
     for t in range(min(m, n)):
         least = 0  # the pivot: the first nonzero entry of least size

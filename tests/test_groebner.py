@@ -73,6 +73,19 @@ class TestBuchberger:
         with pytest.raises(InvalidArgument, match="positive integers, one per variable"):
             staircase([{(1, 0): 1}, {(0, 2): 1}], weights)
 
+    def test_grade_weights_are_not_bools(self):
+        # True < 1 is false, so a bool passed the positivity check alone
+        with pytest.raises(InvalidArgument, match="grade weight must be an integer, got True"):
+            staircase([{(2, 0): 1}, {(0, 2): 1}], (True, True))
+
+    def test_negative_exponents_are_refused(self):
+        # packed unchecked, x^-1 borrowed from the next field: the lead came
+        # back as (255, 255)
+        with pytest.raises(InvalidArgument, match="exponents must be nonnegative integers"):
+            staircase([{(-1, 0): 1}], (1, 1))
+        with pytest.raises(InvalidArgument, match="exponents must be nonnegative integers"):
+            staircase([{(2, 0): 1, (3, -1): 1}, {(0, 2): 1}], (1, 1))
+
     def test_budget_exhaustion_is_loud(self, monkeypatch):
         monkeypatch.setattr(groebner, "STEP_LIMIT", 0)
         gens = [parse_polynomial(t) for t in ["4*x^3 + 3*x^2*y", "x^3 + 4*y^3"]]

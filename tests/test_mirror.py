@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction as F
 from itertools import product
 
@@ -400,6 +401,16 @@ class TestEnumerateSupports:
         assert str(refused.value) == (
             "the weight-one pool holds at least 10006 monomials, so its subsets "
             "of at least 6 number more than the limit of 10000")
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_a_pool_of_a_huge_grade_is_refused_in_the_time_it_reads(self, n):
+        # at (1/e, ..., 1/e) the pool is every monomial of degree e; a walk
+        # that took every child of a node at once did work linear in e before
+        # the first one was read (1.5 s at e = 10^6 in two variables)
+        begin = time.perf_counter()
+        with pytest.raises(ResourceLimitExceeded, match="pool holds at least"):
+            enumerate_admissible_supports(WeightSystem((F(1, 10**7),) * n))
+        assert time.perf_counter() - begin < 1.0
 
     @pytest.mark.parametrize("seed", range(30))
     def test_pool_is_every_exponent_vector_of_weight_one(self, seed):

@@ -27,15 +27,18 @@ from lgmk import (
     amodel,
     bmodel,
     classify,
+    discriminant_2var,
     discriminant_sign_boundary,
     exponent_matrix,
     gmax,
     gmax_bruteforce,
     is_nondegenerate,
+    nfamily_quadratic,
     parse_polynomial,
     search_weight_systems,
     smith_normal_form,
     solve_weights,
+    staircase,
 )
 from lgmk.mirror import _monomials_of_weight_one
 from lgmk.polycore import _echelon, _rational
@@ -426,6 +429,22 @@ class TestIntegerCounts:
         with pytest.raises(InvalidArgument, match="matrix entry must be an integer"):
             smith_normal_form([[k, 1], [0, 3]])
 
+    @NON_INTS
+    def test_kernel_grade_weight(self, k):
+        with pytest.raises(InvalidArgument, match="grade weight must be an integer"):
+            staircase([{(2, 0): 1}, {(0, 2): 1}], (k, 1))
+
+    @NON_INTS
+    def test_kernel_exponent(self, k):
+        with pytest.raises(InvalidArgument, match="exponent must be an integer"):
+            staircase([{(2, 0): 1}, {(k, 2): 1}], (1, 1))
+
+    @NON_INTS
+    def test_family_parameter(self, k):
+        for reader in (discriminant_2var, nfamily_quadratic):
+            with pytest.raises(InvalidArgument, match="n must be an integer"):
+                reader(k)
+
     def test_ints_are_taken_as_they_are(self):
         assert GradedDims([(F(1, 3), 2)]).dims == (2,)
         assert str(Polynomial.from_term_map(("x",), {(2,): 1})) == "x^2"
@@ -433,6 +452,8 @@ class TestIntegerCounts:
         assert Monomial((2, 1)).exponents == (2, 1)
         assert tuple(solve_weights(((2, 1), (0, 2)))) == (F(1, 4), F(1, 2))
         assert smith_normal_form([[2, 1], [0, 3]])[0] == [[1, 0], [0, 6]]
+        assert staircase([{(2, 0): 1}, {(0, 2): 1}], (1, 1)).leads == ((0, 2), (2, 0))
+        assert discriminant_2var(5) == -224 and nfamily_quadratic(3) == (9, -6, 1)
 
 
 class TestSolveWeights:

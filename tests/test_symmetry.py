@@ -113,6 +113,13 @@ class TestSmithNormalForm:
         d, _ = smith_normal_form([[4, 0], [3, 1], [0, 4]])
         assert [d[0][0], d[1][1]] == [1, 4]
 
+    @pytest.mark.parametrize("rows", [[[1, 2], [3]], [[1], [3, 4]], [[1, 2], []]])
+    def test_ragged_rows_are_refused(self, rows):
+        # unchecked, a short row raised a bare IndexError, and a long one
+        # had its extra entries ignored
+        with pytest.raises(InvalidArgument, match="rows must all have one length"):
+            smith_normal_form(rows)
+
 
 def check_smith(matrix):
     """Smith's invariants for any m x n shape: D diagonal with d_i | d_{i+1}
