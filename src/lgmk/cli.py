@@ -4,9 +4,14 @@ Each command has a handler `cmd_<name>(args)`, which computes and returns
 its inputs and its JSON payload, and a `text_<name>(payload)`, which builds
 the text report from that payload alone; `main` runs the second only when
 `--json` is absent.  So a report is stated once, and both forms carry the
-same values.  A command line is parsed once, by its subcommand's parser;
-the top-level parser reads only a line that names no subcommand or that
-its subcommand leaves words of.
+same values.  A plain command line, one that names a subcommand and gives
+only its positionals and its own option strings, each once, is read by a
+reader derived from that subcommand parser's actions, which builds the
+namespace argparse would.  Any other line (help, an error, an abbreviated or
+`=`-joined option, a word that starts with `-` as a value) goes to argparse:
+the subcommand's parser, then the top-level parser for a line that names no
+subcommand or that its subcommand leaves words of.  So every usage, help and
+error byte is argparse's own.
 
 Exit codes: 0 success, 2 parse error or argument out of range, 3 polynomial
 not admissible, 4 group not admissible or not a symmetry group, 5 polynomial
@@ -241,11 +246,10 @@ def text_mirror_check(payload: dict) -> list[str]:
 
 def _family_parameter(dim: Fraction, top: Fraction) -> int | None:
     # (d, delta) = (2n-2, 2(2n-4)/n) for an integer n >= 1?
-    n2 = (dim + 2) / 2
-    if n2.denominator != 1 or n2 < 1:
+    if dim.denominator != 1 or dim.numerator % 2 or dim.numerator < 0:
         return None
-    n = int(n2)
-    if top == Fraction(2 * (2 * n - 4), n):
+    n = dim.numerator // 2 + 1
+    if top.numerator * n == 2 * (2 * n - 4) * top.denominator:
         return n
     return None
 
@@ -322,18 +326,19 @@ def text_paper_tables(payload: dict) -> list[str]:
 # Argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser, and each subcommand's parser by its name."""
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, tuple]]:
+    """The top-level parser, and each subcommand's parser and plain reader
+    by its name."""
     parser = argparse.ArgumentParser(
         prog="lgmk",
         description="Exact A/B-model state spaces and weight-system searches "
                     "for quasihomogeneous polynomials.")
     sub = parser.add_subparsers(dest="command", required=True)
-    commands: dict[str, argparse.ArgumentParser] = {}
+    parsers: dict[str, argparse.ArgumentParser] = {}
 
     def command(name, **kwargs):
-        commands[name] = sub.add_parser(name, **kwargs)
-        return commands[name]
+        parsers[name] = sub.add_parser(name, **kwargs)
+        return parsers[name]
 
     def finish(p, handler, text):
         # --json comes last, so it follows the command's own options in usage
@@ -379,7 +384,76 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--bound", type=int, default=60)
     finish(p, cmd_paper_tables, text_paper_tables)
 
-    return parser, commands
+    return parser, {name: (p, _plain_reader(name, p)) for name, p in parsers.items()}
+
+
+def _plain_reader(name: str, command: argparse.ArgumentParser):
+    """A reader of the plain command lines of `command`, derived from its
+    own actions: it returns the namespace the top-level parser builds for
+    `[name, *words]`, or None for a line it leaves to argparse.
+
+    A line is plain when every word that starts with `-` is an exact option
+    string of the command other than help, each option comes at most once,
+    each option that takes a value is followed by a word that does not start
+    with `-`, the other words fill the positionals exactly, and every `type`
+    conversion succeeds.  Such a line is one argparse reads without help or
+    error and without deciding anything more.  A command with an action of
+    a kind the reader does not model (one that appends or counts, takes
+    other than one value or none, has choices or a string default, is a
+    required option or sits in a mutually exclusive group) leaves every line
+    to argparse.
+    """
+    defaults: dict = {"command": name}
+    positionals, options = [], {}
+    for action in command._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        if (not isinstance(action, (argparse._StoreAction, argparse._StoreConstAction))
+                or action.nargs not in (None, 0) or action.choices is not None
+                or isinstance(action.default, str) or command._mutually_exclusive_groups
+                or action.option_strings and action.required):
+            return lambda argv: None
+        defaults[action.dest] = action.default
+        for option in action.option_strings:
+            options[option] = action
+        if not action.option_strings:
+            positionals.append(action)
+    for dest, value in command._defaults.items():
+        defaults.setdefault(dest, value)
+
+    def read(argv: list[str]) -> argparse.Namespace | None:
+        values, seen, at = dict(defaults), set(), 0
+        words = iter(argv[1:])
+        for word in words:
+            if word.startswith("-"):
+                action = options.get(word)
+                if action is None or action in seen:
+                    return None
+                seen.add(action)
+                if action.nargs == 0:
+                    values[action.dest] = action.const
+                    continue
+                word = next(words, "-")
+                if word.startswith("-"):
+                    return None
+            elif at < len(positionals):
+                action = positionals[at]
+                at += 1
+            else:
+                return None
+            if action.type is not None:
+                try:
+                    word = action.type(word)
+                except (argparse.ArgumentTypeError, TypeError, ValueError):
+                    return None  # argparse reports them
+            values[action.dest] = word
+        if at < len(positionals):
+            return None
+        args = argparse.Namespace()
+        vars(args).update(values)
+        return args
+
+    return read
 
 
 _EXIT_CODES = (
@@ -392,24 +466,28 @@ _EXIT_CODES = (
 EXIT_PIPE_CLOSED = 141
 
 
+# json.dumps(report, sort_keys=True) builds this encoder on every call
+_JSON = json.JSONEncoder(sort_keys=True)
+
+
 @cache
-def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, tuple]]:
     # built on the first call of main, not at import: parsing leaves the
-    # parsers unchanged, so every later call reuses them
+    # parsers unchanged, so every later call reuses them and their readers
     return _build_parser()
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser, commands = _parser()
-    # the top-level parser only hands argv[1:] to the command's parser, so
-    # that parser reads it alone; the top-level parser runs only where it
-    # decides more, and then prints its own usage, help and error bytes
     command = commands.get(argv[0]) if argv else None
     if command is None:
         args = parser.parse_args(argv)
-    else:
-        args, rest = command.parse_known_args(argv[1:])
+    elif (args := command[1](argv)) is None:
+        # the top-level parser only hands argv[1:] to the command's parser,
+        # so that parser reads it alone; the top-level parser runs only where
+        # it decides more, and then prints its own usage, help and error bytes
+        args, rest = command[0].parse_known_args(argv[1:])
         if rest:  # words the command's parser leaves: the top-level error
             args = parser.parse_args(argv)
         args.command = argv[0]
@@ -418,7 +496,7 @@ def main(argv=None) -> int:
         if args.json:
             report = {"command": args.command, "inputs": inputs, "payload": payload,
                       "warnings": []}
-            output = json.dumps(report, sort_keys=True)
+            output = _JSON.encode(report)
         else:
             output = "\n".join(args.text(payload))
     except Exception as exc:  # noqa: BLE001 - mapped to documented exit codes

@@ -71,7 +71,9 @@ def _rational(value) -> Fraction:
     meant.  So is a bool, which is no number, and a string that is no
     number, or whose numerator or denominator would have more digits than
     `int` converts to text; its exponent e is read first, and 10^|e| is
-    built only for |e| < 3 * limit."""
+    built only for |e| < 3 * limit.  A Fraction is returned as it is."""
+    if value.__class__ is Fraction:
+        return value
     if isinstance(value, (bool, float)):
         raise InvalidArgument(
             f"{value!r} is a {type(value).__name__}; give an int, Fraction or string")
@@ -156,10 +158,17 @@ class Polynomial(_Value):
     @staticmethod
     def from_term_map(variables: Iterable[str],
                       term_map: Mapping[Exps, Fraction | int]) -> "Polynomial":
-        """Build the canonical form from an exponent-tuple -> coefficient map."""
+        """Build the canonical form from an exponent-tuple -> coefficient map.
+        The variables are one or more distinct names, each one the grammar's
+        `var` reads, so the printed polynomial parses back."""
         names = tuple(variables)
+        if not names:
+            raise ValueError("a polynomial needs at least one variable")
         if len(set(names)) != len(names):
             raise ValueError(f"repeated variable name in {names}")
+        for name in names:
+            if not (isinstance(name, str) and _NAME.fullmatch(name)):
+                raise ValueError(f"variable name {name!r} is not a letter followed by digits")
         collected = []
         for exps, coeff in term_map.items():
             c = _rational(coeff)
@@ -236,7 +245,8 @@ class Polynomial(_Value):
 
 # a name, then maybe '^' and an exponent; a missing exponent, or one written
 # p/q, is matched so that it can be refused where it stands
-_FACTOR = re.compile(r"([A-Za-z][0-9]*)(?:\s*(\^)\s*(?:(\d+)(\s*/\s*\d+)?)?)?")
+_NAME = re.compile(r"[A-Za-z][0-9]*")
+_FACTOR = re.compile(rf"({_NAME.pattern})(?:\s*(\^)\s*(?:(\d+)(\s*/\s*\d+)?)?)?")
 _TERM = re.compile(rf"""
     \s*(?P<sign>[-+]?)\s*
     (?:(?P<num>\d+)(?:\s*/\s*(?P<den>\d+))?\s*(?P<star>\*?)\s*)?   # coefficient

@@ -1,5 +1,6 @@
-"""`main` parses a command line with its subcommand's parser alone, and
-must behave exactly as the full top-level parser would.
+"""`main` reads a plain command line with its subcommand's plain reader and
+any other with its subcommand's parser alone, and must behave exactly as the
+full top-level parser would.
 
 Every handler is replaced by a recorder and every text builder by a marker,
 and the parser cache is cleared, so a case runs no pipeline.  For each argv
@@ -10,6 +11,7 @@ print the same bytes; when it succeeds, `main` must hand the handler an
 equal namespace and print the patched report.
 """
 
+import argparse
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
@@ -92,6 +94,9 @@ KNOWN = [
     ["weights", "x^3", "--js"],
     ["weights", "x^3", "--json", "--json"],
     ["weights", "x^3", "--json=1"],
+    ["weights", "-x^3+y^3"],
+    ["weights", "x^3", "x"],
+    ["weights", "", "--json"],
     ["gmax", "x^3", "--el", "--js"],
     ["gmax", "x^3", "--e"],
     ["amodel", "x^3", "max", "--threads", "2"],
@@ -102,6 +107,11 @@ KNOWN = [
     ["mirror-check", "-x^3"],
     ["search", "8", "12/5", "3", "--bo", "5"],
     ["search", "8", "12/5", "3", "--bound=5", "--json"],
+    ["search", "8", "12/5", "3", "--bound", "5", "--bound", "7"],
+    ["search", "8", "--bound", "5", "12/5", "--json", "3"],
+    ["search", "8", "12/5", " 3 ", "--bound", "1_0"],
+    ["search", "8", "12/5", "3", "--bound", "-5"],
+    ["search", "8", "12/5", "3", "--bound", "--json"],
     ["search", "8", "12/5", "3", "--bound", "x"],
     ["search", "8", "12/5", "three"],
     ["search", "8", "12/5", "-3"],
@@ -132,10 +142,11 @@ POSITIONALS = {"weights": ["x^3+y^3"], "gmax": ["x^3"], "amodel": ["x^3", "J"],
                "bmodel": ["x^3"], "mirror-check": ["x^3"], "search": ["8", "12/5", "3"],
                "paper-tables": []}
 OPTIONS = {"gmax": [["--elements"], ["--el"]], "amodel": [["--threads", "2"], ["--th", "3"]],
-           "search": [["--bound", "7"], ["--bo", "5"], ["--bound=9"], ["--threads", "2"]],
-           "paper-tables": [["--bound", "7"], ["--b", "5"]]}
+           "search": [["--bound", "7"], ["--bo", "5"], ["--bound=9"], ["--threads", "2"],
+                      ["--bound", "7", "--bound", "9"]],
+           "paper-tables": [["--bound", "7"], ["--b", "5"], ["--bound", "7", "--bound", "9"]]}
 HEADS = [*COMMANDS, "serach", "", "-h", "--help", "--json", "--js", "--"]
-WORDS = ["x^3", "-x", "max", "8", "-1", "three", "x", "5",
+WORDS = ["x^3", "-x", "-x^3+y^3", "max", "8", "-1", "three", "x", "5",
          "--bound", "--bo", "--bound=7", "--threads", "--th", "--json", "--js",
          "--elements", "--el", "-h", "--help", "--he", "--", "--unknown", "-q"]
 
@@ -178,3 +189,68 @@ def test_clearing_the_parser_cache_rebuilds_the_command_map(capsys, monkeypatch)
         assert cli._parser()[1]["weights"] is not commands["weights"]
     finally:
         cli._parser.cache_clear()
+
+
+# a plain line of each command, read without argparse, and lines that only
+# argparse reads: a polynomial that starts with '-', an '='-joined value, an
+# option given twice, an abbreviated option
+PLAIN = [["weights", "x^3+y^3", "--json"], ["gmax", "x^3", "--elements"],
+         ["amodel", "x^3", "J", "--threads", "2"], ["bmodel", "x^3"],
+         ["mirror-check", "--json", "x^3"],
+         ["search", "8", "--bound", "7", "12/5", "3", "--threads", "2", "--json"],
+         ["paper-tables", "--bound", "7"]]
+FALLBACK = [["weights", "-x^3+y^3"], ["search", "8", "12/5", "3", "--bound=5"],
+            ["search", "8", "12/5", "3", "--bound", "5", "--bound", "7"],
+            ["gmax", "x^3", "--json", "--json"], ["paper-tables", "--bo", "7"]]
+
+
+class ArgparseCalled(Exception):
+    pass
+
+
+@pytest.fixture
+def no_argparse(recorded, monkeypatch):
+    """argparse's reading pass raises; the parsers are built before it is
+    patched, as `main` builds them on its first call."""
+    cli._parser()
+
+    def refuse(self, *args, **kwargs):
+        raise ArgparseCalled(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+    yield recorded
+
+
+def test_plain_command_lines_never_reach_argparse(no_argparse):
+    assert sorted(argv[0] for argv in PLAIN) == sorted(COMMANDS)
+    for argv in PLAIN:
+        no_argparse.clear()
+        with redirect_stdout(io.StringIO()):
+            assert main(argv) == 0, argv
+        assert len(no_argparse) == 1 and no_argparse[0].command == argv[0], argv
+
+
+@pytest.mark.parametrize("argv", FALLBACK, ids=" ".join)
+def test_other_command_lines_reach_argparse(no_argparse, argv):
+    with pytest.raises(ArgparseCalled):
+        main(argv)
+    assert not no_argparse
+
+
+def _unmodelled(kind):
+    p = argparse.ArgumentParser(prog="t")
+    if kind == "exclusive":
+        p.add_mutually_exclusive_group().add_argument("--opt", action="store_true")
+    else:
+        p.add_argument("--opt", **kind)
+    return p
+
+
+@pytest.mark.parametrize("kind", [
+    {"action": "append"}, {"action": "count"}, {"nargs": "?"}, {"choices": ["a"]},
+    {"default": "a"}, {"required": True}, "exclusive"], ids=str)
+def test_a_command_with_an_action_the_reader_does_not_model_is_left_to_argparse(kind):
+    # "t" alone would be plain to a reader that ignored the action
+    assert cli._plain_reader("t", _unmodelled(kind))(["t"]) is None
+    assert cli._plain_reader("t", argparse.ArgumentParser(prog="t"))(["t"]) == \
+        argparse.Namespace(command="t")

@@ -38,7 +38,8 @@ series, so `mirror_sides` lists no standard monomial, and `BModel.basis`
 is listed only when first read.  No module reads the environment: every
 limit is a module constant.  No module imports `dataclasses`: the value
 classes share the small base in `value`, so `import lgmk` loads neither
-`dataclasses` nor `inspect`.  That base alone defines equality, and no
+`dataclasses` nor `inspect`, and without `lgmk.cli` neither `argparse` nor
+`json`.  That base alone defines equality, and no
 value class repeats its constructor by storing just its fields.  A
 polynomial keeps its hash, and its exponent matrix is no object of its own:
 no module names an `ExponentMatrix`, and each row `exponent_matrix` gives
@@ -309,10 +310,15 @@ class TestLayering:
         assert ("polycore", "re") in imports
         assert {name for name, top in imports if top == "dataclasses"} == set()
 
-    def test_import_loads_neither_dataclasses_nor_inspect(self):
-        # a fresh interpreter without site hooks: this one has loaded both
-        code = ("import sys; sys.path.insert(0, sys.argv[1]); import lgmk, lgmk.cli; "
-                "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    @pytest.mark.parametrize("imports, unloaded", [
+        ("lgmk", "{'dataclasses', 'inspect', 'argparse', 'json'}"),
+        ("lgmk, lgmk.cli", "{'dataclasses', 'inspect'}"),
+    ])
+    def test_import_loads_neither_dataclasses_nor_inspect(self, imports, unloaded):
+        # a fresh interpreter without site hooks: this one has loaded them
+        # all; the library alone leaves the command line's argparse and json
+        code = (f"import sys; sys.path.insert(0, sys.argv[1]); import {imports}; "
+                f"print(sorted({unloaded} & set(sys.modules)))")
         done = subprocess.run([sys.executable, "-I", "-S", "-c", code, os.path.dirname(SRC)],
                               capture_output=True, text=True, check=True)
         assert done.stdout.split() == ["[]"]

@@ -239,20 +239,48 @@ class TestCanonicalForm:
             assert parse_polynomial(str(poly)) == poly
 
     @settings(max_examples=150, deadline=None)
-    @given(st.dictionaries(
-        keys=st.tuples(st.integers(0, 5), st.integers(0, 5)).filter(any),
-        values=st.fractions(min_value=-4, max_value=4).filter(bool),
-        min_size=1, max_size=6).filter(
-            lambda tm: all(any(k[i] for k in tm) for i in range(2))))
-    def test_print_roundtrip_random(self, term_map):
+    @given(st.data())
+    def test_print_roundtrip_random(self, data):
+        names = data.draw(st.lists(st.from_regex(r"[A-Za-z][0-9]{0,2}", fullmatch=True),
+                                   min_size=1, max_size=4, unique=True))
+        n = len(names)
+        term_map = data.draw(st.dictionaries(
+            keys=st.tuples(*[st.integers(0, 5)] * n).filter(any),
+            values=st.fractions(min_value=-4, max_value=4).filter(bool),
+            min_size=1, max_size=6))
         # every ambient variable must occur: parse never produces unused ones
-        poly = Polynomial.from_term_map(("x", "y"), term_map)
-        assert parse_polynomial(str(poly)) == poly
+        assume(all(any(k[i] for k in term_map) for i in range(n)))
+        poly = Polynomial.from_term_map(names, term_map)
+        parsed = parse_polynomial(str(poly))
+        # parse orders the variables by first appearance in the text
+        assert sorted(parsed.variables) == sorted(names)
+        at = [parsed.variables.index(name) for name in names]
+        assert Polynomial.from_term_map(names, {
+            tuple(exps[i] for i in at): c for exps, c in parsed.term_map().items()}) == poly
 
     def test_repeated_variable_names_are_refused(self):
         # it would print as x^3 + x^3, which reads back as 2*x^3 in one variable
         with pytest.raises(ValueError, match="repeated variable name"):
             Polynomial.from_term_map(("x", "x"), {(3, 0): 1, (0, 3): 1})
+
+    @pytest.mark.parametrize("name", ["", "x y", "1", "x^2"])
+    def test_variable_names_the_grammar_cannot_read_are_refused(self, name):
+        # ("x y", "z") would print as x y^3 + z^3 and ("1", "z") as 1^3 + z^3,
+        # which parse_polynomial does not read back; ("1", "z") classified
+        with pytest.raises(ValueError, match="is not a letter followed by digits"):
+            Polynomial.from_term_map((name, "z"), {(3, 0): 1, (0, 3): 1})
+
+    def test_the_default_names_are_read_back(self):
+        names = tuple(f"x{i + 1}" for i in range(12))
+        poly = Polynomial.from_term_map(names, {
+            tuple(3 * (i == j) for j in range(12)): 1 for i in range(12)})
+        assert parse_polynomial(str(poly)) == poly
+
+    def test_a_polynomial_in_no_variables_is_refused(self):
+        # it classified with a misleading error, yet gmax gave it a group of
+        # order 1 and is_nondegenerate answered False
+        with pytest.raises(ValueError, match="at least one variable"):
+            Polynomial.from_term_map((), {(): 1})
 
 
 class TestExponentMatrix:
