@@ -172,7 +172,7 @@ def _invariant_monomials(fix, generators, exponent, poly, weights):
             g = gcd(c, exponent)
             rest = -sum((1 + a) * w[i] for a, i in zip(prefix, head)) - w[tail] * start
             if rest % g:
-                return ()
+                return range(0)
             m = exponent // g
             start += rest // g * pow(c // g, -1, m) % m * step
             step *= m

@@ -7,8 +7,10 @@ the text report from that payload alone; `main` runs the second only when
 same values.  A plain command line, one that names a subcommand and gives
 only its positionals and its own option strings, each once, is read by a
 reader derived from that subcommand parser's actions, which builds the
-namespace argparse would.  Any other line (help, an error, an abbreviated or
-`=`-joined option, a word that starts with `-` as a value) goes to argparse:
+namespace argparse would; a word that starts with `-` is a positional
+there exactly where argparse takes it for one.  Any other line (help, an
+error, an abbreviated or `=`-joined option, a value that starts with `-`
+and holds no space) goes to argparse:
 the subcommand's parser, then the top-level parser for a line that names no
 subcommand or that its subcommand leaves words of.  So every usage, help and
 error byte is argparse's own.
@@ -31,6 +33,7 @@ import os
 import sys
 from fractions import Fraction
 from functools import cache
+from operator import attrgetter
 
 from .amodel import amodel
 from .errors import (
@@ -44,6 +47,7 @@ from .errors import (
     ResourceLimitExceeded,
     WeightError,
 )
+from .groebner import _render_monomials
 from .milnor import _dim_product, _table_text, _top_sum, bmodel, is_nondegenerate
 from .mirror import (
     STATUS_NONE_EXACT,
@@ -66,7 +70,7 @@ from .symmetry import (
 
 
 def _rat(value) -> str:
-    return str(Fraction(value))
+    return str(value) if isinstance(value, Fraction) else str(Fraction(value))
 
 
 def _tuple_text(texts) -> str:
@@ -168,6 +172,14 @@ def cmd_amodel(args) -> tuple[dict, dict]:
     group = _parse_group_spec(args.group, poly, verdict.weights)
     _thread_count(args.threads)
     model = amodel(poly, group)
+    # each monomial over all the variables, 0 off its sector's fixed locus,
+    # so that one rendering prints the whole basis
+    rows = []
+    for s in model.basis:
+        row = [0] * poly.n_variables
+        for i, e in zip(sorted(fixed_locus(s.sector)), s.monomial.exponents):
+            row[i] = e
+        rows.append(tuple(row))
     payload = {
         "polynomial": str(poly),
         "group_order": group.order,
@@ -176,11 +188,10 @@ def cmd_amodel(args) -> tuple[dict, dict]:
         "top_degree": _rat(model.graded.top_degree()),
         "graded": model.graded.as_json_dict(),
         "basis": [
-            {"monomial": s.monomial.render(
-                tuple(poly.variables[i] for i in sorted(fixed_locus(s.sector)))),
+            {"monomial": text,
              "sector": [_rat(p) for p in s.sector.phases],
              "degree": _rat(s.adegree)}
-            for s in model.basis
+            for s, text in zip(model.basis, _render_monomials(poly.variables, rows))
         ],
     }
     return {"polynomial": args.polynomial, "group": args.group}, payload
@@ -209,7 +220,8 @@ def cmd_bmodel(args) -> tuple[dict, dict]:
         "top_degree": _rat(model.graded.top_degree()),
         "top_degree_formula": _rat(_top_sum(weights)),
         "graded": model.graded.as_json_dict(),
-        "basis": [m.render(poly.variables) for m in model.basis],
+        "basis": _render_monomials(poly.variables,
+                                   list(map(attrgetter("exponents"), model.basis))),
     }
     return {"polynomial": args.polynomial}, payload
 
@@ -226,12 +238,15 @@ def text_bmodel(payload: dict) -> list[str]:
 def cmd_mirror_check(args) -> tuple[dict, dict]:
     poly = parse_polynomial(args.polynomial)
     partner, a_side, b_side = mirror_sides(poly)
+    isomorphic = a_side == b_side
+    a_graded = a_side.as_json_dict()
     payload = {
         "polynomial": str(poly),
         "transpose": str(partner),
-        "a_graded": a_side.as_json_dict(),
-        "b_graded": b_side.as_json_dict(),
-        "isomorphic": a_side == b_side,
+        "a_graded": a_graded,
+        # equal tables print equal texts
+        "b_graded": a_graded if isomorphic else b_side.as_json_dict(),
+        "isomorphic": isomorphic,
     }
     return {"polynomial": args.polynomial}, payload
 
@@ -392,16 +407,20 @@ def _plain_reader(name: str, command: argparse.ArgumentParser):
     own actions: it returns the namespace the top-level parser builds for
     `[name, *words]`, or None for a line it leaves to argparse.
 
-    A line is plain when every word that starts with `-` is an exact option
-    string of the command other than help, each option comes at most once,
-    each option that takes a value is followed by a word that does not start
-    with `-`, the other words fill the positionals exactly, and every `type`
-    conversion succeeds.  Such a line is one argparse reads without help or
-    error and without deciding anything more.  A command with an action of
-    a kind the reader does not model (one that appends or counts, takes
-    other than one value or none, has choices or a string default, is a
-    required option or sits in a mutually exclusive group) leaves every line
-    to argparse.
+    A word that starts with a single `-` is a positional where argparse's
+    `_parse_optional` takes it for one: it holds a space and no `=`, its
+    first two characters are no option string of the command, and no option
+    string starts with it (so `-x^3 + y^3` is a polynomial, and `-h^3 + x^3`
+    asks for help).  A line is plain when every other word that starts with
+    `-` is an exact option string of the command other than help, each
+    option comes at most once, each option that takes a value is followed
+    by a word that is no option, the other words fill the positionals
+    exactly, and every `type` conversion succeeds.  Such a line is one
+    argparse reads without help or error and without deciding anything
+    more.  A command with an action of a kind the reader does not model
+    (one that appends or counts, takes other than one value or none, has
+    choices or a string default, is a required option or sits in a mutually
+    exclusive group) leaves every line to argparse.
     """
     defaults: dict = {"command": name}
     positionals, options = [], {}
@@ -420,12 +439,19 @@ def _plain_reader(name: str, command: argparse.ArgumentParser):
             positionals.append(action)
     for dest, value in command._defaults.items():
         defaults.setdefault(dest, value)
+    strings = command._option_string_actions
+
+    def optional(word: str) -> bool:
+        # argparse may read the word as an option string (see above)
+        return word.startswith("-") and not (
+            " " in word and "=" not in word and word[1:2] != "-" and word[:2] not in strings
+            and not any(string.startswith(word) for string in strings))
 
     def read(argv: list[str]) -> argparse.Namespace | None:
         values, seen, at = dict(defaults), set(), 0
         words = iter(argv[1:])
         for word in words:
-            if word.startswith("-"):
+            if optional(word):
                 action = options.get(word)
                 if action is None or action in seen:
                     return None
@@ -434,7 +460,7 @@ def _plain_reader(name: str, command: argparse.ArgumentParser):
                     values[action.dest] = action.const
                     continue
                 word = next(words, "-")
-                if word.startswith("-"):
+                if optional(word):
                     return None
             elif at < len(positionals):
                 action = positionals[at]

@@ -1,6 +1,7 @@
 """The Groebner kernel over Q: the staircase of a polynomial ideal.
 
-This is the bottom computing layer: it defines the `Monomial` type and
+This is the bottom computing layer: it defines the `Monomial` type, the
+one rule `_render_monomials` by which every report prints a monomial, and
 `_require_int`, which every layer uses to refuse a count that is not an
 int, and imports nothing from the rest of the package but its errors and `value`,
 the base of its value classes.  Polynomials enter as integer term maps,
@@ -51,6 +52,9 @@ a reduction cancels is one step, and a run of more than STEP_LIMIT steps
 raises ResourceLimitExceeded.
 `standard_monomials` refuses a box larger than STANDARD_MONOMIAL_BOX_LIMIT
 and walks the staircase under the leading terms, one variable at a time.
+It sorts the listing by packed keys: the key is linear in the exponents, so
+each prefix of the first n - 1 exponents is keyed by one dot product and
+its last exponents add a progression, and no monomial is packed on its own.
 That box rule guards listings only: the graded tables of `bmodel` and
 `amodel` are counted without a standard monomial.  One walk, `_walk`,
 serves listings, the counts of the Hilbert driving and its certificate, and
@@ -101,10 +105,10 @@ pair takes a step only when that fallback processes it.
 from __future__ import annotations
 
 import heapq
-from itertools import accumulate, compress
+from itertools import accumulate, compress, repeat
 from math import gcd, inf, prod
-from operator import mul, sub
-from typing import Callable, Iterable, Iterator
+from operator import getitem, itemgetter, mul, sub
+from typing import Callable, Iterator
 
 from .errors import InvalidArgument, NotFiniteDimensional, ResourceLimitExceeded
 from .value import _Value
@@ -148,15 +152,23 @@ class Monomial(_Value):
         return frozenset(i for i, e in enumerate(self.exponents) if e)
 
     def render(self, variables: tuple[str, ...]) -> str:
-        if self.is_constant():
-            return "1"
-        parts = []
-        for name, e in zip(variables, self.exponents):
-            if e == 1:
-                parts.append(name)
-            elif e > 1:
-                parts.append(f"{name}^{e}")
-        return "*".join(parts)
+        return _render_monomials(variables, [self.exponents])[0]
+
+
+def _render_monomials(variables: tuple[str, ...], rows: list[Exps]) -> list[str]:
+    """The text of each exponent tuple of rows over `variables`, by the one
+    rule every report uses: a variable of exponent 0 is left out, of
+    exponent 1 written as its name, of exponent e > 1 as `name^e`, the parts
+    joined by `*`, and the constant monomial is `1`.  Each variable's power
+    texts are made once, for the exponents rows give it."""
+    tables = []
+    for i, name in enumerate(variables):
+        table = {e: f"{name}^{e}" for e in set(map(itemgetter(i), rows))}
+        table[0], table[1] = "", name
+        tables.append(table)
+    parts = map(map, repeat(getitem), repeat(tables), rows)
+    texts = map("*".join, map(filter, repeat(None), parts))
+    return [text or "1" for text in texts]
 
 
 def _monomial(exps: Exps) -> Monomial:
@@ -590,13 +602,16 @@ def _staircase_size(leads, n: int) -> int:
 
 
 def standard_monomials(basis: Staircase,
-                       last: Callable[[Exps, int], Iterable[int]] | None = None,
+                       last: Callable[[Exps, int], range] | None = None,
                        ) -> list[Monomial]:
     """Monomials divisible by no leading term: a basis of the quotient.
 
-    Sorted ascending in the basis order.  With `last`, only those whose
-    last exponent lies in `last(prefix, stop)`, a subrange of range(stop)
-    for the others' exponents `prefix`.  Raises NotFiniteDimensional when
+    Sorted ascending in the basis order, by their packed keys: each prefix
+    of the first n - 1 exponents is keyed once, and its last exponents
+    extend the key by a progression, so no monomial is packed on its own.
+    With `last`, only those whose last exponent lies in
+    `last(prefix, stop)`, a range within range(stop), for the others'
+    exponents `prefix`.  Raises NotFiniteDimensional when
     some variable has no pure-power leading term, that is when the quotient
     is not a finite-dimensional vector space, and ResourceLimitExceeded when
     the box bounded by the pure powers holds more than
@@ -616,8 +631,18 @@ def standard_monomials(basis: Staircase,
             f"more than the limit of {STANDARD_MONOMIAL_BOX_LIMIT}")
     if not n:
         return [_monomial(())]
-    found = [prefix + (e,) for prefix, lasts in _walk(leads, weights)
-             for e in (lasts if last is None else last(prefix, lasts.stop))]
-    # every grade in the box is below its corner's
-    found.sort(key=_Packing(weights, _FIELD_BITS).fit(sum(map(mul, bounds, weights))).pack)
-    return [_monomial(exps) for exps in found]
+    # x^e packs as K = sum(e_i * c_i), c_i = w_i * 2^(B*n) - 2^(B*i): one dot
+    # product per prefix, to which the last exponents of a range add a
+    # progression of step c_last; keys are distinct, so pairs sort by key
+    packing = _Packing(weights, _FIELD_BITS).fit(sum(map(mul, bounds, weights)))
+    coeffs = [(w << packing.shift) - place for w, place in zip(weights, packing.places)]
+    step = coeffs.pop()
+    keyed: list[tuple[int, Exps]] = []
+    for prefix, lasts in _walk(leads, weights):
+        if last is not None:
+            lasts = last(prefix, lasts.stop)
+        key = sum(map(mul, prefix, coeffs))
+        keyed += zip(range(key + lasts.start * step, key + lasts.stop * step, lasts.step * step),
+                     map(prefix.__add__, zip(lasts)))
+    keyed.sort()
+    return list(map(_monomial, map(itemgetter(1), keyed)))

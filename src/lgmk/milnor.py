@@ -23,13 +23,18 @@ prod (1 - t^(1 - q_i)) / (1 - t^(q_i)).  Over the lcm L of the weight
 denominators, with integer weights w_i = L*q_i, that is a polynomial in
 u = t^(1/L) of degree top = sum(L - 2 w_i), computed as a dense list of
 top + 1 integers by groebner's complete intersection series over the
-generator grades L - w_i.  The series lives in groebner because the kernel
+generator grades L - w_i.  Its coefficients are nonnegative, so the table
+is built from the series itself: the nonzero coefficients, kept by
+`filter`, are the dimensions, at the degree numerators 2k that `compress`
+keeps, over L.  The series lives in groebner because the kernel
 reads the same one: its pair loop is Hilbert driven on a Jacobian, and
 certifies its staircase by the Milnor number.
 `BModel.basis` lists the standard monomials only when first read, as the
 CLI does to print them, and their count in every degree must equal the
 series', so the Groebner route and the closed form check each other
-wherever a basis is printed.  Each side has its own limit: the box rule of
+wherever a basis is printed.  The listing packs no monomial on its own
+(see `standard_monomials`), and the listed degrees are summed one exponent
+column at a time.  Each side has its own limit: the box rule of
 `standard_monomials` guards only the listing, and `bmodel` refuses a series
 of more than STANDARD_MONOMIAL_BOX_LIMIT coefficients before it allocates
 one.  The two lengths differ both ways: the series' top + 1 grows with L
@@ -51,8 +56,9 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
-from operator import mul
+from itertools import compress, repeat
+from math import gcd, prod
+from operator import add, attrgetter, mul
 from typing import Iterable, Mapping
 
 from . import groebner
@@ -104,7 +110,13 @@ class GradedDims(_Value):
         if 0 in dims:
             keys = [n for n in keys if counts[n]]
             dims = tuple(filter(None, dims))
-        numerators = [n - shift for n in keys]
+        return GradedDims._over_least_scale([n - shift for n in keys], dims, scale)
+
+    @staticmethod
+    def _over_least_scale(numerators: list[int], dims: tuple[int, ...],
+                          scale: int) -> "GradedDims":
+        """The table of ascending integer degree numerators over scale > 0,
+        with their positive dimensions, kept over the least scale."""
         g = gcd(scale, *numerators)
         graded = object.__new__(GradedDims)
         graded.__dict__.update(scale=scale // g, numerators=tuple(n // g for n in numerators),
@@ -175,12 +187,16 @@ class BModel(_Value):
         Raises LgmkError if the listing has a different number of monomials
         than the series in some degree."""
         monomials = tuple(standard_monomials(classify(self.source).staircase))
-        # degree 2*sum(e_i q_i) = 2k/L, counted by its numerator 2k over L;
-        # the table keeps the series over its least scale, a divisor of L
+        # degree 2*sum(e_i q_i) = 2k/L, counted by its numerator 2k over L
+        # and summed one exponent column at a time; the table keeps the
+        # series over its least scale, a divisor of L
         scale, integer_weights = self.weights.integer_form
-        listed = Counter(2 * sum(map(mul, m.exponents, integer_weights)) for m in monomials)
+        grades = repeat(0, len(monomials))
+        for column, w in zip(zip(*map(attrgetter("exponents"), monomials)), integer_weights):
+            grades = map(add, grades, map(mul, column, repeat(2 * w)))
+        listed = Counter(grades)
         factor = scale // self.graded.scale
-        series = {n * factor: k for n, k in zip(self.graded.numerators, self.graded.dims)}
+        series = dict(zip(map(factor.__mul__, self.graded.numerators), self.graded.dims))
         if listed != series:
             n = min(n for n in listed.keys() | series.keys()
                     if listed[n] != series.get(n, 0))
@@ -203,14 +219,16 @@ def is_nondegenerate(poly: Polynomial) -> bool:
 
 
 def _dim_product(weights: WeightSystem) -> Fraction:
-    result = Fraction(1)
-    for q in weights:
-        result *= 1 / q - 1
-    return result
+    """prod(1/q_i - 1), the Milnor number: prod(L - w_i) / prod(w_i) over
+    the integer form (L, w_i = L*q_i)."""
+    scale, integer_weights = weights.integer_form
+    return Fraction(prod(scale - w for w in integer_weights), prod(integer_weights))
 
 
 def _top_sum(weights: WeightSystem) -> Fraction:
-    return 2 * sum((1 - 2 * q for q in weights), Fraction(0))
+    """2*sum(1 - 2 q_i) = 2*(n*L - 2*sum(w_i)) / L over the integer form."""
+    scale, integer_weights = weights.integer_form
+    return Fraction(2 * (len(integer_weights) * scale - 2 * sum(integer_weights)), scale)
 
 
 def btop_formula(weights: WeightSystem) -> Fraction:
@@ -243,5 +261,8 @@ def bmodel(poly: Polynomial) -> BModel:
             f"more than the limit of {limit}")
     series = groebner._complete_intersection_series(
         [scale - w for w in integer_weights], integer_weights)
-    counts = {2 * k: c for k, c in enumerate(series) if c}
-    return BModel(poly, weights, GradedDims._from_counts(counts, scale))
+    # the series' coefficients are nonnegative, so its nonzero ones are the
+    # table's dimensions, at the numerators 2k of their exponents k
+    numerators = list(compress(range(0, 2 * size, 2), series))
+    return BModel(poly, weights,
+                  GradedDims._over_least_scale(numerators, tuple(filter(None, series)), scale))

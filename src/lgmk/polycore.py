@@ -49,7 +49,8 @@ from .errors import (
     WeightBoundViolated,
     WeightError,
 )
-from .groebner import Exps, Monomial, Staircase, _monomial, _require_int, staircase
+from .groebner import (Exps, Monomial, Staircase, _monomial, _render_monomials, _require_int,
+                       staircase)
 from .value import _Value
 
 
@@ -203,20 +204,16 @@ class Polynomial(_Value):
     def __str__(self) -> str:
         if not self.terms:
             return "0"
+        texts = _render_monomials(self.variables, [m.exponents for _, m in self.terms])
         chunks = []
-        for i, (coeff, mono) in enumerate(self.terms):
-            mag = abs(coeff)
-            if mono.is_constant():
-                body = str(mag)
-            elif mag == 1:
-                body = mono.render(self.variables)
-            else:
-                body = f"{mag}*{mono.render(self.variables)}"
-            if i == 0:
-                chunks.append(body if coeff > 0 else f"-{body}")
-            else:
-                chunks.append(f" + {body}" if coeff > 0 else f" - {body}")
-        return "".join(chunks)
+        for (coeff, _), text in zip(self.terms, texts):
+            # |coeff| as str(Fraction) prints it, read off its integers
+            num, den = coeff.numerator, coeff.denominator
+            mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
+            body = text if mag == "1" else mag if text == "1" else f"{mag}*{text}"
+            chunks.append(f" + {body}" if num > 0 else f" - {body}")
+        signed = "".join(chunks)
+        return signed[3:] if self.terms[0][0].numerator > 0 else "-" + signed[3:]
 
 
 # ---------------------------------------------------------------------------

@@ -303,6 +303,37 @@ class TestStandardMonomials:
         keys = [order_key(found.weights, m.exponents) for m in monomials]
         assert keys == sorted(keys)
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_listing_is_the_sorted_box_filter(self, data):
+        """The box of exponent tuples under the pure powers, less the tuples a
+        lead divides, sorted by `order_key`; with a `last` filter, only the
+        tuples whose last exponent is start + prefix sum mod step.  Weights
+        up to 40 make some listings pack at a wider field."""
+        n = data.draw(st.integers(1, 4), label="n")
+        weights = tuple(data.draw(st.lists(st.integers(1, 40), min_size=n, max_size=n)))
+        bounds = data.draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
+        pure = [tuple(b if j == i else 0 for j in range(n)) for i, b in enumerate(bounds)]
+        leads = data.draw(st.lists(st.tuples(*[st.integers(0, 6)] * n), max_size=6))
+        if data.draw(st.booleans(), label="unit"):
+            leads.append((0,) * n)
+        leads = data.draw(st.permutations(leads + pure))
+        spec = data.draw(st.none() | st.tuples(st.integers(0, 4), st.integers(1, 4)),
+                         label="last")
+        last = None
+        if spec is not None:
+            start, step = spec
+
+            def last(prefix, stop):
+                return range((start + sum(prefix)) % step, stop, step)
+
+        found = [m.exponents for m in
+                 standard_monomials(Staircase(tuple(leads), weights), last)]
+        box = [exps for exps in product(*map(range, bounds))
+               if not any(all(map(int.__le__, lt, exps)) for lt in leads)
+               and (spec is None or (exps[-1] - start - sum(exps[:-1])) % step == 0)]
+        assert found == sorted(box, key=partial(order_key, weights))
+
     def test_count_matches_weight_formula_on_corpus(self, invertible_corpus):
         for poly in invertible_corpus:
             weights = solve_weights(exponent_matrix(poly))

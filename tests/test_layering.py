@@ -35,7 +35,9 @@ once per Hermite form and once per kernel.  `amodel` counts its
 graded table from the group's integer coordinate columns: it lists no
 vector and builds no `SectorElement` until its basis is read.  `bmodel` counts its table from the Milnor-Orlik
 series, so `mirror_sides` lists no standard monomial, and `BModel.basis`
-is listed only when first read.  No module reads the environment: every
+is listed only when first read.  Listing it packs no monomial on its own,
+and a series that disagrees with the listing raises `LgmkError` naming the
+least degree where they differ.  No module reads the environment: every
 limit is a module constant.  No module imports `dataclasses`: the value
 classes share the small base in `value`, so `import lgmk` loads neither
 `dataclasses` nor `inspect`, and without `lgmk.cli` neither `argparse` nor
@@ -82,6 +84,7 @@ from lgmk import (
     transpose_group,
 )
 from lgmk import cli, groebner, milnor, mirror, polycore, symmetry
+from lgmk.errors import LgmkError
 
 from conftest import family_polynomial, j_group, kernel_staircase
 
@@ -654,6 +657,49 @@ class TestKeyMemo:
         # each input exponent tuple once, and no other tuple: pair lcms,
         # shifts and every product in the division loop are integer sums
         assert packed == Counter({exps: 1 for g in gens for exps in g.term_map()})
+
+
+class TestBasisListing:
+    @pytest.mark.parametrize("text", [DENSE, CHAIN, LOOP, "x^7 + y^5 + x*z^4"])
+    def test_listing_the_milnor_basis_packs_no_monomial(self, monkeypatch, text):
+        poly = parse_polynomial(text)
+        assert polycore.classify(poly).staircase is not None  # the kernel's run packs
+        model = milnor.bmodel(poly)
+        packed = []
+        pack = groebner._Packing.pack
+
+        def counted(self, exps):
+            packed.append(exps)
+            return pack(self, exps)
+
+        monkeypatch.setattr(groebner._Packing, "pack", counted)
+        assert len(model.basis) == model.graded.total_dim
+        assert packed == []
+
+    @pytest.mark.parametrize("mutant", ["move", "drop", "add"])
+    def test_a_series_that_disagrees_with_the_listing_names_its_least_degree(self, mutant):
+        poly = parse_polynomial(DENSE)
+        model = milnor.bmodel(poly)
+        table = dict(model.graded.entries)
+        degrees = sorted(table)
+        low, high = degrees[1], degrees[-2]
+        if mutant == "move":  # one dimension moved up, the total kept
+            table[low] -= 1
+            table[high] += 1
+            wrong, listed, counted = low, table[low] + 1, table[low]
+        elif mutant == "drop":
+            wrong, listed, counted = high, table.pop(high), 0
+        else:  # a degree the listing never reaches
+            wrong, listed, counted = 2 * degrees[-1] - degrees[-2], 0, 2
+            table[wrong] = counted
+        mutated = milnor.BModel(poly, model.weights,
+                                milnor.GradedDims((d, k) for d, k in table.items() if k))
+        with pytest.raises(LgmkError) as raised:
+            mutated.basis
+        assert str(raised.value) == (
+            f"the Milnor basis of {poly} lists {listed} monomials of degree {wrong}, "
+            f"but the series counts {counted}")
+        assert "basis" not in mutated.__dict__
 
 
 class TestFractionFreeDivision:

@@ -245,8 +245,9 @@ class TestCanonicalForm:
                                    min_size=1, max_size=4, unique=True))
         n = len(names)
         term_map = data.draw(st.dictionaries(
-            keys=st.tuples(*[st.integers(0, 5)] * n).filter(any),
-            values=st.fractions(min_value=-4, max_value=4).filter(bool),
+            keys=st.tuples(*[st.integers(0, 5) | st.integers(0, 10**12)] * n).filter(any),
+            values=(st.fractions(min_value=-4, max_value=4)
+                    | st.fractions(max_denominator=10**9)).filter(bool),
             min_size=1, max_size=6))
         # every ambient variable must occur: parse never produces unused ones
         assume(all(any(k[i] for k in term_map) for i in range(n)))
