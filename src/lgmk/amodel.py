@@ -36,6 +36,14 @@ by one table lookup and one addition per coordinate; it never lists the
 vectors as tuples or the phase elements, and hands the counts to
 `GradedDims._from_counts` over the scale N, which builds no `Fraction`.
 
+A given group is always counted whole.  `mirror_sides` counts a W that
+splits into atoms in disjoint variables without Gmax(W): Gmax splits over
+them, and A(W1 + W2, G1 x G2) = A(W1, G1) (x) A(W2, G2), the tensor law of
+Fan-Jarvis-Ruan (2013) and Krawitz (2010), so it counts each atom here
+over the atom's own Gmax, memoizes the table by the atom's exponent rows,
+and tensors the tables.  Its B side counts the whole W^T by the
+Milnor-Orlik series, so the two sides remain independent routes.
+
 The basis elements [m; g] are listed only when `AModel.basis` is first
 read, as the CLI does to print them: the full locus reads W's staircase
 from `classify`'s record, which builds it on that first read, and each
@@ -52,7 +60,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, repeat
 from math import gcd, prod
 from operator import add
 
@@ -254,15 +262,14 @@ def amodel(poly: Polynomial, group: SymmetryGroup) -> AModel:
     for k, column in enumerate(_columns(exponent, group.basis)):
         table = [exponent << n, *range((2 << n) + (1 << k), exponent * (2 << n), 2 << n)]
         keys = list(map(add, keys, map(table.__getitem__, column)))
-    mask = (1 << n) - 1
-    moved_bits = Counter(map(mask.__and__, keys))
-    by_pattern = _invariant_counts(moved_bits, group.order, weights)
+    patterns = list(map(((1 << n) - 1).__and__, keys))
+    by_pattern = _invariant_counts(Counter(patterns), group.order, weights)
     locus_counts = {frozenset(i for i in range(n) if not bits >> i & 1): count
                     for bits, count in by_pattern.items()}
-    # elements with one key share their locus and their degree
-    counts: Counter[int] = Counter()
-    for key, count in Counter(keys).items():
-        counts[key >> n] += count * by_pattern[key & mask]
+    # each element adds its locus's count at its degree numerator key >> n:
+    # one weighted count, the numerator repeated that many times
+    counts = Counter(chain.from_iterable(map(
+        repeat, map(n.__rrshift__, keys), map(by_pattern.__getitem__, patterns))))
     graded = GradedDims._from_counts(counts, exponent, _degree_shift(weights, exponent))
     return AModel(poly, group, graded, locus_counts)
 

@@ -48,7 +48,9 @@ exponent, and the table divides that scale and its numerators by their gcd
 once.  It is a value like the models that hold it: tables compare and hash
 by these fields, and refuse assignment, so a table hashed into a model
 stays as it was.  They render `n/s` reduced by `gcd` as `str(Fraction)`
-would; a `Fraction` is built only when `entries` is read.
+would; a `Fraction` is built only when `entries` is read.  `tensor` is the
+graded tensor product, over the lcm of the two scales: `mirror_sides`
+builds the A side of a W that splits into atoms from it.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress, repeat
-from math import gcd, prod
+from math import gcd, lcm, prod
 from operator import add, attrgetter, mul
 from typing import Iterable, Mapping
 
@@ -122,6 +124,21 @@ class GradedDims(_Value):
         graded.__dict__.update(scale=scale // g, numerators=tuple(n // g for n in numerators),
                                dims=dims)
         return graded
+
+    def tensor(self, other: "GradedDims") -> "GradedDims":
+        """The graded tensor product: each pair of entries adds its degrees
+        and multiplies its dimensions, both tables read over the lcm of
+        their scales.  It forms len(self.dims) * len(other.dims) products."""
+        scale = lcm(self.scale, other.scale)
+        left, right = scale // self.scale, scale // other.scale
+        numerators = [right * m for m in other.numerators]
+        counts: dict[int, int] = {}
+        get = counts.get
+        for n, k in zip(self.numerators, self.dims):
+            shift = left * n
+            for m, d in zip(numerators, other.dims):
+                counts[shift + m] = get(shift + m, 0) + k * d
+        return GradedDims._from_counts(counts, scale)
 
     @property
     def entries(self) -> tuple[tuple[Fraction, int], ...]:

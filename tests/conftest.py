@@ -33,6 +33,19 @@ LOOP_3 = [f"x^{a}*y + y^{b}*z + z^{c}*x" for a, b, c in
 INVERTIBLE_CORPUS_TEXTS = (FERMAT_1 + FERMAT_2 + FERMAT_3 +
                            CHAIN_2 + LOOP_2 + CHAIN_3 + LOOP_3)
 
+# four-variable chains, loops and chains beside a Fermat summand whose Gmax,
+# of order 448 to 1152, has a Hermite basis with entries off the diagonal
+HERMITE_TEXTS = [
+    "x^4*y + y^6*z + z^5*w + w^7",
+    "x^7*y + y^2*z + z^8*w + w^4",
+    "x^6*y + y^4*z + z^6*w + w^4*x",
+    "x^7*y + y^7*z + z^3*w + w^7*x",
+    "x^5*y + y^5*z + z^5*w + w^8*x",
+    "x^4*y + y^6*z + z^5 + w^7",
+    "x^8*y + y^5*z + z^4 + w^6",
+    "x^6*y + y^8*z + z^6 + w^4",
+]
+
 # Admissible two-variable examples with weights (1/n, 1/n), n = 4..7.
 EXAMPLE_TABLE = {
     4: ["x^4 + y^4 + x^3*y", "x^4 + x^2*y^2 + x*y^3", "x^4 + x*y^3"],

@@ -239,13 +239,15 @@ class TestExitCodes:
     def test_box_limit_refuses_only_the_listing(self, capsys):
         # the x^60 Fermat sum: a series of 233 coefficients, a box of 59^4
         # tuples; bmodel prints its basis, and the A side of mirror-check
-        # lists Gmax, of order 60^4
+        # never lists Gmax, of order 60^4: it counts the four atoms x^60,
+        # each over its own Gmax of order 60, and tensors their tables
         code, out, err = run(capsys, "bmodel", "x^60+y^60+z^60+w^60")
         assert (code, out) == (6, "")
         assert "box of 12117361" in err and err.count("\n") == 1
-        code, out, err = run(capsys, "mirror-check", "x^60+y^60+z^60+w^60")
-        assert (code, out) == (6, "")
-        assert "order 12960000" in err and err.count("\n") == 1
+        begin = time.perf_counter()
+        report = run_json(capsys, "mirror-check", "x^60+y^60+z^60+w^60")
+        assert time.perf_counter() - begin < 1
+        assert report["payload"]["isomorphic"] is True
 
 # Gmax of x^N is Z/N, here of order 10^20 - 1: the group itself answers at
 # once, and listing its elements is refused before any is built
@@ -270,6 +272,17 @@ class TestGroupOrderLimit:
         assert (code, out) == (6, "")
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "order 99999999999999999999" in err
+
+    def test_the_tensor_product_of_atoms_is_bounded(self, capsys):
+        # the atoms' tables have 2, 4, 6, 10, 12, 16, 18 and 22 entries, and
+        # no two sums of their degrees coincide: the seventh factor would
+        # take the products formed past GROUP_ORDER_LIMIT
+        begin = time.perf_counter()
+        code, out, err = run(capsys, "mirror-check", "a^3+b^5+c^7+d^11+e^13+f^17+g^19+h^23")
+        assert time.perf_counter() - begin < 1
+        assert (code, out) == (6, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "8 atoms" in err and "more than 1000000 products" in err
 
 
 def _limit_rows() -> list[list[str]]:

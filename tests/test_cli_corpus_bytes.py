@@ -65,7 +65,7 @@ import pytest
 from lgmk import cli
 from lgmk.cli import main
 
-from conftest import INVERTIBLE_CORPUS_TEXTS
+from conftest import HERMITE_TEXTS, INVERTIBLE_CORPUS_TEXTS
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -79,20 +79,6 @@ RECORDS = _load("cli_invertible_corpus.json")
 SEARCH_RECORDS = _load("cli_search_corpus.json")
 BMODEL_RECORDS = _load("cli_bmodel_corpus.json")
 TEXT_RECORDS = _load("cli_text_corpus.json")
-
-
-# four-variable chains, loops and chains beside a Fermat summand whose Gmax,
-# of order 448 to 1152, has a Hermite basis with entries off the diagonal
-HERMITE_TEXTS = [
-    "x^4*y + y^6*z + z^5*w + w^7",
-    "x^7*y + y^2*z + z^8*w + w^4",
-    "x^6*y + y^4*z + z^6*w + w^4*x",
-    "x^7*y + y^7*z + z^3*w + w^7*x",
-    "x^5*y + y^5*z + z^5*w + w^8*x",
-    "x^4*y + y^6*z + z^5 + w^7",
-    "x^8*y + y^5*z + z^4 + w^6",
-    "x^6*y + y^8*z + z^6 + w^4",
-]
 
 
 def test_every_corpus_command_is_recorded():

@@ -59,8 +59,14 @@ KNOWN = [
     (["search", "8", "12/5", "1000000000"], 0),
     # the all-halves solution, which would list 10^9 weights
     (["search", "1", "0", "1000000000"], 6),
-    # Gmax has order 12,960,000, above GROUP_ORDER_LIMIT
-    (["mirror-check", "x^60+y^60+z^60+w^60"], 6),
+    # Gmax has order 12,960,000, above GROUP_ORDER_LIMIT, but W splits into
+    # four atoms x^60, each counted over its own Gmax of order 60
+    (["mirror-check", "x^60+y^60+z^60+w^60"], 0),
+    # a connected W whose Gmax has order 1,002,001, above GROUP_ORDER_LIMIT
+    (["mirror-check", "x^1001*y+y^1001"], 6),
+    # eight atoms whose tables' degrees never coincide: their tensor product
+    # would form about 7 * 10^7 products, so GROUP_ORDER_LIMIT ends it
+    (["mirror-check", "a^3+b^5+c^7+d^11+e^13+f^17+g^19+h^23"], 6),
     # a Milnor-Orlik series of 108,423,999 coefficients
     (["bmodel", "a^3+b^4+c^5+d^7+e^11+f^13+g^17+h^19"], 6),
     # the kernel decides this W, whose Milnor-Orlik series would hold

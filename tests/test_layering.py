@@ -3,7 +3,8 @@
 The modules import one another at module level only, each from modules
 below it in LAYER_ORDER, type-only imports included.  `classify`, in
 polycore, runs the Jacobian staircase beside it.  Its memo is the only one
-keyed by a polynomial: `classify`'s record holds the weights, their
+keyed by a polynomial (`mirror`'s memo of atom tables is keyed by exponent
+rows, and both are bounded): `classify`'s record holds the weights, their
 integer form (L, L*q_i) and W's Jacobian staircase, so starting from empty
 memos the weights of each distinct polynomial are solved once and the
 Groebner kernel `staircase` runs at most once per distinct polynomial
@@ -632,6 +633,9 @@ class TestOneEchelon:
 class TestMemo:
     def test_memo_is_bounded(self):
         assert polycore._memoized_classify.cache_info().maxsize is not None
+
+    def test_atom_memo_is_bounded(self):
+        assert mirror._atom_table.cache_info().maxsize is not None
 
 
 # dense, with weights (1/4, 1/4, 1/2); its Jacobian has 10 distinct exponent

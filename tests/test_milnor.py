@@ -57,6 +57,28 @@ class TestGradedDims:
         assert graded.as_json_dict() == {"0": 1, "12/5": 1}
 
 
+tables = st.dictionaries(st.fractions(-4, 4, max_denominator=12), st.integers(1, 5),
+                         max_size=8).map(lambda dims: GradedDims(dims.items()))
+
+
+class TestTensor:
+    @settings(max_examples=100, deadline=None)
+    @given(tables, tables)
+    def test_degrees_add_and_dimensions_multiply(self, a, b):
+        expected = Counter()
+        for (d, k), (e, m) in product(a.entries, b.entries):
+            expected[d + e] += k * m
+        assert a.tensor(b) == GradedDims(expected.items())
+        assert a.tensor(b) == b.tensor(a)
+        assert a.tensor(b).total_dim == a.total_dim * b.total_dim
+
+    def test_the_point_in_degree_zero_is_the_unit(self):
+        graded = GradedDims.from_degrees([F(0), F(2, 3), F(2, 3), F(4, 3)])
+        unit = GradedDims.from_degrees([F(0)])
+        assert graded.tensor(unit) == graded == unit.tensor(graded)
+        assert graded.tensor(GradedDims(())) == GradedDims(())
+
+
 class TestIntegerCounts:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(-60, 60), max_size=30),

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import time
@@ -9,14 +10,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lgmk import (
+    GradedDims,
     InvalidArgument,
     NotAdmissibleError,
     NotInvertible,
     ResourceLimitExceeded,
     WeightSystem,
+    amodel,
     discriminant_2var,
     discriminant_sign_boundary,
     enumerate_admissible_supports,
+    exponent_matrix,
+    gmax,
     mirror_check,
     nfamily_pair_solutions,
     nfamily_quadratic,
@@ -25,8 +30,11 @@ from lgmk import (
     search_weight_systems,
     transpose_polynomial,
 )
-from lgmk import mirror
+from lgmk import mirror, symmetry
 from lgmk.mirror import STATUS_FOUND, STATUS_NONE_EXACT, STATUS_NONE_WITHIN_BOUND
+
+from conftest import HERMITE_TEXTS, INVERTIBLE_CORPUS_TEXTS
+from regen_workload_digests import DIGESTS, gen
 
 
 class TestTranspose:
@@ -70,6 +78,108 @@ class TestMirrorCheck:
     def test_rejects_noninvertible(self):
         with pytest.raises(NotInvertible):
             mirror_check(parse_polynomial("x^4 + y^4 + x^3*y"))
+
+
+def _mirror_corpus_texts() -> list[str]:
+    """Every polynomial of the mirror-corpus benchmark jobs replayed by
+    test_workload_replay: seed 1 at the benchmark's block count."""
+    with open(DIGESTS) as handle:
+        record = json.load(handle)["mirror-corpus"]
+    return [job["argv"][1] for job in gen.jobs("mirror-corpus", record["seed"], record["blocks"])]
+
+
+SPLIT_CORPORA = {"invertible": INVERTIBLE_CORPUS_TEXTS, "hermite": HERMITE_TEXTS,
+                 "mirror-corpus": _mirror_corpus_texts()}
+
+
+def _split_tables(texts) -> tuple[list, list]:
+    """The A side `mirror_sides` counts and amodel at Gmax(W) for each text
+    that splits into more than one atom."""
+    polys = [parse_polynomial(text) for text in texts]
+    polys = [p for p in polys if len(mirror._atoms(exponent_matrix(p))) > 1]
+    return ([mirror._gmax_table(p) for p in polys],
+            [amodel(p, gmax(p)).graded for p in polys])
+
+
+class TestSplitTable:
+    """A W whose variables split into atoms is counted as the tensor product
+    of its atoms' tables: the oracle is amodel over Gmax(W) itself."""
+
+    @pytest.mark.parametrize("corpus", sorted(SPLIT_CORPORA))
+    def test_the_tensor_product_is_the_whole_group_table(self, corpus):
+        split, whole = _split_tables(SPLIT_CORPORA[corpus])
+        assert split and split == whole
+
+    def test_clearing_the_memo_gives_the_same_tables(self):
+        texts = [text for corpus in SPLIT_CORPORA.values() for text in corpus]
+        first, _ = _split_tables(texts)
+        assert mirror._atom_table.cache_info().hits
+        mirror._atom_table.cache_clear()
+        again, _ = _split_tables(texts)
+        assert mirror._atom_table.cache_info().misses
+        assert again == first
+
+    def test_a_tensor_product_that_ignores_the_scales_fails_the_oracle(self, monkeypatch):
+        def unscaled(self, other):
+            # degrees added as numerators over the larger scale alone
+            counts = {}
+            for n, k in zip(self.numerators, self.dims):
+                for m, d in zip(other.numerators, other.dims):
+                    counts[n + m] = counts.get(n + m, 0) + k * d
+            return GradedDims._from_counts(counts, max(self.scale, other.scale))
+
+        monkeypatch.setattr(GradedDims, "tensor", unscaled)
+        mirror._atom_table.cache_clear()
+        split, whole = _split_tables(INVERTIBLE_CORPUS_TEXTS + HERMITE_TEXTS)
+        assert split != whole
+
+    def test_a_split_w_builds_no_gmax_of_its_own(self, monkeypatch):
+        built = []
+
+        def recorded(poly):
+            built.append(poly)
+            return gmax(poly)
+
+        monkeypatch.setattr(mirror, "gmax", recorded)
+        mirror._atom_table.cache_clear()
+        poly = parse_polynomial("x^4*y + y^6*z + z^5 + w^7")
+        mirror.mirror_sides(poly)
+        # one group per atom, each in the atom's own variables
+        assert [p.n_variables for p in built] == [3, 1]
+        built.clear()
+        mirror.mirror_sides(poly)
+        assert built == []
+        connected = parse_polynomial("x^4*y + y^6*z + z^5*w + w^7")
+        mirror.mirror_sides(connected)
+        assert built == [connected]
+
+    @pytest.mark.parametrize("text,atoms", [
+        ("x^7", [((7,),)]),
+        ("x^3 + y^3", [((3,),), ((3,),)]),
+        ("x^2*y + y^3 + z^4", [((2, 1), (0, 3)), ((4,),)]),
+        # a loop is one atom; a chain may point to a later variable
+        ("x^2*y + y^2*z + z^2*x", [((2, 1, 0), (1, 0, 2), (0, 2, 1))]),
+        ("x^3 + y^2*z + w^2*x + z^3", [((3, 0), (1, 2)), ((2, 1), (0, 3))])])
+    def test_atoms_are_the_connected_components(self, text, atoms):
+        assert mirror._atoms(exponent_matrix(parse_polynomial(text))) == atoms
+
+    def test_the_products_formed_are_bounded_by_the_group_order_limit(self, monkeypatch):
+        # x^3 has a table of two entries, so x^3 + y^3 forms 4 products
+        poly = parse_polynomial("x^3 + y^3")
+        monkeypatch.setattr(symmetry, "GROUP_ORDER_LIMIT", 4)
+        assert mirror_check(poly)
+        monkeypatch.setattr(symmetry, "GROUP_ORDER_LIMIT", 3)
+        with pytest.raises(ResourceLimitExceeded, match="2 atoms forms more than 3 products"):
+            mirror_check(poly)
+
+    def test_the_products_are_counted_over_every_factor(self, monkeypatch):
+        # 2*2 products, then 3*2 for the table of 3 entries: 10 in all
+        poly = parse_polynomial("x^3 + y^3 + z^3")
+        monkeypatch.setattr(symmetry, "GROUP_ORDER_LIMIT", 10)
+        assert mirror_check(poly)
+        monkeypatch.setattr(symmetry, "GROUP_ORDER_LIMIT", 9)
+        with pytest.raises(ResourceLimitExceeded, match="3 atoms forms more than 9 products"):
+            mirror_check(poly)
 
 
 def pair_solutions(d, s) -> list[tuple[F, ...]]:
