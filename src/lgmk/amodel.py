@@ -60,7 +60,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import repeat
 from math import gcd, prod
 from operator import add
 
@@ -262,14 +262,16 @@ def amodel(poly: Polynomial, group: SymmetryGroup) -> AModel:
     for k, column in enumerate(_columns(exponent, group.basis)):
         table = [exponent << n, *range((2 << n) + (1 << k), exponent * (2 << n), 2 << n)]
         keys = list(map(add, keys, map(table.__getitem__, column)))
-    patterns = list(map(((1 << n) - 1).__and__, keys))
-    by_pattern = _invariant_counts(Counter(patterns), group.order, weights)
+    mask = (1 << n) - 1
+    moved_bits = Counter(map(mask.__and__, keys))
+    by_pattern = _invariant_counts(moved_bits, group.order, weights)
     locus_counts = {frozenset(i for i in range(n) if not bits >> i & 1): count
                     for bits, count in by_pattern.items()}
-    # each element adds its locus's count at its degree numerator key >> n:
-    # one weighted count, the numerator repeated that many times
-    counts = Counter(chain.from_iterable(map(
-        repeat, map(n.__rrshift__, keys), map(by_pattern.__getitem__, patterns))))
+    # elements with one key share their locus and their degree: one step per
+    # distinct key, so the work does not grow with the loci's invariant counts
+    counts: Counter[int] = Counter()
+    for key, count in Counter(keys).items():
+        counts[key >> n] += count * by_pattern[key & mask]
     graded = GradedDims._from_counts(counts, exponent, _degree_shift(weights, exponent))
     return AModel(poly, group, graded, locus_counts)
 

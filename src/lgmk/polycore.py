@@ -81,13 +81,9 @@ def _rational(value) -> Fraction:
     if not isinstance(value, str):
         return Fraction(value)
     limit = sys.get_int_max_str_digits()
+    form = "e" in value.lower() and re.fullmatch(
+        r"(?P<mantissa>[^/]*?)[eE](?P<exponent>[-+]?\d+(?:_\d+)*)\s*", value)
     try:
-        if value.isdecimal():
-            # plain decimal digits, the commonest text, are read by int alone,
-            # which refuses them past the limit as Fraction would
-            return Fraction(int(value))
-        form = "e" in value.lower() and re.fullmatch(
-            r"(?P<mantissa>[^/]*?)[eE](?P<exponent>[-+]?\d+(?:_\d+)*)\s*", value)
         # with at most `limit` digits either side of the point, a nonzero number
         # with |exponent| >= 3 * limit is past the limit: only its mantissa is built
         huge = bool(limit and form and abs(int(form["exponent"])) >= 3 * limit)

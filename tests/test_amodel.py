@@ -360,6 +360,17 @@ class TestCountPerCoordinate:
         assert mirror_check(poly)
         assert time.perf_counter() - begin < 10
 
+    def test_huge_loci_cost_one_step_per_key(self):
+        # <J> of the x^100 Fermat sum in five variables has 100 elements, and
+        # its identity sector holds (99^5 - 99) / 100 = 95,099,004 invariant
+        # monomials: the count adds each key's locus count once, as a number
+        poly = parse_polynomial("a^100+b^100+c^100+d^100+e^100")
+        group = subgroup_generated([GroupElement(tuple(classify(poly).weights))], 5)
+        begin = time.perf_counter()
+        graded = amodel(poly, group).graded
+        assert time.perf_counter() - begin < 1
+        assert sum(graded.dims) == (99 ** 5 - 99) // 100 + 99
+
 
 # four-variable Fermat, chain and loop members, and a chain beside a Fermat
 # summand

@@ -67,6 +67,10 @@ KNOWN = [
     # eight atoms whose tables' degrees never coincide: their tensor product
     # would form about 7 * 10^7 products, so GROUP_ORDER_LIMIT ends it
     (["mirror-check", "a^3+b^5+c^7+d^11+e^13+f^17+g^19+h^23"], 6),
+    # <J> has order 300, but its identity sector holds about 8 * 10^9
+    # invariant monomials: the graded count is one step per key, and the
+    # listing of that sector is refused at the box of 299^5 exponent tuples
+    (["amodel", "a^300+b^300+c^300+d^300+e^300", "J"], 6),
     # a Milnor-Orlik series of 108,423,999 coefficients
     (["bmodel", "a^3+b^4+c^5+d^7+e^11+f^13+g^17+h^19"], 6),
     # the kernel decides this W, whose Milnor-Orlik series would hold

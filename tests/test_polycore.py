@@ -421,31 +421,6 @@ class TestNumericStrings:
         with pytest.raises(InvalidArgument, match=f"^number has {LIMIT + 1} digits, more than"):
             _rational("1/" + "3" * (LIMIT + 1))
 
-    # ASCII, Arabic-Indic and fullwidth decimal digits, a superscript two
-    # (a digit, but not a decimal one), underscores, whitespace, signs
-    @settings(max_examples=500, deadline=None)
-    @given(st.text(alphabet="0123456789٠٣０９²_ \t\n+-/", max_size=8))
-    @example("١٢")
-    @example("1_000")
-    @example(" 12 ")
-    @example("１０")
-    def test_text_is_read_as_fraction_reads_it(self, text):
-        try:
-            expected = F(text)
-        except (ValueError, ZeroDivisionError):
-            with pytest.raises(InvalidArgument, match="^not a rational number: "):
-                _rational(text)
-        else:
-            assert _rational(text) == expected
-
-    @pytest.mark.parametrize("digit", ["9", "٩", "９"], ids=["ascii", "arabic", "fullwidth"])
-    def test_plain_digits_past_the_limit_are_refused_as_fraction_refuses_them(self, digit):
-        assert _rational(digit * LIMIT) == F(digit * LIMIT)
-        with pytest.raises(ValueError, match="^Exceeds the limit"):
-            F(digit * (LIMIT + 1))
-        with pytest.raises(InvalidArgument, match=f"^number has {LIMIT + 1} digits, more than {LIMIT}$"):
-            _rational(digit * (LIMIT + 1))
-
 
 # a count that int() would truncate or read as 1: each is refused, not rounded
 NON_INTS = pytest.mark.parametrize("k", [2.7, 3.0, F(5, 2), F(2), "2", True],
