@@ -1,7 +1,8 @@
 """Exact-arithmetic toolkit for graded A/B-model state spaces of
 quasihomogeneous polynomials and mirror-candidate weight searches."""
 
-from .amodel import AModel, SectorElement, adegree, amodel, group_weights_compare, restrict
+from .amodel import (AModel, SectorElement, adegree, amodel, atable, group_weights_compare,
+                     restrict)
 from .errors import (
     EmptyPolynomialError,
     GroupNotAdmissible,

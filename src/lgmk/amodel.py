@@ -8,7 +8,7 @@ locus is empty always contributes exactly one basis element.
 
 The invariants of a sector depend only on its fixed locus F, and all of a
 sector's basis elements share one degree, so the graded table needs only
-the number c_F of invariants per distinct locus.  `amodel` counts it from
+the number c_F of invariants per distinct locus.  `atable` counts it from
 the group's characters (Vafa 1989; Molien): x^a*omega_F transforms under h
 by prod_{i in F} h_i^(1 + a_i), and when W|F is nondegenerate the trace of
 h on Jac(W|F)*omega_F is prod_{i in F fixed by h}(1/q_i - 1) times -1 per
@@ -26,23 +26,19 @@ far and whose bits from i on are the pattern still to read: i stays out
 it), and only prefixes of real loci are kept.  The formula's hypothesis,
 W|F nondegenerate, follows from W's own nondegeneracy, which
 `require_admissible` checks (the lemma in `amodel`), so counting runs no
-Groebner kernel on any locus, and on an invertible W none at all.
+Groebner kernel on any locus, and on an invertible W none at all.  The count
+reads only the weights and the group: it is `atable(weights, group)`.
 The graded table is counted in integers: with N the group exponent, an
 element g = v/N has degree numerator N*adegree(g) = |fix(g)|*N + 2*sum(v) -
 2*N*sum(q).  That numerator and the set of moved variables both add over
-coordinates, so `amodel` reads the group's integer coordinate columns
+coordinates, so `atable` reads the group's integer coordinate columns
 (`symmetry._columns`) one at a time, building one integer key per element
 by one table lookup and one addition per coordinate; it never lists the
 vectors as tuples or the phase elements, and hands the counts to
 `GradedDims._from_counts` over the scale N, which builds no `Fraction`.
 
-A given group is always counted whole.  `mirror_sides` counts a W that
-splits into atoms in disjoint variables without Gmax(W): Gmax splits over
-them, and A(W1 + W2, G1 x G2) = A(W1, G1) (x) A(W2, G2), the tensor law of
-Fan-Jarvis-Ruan (2013) and Krawitz (2010), so it counts each atom here
-over the atom's own Gmax, memoizes the table by the atom's exponent rows,
-and tensors the tables.  Its B side counts the whole W^T by the
-Milnor-Orlik series, so the two sides remain independent routes.
+A given group is always counted whole; `mirror_sides` tensors the tables
+`atable` counts for the atoms of W, never building Gmax(W) (see `mirror`).
 
 The basis elements [m; g] are listed only when `AModel.basis` is first
 read, as the CLI does to print them: the full locus reads W's staircase
@@ -90,20 +86,21 @@ class SectorElement(_Value):
 
 class AModel(_Value):
     """State space of (source, group): `graded` is counted when the model is
-    built, `basis` is listed on first read.  `locus_counts` maps each fixed
-    locus of the group to its number of invariant monomials; it is no part
-    of equality or `repr`."""
+    built.  `locus_counts` (each fixed locus with its character count) and
+    `basis`, checked against it, are made from `group.vectors` on first read."""
 
     _fields = ("source", "group", "graded")
     source: Polynomial
     group: SymmetryGroup
     graded: GradedDims
-    locus_counts: dict[frozenset[int], int]
 
-    def __init__(self, source: Polynomial, group: SymmetryGroup, graded: GradedDims,
-                 locus_counts: dict[frozenset[int], int]):
-        self.__dict__.update(source=source, group=group, graded=graded,
-                             locus_counts=locus_counts)
+    @cached_property
+    def locus_counts(self) -> dict[frozenset[int], int]:
+        n = self.group.ambient
+        moved_bits = Counter(sum(1 << i for i, a in enumerate(v) if a) for v in self.group.vectors)
+        counts = _invariant_counts(moved_bits, self.group.order, classify(self.source).weights)
+        return {frozenset(i for i in range(n) if not bits >> i & 1): count
+                for bits, count in counts.items()}
 
     @cached_property
     def basis(self) -> tuple[SectorElement, ...]:
@@ -215,7 +212,9 @@ def _invariant_counts(moved_bits, order, weights) -> dict[int, int]:
         count, remainder = divmod(totals[~bits & (1 << n) - 1],
                                   order * prod(integer_weights[i] for i in fix))
         if remainder or count < 0:
-            raise LgmkError(f"character count on locus {fix} is not a nonnegative integer")
+            raise LgmkError(f"weights {weights}: no nondegenerate G-invariant polynomial on "
+                            f"locus {fix} has these weights there, since its character "
+                            "count is not a nonnegative integer")
         counts[bits] = count
     return counts
 
@@ -252,6 +251,14 @@ def amodel(poly: Polynomial, group: SymmetryGroup) -> AModel:
     """
     weights = require_admissible(poly).weights
     check_symmetry(group, poly)
+    return AModel(poly, group, atable(weights, group))
+
+
+def atable(weights: WeightSystem, group: SymmetryGroup) -> GradedDims:
+    """The graded table of (W, group) for every nondegenerate W with these
+    weights that the group fixes, counted as the module docstring says.
+    Raises GroupNotAdmissible unless J lies in the group, and LgmkError if a
+    locus's count is not a nonnegative integer, as then no such W exists."""
     if not is_admissible_group(group, weights):
         raise GroupNotAdmissible(
             f"J = {weights} is not an element of the group {group}")
@@ -265,15 +272,12 @@ def amodel(poly: Polynomial, group: SymmetryGroup) -> AModel:
     mask = (1 << n) - 1
     moved_bits = Counter(map(mask.__and__, keys))
     by_pattern = _invariant_counts(moved_bits, group.order, weights)
-    locus_counts = {frozenset(i for i in range(n) if not bits >> i & 1): count
-                    for bits, count in by_pattern.items()}
     # elements with one key share their locus and their degree: one step per
     # distinct key, so the work does not grow with the loci's invariant counts
     counts: Counter[int] = Counter()
     for key, count in Counter(keys).items():
         counts[key >> n] += count * by_pattern[key & mask]
-    graded = GradedDims._from_counts(counts, exponent, _degree_shift(weights, exponent))
-    return AModel(poly, group, graded, locus_counts)
+    return GradedDims._from_counts(counts, exponent, _degree_shift(weights, exponent))
 
 
 def group_weights_compare(poly_a: Polynomial, poly_b: Polynomial,

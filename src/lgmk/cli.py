@@ -10,10 +10,9 @@ reader derived from that subcommand parser's actions, which builds the
 namespace argparse would; a word that starts with `-` is a positional
 there exactly where argparse takes it for one.  Any other line (help, an
 error, an abbreviated or `=`-joined option, a value that starts with `-`
-and holds no space) goes to argparse:
-the subcommand's parser, then the top-level parser for a line that names no
-subcommand or that its subcommand leaves words of.  So every usage, help and
-error byte is argparse's own.
+and holds no space, a line that names no subcommand) goes to the top-level
+argparse parser whole, so every usage, help and error byte is argparse's
+own.
 
 Exit codes: 0 success, 2 parse error or argument out of range, 3 polynomial
 not admissible, 4 group not admissible or not a symmetry group, 5 polynomial
@@ -34,6 +33,7 @@ import sys
 from fractions import Fraction
 from functools import cache
 from operator import attrgetter
+from typing import Callable
 
 from .amodel import amodel
 from .errors import (
@@ -341,9 +341,9 @@ def text_paper_tables(payload: dict) -> list[str]:
 # Argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, tuple]]:
-    """The top-level parser, and each subcommand's parser and plain reader
-    by its name."""
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, Callable]]:
+    """The top-level parser, and each subcommand's plain reader by its
+    name."""
     parser = argparse.ArgumentParser(
         prog="lgmk",
         description="Exact A/B-model state spaces and weight-system searches "
@@ -399,7 +399,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, tuple]]:
     p.add_argument("--bound", type=int, default=60)
     finish(p, cmd_paper_tables, text_paper_tables)
 
-    return parser, {name: (p, _plain_reader(name, p)) for name, p in parsers.items()}
+    return parser, {name: _plain_reader(name, p) for name, p in parsers.items()}
 
 
 def _plain_reader(name: str, command: argparse.ArgumentParser):
@@ -497,7 +497,7 @@ _JSON = json.JSONEncoder(sort_keys=True)
 
 
 @cache
-def _parser() -> tuple[argparse.ArgumentParser, dict[str, tuple]]:
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, Callable]]:
     # built on the first call of main, not at import: parsing leaves the
     # parsers unchanged, so every later call reuses them and their readers
     return _build_parser()
@@ -505,18 +505,10 @@ def _parser() -> tuple[argparse.ArgumentParser, dict[str, tuple]]:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser, commands = _parser()
-    command = commands.get(argv[0]) if argv else None
-    if command is None:
+    parser, readers = _parser()
+    reader = readers.get(argv[0]) if argv else None
+    if reader is None or (args := reader(argv)) is None:
         args = parser.parse_args(argv)
-    elif (args := command[1](argv)) is None:
-        # the top-level parser only hands argv[1:] to the command's parser,
-        # so that parser reads it alone; the top-level parser runs only where
-        # it decides more, and then prints its own usage, help and error bytes
-        args, rest = command[0].parse_known_args(argv[1:])
-        if rest:  # words the command's parser leaves: the top-level error
-            args = parser.parse_args(argv)
-        args.command = argv[0]
     try:
         inputs, payload = args.handler(args)
         if args.json:

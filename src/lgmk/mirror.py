@@ -3,22 +3,22 @@
 `transpose_polynomial` lives in polycore, since it needs only `classify` and
 the exponent matrix; it is re-exported here beside `mirror_check`.
 `mirror_sides` computes W^T and both graded sides once; `mirror_check` and the
-CLI's `mirror-check` both read them from it.  The A side of a connected W
-(one component of the graph joining the variables of each monomial) is
-`amodel` over Gmax(W).  A W that splits is counted one atom (Fermat, chain
-or loop) at a time: Gmax(W) is the product of the atoms' groups, and by
-the tensor law A(W1 + W2, G1 x G2) = A(W1, G1) (x) A(W2, G2) for W1 and W2
-in disjoint variables (Fan-Jarvis-Ruan 2013, Ann. Math. 178; Krawitz
-2010), its table is the tensor product of the atoms' tables, formed by
-`GradedDims.tensor`.  An atom's table is `amodel` over its own Gmax, with
-coefficients 1; the count reads only the weights and the group, so the
-table is memoized by the atom's exponent rows in a bounded `lru_cache`,
-and atoms met again in later requests cost one lookup.  GROUP_ORDER_LIMIT
-bounds both each atom's group and the products of entries the tensor
-product forms in all, so a sum of atoms whose degree sums never coincide
-is refused before its table grows.  The B side is not split: `bmodel`
-counts the whole W^T by its Milnor-Orlik series, so the two sides remain
-independent routes to the same table.
+CLI's `mirror-check` both read them from it.  The A side is counted one
+atom (Fermat, chain or loop: a component of the graph joining the variables
+of each monomial) at a time; a connected W is one atom.  Gmax(W) is the
+product of the atoms' groups, so by the tensor law A(W1 + W2, G1 x G2) =
+A(W1, G1) (x) A(W2, G2) for W1 and W2 in disjoint variables
+(Fan-Jarvis-Ruan 2013, Ann. Math. 178; Krawitz 2010) its table is the
+`GradedDims.tensor` of the atoms' tables.  W's exponent matrix is block
+diagonal over its atoms, so an atom's table is `atable` at W's weights on
+its variables over the group its rows cut out: no polynomial or weight
+solve is made per atom.  The table is memoized by the atom's rows and
+weights in a bounded `lru_cache`, so an atom met again costs one lookup.
+GROUP_ORDER_LIMIT bounds both each atom's group and the products of
+entries the tensor product forms in all, so a sum of atoms whose degree
+sums never coincide is refused before its table grows.  The B side is not
+split: `bmodel` counts the whole W^T by its Milnor-Orlik series, so the two
+sides remain independent routes to the same table.
 
 The search asks: given a target dimension d and target top degree delta, is
 there a weight system (q_1..q_m), each q_i in (0, 1/2] and rational, with
@@ -82,13 +82,12 @@ from itertools import combinations, islice
 from typing import Iterator
 
 from . import symmetry
-from .amodel import amodel
+from .amodel import atable
 from .errors import InvalidArgument, ResourceLimitExceeded
 from .groebner import _require_int, _walk
 from .milnor import GradedDims, _require_halved, bmodel
 from .polycore import (Polynomial, WeightSystem, _rational, classify, exponent_matrix,
                        transpose_polynomial)
-from .symmetry import gmax
 from .value import _Value
 
 HALF = Fraction(1, 2)
@@ -139,18 +138,15 @@ def mirror_sides(poly: Polynomial) -> tuple[Polynomial, GradedDims, GradedDims]:
 def _gmax_table(poly: Polynomial) -> GradedDims:
     """The graded state space of (W, Gmax(W)) for an invertible W.
 
-    A connected W is counted over its own Gmax.  A W that splits into atoms
-    is counted one atom at a time, by the tensor law: its table is the
+    W is counted one atom at a time, by the tensor law: its table is the
     tensor product of its atoms' memoized tables, and Gmax(W) is never
     built.  Raises ResourceLimitExceeded when that product would form more
     than GROUP_ORDER_LIMIT products of entries in all."""
-    atoms = _atoms(exponent_matrix(poly))
-    if len(atoms) == 1:
-        return amodel(poly, gmax(poly)).graded
-    table = _atom_table(atoms[0])
-    products, limit = 0, symmetry.GROUP_ORDER_LIMIT
-    for rows in atoms[1:]:
-        factor = _atom_table(rows)
+    atoms, weights = _atoms(exponent_matrix(poly)), classify(poly).weights
+    tables = (_atom_table(rows, tuple(weights[i] for i in variables))
+              for variables, rows in atoms)
+    table, products, limit = next(tables), 0, symmetry.GROUP_ORDER_LIMIT
+    for factor in tables:
         products += len(table.dims) * len(factor.dims)
         if products > limit:
             raise ResourceLimitExceeded(
@@ -160,11 +156,11 @@ def _gmax_table(poly: Polynomial) -> GradedDims:
     return table
 
 
-def _atoms(rows: tuple[tuple[int, ...], ...]) -> list[tuple[tuple[int, ...], ...]]:
+def _atoms(rows: tuple[tuple[int, ...], ...]) -> list[tuple[tuple[int, ...], tuple]]:
     """An exponent matrix split over the connected components of the graph
     that joins the variables of each monomial: per component, ordered by
-    their least variable, the rows of its monomials restricted to its
-    variables."""
+    their least variable, its variable indices and the rows of its
+    monomials restricted to them."""
     root = list(range(len(rows[0])))
 
     def find(i):
@@ -184,18 +180,15 @@ def _atoms(rows: tuple[tuple[int, ...], ...]) -> list[tuple[tuple[int, ...], ...
     for row, support in zip(rows, supports):
         r = find(support[0])
         atoms[r].append(tuple(row[i] for i in variables[r]))
-    return list(map(tuple, atoms.values()))
+    return [(tuple(variables[r]), tuple(atom)) for r, atom in atoms.items()]
 
 
 @lru_cache(maxsize=256)
-def _atom_table(rows: tuple[tuple[int, ...], ...]) -> GradedDims:
-    """The graded state space of (V, Gmax(V)) for the atom V with these
-    exponent rows and coefficients 1.  The count reads only V's weights and
-    its group, both fixed by the rows, so an atom met again in another W
-    reuses its table."""
-    atom = Polynomial.from_term_map(_default_variables(len(rows[0])),
-                                    dict.fromkeys(rows, 1))
-    return amodel(atom, gmax(atom)).graded
+def _atom_table(rows: tuple[tuple[int, ...], ...], q: tuple[Fraction, ...]) -> GradedDims:
+    """The graded state space of (V, Gmax(V)) for an atom V with these
+    exponent rows and weights q.  The count reads only the weights and the
+    group, so an atom met again in another W reuses its table."""
+    return atable(WeightSystem(q), symmetry._relation_group(rows))
 
 
 def mirror_check(poly: Polynomial) -> bool:

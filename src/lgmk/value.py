@@ -4,13 +4,13 @@ A value class names in `_fields` the fields its `repr` shows, in the order
 its constructor takes them.  The base constructor stores one argument per
 field in the instance `__dict__`, and raises TypeError for any other
 number.  The records `Polynomial`, `Staircase`, `SymmetryGroup`,
-`SectorElement`, `BModel` and `SearchReport` use it.  A class defines its
-own `__init__` only to validate or normalise its fields, give one a
-default, or store something no field names: `WeightSystem`, `Monomial`,
-`GroupElement`, `Classification`, `AModel` and `GradedDims`.  Equality and
-the hash read the fields named in `_compared`: all of `_fields` unless the
-class names fewer.  Anything else an `__init__` stores, such as a callback or a table
-derived from the fields, takes part in neither.  Any assignment or deletion
+`SectorElement`, `AModel`, `BModel` and `SearchReport` use it.  A class
+defines its own `__init__` only to validate or normalise its fields, give
+one a default, or store something no field names: `WeightSystem`,
+`Monomial`, `GroupElement`, `Classification` and `GradedDims`.  Equality
+and the hash read the fields named in `_compared`: all of `_fields` unless
+the class names fewer.  Anything else an `__init__` stores, such as a
+callback, takes part in neither.  Any assignment or deletion
 raises AttributeError.  A `functools.cached_property` still works on a
 value: it writes the instance `__dict__` directly, not through
 `__setattr__`.

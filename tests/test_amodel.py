@@ -18,6 +18,7 @@ from lgmk import (
     WeightSystem,
     adegree,
     amodel,
+    atable,
     classify,
     gmax,
     fixed_locus,
@@ -35,7 +36,8 @@ from lgmk import (
 from lgmk.amodel import _invariant_monomials
 from lgmk.mirror import mirror_sides
 
-from conftest import EXAMPLE_TABLE, INVERTIBLE_CORPUS_TEXTS, family_polynomial, j_group
+from conftest import (EXAMPLE_TABLE, HERMITE_TEXTS, INVERTIBLE_CORPUS_TEXTS, family_polynomial,
+                      j_group)
 
 # the function lgmk.amodel shadows its module
 AMODEL = importlib.import_module("lgmk.amodel")
@@ -293,6 +295,38 @@ class TestCharacterCount:
         with pytest.raises(LgmkError, match="not a nonnegative integer"):
             amodel(parse_polynomial("x^3 + y^3"), group)
         assert read == [group.basis]
+
+
+class TestAtable:
+    """`atable` counts the graded table from the weights and the group alone."""
+
+    @pytest.mark.parametrize("text", INVERTIBLE_CORPUS_TEXTS + HERMITE_TEXTS)
+    def test_it_is_the_amodel_table_at_every_group_containing_j(self, text):
+        poly = parse_polynomial(text)
+        weights = classify(poly).weights
+        for group in groups_containing_j(poly):
+            assert atable(weights, group) == amodel(poly, group).graded, (text, str(group))
+
+    def test_a_group_without_j_is_refused(self):
+        poly = parse_polynomial("x^3 + y^3")
+        with pytest.raises(GroupNotAdmissible,
+                           match=r"^J = \(1/3, 1/3\) is not an element of the group "):
+            atable(classify(poly).weights, sl_subgroup(gmax(poly)))
+
+    # at <J>, weights that no nondegenerate polynomial fixed by J has
+    @pytest.mark.parametrize("q,locus", [
+        ((F(2, 7), F(3, 7)), [0, 1]),
+        ((F(1, 3), F(2, 5)), [1]),
+        ((F(2, 9), F(4, 9)), [0, 1]),
+        ((F(1, 4), F(3, 8), F(3, 8)), [0, 1, 2])])
+    def test_weights_no_invariant_polynomial_has_are_refused(self, q, locus):
+        weights = WeightSystem(q)
+        group = subgroup_generated([GroupElement(q)], len(q))
+        with pytest.raises(LgmkError) as raised:
+            atable(weights, group)
+        assert str(raised.value) == (
+            f"weights {weights}: no nondegenerate G-invariant polynomial on locus {locus} "
+            "has these weights there, since its character count is not a nonnegative integer")
 
 
 def per_locus_counts(poly, group):

@@ -1,6 +1,6 @@
 """`main` reads a plain command line with its subcommand's plain reader and
-any other with its subcommand's parser alone, and must behave exactly as the
-full top-level parser would.
+hands any other to the full top-level parser, and must behave exactly as
+that parser would.
 
 Every handler is replaced by a recorder and every text builder by a marker,
 and the parser cache is cleared, so a case runs no pipeline.  For each argv

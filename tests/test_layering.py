@@ -4,7 +4,7 @@ The modules import one another at module level only, each from modules
 below it in LAYER_ORDER, type-only imports included.  `classify`, in
 polycore, runs the Jacobian staircase beside it.  Its memo is the only one
 keyed by a polynomial (`mirror`'s memo of atom tables is keyed by exponent
-rows, and both are bounded): `classify`'s record holds the weights, their
+rows and weights, and both are bounded): `classify`'s record holds the weights, their
 integer form (L, L*q_i) and W's Jacobian staircase, so starting from empty
 memos the weights of each distinct polynomial are solved once and the
 Groebner kernel `staircase` runs at most once per distinct polynomial
@@ -32,9 +32,11 @@ form.  `transpose_group` solves its relations through one Smith form and
 returns that relation group: it never calls `gmax` and lists no vectors.
 The weights, every Hermite form and the determinant-one kernel come from
 one integer echelon, `polycore._echelon`, called once per weight solve,
-once per Hermite form and once per kernel.  `amodel` counts its
+once per Hermite form and once per kernel.  `atable` counts the
 graded table from the group's integer coordinate columns: it lists no
-vector and builds no `SectorElement` until its basis is read.  `bmodel` counts its table from the Milnor-Orlik
+vector, and `amodel` builds no `SectorElement` until its basis is read.
+`mirror_sides` hands `atable` one group per atom of W, in the atom's
+variables, and builds no `AModel`.  `bmodel` counts its table from the Milnor-Orlik
 series, so `mirror_sides` lists no standard monomial, and `BModel.basis`
 is listed only when first read.  Listing it packs no monomial on its own,
 and a series that disagrees with the listing raises `LgmkError` naming the
@@ -399,6 +401,7 @@ def _count_calls(monkeypatch, module, name):
     empty memos; returns the list of positional argument tuples it is
     called with."""
     polycore._memoized_classify.cache_clear()
+    mirror._atom_table.cache_clear()
     runs = []
     original = getattr(module, name)
 
@@ -580,9 +583,11 @@ class TestOneWeightSolve:
         assert cli.main(["weights", CHAIN]) == 0
         assert len(weight_solves) == 1
 
-    def test_mirror_check_solves_each_side_once(self, weight_solves):
-        assert mirror_check(parse_polynomial(CHAIN))
-        # W and W^T; the restricted loci take their weights from W's
+    # a connected W, and one that splits into two atoms
+    @pytest.mark.parametrize("text", [CHAIN, "x^4*y + y^6*z + z^5 + w^7"])
+    def test_mirror_check_solves_each_side_once(self, weight_solves, text):
+        assert mirror_check(parse_polynomial(text))
+        # W and W^T; the atoms and the restricted loci take their weights from W's
         assert len(weight_solves) == 2
 
 
@@ -776,24 +781,23 @@ class TestLazyElements:
 
 class TestLazyBasis:
     def test_mirror_sides_lists_no_element_and_no_basis(self, monkeypatch):
-        groups, models = [], []
+        groups = []
 
-        def recorded_gmax(poly):
-            groups.append(symmetry.gmax(poly))
-            return groups[-1]
+        def recorded_atable(weights, group):
+            groups.append(group)
+            return AMODEL.atable(weights, group)
 
-        def recorded_amodel(poly, group):
-            models.append(AMODEL.amodel(poly, group))
-            return models[-1]
+        def forbidden(self, *args):
+            raise AssertionError("an AModel was built")
 
-        monkeypatch.setattr(mirror, "gmax", recorded_gmax)
-        monkeypatch.setattr(mirror, "amodel", recorded_amodel)
+        monkeypatch.setattr(mirror, "atable", recorded_atable)
+        monkeypatch.setattr(AMODEL.AModel, "__init__", forbidden)
+        mirror._atom_table.cache_clear()
         _, a_side, b_side = mirror.mirror_sides(parse_polynomial(CHAIN))
         assert a_side == b_side
-        assert len(groups) == len(models) == 1
+        assert groups == [gmax(parse_polynomial(CHAIN))]
         assert "elements" not in groups[0].__dict__
         assert "vectors" not in groups[0].__dict__
-        assert "basis" not in models[0].__dict__
 
     def test_basis_is_built_on_first_read(self):
         group = j_group(7)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lgmk import (
+    AModel,
     GradedDims,
     InvalidArgument,
     NotAdmissibleError,
@@ -17,6 +18,8 @@ from lgmk import (
     ResourceLimitExceeded,
     WeightSystem,
     amodel,
+    atable,
+    classify,
     discriminant_2var,
     discriminant_sign_boundary,
     enumerate_admissible_supports,
@@ -93,22 +96,22 @@ SPLIT_CORPORA = {"invertible": INVERTIBLE_CORPUS_TEXTS, "hermite": HERMITE_TEXTS
 
 
 def _split_tables(texts) -> tuple[list, list]:
-    """The A side `mirror_sides` counts and amodel at Gmax(W) for each text
-    that splits into more than one atom."""
+    """The A side `mirror_sides` counts and amodel at Gmax(W) for each text."""
     polys = [parse_polynomial(text) for text in texts]
-    polys = [p for p in polys if len(mirror._atoms(exponent_matrix(p))) > 1]
     return ([mirror._gmax_table(p) for p in polys],
             [amodel(p, gmax(p)).graded for p in polys])
 
 
 class TestSplitTable:
-    """A W whose variables split into atoms is counted as the tensor product
-    of its atoms' tables: the oracle is amodel over Gmax(W) itself."""
+    """W is counted as the tensor product of its atoms' tables, each from
+    the atom's weights and group: the oracle is amodel over Gmax(W) itself."""
 
     @pytest.mark.parametrize("corpus", sorted(SPLIT_CORPORA))
     def test_the_tensor_product_is_the_whole_group_table(self, corpus):
+        polys = [parse_polynomial(text) for text in SPLIT_CORPORA[corpus]]
+        assert any(len(mirror._atoms(exponent_matrix(p))) > 1 for p in polys)
         split, whole = _split_tables(SPLIT_CORPORA[corpus])
-        assert split and split == whole
+        assert split == whole
 
     def test_clearing_the_memo_gives_the_same_tables(self):
         texts = [text for corpus in SPLIT_CORPORA.values() for text in corpus]
@@ -134,32 +137,40 @@ class TestSplitTable:
         assert split != whole
 
     def test_a_split_w_builds_no_gmax_of_its_own(self, monkeypatch):
-        built = []
+        seen = []
 
-        def recorded(poly):
-            built.append(poly)
-            return gmax(poly)
+        def recorded(weights, group):
+            seen.append((weights, group))
+            return atable(weights, group)
 
-        monkeypatch.setattr(mirror, "gmax", recorded)
+        def forbidden(self, *args):
+            raise AssertionError("an AModel was built")
+
+        monkeypatch.setattr(mirror, "atable", recorded)
+        monkeypatch.setattr(AModel, "__init__", forbidden)
         mirror._atom_table.cache_clear()
         poly = parse_polynomial("x^4*y + y^6*z + z^5 + w^7")
         mirror.mirror_sides(poly)
-        # one group per atom, each in the atom's own variables
-        assert [p.n_variables for p in built] == [3, 1]
-        built.clear()
+        # one group per atom, each in the atom's own variables, none listed
+        q = classify(poly).weights
+        assert seen == [(WeightSystem(q[:3]), gmax(parse_polynomial("x^4*y + y^6*z + z^5"))),
+                        (WeightSystem(q[3:]), gmax(parse_polynomial("w^7")))]
+        assert not any({"elements", "vectors"} & set(vars(g)) for _, g in seen)
+        seen.clear()
         mirror.mirror_sides(poly)
-        assert built == []
+        assert seen == []
         connected = parse_polynomial("x^4*y + y^6*z + z^5*w + w^7")
         mirror.mirror_sides(connected)
-        assert built == [connected]
+        assert seen == [(classify(connected).weights, gmax(connected))]
 
     @pytest.mark.parametrize("text,atoms", [
-        ("x^7", [((7,),)]),
-        ("x^3 + y^3", [((3,),), ((3,),)]),
-        ("x^2*y + y^3 + z^4", [((2, 1), (0, 3)), ((4,),)]),
+        ("x^7", [((0,), ((7,),))]),
+        ("x^3 + y^3", [((0,), ((3,),)), ((1,), ((3,),))]),
+        ("x^2*y + y^3 + z^4", [((0, 1), ((2, 1), (0, 3))), ((2,), ((4,),))]),
         # a loop is one atom; a chain may point to a later variable
-        ("x^2*y + y^2*z + z^2*x", [((2, 1, 0), (1, 0, 2), (0, 2, 1))]),
-        ("x^3 + y^2*z + w^2*x + z^3", [((3, 0), (1, 2)), ((2, 1), (0, 3))])])
+        ("x^2*y + y^2*z + z^2*x", [((0, 1, 2), ((2, 1, 0), (1, 0, 2), (0, 2, 1)))]),
+        ("x^3 + y^2*z + w^2*x + z^3",
+         [((0, 3), ((3, 0), (1, 2))), ((1, 2), ((2, 1), (0, 3)))])])
     def test_atoms_are_the_connected_components(self, text, atoms):
         assert mirror._atoms(exponent_matrix(parse_polynomial(text))) == atoms
 

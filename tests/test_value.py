@@ -98,6 +98,9 @@ def test_value_semantics(cls, build, text, outside):
     lambda: Staircase(((2, 0), (0, 2)), (1, 1), None),
     lambda: Polynomial(),
     lambda: SearchReport(F(4), F(2, 3), 2, 12, ()),
+    # the per-locus counts are no constructor argument
+    lambda: AModel(parse_polynomial("x^3"), gmax(parse_polynomial("x^3")),
+                   GradedDims(((F(1, 3), 1),)), {}),
 ])
 def test_a_record_takes_one_argument_per_field(build):
     with pytest.raises(TypeError, match="fields, got"):
