@@ -33,6 +33,7 @@ from .milnor import (
     BModel,
     GradedDims,
     bmodel,
+    btable,
     btop_formula,
     is_nondegenerate,
 )

@@ -38,7 +38,8 @@ vectors as tuples or the phase elements, and hands the counts to
 `GradedDims._from_counts` over the scale N, which builds no `Fraction`.
 
 A given group is always counted whole; `mirror_sides` tensors the tables
-`atable` counts for the atoms of W, never building Gmax(W) (see `mirror`).
+`atable` counts for the atoms of W, each over the atom's own group in its
+canonical variable order, never building Gmax(W) (see `mirror`).
 
 The basis elements [m; g] are listed only when `AModel.basis` is first
 read, as the CLI does to print them: the full locus reads W's staircase
@@ -257,8 +258,10 @@ def amodel(poly: Polynomial, group: SymmetryGroup) -> AModel:
 def atable(weights: WeightSystem, group: SymmetryGroup) -> GradedDims:
     """The graded table of (W, group) for every nondegenerate W with these
     weights that the group fixes, counted as the module docstring says.
-    Raises GroupNotAdmissible unless J lies in the group, and LgmkError if a
-    locus's count is not a nonnegative integer, as then no such W exists."""
+    Raises InvalidArgument for weights that are not a WeightSystem or not
+    of the group's ambient length, GroupNotAdmissible unless J lies in the
+    group, and LgmkError if a locus's count is not a nonnegative integer,
+    as then no such W exists."""
     if not is_admissible_group(group, weights):
         raise GroupNotAdmissible(
             f"J = {weights} is not an element of the group {group}")

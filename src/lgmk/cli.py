@@ -242,7 +242,7 @@ def cmd_mirror_check(args) -> tuple[dict, dict]:
     a_graded = a_side.as_json_dict()
     payload = {
         "polynomial": str(poly),
-        "transpose": str(partner),
+        "transpose": partner,
         "a_graded": a_graded,
         # equal tables print equal texts
         "b_graded": a_graded if isomorphic else b_side.as_json_dict(),

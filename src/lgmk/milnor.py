@@ -16,9 +16,10 @@ the kernel only for the restricted loci of `AModel.basis` and for a
 polynomial without weights.  Monomials are enumerated, under the box limit
 of `standard_monomials`, only by the listings that print them.
 
-`bmodel` counts the B side without listing it.  Once `classify` has
-proved W nondegenerate, the partials form a regular sequence, so the Milnor
-ring's Hilbert series is the Milnor-Orlik product
+`btable(weights)` counts the B side without listing it, and `bmodel` is
+`require_admissible` followed by `btable` at W's weights.  Once W is proved
+nondegenerate, the partials form a regular sequence, so the Milnor ring's
+Hilbert series is the Milnor-Orlik product
 prod (1 - t^(1 - q_i)) / (1 - t^(q_i)).  Over the lcm L of the weight
 denominators, with integer weights w_i = L*q_i, that is a polynomial in
 u = t^(1/L) of degree top = sum(L - 2 w_i), computed as a dense list of
@@ -35,7 +36,7 @@ series', so the Groebner route and the closed form check each other
 wherever a basis is printed.  The listing packs no monomial on its own
 (see `standard_monomials`), and the listed degrees are summed one exponent
 column at a time.  Each side has its own limit: the box rule of
-`standard_monomials` guards only the listing, and `bmodel` refuses a series
+`standard_monomials` guards only the listing, and `btable` refuses a series
 of more than STANDARD_MONOMIAL_BOX_LIMIT coefficients before it allocates
 one.  The two lengths differ both ways: the series' top + 1 grows with L
 (for pairwise coprime exponents, like their product), while the box of the
@@ -50,7 +51,7 @@ by these fields, and refuse assignment, so a table hashed into a model
 stays as it was.  They render `n/s` reduced by `gcd` as `str(Fraction)`
 would; a `Fraction` is built only when `entries` is read.  `tensor` is the
 graded tensor product, over the lcm of the two scales: `mirror_sides`
-builds the A side of a W that splits into atoms from it.
+builds both sides of W from its atoms' tables with it.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ from operator import add, attrgetter, mul
 from typing import Iterable, Mapping
 
 from . import groebner
-from .errors import LgmkError, ResourceLimitExceeded
+from .errors import InvalidArgument, LgmkError, ResourceLimitExceeded
 from .groebner import Monomial, _require_int, standard_monomials
 from .polycore import (Polynomial, WeightSystem, _integer_form, _rational, classify,
                        jacobian_staircase, require_admissible)
@@ -259,27 +260,55 @@ def _require_halved(weights: WeightSystem) -> None:
         raise ValueError(f"weights {weights} must lie in (0, 1/2]")
 
 
-def bmodel(poly: Polynomial) -> BModel:
-    """Milnor ring of an admissible polynomial as a graded vector space.
-
-    Once `require_admissible` has proved W nondegenerate, the table is the
-    Milnor-Orlik series; degree 2k/L counts
-    u^k.  W is refused with ResourceLimitExceeded, before the series is
-    allocated, when it has more than STANDARD_MONOMIAL_BOX_LIMIT
-    coefficients.  The box rule of `standard_monomials` applies only when
-    `BModel.basis` is read."""
-    weights = require_admissible(poly).weights
-    scale, integer_weights = weights.integer_form
+def _series_size(scale: int, integer_weights: Iterable[int]) -> int:
+    """1 + sum(L - 2 w_i), the number of coefficients of the Milnor-Orlik
+    series of the weights of integer form (L, w_i).  Raises
+    ResourceLimitExceeded when it is above STANDARD_MONOMIAL_BOX_LIMIT."""
     size = 1 + sum(scale - 2 * w for w in integer_weights)
     limit = groebner.STANDARD_MONOMIAL_BOX_LIMIT
     if size > limit:
         raise ResourceLimitExceeded(
             f"the Milnor-Orlik series has {size} coefficients, "
             f"more than the limit of {limit}")
-    series = groebner._complete_intersection_series(
-        [scale - w for w in integer_weights], integer_weights)
+    return size
+
+
+def btable(weights: WeightSystem) -> GradedDims:
+    """The graded Milnor ring of every nondegenerate W with these weights,
+    counted from the Milnor-Orlik series alone: degree 2k/L counts u^k.
+    Raises InvalidArgument for weights that are not a WeightSystem or whose
+    top degree 2*sum(1 - 2 q_i) is negative, and ResourceLimitExceeded,
+    before the series is allocated, when it has more than
+    STANDARD_MONOMIAL_BOX_LIMIT coefficients.  The count is the Milnor
+    ring's only for weights some nondegenerate W has: `bmodel` proves that
+    by `require_admissible`, `mirror_sides` by the pointer certificate.
+    For other weights the series need be no polynomial, and LgmkError is
+    raised where that shows: a negative coefficient, coefficients that are
+    not symmetric, as u^top f(1/u) = f(u) makes a polynomial's, or that do
+    not sum to the Milnor number prod(1/q_i - 1), its value at u = 1."""
+    if not isinstance(weights, WeightSystem):
+        raise InvalidArgument(f"weights must be a WeightSystem, got {type(weights).__name__}")
+    scale, integer_weights = weights.integer_form
+    size = _series_size(scale, integer_weights)
+    if size < 1:
+        raise InvalidArgument(f"weights {weights} have a negative top degree")
+    grades = [scale - w for w in integer_weights]
+    series = groebner._complete_intersection_series(grades, integer_weights)
+    if (min(series) < 0 or series != series[::-1]
+            or sum(series) * prod(integer_weights) != prod(grades)):
+        raise LgmkError(f"weights {weights}: no nondegenerate polynomial has these weights, "
+                        "since their Milnor-Orlik series is no polynomial with nonnegative "
+                        "coefficients")
     # the series' coefficients are nonnegative, so its nonzero ones are the
     # table's dimensions, at the numerators 2k of their exponents k
     numerators = list(compress(range(0, 2 * size, 2), series))
-    return BModel(poly, weights,
-                  GradedDims._over_least_scale(numerators, tuple(filter(None, series)), scale))
+    return GradedDims._over_least_scale(numerators, tuple(filter(None, series)), scale)
+
+
+def bmodel(poly: Polynomial) -> BModel:
+    """Milnor ring of an admissible polynomial as a graded vector space:
+    `require_admissible` proves W nondegenerate, and `btable` counts the
+    table from W's weights.  The box rule of `standard_monomials` applies
+    only when `BModel.basis` is read."""
+    weights = require_admissible(poly).weights
+    return BModel(poly, weights, btable(weights))

@@ -2,23 +2,33 @@
 
 `transpose_polynomial` lives in polycore, since it needs only `classify` and
 the exponent matrix; it is re-exported here beside `mirror_check`.
-`mirror_sides` computes W^T and both graded sides once; `mirror_check` and the
-CLI's `mirror-check` both read them from it.  The A side is counted one
-atom (Fermat, chain or loop: a component of the graph joining the variables
-of each monomial) at a time; a connected W is one atom.  Gmax(W) is the
-product of the atoms' groups, so by the tensor law A(W1 + W2, G1 x G2) =
-A(W1, G1) (x) A(W2, G2) for W1 and W2 in disjoint variables
-(Fan-Jarvis-Ruan 2013, Ann. Math. 178; Krawitz 2010) its table is the
-`GradedDims.tensor` of the atoms' tables.  W's exponent matrix is block
-diagonal over its atoms, so an atom's table is `atable` at W's weights on
-its variables over the group its rows cut out: no polynomial or weight
-solve is made per atom.  The table is memoized by the atom's rows and
-weights in a bounded `lru_cache`, so an atom met again costs one lookup.
-GROUP_ORDER_LIMIT bounds both each atom's group and the products of
-entries the tensor product forms in all, so a sum of atoms whose degree
-sums never coincide is refused before its table grows.  The B side is not
-split: `bmodel` counts the whole W^T by its Milnor-Orlik series, so the two
-sides remain independent routes to the same table.
+`mirror_sides` computes the text of W^T and both graded sides once;
+`mirror_check` and the CLI's `mirror-check` both read them from it.  Both
+sides are counted one atom (Fermat, chain or loop: a component of the graph
+joining the variables of each monomial) at a time; a connected W is one
+atom.  W's exponent matrix is block diagonal over its atoms, so W^T's atoms
+are the transposes of W's.  Gmax(W) is the product of the atoms' groups, so
+by the tensor law A(W1 + W2, G1 x G2) = A(W1, G1) (x) A(W2, G2) for W1 and
+W2 in disjoint variables (Fan-Jarvis-Ruan 2013, Ann. Math. 178; Krawitz
+2010), and by Thom-Sebastiani the Milnor ring of W^T is the tensor product
+of its atoms' rings.  So each side's table is the `GradedDims.tensor` of
+the atoms' tables.  An atom's A table is `atable` at its weights over the
+group its rows cut out, and its B table is `btable` at the weights solved
+from its transposed rows: the Milnor-Orlik series of a nondegenerate atom
+depends on its weights alone (Milnor-Orlik 1970).  Per atom the two sides
+stay independent routes, characters over a group against a series; the
+B-side tensor is formed only when some atom's two tables differ.
+An atom's pair is memoized in a bounded `lru_cache` under its rows rebuilt
+from its pointer structure (`polycore._pointer_form`), so an atom met
+again, in any variable order, costs one lookup.  The transposed atom must
+carry the pointer certificate, as the transpose of a Fermat, chain or loop
+atom does; when one does not, W^T is built and counted whole by `bmodel`,
+whose `require_admissible` refuses it naming W^T's weights.  No
+`Polynomial` or `classify` record is made for W^T otherwise: its text is
+rendered from W's columns.  GROUP_ORDER_LIMIT bounds each atom's group and
+the products of entries each tensor product forms in all, so a sum of
+atoms whose degree sums never coincide is refused before its table grows;
+W^T's whole series is bounded as `btable` bounds one.
 
 The search asks: given a target dimension d and target top degree delta, is
 there a weight system (q_1..q_m), each q_i in (0, 1/2] and rational, with
@@ -84,9 +94,10 @@ from typing import Iterator
 from . import symmetry
 from .amodel import atable
 from .errors import InvalidArgument, ResourceLimitExceeded
-from .groebner import _require_int, _walk
-from .milnor import GradedDims, _require_halved, bmodel
-from .polycore import (Polynomial, WeightSystem, _rational, classify, exponent_matrix,
+from .groebner import _render_monomials, _require_int, _walk
+from .milnor import GradedDims, _require_halved, _series_size, bmodel, btable
+from .polycore import (Polynomial, WeightSystem, _invertible_matrix, _pointer_certified,
+                       _pointer_form, _rational, classify, solve_weights,
                        transpose_polynomial)
 from .value import _Value
 
@@ -128,29 +139,49 @@ _SIEVE_SQUARES = {p: frozenset([u * u % p for u in range(p // 2 + 1)])
 # The graded mirror check
 # ---------------------------------------------------------------------------
 
-def mirror_sides(poly: Polynomial) -> tuple[Polynomial, GradedDims, GradedDims]:
-    """The transpose W^T, the graded state space of (W, Gmax) and the graded
-    Milnor ring of W^T."""
-    partner = transpose_polynomial(poly)
-    return partner, _gmax_table(poly), bmodel(partner).graded
+def mirror_sides(poly: Polynomial) -> tuple[str, GradedDims, GradedDims]:
+    """The text of the transpose W^T, the graded state space of (W, Gmax)
+    and the graded Milnor ring of W^T, for an admissible invertible W.
+
+    Both sides are tensor products over one split of W into atoms, each
+    atom's pair of tables memoized up to relabelling; W^T is built and
+    counted whole only when some transposed atom fails its certificate.
+    Raises ResourceLimitExceeded when a tensor product would form more than
+    GROUP_ORDER_LIMIT products of entries in all, or when W^T's
+    Milnor-Orlik series would be longer than `btable` allows."""
+    rows = _invertible_matrix(poly)
+    sides = [_atom_sides(_atom_key(atom)) for _, atom in _atoms(rows)]
+    a_side = _tensor([a for a, _, _ in sides])
+    if any(weights is None for _, weights, _ in sides):
+        # raises, naming W^T's weights, unless the kernel certifies W^T
+        b_side = bmodel(transpose_polynomial(poly)).graded
+    else:
+        # W^T's weights are its atoms': its whole series is bounded, over
+        # the lcm of their scales
+        forms = [weights.integer_form for _, weights, _ in sides]
+        scale = math.lcm(*(s for s, _ in forms))
+        _series_size(scale, [w * (scale // s) for s, ws in forms for w in ws])
+        # a table left out as over the limit, which was lower when its atom
+        # was first counted, fits now that W^T's whole series does
+        b_tables = [btable(weights) if b is None else b for _, weights, b in sides]
+        # equal factors have an equal tensor product
+        b_side = (a_side if all(a == b for (a, _, _), b in zip(sides, b_tables))
+                  else _tensor(b_tables))
+    # W^T has coefficients 1 and its terms are W's columns, in canonical order
+    partner = " + ".join(_render_monomials(poly.variables, sorted(zip(*rows), reverse=True)))
+    return partner, a_side, b_side
 
 
-def _gmax_table(poly: Polynomial) -> GradedDims:
-    """The graded state space of (W, Gmax(W)) for an invertible W.
-
-    W is counted one atom at a time, by the tensor law: its table is the
-    tensor product of its atoms' memoized tables, and Gmax(W) is never
-    built.  Raises ResourceLimitExceeded when that product would form more
-    than GROUP_ORDER_LIMIT products of entries in all."""
-    atoms, weights = _atoms(exponent_matrix(poly)), classify(poly).weights
-    tables = (_atom_table(rows, tuple(weights[i] for i in variables))
-              for variables, rows in atoms)
-    table, products, limit = next(tables), 0, symmetry.GROUP_ORDER_LIMIT
-    for factor in tables:
+def _tensor(tables: list[GradedDims]) -> GradedDims:
+    """The tensor product of the atoms' tables.  Raises
+    ResourceLimitExceeded when it would form more than GROUP_ORDER_LIMIT
+    products of entries in all."""
+    table, products, limit = tables[0], 0, symmetry.GROUP_ORDER_LIMIT
+    for factor in tables[1:]:
         products += len(table.dims) * len(factor.dims)
         if products > limit:
             raise ResourceLimitExceeded(
-                f"the tensor product of the tables of {len(atoms)} atoms forms "
+                f"the tensor product of the tables of {len(tables)} atoms forms "
                 f"more than {limit} products")
         table = table.tensor(factor)
     return table
@@ -183,12 +214,49 @@ def _atoms(rows: tuple[tuple[int, ...], ...]) -> list[tuple[tuple[int, ...], tup
     return [(tuple(variables[r]), tuple(atom)) for r, atom in atoms.items()]
 
 
+def _atom_key(rows: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    """The atom's rows rebuilt from its pointer structure
+    (`polycore._pointer_form`): each chain from its head and each loop from
+    its least rotation, row i being x_i^a_i times the variable after x_i.
+    So an atom written in any variable order has one key.  Rows with no
+    pointer structure are their own key."""
+    form = _pointer_form(rows)
+    if form is None:
+        return rows
+    n, key = len(rows), []
+    for loop, exponents in form:
+        start, k = len(key), len(exponents)
+        for i, a in enumerate(exponents):
+            row = [0] * n
+            row[start + i] = a
+            if loop or i + 1 < k:
+                row[start + (i + 1) % k] = 1
+            key.append(tuple(row))
+    return tuple(key)
+
+
+# seeds 1-3 of the mirror-corpus benchmark meet 268 to 279 distinct keys each,
+# and in 256 slots miss each key only where it is first met
 @lru_cache(maxsize=256)
-def _atom_table(rows: tuple[tuple[int, ...], ...], q: tuple[Fraction, ...]) -> GradedDims:
-    """The graded state space of (V, Gmax(V)) for an atom V with these
-    exponent rows and weights q.  The count reads only the weights and the
-    group, so an atom met again in another W reuses its table."""
-    return atable(WeightSystem(q), symmetry._relation_group(rows))
+def _atom_sides(rows: tuple[tuple[int, ...], ...]
+                ) -> tuple[GradedDims, WeightSystem | None, GradedDims | None]:
+    """For an atom V with these exponent rows: the graded state space of
+    (V, Gmax(V)), the weights of V^T and the graded Milnor ring of V^T.
+    Each table reads only weights (and a group): `atable` at V's weights
+    over the group its rows cut out, and `btable` at the weights solved
+    from the transposed rows.  V^T must carry the pointer certificate, as
+    it does whenever V is a Fermat, chain or loop atom; otherwise its
+    weights and table are None.  Its table is None too when its series is
+    over the limit, as W^T's is then."""
+    a_table = atable(solve_weights(rows), symmetry._relation_group(rows))
+    transposed = tuple(zip(*rows))
+    if not _pointer_certified(transposed):
+        return a_table, None, None
+    weights = solve_weights(transposed)
+    try:
+        return a_table, weights, btable(weights)
+    except ResourceLimitExceeded:
+        return a_table, weights, None
 
 
 def mirror_check(poly: Polynomial) -> bool:

@@ -18,7 +18,8 @@ polynomial and the one memo keyed by it: its record holds the kind, the
 weights with their integer form (L, L*q_i), and W's staircase.  After the
 weight solve, two exponent-matrix predicates decide most verdicts without a
 Groebner run: a sum of Fermat, chain and loop atoms is nondegenerate
-(`_pointer_certified`), and a polynomial with a critical coordinate axis is
+(`_pointer_certified`, read off its atoms up to relabelling by
+`_pointer_form`), and a polynomial with a critical coordinate axis is
 degenerate (`_critical_axis`).  Every other polynomial runs the kernel once
 in `classify`.  A certified W's staircase is built only when a basis listing
 first reads it, and then held in the record.  So `require_admissible`, the
@@ -429,16 +430,60 @@ def solve_weights(rows) -> WeightSystem:
 # Classification
 # ---------------------------------------------------------------------------
 
-def _pointer_certified(rows) -> bool:
-    """True when W is a sum of Fermat, chain and loop atoms, and so
-    nondegenerate for every choice of nonzero coefficients: the matrix is
-    square, each row is x_i^a_i or x_i^a_i * x_j with a_i >= 2 and j != i,
-    the heads i are distinct, and so are the targets j.
+def _pointer_form(rows) -> tuple[tuple[bool, tuple[int, ...]], ...] | None:
+    """W's atoms up to relabelling when W is a sum of Fermat, chain and loop
+    atoms, else None.  That holds when the matrix is square, each row is
+    x_i^a_i or x_i^a_i * x_j with a_i >= 2 and j != i, the heads i are
+    distinct, and so are the targets j.  Each atom is (is_loop, exponents),
+    and the atoms are sorted: a Fermat atom x^a is (False, (a,)); a chain
+    x_1^a_1*x_2 + ... + x_k^a_k is (False, (a_1, ..., a_k)), read from the
+    head x_1 that no row points at; a loop is (True, its cyclic sequence of
+    exponents rotated to the least).  Two matrices have one form exactly
+    when a relabelling of the variables and rows takes one to the other.
 
-    Then every variable heads one row, and points at most at one other
-    variable and is pointed at by at most one, so the pointer graph is a
-    disjoint union of points (Fermat), paths (chains) and cycles (loops)
-    (Kreuzer and Skarke 1992).  Proof that 0 is the only critical point:
+    Every variable heads one row, and points at most at one other variable
+    and is pointed at by at most one, so the pointer graph is a disjoint
+    union of points (Fermat), paths (chains) and cycles (loops) (Kreuzer and
+    Skarke 1992); `_pointer_certified` reads its nondegeneracy off this."""
+    n = len(rows[0])
+    if len(rows) != n:
+        return None
+    exponents, targets = [0] * n, [None] * n
+    pointed = set()
+    for row in rows:
+        support = sorted((e, i) for i, e in enumerate(row) if e)
+        a, head = support.pop()
+        if a < 2 or exponents[head] or len(support) > 1:
+            return None
+        exponents[head] = a
+        if support:
+            e, target = support[0]
+            if e != 1 or target in pointed:
+                return None
+            pointed.add(target)
+            targets[head] = target
+    atoms, seen = [], set()
+    # the chains from their heads first, so every variable left is on a loop
+    for start in [i for i in range(n) if i not in pointed] + list(range(n)):
+        if start in seen:
+            continue
+        walk, i = [], start
+        while i is not None and i not in seen:
+            seen.add(i)
+            walk.append(exponents[i])
+            i = targets[i]
+        loop = i is not None
+        # each rotation compared whole: quadratic in the loop's length, as
+        # reading the n rows of n entries already is
+        atoms.append((loop, min(tuple(walk[k:] + walk[:k]) for k in range(len(walk)))
+                      if loop else tuple(walk)))
+    return tuple(sorted(atoms))
+
+
+def _pointer_certified(rows) -> bool:
+    """True when W is a sum of Fermat, chain and loop atoms (`_pointer_form`
+    is not None), and so nondegenerate for every choice of nonzero
+    coefficients.  Proof that 0 is the only critical point:
     let M_i be the value of row i's term, coefficient included.  x_i
     appears only in row i and in the one row k pointing at i, if any, so
     x_i * dW/dx_i = a_i*M_i + M_k.  At a critical point every M_i is then
@@ -448,21 +493,7 @@ def _pointer_certified(rows) -> bool:
     j, then M_i = 0 gives x_j = 0, and dW/dx_j is a multiple of
     x_j^(a_j - 1), which vanishes, plus c_i*x_i^a_i, which does not: the
     point is not critical."""
-    if len(rows) != len(rows[0]):
-        return False
-    heads, targets = set(), set()
-    for row in rows:
-        support = sorted((e, i) for i, e in enumerate(row) if e)
-        a, head = support.pop()
-        if a < 2 or head in heads or len(support) > 1:
-            return False
-        heads.add(head)
-        if support:
-            e, target = support[0]
-            if e != 1 or target in targets:
-                return False
-            targets.add(target)
-    return True
+    return _pointer_form(rows) is not None
 
 
 def _critical_axis(rows) -> bool:
@@ -564,8 +595,9 @@ def classify(poly: Polynomial) -> Classification:
 _DEGENERATE = "degenerate: Milnor ring is not finite dimensional"
 
 
-# a mirror check classifies W and W^T; the support enumeration one candidate
-# at a time, so a few dozen entries serve every caller
+# a mirror check classifies W only (W^T too when a transposed atom lacks the
+# pointer certificate); the support enumeration one candidate at a time, so
+# a few dozen entries serve every caller
 @lru_cache(maxsize=64)
 def _memoized_classify(poly: Polynomial) -> Classification:
     rows = exponent_matrix(poly)

@@ -399,9 +399,13 @@ def gmax_bruteforce(poly: Polynomial, denominator_bound: int) -> SymmetryGroup:
 
 def is_admissible_group(group: SymmetryGroup, weights: WeightSystem) -> bool:
     """True iff the phase vector of the weights (J), of order L, lies in the
-    group: L divides the exponent N and J = (N/L)*(L*q)/N."""
+    group: L divides the exponent N and J = (N/L)*(L*q)/N.  Raises
+    InvalidArgument for weights that are not a WeightSystem, or of another
+    length than the group's ambient dimension."""
+    if not isinstance(weights, WeightSystem):
+        raise InvalidArgument(f"weights must be a WeightSystem, got {type(weights).__name__}")
     if len(weights) != group.ambient:
-        raise ValueError("weights and group have different ambient dimensions")
+        raise InvalidArgument(f"{len(weights)} weights for a group in (Q/Z)^{group.ambient}")
     scale, integer_weights = weights.integer_form
     share, rest = divmod(group.exponent, scale)
     return not rest and _coordinates([share * w for w in integer_weights], group.basis) is not None

@@ -13,6 +13,7 @@ from lgmk import (
     GroupElement,
     GroupNotAdmissible,
     GroupNotSymmetry,
+    InvalidArgument,
     LgmkError,
     Monomial,
     WeightSystem,
@@ -327,6 +328,24 @@ class TestAtable:
         assert str(raised.value) == (
             f"weights {weights}: no nondegenerate G-invariant polynomial on locus {locus} "
             "has these weights there, since its character count is not a nonnegative integer")
+
+
+class TestAtableEdges:
+    """`atable` and `is_admissible_group`, which it calls first, refuse
+    weights that are not a WeightSystem or not of the group's length."""
+
+    @pytest.mark.parametrize("check", [atable, lambda weights, group:
+                                       is_admissible_group(group, weights)],
+                             ids=["atable", "is_admissible_group"])
+    @pytest.mark.parametrize("weights,message", [
+        ((F(1, 3), F(1, 3)), "weights must be a WeightSystem, got tuple"),
+        (WeightSystem((F(1, 3),)), r"1 weights for a group in \(Q/Z\)\^2"),
+        (WeightSystem((F(1, 3),) * 3), r"3 weights for a group in \(Q/Z\)\^2")],
+        ids=["tuple", "short", "long"])
+    def test_bad_weights_are_invalid_arguments(self, check, weights, message):
+        group = gmax(parse_polynomial("x^3 + y^3"))
+        with pytest.raises(InvalidArgument, match=f"^{message}$"):
+            check(weights, group)
 
 
 def per_locus_counts(poly, group):

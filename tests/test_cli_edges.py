@@ -116,6 +116,19 @@ def test_known_edge(argv, code):
     assert _run(argv).returncode == code
 
 
+# W is admissible and invertible (x*y is no pointer row, so the kernel
+# certifies it), but W^T = x^2*y + y (+ z^3) has a zero weight: the error
+# names the weights of the whole W^T
+@pytest.mark.parametrize("text,weights", [
+    ("x^2+x*y", "('0', '1')"), ("x^2 + x*y + z^3", "('0', '1', '1/3')")])
+def test_an_invertible_w_whose_transpose_is_not_admissible(text, weights):
+    done = _run(["mirror-check", text])
+    assert done.returncode == 3
+    assert done.stdout == ""
+    assert done.stderr == (f"error: NonPositiveWeight: solved weights {weights} "
+                           "are not all positive\n")
+
+
 # numbers of more digits than int() and str() convert
 # (sys.get_int_max_str_digits(), 4300 unless the environment sets it): in an
 # exponent or a coefficient the parser refuses them, and a report that would

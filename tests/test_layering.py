@@ -3,8 +3,8 @@
 The modules import one another at module level only, each from modules
 below it in LAYER_ORDER, type-only imports included.  `classify`, in
 polycore, runs the Jacobian staircase beside it.  Its memo is the only one
-keyed by a polynomial (`mirror`'s memo of atom tables is keyed by exponent
-rows and weights, and both are bounded): `classify`'s record holds the weights, their
+keyed by a polynomial (`mirror`'s memo of atom tables is keyed by an
+atom's rows in canonical variable order, and both are bounded): `classify`'s record holds the weights, their
 integer form (L, L*q_i) and W's Jacobian staircase, so starting from empty
 memos the weights of each distinct polynomial are solved once and the
 Groebner kernel `staircase` runs at most once per distinct polynomial
@@ -36,7 +36,7 @@ once per Hermite form and once per kernel.  `atable` counts the
 graded table from the group's integer coordinate columns: it lists no
 vector, and `amodel` builds no `SectorElement` until its basis is read.
 `mirror_sides` hands `atable` one group per atom of W, in the atom's
-variables, and builds no `AModel`.  `bmodel` counts its table from the Milnor-Orlik
+canonical variable order, and builds no `AModel`.  `bmodel` counts its table from the Milnor-Orlik
 series, so `mirror_sides` lists no standard monomial, and `BModel.basis`
 is listed only when first read.  Listing it packs no monomial on its own,
 and a series that disagrees with the listing raises `LgmkError` naming the
@@ -401,7 +401,7 @@ def _count_calls(monkeypatch, module, name):
     empty memos; returns the list of positional argument tuples it is
     called with."""
     polycore._memoized_classify.cache_clear()
-    mirror._atom_table.cache_clear()
+    mirror._atom_sides.cache_clear()
     runs = []
     original = getattr(module, name)
 
@@ -584,11 +584,15 @@ class TestOneWeightSolve:
         assert len(weight_solves) == 1
 
     # a connected W, and one that splits into two atoms
-    @pytest.mark.parametrize("text", [CHAIN, "x^4*y + y^6*z + z^5 + w^7"])
-    def test_mirror_check_solves_each_side_once(self, weight_solves, text):
-        assert mirror_check(parse_polynomial(text))
-        # W and W^T; the atoms and the restricted loci take their weights from W's
-        assert len(weight_solves) == 2
+    @pytest.mark.parametrize("text,atoms", [(CHAIN, 1), ("x^4*y + y^6*z + z^5 + w^7", 2)])
+    def test_mirror_check_solves_each_side_once(self, weight_solves, text, atoms):
+        poly = parse_polynomial(text)
+        assert mirror_check(poly)
+        # W, then each atom's rows and its transposed rows on a memo miss
+        assert len(weight_solves) == 1 + 2 * atoms
+        weight_solves.clear()
+        assert mirror_check(poly)
+        assert weight_solves == []
 
 
 class TestOneExponentMatrix:
@@ -603,7 +607,7 @@ class TestOneExponentMatrix:
         poly = parse_polynomial(text)
         mirror.mirror_sides(poly)
         polys = list({id(p): p for (p,) in reads}.values())
-        # W's matrix is read by the verdict, the transpose and Gmax
+        # W's matrix is read by the verdict and by the check that W is invertible
         assert len(reads) > len(polys) and polys[0] is poly
         for p in polys:
             rows = polycore.exponent_matrix(p)
@@ -617,7 +621,8 @@ class TestOneEchelon:
         solves = _count_calls(monkeypatch, polycore, "solve_weights")
         hermite_forms = _count_calls(monkeypatch, symmetry, "_hermite_basis")
         assert mirror_check(parse_polynomial(CHAIN))
-        assert len(solves) == 2 and hermite_forms
+        # W, and CHAIN's one atom and its transpose
+        assert len(solves) == 3 and hermite_forms
         assert len(echelons) == len(solves) + len(hermite_forms)
         # the weights read the rows of (A | 1), a Hermite form lattice rows
         widths = Counter(len(rows[0]) for rows, _ in echelons)
@@ -640,7 +645,7 @@ class TestMemo:
         assert polycore._memoized_classify.cache_info().maxsize is not None
 
     def test_atom_memo_is_bounded(self):
-        assert mirror._atom_table.cache_info().maxsize is not None
+        assert mirror._atom_sides.cache_info().maxsize is not None
 
 
 # dense, with weights (1/4, 1/4, 1/2); its Jacobian has 10 distinct exponent
@@ -792,10 +797,11 @@ class TestLazyBasis:
 
         monkeypatch.setattr(mirror, "atable", recorded_atable)
         monkeypatch.setattr(AMODEL.AModel, "__init__", forbidden)
-        mirror._atom_table.cache_clear()
+        mirror._atom_sides.cache_clear()
         _, a_side, b_side = mirror.mirror_sides(parse_polynomial(CHAIN))
         assert a_side == b_side
-        assert groups == [gmax(parse_polynomial(CHAIN))]
+        # CHAIN's one atom, read from its head z: z^2*y + y^2*x + x^3
+        assert groups == [gmax(parse_polynomial("x^2*y + y^2*z + z^3"))]
         assert "elements" not in groups[0].__dict__
         assert "vectors" not in groups[0].__dict__
 

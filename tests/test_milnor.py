@@ -12,12 +12,14 @@ from hypothesis import strategies as st
 from lgmk import (
     GradedDims,
     GroupElement,
+    InvalidArgument,
     LgmkError,
     NotAdmissibleError,
     ResourceLimitExceeded,
     WeightSystem,
     amodel,
     bmodel,
+    btable,
     btop_formula,
     enumerate_admissible_supports,
     gmax,
@@ -263,7 +265,7 @@ class TestSeriesAgainstBasis:
 
     @pytest.mark.parametrize("text", ["x^3 + y^3", "x^3 + x*y^2 + y*z^2",
                                       "x^3*y + y^2*z + z^4*x", "x^4 + y^4 + x^3*y"])
-    @pytest.mark.parametrize("mutant", ["drop a factor", "truncate early"])
+    @pytest.mark.parametrize("mutant", ["drop a factor", "truncate early", "move inward"])
     def test_wrong_series_is_caught_when_the_basis_is_read(self, monkeypatch, text, mutant):
         # the series lives in groebner, where both bmodel and the kernel
         # read it; the kernel's certificate does not trust it
@@ -274,9 +276,22 @@ class TestSeriesAgainstBasis:
             if mutant == "drop a factor":
                 short = original(grades[:-1], weights[:-1])
                 return short + [0] * (len(series) - len(short))
-            return series[:-1]
+            if mutant == "truncate early":
+                return series[:-1]
+            # a unit from each end one step inward: symmetric, same sum
+            series[0] -= 1
+            series[-1] -= 1
+            series[1] += 1
+            series[-2] += 1
+            return series
 
         monkeypatch.setattr(groebner, "_complete_intersection_series", wrong)
+        if mutant != "move inward":
+            # btable refuses a series that is not symmetric or does not sum
+            # to the Milnor number before any model is built
+            with pytest.raises(LgmkError, match="series is no polynomial"):
+                bmodel(parse_polynomial(text))
+            return
         model = bmodel(parse_polynomial(text))
         with pytest.raises(LgmkError, match="but the series counts"):
             model.basis
@@ -558,3 +573,42 @@ class TestDualRouteAgreement:
         plain = bmodel(parse_polynomial("x^3 + x*y^2"))
         scaled = bmodel(parse_polynomial("5*x^3 + 2/3*x*y^2"))
         assert plain.graded == scaled.graded
+
+
+class TestBtable:
+    """`btable` is the Milnor-Orlik count from the weights alone, and
+    `bmodel` is `require_admissible` followed by it."""
+
+    @pytest.mark.parametrize("text", INVERTIBLE_CORPUS_TEXTS + ["x^4 + y^4 + x^3*y", "x*y + y^3"])
+    def test_it_is_the_bmodel_table(self, text):
+        poly = parse_polynomial(text)
+        assert btable(classify(poly).weights) == bmodel(poly).graded
+
+    @pytest.mark.parametrize("weights,message", [
+        ((F(1, 3), F(1, 3)), "weights must be a WeightSystem, got tuple"),
+        (WeightSystem((F(2, 3), F(1, 2))), r"weights \(2/3, 1/2\) have a negative top degree")],
+        ids=["tuple", "negative top"])
+    def test_bad_weights_are_invalid_arguments(self, weights, message):
+        with pytest.raises(InvalidArgument, match=f"^{message}$"):
+            btable(weights)
+
+    # the series of (2/9, 4/9) has a coefficient -1; that of (2/7, 3/7) sums
+    # to 3, not to its Milnor number 10/3; that of (1/3, 2/5), 1 + u^5 + u^6
+    # up to u^8, sums to 3 but is not symmetric
+    @pytest.mark.parametrize("q", [(F(2, 9), F(4, 9)), (F(2, 7), F(3, 7)), (F(1, 3), F(2, 5))])
+    def test_weights_no_nondegenerate_polynomial_has_are_refused(self, q):
+        weights = WeightSystem(q)
+        with pytest.raises(LgmkError) as raised:
+            btable(weights)
+        assert str(raised.value) == (
+            f"weights {weights}: no nondegenerate polynomial has these weights, since their "
+            "Milnor-Orlik series is no polynomial with nonnegative coefficients")
+
+    def test_a_long_series_is_refused_before_it_is_built(self, monkeypatch):
+        # x^3 + y^3 has a series of 3 coefficients
+        weights = WeightSystem((F(1, 3), F(1, 3)))
+        monkeypatch.setattr(groebner, "STANDARD_MONOMIAL_BOX_LIMIT", 3)
+        assert btable(weights).total_dim == 4
+        monkeypatch.setattr(groebner, "STANDARD_MONOMIAL_BOX_LIMIT", 2)
+        with pytest.raises(ResourceLimitExceeded, match="series has 3 coefficients"):
+            btable(weights)

@@ -1,9 +1,10 @@
+import inspect
 import json
 import math
 import random
 import time
 from fractions import Fraction as F
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -11,14 +12,18 @@ from hypothesis import strategies as st
 
 from lgmk import (
     AModel,
+    BModel,
     GradedDims,
     InvalidArgument,
+    LgmkError,
     NotAdmissibleError,
     NotInvertible,
+    Polynomial,
     ResourceLimitExceeded,
     WeightSystem,
     amodel,
     atable,
+    bmodel,
     classify,
     discriminant_2var,
     discriminant_sign_boundary,
@@ -33,7 +38,7 @@ from lgmk import (
     search_weight_systems,
     transpose_polynomial,
 )
-from lgmk import mirror, symmetry
+from lgmk import groebner, mirror, polycore, symmetry
 from lgmk.mirror import STATUS_FOUND, STATUS_NONE_EXACT, STATUS_NONE_WITHIN_BOUND
 
 from conftest import HERMITE_TEXTS, INVERTIBLE_CORPUS_TEXTS
@@ -91,36 +96,69 @@ def _mirror_corpus_texts() -> list[str]:
     return [job["argv"][1] for job in gen.jobs("mirror-corpus", record["seed"], record["blocks"])]
 
 
-SPLIT_CORPORA = {"invertible": INVERTIBLE_CORPUS_TEXTS, "hermite": HERMITE_TEXTS,
-                 "mirror-corpus": _mirror_corpus_texts()}
+def _parsed(texts) -> list[Polynomial]:
+    return [parse_polynomial(text) for text in texts]
 
 
-def _split_tables(texts) -> tuple[list, list]:
-    """The A side `mirror_sides` counts and amodel at Gmax(W) for each text."""
-    polys = [parse_polynomial(text) for text in texts]
-    return ([mirror._gmax_table(p) for p in polys],
-            [amodel(p, gmax(p)).graded for p in polys])
+def _relabelled(texts) -> list[Polynomial]:
+    """Each polynomial under every permutation of its variables' exponents.
+    They are kept as polynomials: parsing their text back would order the
+    variables by first appearance again."""
+    found = []
+    for poly in _parsed(texts):
+        for order in permutations(range(poly.n_variables)):
+            terms = {tuple(e[i] for i in order): c for e, c in poly.term_map().items()}
+            found.append(Polynomial.from_term_map(poly.variables, terms))
+    return found
+
+
+RELABELLED = _relabelled(INVERTIBLE_CORPUS_TEXTS)
+SPLIT_CORPORA = {"invertible": _parsed(INVERTIBLE_CORPUS_TEXTS), "hermite": _parsed(HERMITE_TEXTS),
+                 "mirror-corpus": _parsed(_mirror_corpus_texts()), "relabelled": RELABELLED}
+
+
+def _oracle_misses(polys) -> list[str]:
+    """The polynomials where a table `mirror_sides` counts per atom differs
+    from its whole-W route, amodel over Gmax(W) or bmodel of W^T, or where
+    `mirror_sides` raises."""
+    misses = []
+    for poly in polys:
+        whole = (amodel(poly, gmax(poly)).graded, bmodel(transpose_polynomial(poly)).graded)
+        try:
+            _, *split = mirror.mirror_sides(poly)
+        except LgmkError:
+            split = None
+        if split != list(whole):
+            misses.append(str(poly))
+    return misses
 
 
 class TestSplitTable:
-    """W is counted as the tensor product of its atoms' tables, each from
-    the atom's weights and group: the oracle is amodel over Gmax(W) itself."""
+    """W is counted as the tensor product of its atoms' tables on both
+    sides, each atom's pair read from its weights and group alone: the
+    oracles are amodel over Gmax(W) itself and bmodel of W^T itself."""
 
     @pytest.mark.parametrize("corpus", sorted(SPLIT_CORPORA))
     def test_the_tensor_product_is_the_whole_group_table(self, corpus):
-        polys = [parse_polynomial(text) for text in SPLIT_CORPORA[corpus]]
+        polys = SPLIT_CORPORA[corpus]
         assert any(len(mirror._atoms(exponent_matrix(p))) > 1 for p in polys)
-        split, whole = _split_tables(SPLIT_CORPORA[corpus])
-        assert split == whole
+        assert _oracle_misses(polys) == []
 
     def test_clearing_the_memo_gives_the_same_tables(self):
-        texts = [text for corpus in SPLIT_CORPORA.values() for text in corpus]
-        first, _ = _split_tables(texts)
-        assert mirror._atom_table.cache_info().hits
-        mirror._atom_table.cache_clear()
-        again, _ = _split_tables(texts)
-        assert mirror._atom_table.cache_info().misses
+        polys = [poly for corpus in SPLIT_CORPORA.values() for poly in corpus]
+        first = [mirror.mirror_sides(poly) for poly in polys]
+        assert mirror._atom_sides.cache_info().hits
+        mirror._atom_sides.cache_clear()
+        again = [mirror.mirror_sides(poly) for poly in polys]
+        assert mirror._atom_sides.cache_info().misses
         assert again == first
+
+    def test_an_atom_has_one_key_in_every_variable_order(self):
+        for text in INVERTIBLE_CORPUS_TEXTS + HERMITE_TEXTS:
+            keys = {tuple(sorted(mirror._atom_key(rows)
+                                 for _, rows in mirror._atoms(exponent_matrix(poly))))
+                    for poly in _relabelled([text])}
+            assert len(keys) == 1, text
 
     def test_a_tensor_product_that_ignores_the_scales_fails_the_oracle(self, monkeypatch):
         def unscaled(self, other):
@@ -132,9 +170,20 @@ class TestSplitTable:
             return GradedDims._from_counts(counts, max(self.scale, other.scale))
 
         monkeypatch.setattr(GradedDims, "tensor", unscaled)
-        mirror._atom_table.cache_clear()
-        split, whole = _split_tables(INVERTIBLE_CORPUS_TEXTS + HERMITE_TEXTS)
-        assert split != whole
+        mirror._atom_sides.cache_clear()
+        assert _oracle_misses(_parsed(INVERTIBLE_CORPUS_TEXTS + HERMITE_TEXTS))
+
+    def test_a_union_step_that_drops_a_subtree_fails_the_relabelled_oracle(self, monkeypatch):
+        # root[j] = find(first) relinks j alone: a variable that j's old root
+        # joined stays behind, so some atoms split wrongly
+        source = inspect.getsource(mirror._atoms)
+        assert source.count("root[find(j)] = find(first)") == 1
+        namespace = dict(vars(mirror))
+        exec(source.replace("root[find(j)] = find(first)", "root[j] = find(first)"), namespace)
+        monkeypatch.setattr(mirror, "_atoms", namespace["_atoms"])
+        mirror._atom_sides.cache_clear()
+        assert _oracle_misses(SPLIT_CORPORA["invertible"]) == []
+        assert len(RELABELLED) == 112 and _oracle_misses(RELABELLED)
 
     def test_a_split_w_builds_no_gmax_of_its_own(self, monkeypatch):
         seen = []
@@ -148,10 +197,11 @@ class TestSplitTable:
 
         monkeypatch.setattr(mirror, "atable", recorded)
         monkeypatch.setattr(AModel, "__init__", forbidden)
-        mirror._atom_table.cache_clear()
+        mirror._atom_sides.cache_clear()
         poly = parse_polynomial("x^4*y + y^6*z + z^5 + w^7")
         mirror.mirror_sides(poly)
-        # one group per atom, each in the atom's own variables, none listed
+        # one group per atom, each in the atom's canonical variable order
+        # (here W's own), none listed
         q = classify(poly).weights
         assert seen == [(WeightSystem(q[:3]), gmax(parse_polynomial("x^4*y + y^6*z + z^5"))),
                         (WeightSystem(q[3:]), gmax(parse_polynomial("w^7")))]
@@ -162,6 +212,38 @@ class TestSplitTable:
         connected = parse_polynomial("x^4*y + y^6*z + z^5*w + w^7")
         mirror.mirror_sides(connected)
         assert seen == [(classify(connected).weights, gmax(connected))]
+        # the first atom written z -> y -> x, read from its head z, is one key
+        seen.clear()
+        relabelled = parse_polynomial("x^5 + y^6*x + z^4*y")
+        mirror.mirror_sides(relabelled)
+        assert seen == []
+        mirror._atom_sides.cache_clear()
+        mirror.mirror_sides(relabelled)
+        assert seen == [(WeightSystem(q[:3]), gmax(parse_polynomial("x^4*y + y^6*z + z^5")))]
+
+    def test_a_fresh_w_is_classified_once_and_its_transpose_never_built(self, monkeypatch):
+        poly = parse_polynomial("x^3*y + y^4*z + z^3*x + w^5")
+        transpose = str(transpose_polynomial(poly))
+        polycore._memoized_classify.cache_clear()
+        mirror._atom_sides.cache_clear()
+        classified = []
+        memoized = polycore._memoized_classify
+
+        def recorded(p):
+            classified.append(p)
+            return memoized(p)
+
+        def forbidden(self, *args):
+            raise AssertionError(f"a {type(self).__name__} was built")
+
+        monkeypatch.setattr(polycore, "_memoized_classify", recorded)
+        for cls in (AModel, BModel, Polynomial):
+            monkeypatch.setattr(cls, "__init__", forbidden)
+        partner, a_side, b_side = mirror.mirror_sides(poly)
+        assert classified == [poly]
+        assert partner == transpose == "x^3*y + x*z^4 + y^3*z + w^5"
+        assert a_side == b_side
+        assert mirror._atom_sides.cache_info().maxsize == 256
 
     @pytest.mark.parametrize("text,atoms", [
         ("x^7", [((0,), ((7,),))]),
@@ -182,6 +264,15 @@ class TestSplitTable:
         monkeypatch.setattr(symmetry, "GROUP_ORDER_LIMIT", 3)
         with pytest.raises(ResourceLimitExceeded, match="2 atoms forms more than 3 products"):
             mirror_check(poly)
+
+    def test_a_table_left_out_under_a_lower_series_limit_is_counted_later(self, monkeypatch):
+        # x^4's series has 3 coefficients, that of x^4 + y^4 has 5
+        mirror._atom_sides.cache_clear()
+        monkeypatch.setattr(groebner, "STANDARD_MONOMIAL_BOX_LIMIT", 2)
+        with pytest.raises(ResourceLimitExceeded, match="series has 5 coefficients"):
+            mirror_check(parse_polynomial("x^4 + y^4"))
+        monkeypatch.setattr(groebner, "STANDARD_MONOMIAL_BOX_LIMIT", 5)
+        assert mirror_check(parse_polynomial("x^4 + y^4"))
 
     def test_the_products_are_counted_over_every_factor(self, monkeypatch):
         # 2*2 products, then 3*2 for the table of 3 entries: 10 in all

@@ -116,6 +116,35 @@ class TestPointerCertificate:
             assert _pointer_certified(tuple(zip(*matrix))), str(poly)
 
 
+class TestPointerForm:
+    """`_pointer_form` reads the atoms of a pointer-form matrix up to
+    relabelling; `_pointer_certified` is its being defined."""
+
+    @pytest.mark.parametrize("text,form", [
+        ("x^7", ((False, (7,)),)),
+        ("x^3 + y^2", ((False, (2,)), (False, (3,)))),
+        # the chain y -> z -> x, read from its head y
+        ("x^3 + y^4*z + z^5*x", ((False, (4, 5, 3)),)),
+        # the loop (2, 3, 2) rotated to its least, (2, 2, 3)
+        ("x^2*y + y^3*z + z^2*x", ((True, (2, 2, 3)),)),
+        ("x^2*y + y^2*x + z^4*w + w^3", ((False, (4, 3)), (True, (2, 2)))),
+        ("x^2 + x*y", None)])
+    def test_each_atom_is_read_from_its_head_or_least_rotation(self, text, form):
+        assert polycore._pointer_form(exponent_matrix(parse_polynomial(text))) == form
+
+    @given(pointer_polynomials(), st.randoms(use_true_random=False))
+    @settings(max_examples=200, deadline=None)
+    def test_a_relabelling_keeps_the_form(self, poly, rng):
+        rows = exponent_matrix(poly)
+        order = list(range(len(rows)))
+        rng.shuffle(order)
+        relabelled = [tuple(row[i] for i in order) for row in rows]
+        rng.shuffle(relabelled)
+        form = polycore._pointer_form(rows)
+        assert polycore._pointer_form(tuple(relabelled)) == form
+        assert (form is not None) is _pointer_certified(rows)
+
+
 def _supports(weights):
     """Every candidate of `enumerate_admissible_supports`, in its order."""
     names = mirror._default_variables(len(weights))
