@@ -288,7 +288,11 @@ def group_weights_compare(poly_a: Polynomial, poly_b: Polynomial,
     """Graded-vector-space comparison of the two state spaces under one group.
 
     Both polynomials must be admissible with identical weights, and the group
-    must be an admissible symmetry group of each.
+    must be an admissible symmetry group of each.  Then the answer is True:
+    the graded table of (W, G) is `atable(weights, G)`, which reads only W's
+    weights and the group, so the same weights and the same group give the
+    same table.  The checks are those `amodel` makes on each polynomial, in
+    its order, and the table is counted once.
     """
     verdict_a = classify(poly_a)
     verdict_b = classify(poly_b)
@@ -297,4 +301,8 @@ def group_weights_compare(poly_a: Polynomial, poly_b: Polynomial,
     if verdict_a.weights != verdict_b.weights:
         raise ValueError(
             f"weight systems differ: {verdict_a.weights} vs {verdict_b.weights}")
-    return amodel(poly_a, group).graded == amodel(poly_b, group).graded
+    check_symmetry(group, poly_a)
+    # J-membership, and a count that must come out a nonnegative integer
+    atable(verdict_a.weights, group)
+    check_symmetry(group, poly_b)
+    return True

@@ -32,7 +32,6 @@ import os
 import sys
 from fractions import Fraction
 from functools import cache
-from operator import attrgetter
 from typing import Callable
 
 from .amodel import amodel
@@ -220,8 +219,7 @@ def cmd_bmodel(args) -> tuple[dict, dict]:
         "top_degree": _rat(model.graded.top_degree()),
         "top_degree_formula": _rat(_top_sum(weights)),
         "graded": model.graded.as_json_dict(),
-        "basis": _render_monomials(poly.variables,
-                                   list(map(attrgetter("exponents"), model.basis))),
+        "basis": model._listing.texts(poly.variables),
     }
     return {"polynomial": args.polynomial}, payload
 

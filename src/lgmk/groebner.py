@@ -50,11 +50,18 @@ monomials span it.  No basis is interreduced and no coefficient leaves the
 loop.  One counter bounds both loops: every S-pair processed and every term
 a reduction cancels is one step, and a run of more than STEP_LIMIT steps
 raises ResourceLimitExceeded.
-`standard_monomials` refuses a box larger than STANDARD_MONOMIAL_BOX_LIMIT
+`_standard_listing` refuses a box larger than STANDARD_MONOMIAL_BOX_LIMIT
 and walks the staircase under the leading terms, one variable at a time.
-It sorts the listing by packed keys: the key is linear in the exponents, so
-each prefix of the first n - 1 exponents is keyed by one dot product and
-its last exponents add a progression, and no monomial is packed on its own.
+It sorts the listing by packed keys alone: the key is linear in the
+exponents, so each prefix of the first n - 1 exponents is keyed by one dot
+product and its last exponents add a progression, and no monomial is
+packed on its own.  Each key carries its monomial's walk position in its
+low bits, so one sort of integers orders the listing, and each monomial's
+grade and walk position are then read off its key: the listing holds the
+walk and two integer columns, and no tuple per monomial.  It has two
+readers: `standard_monomials` builds the `Monomial`s, and `milnor`'s
+checked basis listing counts the grades and hands the CLI each monomial's
+text, rendered once per prefix.
 That box rule guards listings only: the graded tables of `bmodel` and
 `amodel` are counted without a standard monomial.  One walk, `_walk`,
 serves listings, the counts of the Hilbert driving and its certificate, and
@@ -250,7 +257,12 @@ def _packed(term_maps: list[dict[Exps, int]],
         if len(e) != len(weights):
             raise InvalidArgument(
                 f"grade weights must be {len(e)} positive integers, one per variable")
-        if min((_require_int("exponent", x) for x in e), default=0) < 0:
+        # a tuple of plain ints passes one type test; any other is read
+        # entry by entry, so a bool or a float is refused by name
+        if not set(map(type, e)) <= {int}:
+            for x in e:
+                _require_int("exponent", x)
+        if min(e, default=0) < 0:
             raise InvalidArgument("exponents must be nonnegative integers")
     top = max((sum(map(mul, e, weights)) for e in tuples), default=0)
     packing = _Packing(weights, _FIELD_BITS).fit(top)
@@ -601,25 +613,64 @@ def _staircase_size(leads, n: int) -> int:
     return sum(len(lasts) for _, lasts in _walk(leads, (1,) * n))
 
 
-def standard_monomials(basis: Staircase,
-                       last: Callable[[Exps, int], range] | None = None,
-                       ) -> list[Monomial]:
-    """Monomials divisible by no leading term: a basis of the quotient.
+class _Listing:
+    """The standard monomials of a finite staircase in n >= 1 variables.
+    `walk` holds the walk's prefixes (the first n - 1 exponents) in walk
+    order, each with the range of its last exponents; a monomial's walk
+    position counts the monomials before it in that order.  `order` holds
+    each monomial's walk position and `grades` its grade, both in the basis
+    order, ascending by packed key."""
 
-    Sorted ascending in the basis order, by their packed keys: each prefix
-    of the first n - 1 exponents is keyed once, and its last exponents
-    extend the key by a progression, so no monomial is packed on its own.
-    With `last`, only those whose last exponent lies in
-    `last(prefix, stop)`, a range within range(stop), for the others'
-    exponents `prefix`.  Raises NotFiniteDimensional when
-    some variable has no pure-power leading term, that is when the quotient
-    is not a finite-dimensional vector space, and ResourceLimitExceeded when
-    the box bounded by the pure powers holds more than
-    STANDARD_MONOMIAL_BOX_LIMIT exponent tuples.
-    """
+    __slots__ = ("walk", "order", "grades")
+
+    def __init__(self, walk: list[tuple[Exps, range]], order: list[int], grades: list[int]):
+        self.walk, self.order, self.grades = walk, order, grades
+
+    def monomials(self) -> list[Monomial]:
+        rows: list[Exps] = []
+        for prefix, lasts in self.walk:
+            rows += map(prefix.__add__, zip(lasts))
+        return list(map(_monomial, map(rows.__getitem__, self.order)))
+
+    def texts(self, variables: tuple[str, ...]) -> list[str]:
+        """Each monomial's text over `variables`, by the rule of
+        `_render_monomials`: each prefix is rendered once, and the last
+        variable's power is read from a table."""
+        name = variables[-1]
+        top = max((lasts[-1] for _, lasts in self.walk if lasts), default=1)
+        powers = ["", name] + [f"{name}^{e}" for e in range(2, top + 1)]
+        texts: list[str] = []
+        heads = _render_monomials(variables[:-1], [prefix for prefix, _ in self.walk])
+        for head, (_, lasts) in zip(heads, self.walk):
+            # a nonzero power follows the prefix's text and '*', or stands
+            # alone after the zero prefix, whose text is "1"; a zero power
+            # leaves the prefix's text as it is
+            at = len(texts)
+            texts += map(("" if head == "1" else head + "*").__add__,
+                         powers[lasts.start:lasts.stop:lasts.step])
+            if lasts and not lasts.start:
+                texts[at] = head
+        return list(map(texts.__getitem__, self.order))
+
+
+def _standard_listing(basis: Staircase,
+                      last: Callable[[Exps, int], range] | None = None) -> _Listing:
+    """The listing of `standard_monomials(basis, last)`, for a staircase in
+    one or more variables, with its refusals.
+
+    The staircase is walked by `_walk`.  x^e packs as K = sum(e_i * c_i),
+    c_i = w_i * 2^(B*n) - 2^(B*i): each prefix is keyed by one dot product,
+    and the last exponents of its range add a progression of step c_last.
+    Each key, raised by mask, is tagged with its monomial's walk position p
+    in the bits below it, T = (K + mask) * 2^b + p with p < 2^b, and the
+    tags of one range still form a progression, so they are listed without
+    a loop per monomial.  The keys are distinct, so the tags sort in the
+    basis order, alone, and each monomial's walk position and grade are
+    read off its tag: p = T mod 2^b, and the grade (K + mask) >> shift is
+    T >> (shift + b)."""
     leads, weights = basis.leads, basis.weights
     if _unit(leads):
-        return []
+        return _Listing([], [], [])
     n = len(weights)
     bounds = _pure_power_bounds(leads, n)
     if bounds is None:
@@ -629,20 +680,41 @@ def standard_monomials(basis: Staircase,
         raise ResourceLimitExceeded(
             f"the standard monomials lie in a box of {box} exponent tuples, "
             f"more than the limit of {STANDARD_MONOMIAL_BOX_LIMIT}")
-    if not n:
-        return [_monomial(())]
-    # x^e packs as K = sum(e_i * c_i), c_i = w_i * 2^(B*n) - 2^(B*i): one dot
-    # product per prefix, to which the last exponents of a range add a
-    # progression of step c_last; keys are distinct, so pairs sort by key
     packing = _Packing(weights, _FIELD_BITS).fit(sum(map(mul, bounds, weights)))
-    coeffs = [(w << packing.shift) - place for w, place in zip(weights, packing.places)]
+    shift, mask = packing.shift, packing.mask
+    coeffs = [(w << shift) - place for w, place in zip(weights, packing.places)]
     step = coeffs.pop()
-    keyed: list[tuple[int, Exps]] = []
+    bits = box.bit_length()  # the box holds every walk position
+    walk: list[tuple[Exps, range]] = []
+    tags: list[int] = []
     for prefix, lasts in _walk(leads, weights):
         if last is not None:
             lasts = last(prefix, lasts.stop)
-        key = sum(map(mul, prefix, coeffs))
-        keyed += zip(range(key + lasts.start * step, key + lasts.stop * step, lasts.step * step),
-                     map(prefix.__add__, zip(lasts)))
-    keyed.sort()
-    return list(map(_monomial, map(itemgetter(1), keyed)))
+        first = (sum(map(mul, prefix, coeffs)) + lasts.start * step + mask << bits) + len(tags)
+        stride = (lasts.step * step << bits) + 1
+        tags += range(first, first + len(lasts) * stride, stride)
+        walk.append((prefix, lasts))
+    tags.sort()
+    order = list(map(((1 << bits) - 1).__and__, tags))
+    return _Listing(walk, order, list(map((shift + bits).__rrshift__, tags)))
+
+
+def standard_monomials(basis: Staircase,
+                       last: Callable[[Exps, int], range] | None = None,
+                       ) -> list[Monomial]:
+    """Monomials divisible by no leading term: a basis of the quotient.
+
+    Sorted ascending in the basis order, by their packed keys: each prefix
+    of the first n - 1 exponents is keyed once, and its last exponents
+    extend the key by a progression, so no monomial is packed on its own
+    (see `_standard_listing`).  With `last`, only those whose last exponent
+    lies in `last(prefix, stop)`, a range within range(stop), for the
+    others' exponents `prefix`.  Raises NotFiniteDimensional when
+    some variable has no pure-power leading term, that is when the quotient
+    is not a finite-dimensional vector space, and ResourceLimitExceeded when
+    the box bounded by the pure powers holds more than
+    STANDARD_MONOMIAL_BOX_LIMIT exponent tuples.
+    """
+    if not basis.weights:  # no variable: the unit ideal or the constant alone
+        return [] if basis.leads else [_monomial(())]
+    return _standard_listing(basis, last).monomials()

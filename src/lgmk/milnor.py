@@ -30,12 +30,15 @@ is built from the series itself: the nonzero coefficients, kept by
 keeps, over L.  The series lives in groebner because the kernel
 reads the same one: its pair loop is Hilbert driven on a Jacobian, and
 certifies its staircase by the Milnor number.
-`BModel.basis` lists the standard monomials only when first read, as the
-CLI does to print them, and their count in every degree must equal the
-series', so the Groebner route and the closed form check each other
-wherever a basis is printed.  The listing packs no monomial on its own
-(see `standard_monomials`), and the listed degrees are summed one exponent
-column at a time.  Each side has its own limit: the box rule of
+A `BModel` lists the standard monomials only when its basis is first
+read, as the CLI does to print them, and their count in every degree must
+equal the series', so the Groebner route and the closed form check each
+other wherever a basis is printed.  The listing packs no monomial on its
+own and reads each monomial's grade off its packed key (see
+`groebner._standard_listing`), so the check counts those grades and reads
+no exponent.  The model keeps that one checked listing: `BModel.basis`
+builds its `Monomial`s from it, and the CLI prints its texts without
+building any.  Each side has its own limit: the box rule of
 `standard_monomials` guards only the listing, and `btable` refuses a series
 of more than STANDARD_MONOMIAL_BOX_LIMIT coefficients before it allocates
 one.  The two lengths differ both ways: the series' top + 1 grows with L
@@ -59,14 +62,13 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress, repeat
+from itertools import compress
 from math import gcd, lcm, prod
-from operator import add, attrgetter, mul
 from typing import Iterable, Mapping
 
 from . import groebner
 from .errors import InvalidArgument, LgmkError, ResourceLimitExceeded
-from .groebner import Monomial, _require_int, standard_monomials
+from .groebner import Monomial, _require_int
 from .polycore import (Polynomial, WeightSystem, _integer_form, _rational, classify,
                        jacobian_staircase, require_admissible)
 from .value import _Value
@@ -198,31 +200,37 @@ class BModel(_Value):
     graded: GradedDims
 
     @cached_property
+    def _listing(self) -> groebner._Listing:
+        """The standard monomials of the Jacobian ideal, listed once from
+        the record's staircase and checked against the series.
+
+        Raises LgmkError if the listing has a different number of monomials
+        than the series in some degree."""
+        listing = groebner._standard_listing(classify(self.source).staircase)
+        # a monomial of grade k under the integer weights has degree 2k/L,
+        # counted by its numerator 2k over L; the table keeps the series
+        # over its least scale, a divisor of L
+        scale = self.weights.integer_form[0]
+        listed = {2 * k: count for k, count in Counter(listing.grades).items()}
+        factor = scale // self.graded.scale
+        series = dict(zip(map(factor.__mul__, self.graded.numerators), self.graded.dims))
+        if listed != series:
+            n = min(n for n in listed.keys() | series.keys()
+                    if listed.get(n, 0) != series.get(n, 0))
+            raise LgmkError(
+                f"the Milnor basis of {self.source} lists {listed.get(n, 0)} monomials "
+                f"of degree {Fraction(n, scale)}, but the series counts "
+                f"{series.get(n, 0)}")
+        return listing
+
+    @cached_property
     def basis(self) -> tuple[Monomial, ...]:
         """The standard monomials of the Jacobian ideal, sorted in weighted
         degrevlex order.
 
         Raises LgmkError if the listing has a different number of monomials
         than the series in some degree."""
-        monomials = tuple(standard_monomials(classify(self.source).staircase))
-        # degree 2*sum(e_i q_i) = 2k/L, counted by its numerator 2k over L
-        # and summed one exponent column at a time; the table keeps the
-        # series over its least scale, a divisor of L
-        scale, integer_weights = self.weights.integer_form
-        grades = repeat(0, len(monomials))
-        for column, w in zip(zip(*map(attrgetter("exponents"), monomials)), integer_weights):
-            grades = map(add, grades, map(mul, column, repeat(2 * w)))
-        listed = Counter(grades)
-        factor = scale // self.graded.scale
-        series = dict(zip(map(factor.__mul__, self.graded.numerators), self.graded.dims))
-        if listed != series:
-            n = min(n for n in listed.keys() | series.keys()
-                    if listed[n] != series.get(n, 0))
-            raise LgmkError(
-                f"the Milnor basis of {self.source} lists {listed[n]} monomials "
-                f"of degree {Fraction(n, scale)}, but the series counts "
-                f"{series.get(n, 0)}")
-        return monomials
+        return tuple(self._listing.monomials())
 
 
 def is_nondegenerate(poly: Polynomial) -> bool:

@@ -7,8 +7,11 @@ monomial order (lexicographic on exponent vectors).  All coefficients are
 `fractions.Fraction`, so equality tests throughout the toolkit are exact.
 
 Weights are solved by `_echelon`, the toolkit's one integer row echelon
-(symmetry's Hermite forms are the same echelon); only the back-substitution
-builds `Fraction`s.
+(symmetry's Hermite forms are the same echelon), and finished in integers:
+the back-substitution gives the weights over one common denominator, whose
+reduced form is their integer form (L, L*q_i), and the sign and 1/2 tests
+read those integers.  `Fraction`s are built only for the weights `q` and
+for error texts.
 
 This layer sits on the Groebner kernel, whose `Monomial` type and
 `staircase` it imports; the kernel's order is graded by the integer form of
@@ -34,7 +37,7 @@ import sys
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -277,7 +280,7 @@ def parse_polynomial(text: str) -> Polynomial:
     if not text.strip():
         raise ParseError("empty input", 0)
     names: dict[str, int] = {}
-    terms: list[tuple[Fraction, dict[int, int]]] = []
+    read: list[tuple[Fraction, dict[int, int]]] = []
     pos = 0
     while pos < len(text):
         m = _TERM.match(text, pos)
@@ -309,19 +312,22 @@ def parse_polynomial(text: str) -> Polynomial:
             exps[index] = exps.get(index, 0) + power
         if m["open"]:
             raise _unexpected(text, m.end(), "a variable")
-        terms.append((coeff, exps))
+        read.append((coeff, exps))
         pos = m.end()
     term_map: dict[Exps, Fraction] = {}
-    for coeff, exps in terms:
+    for coeff, exps in read:
         row = [0] * len(names)
         for index, power in exps.items():
             row[index] = power
         key = tuple(row)
         term_map[key] = term_map[key] + coeff if key in term_map else coeff
-    poly = Polynomial.from_term_map(names, term_map)
-    if poly.is_zero():
+    # the names are distinct matches of _NAME and the exponents sums of
+    # positive ints, so the canonical form is built as from_term_map builds
+    # it, without checking them again; distinct tuples sort by themselves
+    terms = tuple((c, _monomial(e)) for e, c in sorted(term_map.items(), reverse=True) if c)
+    if not terms:
         raise EmptyPolynomialError()
-    return poly
+    return Polynomial(tuple(names), terms)
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +407,8 @@ def solve_weights(rows) -> WeightSystem:
     column means no solution, as a zero row of A (a constant term) gives;
     fewer than n pivots mean rank(A) < n.  Otherwise row i pivots on column
     i, and q_i .. q_n-1 are back-substituted from the last row up, in
-    integers over one common denominator.
+    integers over one common denominator; the result holds its integer form
+    from the start.
     """
     n = len(rows[0]) if rows else 0
     if not n or any(len(row) != n for row in rows):
@@ -417,13 +424,20 @@ def solve_weights(rows) -> WeightSystem:
         top = row[n] * common - sum(map(mul, row[i + 1:n], numerators))
         numerators = [top] + [row[i] * t for t in numerators]
         common *= row[i]
-    q = [Fraction(t, common) for t in numerators]
-    if any(v <= 0 for v in q):
+    # q_i = t_i / common with common > 0 and gcd(common, t_1, ..., t_n) = 1,
+    # so common is the lcm of the reduced denominators: (common, t) is the
+    # integer form, and the signs and the bound are read off the integers
+    g = gcd(common, *numerators)  # common, a product of pivots, is positive
+    common, numerators = common // g, [t // g for t in numerators]
+    q = tuple(Fraction(t, common) for t in numerators)
+    if min(numerators) <= 0:
         raise NonPositiveWeight(f"solved weights {tuple(map(str, q))} are not all positive")
-    if not _has_cross_term(rows) and any(v > Fraction(1, 2) for v in q):
+    if 2 * max(numerators) > common and not _has_cross_term(rows):
         raise WeightBoundViolated(
             f"weights {tuple(map(str, q))} exceed 1/2 with no cross-term present")
-    return WeightSystem(tuple(q))
+    weights = object.__new__(WeightSystem)
+    weights.__dict__.update(q=q, integer_form=(common, tuple(numerators)))
+    return weights
 
 
 # ---------------------------------------------------------------------------

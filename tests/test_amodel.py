@@ -228,6 +228,34 @@ class TestGroupWeights:
                 for j in range(i + 1, len(polys)):
                     assert group_weights_compare(polys[i], polys[j], group), (n, i, j)
 
+    def test_the_table_is_counted_once(self, monkeypatch):
+        # one weight system and one group give one table, so it is counted once
+        calls, atable = [], AMODEL.atable
+
+        def counted(weights, group):
+            calls.append((weights, group))
+            return atable(weights, group)
+
+        monkeypatch.setattr(AMODEL, "atable", counted)
+        a = parse_polynomial("x^5 + y^5 + x^4*y")
+        b = parse_polynomial("x^5 + x^2*y^3 + x*y^4")
+        assert group_weights_compare(a, b, j_group(5))
+        assert calls == [(classify(a).weights, j_group(5))]
+
+    def test_the_group_is_checked_against_both_polynomials(self):
+        a = parse_polynomial("x^4 + y^4")
+        b = parse_polynomial("x^4 + x*y^3")
+        # Gmax(a) holds J, but (1/4, 0) moves b's x*y^3
+        group = subgroup_generated([GroupElement((F(1, 4), F(0))),
+                                    GroupElement((F(1, 4), F(1, 4)))], 2)
+        with pytest.raises(GroupNotSymmetry):
+            group_weights_compare(a, b, group)
+        with pytest.raises(GroupNotSymmetry):
+            group_weights_compare(b, a, group)
+        # the trivial group fixes both, but lacks J
+        with pytest.raises(GroupNotAdmissible):
+            group_weights_compare(a, b, subgroup_generated([], 2))
+
 
 def groups_containing_j(poly):
     j = GroupElement(tuple(classify(poly).weights))

@@ -333,6 +333,12 @@ class TestStandardMonomials:
                if not any(all(map(int.__le__, lt, exps)) for lt in leads)
                and (spec is None or (exps[-1] - start - sum(exps[:-1])) % step == 0)]
         assert found == sorted(box, key=partial(order_key, weights))
+        # the listing behind it reads each grade, and the report each text,
+        # off the packed keys
+        listing = groebner._standard_listing(Staircase(tuple(leads), weights), last)
+        names = ("a", "b1", "c", "d22")[:n]
+        assert listing.grades == [sum(map(mul, exps, weights)) for exps in found]
+        assert listing.texts(names) == groebner._render_monomials(names, found)
 
     def test_count_matches_weight_formula_on_corpus(self, invertible_corpus):
         for poly in invertible_corpus:

@@ -40,8 +40,9 @@ canonical variable order, and builds no `AModel`.  `bmodel` counts its table fro
 series, so `mirror_sides` lists no standard monomial, and `BModel.basis`
 is listed only when first read.  Listing it packs no monomial on its own,
 and a series that disagrees with the listing raises `LgmkError` naming the
-least degree where they differ.  No module reads the environment: every
-limit is a module constant.  No module imports `dataclasses`: the value
+least degree where they differ.  The `bmodel` report prints the same
+checked listing and builds no `Monomial`.  No module reads the
+environment: every limit is a module constant.  No module imports `dataclasses`: the value
 classes share the small base in `value`, so `import lgmk` loads neither
 `dataclasses` nor `inspect`, and without `lgmk.cli` neither `argparse` nor
 `json`.  That base alone defines equality, and no
@@ -61,6 +62,7 @@ diagnoses nothing a caller can act on.
 
 import ast
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -690,8 +692,10 @@ class TestBasisListing:
         assert len(model.basis) == model.graded.total_dim
         assert packed == []
 
-    @pytest.mark.parametrize("mutant", ["move", "drop", "add"])
-    def test_a_series_that_disagrees_with_the_listing_names_its_least_degree(self, mutant):
+    @staticmethod
+    def mutated_series(mutant):
+        """DENSE's model, a copy of its table with one mutant applied, and
+        the message a basis listing checked against that copy must raise."""
         poly = parse_polynomial(DENSE)
         model = milnor.bmodel(poly)
         table = dict(model.graded.entries)
@@ -706,14 +710,45 @@ class TestBasisListing:
         else:  # a degree the listing never reaches
             wrong, listed, counted = 2 * degrees[-1] - degrees[-2], 0, 2
             table[wrong] = counted
-        mutated = milnor.BModel(poly, model.weights,
-                                milnor.GradedDims((d, k) for d, k in table.items() if k))
+        graded = milnor.GradedDims((d, k) for d, k in table.items() if k)
+        message = (f"the Milnor basis of {poly} lists {listed} monomials of degree {wrong}, "
+                   f"but the series counts {counted}")
+        return model, graded, message
+
+    @pytest.mark.parametrize("mutant", ["move", "drop", "add"])
+    def test_a_series_that_disagrees_with_the_listing_names_its_least_degree(self, mutant):
+        model, graded, message = self.mutated_series(mutant)
+        mutated = milnor.BModel(model.source, model.weights, graded)
         with pytest.raises(LgmkError) as raised:
             mutated.basis
-        assert str(raised.value) == (
-            f"the Milnor basis of {poly} lists {listed} monomials of degree {wrong}, "
-            f"but the series counts {counted}")
+        assert str(raised.value) == message
         assert "basis" not in mutated.__dict__
+
+    @pytest.mark.parametrize("mutant", ["move", "drop", "add"])
+    def test_the_report_refuses_the_same_mutants(self, monkeypatch, capsys, mutant):
+        # the report reads the checked listing, not `basis`, and fails with
+        # the same plain LgmkError, which main maps to no exit code and raises
+        _, graded, message = self.mutated_series(mutant)
+        monkeypatch.setattr(milnor, "btable", lambda weights: graded)
+        with pytest.raises(LgmkError) as raised:
+            cli.main(["bmodel", DENSE, "--json"])
+        assert type(raised.value) is LgmkError
+        assert str(raised.value) == message
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("text", [DENSE, CHAIN, LOOP, "x^7 + y^5 + x*z^4", "x^2 + y^2"])
+    def test_the_report_builds_no_monomial(self, monkeypatch, capsys, text):
+        poly = parse_polynomial(text)
+        expected = [m.render(poly.variables) for m in milnor.bmodel(poly).basis]
+        polycore._memoized_classify.cache_clear()
+
+        def forbidden(*args):
+            raise AssertionError("a Monomial was built")
+
+        monkeypatch.setattr(groebner, "_monomial", forbidden)
+        monkeypatch.setattr(groebner.Monomial, "__init__", forbidden)
+        assert cli.main(["bmodel", text, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["payload"]["basis"] == expected
 
 
 class TestFractionFreeDivision:
@@ -821,10 +856,11 @@ class TestLazyBasis:
     @pytest.mark.parametrize("text", [CHAIN, LOOP, FERMAT, "x^5*y + y^4*z + z^3 + w^7"])
     def test_mirror_sides_lists_no_standard_monomial(self, monkeypatch, text):
         def forbidden(*args):
-            raise AssertionError("standard_monomials was called")
+            raise AssertionError("standard monomials were listed")
 
-        for module in (groebner, milnor, AMODEL):
+        for module in (groebner, AMODEL):
             monkeypatch.setattr(module, "standard_monomials", forbidden)
+        monkeypatch.setattr(groebner, "_standard_listing", forbidden)
         _, a_side, b_side = mirror.mirror_sides(parse_polynomial(text))
         assert a_side == b_side
         assert b_side.total_dim > 0

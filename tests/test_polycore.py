@@ -41,7 +41,7 @@ from lgmk import (
     staircase,
 )
 from lgmk.mirror import _monomials_of_weight_one
-from lgmk.polycore import _echelon, _rational
+from lgmk.polycore import _echelon, _integer_form, _rational
 
 from conftest import INVERTIBLE_CORPUS_TEXTS
 
@@ -157,6 +157,10 @@ class TestParse:
         poly = parse_polynomial(text)
         assert poly.variables == names
         assert poly.term_map() == term_map
+        # the parser builds the canonical form itself: the one from_term_map
+        # builds, term order and Fraction coefficients included
+        assert poly == Polynomial.from_term_map(names, term_map)
+        assert {type(c) for c, _ in poly.terms} == {F}
 
     def test_three_term_example(self):
         poly = parse_polynomial("x^4 + y^4 + x^3*y")
@@ -659,7 +663,32 @@ ORACLE_CASES = [
 ]
 
 
+@st.composite
+def integer_matrices(draw):
+    """Integer matrices of 1-4 columns, square about half the time and
+    otherwise of 1-6 rows, with small entries, some of them negative."""
+    n = draw(st.integers(1, 4))
+    m = n if draw(st.booleans()) else draw(st.integers(1, 6))
+    entries = st.integers(0, 5) | st.integers(-3, 3)
+    return tuple(tuple(draw(st.lists(entries, min_size=n, max_size=n))) for _ in range(m))
+
+
 class TestSolveWeightsOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(integer_matrices())
+    @example(((2, 0), (0, 2)))  # q = (1/2, 1/2): the bound holds with equality
+    @example(((4, 0, 0), (0, 6, 0), (0, 0, 10)))
+    @example(((-2, 0), (0, 3)))  # NonPositiveWeight
+    @example(((2, 0), (1, 3), (0, 5)))  # tall and inconsistent
+    def test_random_matrices_match_the_fraction_solve(self, matrix):
+        found = _outcome(solve_weights, matrix)
+        assert found == _outcome(oracle_solve_weights, matrix)
+        if isinstance(found, WeightSystem):
+            # the solve fills in the integer form, read off its integers
+            assert "integer_form" in found.__dict__
+            assert found.integer_form == _integer_form(found.q)
+            assert {type(q) for q in found.q} == {F}
+
     @pytest.mark.parametrize("rows", ORACLE_CASES)
     def test_each_outcome_matches_the_fraction_solve(self, rows):
         assert _outcome(solve_weights, rows) == _outcome(oracle_solve_weights, rows)

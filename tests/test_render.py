@@ -9,12 +9,15 @@ must give the bytes of the rule it replaced, written out here as
 `parse_polynomial` reads back as the same polynomial: here
 `transpose_polynomial` and `amodel.restrict` of drawn invertible
 polynomials, and in `test_polycore.py` `from_term_map` with drawn names.
+The parser builds its canonical form without `from_term_map`, so a printed
+polynomial must parse to the very polynomial `from_term_map` builds from
+the same terms, over the variables in the order the text names them.
 """
 
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lgmk import Polynomial, fixed_locus, gmax, parse_polynomial, transpose_polynomial
@@ -99,6 +102,30 @@ class TestOneRule:
             st.sampled_from([F(1), F(-1)])
         poly = Polynomial.from_term_map(names, {e: data.draw(coefficients) for e in rows})
         assert str(poly) == rule_polynomial_text(poly)
+
+
+class TestParseBuildsTheCanonicalForm:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_a_printed_polynomial_parses_to_from_term_map(self, data):
+        names, rows = data.draw(names_and_rows(min_rows=1))
+        # parse reads no constant term and names only the variables it meets
+        rows = [row for row in rows if any(row)]
+        used = [i for i in range(len(names)) if any(row[i] for row in rows)]
+        assume(rows)
+        names = tuple(names[i] for i in used)
+        coefficients = st.fractions(max_denominator=10**6).filter(bool) | \
+            st.sampled_from([F(1), F(-1)])
+        term_map = {tuple(row[i] for i in used): data.draw(coefficients) for row in rows}
+        text = str(Polynomial.from_term_map(names, term_map))
+        # the parser orders the variables by their first appearance in the text
+        order = []
+        for exps in sorted(term_map, reverse=True):
+            order += [names[i] for i, e in enumerate(exps) if e and names[i] not in order]
+        at = [names.index(name) for name in order]
+        expected = Polynomial.from_term_map(
+            order, {tuple(exps[i] for i in at): c for exps, c in term_map.items()})
+        assert parse_polynomial(text) == expected
 
 
 def assert_reads_back(poly: Polynomial) -> None:
