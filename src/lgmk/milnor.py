@@ -234,13 +234,15 @@ class BModel(_Value):
 
 
 def is_nondegenerate(poly: Polynomial) -> bool:
-    """True iff the Jacobian ideal is zero dimensional (finite Milnor ring)."""
+    """True iff the Jacobian ideal is zero dimensional (finite Milnor ring).
+    With weights it is read off the verdict, True iff W is admissible, so a
+    W with a linear term of weight 1, where 0 is no critical point, reads
+    False."""
     if poly.is_zero() or poly.n_variables == 0:
         return False
     verdict = classify(poly)
     if verdict.weights is None:
         return jacobian_staircase(poly, None) is not None
-    # with weights, only a degenerate W is not admissible
     return verdict.is_admissible
 
 

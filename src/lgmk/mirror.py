@@ -3,32 +3,29 @@
 `transpose_polynomial` lives in polycore, since it needs only `classify` and
 the exponent matrix; it is re-exported here beside `mirror_check`.
 `mirror_sides` computes the text of W^T and both graded sides once;
-`mirror_check` and the CLI's `mirror-check` both read them from it.  Both
-sides are counted one atom (Fermat, chain or loop: a component of the graph
-joining the variables of each monomial) at a time; a connected W is one
-atom.  W's exponent matrix is block diagonal over its atoms, so W^T's atoms
-are the transposes of W's.  Gmax(W) is the product of the atoms' groups, so
-by the tensor law A(W1 + W2, G1 x G2) = A(W1, G1) (x) A(W2, G2) for W1 and
-W2 in disjoint variables (Fan-Jarvis-Ruan 2013, Ann. Math. 178; Krawitz
-2010), and by Thom-Sebastiani the Milnor ring of W^T is the tensor product
-of its atoms' rings.  So each side's table is the `GradedDims.tensor` of
-the atoms' tables.  An atom's A table is `atable` at its weights over the
-group its rows cut out, and its B table is `btable` at the weights solved
-from its transposed rows: the Milnor-Orlik series of a nondegenerate atom
-depends on its weights alone (Milnor-Orlik 1970).  Per atom the two sides
-stay independent routes, characters over a group against a series; the
-B-side tensor is formed only when some atom's two tables differ.
-An atom's pair is memoized in a bounded `lru_cache` under its rows rebuilt
-from its pointer structure (`polycore._pointer_form`), so an atom met
-again, in any variable order, costs one lookup.  The transposed atom must
-carry the pointer certificate, as the transpose of a Fermat, chain or loop
-atom does; when one does not, W^T is built and counted whole by `bmodel`,
-whose `require_admissible` refuses it naming W^T's weights.  No
-`Polynomial` or `classify` record is made for W^T otherwise: its text is
-rendered from W's columns.  GROUP_ORDER_LIMIT bounds each atom's group and
-the products of entries each tensor product forms in all, so a sum of
-atoms whose degree sums never coincide is refused before its table grows;
-W^T's whole series is bounded as `btable` bounds one.
+`mirror_check` and the CLI's `mirror-check` both read them from it.  A W in
+pointer form, a sum of Fermat, chain and loop atoms, is counted one atom at
+a time, its atoms read off up to relabelling by `polycore._pointer_form`
+(Kreuzer-Skarke 1992).  W's exponent matrix is block diagonal over its
+atoms, so W^T's atoms are the transposes of W's, again Fermat, chain and
+loop atoms.  Gmax(W) is the product of the atoms' groups, so by the tensor
+law A(W1 + W2, G1 x G2) = A(W1, G1) (x) A(W2, G2) for W1 and W2 in disjoint
+variables (Fan-Jarvis-Ruan 2013, Ann. Math. 178; Krawitz 2010), and by
+Thom-Sebastiani for W^T's Milnor ring, each side's table is the
+`GradedDims.tensor` of the atoms' tables.  An atom's A table is `atable` at
+its weights over the group its rows cut out, and its B table is `btable` at
+the weights solved from its transposed rows (Milnor-Orlik 1970): per atom,
+characters over a group against a series, two independent routes; the
+B-side tensor is formed only when some atom's two tables differ.  An atom's
+pair is memoized in a bounded `lru_cache` under its pointer-form entry, and
+no `Polynomial` or `classify` record is made for W^T: its text is rendered
+from W's columns.  Any other invertible W holds a row x_i*x_j^b with pointer
+exponent 1, which the kernel certified, and is counted whole: `atable` over
+Gmax(W), and `bmodel` of W^T, which refuses W^T naming its weights.
+GROUP_ORDER_LIMIT bounds each group counted and the products of entries
+each tensor product forms in all, so a sum of atoms whose degree sums never
+coincide is refused before its table grows; W^T's whole series is bounded
+as `btable` bounds one.
 
 The search asks: given a target dimension d and target top degree delta, is
 there a weight system (q_1..q_m), each q_i in (0, 1/2] and rational, with
@@ -96,9 +93,8 @@ from .amodel import atable
 from .errors import InvalidArgument, ResourceLimitExceeded
 from .groebner import _render_monomials, _require_int, _walk
 from .milnor import GradedDims, _require_halved, _series_size, bmodel, btable
-from .polycore import (Polynomial, WeightSystem, _invertible_matrix, _pointer_certified,
-                       _pointer_form, _rational, classify, solve_weights,
-                       transpose_polynomial)
+from .polycore import (Polynomial, WeightSystem, _invertible_matrix, _pointer_form,
+                       _rational, classify, solve_weights, transpose_polynomial)
 from .value import _Value
 
 HALF = Fraction(1, 2)
@@ -141,32 +137,29 @@ _SIEVE_SQUARES = {p: frozenset([u * u % p for u in range(p // 2 + 1)])
 
 def mirror_sides(poly: Polynomial) -> tuple[str, GradedDims, GradedDims]:
     """The text of the transpose W^T, the graded state space of (W, Gmax)
-    and the graded Milnor ring of W^T, for an admissible invertible W.
-
-    Both sides are tensor products over one split of W into atoms, each
-    atom's pair of tables memoized up to relabelling; W^T is built and
-    counted whole only when some transposed atom fails its certificate.
-    Raises ResourceLimitExceeded when a tensor product would form more than
-    GROUP_ORDER_LIMIT products of entries in all, or when W^T's
+    and the graded Milnor ring of W^T, for an admissible invertible W: a
+    tensor product over W's atoms when W is in pointer form, else counted
+    whole.  Raises ResourceLimitExceeded past GROUP_ORDER_LIMIT (a group's
+    order, or the products a tensor product forms in all) or when W^T's
     Milnor-Orlik series would be longer than `btable` allows."""
     rows = _invertible_matrix(poly)
-    sides = [_atom_sides(_atom_key(atom)) for _, atom in _atoms(rows)]
-    a_side = _tensor([a for a, _, _ in sides])
-    if any(weights is None for _, weights, _ in sides):
-        # raises, naming W^T's weights, unless the kernel certifies W^T
+    form = _pointer_form(rows)
+    if form is None:
+        # a row x_i*x_j^b has pointer exponent 1, and the kernel certified W;
+        # bmodel refuses W^T, naming its weights, unless it certifies W^T
+        a_side = atable(classify(poly).weights, symmetry._relation_group(rows))
         b_side = bmodel(transpose_polynomial(poly)).graded
     else:
+        sides = [_atom_sides(atom) for atom in form]
+        a_side = _tensor([a for a, _, _ in sides])
         # W^T's weights are its atoms': its whole series is bounded, over
-        # the lcm of their scales
+        # the lcm of their scales, so no atom's table is None past here
         forms = [weights.integer_form for _, weights, _ in sides]
         scale = math.lcm(*(s for s, _ in forms))
         _series_size(scale, [w * (scale // s) for s, ws in forms for w in ws])
-        # a table left out as over the limit, which was lower when its atom
-        # was first counted, fits now that W^T's whole series does
-        b_tables = [btable(weights) if b is None else b for _, weights, b in sides]
         # equal factors have an equal tensor product
-        b_side = (a_side if all(a == b for (a, _, _), b in zip(sides, b_tables))
-                  else _tensor(b_tables))
+        b_side = (a_side if all(a == b for a, _, b in sides)
+                  else _tensor([b for _, _, b in sides]))
     # W^T has coefficients 1 and its terms are W's columns, in canonical order
     partner = " + ".join(_render_monomials(poly.variables, sorted(zip(*rows), reverse=True)))
     return partner, a_side, b_side
@@ -187,72 +180,29 @@ def _tensor(tables: list[GradedDims]) -> GradedDims:
     return table
 
 
-def _atoms(rows: tuple[tuple[int, ...], ...]) -> list[tuple[tuple[int, ...], tuple]]:
-    """An exponent matrix split over the connected components of the graph
-    that joins the variables of each monomial: per component, ordered by
-    their least variable, its variable indices and the rows of its
-    monomials restricted to them."""
-    root = list(range(len(rows[0])))
-
-    def find(i):
-        while root[i] != i:
-            root[i] = root[root[i]]
-            i = root[i]
-        return i
-
-    supports = [[i for i, e in enumerate(row) if e] for row in rows]
-    for first, *rest in supports:
-        for j in rest:
-            root[find(j)] = find(first)
-    variables: dict[int, list[int]] = {}
-    for i in range(len(root)):
-        variables.setdefault(find(i), []).append(i)
-    atoms: dict[int, list[tuple[int, ...]]] = {r: [] for r in variables}
-    for row, support in zip(rows, supports):
-        r = find(support[0])
-        atoms[r].append(tuple(row[i] for i in variables[r]))
-    return [(tuple(variables[r]), tuple(atom)) for r, atom in atoms.items()]
-
-
-def _atom_key(rows: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-    """The atom's rows rebuilt from its pointer structure
-    (`polycore._pointer_form`): each chain from its head and each loop from
-    its least rotation, row i being x_i^a_i times the variable after x_i.
-    So an atom written in any variable order has one key.  Rows with no
-    pointer structure are their own key."""
-    form = _pointer_form(rows)
-    if form is None:
-        return rows
-    n, key = len(rows), []
-    for loop, exponents in form:
-        start, k = len(key), len(exponents)
-        for i, a in enumerate(exponents):
-            row = [0] * n
-            row[start + i] = a
-            if loop or i + 1 < k:
-                row[start + (i + 1) % k] = 1
-            key.append(tuple(row))
-    return tuple(key)
-
-
-# seeds 1-3 of the mirror-corpus benchmark meet 268 to 279 distinct keys each,
-# and in 256 slots miss each key only where it is first met
+# seeds 1-3 of the mirror-corpus benchmark meet 268 to 279 distinct atoms
+# each, and in 256 slots miss each atom only where it is first met
 @lru_cache(maxsize=256)
-def _atom_sides(rows: tuple[tuple[int, ...], ...]
-                ) -> tuple[GradedDims, WeightSystem | None, GradedDims | None]:
-    """For an atom V with these exponent rows: the graded state space of
-    (V, Gmax(V)), the weights of V^T and the graded Milnor ring of V^T.
-    Each table reads only weights (and a group): `atable` at V's weights
-    over the group its rows cut out, and `btable` at the weights solved
-    from the transposed rows.  V^T must carry the pointer certificate, as
-    it does whenever V is a Fermat, chain or loop atom; otherwise its
-    weights and table are None.  Its table is None too when its series is
-    over the limit, as W^T's is then."""
+def _atom_sides(atom: tuple[bool, tuple[int, ...]]
+                ) -> tuple[GradedDims, WeightSystem, GradedDims | None]:
+    """For an atom V, an entry (is_loop, exponents) of `_pointer_form`: the
+    graded state space of (V, Gmax(V)), the weights of V^T and the graded
+    Milnor ring of V^T, None when its series is over the limit, as W^T's
+    is then.  V's row i is x_i^a_i times the variable after x_i.  The
+    tables read only weights (and a group): `atable` at V's weights over
+    the group its rows cut out, `btable` at the weights of the transposed
+    rows.  The transpose of a Fermat atom is a Fermat atom, of a chain the
+    chain read from its other end, of a loop the reversed loop, so V^T
+    carries the pointer certificate and its weights always solve."""
+    loop, exponents = atom
+    k = len(exponents)
+    rows = [[0] * k for _ in exponents]
+    for i, a in enumerate(exponents):
+        rows[i][i] = a
+        if loop or i + 1 < k:
+            rows[i][(i + 1) % k] = 1
     a_table = atable(solve_weights(rows), symmetry._relation_group(rows))
-    transposed = tuple(zip(*rows))
-    if not _pointer_certified(transposed):
-        return a_table, None, None
-    weights = solve_weights(transposed)
+    weights = solve_weights(tuple(zip(*rows)))
     try:
         return a_table, weights, btable(weights)
     except ResourceLimitExceeded:

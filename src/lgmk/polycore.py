@@ -19,13 +19,14 @@ the weights, `_integer_form`, defined here.  `classify` decides nondegeneracy
 here, through `jacobian_staircase` beside it.  It is the one analysis of a
 polynomial and the one memo keyed by it: its record holds the kind, the
 weights with their integer form (L, L*q_i), and W's staircase.  After the
-weight solve, two exponent-matrix predicates decide most verdicts without a
-Groebner run: a sum of Fermat, chain and loop atoms is nondegenerate
-(`_pointer_certified`, read off its atoms up to relabelling by
-`_pointer_form`), and a polynomial with a critical coordinate axis is
-degenerate (`_critical_axis`).  Every other polynomial runs the kernel once
-in `classify`.  A certified W's staircase is built only when a basis listing
-first reads it, and then held in the record.  So `require_admissible`, the
+weight solve, a weight of 1 is refused: its variable appears only as a
+linear term, so 0 is no critical point.  Two exponent-matrix predicates
+then decide most verdicts without a Groebner run: a sum of Fermat, chain
+and loop atoms is nondegenerate (`_pointer_certified`, read off its atoms
+up to relabelling by `_pointer_form`), and a polynomial with a critical
+coordinate axis is degenerate (`_critical_axis`).  Every other polynomial
+runs the kernel once in `classify`.  A certified W's staircase is built
+only when a basis listing first reads it, and then held in the record.  So `require_admissible`, the
 transpose, `bmodel`, `amodel` and `is_nondegenerate` read one weight solve,
 and W's kernel runs at most once.
 """
@@ -181,7 +182,12 @@ class Polynomial(_Value):
                 continue
             if len(exps) != len(names):
                 raise ValueError("exponent length does not match variable count")
-            exps = tuple(_require_int("exponent", e) for e in exps)
+            # a tuple of plain ints passes one type test; any other is read
+            # entry by entry, so a bool or a float is refused by name
+            exps = tuple(exps)
+            if not set(map(type, exps)) <= {int}:
+                for e in exps:
+                    _require_int("exponent", e)
             if min(exps, default=0) < 0:
                 raise ValueError(f"negative exponent in {exps}")
             collected.append((exps, c))
@@ -607,11 +613,13 @@ def classify(poly: Polynomial) -> Classification:
 
 
 _DEGENERATE = "degenerate: Milnor ring is not finite dimensional"
+_NO_CRITICAL_POINT = ("a variable of weight 1 appears only as a linear term, "
+                      "so 0 is not a critical point")
 
 
-# a mirror check classifies W only (W^T too when a transposed atom lacks the
-# pointer certificate); the support enumeration one candidate at a time, so
-# a few dozen entries serve every caller
+# a mirror check classifies W only (W^T too when W is not in pointer form);
+# the support enumeration one candidate at a time, so a few dozen entries
+# serve every caller
 @lru_cache(maxsize=64)
 def _memoized_classify(poly: Polynomial) -> Classification:
     rows = exponent_matrix(poly)
@@ -620,6 +628,11 @@ def _memoized_classify(poly: Polynomial) -> Classification:
     except WeightError as exc:
         return Classification(PolynomialClass.NOT_ADMISSIBLE, None,
                               f"{type(exc).__name__}: {exc}")
+    scale, integer_weights = weights.integer_form
+    if scale in integer_weights:
+        # every monomial holding x_i has degree 1, so it is x_i itself, and
+        # dW/dx_i is a nonzero constant
+        return Classification(PolynomialClass.NOT_ADMISSIBLE, weights, _NO_CRITICAL_POINT)
     if _critical_axis(rows):
         return Classification(PolynomialClass.NOT_ADMISSIBLE, weights, _DEGENERATE)
     build = partial(jacobian_staircase, poly, weights)

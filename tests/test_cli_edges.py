@@ -129,6 +129,41 @@ def test_an_invertible_w_whose_transpose_is_not_admissible(text, weights):
                            "are not all positive\n")
 
 
+# a linear term z has weight 1, so 0 is no critical point of W: every
+# command that needs an admissible W refuses it, with one reason, and
+# `weights` reports it not admissible.  x*y + y^2 + z holds the cross-term
+# x*y, so its error must not be the bound on weights above 1/2 that applies
+# without one
+LINEAR = ("a variable of weight 1 appears only as a linear term, "
+          "so 0 is not a critical point")
+
+
+@pytest.mark.parametrize("argv", [
+    ["amodel", "x^2 + x*y + z", "max"], ["bmodel", "x^2 + x*y + z"],
+    ["mirror-check", "x^2 + x*y + z"], ["mirror-check", "x*y + y^2 + z"]])
+def test_a_linear_term_is_not_admissible(argv):
+    done = _run(argv)
+    assert (done.returncode, done.stdout, done.stderr) == (3, "", f"error: {LINEAR}\n")
+
+
+def test_weights_reports_a_linear_term_not_admissible():
+    done = _run(["weights", "x^2 + x*y + z", "--json"])
+    assert done.returncode == 0
+    payload = json.loads(done.stdout)["payload"]
+    assert (payload["classification"], payload["nondegenerate"], payload["weights"],
+            payload["reason"]) == ("not_admissible", False, ["1/2", "1/2", "1"], LINEAR)
+
+
+# y*z has pointer exponent 1, so W is not in pointer form and is counted
+# whole, as `amodel W max` counts it: its Gmax, of order 4 * 60^4, is over
+# GROUP_ORDER_LIMIT, though each Fermat atom u^60, ..., t^60 is not
+def test_a_w_off_pointer_form_is_bounded_by_its_whole_group():
+    done = _run(["mirror-check", "x^2*y + y*z + z^2 + u^60 + v^60 + w^60 + t^60"])
+    assert (done.returncode, done.stdout) == (6, "")
+    assert done.stderr == ("error: group of order 51840000 is too large to list its "
+                           "elements (limit 1000000)\n")
+
+
 # numbers of more digits than int() and str() convert
 # (sys.get_int_max_str_digits(), 4300 unless the environment sets it): in an
 # exponent or a coefficient the parser refuses them, and a report that would

@@ -4,7 +4,7 @@ import math
 import random
 import time
 from fractions import Fraction as F
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -38,7 +38,7 @@ from lgmk import (
     search_weight_systems,
     transpose_polynomial,
 )
-from lgmk import groebner, mirror, polycore, symmetry
+from lgmk import mirror, polycore, symmetry
 from lgmk.mirror import STATUS_FOUND, STATUS_NONE_EXACT, STATUS_NONE_WITHIN_BOUND
 
 from conftest import HERMITE_TEXTS, INVERTIBLE_CORPUS_TEXTS
@@ -133,6 +133,14 @@ def _oracle_misses(polys) -> list[str]:
     return misses
 
 
+@pytest.fixture
+def limits(monkeypatch):
+    """monkeypatch, clearing `mirror._atom_sides` when the test ends, so no
+    atom's tables counted under a patched limit are read after it."""
+    yield monkeypatch
+    mirror._atom_sides.cache_clear()
+
+
 class TestSplitTable:
     """W is counted as the tensor product of its atoms' tables on both
     sides, each atom's pair read from its weights and group alone: the
@@ -141,7 +149,7 @@ class TestSplitTable:
     @pytest.mark.parametrize("corpus", sorted(SPLIT_CORPORA))
     def test_the_tensor_product_is_the_whole_group_table(self, corpus):
         polys = SPLIT_CORPORA[corpus]
-        assert any(len(mirror._atoms(exponent_matrix(p))) > 1 for p in polys)
+        assert any(len(polycore._pointer_form(exponent_matrix(p)) or ()) > 1 for p in polys)
         assert _oracle_misses(polys) == []
 
     def test_clearing_the_memo_gives_the_same_tables(self):
@@ -152,13 +160,6 @@ class TestSplitTable:
         again = [mirror.mirror_sides(poly) for poly in polys]
         assert mirror._atom_sides.cache_info().misses
         assert again == first
-
-    def test_an_atom_has_one_key_in_every_variable_order(self):
-        for text in INVERTIBLE_CORPUS_TEXTS + HERMITE_TEXTS:
-            keys = {tuple(sorted(mirror._atom_key(rows)
-                                 for _, rows in mirror._atoms(exponent_matrix(poly))))
-                    for poly in _relabelled([text])}
-            assert len(keys) == 1, text
 
     def test_a_tensor_product_that_ignores_the_scales_fails_the_oracle(self, monkeypatch):
         def unscaled(self, other):
@@ -173,16 +174,15 @@ class TestSplitTable:
         mirror._atom_sides.cache_clear()
         assert _oracle_misses(_parsed(INVERTIBLE_CORPUS_TEXTS + HERMITE_TEXTS))
 
-    def test_a_union_step_that_drops_a_subtree_fails_the_relabelled_oracle(self, monkeypatch):
-        # root[j] = find(first) relinks j alone: a variable that j's old root
-        # joined stays behind, so some atoms split wrongly
-        source = inspect.getsource(mirror._atoms)
-        assert source.count("root[find(j)] = find(first)") == 1
+    def test_an_atom_rebuilt_with_its_pointers_reversed_fails_the_relabelled_oracle(
+            self, monkeypatch):
+        # row i + 1 takes the pointer of row i: each chain and loop is
+        # rebuilt as its own transpose, so its two sides are swapped
+        source = inspect.getsource(mirror._atom_sides)
+        assert source.count("rows[i][(i + 1) % k] = 1") == 1
         namespace = dict(vars(mirror))
-        exec(source.replace("root[find(j)] = find(first)", "root[j] = find(first)"), namespace)
-        monkeypatch.setattr(mirror, "_atoms", namespace["_atoms"])
-        mirror._atom_sides.cache_clear()
-        assert _oracle_misses(SPLIT_CORPORA["invertible"]) == []
+        exec(source.replace("rows[i][(i + 1) % k] = 1", "rows[(i + 1) % k][i] = 1"), namespace)
+        monkeypatch.setattr(mirror, "_atom_sides", namespace["_atom_sides"])
         assert len(RELABELLED) == 112 and _oracle_misses(RELABELLED)
 
     def test_a_split_w_builds_no_gmax_of_its_own(self, monkeypatch):
@@ -245,43 +245,81 @@ class TestSplitTable:
         assert a_side == b_side
         assert mirror._atom_sides.cache_info().maxsize == 256
 
-    @pytest.mark.parametrize("text,atoms", [
-        ("x^7", [((0,), ((7,),))]),
-        ("x^3 + y^3", [((0,), ((3,),)), ((1,), ((3,),))]),
-        ("x^2*y + y^3 + z^4", [((0, 1), ((2, 1), (0, 3))), ((2,), ((4,),))]),
-        # a loop is one atom; a chain may point to a later variable
-        ("x^2*y + y^2*z + z^2*x", [((0, 1, 2), ((2, 1, 0), (1, 0, 2), (0, 2, 1)))]),
-        ("x^3 + y^2*z + w^2*x + z^3",
-         [((0, 3), ((3, 0), (1, 2))), ((1, 2), ((2, 1), (0, 3)))])])
-    def test_atoms_are_the_connected_components(self, text, atoms):
-        assert mirror._atoms(exponent_matrix(parse_polynomial(text))) == atoms
-
-    def test_the_products_formed_are_bounded_by_the_group_order_limit(self, monkeypatch):
+    def test_the_products_formed_are_bounded_by_the_group_order_limit(self, limits):
         # x^3 has a table of two entries, so x^3 + y^3 forms 4 products
         poly = parse_polynomial("x^3 + y^3")
-        monkeypatch.setattr(symmetry, "GROUP_ORDER_LIMIT", 4)
+        limits.setattr(symmetry, "GROUP_ORDER_LIMIT", 4)
         assert mirror_check(poly)
-        monkeypatch.setattr(symmetry, "GROUP_ORDER_LIMIT", 3)
+        limits.setattr(symmetry, "GROUP_ORDER_LIMIT", 3)
         with pytest.raises(ResourceLimitExceeded, match="2 atoms forms more than 3 products"):
             mirror_check(poly)
 
-    def test_a_table_left_out_under_a_lower_series_limit_is_counted_later(self, monkeypatch):
-        # x^4's series has 3 coefficients, that of x^4 + y^4 has 5
-        mirror._atom_sides.cache_clear()
-        monkeypatch.setattr(groebner, "STANDARD_MONOMIAL_BOX_LIMIT", 2)
-        with pytest.raises(ResourceLimitExceeded, match="series has 5 coefficients"):
-            mirror_check(parse_polynomial("x^4 + y^4"))
-        monkeypatch.setattr(groebner, "STANDARD_MONOMIAL_BOX_LIMIT", 5)
-        assert mirror_check(parse_polynomial("x^4 + y^4"))
-
-    def test_the_products_are_counted_over_every_factor(self, monkeypatch):
+    def test_the_products_are_counted_over_every_factor(self, limits):
         # 2*2 products, then 3*2 for the table of 3 entries: 10 in all
         poly = parse_polynomial("x^3 + y^3 + z^3")
-        monkeypatch.setattr(symmetry, "GROUP_ORDER_LIMIT", 10)
+        limits.setattr(symmetry, "GROUP_ORDER_LIMIT", 10)
         assert mirror_check(poly)
-        monkeypatch.setattr(symmetry, "GROUP_ORDER_LIMIT", 9)
+        limits.setattr(symmetry, "GROUP_ORDER_LIMIT", 9)
         with pytest.raises(ResourceLimitExceeded, match="3 atoms forms more than 9 products"):
             mirror_check(poly)
+
+
+def _square_supports() -> list[Polynomial]:
+    """Every polynomial of n monomials with coefficients 1 in n = 2 or 3
+    variables x, y, z, each exponent at most 3, whose matrix is not in
+    pointer form: one row has pointer exponent 1, or none is a pure or
+    pointing power."""
+    found = []
+    for n in (2, 3):
+        rows = [r for r in product(range(4), repeat=n) if any(r)]
+        for support in combinations(rows, n):
+            if polycore._pointer_form(support) is None:
+                found.append(Polynomial.from_term_map("xyz"[:n], dict.fromkeys(support, 1)))
+    return found
+
+
+class TestWholeW:
+    """A W not in pointer form is counted whole: its A side by `atable` over
+    Gmax(W), its B side by `bmodel` of W^T, which refuses a W^T that is not
+    admissible naming W^T's weights."""
+
+    def test_every_small_invertible_w_off_pointer_form_matches_its_whole_routes(self):
+        invertible = linear = 0
+        for poly in _square_supports():
+            verdict = classify(poly)
+            if verdict.reason == polycore._NO_CRITICAL_POINT:
+                # a linear term x_i of weight 1: refused before W^T is built
+                linear += 1
+                with pytest.raises(NotAdmissibleError, match="linear term"):
+                    mirror.mirror_sides(poly)
+            if verdict.kind is not polycore.PolynomialClass.INVERTIBLE:
+                continue
+            invertible += 1
+            a_side = amodel(poly, gmax(poly)).graded
+            try:
+                b_side = bmodel(transpose_polynomial(poly)).graded
+            except LgmkError as exc:
+                with pytest.raises(type(exc)) as raised:
+                    mirror.mirror_sides(poly)
+                assert str(raised.value) == str(exc), str(poly)
+                continue
+            _, *sides = mirror.mirror_sides(poly)
+            assert sides == [a_side, b_side], str(poly)
+        assert (invertible, linear) == (215, 12)
+
+    def test_a_w_off_pointer_form_is_not_split(self, monkeypatch):
+        seen = []
+
+        def recorded(weights, group):
+            seen.append((weights, group))
+            return atable(weights, group)
+
+        monkeypatch.setattr(mirror, "atable", recorded)
+        # y*z has pointer exponent 1, so the Fermat atom w^3 is counted with
+        # the rest, over one Gmax(W)
+        poly = parse_polynomial("x^2*y + y*z + z^3 + w^3")
+        mirror.mirror_sides(poly)
+        assert seen == [(classify(poly).weights, gmax(poly))]
 
 
 def pair_solutions(d, s) -> list[tuple[F, ...]]:
