@@ -234,15 +234,17 @@ class BModel(_Value):
 
 
 def is_nondegenerate(poly: Polynomial) -> bool:
-    """True iff the Jacobian ideal is zero dimensional (finite Milnor ring).
-    With weights it is read off the verdict, True iff W is admissible, so a
-    W with a linear term of weight 1, where 0 is no critical point, reads
-    False."""
+    """True iff 0 is a critical point of W and the Jacobian ideal is zero
+    dimensional (finite Milnor ring).  A W with a term of degree 1 reads
+    False, since its gradient at 0 is not zero.  With weights it is read off
+    the verdict, True iff W is admissible: there a linear term has weight 1,
+    which the verdict already refuses."""
     if poly.is_zero() or poly.n_variables == 0:
         return False
     verdict = classify(poly)
     if verdict.weights is None:
-        return jacobian_staircase(poly, None) is not None
+        return (all(sum(monomial.exponents) != 1 for _, monomial in poly.terms)
+                and jacobian_staircase(poly, None) is not None)
     return verdict.is_admissible
 
 

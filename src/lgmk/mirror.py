@@ -496,25 +496,44 @@ def _square_residues(quartic: list[int], p: int) -> list[int]:
             if ((((c4 * u + c3) * u + c2) * u + c1) * u + c0) % p in squares]
 
 
+@lru_cache(maxsize=len(_SIEVE_SQUARES))
+def _dilations(p: int) -> tuple[int, ...]:
+    """The p lines from which a prime's row patterns are read: line u has
+    bit r p + (u r mod p) set for every r = 1..p - 1, so the OR of the lines
+    of a set `good` holds, in its p-bit slice r, the numerators a = u r mod p
+    for u in good.  The lines depend on p alone, so they are built once per
+    prime per process, when a walk first sieves by p, and never at import.
+    A prime's lines hold p^3 bits, so the cache holds at most the sum of
+    p^3 bits over the pool, about 1.6 MB, and about 200 KB for the primes up
+    to 71."""
+    return tuple(sum(1 << r * p + u * r % p for r in range(1, p)) for u in range(p))
+
+
 def _row_sieves(bound: int, sn: int, sd: int, dn: int,
                 dd: int) -> list[tuple[int, list[int]]]:
     """The primes that sieve a three-variable walk to `bound`, ascending, as
     (p, good): good is `_square_residues` of `_pair_quartic`, the u mod p
-    where F(u, 1) is a square mod p.
+    where F(u, 1) is a square mod p, from which `_walk_rows` reads its row
+    patterns through the prime's `_dilations`.
 
-    A prime whose every F(u, 1) is a square never sieves.  Each prime leaves
-    about half the candidates and costs p evaluations and up to p - 1
-    patterns, so the number tried grows with the at most bound^2/4
-    numerators: the walk tries the first 2k - 9 `_sieve_primes`, for k the
-    bit length of the bound (none below bound 16, one up to 31, seven from
-    128 to 255)."""
+    Each prime leaves about the share |good|/p of the candidates and costs p
+    evaluations, |good| ORs of its lines and up to p - 1 pattern slices per
+    walk, so the number used grows with the at most bound^2/4 numerators:
+    2k - 9 primes, for k the bit length of the bound (none below bound 16,
+    one up to 31, seven from 128 to 255).  They are the ones of least share
+    among the first 2k - 7 `_sieve_primes`, since on some targets F is a
+    square mod p unusually often (`search 52 3 3 --bound 200` keeps 4 of 5
+    residues mod 5); a prime whose every F(u, 1) is a square never sieves."""
+    count = 2 * bound.bit_length() - 9
+    if count <= 0:
+        return []
     quartic = _pair_quartic(sn, sd, dn, dd)
     sieves = []
-    for p in _sieve_primes(2 * bound.bit_length() - 9, sd, dn, dd):
+    for p in _sieve_primes(count + 2, sd, dn, dd):
         good = _square_residues(quartic, p)
         if len(good) < p:
             sieves.append((p, good))
-    return sieves
+    return sorted(sorted(sieves, key=lambda sieve: len(sieve[1]) / sieve[0])[:count])
 
 
 def _walk_rows(bound: int, sn: int, sd: int, dn: int, dd: int) -> set[tuple[Fraction, ...]]:
@@ -534,11 +553,20 @@ def _walk_rows(bound: int, sn: int, sd: int, dn: int, dd: int) -> set[tuple[Frac
     ANDed with each prime's periodic pattern for b mod p shifted to the
     row's first numerator.  Of the bits left, those of reduced a/b reach
     `_pair_roots`: a non-reduced point repeats one of a smaller row, with
-    the same pair.  A pattern is built when a row first needs it and
+    the same pair.  The pattern for b = r mod p, whose bit j stands for the
+    numerators a = j mod p, is the p-bit slice r of the prime's table, the
+    OR of its `_dilations` lines over the good residues u: a/b = u mod p
+    means a = u r mod p.  A pattern is sliced when a row first needs it and
     doubled when a longer row does, so it spans fewer than 2 (w + p) bits
     for the longest row w that used it.  Each row counts one visit plus one
     per numerator, checked against TAIL_LIMIT before the row is sieved."""
-    sieves = [(p, good, {}) for p, good in _row_sieves(bound, sn, sd, dn, dd)]
+    sieves = []
+    for p, good in _row_sieves(bound, sn, sd, dn, dd):
+        lines = _dilations(p)
+        table = 0
+        for u in good:
+            table |= lines[u]
+        sieves.append((p, table, {}))
     found = set()
     visited = 0
     for b in range(2, bound + 1):
@@ -550,12 +578,11 @@ def _walk_rows(bound: int, sn: int, sd: int, dn: int, dd: int) -> set[tuple[Frac
         if width <= 0:
             continue
         mask = (1 << width) - 1
-        for p, good, patterns in sieves:
+        for p, table, patterns in sieves:
             r = b % p
             if not r:
                 continue
-            # bit j of a pattern stands for the numerators a = j mod p
-            pattern, length = patterns.get(r) or (sum(1 << u * r % p for u in good), p)
+            pattern, length = patterns.get(r) or (table >> r * p & (1 << p) - 1, p)
             if length < width + p:
                 while length < width + p:
                     pattern |= pattern << length

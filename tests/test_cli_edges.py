@@ -78,7 +78,9 @@ KNOWN = [
     (["weights", "x^3+y^3+x*y^2+c^5+d^7+e^11+f^13+g^17+h^19"], 0),
     # no weights, so nondegeneracy is tested under degrevlex, where one
     # S-polynomial reduces through x^(N-2), x^(N-3), ...: STEP_LIMIT ends it
-    (["weights", "d + d*x + x^10000000000"], 6),
+    (["weights", "d^2 + d^2*x + x^10000000000"], 6),
+    # the linear term d answers the same test before the kernel runs
+    (["weights", "d + d*x + x^10000000000"], 0),
     # an uncertified walk of twenty variables, ended by TAIL_LIMIT
     (["search", "24", "12/5", "20", "--bound", "60"], 6),
     # Gmax is cyclic of exponent and order 1000036000099: its generator is
@@ -152,6 +154,15 @@ def test_weights_reports_a_linear_term_not_admissible():
     payload = json.loads(done.stdout)["payload"]
     assert (payload["classification"], payload["nondegenerate"], payload["weights"],
             payload["reason"]) == ("not_admissible", False, ["1/2", "1/2", "1"], LINEAR)
+
+
+# without weights the linear term still makes 0 no critical point
+def test_weights_reports_a_linear_term_degenerate_without_weights():
+    done = _run(["weights", "x + y^3", "--json"])
+    assert done.returncode == 0
+    payload = json.loads(done.stdout)["payload"]
+    assert (payload["classification"], payload["nondegenerate"], payload["weights"]) == (
+        "not_admissible", False, None)
 
 
 # y*z has pointer exponent 1, so W is not in pointer form and is counted

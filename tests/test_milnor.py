@@ -494,6 +494,13 @@ class TestNondegeneracy:
         for n in range(2, 8):
             assert is_nondegenerate(parse_polynomial(f"x^{n}"))
 
+    # the gradient of a W with a linear term is not zero at 0, so 0 is no
+    # critical point, whether or not W has weights and however finite its
+    # Jacobian ideal is: (1) for x and x + y^3, (y + 1, x) for x*y + x
+    @pytest.mark.parametrize("text", ["x", "x + y^3", "x*y + x", "x^2*y + 2*y", "x^2 + x*y + z"])
+    def test_a_linear_term_is_degenerate(self, text):
+        assert not is_nondegenerate(parse_polynomial(text))
+
 
 class TestBModel:
     def test_fermat_cubic_grading(self):

@@ -22,7 +22,11 @@ infinity and 0/0 mod p; and its memo must stay within (p + 2)^2 quartics per
 prime.
 """
 
+import inspect
 import math
+import os
+import subprocess
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -257,11 +261,12 @@ def test_weight_sums_over_sieve_primes_match_oracle(dens, bound, data):
 
 
 @pytest.mark.parametrize("weights, prime", [
-    ((Fraction(23, 120), Fraction(58, 119), Fraction(22, 45)), 5),
+    ((Fraction(27, 109), Fraction(9, 20), Fraction(66, 145)), 5),
     ((Fraction(2, 15), Fraction(17, 70), Fraction(29, 90)), 5),
-    ((Fraction(17, 96), Fraction(10, 39), Fraction(56, 141)), 3),
-    ((Fraction(3, 55), Fraction(11, 65), Fraction(33, 146)), 5),
-    ((Fraction(7, 71), Fraction(9, 65), Fraction(12, 55)), 5),
+    ((Fraction(1, 36), Fraction(23, 117), Fraction(29, 141)), 3),
+    ((Fraction(21, 145), Fraction(19, 80), Fraction(2, 5)), 5),
+    ((Fraction(2, 15), Fraction(31, 135), Fraction(33, 80)), 5),
+    ((Fraction(3, 14), Fraction(23, 101), Fraction(29, 126)), 7),
 ])
 def test_tail_in_a_row_the_prime_divides_matches_oracle(weights, prime):
     # one weight has a denominator within the bound 60, a multiple of a
@@ -318,6 +323,57 @@ def test_sieve_leaves_few_numerators_to_the_pair_solver(monkeypatch):
     numerators = sum(1 / (d + 1) <= Fraction(a, b) < weight_sum
                      for b in range(2, 201) for a in range(1, b // 2 + 1))
     assert 0 < len(calls) < numerators / 20
+
+
+@pytest.mark.parametrize("p", sorted(mirror._SIEVE_SQUARES))
+@settings(max_examples=10, deadline=None)
+@given(st.data())
+def test_row_table_slices_are_the_dilated_residues(p, data):
+    """Slice r of the OR of a prime's `_dilations` lines over `good` is the
+    pattern sum(1 << u r mod p for u in good) for b = r mod p, for every r
+    in 1..p - 1, on a drawn set, on the empty set and {0}, and on the set of
+    all residues but a drawn one."""
+    drawn = data.draw(st.sets(st.integers(0, p - 1)))
+    left_out = data.draw(st.integers(0, p - 1))
+    lines = mirror._dilations(p)
+    for good in [drawn, set(), {0}, set(range(p)) - {left_out}]:
+        table = 0
+        for u in good:
+            table |= lines[u]
+        assert table >> p * p == 0 and table & (1 << p) - 1 == 0
+        for r in range(1, p):
+            assert table >> r * p & (1 << p) - 1 == sum(1 << u * r % p for u in good)
+
+
+def test_rows_read_through_inverted_dilations_fail_the_oracle(monkeypatch):
+    # lines built with u r^-1 in place of u r give the pattern of b = r^-1
+    # mod p to the rows of b = r, so the walk sieves solutions away
+    source = inspect.getsource(mirror._dilations)
+    assert source.count("u * r % p") == 1
+    namespace = dict(vars(mirror))
+    exec(source.replace("u * r % p", "u * pow(r, -1, p) % p"), namespace)
+    monkeypatch.setattr(mirror, "_dilations", namespace["_dilations"])
+    d, delta = target_of([Fraction(1, 5), Fraction(1, 4), Fraction(1, 3)])
+    with pytest.raises(AssertionError):
+        assert_search_matches((d, delta, 3, 200))
+
+
+def test_importing_lgmk_builds_no_row_table():
+    # the lines are built when a walk first sieves by a prime, never at import
+    d, delta = target_of([Fraction(1, 5), Fraction(1, 4), Fraction(1, 3)])
+    code = ("import lgmk.cli\n"
+            "from lgmk import mirror\n"
+            "assert mirror._dilations.cache_info().currsize == 0\n"
+            f"mirror.search_weight_systems('{d}', '{delta}', 3, denominator_bound=60)\n"
+            "print(mirror._dilations.cache_info().currsize)")
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(mirror.__file__)))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src_dir), timeout=60)
+    assert done.returncode == 0, done.stderr
+    # one table per prime the walk sieves by
+    sn, sd = 6 * delta.denominator - delta.numerator, 4 * delta.denominator
+    sieves = _row_sieves(60, sn, sd, d.numerator, d.denominator)
+    assert sieves and done.stdout == f"{len(sieves)}\n"
 
 
 # Planted weight systems in four and five variables and bounds that hold
