@@ -65,14 +65,17 @@ Before that test, every last entry is sieved by the quadratic residues of F
 modulo a few odd primes, so most entries never reach it (a square-residue
 sieve, as in Cohen, A Course in Computational Algebraic Number Theory,
 1.7.2).  Three variables have a one-entry tail q3 = a/b, walked by
-denominator rows, and each row is sieved as a bit mask over its numerators.
-From four variables on, the last level's entries are a bit mask over grid
-indices, ANDed with one mask per prime: the grid entries whose class in
+numerator columns, and each column is sieved as a bit mask over its
+denominators, ANDed with each prime's pattern for a mod p, tiled once per
+walk and capped in length, so a long column is sieved in pieces.  From four
+variables on, the last level's entries are a bit mask over grid indices,
+ANDed with one mask per prime: the grid entries whose class in
 P^1(F_p) has F a square mod p, memoized by the classes of the level's sum
 and product, so at most (p + 2)^2 masks per prime and walk.  A `Fraction`
 is built only for a solution, and a search makes at most TAIL_LIMIT visits:
-one per tail entry, sieved or not, from four variables on, and one per row
-and per numerator in it for three.
+one per tail entry, sieved or not, from four variables on, and for three
+one per denominator row b = 2..bound and one per point a/b walked, as a
+walk by rows would count them.
 `discriminant_sign_boundary` isolates the real roots of the three-variable
 quartic with Sturm sequences and finds the largest grid point where it is
 nonnegative by Stern-Brocot descents, in O(log bound) sign tests.  The sieves
@@ -123,6 +126,9 @@ _EVERY_M_TERMS = 40
 # walk: on the planted m = 4 searches at bound 22..26 of three seeds of the
 # weight-search workload, 4 primes ran faster than 3, 5 or 6.
 _TAIL_SIEVE_PRIMES = 4
+# The most denominators of a three-variable column sieved at once: each
+# prime's tiled column patterns span this many bits plus one period.
+_TILE_BITS = 4096
 
 # The odd primes below 128 with their quadratic residues: the pool from
 # which `_sieve_primes` takes the primes that sieve a walk.
@@ -376,10 +382,10 @@ def _walk_tails(grid: tuple[tuple[int, int], ...], m: int, sn: int, sd: int,
     entry, so every level finds its span by two bisections, `span`.  An
     entry whose `_certified` excludes the variables left goes no deeper.
 
-    The last level (one entry a/b, then the pair) is sieved like the rows of
-    `_walk_rows`: the pair of a/b is `_pair_roots(dn a, dd (b - a),
-    sn b - sd a, sd b)` for the level's sn/sd and dn/dd, and needs F(a, b)
-    of the level's `_pair_quartic` to be a perfect square.  Its span is a
+    The last level (one entry a/b, then the pair) is sieved like the
+    columns of `_walk_columns`: the pair of a/b is `_pair_roots(dn a,
+    dd (b - a), sn b - sd a, sd b)` for the level's sn/sd and dn/dd, and
+    needs F(a, b) of the level's `_pair_quartic` to be a perfect square.  Its span is a
     bit mask of grid indices, ANDed with one mask per prime of
     `_sieve_primes`: the grid entries whose class in P^1(F_p) has F(u, 1) a
     square mod p.  For p | b, F(a, b) = ((dn + dd) sd a^2)^2 mod p,
@@ -498,32 +504,51 @@ def _square_residues(quartic: list[int], p: int) -> list[int]:
 
 @lru_cache(maxsize=len(_SIEVE_SQUARES))
 def _dilations(p: int) -> tuple[int, ...]:
-    """The p lines from which a prime's row patterns are read: line u has
+    """The p lines from which a prime's column patterns are read: line u has
     bit r p + (u r mod p) set for every r = 1..p - 1, so the OR of the lines
-    of a set `good` holds, in its p-bit slice r, the numerators a = u r mod p
-    for u in good.  The lines depend on p alone, so they are built once per
-    prime per process, when a walk first sieves by p, and never at import.
-    A prime's lines hold p^3 bits, so the cache holds at most the sum of
-    p^3 bits over the pool, about 1.6 MB, and about 200 KB for the primes up
-    to 71."""
+    at v = u^-1 for u in a set `good` holds, in its p-bit slice s, the
+    residues t = s u^-1 mod p, those with s t^-1 mod p in `good`.  The lines
+    depend on p alone, so they are built once per prime per process, when a
+    walk first sieves by p, and never at import.  A prime's lines hold p^3
+    bits, so the cache holds at most the sum of p^3 bits over the pool,
+    about 1.6 MB, and about 200 KB for the primes up to 71."""
     return tuple(sum(1 << r * p + u * r % p for r in range(1, p)) for u in range(p))
+
+
+def _column_patterns(p: int, good: list[int]) -> list[int]:
+    """The p-bit patterns of a prime's columns, for `good` the u mod p where
+    F(u, 1) is a square mod p: pattern s, read by the numerators a = s mod p,
+    has bit t set when t = 0 or s t^-1 mod p is in `good`, that is when a
+    denominator b = t mod p leaves F(a, b) a square mod p.  For s > 0 it is
+    slice s of the OR of the `_dilations` lines at u^-1 over the nonzero u
+    of `good`, with bit 0 set; pattern 0 is all ones when 0 is good and
+    bit 0 alone otherwise."""
+    lines = _dilations(p)
+    table = 0
+    for u in good:
+        if u:
+            table |= lines[pow(u, -1, p)]
+    ones = (1 << p) - 1
+    return [ones if 0 in good else 1] + [table >> s * p & ones | 1 for s in range(1, p)]
 
 
 def _row_sieves(bound: int, sn: int, sd: int, dn: int,
                 dd: int) -> list[tuple[int, list[int]]]:
-    """The primes that sieve a three-variable walk to `bound`, ascending, as
-    (p, good): good is `_square_residues` of `_pair_quartic`, the u mod p
-    where F(u, 1) is a square mod p, from which `_walk_rows` reads its row
-    patterns through the prime's `_dilations`.
+    """The primes that sieve a three-variable walk to `bound`, least share
+    first and ties by p, as (p, good): good is `_square_residues` of
+    `_pair_quartic`, the u mod p where F(u, 1) is a square mod p, from which
+    `_walk_columns` reads its column patterns (`_column_patterns`).
 
     Each prime leaves about the share |good|/p of the candidates and costs p
-    evaluations, |good| ORs of its lines and up to p - 1 pattern slices per
-    walk, so the number used grows with the at most bound^2/4 numerators:
+    evaluations, |good| ORs of its lines and p tiled patterns per walk, so
+    the number used grows with the at most bound^2/4 points walked:
     2k - 9 primes, for k the bit length of the bound (none below bound 16,
     one up to 31, seven from 128 to 255).  They are the ones of least share
     among the first 2k - 7 `_sieve_primes`, since on some targets F is a
     square mod p unusually often (`search 52 3 3 --bound 200` keeps 4 of 5
-    residues mod 5); a prime whose every F(u, 1) is a square never sieves."""
+    residues mod 5); a prime whose every F(u, 1) is a square never sieves.
+    The least share comes first so that a column's mask empties after as
+    few ANDs as it can."""
     count = 2 * bound.bit_length() - 9
     if count <= 0:
         return []
@@ -533,72 +558,77 @@ def _row_sieves(bound: int, sn: int, sd: int, dn: int,
         good = _square_residues(quartic, p)
         if len(good) < p:
             sieves.append((p, good))
-    return sorted(sorted(sieves, key=lambda sieve: len(sieve[1]) / sieve[0])[:count])
+    return sorted(sieves, key=lambda sieve: len(sieve[1]) / sieve[0])[:count]
 
 
-def _walk_rows(bound: int, sn: int, sd: int, dn: int, dd: int) -> set[tuple[Fraction, ...]]:
+def _walk_columns(bound: int, sn: int, sd: int, dn: int,
+                  dd: int) -> set[tuple[Fraction, ...]]:
     """Every three-variable solution with weight sum sn/sd and
     prod(1/q_i - 1) = dn/dd whose tail q3 has denominator at most `bound`.
 
-    Row b holds the numerators a with 1/(d+1) <= a/b <= 1/2 and a/b below
-    the sum, the tails whose pair can have a positive sum.  The pair of a/b
+    The tails walked are the a/b with b <= bound, 1/(d+1) <= a/b <= 1/2 and
+    a/b below the sum, those whose pair can have a positive sum; sn > 0,
+    since no certificate answered.  Column a holds the denominators b from
+    max(2a, ceil((a sd + 1)/sn)) to min(bound, floor(a (dn + dd)/dd)), and
+    the columns run over a <= bound/2 with a sd < bound sn.  The pair of a/b
     is `_pair_roots(dn a, dd (b - a), sn b - sd a, sd b)`, which succeeds
     only if the quartic F(a, b) = sum c_k a^k b^(4 - k) of
     `_pair_quartic(sn, sd, dn, dd)` is a perfect square.  For an odd prime
     p not dividing b, F(a, b) = b^4 F(a/b, 1) mod p, so the p values
     F(u, 1) mod p that `_row_sieves` computes tell every point where F is a
     nonresidue mod p, hence no square; when p divides b,
-    F = (sd (dn + dd) a^2)^2 mod p and p sieves nothing.  A row's
-    candidates are a bit mask, one bit per numerator,
-    ANDed with each prime's periodic pattern for b mod p shifted to the
-    row's first numerator.  Of the bits left, those of reduced a/b reach
-    `_pair_roots`: a non-reduced point repeats one of a smaller row, with
-    the same pair.  The pattern for b = r mod p, whose bit j stands for the
-    numerators a = j mod p, is the p-bit slice r of the prime's table, the
-    OR of its `_dilations` lines over the good residues u: a/b = u mod p
-    means a = u r mod p.  A pattern is sliced when a row first needs it and
-    doubled when a longer row does, so it spans fewer than 2 (w + p) bits
-    for the longest row w that used it.  Each row counts one visit plus one
-    per numerator, checked against TAIL_LIMIT before the row is sieved."""
+    F = (sd (dn + dd) a^2)^2 mod p and p sieves nothing.  A column's
+    candidates are a bit mask, one bit per denominator, ANDed with each
+    prime's periodic pattern for a mod p (`_column_patterns`) shifted to
+    the column's first denominator.  Of the bits left, those of reduced a/b
+    reach `_pair_roots`: a non-reduced point repeats one of a smaller
+    column, with the same pair.
+
+    Each pattern is tiled once per walk to span + p bits by one multiply
+    with a repunit, where span is the widest a column can be, or
+    _TILE_BITS if that is less; a longer column is sieved in pieces of span
+    denominators, each reading the tiles shifted by its own first
+    denominator mod p.  So a prime's tiles hold at most p (_TILE_BITS + p)
+    bits, about 67 KB for p = 127, whatever the bound.  The visits are
+    those of a walk by denominator rows: one per row b = 2..bound, counted
+    first, and one per point, counted per column before the column is
+    sieved; past TAIL_LIMIT the walk raises ResourceLimitExceeded."""
+    visited = bound - 1
+    if visited > TAIL_LIMIT:
+        raise ResourceLimitExceeded(f"the search visits more than {TAIL_LIMIT} tails")
+    e1 = dn + dd
+    # no column is wider than min(bound, a e1/dd) - a max(2, sd/sn) + 1,
+    # whose largest value over a >= 1 is at a = max(1, bound dd/e1)
+    span = bound + 1 + -max(e1, bound * dd) * max(2 * sn, sd) // (e1 * sn)
+    span = max(min(span, _TILE_BITS), 1)
     sieves = []
     for p, good in _row_sieves(bound, sn, sd, dn, dd):
-        lines = _dilations(p)
-        table = 0
-        for u in good:
-            table |= lines[u]
-        sieves.append((p, table, {}))
+        repunit = ((1 << (span // p + 2) * p) - 1) // ((1 << p) - 1)
+        ones = (1 << span + p) - 1
+        sieves.append((p, [pattern * repunit & ones for pattern in _column_patterns(p, good)]))
     found = set()
-    visited = 0
-    for b in range(2, bound + 1):
-        first = max(-(-b * dd // (dn + dd)), 1)
-        width = min(b // 2, (sn * b - 1) // sd) - first + 1
-        visited += 1 + max(width, 0)
+    for a in range(1, min(bound // 2, (bound * sn - 1) // sd) + 1):
+        lo, hi = max(2 * a, (a * sd + sn) // sn), min(bound, a * e1 // dd)
+        if lo > hi:
+            continue
+        visited += hi - lo + 1
         if visited > TAIL_LIMIT:
             raise ResourceLimitExceeded(f"the search visits more than {TAIL_LIMIT} tails")
-        if width <= 0:
-            continue
-        mask = (1 << width) - 1
-        for p, table, patterns in sieves:
-            r = b % p
-            if not r:
-                continue
-            pattern, length = patterns.get(r) or (table >> r * p & (1 << p) - 1, p)
-            if length < width + p:
-                while length < width + p:
-                    pattern |= pattern << length
-                    length *= 2
-                patterns[r] = pattern, length
-            mask &= pattern >> first % p
-            if not mask:
-                break
-        while mask:
-            bit = mask & -mask
-            mask ^= bit
-            a = first + bit.bit_length() - 1
-            if math.gcd(a, b) > 1:
-                continue
-            for low, high, den in _pair_roots(dn * a, dd * (b - a), sn * b - sd * a, sd * b):
-                found.add(tuple(sorted((Fraction(low, den), Fraction(high, den), Fraction(a, b)))))
+        for start in range(lo, hi + 1, span):
+            mask = (1 << min(span, hi + 1 - start)) - 1
+            for p, tiles in sieves:
+                mask &= tiles[a % p] >> start % p
+                if not mask:
+                    break
+            while mask:
+                bit = mask & -mask
+                mask ^= bit
+                b = start + bit.bit_length() - 1
+                if math.gcd(a, b) > 1:
+                    continue
+                for low, high, den in _pair_roots(dn * a, dd * (b - a), sn * b - sd * a, sd * b):
+                    found.add(tuple(sorted((Fraction(low, den), Fraction(high, den),
+                                            Fraction(a, b)))))
     return found
 
 
@@ -664,7 +694,7 @@ def search_weight_systems(d, delta, m: int, denominator_bound: int = 60) -> Sear
                 f"only where the every-m certificate decides, and it does not here")
     elif not _certified(m, sn, sd, dn, dd):
         if m == 3:
-            solutions = _walk_rows(denominator_bound, sn, sd, dn, dd)
+            solutions = _walk_columns(denominator_bound, sn, sd, dn, dd)
         else:
             grid = tuple(islice(_farey_grid(1 / (d + 1), HALF, denominator_bound),
                                 GRID_LIMIT + 1))

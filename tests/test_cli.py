@@ -384,8 +384,8 @@ def three_variable_visits(d: Fraction, delta: Fraction, bound: int) -> int:
 
 
 class TestTailBudget:
-    """The m = 3 row walk spends TAIL_LIMIT on rows and their numerators, the
-    walk of m >= 4 on tail entries."""
+    """The m = 3 walk spends TAIL_LIMIT on denominator rows and the
+    numerators in them, the walk of m >= 4 on tail entries."""
 
     def test_huge_bound_exits_6_after_the_budget_not_the_bound(self, capsys):
         begin = time.perf_counter()

@@ -11,10 +11,12 @@ pairs on unreduced inputs; the pair quartic that the sieve and the boundary
 read must be the integer the pair solver tests; and the Farey walk must give
 the same grid, whose length over (0, 1] is also checked against an
 independent count.  The three-variable search
-sieves its rows by quadratic residues before the exact pair test, so it is
-also compared at bounds 150-220, on targets whose pair is (1/2, 1/2), on
-weight sums over the sieve primes, and on tails in rows a sieving prime
-divides; and the sieve itself must drop only points with no pair.  From
+sieves its numerator columns by quadratic residues before the exact pair
+test, so it is also compared at bounds 150-220, on targets whose pair is
+(1/2, 1/2), on weight sums over the sieve primes, on tails whose
+denominator a sieving prime divides, and with tiles so short that columns
+are sieved in pieces; the sieve itself must drop only points with no pair,
+and its column patterns must be the good ratios mod p.  From
 four variables on, the last tail entry is sieved the same way, so the
 search is also compared on tails whose entries lie in the classes 0, 1 and
 infinity of a sieving prime, and whose level sums and products reach 0,
@@ -27,6 +29,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -270,8 +273,8 @@ def test_weight_sums_over_sieve_primes_match_oracle(dens, bound, data):
 ])
 def test_tail_in_a_row_the_prime_divides_matches_oracle(weights, prime):
     # one weight has a denominator within the bound 60, a multiple of a
-    # prime that sieves the walk, so only that row, which the prime leaves
-    # alone, can find the solution
+    # prime that sieves the walk, so only that denominator, which the
+    # prime leaves alone, can find the solution
     d, delta = target_of(weights)
     sn, sd = 6 * delta.denominator - delta.numerator, 4 * delta.denominator
     sieves = _row_sieves(60, sn, sd, d.numerator, d.denominator)
@@ -345,17 +348,100 @@ def test_row_table_slices_are_the_dilated_residues(p, data):
             assert table >> r * p & (1 << p) - 1 == sum(1 << u * r % p for u in good)
 
 
-def test_rows_read_through_inverted_dilations_fail_the_oracle(monkeypatch):
-    # lines built with u r^-1 in place of u r give the pattern of b = r^-1
-    # mod p to the rows of b = r, so the walk sieves solutions away
-    source = inspect.getsource(mirror._dilations)
-    assert source.count("u * r % p") == 1
+@pytest.mark.parametrize("p", sorted(mirror._SIEVE_SQUARES))
+@settings(max_examples=5, deadline=None)
+@given(st.data())
+def test_column_patterns_are_the_residues_whose_ratio_is_good(p, data):
+    """Pattern s of `_column_patterns`, for the numerators a = s mod p, has
+    bit t for the denominators b = t mod p with t = 0 or s t^-1 mod p good,
+    for every s in 0..p - 1, on a drawn set, on the empty set and {0}, and
+    on the set of all residues but a drawn one."""
+    drawn = data.draw(st.sets(st.integers(0, p - 1)))
+    left_out = data.draw(st.integers(0, p - 1))
+    inverse = [0] + [pow(t, -1, p) for t in range(1, p)]
+    for good in [drawn, set(), {0}, set(range(p)) - {left_out}]:
+        patterns = mirror._column_patterns(p, sorted(good))
+        assert len(patterns) == p
+        for s in range(p):
+            assert patterns[s] == sum(1 << t for t in range(p)
+                                      if t == 0 or s * inverse[t] % p in good)
+
+
+def _patched(monkeypatch, name: str, old: str, new: str) -> None:
+    """Replace mirror's function `name` by its source with its one `old`
+    replaced by `new`, run in a copy of mirror's namespace."""
+    source = inspect.getsource(getattr(mirror, name))
+    assert source.count(old) == 1
     namespace = dict(vars(mirror))
-    exec(source.replace("u * r % p", "u * pow(r, -1, p) % p"), namespace)
-    monkeypatch.setattr(mirror, "_dilations", namespace["_dilations"])
+    exec(source.replace(old, new), namespace)
+    monkeypatch.setattr(mirror, name, namespace[name])
+
+
+def test_rows_read_through_inverted_dilations_fail_the_oracle(monkeypatch):
+    # lines built with u r^-1 in place of u r put s^-1 u^-1 where s u^-1
+    # belongs in slice s, so the columns of a = s mod p read the pattern of
+    # a = s^-1 and the walk sieves solutions away
+    _patched(monkeypatch, "_dilations", "u * r % p", "u * pow(r, -1, p) % p")
     d, delta = target_of([Fraction(1, 5), Fraction(1, 4), Fraction(1, 3)])
     with pytest.raises(AssertionError):
         assert_search_matches((d, delta, 3, 200))
+
+
+def test_columns_read_through_the_row_lines_fail_the_oracle(monkeypatch):
+    # the lines at u in place of u^-1 give slice s the row pattern of
+    # b = s mod p, the numerators u s, so the walk sieves solutions away
+    _patched(monkeypatch, "_column_patterns", "lines[pow(u, -1, p)]", "lines[u]")
+    d, delta = target_of([Fraction(1, 5), Fraction(1, 4), Fraction(1, 3)])
+    with pytest.raises(AssertionError):
+        assert_search_matches((d, delta, 3, 200))
+
+
+@settings(max_examples=4, deadline=None)
+@given(st.integers(60, 200).flatmap(
+    lambda bound: weights_in_range(3, 2 * bound).map(lambda w: (*target_of(w), 3, bound))))
+def test_columns_sieved_in_pieces_match_oracle(case):
+    # with tiles of 5 bits and a period, every column longer than 5 is
+    # sieved in pieces, each starting at its own residue mod p
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mirror, "_TILE_BITS", 5)
+        assert_search_matches(case)
+
+
+def test_pieces_aligned_at_the_column_start_fail_the_oracle(monkeypatch):
+    # each piece reading the tiles shifted by its column's first denominator
+    # mod p, not its own, sieves the pieces after the first wrongly
+    monkeypatch.setattr(mirror, "_TILE_BITS", 5)
+    d, delta = target_of([Fraction(1, 5), Fraction(1, 4), Fraction(1, 3)])
+    assert_search_matches((d, delta, 3, 200))
+    _patched(monkeypatch, "_walk_columns", "start % p", "lo % p")
+    with pytest.raises(AssertionError):
+        assert_search_matches((d, delta, 3, 200))
+
+
+def test_a_long_column_is_tiled_within_the_cap(monkeypatch):
+    """Three weights 1/1500000 at bound 600,000 make one column of 100,000
+    denominators.  Tiled to at most _TILE_BITS and a period, a prime's
+    tiles hold at most p (_TILE_BITS + p) bits, and the walk's traced peak
+    stays below twice their sum; tiles as long as the column exceed it."""
+    d, delta = target_of([Fraction(1, 1500000)] * 3)
+    bound = 600_000
+    sn, sd = 6 * delta.denominator - delta.numerator, 4 * delta.denominator
+    primes = [p for p, _ in _row_sieves(bound, sn, sd, d.numerator, d.denominator)]
+    limit = 2 * sum(p * (mirror._TILE_BITS + p) for p in primes) // 8
+
+    def peak() -> int:
+        # a first walk builds the primes' `_dilations` lines outside the trace
+        search_weight_systems(d, delta, 3, denominator_bound=bound)
+        tracemalloc.start()
+        try:
+            search_weight_systems(d, delta, 3, denominator_bound=bound)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak() < limit
+    monkeypatch.setattr(mirror, "_TILE_BITS", bound)
+    assert peak() > limit
 
 
 def test_importing_lgmk_builds_no_row_table():
